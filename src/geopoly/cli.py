@@ -55,7 +55,7 @@ def _params_from(ns: argparse.Namespace) -> HsuShiueParams:
 
 def _emit(ns: argparse.Namespace, payload: dict, started: float) -> None:
     if not ns.no_timing:
-        payload["timing_ms"] = round((time.time() - started) * 1000, 3)
+        payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(ns, "out", None):
         with open(ns.out, "w") as fh:
@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    started = time.time()
+    started = time.perf_counter()
     try:
         return ns.fn(ns, started)
     except CliError as exc:

@@ -15,19 +15,51 @@ this module are therefore the same code path, never a numeric limit.
 Similarly ((1+alpha*t)^(beta/alpha) - 1)/beta has j-th coefficient
 prod_{i=1}^{j-1}(beta - i*alpha) / j!, exact even at beta = 0 (where it
 becomes log(1+alpha*t)/alpha).
+
+The ring kernels (``*``, :func:`divide`, :func:`exp_series`,
+:func:`log_series`) never accumulate Fractions term by term.  Each scales
+its operands once to integer numerators over one common denominator (the
+lcm of their denominators), runs the O(n^2) convolution or recurrence in
+``int``, and builds exactly one Fraction -- one gcd normalization -- per
+output coefficient.  The recurrences (divide, exp, log) feed each new
+coefficient back as a numerator over the least common denominator of the
+coefficients produced so far; that denominator grows only when a new
+coefficient needs it, and the stored numerators are rescaled then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Union
+from math import factorial, gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 from .exact import RationalLike, as_rational, gen_factorial
 from .params import HsuShiueParams
 
 ScalarLike = Union[Fraction, int]
+
+
+def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over their least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _append(nums: list[int], den: int, q: Fraction, weight: int = 1) -> int:
+    """Append the numerator of weight*q to nums, all over a common denominator.
+
+    den is the denominator nums are currently over; when q needs a larger
+    one, nums is rescaled in place.  Returns the denominator after the append.
+    """
+    e = q.denominator
+    if den % e:
+        f = e // gcd(den, e)
+        nums[:] = [x * f for x in nums]
+        den *= f
+    nums.append(weight * q.numerator * (den // e))
+    return den
 
 
 @dataclass(frozen=True)
@@ -116,15 +148,13 @@ class PowerSeries:
             c = as_rational(other)
             return PowerSeries(tuple(c * a for a in self.coeffs))
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out))
+        a, da = _scaled(self.coeffs[: n + 1])
+        b, db = _scaled(other.coeffs[: n + 1])
+        den = da * db
+        b.reverse()
+        return PowerSeries(
+            tuple(Fraction(sum(map(mul, a[: k + 1], b[n - k :])), den) for k in range(n + 1))
+        )
 
     __rmul__ = __mul__
 
@@ -144,15 +174,18 @@ def divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     order = min(a.order, b.order) - vb
     if order < 0:
         raise ValueError("truncation order too small to divide after valuation shift")
-    an = a.coeffs[vb : vb + order + 1]
-    bn = b.coeffs[vb : vb + order + 1]
-    inv0 = 1 / bn[0]
+    # a/b == an/bn: both are scaled by the same common denominator
+    nums, _ = _scaled(a.coeffs[vb : vb + order + 1] + b.coeffs[vb : vb + order + 1])
+    an, bn = nums[: order + 1], nums[order + 1 :]
+    b0 = bn[0]
+    bn.reverse()
     out: list[Fraction] = []
+    qn: list[int] = []  # numerators of out over den
+    den = 1
     for n in range(order + 1):
-        acc = an[n] if n < len(an) else Fraction(0)
-        for i in range(n):
-            acc -= out[i] * bn[n - i]
-        out.append(acc * inv0)
+        acc = an[n] * den - sum(map(mul, qn, bn[order - n : order]))
+        out.append(Fraction(acc, den * b0))
+        den = _append(qn, den, out[n])
     return PowerSeries(tuple(out))
 
 
@@ -181,13 +214,17 @@ def exp_series(a: PowerSeries) -> PowerSeries:
     """exp(a) for a series with zero constant term."""
     if a.coeffs[0] != 0:
         raise ValueError("exp_series requires valuation >= 1 (zero constant term)")
-    out = [Fraction(1)] + [Fraction(0)] * a.order
-    for n in range(1, a.order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            if a.coeffs[k]:
-                acc += k * a.coeffs[k] * out[n - k]
-        out[n] = acc / n
+    order = a.order
+    an, da = _scaled(a.coeffs)
+    # n*e_n = sum_{k=1}^{n} k*a_k*e_{n-k}  (from e' = a'e)
+    ka = [k * c for k, c in enumerate(an)]
+    ka.reverse()
+    out = [Fraction(1)]
+    en = [1]  # numerators of out over den
+    den = 1
+    for n in range(1, order + 1):
+        out.append(Fraction(sum(map(mul, en, ka[order - n : order])), n * da * den))
+        den = _append(en, den, out[n])
     return PowerSeries(tuple(out))
 
 
@@ -195,12 +232,17 @@ def log_series(a: PowerSeries) -> PowerSeries:
     """log(a) for a series with constant term 1."""
     if a.coeffs[0] != 1:
         raise ValueError("log_series requires constant term 1")
-    out = [Fraction(0)] * (a.order + 1)
-    for n in range(1, a.order + 1):
-        acc = n * a.coeffs[n]
-        for k in range(1, n):
-            acc -= k * out[k] * a.coeffs[n - k]
-        out[n] = acc / n
+    order = a.order
+    an, da = _scaled(a.coeffs)
+    # n*l_n = n*a_n - sum_{k=1}^{n-1} k*l_k*a_{n-k}  (from a*l' = a')
+    ar = an[::-1]
+    out = [Fraction(0)]
+    kl = [0]  # numerators of k*out[k] over den
+    den = 1
+    for n in range(1, order + 1):
+        acc = n * an[n] * den - sum(map(mul, kl, ar[order - n : order]))
+        out.append(Fraction(acc, n * da * den))
+        den = _append(kl, den, out[n], n)
     return PowerSeries(tuple(out))
 
 

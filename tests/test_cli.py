@@ -1,7 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
+
+import pytest
+
+from geopoly import cli
 
 CMD = [sys.executable, "-m", "geopoly.cli"]
 
@@ -154,6 +161,26 @@ def test_byte_identical_without_timing():
     b = run_cli(*args)
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+# sha256 of `verify --id all --profile <p> --seed 1 --no-timing`: the byte gate
+# that a refactor must leave unchanged unless it says why the output moves.
+VERIFY_ALL_SHA256 = {
+    "quick": "5359a45858876fd5c63d8e6f0c9cb62812172356e238add9e0590fd326220793",
+    "full": "7bb6a109debaaff1381e0ca9de96b4470270848fd089703083b36c7f5879a930",
+}
+
+
+@pytest.mark.parametrize("profile", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_byte_gate(profile):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(
+            ["verify", "--id", "all", "--profile", profile, "--seed", "1", "--no-timing"]
+        )
+    assert rc == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256[profile]
 
 
 def test_out_file(tmp_path):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geopoly.params import HsuShiueParams
 from geopoly.series import (
@@ -32,6 +32,127 @@ def series_strategy(order=10, constant=None):
         return PowerSeries.from_coeffs(coeffs, order)
 
     return st.lists(small_fractions, min_size=order + 1, max_size=order + 1).map(build)
+
+
+# ---------------------------------------------------------------------------
+# Schoolbook Fraction loops: the test-only reference for the integer kernels
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(a, b):
+    n = min(a.order, b.order)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return tuple(out)
+
+
+def ref_divide(a, b):
+    vb = b.valuation()
+    order = min(a.order, b.order) - vb
+    an = a.coeffs[vb : vb + order + 1]
+    bn = b.coeffs[vb : vb + order + 1]
+    out = []
+    for n in range(order + 1):
+        acc = an[n]
+        for i in range(n):
+            acc -= out[i] * bn[n - i]
+        out.append(acc / bn[0])
+    return tuple(out)
+
+
+def ref_exp(a):
+    out = [F(1)] + [F(0)] * a.order
+    for n in range(1, a.order + 1):
+        acc = F(0)
+        for k in range(1, n + 1):
+            acc += k * a.coeffs[k] * out[n - k]
+        out[n] = acc / n
+    return tuple(out)
+
+
+def ref_log(a):
+    out = [F(0)] * (a.order + 1)
+    for n in range(1, a.order + 1):
+        acc = n * a.coeffs[n]
+        for k in range(1, n):
+            acc -= k * out[k] * a.coeffs[n - k]
+        out[n] = acc / n
+    return tuple(out)
+
+
+# negative values over large, pairwise coprime (prime) denominators, so the
+# kernels' common denominators grow to products of them
+kernel_fractions = st.builds(
+    F,
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.sampled_from([1, 2, 3, 7, 1_000_003, 998_244_353, 2**61 - 1]),
+)
+
+
+@st.composite
+def kernel_series(draw, max_order=12, constant=None, valuation=0):
+    """Series of any order 0..max_order with a run of zero coefficients.
+
+    The first `valuation` coefficients are zero and the next one is not.
+    """
+    order = draw(st.integers(min_value=valuation, max_value=max_order + valuation))
+    cs = draw(st.lists(kernel_fractions, min_size=order + 1, max_size=order + 1))
+    lo = draw(st.integers(min_value=0, max_value=order))
+    hi = draw(st.integers(min_value=lo, max_value=order + 1))
+    cs[lo:hi] = [F(0)] * (hi - lo)
+    cs[:valuation] = [F(0)] * valuation
+    if constant is not None:
+        cs[0] = F(constant)
+    elif not cs[valuation]:
+        cs[valuation] = draw(kernel_fractions.filter(bool))
+    return PowerSeries(tuple(cs))
+
+
+order0 = PowerSeries((F(-5, 998_244_353),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=kernel_series(), b=kernel_series())
+@example(a=order0, b=order0)
+def test_mul_matches_reference(a, b):
+    assert (a * b).coeffs == ref_mul(a, b)
+    assert (b * a).coeffs == ref_mul(b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=kernel_series(), c=kernel_fractions)
+@example(a=order0, c=F(3, 7))
+def test_scalar_mul_matches_reference(a, c):
+    expected = tuple(c * x for x in a.coeffs)
+    assert (a * c).coeffs == expected
+    assert (c * a).coeffs == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shift=st.integers(min_value=0, max_value=3))
+def test_divide_matches_reference(data, shift):
+    # b has valuation `shift` and a t^shift coefficient that is mostly != 1;
+    # a has at least that valuation, so the quotient is a power series
+    b = data.draw(kernel_series(valuation=shift))
+    a = data.draw(kernel_series())
+    a = PowerSeries((F(0),) * shift + a.coeffs)
+    assert divide(a, b).coeffs == ref_divide(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=kernel_series(constant=0))
+@example(a=PowerSeries((F(0),)))
+def test_exp_series_matches_reference(a):
+    assert exp_series(a).coeffs == ref_exp(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=kernel_series(constant=1))
+@example(a=PowerSeries((F(1),)))
+def test_log_series_matches_reference(a):
+    assert log_series(a).coeffs == ref_log(a)
 
 
 def test_ring_basics():

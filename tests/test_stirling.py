@@ -102,11 +102,17 @@ def test_gf_oracle_rational_params():
 
 
 def test_gf_oracle_detects_corruption():
-    table = build_table(HsuShiueParams(F(1, 2), 3, -2), 8)
-    bad = table.with_entry(5, 3, table.value(5, 3) + F(1, 7))
-    rep = verify_against_gf(bad, 8)
-    assert rep.status == "fail"
-    assert "(n=5, k=3)" in rep.witness
+    # every single-cell corruption is caught and named by its own (n, k);
+    # (0,1,0) and (1,0,0) take the alpha = 0 and beta = 0 paths of the GF
+    triples = (HsuShiueParams(F(1, 2), 3, -2), HsuShiueParams(0, 1, 0), HsuShiueParams(1, 0, 0))
+    for params in triples:
+        table = build_table(params, 8)
+        for n in range(9):
+            for k in range(n + 1):
+                bad = table.with_entry(n, k, table.value(n, k) + F(1, 7))
+                rep = verify_against_gf(bad, 8)
+                assert rep.status == "fail", (params, n, k)
+                assert rep.witness.startswith(f"(n={n}, k={k}):"), (params, n, k, rep.witness)
 
 
 @settings(max_examples=25, deadline=None)
