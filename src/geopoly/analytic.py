@@ -10,8 +10,22 @@ only the final divisions round.
 
 Special functions
 -----------------
-zeta(s) and the Hurwitz zeta(s, a) (integer s >= 2, rational a > 0) use the
-Euler-Maclaurin expansion
+zeta(s) and the Hurwitz zeta(s, a) (integer s >= 2, rational a = p/q > 0)
+are computed to an absolute error below 10^-(digits-5) by one of two
+routes, chosen only from s, a and the precision.
+
+Direct route (large s).  The tail of the sum is bounded by its first term
+plus the integral of the decreasing (a+x)^-s:
+
+    sum_{j>=J} (a+j)^-s <= (a+J)^-s * (1 + (a+J)/(s-1)).
+
+If some J <= N (the Euler-Maclaurin cut below) brings this bound under both
+the target and a quarter ulp of the first term at the working precision
+(tested exactly in integers), the result is the plain sum of the terms
+j <= J.  Every omitted term is then below half an ulp of the running total,
+so the Euler-Maclaurin route would return the same Decimal.
+
+Euler-Maclaurin route (all other s):
 
     sum_{j<N} (a+j)^-s + (a+N)^(1-s)/(s-1) + (a+N)^-s/2
         + sum_m B_2m/(2m)! <s>_{2m-1} (a+N)^(-s-2m+1)
@@ -20,11 +34,16 @@ whose integrand x -> (a+x)^-s is completely monotone for real s > 0, so the
 remainder after the m-th correction is bounded by the first omitted term
 (classical envelope property).  The expansion is cut only once that bound
 falls below the configured tolerance; if the terms bottom out first, N is
-doubled and the evaluation restarts.  digamma uses upward recurrence to a
-large argument followed by the asymptotic series with the same envelope
-bound; the Euler constant is -digamma(1), pi comes from a Machin arctangent
-pair (alternating series, tail bounded by the first omitted term), and log 2
-from the correctly rounded stdlib ln.
+doubled and the evaluation restarts.  Both routes write every head term as
+q^s / (p + jq)^s, and both envelope tests are exact integer comparisons, so
+no Fraction arithmetic runs inside the loops.
+
+digamma uses upward recurrence to a large argument followed by the
+asymptotic series with the same envelope bound, again tested in integers;
+the Euler constant is -digamma(1), pi comes from a Machin arctangent pair
+(alternating series, tail bounded by the first omitted term), and log 2
+from the correctly rounded stdlib ln.  The numeric caches keep at most
+_CACHE_CAP entries each and evict the oldest beyond it.
 
 Series verdicts
 ---------------
@@ -37,9 +56,11 @@ threshold.  No "looks converged" cutoffs anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, factorial
 from threading import Lock
 
@@ -65,6 +86,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
+        if self.tail_tolerance is not None:
+            as_rational(self.tail_tolerance)  # refuse a float here, not at first use
 
     @property
     def tolerance(self) -> Fraction:
@@ -89,9 +112,24 @@ def to_decimal(x: RationalLike, cfg: EvalConfig) -> Decimal:
         return Decimal(x.numerator) / Decimal(x.denominator)
 
 
+# Entries kept per numeric cache before the oldest are evicted (dicts keep
+# insertion order).  eval_theorem5 at 2048 bits touches about 2100 zeta keys.
+_CACHE_CAP = 4096
 _CACHE_LOCK = Lock()
 _ZETA_CACHE: dict[tuple[int, Fraction, int], Decimal] = {}
 _CONST_CACHE: dict[tuple[str, int], Decimal] = {}
+
+
+def _cache_get(cache: dict, key: tuple) -> Decimal | None:
+    with _CACHE_LOCK:
+        return cache.get(key)
+
+
+def _cache_put(cache: dict, key: tuple, value: Decimal) -> None:
+    with _CACHE_LOCK:
+        cache[key] = value
+        while len(cache) > _CACHE_CAP:
+            del cache[next(iter(cache))]
 
 
 def _asymptotic_cut(digits: int) -> int:
@@ -106,6 +144,119 @@ def _bernoulli(idx: int) -> Fraction:
     return bernoulli_numbers(chunk)[idx]
 
 
+@lru_cache(maxsize=None)
+def _em_coeff(k: int) -> tuple[int, int]:
+    """B_k / k! as (numerator, positive denominator) in lowest terms."""
+    c = _bernoulli(k) / factorial(k)
+    return c.numerator, c.denominator
+
+
+def _head_sum(s: int, p: int, q: int, q_pow: Decimal, count: int) -> Decimal:
+    # sum_{j<count} (a+j)^-s with a = p/q; a+j = (p+jq)/q is in lowest terms
+    total = Decimal(0)
+    for j in range(count):
+        total += q_pow / Decimal(p + j * q) ** s
+    return total
+
+
+def _tail_below(s: int, p: int, q: int, cut: int, thr_num: int, thr_den: int) -> bool:
+    """Whether (a+J)^-s * (1 + (a+J)/(s-1)) < thr_num/thr_den, a = p/q, J = cut.
+
+    The left side bounds sum_{j>=J} (a+j)^-s: the first term plus the
+    integral of the decreasing (a+x)^-s from J to infinity.
+    """
+    edge = p + cut * q  # a + J = edge / q
+    return q ** (s - 1) * (q * (s - 1) + edge) * thr_den < thr_num * (s - 1) * edge**s
+
+
+def _direct_cut(s: int, p: int, q: int, thr_num: int, thr_den: int, n_max: int) -> int | None:
+    """Smallest J in 1..n_max with _tail_below, or None if there is none."""
+    # the bound falls as J grows, so the J that pass form a suffix of 1..n_max
+    cuts = range(1, n_max + 1)
+    i = bisect_left(cuts, True, key=lambda cut: _tail_below(s, p, q, cut, thr_num, thr_den))
+    return cuts[i] if i < len(cuts) else None
+
+
+def _zeta_direct(s: int, a: Fraction, cfg: EvalConfig) -> Decimal | None:
+    """Hurwitz zeta by plain summation, or None when the sum would be too long.
+
+    The cut J is the smallest J <= _asymptotic_cut(digits) whose tail bound
+    undercuts both the target and a quarter ulp of the first term at the
+    working precision; when there is none, Euler-Maclaurin is cheaper.
+    Term J is summed too: it moves no digit, but like the sub-ulp additions
+    of the Euler-Maclaurin route it pads an exactly representable head to
+    the full working precision, so both routes return the same Decimal.
+    """
+    p, q = a.numerator, a.denominator
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        q_pow = Decimal(q) ** s
+        ulp_exp = (q_pow / Decimal(p) ** s).adjusted() - ctx.prec + 1
+        # threshold min(10^-(digits-5), 10^ulp_exp / 4) as an integer pair
+        exp10, quarter = (ulp_exp, 4) if ulp_exp <= 5 - cfg.digits else (5 - cfg.digits, 1)
+        thr_num, thr_den = (10**exp10, quarter) if exp10 >= 0 else (1, quarter * 10**-exp10)
+        cut = _direct_cut(s, p, q, thr_num, thr_den, _asymptotic_cut(cfg.digits))
+        if cut is None:
+            return None
+        total = _head_sum(s, p, q, q_pow, cut + 1)
+        ctx.prec = cfg.digits
+        return +total
+
+
+def _zeta_em(s: int, a: Fraction, cfg: EvalConfig) -> Decimal:
+    """Hurwitz zeta by Euler-Maclaurin, doubling N until the envelope closes."""
+    p, q = a.numerator, a.denominator
+    target_inv = 10 ** (cfg.digits - 5)  # the target is 1 / target_inv
+    n_cut = _asymptotic_cut(cfg.digits)
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        q_pow = Decimal(q) ** s
+        for _attempt in range(6):
+            head = _head_sum(s, p, q, q_pow, n_cut)
+            edge = p + n_cut * q  # a + N = edge / q
+            edge_dec = Decimal(edge) / Decimal(q)
+            inv = 1 / edge_dec
+            inv2 = inv * inv
+            total = head + edge_dec * inv**s / (s - 1) + inv**s / 2
+            # correction terms B_2m/(2m)! * <s>_{2m-1} * edge^(1-s-2m)
+            power = inv**s * inv  # edge^(-s-1)
+            rising = s  # <s>_{2m-1} at m=1
+            # envelope bound |B_2m+2|/(2m+2)! <s>_{2m+1} (a+N)^-(s+2m+1), kept as
+            # an integer ratio: q^(s+2m+1) and edge^(s+2m+1) are running products
+            q_exp, edge_exp = q ** (s + 3), edge ** (s + 3)
+            q2, edge2 = q * q, edge * edge
+            m = 1
+            prev = None  # (numerator factors, denominator) of the previous bound
+            converged = False
+            while True:
+                num, den = _em_coeff(2 * m)
+                total += Decimal(num * rising) / Decimal(den) * power
+                # envelope bound: remainder <= first omitted term
+                rising_next = rising * (s + 2 * m - 1) * (s + 2 * m)
+                num_next, den_next = _em_coeff(2 * m + 2)
+                scale = abs(num_next) * rising_next
+                if scale * q_exp * target_inv < den_next * edge_exp:
+                    converged = True
+                    break
+                if prev is not None and scale * q2 * prev[1] >= prev[0] * den_next * edge2:
+                    break  # divergent zone reached before target: enlarge N
+                prev = (scale, den_next)
+                rising = rising_next
+                power *= inv2
+                q_exp *= q2
+                edge_exp *= edge2
+                m += 1
+                if m > cfg.max_terms:
+                    raise ArithmeticError("Euler-Maclaurin failed to converge")
+            if converged:
+                break
+            n_cut *= 2
+        else:
+            raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")
+        ctx.prec = cfg.digits
+        return +total
+
+
 def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     """Hurwitz zeta(s, a) = sum_{j>=0} (j+a)^-s for integer s >= 2, a > 0."""
     if s < 2:
@@ -114,61 +265,13 @@ def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
     key = (s, a, cfg.digits)
-    with _CACHE_LOCK:
-        hit = _ZETA_CACHE.get(key)
+    hit = _cache_get(_ZETA_CACHE, key)
     if hit is not None:
         return hit
-
-    target = Fraction(1, 10 ** (cfg.digits - 5))
-    n_cut = _asymptotic_cut(cfg.digits)
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        for _attempt in range(6):
-            head = Decimal(0)
-            for j in range(n_cut):
-                q = a + j
-                head += Decimal(q.denominator) ** s / Decimal(q.numerator) ** s
-            edge = a + n_cut
-            edge_dec = Decimal(edge.numerator) / Decimal(edge.denominator)
-            inv = 1 / edge_dec
-            inv2 = inv * inv
-            total = head + edge_dec * inv**s / (s - 1) + inv**s / 2
-            # correction terms B_2m/(2m)! * <s>_{2m-1} * edge^(1-s-2m)
-            power = inv**s * inv  # edge^(-s-1)
-            rising = Fraction(s)  # <s>_{2m-1} at m=1
-            m = 1
-            prev_bound = None
-            while True:
-                coeff = _bernoulli(2 * m) / factorial(2 * m) * rising
-                term = Decimal(coeff.numerator) / Decimal(coeff.denominator) * power
-                total += term
-                # envelope bound: remainder <= first omitted term
-                rising_next = rising * (s + 2 * m - 1) * (s + 2 * m)
-                coeff_next = abs(_bernoulli(2 * m + 2)) / factorial(2 * m + 2) * rising_next
-                bound = (
-                    coeff_next
-                    / edge ** (s + 2 * m + 1)
-                )
-                if bound < target:
-                    break
-                if prev_bound is not None and bound >= prev_bound:
-                    break  # divergent zone reached before target: enlarge N
-                prev_bound = bound
-                rising = rising_next
-                power *= inv2
-                m += 1
-                if m > cfg.max_terms:
-                    raise ArithmeticError("Euler-Maclaurin failed to converge")
-            if bound < target:
-                break
-            n_cut *= 2
-        else:
-            raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits
-        out = +total
-    with _CACHE_LOCK:
-        _ZETA_CACHE[key] = out
+    out = _zeta_direct(s, a, cfg)
+    if out is None:
+        out = _zeta_em(s, a, cfg)
+    _cache_put(_ZETA_CACHE, key, out)
     return out
 
 
@@ -185,7 +288,7 @@ def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
     cut = _asymptotic_cut(cfg.digits)
     shift = max(0, ceil(cut - a))
     x = a + shift
-    target = Fraction(1, 10 ** (cfg.digits - 5))
+    target_inv = 10 ** (cfg.digits - 5)  # the target is 1 / target_inv
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
         rec = Decimal(0)
@@ -197,14 +300,20 @@ def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
         inv2 = inv * inv
         total = x_dec.ln() - inv / 2
         power = inv2
+        # envelope bound |B_2m+2|/(2m+2) / x^(2m+2) as an integer ratio, with
+        # running products for the powers of x's numerator and denominator
+        x_num2, x_den2 = x.numerator**2, x.denominator**2
+        num_pow, den_pow = x_num2**2, x_den2**2
         m = 1
         while True:
-            c = _bernoulli(2 * m) / (2 * m)
-            total -= Decimal(c.numerator) / Decimal(c.denominator) * power
-            bound = abs(_bernoulli(2 * m + 2)) / (2 * m + 2) / x ** (2 * m + 2)
-            if bound < target:
+            c = _bernoulli(2 * m)
+            total -= Decimal(c.numerator) / Decimal(c.denominator * 2 * m) * power
+            b = _bernoulli(2 * m + 2)
+            if abs(b.numerator) * den_pow * target_inv < b.denominator * (2 * m + 2) * num_pow:
                 break
             power *= inv2
+            num_pow *= x_num2
+            den_pow *= x_den2
             m += 1
             if m > cfg.max_terms:
                 raise ArithmeticError("digamma asymptotic series failed to converge")
@@ -217,15 +326,13 @@ def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
 def gamma_euler(cfg: EvalConfig) -> Decimal:
     """Euler's constant, as -psi(1); independent of the zeta machinery."""
     key = ("gamma", cfg.digits)
-    with _CACHE_LOCK:
-        hit = _CONST_CACHE.get(key)
+    hit = _cache_get(_CONST_CACHE, key)
     if hit is not None:
         return hit
     with localcontext() as ctx:
         ctx.prec = cfg.digits
         out = -digamma(Fraction(1), cfg)
-    with _CACHE_LOCK:
-        _CONST_CACHE[key] = out
+    _cache_put(_CONST_CACHE, key, out)
     return out
 
 
@@ -252,8 +359,7 @@ def _arctan_inv(m: int, digits: int) -> Decimal:
 def pi(cfg: EvalConfig) -> Decimal:
     """pi = 16 atan(1/5) - 4 atan(1/239) (Machin)."""
     key = ("pi", cfg.digits)
-    with _CACHE_LOCK:
-        hit = _CONST_CACHE.get(key)
+    hit = _cache_get(_CONST_CACHE, key)
     if hit is not None:
         return hit
     with localcontext() as ctx:
@@ -262,22 +368,19 @@ def pi(cfg: EvalConfig) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = cfg.digits
         out = +val
-    with _CACHE_LOCK:
-        _CONST_CACHE[key] = out
+    _cache_put(_CONST_CACHE, key, out)
     return out
 
 
 def log2(cfg: EvalConfig) -> Decimal:
     key = ("log2", cfg.digits)
-    with _CACHE_LOCK:
-        hit = _CONST_CACHE.get(key)
+    hit = _cache_get(_CONST_CACHE, key)
     if hit is not None:
         return hit
     with localcontext() as ctx:
         ctx.prec = cfg.digits
         out = Decimal(2).ln()
-    with _CACHE_LOCK:
-        _CONST_CACHE[key] = out
+    _cache_put(_CONST_CACHE, key, out)
     return out
 
 

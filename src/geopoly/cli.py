@@ -25,23 +25,22 @@ from .analytic import (
     eval_eq30_family,
     eval_theorem5,
 )
+from .exact import as_rational
 from .families import exp_poly, geometric_poly
 from .identities import DESCRIPTIONS, IDENTITY_IDS, PROFILES, run, run_all
 from .params import HsuShiueParams
 from .report import fmt_rational
 from .stirling import build_table
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
 class CliError(Exception):
     """Invalid input; maps to exit code 2."""
 
 
 def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text.strip()):
-        raise CliError(f"not an exact rational (use p/q or an integer): {text!r}")
-    return Fraction(text.strip())
+    try:
+        return as_rational(text)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _params_from(ns: argparse.Namespace) -> HsuShiueParams:

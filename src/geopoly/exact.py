@@ -10,6 +10,7 @@ ones where gamma-ratio shortcuts would break down).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -17,12 +18,26 @@ Rational = Fraction
 
 RationalLike = Fraction | int | str
 
+# The exact textual form: an integer or p/q with a positive denominator.
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
 
 def as_rational(x: RationalLike) -> Fraction:
-    """Coerce ints / "p/q" strings / Fractions to an exact Fraction."""
+    """Coerce a Fraction, an int or a "p/q" / integer string to a Fraction.
+
+    Anything else is refused rather than rounded: floats, bools, Decimals
+    and decimal or exponent strings raise TypeError or ValueError.
+    """
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        text = x.strip()
+        if _RATIONAL_RE.match(text):
+            return Fraction(text)
+        raise ValueError(f"not an exact rational (use p/q or an integer): {x!r}")
+    raise TypeError(f"not an exact rational (use Fraction, int or 'p/q'): {x!r}")
 
 
 def gen_factorial(z: RationalLike, alpha: RationalLike, n: int) -> Fraction:

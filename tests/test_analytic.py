@@ -1,5 +1,6 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import ceil, factorial
 
 import pytest
 
@@ -215,3 +216,172 @@ def test_tolerance_configuration():
     assert A.EvalConfig(256).tolerance_label() == "2^-224"
     custom = A.EvalConfig(256, tail_tolerance=F(1, 10**40))
     assert custom.tolerance == F(1, 10**40)
+    with pytest.raises(TypeError):
+        A.EvalConfig(256, tail_tolerance=1e-40)
+
+
+ROUTE_S = (2, 40, 60, 89, 90, 91, 150, 600)
+ROUTE_A = (F(1), F(1, 2), F(3, 2), F(1, 3), F(5, 4))
+
+
+def test_hurwitz_against_mpmath_512_bits():
+    mpmath = pytest.importorskip("mpmath")
+    cfg = A.EvalConfig(512)
+    target = mpmath.mpf(10) ** -(cfg.digits - 5)
+    with mpmath.workdps(cfg.digits + 40):
+        for a in ROUTE_A:
+            for s in ROUTE_S:
+                ours = mpmath.mpf(str(A.hurwitz_zeta(s, a, cfg)))
+                theirs = mpmath.zeta(s, mpmath.mpf(a.numerator) / a.denominator)
+                err = abs(ours - theirs)
+                if a < 1:  # the value grows like a^-s: compare relatively
+                    err /= theirs
+                assert err < target, (s, a, mpmath.nstr(err, 5))
+
+
+def test_digamma_against_mpmath_512_bits():
+    mpmath = pytest.importorskip("mpmath")
+    cfg = A.EvalConfig(512)
+    target = mpmath.mpf(10) ** -(cfg.digits - 5)
+    with mpmath.workdps(cfg.digits + 40):
+        for a in ROUTE_A + (F(1, 9), F(40, 3)):
+            ours = mpmath.mpf(str(A.digamma(a, cfg)))
+            theirs = mpmath.psi(0, mpmath.mpf(a.numerator) / a.denominator)
+            assert abs(ours - theirs) < target, a
+
+
+def test_direct_and_em_routes_agree():
+    both = 0
+    for bits in (64, 256, 512):
+        cfg = A.EvalConfig(bits)
+        for a in ROUTE_A + (F(7, 3), F(2, 7)):
+            for s in ROUTE_S + (97, 345, 1200):
+                direct = A._zeta_direct(s, a, cfg)
+                if direct is None:
+                    continue
+                em = A._zeta_em(s, a, cfg)
+                # same value and same representation (exponent, trailing zeros)
+                assert direct.as_tuple() == em.as_tuple(), (bits, a, s)
+                both += 1
+    assert both > 100
+    # small s stays on Euler-Maclaurin; zeta(1200) is 1 to every digit kept
+    assert A._zeta_direct(2, F(1), A.EvalConfig(512)) is None
+    assert str(A._zeta_direct(1200, F(1), A.EvalConfig(64))).startswith("1.000000")
+
+
+def _tail_fraction(s, a, cut):
+    edge = a + cut
+    return edge**-s * (1 + edge / (s - 1))
+
+
+@pytest.mark.parametrize("s", [3, 20, 91, 150, 600])
+@pytest.mark.parametrize("a", [F(1), F(1, 2), F(5, 4), F(2, 7)])
+def test_tail_bound_integer_test_matches_fraction(s, a):
+    p, q = a.numerator, a.denominator
+    for thr in (F(1, 10**60), F(1, 4 * 10**200), F(3, 7), F(10**5, 4)):
+        for cut in range(1, 41):
+            want = _tail_fraction(s, a, cut) < thr
+            assert A._tail_below(s, p, q, cut, thr.numerator, thr.denominator) == want
+        found = A._direct_cut(s, p, q, thr.numerator, thr.denominator, 40)
+        if found is None:
+            assert not _tail_fraction(s, a, 40) < thr
+            continue
+        assert _tail_fraction(s, a, found) < thr
+        if found > 1:  # negative control: one term fewer is not proven
+            assert not A._tail_below(s, p, q, found - 1, thr.numerator, thr.denominator)
+
+
+def test_numeric_caches_evict_oldest_beyond_cap(monkeypatch):
+    assert A._CACHE_CAP >= 4096
+    monkeypatch.setattr(A, "_ZETA_CACHE", {})
+    monkeypatch.setattr(A, "_CONST_CACHE", {})
+    cfg = A.EvalConfig(64)
+    values = {s: A.zeta_int(s, cfg) for s in range(2, A._CACHE_CAP + 12)}
+    assert len(A._ZETA_CACHE) == A._CACHE_CAP
+    assert (2, F(1), cfg.digits) not in A._ZETA_CACHE  # oldest went first
+    assert (A._CACHE_CAP + 11, F(1), cfg.digits) in A._ZETA_CACHE
+    assert A.zeta_int(2, cfg) == values[2]  # recomputed after eviction
+    monkeypatch.setattr(A, "_CACHE_CAP", 2)
+    pis = [A.pi(A.EvalConfig(bits)) for bits in (64, 96, 128)]
+    assert list(A._CONST_CACHE) == [("pi", A.EvalConfig(b).digits) for b in (96, 128)]
+    assert A.pi(A.EvalConfig(64)) == pis[0]
+    assert len(A._CONST_CACHE) == 2
+
+
+def _fraction_em_reference(s, a, cfg):
+    # the Euler-Maclaurin loop with Fraction envelope tests, kept as the
+    # reference for the integer comparisons of A._zeta_em
+    target = F(1, 10 ** (cfg.digits - 5))
+    n_cut = A._asymptotic_cut(cfg.digits)
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        while True:
+            head = Decimal(0)
+            for j in range(n_cut):
+                q = a + j
+                head += Decimal(q.denominator) ** s / Decimal(q.numerator) ** s
+            edge = a + n_cut
+            edge_dec = Decimal(edge.numerator) / Decimal(edge.denominator)
+            inv = 1 / edge_dec
+            total = head + edge_dec * inv**s / (s - 1) + inv**s / 2
+            power, rising, m, prev = inv**s * inv, F(s), 1, None
+            while True:
+                coeff = A._bernoulli(2 * m) / factorial(2 * m) * rising
+                total += Decimal(coeff.numerator) / Decimal(coeff.denominator) * power
+                rising_next = rising * (s + 2 * m - 1) * (s + 2 * m)
+                bound = abs(A._bernoulli(2 * m + 2)) / factorial(2 * m + 2) * rising_next
+                bound /= edge ** (s + 2 * m + 1)
+                if bound < target or (prev is not None and bound >= prev):
+                    break
+                prev, rising, power, m = bound, rising_next, power * inv * inv, m + 1
+            if bound < target:
+                ctx.prec = cfg.digits
+                return +total
+            n_cut *= 2
+
+
+def _fraction_digamma_reference(a, cfg):
+    target = F(1, 10 ** (cfg.digits - 5))
+    shift = max(0, ceil(A._asymptotic_cut(cfg.digits) - a))
+    x = a + shift
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        rec = Decimal(0)
+        for j in range(shift):
+            rec += Decimal((a + j).denominator) / Decimal((a + j).numerator)
+        x_dec = Decimal(x.numerator) / Decimal(x.denominator)
+        inv = 1 / x_dec
+        total, power, m = x_dec.ln() - inv / 2, inv * inv, 1
+        while True:
+            c = A._bernoulli(2 * m) / (2 * m)
+            total -= Decimal(c.numerator) / Decimal(c.denominator) * power
+            if abs(A._bernoulli(2 * m + 2)) / (2 * m + 2) / x ** (2 * m + 2) < target:
+                break
+            power, m = power * inv * inv, m + 1
+        total -= rec
+        ctx.prec = cfg.digits
+        return +total
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_integer_envelopes_match_fraction_reference(bits):
+    cfg = A.EvalConfig(bits)
+    for a in ROUTE_A + (F(2, 7), F(40, 3)):
+        for s in (2, 3, 7, 20, 60, 150):
+            assert A._zeta_em(s, a, cfg).as_tuple() == _fraction_em_reference(s, a, cfg).as_tuple()
+        assert A.digamma(a, cfg).as_tuple() == _fraction_digamma_reference(a, cfg).as_tuple()
+
+
+def test_integer_envelope_divergence_matches_fraction_reference(monkeypatch):
+    # a cut of 2 makes the expansion diverge before the target, so the
+    # bound >= prev test fires and N doubles several times
+    monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: 2)
+    cfg = A.EvalConfig(128)
+    calls = []
+    head_sum = A._head_sum
+    monkeypatch.setattr(A, "_head_sum", lambda *args: calls.append(args[-1]) or head_sum(*args))
+    for a in (F(1), F(1, 3), F(5, 4)):
+        for s in (2, 5, 30):
+            calls.clear()
+            assert A._zeta_em(s, a, cfg).as_tuple() == _fraction_em_reference(s, a, cfg).as_tuple()
+            assert len(calls) >= 3  # N = 2, 4, 8, ... until the envelope closes

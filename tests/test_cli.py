@@ -192,3 +192,20 @@ def test_out_file(tmp_path):
     assert out.returncode == 0
     doc = json.loads(target.read_text())
     assert doc["result"]["rows"][3] == ["0", "1", "3", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stirling", "--alpha", "1e3", "--beta", "1", "--r", "0", "--nmax", "2"],
+        ["poly", "--family", "exp", "--n", "2", "--alpha", "0", "--beta", "1",
+         "--r", "0", "--at", "1.5"],
+        ["poly", "--family", "geom", "--n", "2", "--order-m", "0.5", "--alpha", "0",
+         "--beta", "1", "--r", "0"],
+        ["series", "--id", "theorem5", "--n", "1", "--x", "0.5"],
+        ["series", "--id", "dobinski", "--n", "1", "--x", "1/0"],
+    ],
+)
+def test_inexact_rationals_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "not an exact rational" in capsys.readouterr().err

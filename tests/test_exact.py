@@ -1,14 +1,17 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from geopoly.exact import (
+    as_rational,
     binomial_general,
     falling_factorial,
     gen_factorial,
     rising_factorial,
 )
+from geopoly.params import HsuShiueParams
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
@@ -74,3 +77,40 @@ def test_results_are_normalized(x, n):
     v = rising_factorial(x, n)
     assert F(v.numerator, v.denominator) == v
     assert v.denominator > 0
+
+
+def test_as_rational_accepts_exact_forms():
+    assert as_rational(F(3, 4)) == F(3, 4)
+    assert as_rational(-7) == F(-7)
+    assert as_rational(" -3/4 ") == F(-3, 4)
+    assert as_rational("+12") == F(12)
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (0.1, TypeError),
+        (1.5, TypeError),
+        (True, TypeError),
+        (False, TypeError),
+        (Decimal("1.5"), TypeError),
+        (None, TypeError),
+        ("1.5", ValueError),
+        ("1e3", ValueError),
+        ("1/0", ValueError),
+        ("1/-2", ValueError),
+        ("", ValueError),
+        ("inf", ValueError),
+    ],
+)
+def test_as_rational_rejects_inexact_input(value, error):
+    with pytest.raises(error):
+        as_rational(value)
+
+
+def test_params_reject_floats_and_decimal_strings():
+    with pytest.raises(TypeError):
+        HsuShiueParams(0.1, 1, 0)
+    with pytest.raises(ValueError):
+        HsuShiueParams("1.5", 1, 0)
+    assert HsuShiueParams("1/2", 1, 0).alpha == F(1, 2)
