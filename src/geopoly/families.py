@@ -15,6 +15,13 @@ exhaustive enumeration.  A CheckReport never compares a formula against
 itself.  Where a printed closed form disagrees with its oracle, both forms
 are implemented: the corrected one as the shipped result and the original
 as a must-fail regression (`exponent="printed"` variants below).
+
+Value functions whose result is a closed form with an oracle
+(`eval_minus_one`, `degenerate_euler`, `degenerate_bernoulli2`,
+`howard_power_sum`) compare against that oracle on every call and raise
+ArithmeticError on a mismatch.  Each shares one `_*_sides` function with
+its `check_*` counterpart, so the closed form and the oracle are written
+once and the check reports the same comparison as a CheckReport.
 """
 
 from __future__ import annotations
@@ -26,14 +33,13 @@ from math import comb, factorial
 from .exact import (
     RationalLike,
     as_rational,
-    binomial_general,
     falling_factorial,
     gen_factorial,
     rising_factorial,
 )
 from .params import HsuShiueParams
 from .polynomials import PolyQ
-from .report import EXACT, FAIL, PASS, CheckReport, fmt_rational
+from .report import FAIL, PASS, CheckReport, fmt_rational
 from .series import (
     binom_deform,
     gf_bernoulli2_degenerate,
@@ -42,6 +48,15 @@ from .series import (
     gf_w,
 )
 from .stirling import cached_table
+
+
+def _agreed(closed: Fraction, oracle: Fraction, what: str) -> Fraction:
+    """The value-function rule: ``closed`` only once its oracle agrees."""
+    if closed != oracle:
+        raise ArithmeticError(
+            f"{what}: closed form {fmt_rational(closed)} != oracle {fmt_rational(oracle)}"
+        )
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +82,31 @@ def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> Pol
     )
 
 
-def eval_minus_one(n: int, order_m: int, params: HsuShiueParams) -> Fraction:
-    """w_n^(m)(-1); for m >= 1 this collapses to (r - beta*m | alpha)_n."""
-    value = geometric_poly(n, order_m, params)(-1)
-    if order_m >= 1:
-        expected = gen_factorial(params.r - params.beta * order_m, params.alpha, n)
-        if value != expected:
-            raise ArithmeticError(
-                f"w_{n}^({order_m})(-1) = {value} but (r-beta*m|alpha)_n = {expected}"
-            )
-    return value
+def _minus_one_sides(
+    n: int, order_m: RationalLike, params: HsuShiueParams
+) -> tuple[Fraction, Fraction]:
+    """w_n^(m)(-1) and (r - beta*m | alpha)_n.
+
+    They agree for every rational m: the Hsu-Shiue relation
+    (t | alpha)_n = sum_k S(n,k) (t - r | beta)_k at t = r - beta*m, where
+    (-beta*m | beta)_k = (-beta)^k <m>_k.
+    """
+    m = as_rational(order_m)
+    return (
+        geometric_poly(n, m, params)(-1),
+        gen_factorial(params.r - params.beta * m, params.alpha, n),
+    )
+
+
+def eval_minus_one(n: int, order_m: RationalLike, params: HsuShiueParams) -> Fraction:
+    """w_n^(m)(-1), which collapses to (r - beta*m | alpha)_n for every rational m."""
+    return _agreed(*_minus_one_sides(n, order_m, params), f"w_{n}^({order_m})(-1)")
 
 
 def check_minus_one(n: int, s: int, params: HsuShiueParams) -> CheckReport:
     """Polynomial evaluation at -1 vs the generalized-factorial collapse."""
-    lhs = geometric_poly(n, s, params)(-1)
-    rhs = gen_factorial(params.r - params.beta * s, params.alpha, n)
     rpt = CheckReport(id="MINUS_ONE", params={"n": n, "s": s, "params": params})
-    if lhs != rhs:
-        rpt.status = FAIL
-        rpt.witness = f"w(-1) = {fmt_rational(lhs)} != {fmt_rational(rhs)}"
-    return rpt
+    return rpt.compare(*_minus_one_sides(n, s, params), "w(-1) = {} != {}")
 
 
 def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
@@ -98,11 +117,7 @@ def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
         params={"n": n, "s": s, "x": x, "params": params},
     )
     via_gf = gf_w(params, s, x, n).egf_coeff(n)
-    via_formula = geometric_poly(n, s, params)(x)
-    if via_gf != via_formula:
-        rpt.status = FAIL
-        rpt.witness = f"gf {fmt_rational(via_gf)} != formula {fmt_rational(via_formula)}"
-    return rpt
+    return rpt.compare(via_gf, geometric_poly(n, s, params)(x), "gf {} != formula {}")
 
 
 def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams) -> Fraction:
@@ -133,11 +148,7 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
 def check_spivey(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
     rpt = CheckReport(id="SPIVEY", params={"n": n, "m": m, "s": s, "x": x, "params": params})
     lhs = spivey_step(n, m, s, x, params)
-    rhs = geometric_poly(n + m, s, params)(x)
-    if lhs != rhs:
-        rpt.status = FAIL
-        rpt.witness = f"recurrence {fmt_rational(lhs)} != direct {fmt_rational(rhs)}"
-    return rpt
+    return rpt.compare(lhs, geometric_poly(n + m, s, params)(x), "recurrence {} != direct {}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +219,22 @@ def check_eq14(n_max: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike) -> Fraction:
-    """Order-s degenerate Euler polynomial value at r, cross-checked on gf.
+def _degenerate_euler_sides(
+    n: int, s: int, alpha: Fraction, r: Fraction
+) -> tuple[Fraction, Fraction]:
+    """sum_k S(n,k; alpha,1,r) (-1)^k <s>_k / 2^k and n! [t^n] of its EGF."""
+    table = cached_table(HsuShiueParams(alpha, 1, r), n)
+    closed = sum(
+        table.value(n, k) * (-1) ** k * rising_factorial(s, k) / 2**k
+        for k in range(n + 1)
+    )
+    return closed, gf_degenerate_euler(s, alpha, r, n).egf_coeff(n)
 
-    Closed form sum_k S(n,k; alpha,1,r) (-1)^k <s>_k / 2^k; always compared
-    with n! [t^n] of the defining generating function before returning.
-    """
+
+def degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike) -> Fraction:
+    """Order-s degenerate Euler polynomial value at r, checked against its EGF."""
     alpha, r = as_rational(alpha), as_rational(r)
-    value = geometric_poly(n, s, HsuShiueParams(alpha, 1, r))(Fraction(-1, 2))
-    via_gf = gf_degenerate_euler(s, alpha, r, n).egf_coeff(n)
-    if value != via_gf:
-        raise ArithmeticError(f"degenerate Euler mismatch at n={n}: {value} vs {via_gf}")
-    return value
+    return _agreed(*_degenerate_euler_sides(n, s, alpha, r), f"degenerate Euler n={n}")
 
 
 def check_degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike) -> CheckReport:
@@ -229,46 +244,30 @@ def check_degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike)
         id="EQ10" if s != 1 else "EQ27",
         params={"n": n, "s": s, "alpha": alpha, "r": r},
     )
+    return rpt.compare(*_degenerate_euler_sides(n, s, alpha, r), "sum {} != gf {}")
+
+
+def _bernoulli2_sides(n: int, alpha: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
+    """sum_k S(n,k; alpha,1,r) (-1)^k k!/(k+1) and n! [t^n] of its EGF."""
     table = cached_table(HsuShiueParams(alpha, 1, r), n)
     closed = sum(
-        table.value(n, k) * (-1) ** k * rising_factorial(s, k) / 2**k
-        for k in range(n + 1)
-    )
-    via_gf = gf_degenerate_euler(s, alpha, r, n).egf_coeff(n)
-    if closed != via_gf:
-        rpt.status = FAIL
-        rpt.witness = f"sum {fmt_rational(closed)} != gf {fmt_rational(via_gf)}"
-    return rpt
-
-
-def degenerate_bernoulli2(n: int, alpha: RationalLike, r: RationalLike) -> Fraction:
-    """Second-kind degenerate Bernoulli value B_n(r|alpha), gf cross-checked."""
-    alpha, r = as_rational(alpha), as_rational(r)
-    table = cached_table(HsuShiueParams(alpha, 1, r), n)
-    value = sum(
         table.value(n, k) * (-1) ** k * Fraction(factorial(k), k + 1)
         for k in range(n + 1)
     )
-    via_gf = gf_bernoulli2_degenerate(alpha, r, n).egf_coeff(n)
-    if value != via_gf:
-        raise ArithmeticError(f"second-kind mismatch at n={n}: {value} vs {via_gf}")
-    return value
+    return closed, gf_bernoulli2_degenerate(alpha, r, n).egf_coeff(n)
+
+
+def degenerate_bernoulli2(n: int, alpha: RationalLike, r: RationalLike) -> Fraction:
+    """Second-kind degenerate Bernoulli value B_n(r|alpha), checked against its EGF."""
+    alpha, r = as_rational(alpha), as_rational(r)
+    return _agreed(*_bernoulli2_sides(n, alpha, r), f"second-kind B_{n}(r|alpha)")
 
 
 def check_theorem2(n: int, alpha: RationalLike, r: RationalLike) -> CheckReport:
     """B_n(r|alpha) = sum_k S(n,k;alpha,1,r) (-1)^k k!/(k+1) vs the EGF."""
     alpha, r = as_rational(alpha), as_rational(r)
     rpt = CheckReport(id="EQ34_THM2", params={"n": n, "alpha": alpha, "r": r})
-    table = cached_table(HsuShiueParams(alpha, 1, r), n)
-    closed = sum(
-        table.value(n, k) * (-1) ** k * Fraction(factorial(k), k + 1)
-        for k in range(n + 1)
-    )
-    via_gf = gf_bernoulli2_degenerate(alpha, r, n).egf_coeff(n)
-    if closed != via_gf:
-        rpt.status = FAIL
-        rpt.witness = f"sum {fmt_rational(closed)} != gf {fmt_rational(via_gf)}"
-    return rpt
+    return rpt.compare(*_bernoulli2_sides(n, alpha, r), "sum {} != gf {}")
 
 
 def carlitz_beta(n: int, alpha: RationalLike, x: RationalLike) -> Fraction:
@@ -292,15 +291,9 @@ def check_theorem3(n: int, s: int, alpha: RationalLike, r: RationalLike) -> Chec
         table.value(n, k) * (-1) ** k * rising_factorial(s, k + 1) / (k + 1)
         for k in range(n + 1)
     )
-    if lhs != rhs:
-        rpt.status = FAIL
-        rpt.witness = f"lhs {fmt_rational(lhs)} != rhs {fmt_rational(rhs)}"
-        return rpt
-    if s == 1:
+    if rpt.compare(lhs, rhs, "lhs {} != rhs {}").status == PASS and s == 1:
         reduced = (n + 1) * gen_factorial(r - 1, alpha, n)
-        if lhs != reduced:
-            rpt.status = FAIL
-            rpt.witness = f"s=1 reduction {fmt_rational(reduced)} != {fmt_rational(lhs)}"
+        rpt.compare(reduced, lhs, "s=1 reduction {} != {}")
     return rpt
 
 
@@ -319,10 +312,7 @@ def check_corollary2(n: int, r: int, alpha: RationalLike) -> CheckReport:
         table.value(n, k) * (-1) ** k * rising_factorial(r, k + 1) / (k + 1)
         for k in range(n + 1)
     )
-    if direct != closed:
-        rpt.status = FAIL
-        rpt.witness = f"direct {fmt_rational(direct)} != closed {fmt_rational(closed)}"
-    return rpt
+    return rpt.compare(direct, closed, "direct {} != closed {}")
 
 
 def check_corollary3(n: int, alpha: RationalLike, r: RationalLike) -> CheckReport:
@@ -345,10 +335,7 @@ def check_corollary3(n: int, alpha: RationalLike, r: RationalLike) -> CheckRepor
         table.value(n, k) * (-1) ** k * rising_factorial(alpha + 1, k) / (k + 1)
         for k in range(n + 1)
     )
-    if lhs != rhs:
-        rpt.status = FAIL
-        rpt.witness = f"lhs {fmt_rational(lhs)} != rhs {fmt_rational(rhs)}"
-    return rpt
+    return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +377,7 @@ def check_theorem4(
     bpoly = bernoulli_poly(n + 1)
     lhs = bpoly(r / beta) - bpoly(r / beta - s)
     rhs = _theorem4_rhs(n, s, beta, r, exponent)
-    if lhs != rhs:
-        rpt.status = FAIL
-        rpt.witness = f"lhs {fmt_rational(lhs)} != rhs {fmt_rational(rhs)}"
-    return rpt
+    return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
 
 
 def check_corollary4(n: int, r: int) -> CheckReport:
@@ -410,32 +394,37 @@ def check_corollary4(n: int, r: int) -> CheckReport:
         table.value(n, k) * (-1) ** k * rising_factorial(r, k + 1) / (k + 1)
         for k in range(n + 1)
     )
-    if lhs != rhs:
-        rpt.status = FAIL
-        rpt.witness = f"lhs {fmt_rational(lhs)} != rhs {fmt_rational(rhs)}"
-    return rpt
+    return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
+
+
+def _howard_sides(
+    n: int, m: int, beta: Fraction, r: Fraction, weight_shift: int = 0
+) -> tuple[Fraction, Fraction]:
+    """The r-Whitney closed form of sum_{j=0}^{m-1} (r + beta*j)^n, and that sum.
+
+    Closed form sum_k beta^(k - weight_shift)/(k+1) W_{beta,r}(n,k) (m)_{k+1}:
+    weight_shift 0 is the shipped beta^k weight, 1 the printed beta^(k-1).
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if beta == 0:
+        raise ValueError("beta must be nonzero")
+    table = cached_table(HsuShiueParams(0, beta, r), n)
+    closed = sum(
+        beta ** (k - weight_shift) / (k + 1) * table.value(n, k) * falling_factorial(m, k + 1)
+        for k in range(n + 1)
+    )
+    return closed, sum((r + beta * j) ** n for j in range(m))
 
 
 def howard_power_sum(n: int, m: int, beta: RationalLike, r: RationalLike) -> Fraction:
     """sum_{j=0}^{m-1} (r + beta*j)^n via the r-Whitney closed form.
 
-    Uses the beta^k weight (the variant that matches the oracle) and always
-    verifies against direct summation before returning.
+    Uses the beta^k weight (the variant that matches the oracle), checked
+    against the direct sum.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     beta, r = as_rational(beta), as_rational(r)
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
-    table = cached_table(HsuShiueParams(0, beta, r), n)
-    closed = sum(
-        beta**k / (k + 1) * table.value(n, k) * falling_factorial(m, k + 1)
-        for k in range(n + 1)
-    )
-    direct = sum((r + beta * j) ** n for j in range(m))
-    if closed != direct:
-        raise ArithmeticError(f"power-sum closed form mismatch: {closed} vs {direct}")
-    return closed
+    return _agreed(*_howard_sides(n, m, beta, r), f"power sum n={n}, m={m}")
 
 
 def check_corollary5(
@@ -449,20 +438,10 @@ def check_corollary5(
     if exponent not in ("corrected", "printed"):
         raise ValueError(f"exponent must be 'corrected' or 'printed', got {exponent!r}")
     beta, r = as_rational(beta), as_rational(r)
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
     rid = "COR5_CORRECTED" if exponent == "corrected" else "COR5_PRINTED"
     rpt = CheckReport(id=rid, params={"n": n, "m": m, "beta": beta, "r": r})
-    direct = sum((r + beta * j) ** n for j in range(m))
-    table = cached_table(HsuShiueParams(0, beta, r), n)
-    closed = Fraction(0)
-    for k in range(n + 1):
-        g = k if exponent == "corrected" else k - 1
-        closed += beta**g / (k + 1) * table.value(n, k) * falling_factorial(m, k + 1)
-    if direct != closed:
-        rpt.status = FAIL
-        rpt.witness = f"direct {fmt_rational(direct)} != closed {fmt_rational(closed)}"
-    return rpt
+    closed, direct = _howard_sides(n, m, beta, r, 0 if exponent == "corrected" else 1)
+    return rpt.compare(direct, closed, "direct {} != closed {}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +490,7 @@ def check_gamma_rep7(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
         for k in range(n + 1)
     )
     rhs = gf_w(params, s, x, n).egf_coeff(n)
-    if lhs != rhs:
-        rpt.status = FAIL
-        rpt.witness = f"moment sum {fmt_rational(lhs)} != gf {fmt_rational(rhs)}"
-    return rpt
+    return rpt.compare(lhs, rhs, "moment sum {} != gf {}")
 
 
 def bpa_number(n: int, s: int, params: HsuShiueParams) -> Fraction:

@@ -1,20 +1,30 @@
 """Registry of every checkable identity, keyed by stable ids.
 
-`run(id, seed, samples)` draws parameters from a deterministic sampler over
-small rationals (|numerator| <= 6, denominator <= 4; degenerate draws are
-rejected and redrawn) and dispatches to the verifying routine; identical
-(id, seed, samples) yield byte-identical reports.  The two *_PRINTED ids
-are first-class expected-fail regressions: they run superseded closed forms
-on fixed witnesses, and their reports read ``expected_fail_confirmed`` when
-the forms fail as they should.  Changing the seed may change witnesses and
-parameters but never the pass/fail partition, because every registered
-identity is universally quantified over its sampled domain.
+Each identity is one `Identity` record in `REGISTRY`: its id, a one-line
+description, the function that yields its reports, and whether it is an
+expected-fail regression.  `run(id, seed, samples)` draws parameters from a
+deterministic sampler over small rationals (|numerator| <= 6, denominator
+<= 4; degenerate draws are rejected and redrawn) and hands it to the record;
+identical (id, seed, samples) yield byte-identical reports.  The sampler of
+an id is seeded from the record's position, so record order is seed order:
+new ids go at the end.  The two *_PRINTED ids are first-class expected-fail
+regressions: they run superseded closed forms on fixed witnesses, and their
+reports read ``expected_fail_confirmed`` when the forms fail as they should.
+Changing the seed may change witnesses and parameters but never the
+pass/fail partition, because every registered identity is universally
+quantified over its sampled domain.
+
+Records look up what they call by name at call time, as a module attribute
+(``mellin.verify_eq15``) or a global of this module, and never hold the
+function object, so a wrapper that rebinds those names (a tracer, a test
+double) sees every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import analytic, families, mellin
 from .analytic import EvalConfig
@@ -22,92 +32,8 @@ from .enumeration import barred_preferential_count, ordered_set_partitions_count
 from .exact import falling_factorial, rising_factorial
 from .params import HsuShiueParams
 from .polynomials import PolyQ
-from .report import (
-    EXPECTED_FAIL_CONFIRMED,
-    FAIL,
-    PASS,
-    CheckReport,
-    fmt_rational,
-)
+from .report import EXPECTED_FAIL_CONFIRMED, FAIL, PASS, CheckReport
 from .stirling import build_table, verify_against_gf
-
-IDENTITY_IDS: tuple[str, ...] = (
-    "EQ1",
-    "EQ3_VS_GF8",
-    "EQ4_OPERATOR",
-    "EQ5",
-    "EQ7_GAMMA",
-    "EQ10",
-    "EQ14",
-    "EQ15",
-    "EQ16_EXACT",
-    "EQ16_NUMERIC",
-    "EQ17",
-    "EQ18",
-    "EQ19",
-    "EQ21",
-    "EQ26",
-    "EQ27",
-    "EQ29",
-    "EQ30_FAMILY",
-    "EQ31",
-    "EQ32",
-    "EQ33",
-    "EQ34_THM2",
-    "EQ36",
-    "EQ37_CORRECTED",
-    "EQ37_PRINTED",
-    "EQ38",
-    "COR2",
-    "COR4",
-    "COR5_CORRECTED",
-    "COR5_PRINTED",
-    "SPIVEY",
-    "MINUS_ONE",
-    "BPA_NUMBERS",
-    "FUBINI",
-    "GF_VS_TABLE",
-)
-
-EXPECTED_FAIL_IDS = frozenset({"EQ37_PRINTED", "COR5_PRINTED"})
-
-DESCRIPTIONS: dict[str, str] = {
-    "EQ1": "weighted-derivative operator vs Stirling derivative expansion on polynomials",
-    "EQ3_VS_GF8": "explicit rising-factorial sum vs EGF coefficients, order s",
-    "EQ4_OPERATOR": "operator route on the binomial tail vs EGF composition",
-    "EQ5": "binomial-weighted factorial series vs (1-x)^-(s+1)-composed polynomial",
-    "EQ7_GAMMA": "gamma-moment form (discharged to rising factorials) vs EGF",
-    "EQ10": "degenerate Euler closed form vs its generating function, order s",
-    "EQ14": "Bernoulli numbers / Euler values as signed partition-number sums",
-    "EQ15": "operator action on the scaled exponential vs convolution closed form",
-    "EQ16_EXACT": "exponential-weighted expansion, exact coefficientwise",
-    "EQ16_NUMERIC": "exponential-weighted expansion, numeric partial sums (beta > 0)",
-    "EQ17": "even-index cosine-type factorial series vs finite Stirling sum",
-    "EQ18": "odd-index sine-type factorial series vs finite Stirling sum",
-    "EQ19": "first-order geometric polynomials: explicit formula vs EGF",
-    "EQ21": "unweighted factorial series vs 1/(1-x)-composed polynomial",
-    "EQ26": "zeta-coefficient series vs digamma/Hurwitz closed form",
-    "EQ27": "degenerate Euler closed form vs generating function, first order",
-    "EQ29": "Carlitz-polynomial difference vs weighted Stirling sum",
-    "EQ30_FAMILY": "zeta(k) k^n / 2^k family vs log2 + weighted zeta closed form",
-    "EQ31": "shifted Carlitz value vs rising-factorial weighted Stirling sum",
-    "EQ32": "EQ31 specialized to r = 0",
-    "EQ33": "EQ31 specialized to r = alpha (degenerate Bernoulli numbers)",
-    "EQ34_THM2": "second-kind degenerate Bernoulli closed form vs EGF",
-    "EQ36": "rising factorial reflection <-x>_n = (-1)^n (x)_n",
-    "EQ37_CORRECTED": "Bernoulli values at rationals, corrected beta^(n-k) weight",
-    "EQ37_PRINTED": "superseded beta^(n+1-k) variant (expected fail)",
-    "EQ38": "finite binomial factorial sum vs (1+x)^s-composed negative order",
-    "COR2": "sums of generalized falling factorials vs weighted Stirling sum",
-    "COR4": "Bernoulli polynomials at integers via r-separated partition numbers",
-    "COR5_CORRECTED": "power sums via r-Whitney closed form, beta^k weight",
-    "COR5_PRINTED": "superseded beta^(k-1) variant (expected fail)",
-    "SPIVEY": "two-index recurrence vs direct polynomial construction",
-    "MINUS_ONE": "evaluation at -1 vs generalized-factorial collapse",
-    "BPA_NUMBERS": "barred-arrangement counts vs exhaustive enumeration",
-    "FUBINI": "ordered-set-partition counts vs exhaustive enumeration",
-    "GF_VS_TABLE": "recurrence tables vs generating-function coefficients",
-}
 
 
 class SmallRationalSampler:
@@ -158,8 +84,9 @@ class SmallRationalSampler:
                 return x
 
 
-@dataclass(frozen=True)
-class Profile:
+# Records here are NamedTuples, not frozen dataclasses: their classes are built
+# about seven times faster, and every CLI call builds them at import.
+class Profile(NamedTuple):
     name: str
     bits: int
     table_n: int
@@ -177,303 +104,248 @@ PROFILES = {
 }
 
 
-def _poly(sampler: SmallRationalSampler, degree: int) -> PolyQ:
-    return PolyQ.from_coeffs([sampler.rational() for _ in range(degree + 1)])
+Cases = Callable[[SmallRationalSampler, int, Profile, dict | None], list[CheckReport]]
 
 
-def _run_one(
-    rid: str,
-    sampler: SmallRationalSampler,
-    samples: int,
-    prof: Profile,
-    hooks: dict | None,
+class Identity(NamedTuple):
+    """One registered identity, immutable.
+
+    ``cases(sampler, samples, profile, hooks)`` yields its reports.  With
+    ``expected_fail`` they come from a superseded form, and `run` turns
+    their fail into ``expected_fail_confirmed`` and a pass into a fail.
+    """
+
+    id: str
+    description: str
+    cases: Cases
+    expected_fail: bool = False
+
+
+def _each(draw_and_check: Callable[[SmallRationalSampler, Profile], CheckReport]) -> Cases:
+    """Cases that draw one sample and check it, ``samples`` times over.
+
+    ``draw_and_check(rng, prof)`` draws in argument order, the order the
+    byte-identical reports depend on.
+    """
+    return lambda rng, samples, prof, hooks: [draw_and_check(rng, prof) for _ in range(samples)]
+
+
+def _printed(check: Callable[..., CheckReport], witnesses: tuple) -> Cases:
+    """Cases of a superseded form: its first ``samples`` fixed witnesses.
+
+    The form must fail, so nothing is drawn from the region (beta = 1,
+    s = 0, ...) where it degenerates.
+    """
+    return lambda rng, samples, prof, hooks: [check(*w) for w in witnesses[:samples]]
+
+
+def _poly(rng: SmallRationalSampler, degree: int) -> PolyQ:
+    return PolyQ.from_coeffs([rng.rational() for _ in range(degree + 1)])
+
+
+def _series_identity(which: str, s_min: int) -> Cases:
+    return _each(lambda rng, prof: mellin.verify_series_identity(
+        which, rng.int_between(0, prof.exact_n), rng.int_between(s_min, 5), rng.params(),
+        prof.series_order))
+
+
+def _eq17_18(eq: int) -> Cases:
+    return _each(lambda rng, prof: analytic.eval_eq17_18(
+        rng.int_between(0, prof.numeric_n + 1), rng.params(), EvalConfig(prof.bits), eq=eq,
+        start_index="derived_j0"))
+
+
+def _carlitz_shift(draw_alpha_r: Callable[[SmallRationalSampler], tuple]) -> Cases:
+    """EQ31-EQ33: alpha and r from ``draw_alpha_r``, then n."""
+
+    def check(rng: SmallRationalSampler, prof: Profile) -> CheckReport:
+        alpha, r = draw_alpha_r(rng)
+        return families.check_corollary3(rng.int_between(0, prof.exact_n), alpha, r)
+
+    return _each(check)
+
+
+def _generic_alpha_r(rng: SmallRationalSampler) -> tuple[Fraction, Fraction]:
+    """Keep the generic instance out of the labeled corners r = 0 and r = alpha."""
+    alpha = rng.rational()
+    while True:
+        r = rng.rational()
+        if r != 0 and r != alpha:
+            return alpha, r
+
+
+def _eq36(rng: SmallRationalSampler, prof: Profile) -> CheckReport:
+    x = rng.rational()
+    n = rng.int_between(0, 20)
+    rpt = CheckReport(id="EQ36", params={"x": x, "n": n})
+    return rpt.compare(rising_factorial(-x, n), (-1) ** n * falling_factorial(x, n), "{} != {}")
+
+
+def _eq26(
+    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
 ) -> list[CheckReport]:
-    cfg = EvalConfig(prof.bits)
-    out: list[CheckReport] = []
+    anchors = (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2))
+    return [
+        analytic.eval_theorem5(
+            rng.params(), rng.int_between(0, prof.numeric_n), anchors[i % 3], EvalConfig(prof.bits)
+        )
+        for i in range(samples)
+    ]
 
-    if rid == "GF_VS_TABLE":
-        corrupt = (hooks or {}).get("corrupt_table")
-        for _ in range(samples):
-            table = build_table(sampler.params(), prof.table_n)
-            if corrupt is not None:
-                n, k = corrupt
-                table = table.with_entry(n, k, table.value(n, k) + 1)
-            out.append(verify_against_gf(table, prof.table_n))
-    elif rid == "EQ1":
-        for _ in range(samples):
-            out.append(
-                mellin.verify_eq1_poly(
-                    sampler.int_between(0, prof.exact_n),
-                    _poly(sampler, sampler.int_between(0, 3)),
-                    sampler.params(),
-                )
-            )
-    elif rid == "EQ3_VS_GF8":
-        for _ in range(samples):
-            out.append(
-                families.check_gf_matches(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    sampler.int_between(2, 4),
-                    sampler.rational(),
-                    sampler.params(),
-                )
-            )
-    elif rid == "EQ19":
-        for _ in range(samples):
-            out.append(
-                families.check_gf_matches(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    1,
-                    sampler.rational(),
-                    sampler.params(),
-                )
-            )
-    elif rid == "EQ4_OPERATOR":
-        for _ in range(samples):
-            out.append(
-                mellin.verify_eq4_operator(
-                    sampler.int_between(0, prof.exact_n),
-                    sampler.int_between(0, 3),
-                    sampler.params(),
-                    prof.series_order // 2,
-                )
-            )
-    elif rid in ("EQ5", "EQ21", "EQ38"):
-        which = {"EQ5": "eq5", "EQ21": "eq21", "EQ38": "eq38_binomial"}[rid]
-        for _ in range(samples):
-            out.append(
-                mellin.verify_series_identity(
-                    which,
-                    sampler.int_between(0, prof.exact_n),
-                    sampler.int_between(0 if rid != "EQ38" else 1, 5),
-                    sampler.params(),
-                    prof.series_order,
-                )
-            )
-    elif rid == "EQ7_GAMMA":
-        for _ in range(samples):
-            out.append(
-                families.check_gamma_rep7(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    sampler.int_between(1, 5),
-                    sampler.rational(),
-                    sampler.params(),
-                )
-            )
-    elif rid == "EQ10":
-        for _ in range(samples):
-            out.append(
-                families.check_degenerate_euler(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    sampler.int_between(2, 5),
-                    sampler.rational(),
-                    sampler.rational(),
-                )
-            )
-    elif rid == "EQ27":
-        for _ in range(samples):
-            out.append(
-                families.check_degenerate_euler(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    1,
-                    sampler.rational(),
-                    sampler.rational(),
-                )
-            )
-    elif rid == "EQ14":
-        out.append(families.check_eq14(20))
-    elif rid == "EQ15":
-        for _ in range(samples):
-            out.append(
-                mellin.verify_eq15(
-                    sampler.int_between(0, prof.exact_n), sampler.params(), prof.series_order
-                )
-            )
-    elif rid == "EQ16_EXACT":
-        for _ in range(samples):
-            out.append(
-                families.check_dobinski(
-                    sampler.int_between(0, prof.exact_n),
-                    sampler.params(),
-                    prof.series_order - 6,
-                )
-            )
-    elif rid == "EQ16_NUMERIC":
-        for _ in range(samples):
-            out.append(
-                analytic.eval_dobinski_numeric(
-                    sampler.int_between(0, prof.numeric_n),
-                    sampler.params(beta_positive=True),
-                    sampler.rational(),
-                    cfg,
-                )
-            )
-    elif rid in ("EQ17", "EQ18"):
-        for _ in range(samples):
-            out.append(
-                analytic.eval_eq17_18(
-                    sampler.int_between(0, prof.numeric_n + 1),
-                    sampler.params(),
-                    cfg,
-                    eq=int(rid[2:]),
-                    start_index="derived_j0",
-                )
-            )
-    elif rid == "EQ26":
-        anchors = (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2))
-        for i in range(samples):
-            out.append(
-                analytic.eval_theorem5(
-                    sampler.params(),
-                    sampler.int_between(0, prof.numeric_n),
-                    anchors[i % len(anchors)],
-                    cfg,
-                )
-            )
-    elif rid == "EQ29":
-        for _ in range(samples):
-            out.append(
-                families.check_theorem3(
-                    sampler.int_between(0, prof.exact_n),
-                    sampler.int_between(0, 4),
-                    sampler.rational(),
-                    sampler.rational(),
-                )
-            )
-    elif rid == "EQ30_FAMILY":
-        for n in range(prof.numeric_n + 1):
-            out.append(analytic.eval_eq30_family(n, cfg))
-    elif rid in ("EQ31", "EQ32", "EQ33"):
-        for _ in range(samples):
-            if rid == "EQ32":
-                alpha = sampler.rational(nonzero=True)
-                r = Fraction(0)
-            elif rid == "EQ33":
-                alpha = sampler.rational(nonzero=True)
-                r = alpha
-            else:
-                alpha = sampler.rational()
-                while True:  # keep the generic instance out of the labeled corners
-                    r = sampler.rational()
-                    if r != 0 and r != alpha:
-                        break
-            out.append(
-                families.check_corollary3(sampler.int_between(0, prof.exact_n), alpha, r)
-            )
-    elif rid == "EQ34_THM2":
-        for _ in range(samples):
-            out.append(
-                families.check_theorem2(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    sampler.rational(),
-                    sampler.rational(),
-                )
-            )
-    elif rid == "EQ36":
-        for _ in range(samples):
-            x = sampler.rational()
-            n = sampler.int_between(0, 20)
-            lhs = rising_factorial(-x, n)
-            rhs = (-1) ** n * falling_factorial(x, n)
-            rpt = CheckReport(id=rid, params={"x": x, "n": n})
-            if lhs != rhs:
-                rpt.status = FAIL
-                rpt.witness = f"{fmt_rational(lhs)} != {fmt_rational(rhs)}"
-            out.append(rpt)
-    elif rid == "EQ37_CORRECTED":
-        for _ in range(samples):
-            out.append(
-                families.check_theorem4(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    sampler.int_between(0, 5),
-                    sampler.rational(nonzero=True),
-                    sampler.rational(),
-                    exponent="corrected",
-                )
-            )
-    elif rid == "EQ37_PRINTED":
-        # fixed witnesses: the superseded form must fail, so samples are not
-        # drawn from the region (beta = 1, s = 0, ...) where it degenerates
-        witnesses = ((1, 1, Fraction(2), Fraction(1)), (2, 2, Fraction(3), Fraction(-1)))
-        for i in range(min(samples, len(witnesses))):
-            n, s, beta, r = witnesses[i]
-            out.append(families.check_theorem4(n, s, beta, r, exponent="printed"))
-    elif rid == "COR2":
-        for _ in range(samples):
-            out.append(
-                families.check_corollary2(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    sampler.int_between(1, 10),
-                    sampler.rational(),
-                )
-            )
-    elif rid == "COR4":
-        for _ in range(samples):
-            out.append(
-                families.check_corollary4(
-                    sampler.int_between(0, prof.exact_n), sampler.int_between(0, 5)
-                )
-            )
-    elif rid == "COR5_CORRECTED":
-        for _ in range(samples):
-            out.append(
-                families.check_corollary5(
-                    sampler.int_between(0, prof.exact_n),
-                    sampler.int_between(1, 6),
-                    sampler.rational(nonzero=True),
-                    sampler.rational(),
-                    exponent="corrected",
-                )
-            )
-    elif rid == "COR5_PRINTED":
-        witnesses = ((1, 1, Fraction(2), Fraction(1)), (1, 2, Fraction(2), Fraction(1)))
-        for i in range(min(samples, len(witnesses))):
-            n, m, beta, r = witnesses[i]
-            out.append(families.check_corollary5(n, m, beta, r, exponent="printed"))
-    elif rid == "SPIVEY":
-        for _ in range(samples):
-            out.append(
-                families.check_spivey(
-                    sampler.int_between(0, prof.spivey_n),
-                    sampler.int_between(0, prof.spivey_n),
-                    sampler.int_between(1, 3),
-                    sampler.rational(),
-                    sampler.params(),
-                )
-            )
-    elif rid == "MINUS_ONE":
-        for _ in range(samples):
-            out.append(
-                families.check_minus_one(
-                    sampler.int_between(0, prof.exact_n + 2),
-                    sampler.int_between(1, 5),
-                    sampler.params(),
-                )
-            )
-    elif rid == "BPA_NUMBERS":
-        classical = HsuShiueParams(0, 1, 0)
-        for n in range(prof.enum_n + 1):
-            for s in range(4):
-                got = families.bpa_number(n, s, classical)
-                want = barred_preferential_count(n, s)
-                rpt = CheckReport(id=rid, params={"n": n, "s": s})
-                if got != want:
-                    rpt.status = FAIL
-                    rpt.witness = f"polynomial {fmt_rational(got)} != enumeration {want}"
-                out.append(rpt)
-    elif rid == "FUBINI":
-        classical = HsuShiueParams(0, 1, 0)
-        for n in range(prof.enum_n + 1):
-            got = families.geometric_poly(n, 1, classical)(1)
-            want = ordered_set_partitions_count(n)
-            rpt = CheckReport(id=rid, params={"n": n})
-            if got != want:
-                rpt.status = FAIL
-                rpt.witness = f"polynomial {fmt_rational(got)} != enumeration {want}"
-            out.append(rpt)
-    else:
-        raise ValueError(f"unknown identity id {rid!r}")
+
+def _gf_vs_table(
+    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
+) -> list[CheckReport]:
+    corrupt = (hooks or {}).get("corrupt_table")
+    out = []
+    for _ in range(samples):
+        table = build_table(rng.params(), prof.table_n)
+        if corrupt is not None:
+            n, k = corrupt
+            table = table.with_entry(n, k, table.value(n, k) + 1)
+        out.append(verify_against_gf(table, prof.table_n))
     return out
+
+
+_CLASSICAL = HsuShiueParams(0, 1, 0)
+_ENUMERATED = "polynomial {} != enumeration {}"
+
+
+def _bpa_numbers(
+    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
+) -> list[CheckReport]:
+    return [
+        CheckReport(id="BPA_NUMBERS", params={"n": n, "s": s}).compare(
+            families.bpa_number(n, s, _CLASSICAL), barred_preferential_count(n, s), _ENUMERATED
+        )
+        for n in range(prof.enum_n + 1)
+        for s in range(4)
+    ]
+
+
+def _fubini(
+    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
+) -> list[CheckReport]:
+    return [
+        CheckReport(id="FUBINI", params={"n": n}).compare(
+            families.geometric_poly(n, 1, _CLASSICAL)(1),
+            ordered_set_partitions_count(n),
+            _ENUMERATED,
+        )
+        for n in range(prof.enum_n + 1)
+    ]
+
+
+# One record per id.  The position of a record seeds its sampler: append only.
+REGISTRY: tuple[Identity, ...] = (
+    Identity("EQ1", "weighted-derivative operator vs Stirling derivative expansion on polynomials",
+             _each(lambda rng, prof: mellin.verify_eq1_poly(
+                 rng.int_between(0, prof.exact_n), _poly(rng, rng.int_between(0, 3)),
+                 rng.params()))),
+    Identity("EQ3_VS_GF8", "explicit rising-factorial sum vs EGF coefficients, order s",
+             _each(lambda rng, prof: families.check_gf_matches(
+                 rng.int_between(0, prof.exact_n + 2), rng.int_between(2, 4), rng.rational(),
+                 rng.params()))),
+    Identity("EQ4_OPERATOR", "operator route on the binomial tail vs EGF composition",
+             _each(lambda rng, prof: mellin.verify_eq4_operator(
+                 rng.int_between(0, prof.exact_n), rng.int_between(0, 3), rng.params(),
+                 prof.series_order // 2))),
+    Identity("EQ5", "binomial-weighted factorial series vs (1-x)^-(s+1)-composed polynomial",
+             _series_identity("eq5", 0)),
+    Identity("EQ7_GAMMA", "gamma-moment form (discharged to rising factorials) vs EGF",
+             _each(lambda rng, prof: families.check_gamma_rep7(
+                 rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 5), rng.rational(),
+                 rng.params()))),
+    Identity("EQ10", "degenerate Euler closed form vs its generating function, order s",
+             _each(lambda rng, prof: families.check_degenerate_euler(
+                 rng.int_between(0, prof.exact_n + 2), rng.int_between(2, 5), rng.rational(),
+                 rng.rational()))),
+    Identity("EQ14", "Bernoulli numbers / Euler values as signed partition-number sums",
+             lambda rng, samples, prof, hooks: [families.check_eq14(20)]),
+    Identity("EQ15", "operator action on the scaled exponential vs convolution closed form",
+             _each(lambda rng, prof: mellin.verify_eq15(
+                 rng.int_between(0, prof.exact_n), rng.params(), prof.series_order))),
+    Identity("EQ16_EXACT", "exponential-weighted expansion, exact coefficientwise",
+             _each(lambda rng, prof: families.check_dobinski(
+                 rng.int_between(0, prof.exact_n), rng.params(), prof.series_order - 6))),
+    Identity("EQ16_NUMERIC", "exponential-weighted expansion, numeric partial sums (beta > 0)",
+             _each(lambda rng, prof: analytic.eval_dobinski_numeric(
+                 rng.int_between(0, prof.numeric_n), rng.params(beta_positive=True),
+                 rng.rational(), EvalConfig(prof.bits)))),
+    Identity("EQ17", "even-index cosine-type factorial series vs finite Stirling sum",
+             _eq17_18(17)),
+    Identity("EQ18", "odd-index sine-type factorial series vs finite Stirling sum",
+             _eq17_18(18)),
+    Identity("EQ19", "first-order geometric polynomials: explicit formula vs EGF",
+             _each(lambda rng, prof: families.check_gf_matches(
+                 rng.int_between(0, prof.exact_n + 2), 1, rng.rational(), rng.params()))),
+    Identity("EQ21", "unweighted factorial series vs 1/(1-x)-composed polynomial",
+             _series_identity("eq21", 0)),
+    Identity("EQ26", "zeta-coefficient series vs digamma/Hurwitz closed form", _eq26),
+    Identity("EQ27", "degenerate Euler closed form vs generating function, first order",
+             _each(lambda rng, prof: families.check_degenerate_euler(
+                 rng.int_between(0, prof.exact_n + 2), 1, rng.rational(), rng.rational()))),
+    Identity("EQ29", "Carlitz-polynomial difference vs weighted Stirling sum",
+             _each(lambda rng, prof: families.check_theorem3(
+                 rng.int_between(0, prof.exact_n), rng.int_between(0, 4), rng.rational(),
+                 rng.rational()))),
+    Identity("EQ30_FAMILY", "zeta(k) k^n / 2^k family vs log2 + weighted zeta closed form",
+             lambda rng, samples, prof, hooks: [
+                 analytic.eval_eq30_family(n, EvalConfig(prof.bits))
+                 for n in range(prof.numeric_n + 1)]),
+    Identity("EQ31", "shifted Carlitz value vs rising-factorial weighted Stirling sum",
+             _carlitz_shift(_generic_alpha_r)),
+    Identity("EQ32", "EQ31 specialized to r = 0",
+             _carlitz_shift(lambda rng: (rng.rational(nonzero=True), Fraction(0)))),
+    Identity("EQ33", "EQ31 specialized to r = alpha (degenerate Bernoulli numbers)",
+             _carlitz_shift(lambda rng: (alpha := rng.rational(nonzero=True), alpha))),
+    Identity("EQ34_THM2", "second-kind degenerate Bernoulli closed form vs EGF",
+             _each(lambda rng, prof: families.check_theorem2(
+                 rng.int_between(0, prof.exact_n + 2), rng.rational(), rng.rational()))),
+    Identity("EQ36", "rising factorial reflection <-x>_n = (-1)^n (x)_n", _each(_eq36)),
+    Identity("EQ37_CORRECTED", "Bernoulli values at rationals, corrected beta^(n-k) weight",
+             _each(lambda rng, prof: families.check_theorem4(
+                 rng.int_between(0, prof.exact_n + 2), rng.int_between(0, 5),
+                 rng.rational(nonzero=True), rng.rational(), exponent="corrected"))),
+    Identity("EQ37_PRINTED", "superseded beta^(n+1-k) variant (expected fail)",
+             _printed(lambda *w: families.check_theorem4(*w, exponent="printed"),
+                      ((1, 1, Fraction(2), Fraction(1)), (2, 2, Fraction(3), Fraction(-1)))),
+             expected_fail=True),
+    Identity("EQ38", "finite binomial factorial sum vs (1+x)^s-composed negative order",
+             _series_identity("eq38_binomial", 1)),
+    Identity("COR2", "sums of generalized falling factorials vs weighted Stirling sum",
+             _each(lambda rng, prof: families.check_corollary2(
+                 rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 10), rng.rational()))),
+    Identity("COR4", "Bernoulli polynomials at integers via r-separated partition numbers",
+             _each(lambda rng, prof: families.check_corollary4(
+                 rng.int_between(0, prof.exact_n), rng.int_between(0, 5)))),
+    Identity("COR5_CORRECTED", "power sums via r-Whitney closed form, beta^k weight",
+             _each(lambda rng, prof: families.check_corollary5(
+                 rng.int_between(0, prof.exact_n), rng.int_between(1, 6),
+                 rng.rational(nonzero=True), rng.rational(), exponent="corrected"))),
+    Identity("COR5_PRINTED", "superseded beta^(k-1) variant (expected fail)",
+             _printed(lambda *w: families.check_corollary5(*w, exponent="printed"),
+                      ((1, 1, Fraction(2), Fraction(1)), (1, 2, Fraction(2), Fraction(1)))),
+             expected_fail=True),
+    Identity("SPIVEY", "two-index recurrence vs direct polynomial construction",
+             _each(lambda rng, prof: families.check_spivey(
+                 rng.int_between(0, prof.spivey_n), rng.int_between(0, prof.spivey_n),
+                 rng.int_between(1, 3), rng.rational(), rng.params()))),
+    Identity("MINUS_ONE", "evaluation at -1 vs generalized-factorial collapse",
+             _each(lambda rng, prof: families.check_minus_one(
+                 rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 5), rng.params()))),
+    Identity("BPA_NUMBERS", "barred-arrangement counts vs exhaustive enumeration", _bpa_numbers),
+    Identity("FUBINI", "ordered-set-partition counts vs exhaustive enumeration", _fubini),
+    Identity("GF_VS_TABLE", "recurrence tables vs generating-function coefficients", _gf_vs_table),
+)
+
+IDENTITY_IDS: tuple[str, ...] = tuple(r.id for r in REGISTRY)
+
+
+def _profile(name: str) -> Profile:
+    if name not in PROFILES:
+        raise ValueError(f"unknown profile {name!r}; known profiles: {', '.join(PROFILES)}")
+    return PROFILES[name]
 
 
 def run(
@@ -485,13 +357,14 @@ def run(
 ) -> list[CheckReport]:
     """Verify one registered identity on deterministically sampled inputs."""
     if rid not in IDENTITY_IDS:
-        raise ValueError(f"unknown identity id {rid!r}")
+        raise ValueError(f"unknown identity id {rid!r}; known ids: {', '.join(IDENTITY_IDS)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    prof = PROFILES[profile]
-    sampler = SmallRationalSampler(seed * 1_000_003 + IDENTITY_IDS.index(rid))
-    reports = _run_one(rid, sampler, samples, prof, hooks)
-    if rid in EXPECTED_FAIL_IDS:
+    prof = _profile(profile)
+    index = IDENTITY_IDS.index(rid)
+    record = REGISTRY[index]
+    reports = record.cases(SmallRationalSampler(seed * 1_000_003 + index), samples, prof, hooks)
+    if record.expected_fail:
         for rpt in reports:
             if rpt.status == FAIL:
                 rpt.status = EXPECTED_FAIL_CONFIRMED
@@ -507,7 +380,7 @@ def run_all(
     hooks: dict | None = None,
 ) -> dict:
     """Run the whole registry; summary counts plus any unexpected reports."""
-    prof = PROFILES[profile]
+    prof = _profile(profile)
     reports: list[CheckReport] = []
     for rid in IDENTITY_IDS:
         reports.extend(run(rid, seed=seed, samples=prof.default_samples, profile=profile, hooks=hooks))

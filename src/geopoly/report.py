@@ -53,6 +53,13 @@ class CheckReport:
     def ok(self) -> bool:
         return self.status in (PASS, EXPECTED_FAIL_CONFIRMED)
 
+    def compare(self, lhs: Fraction, rhs: Fraction, witness: str) -> "CheckReport":
+        """Fail with ``witness`` filled by both sides unless they are equal."""
+        if lhs != rhs:
+            self.status = FAIL
+            self.witness = witness.format(fmt_rational(lhs), fmt_rational(rhs))
+        return self
+
     def to_dict(self) -> dict:
         out = {
             "id": self.id,

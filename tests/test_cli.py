@@ -2,18 +2,24 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from geopoly import cli
 
 CMD = [sys.executable, "-m", "geopoly.cli"]
+# The CLI child imports the same geopoly as these tests, installed or not.
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(*args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, env=env, timeout=300
     )
@@ -153,6 +159,22 @@ def test_verify_printed_regression_exit_zero():
 def test_verify_unknown_id_exit_2():
     out = run_cli("verify", "--id", "NOPE")
     assert out.returncode == 2
+
+
+def test_verify_unknown_id_names_known_ids(capsys):
+    assert cli.main(["verify", "--id", "NOPE"]) == 2
+    assert "known ids: EQ1, EQ3_VS_GF8" in capsys.readouterr().err
+
+
+def test_verify_profile_choices_come_from_profiles(capsys):
+    assert cli.main(["verify", "--id", "EQ36", "--profile", "bogus"]) == 2
+    assert "choose from 'quick', 'full'" in capsys.readouterr().err
+
+
+def test_verify_single_id_description_from_record(capsys):
+    assert cli.main(["verify", "--id", "EQ36", "--samples", "1", "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["description"] == "rising factorial reflection <-x>_n = (-1)^n (x)_n"
 
 
 def test_byte_identical_without_timing():

@@ -11,7 +11,8 @@ from geopoly.enumeration import (
 )
 from geopoly.exact import gen_factorial, rising_factorial
 from geopoly.params import HsuShiueParams
-from geopoly.series import gf_w
+from geopoly.series import PowerSeries, gf_bernoulli2_degenerate, gf_degenerate_euler, gf_w
+from geopoly.stirling import cached_table
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -58,7 +59,7 @@ def test_eval_minus_one():
     assert fam.eval_minus_one(2, 1, HsuShiueParams(1, 2, 3)) == 0  # (3-2)(3-2-1)
     p = HsuShiueParams(F(1, 4), F(2, 3), F(5, 2))
     for n in range(11):
-        for s in range(1, 5):
+        for s in (-3, -1, 0, F(1, 2), F(-5, 3), 1, 2, 3, 4):
             assert fam.eval_minus_one(n, s, p) == gen_factorial(
                 p.r - p.beta * s, p.alpha, n
             )
@@ -66,6 +67,23 @@ def test_eval_minus_one():
     s = 2
     expected = (p.r - p.beta * s) * (p.r - p.beta * s - p.alpha)
     assert fam.eval_minus_one(2, s, p) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    m=small_fractions,
+    alpha=small_fractions,
+    beta=small_fractions,
+    r=small_fractions,
+)
+def test_eval_minus_one_every_rational_order(n, m, alpha, beta, r):
+    # the collapse holds for every rational m, not only m >= 1
+    if alpha == 0 and beta == 0 and r == 0:
+        r = F(1)
+    p = HsuShiueParams(alpha, beta, r)
+    assert fam.eval_minus_one(n, m, p) == gen_factorial(r - beta * m, alpha, n)
+    assert fam.check_minus_one(n, m, p).status == "pass"
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,6 +265,74 @@ def test_corollary4_rising_factorial_form():
     for n in range(9):
         for r in range(6):
             assert fam.check_corollary4(n, r).status == "pass"
+
+
+def test_howard_validates_m_once():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        fam.howard_power_sum(1, 0, 2, 1)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        fam.check_corollary5(1, 0, 2, 1)
+    with pytest.raises(ValueError, match="beta must be nonzero"):
+        fam.howard_power_sum(1, 2, 0, 1)
+
+
+def _bump_top_coefficient(gf_fn):
+    def bumped(*args):
+        gf = gf_fn(*args)
+        return PowerSeries(gf.coeffs[:-1] + (gf.coeffs[-1] + 1,))
+
+    return bumped
+
+
+def _bump_table_cell(n, k):
+    def bumped(params, n_max):
+        table = cached_table(params, n_max)
+        return table.with_entry(n, k, table.value(n, k) + 1)
+
+    return bumped
+
+
+# Each merged pair: (attribute to perturb, perturbed replacement, value call, check call).
+MERGED_PAIRS = {
+    "degenerate_euler": (
+        "gf_degenerate_euler",
+        _bump_top_coefficient(gf_degenerate_euler),
+        lambda: fam.degenerate_euler(3, 2, F(1, 3), F(1, 2)),
+        lambda: fam.check_degenerate_euler(3, 2, F(1, 3), F(1, 2)),
+    ),
+    "degenerate_bernoulli2": (
+        "gf_bernoulli2_degenerate",
+        _bump_top_coefficient(gf_bernoulli2_degenerate),
+        lambda: fam.degenerate_bernoulli2(3, F(1, 2), F(1, 4)),
+        lambda: fam.check_theorem2(3, F(1, 2), F(1, 4)),
+    ),
+    "eval_minus_one": (
+        "gen_factorial",
+        lambda z, alpha, n: gen_factorial(z, alpha, n) + 1,
+        lambda: fam.eval_minus_one(3, 2, RATIONAL),
+        lambda: fam.check_minus_one(3, 2, RATIONAL),
+    ),
+    # the oracle is the inline direct sum, so the closed form's table is perturbed
+    "howard_power_sum": (
+        "cached_table",
+        _bump_table_cell(2, 1),
+        lambda: fam.howard_power_sum(2, 3, 2, 1),
+        lambda: fam.check_corollary5(2, 3, 2, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(MERGED_PAIRS))
+def test_merged_pair_detects_perturbation(monkeypatch, pair):
+    attr, replacement, value, check = MERGED_PAIRS[pair]
+    assert check().status == "pass"
+    value()
+    monkeypatch.setattr(fam, attr, replacement)
+    with pytest.raises(ArithmeticError, match="closed form .* != oracle"):
+        value()
+    rpt = check()
+    assert rpt.status == "fail"
+    assert " != " in rpt.witness
 
 
 def test_howard_power_sum_witnesses():

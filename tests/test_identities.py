@@ -1,25 +1,56 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geopoly import analytic, enumeration, families, mellin, stirling
 from geopoly import identities as I
-from geopoly.report import EXPECTED_FAIL_CONFIRMED, PASS
+from geopoly.report import EXPECTED_FAIL_CONFIRMED, FAIL, PASS, CheckReport
 
 
 def _dump(reports):
     return json.dumps([r.to_dict() for r in reports], sort_keys=True)
 
 
+# The sampler of an id is seeded from its position: this order must never change.
+PINNED_IDS = (
+    "EQ1", "EQ3_VS_GF8", "EQ4_OPERATOR", "EQ5", "EQ7_GAMMA", "EQ10", "EQ14", "EQ15",
+    "EQ16_EXACT", "EQ16_NUMERIC", "EQ17", "EQ18", "EQ19", "EQ21", "EQ26", "EQ27", "EQ29",
+    "EQ30_FAMILY", "EQ31", "EQ32", "EQ33", "EQ34_THM2", "EQ36", "EQ37_CORRECTED",
+    "EQ37_PRINTED", "EQ38", "COR2", "COR4", "COR5_CORRECTED", "COR5_PRINTED", "SPIVEY",
+    "MINUS_ONE", "BPA_NUMBERS", "FUBINI", "GF_VS_TABLE",
+)
+
+
+def test_registry_order_is_pinned():
+    assert I.IDENTITY_IDS == PINNED_IDS
+    assert tuple(r.id for r in I.REGISTRY) == PINNED_IDS
+
+
 def test_every_id_has_description():
-    assert set(I.DESCRIPTIONS) == set(I.IDENTITY_IDS)
-    assert len(I.IDENTITY_IDS) == 35
+    assert len(I.REGISTRY) == 35
+    assert len({r.id for r in I.REGISTRY}) == 35
+    for record in I.REGISTRY:
+        assert record.description.strip(), record.id
+
+
+def test_expected_fail_set():
+    assert {r.id for r in I.REGISTRY if r.expected_fail} == {"EQ37_PRINTED", "COR5_PRINTED"}
 
 
 def test_unknown_id_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="known ids: EQ1, EQ3_VS_GF8"):
         I.run("NOPE")
     with pytest.raises(ValueError):
         I.run("EQ14", samples=0)
+
+
+def test_unknown_profile_rejected():
+    with pytest.raises(ValueError, match="known profiles: quick, full"):
+        I.run("EQ14", profile="bogus")
+    with pytest.raises(ValueError, match="known profiles: quick, full"):
+        I.run_all(profile="bogus")
 
 
 def test_determinism_byte_identical():
@@ -36,10 +67,19 @@ def test_seed_changes_witnesses_not_verdicts():
 
 
 def test_expected_fail_ids_confirm():
-    for rid in sorted(I.EXPECTED_FAIL_IDS):
-        reports = I.run(rid, seed=1, samples=5)
-        assert reports, rid
-        assert all(r.status == EXPECTED_FAIL_CONFIRMED for r in reports), rid
+    for record in I.REGISTRY:
+        if record.expected_fail:
+            reports = I.run(record.id, seed=1, samples=5)
+            assert reports, record.id
+            assert all(r.status == EXPECTED_FAIL_CONFIRMED for r in reports), record.id
+
+
+def test_expected_fail_that_passes_is_a_failure(monkeypatch):
+    # a superseded form that stops failing is a regression, not a confirmation
+    monkeypatch.setattr(families, "check_theorem4", lambda *a, **k: CheckReport(id="EQ37_PRINTED"))
+    reports = I.run("EQ37_PRINTED", seed=1, samples=2)
+    assert [r.status for r in reports] == [FAIL, FAIL]
+    assert all(r.witness == "superseded form unexpectedly passed" for r in reports)
 
 
 def test_eq37_printed_documented_witness():
@@ -77,6 +117,49 @@ def test_run_all_pass_set_stable_across_seeds():
     verdicts1 = [(r.id, r.status) for r in s1["reports"]]
     verdicts2 = [(r.id, r.status) for r in s2["reports"]]
     assert [v[1] for v in verdicts1] == [v[1] for v in verdicts2]
+
+
+@pytest.fixture(scope="module")
+def seed_1_statuses():
+    return [r.status for r in I.run_all(seed=1, profile="quick")["reports"]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(3, 10**9))
+def test_run_all_statuses_stable_over_seeds(seed_1_statuses, seed):
+    statuses = [r.status for r in I.run_all(seed=seed, profile="quick")["reports"]]
+    assert statuses == seed_1_statuses
+
+
+def test_records_reach_checks_by_name(monkeypatch):
+    # Rebind every check at each module binding, as a tracer does: a record
+    # that held a function object would bypass the rebinding and count 0.
+    modules = [m for k, m in sys.modules.items() if k.startswith("geopoly")]
+    calls = {}
+    targets = [
+        (module, name)
+        for module in (families, mellin, analytic, enumeration, stirling)
+        for name in vars(module)
+        if name.startswith(("check_", "verify_", "eval_")) and name != "eval_minus_one"
+    ]
+    targets += [(families, "bpa_number"), (enumeration, "barred_preferential_count"),
+                (enumeration, "ordered_set_partitions_count"), (stirling, "build_table")]
+    for owner, name in targets:
+        original = getattr(owner, name)
+        label = f"{owner.__name__}.{name}"
+        calls[label] = 0
+
+        def counted(*args, _original=original, _label=label, **kwargs):
+            calls[_label] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert I.run_all(seed=1, profile="quick")["unexpected"] == []
+    assert len(calls) == 27
+    assert [label for label, n in calls.items() if n == 0] == []
 
 
 def test_run_all_with_corruption_reports_unexpected():
