@@ -47,9 +47,13 @@ _CACHE_CAP entries each and evict the oldest beyond it.
 
 Series verdicts
 ---------------
-Each eval_* routine sums the infinite side with an explicit geometric-ratio
-majorant (rational arithmetic; zeta(2) <= 2 and (2*pi)^2 <= 40 style
-bounds), truncating only when majorant/(1-ratio) is below tolerance, then
+Each eval_* routine hands its infinite side to `_sum_to_tolerance` as a
+term generator plus a rational majorant M(j) (zeta(2) <= 2 and
+(2*pi)^2 <= 40 style bounds).  The contract: M(j) bounds |term j|, and
+M(j+1)/M(j) does not increase with j.  After term k the tail is then at
+most M(k+1)/(1 - ratio), ratio = M(k+2)/M(k+1) < 1, and the sum stops once
+that bound is below tolerance/4 or M(k+1) = 0, tested in exact rationals.
+A term index past max_terms is an ArithmeticError.  The routine then
 assembles the closed-form side and reports |LHS - RHS| against the
 threshold.  No "looks converged" cutoffs anywhere.
 """
@@ -57,10 +61,12 @@ threshold.  No "looks converged" cutoffs anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import ceil, factorial
 from threading import Lock
 
@@ -105,11 +111,16 @@ class EvalConfig:
         return f"2^-{self.precision_bits - 32}"
 
 
+def _dec(q: Fraction) -> Decimal:
+    """q rounded once, in the current decimal context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
 def to_decimal(x: RationalLike, cfg: EvalConfig) -> Decimal:
     x = as_rational(x)
     with localcontext() as ctx:
         ctx.prec = cfg.digits
-        return Decimal(x.numerator) / Decimal(x.denominator)
+        return _dec(x)
 
 
 # Entries kept per numeric cache before the oldest are evicted (dicts keep
@@ -130,6 +141,19 @@ def _cache_put(cache: dict, key: tuple, value: Decimal) -> None:
         cache[key] = value
         while len(cache) > _CACHE_CAP:
             del cache[next(iter(cache))]
+
+
+def _constant(name: str, cfg: EvalConfig, compute: Callable[[], Decimal]) -> Decimal:
+    """The cached constant ``name`` at cfg.digits; ``compute`` runs at that precision."""
+    key = (name, cfg.digits)
+    hit = _cache_get(_CONST_CACHE, key)
+    if hit is not None:
+        return hit
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits
+        out = compute()
+    _cache_put(_CONST_CACHE, key, out)
+    return out
 
 
 def _asymptotic_cut(digits: int) -> int:
@@ -325,15 +349,7 @@ def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
 
 def gamma_euler(cfg: EvalConfig) -> Decimal:
     """Euler's constant, as -psi(1); independent of the zeta machinery."""
-    key = ("gamma", cfg.digits)
-    hit = _cache_get(_CONST_CACHE, key)
-    if hit is not None:
-        return hit
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits
-        out = -digamma(Fraction(1), cfg)
-    _cache_put(_CONST_CACHE, key, out)
-    return out
+    return _constant("gamma", cfg, lambda: -digamma(Fraction(1), cfg))
 
 
 def _arctan_inv(m: int, digits: int) -> Decimal:
@@ -356,32 +372,20 @@ def _arctan_inv(m: int, digits: int) -> Decimal:
         return total
 
 
+def _machin(digits: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        val = 16 * _arctan_inv(5, digits) - 4 * _arctan_inv(239, digits)
+    return +val
+
+
 def pi(cfg: EvalConfig) -> Decimal:
     """pi = 16 atan(1/5) - 4 atan(1/239) (Machin)."""
-    key = ("pi", cfg.digits)
-    hit = _cache_get(_CONST_CACHE, key)
-    if hit is not None:
-        return hit
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        val = 16 * _arctan_inv(5, cfg.digits) - 4 * _arctan_inv(239, cfg.digits)
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits
-        out = +val
-    _cache_put(_CONST_CACHE, key, out)
-    return out
+    return _constant("pi", cfg, lambda: _machin(cfg.digits))
 
 
 def log2(cfg: EvalConfig) -> Decimal:
-    key = ("log2", cfg.digits)
-    hit = _cache_get(_CONST_CACHE, key)
-    if hit is not None:
-        return hit
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits
-        out = Decimal(2).ln()
-    _cache_put(_CONST_CACHE, key, out)
-    return out
+    return _constant("log2", cfg, lambda: Decimal(2).ln())
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +415,34 @@ def _report(rid: str, params: dict, lhs: Decimal, rhs: Decimal, cfg: EvalConfig)
     )
 
 
+def _sum_to_tolerance(
+    terms: Iterable[Decimal | None],
+    majorant: Callable[[int], Fraction],
+    start: int,
+    cfg: EvalConfig,
+) -> Decimal:
+    """Sum terms k = start, start+1, ... in the caller's decimal context.
+
+    The stopping rule and the majorant contract are in "Series verdicts"
+    above.  A None term is an exact zero and is skipped, so it cannot move
+    the exponent of the total.  No term past index max_terms is built.
+    """
+    quarter_tol = cfg.tolerance / 4
+    total = Decimal(0)
+    bound = majorant(start + 1)  # M(k+1), carried forward as M(k+2) is found
+    for k, term in zip(range(start, cfg.max_terms + 1), terms):
+        if term is not None:
+            total += term
+        if not bound:
+            return total
+        after = majorant(k + 2)
+        ratio = after / bound
+        if ratio < 1 and bound / (1 - ratio) < quarter_tol:
+            return total
+        bound = after
+    raise ArithmeticError("tail bound not reached within max_terms")
+
+
 def _poly_bound_base(params: HsuShiueParams, n: int) -> tuple[Fraction, Fraction]:
     # |(r + k*beta | alpha)_n| <= (a + b*k)^n with a, b as below
     a = abs(params.r) + n * abs(params.alpha)
@@ -433,42 +465,31 @@ def eval_theorem5(
         raise ValueError(f"need |x| < 1, got {x}")
     a, b = _poly_bound_base(params, n)
     ax = abs(x)
-    tol = cfg.tolerance
-    lhs = Decimal(0)
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        k = 0
+
+    def terms():
         xpow = Fraction(1)
-        while True:
-            k += 1
-            if k > cfg.max_terms:
-                raise ArithmeticError("tail bound not reached within max_terms")
+        for k in count(1):
             xpow *= x
             coeff = gen_factorial(params.r + k * params.beta, params.alpha, n) * xpow
-            if coeff:
-                lhs += zeta_int(k + 1, cfg) * Decimal(coeff.numerator) / Decimal(
-                    coeff.denominator
-                )
-            # geometric majorant for the tail beyond k
-            bound_next = 2 * (a + b * (k + 1)) ** n * ax ** (k + 1)
-            if bound_next == 0:
-                break
-            ratio = ax if n == 0 else ax * ((a + b * (k + 2)) / (a + b * (k + 1))) ** n
-            if ratio < 1 and bound_next / (1 - ratio) < tol / 4:
-                break
+            # (zeta * num) / den: zeta * (num / den) rounds differently
+            yield (zeta_int(k + 1, cfg) * Decimal(coeff.numerator) / Decimal(coeff.denominator)
+                   if coeff else None)
+
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        # zeta(k+1) <= 2
+        lhs = _sum_to_tolerance(terms(), lambda j: 2 * (a + b * j) ** n * ax**j, 1, cfg)
         rhs = Decimal(0)
         head = gen_factorial(params.r, params.alpha, n)
         if head:
             psi_val = digamma(1 - x, cfg) + gamma_euler(cfg)
-            rhs -= Decimal(head.numerator) / Decimal(head.denominator) * psi_val
+            rhs -= _dec(head) * psi_val
         table = cached_table(params, n)
         bx = params.beta * x
         for k in range(1, n + 1):
             c = table.value(n, k) * factorial(k) * bx**k
             if c:
-                rhs += Decimal(c.numerator) / Decimal(c.denominator) * hurwitz_zeta(
-                    k + 1, 1 - x, cfg
-                )
+                rhs += _dec(c) * hurwitz_zeta(k + 1, 1 - x, cfg)
     return _report(
         "EQ26",
         {"params": params, "n": n, "x": x, "bits": cfg.precision_bits},
@@ -481,26 +502,21 @@ def eval_theorem5(
 def eval_eq30_family(n: int, cfg: EvalConfig | None = None) -> CheckReport:
     """sum_{k>=2} zeta(k) k^n / 2^k vs its log2 + weighted-zeta closed form."""
     cfg = cfg or EvalConfig()
-    tol = cfg.tolerance
+
+    def terms():
+        for k in count(2):
+            coeff = Fraction(k**n, 2**k)
+            # (zeta * num) / den, in lowest terms, as in eval_theorem5
+            yield zeta_int(k, cfg) * Decimal(coeff.numerator) / Decimal(coeff.denominator)
+
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        lhs = Decimal(0)
-        k = 1
-        while True:
-            k += 1
-            if k > cfg.max_terms:
-                raise ArithmeticError("tail bound not reached within max_terms")
-            coeff = Fraction(k**n, 2**k)
-            lhs += zeta_int(k, cfg) * Decimal(coeff.numerator) / Decimal(coeff.denominator)
-            bound_next = 2 * Fraction((k + 1) ** n, 2 ** (k + 1))
-            ratio = Fraction((k + 2) ** n, 2 * (k + 1) ** n)
-            if ratio < 1 and bound_next / (1 - ratio) < tol / 4:
-                break
+        lhs = _sum_to_tolerance(terms(), lambda j: Fraction(2 * j**n, 2**j), 2, cfg)
         rhs = log2(cfg)
         table = cached_table(HsuShiueParams(0, 1, 0), n + 1)
         for k in range(1, n + 1):
             c = table.value(n + 1, k + 1) * factorial(k) * (1 - Fraction(1, 2 ** (k + 1)))
-            rhs += Decimal(c.numerator) / Decimal(c.denominator) * zeta_int(k + 1, cfg)
+            rhs += _dec(c) * zeta_int(k + 1, cfg)
     return _report("EQ30_FAMILY", {"n": n, "bits": cfg.precision_bits}, lhs, rhs, cfg)
 
 
@@ -526,51 +542,36 @@ def eval_eq17_18(
         raise ValueError(f"eq must be 17 or 18, got {eq}")
     if start_index not in ("derived_j0", "paper_j1"):
         raise ValueError(f"unknown start_index {start_index!r}")
+    odd = eq - 17  # the index 2k + odd of the factorial and of beta
     a0, b = _poly_bound_base(params, n)
-    a = a0 if eq == 17 else a0 + abs(params.beta)
-    tol = cfg.tolerance
+    a = a0 + odd * abs(params.beta)
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
         two_pi_sq = 4 * pi(cfg) ** 2
-        lhs = Decimal(0)
-        pi_pow = Decimal(1)  # (2pi)^(2k)
-        k = -1
-        while True:
-            k += 1
-            if k > cfg.max_terms:
-                raise ArithmeticError("tail bound not reached within max_terms")
-            arg = (2 * k) * params.beta if eq == 17 else (2 * k + 1) * params.beta
-            den = factorial(2 * k) if eq == 17 else factorial(2 * k + 1)
-            coeff = gen_factorial(arg + params.r, params.alpha, n) * Fraction(
-                (-1) ** k, den
-            )
-            if coeff:
-                lhs += Decimal(coeff.numerator) / Decimal(coeff.denominator) * pi_pow
-            pi_pow *= two_pi_sq
-            # majorant: (2pi)^2 <= 40, shared (2k)! denominator floor
-            bound_next = Fraction(40 ** (k + 1), factorial(2 * k + 2)) * (
-                a + 2 * b * (k + 1)
-            ) ** n
-            if bound_next == 0:
-                break
-            poly_ratio = (
-                Fraction(1)
-                if n == 0
-                else ((a + 2 * b * (k + 2)) / (a + 2 * b * (k + 1))) ** n
-            )
-            ratio = Fraction(40, (2 * k + 3) * (2 * k + 4)) * poly_ratio
-            if ratio < 1 and bound_next / (1 - ratio) < tol / 4:
-                break
+
+        def terms():
+            pi_pow = Decimal(1)  # (2pi)^(2k), kept as a running product
+            for k in count():
+                idx = 2 * k + odd
+                coeff = gen_factorial(idx * params.beta + params.r, params.alpha, n) * Fraction(
+                    (-1) ** k, factorial(idx)
+                )
+                yield _dec(coeff) * pi_pow if coeff else None
+                pi_pow *= two_pi_sq
+
+        # (2pi)^2 <= 40, shared (2k)! denominator floor
+        lhs = _sum_to_tolerance(
+            terms(), lambda j: Fraction(40**j, factorial(2 * j)) * (a + 2 * b * j) ** n, 0, cfg
+        )
         table = cached_table(params, n)
         beta_sq = params.beta**2
         j0 = 0 if start_index == "derived_j0" else 1
         rhs = Decimal(0)
         for j in range(j0, n // 2 + 1):
-            idx = 2 * j if eq == 17 else 2 * j + 1
-            c = table.value(n, idx) * (-1) ** j * beta_sq**j
+            c = table.value(n, 2 * j + odd) * (-1) ** j * beta_sq**j
             if c:
-                rhs += Decimal(c.numerator) / Decimal(c.denominator) * two_pi_sq**j
-        if eq == 18:
+                rhs += _dec(c) * two_pi_sq**j
+        if odd:
             rhs *= to_decimal(params.beta, cfg)
     return _report(
         f"EQ{eq}",
@@ -596,32 +597,20 @@ def eval_dobinski_numeric(
         raise ValueError("numeric check restricted to beta > 0")
     a, b = _poly_bound_base(params, n)
     q = abs(x / params.beta)
-    tol = cfg.tolerance
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        lhs = Decimal(0)
-        k = -1
-        while True:
-            k += 1
-            if k > cfg.max_terms:
-                raise ArithmeticError("tail bound not reached within max_terms")
+
+    def terms():
+        for k in count():
             coeff = gen_factorial(k * params.beta + params.r, params.alpha, n) * x**k / (
                 params.beta**k * factorial(k)
             )
-            if coeff:
-                lhs += Decimal(coeff.numerator) / Decimal(coeff.denominator)
-            bound_next = (a + b * (k + 1)) ** n * q ** (k + 1) / factorial(k + 1)
-            if bound_next == 0:
-                break
-            poly_ratio = (
-                Fraction(1) if n == 0 else ((a + b * (k + 2)) / (a + b * (k + 1))) ** n
-            )
-            ratio = q / (k + 2) * poly_ratio
-            if ratio < 1 and bound_next / (1 - ratio) < tol / 4:
-                break
+            yield _dec(coeff) if coeff else None
+
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        lhs = _sum_to_tolerance(terms(), lambda j: (a + b * j) ** n * q**j / factorial(j), 0, cfg)
         exponent = to_decimal(x / params.beta, cfg)
         value = exp_poly(n, params)(x)
-        rhs = exponent.exp() * (Decimal(value.numerator) / Decimal(value.denominator))
+        rhs = exponent.exp() * _dec(value)
     return _report(
         "EQ16_NUMERIC",
         {"n": n, "params": params, "x": x, "bits": cfg.precision_bits},

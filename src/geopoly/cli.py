@@ -169,8 +169,16 @@ def _cmd_series(ns: argparse.Namespace, started: float) -> int:
     return 0 if rpt.status == "pass" else 1
 
 
+_SINGLE_ID_SAMPLES = 4
+
+
 def _cmd_verify(ns: argparse.Namespace, started: float) -> int:
     if ns.id == "all":
+        if ns.samples is not None:
+            raise CliError(
+                "--samples does not apply to --id all: the profile's default_samples "
+                f"({PROFILES[ns.profile].default_samples} for {ns.profile}) applies"
+            )
         summary = run_all(seed=ns.seed, profile=ns.profile)
         reports = summary.pop("reports")
         payload = {
@@ -184,14 +192,15 @@ def _cmd_verify(ns: argparse.Namespace, started: float) -> int:
         }
         _emit(ns, payload, started)
         return 0 if not summary["unexpected"] else 1
-    reports = run(ns.id, seed=ns.seed, samples=ns.samples, profile=ns.profile)
+    samples = _SINGLE_ID_SAMPLES if ns.samples is None else ns.samples
+    reports = run(ns.id, seed=ns.seed, samples=samples, profile=ns.profile)
     bad = [r for r in reports if not r.ok()]
     payload = {
         "command": "verify",
         "params": {
             "id": ns.id,
             "seed": ns.seed,
-            "samples": ns.samples,
+            "samples": samples,
             "profile": ns.profile,
         },
         "result": {
@@ -253,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity checks")
     p.add_argument("--id", required=True, help="identity id or 'all'")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--samples", type=int, default=4)
+    p.add_argument("--samples", type=int, default=None,
+                   help=f"samples of one id (default {_SINGLE_ID_SAMPLES}); not with --id all")
     p.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     add_common(p)
     p.set_defaults(fn=_cmd_verify)

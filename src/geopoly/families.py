@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial
 
 from .exact import (
@@ -39,7 +40,7 @@ from .exact import (
 )
 from .params import HsuShiueParams
 from .polynomials import PolyQ
-from .report import FAIL, PASS, CheckReport, fmt_rational
+from .report import PASS, CheckReport, fmt_rational
 from .series import (
     binom_deform,
     gf_bernoulli2_degenerate,
@@ -191,27 +192,21 @@ def check_eq14(n_max: int) -> CheckReport:
     B_n = sum_k (-1)^k k!/(k+1) {n k} and E_n(0) = sum_k (-1)^k k!/2^k {n k},
     both checked against gf-extracted classical values.
     """
-    rpt = CheckReport(id="EQ14", params={"n_max": n_max})
     table = cached_table(HsuShiueParams(0, 1, 0), n_max)
-    for n in range(n_max + 1):
-        b_sum = sum(
-            (-1) ** k * Fraction(factorial(k), k + 1) * table.value(n, k)
-            for k in range(n + 1)
-        )
-        e_sum = sum(
-            (-1) ** k * Fraction(factorial(k), 2**k) * table.value(n, k)
-            for k in range(n + 1)
-        )
-        if b_sum != bernoulli_number(n):
-            rpt.status = FAIL
-            rpt.witness = f"B_{n}: sum {b_sum} != gf {bernoulli_number(n)}"
-            return rpt
-        e_gf = _euler_zero_values(1, n)[n]
-        if e_sum != e_gf:
-            rpt.status = FAIL
-            rpt.witness = f"E_{n}(0): sum {e_sum} != gf {e_gf}"
-            return rpt
-    return rpt
+
+    def cases():
+        for n in range(n_max + 1):
+            yield f"B_{n}", sum(
+                (-1) ** k * Fraction(factorial(k), k + 1) * table.value(n, k)
+                for k in range(n + 1)
+            ), bernoulli_number(n)
+            yield f"E_{n}(0)", sum(
+                (-1) ** k * Fraction(factorial(k), 2**k) * table.value(n, k)
+                for k in range(n + 1)
+            ), _euler_zero_values(1, n)[n]
+
+    rpt = CheckReport(id="EQ14", params={"n_max": n_max})
+    return rpt.compare_each(cases(), "{}: sum {} != gf {}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +455,9 @@ def check_dobinski(n: int, params: HsuShiueParams, order_x: int) -> CheckReport:
     rpt = CheckReport(id="EQ16_EXACT", params={"n": n, "params": params, "order_x": order_x})
     exp_over_beta = binom_deform(0, 1 / params.beta, order_x)
     lhs = exp_over_beta * exp_poly(n, params).to_series(order_x)
-    for k in range(order_x + 1):
-        expected = gen_factorial(k * params.beta + params.r, params.alpha, n) / (
-            params.beta**k * factorial(k)
-        )
-        if lhs.coeff(k) != expected:
-            rpt.status = FAIL
-            rpt.witness = (
-                f"[x^{k}]: {fmt_rational(lhs.coeff(k))} != {fmt_rational(expected)}"
-            )
-            return rpt
-    return rpt
+    a, b, r = params.alpha, params.beta, params.r
+    expected = (gen_factorial(k * b + r, a, n) / (b**k * factorial(k)) for k in range(order_x + 1))
+    return rpt.compare_each(zip(count(), lhs.coeffs, expected), "[x^{}]: {} != {}")
 
 
 def check_gamma_rep7(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:

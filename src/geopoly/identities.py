@@ -76,13 +76,6 @@ class SmallRationalSampler:
                 continue
             return HsuShiueParams(alpha, beta, r)
 
-    def proper_x(self) -> Fraction:
-        """Rational with |x| < 1 and x != 0 (series argument domain)."""
-        while True:
-            x = Fraction(self.int_between(-3, 3), self.int_between(4, 6))
-            if x != 0:
-                return x
-
 
 # Records here are NamedTuples, not frozen dataclasses: their classes are built
 # about seven times faster, and every CLI call builds them at import.
@@ -191,6 +184,9 @@ def _eq26(
         )
         for i in range(samples)
     ]
+
+
+_HOOKS = ("corrupt_table",)
 
 
 def _gf_vs_table(
@@ -355,11 +351,20 @@ def run(
     profile: str = "full",
     hooks: dict | None = None,
 ) -> list[CheckReport]:
-    """Verify one registered identity on deterministically sampled inputs."""
+    """Verify one registered identity on deterministically sampled inputs.
+
+    ``hooks`` holds negative controls, and an unknown key is an error so
+    that a misspelled control cannot pass vacuously.  The one hook is
+    ``"corrupt_table": (n, k)``: it adds 1 to that cell of every
+    GF_VS_TABLE table, so the generating-function oracle must fail.
+    """
     if rid not in IDENTITY_IDS:
         raise ValueError(f"unknown identity id {rid!r}; known ids: {', '.join(IDENTITY_IDS)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    unknown = sorted(set(hooks or ()) - set(_HOOKS))
+    if unknown:
+        raise ValueError(f"unknown hooks {unknown}; known hooks: {', '.join(_HOOKS)}")
     prof = _profile(profile)
     index = IDENTITY_IDS.index(rid)
     record = REGISTRY[index]

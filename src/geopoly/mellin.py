@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import count
 
-from .exact import RationalLike, as_rational, binomial_general, gen_factorial
+from .exact import binomial_general, gen_factorial
 from .families import geometric_poly, exp_poly
 from .params import HsuShiueParams
 from .polynomials import PolyQ
-from .report import FAIL, CheckReport, fmt_rational
+from .report import CheckReport
 from .series import PowerSeries, binom_deform, divide, inverse, pow_int, pow_series
 from .stirling import cached_table
 
@@ -71,13 +71,6 @@ def apply_operator(gs: GradedSeries, times: int) -> GradedSeries:
     return GradedSeries(gs.params, m + times, tuple(coeffs))
 
 
-def _mismatch(lhs: tuple[Fraction, ...], rhs: tuple[Fraction, ...]) -> int | None:
-    for k in range(min(len(lhs), len(rhs))):
-        if lhs[k] != rhs[k]:
-            return k
-    return None
-
-
 def verify_eq1_poly(n: int, f: PolyQ, params: HsuShiueParams) -> CheckReport:
     """Operator route vs derivative expansion for a polynomial test function.
 
@@ -95,14 +88,9 @@ def verify_eq1_poly(n: int, f: PolyQ, params: HsuShiueParams) -> CheckReport:
         term = f.derivative(k).shift_x(k) * (table.value(n, k) * params.beta**k)
         rhs_poly = rhs_poly + term
     rhs = rhs_poly.to_series(order).coeffs
-    where = _mismatch(lhs.coeffs, rhs)
-    if where is not None:
-        rpt.status = FAIL
-        rpt.witness = (
-            f"x^{where}: operator {fmt_rational(lhs.coeffs[where])} "
-            f"!= expansion {fmt_rational(rhs[where])}"
-        )
-    return rpt
+    return rpt.compare_each(
+        zip(count(), lhs.coeffs, rhs), "x^{}: operator {} != expansion {}"
+    )
 
 
 def _binomial_tail_series(s: int, order: int) -> PowerSeries:
@@ -110,6 +98,15 @@ def _binomial_tail_series(s: int, order: int) -> PowerSeries:
     return PowerSeries.from_coeffs(
         [binomial_general(s + k, k) for k in range(order + 1)]
     )
+
+
+def _eq5_composition(n: int, s: int, params: HsuShiueParams, order: int) -> PowerSeries:
+    """(1-x)^(-s-1) * w_n^(s+1)(x/(1-x)), the closed side of EQ4 and EQ5."""
+    t = PowerSeries.t(order)
+    one = PowerSeries.one(order)
+    u = divide(t, one - t)  # x/(1-x), valuation 1
+    w = geometric_poly(n, s + 1, params)
+    return pow_int(inverse(one - t), s + 1) * w.at_series(u)
 
 
 def verify_series_identity(
@@ -131,8 +128,6 @@ def verify_series_identity(
         id={"eq5": "EQ5", "eq21": "EQ21", "eq38_binomial": "EQ38"}[which],
         params={"n": n, "s": s, "params": params, "order": order},
     )
-    t = PowerSeries.t(order)
-    one = PowerSeries.one(order)
     if which in ("eq5", "eq21"):
         if which == "eq21":
             s = 0
@@ -140,27 +135,22 @@ def verify_series_identity(
             binomial_general(s + k, k) * gen_factorial(r + k * b, a, n)
             for k in range(order + 1)
         ]
-        u = divide(t, one - t)  # x/(1-x), valuation 1
-        w = geometric_poly(n, s + 1, params)
-        rhs = pow_int(inverse(one - t), s + 1) * w.at_series(u)
+        rhs = _eq5_composition(n, s, params, order)
     elif which == "eq38_binomial":
         lhs = [
             binomial_general(s, k) * gen_factorial(r + k * b, a, n)
             for k in range(order + 1)
         ]
+        t = PowerSeries.t(order)
+        one = PowerSeries.one(order)
         v = divide(-t, one + t)  # -x/(1+x)
         w = geometric_poly(n, -s, params)
         rhs = pow_int(one + t, s) * w.at_series(v)
     else:
         raise ValueError(f"unknown identity {which!r}")
-    where = _mismatch(tuple(lhs), rhs.coeffs)
-    if where is not None:
-        rpt.status = FAIL
-        rpt.witness = (
-            f"[x^{where}]: termwise {fmt_rational(lhs[where])} "
-            f"!= composition {fmt_rational(rhs.coeffs[where])}"
-        )
-    return rpt
+    return rpt.compare_each(
+        zip(count(), lhs, rhs.coeffs), "[x^{}]: termwise {} != composition {}"
+    )
 
 
 def verify_eq4_operator(n: int, s: int, params: HsuShiueParams, order: int) -> CheckReport:
@@ -175,18 +165,10 @@ def verify_eq4_operator(n: int, s: int, params: HsuShiueParams, order: int) -> C
         id="EQ4_OPERATOR", params={"n": n, "s": s, "params": params, "order": order}
     )
     lhs = apply_operator(embed_series(_binomial_tail_series(s, order), params), n)
-    t = PowerSeries.t(order)
-    one = PowerSeries.one(order)
-    u = divide(t, one - t)
-    rhs = pow_int(inverse(one - t), s + 1) * geometric_poly(n, s + 1, params).at_series(u)
-    where = _mismatch(lhs.coeffs, rhs.coeffs)
-    if where is not None:
-        rpt.status = FAIL
-        rpt.witness = (
-            f"[x^{where}]: operator {fmt_rational(lhs.coeffs[where])} "
-            f"!= composition {fmt_rational(rhs.coeffs[where])}"
-        )
-    return rpt
+    rhs = _eq5_composition(n, s, params, order)
+    return rpt.compare_each(
+        zip(count(), lhs.coeffs, rhs.coeffs), "[x^{}]: operator {} != composition {}"
+    )
 
 
 def verify_eq15(n: int, params: HsuShiueParams, order: int) -> CheckReport:
@@ -202,11 +184,6 @@ def verify_eq15(n: int, params: HsuShiueParams, order: int) -> CheckReport:
     exp_over_beta = binom_deform(0, 1 / params.beta, order)
     lhs = apply_operator(embed_series(exp_over_beta, params), n)
     rhs = exp_over_beta * exp_poly(n, params).to_series(order)
-    where = _mismatch(lhs.coeffs, rhs.coeffs)
-    if where is not None:
-        rpt.status = FAIL
-        rpt.witness = (
-            f"[x^{where}]: operator {fmt_rational(lhs.coeffs[where])} "
-            f"!= convolution {fmt_rational(rhs.coeffs[where])}"
-        )
-    return rpt
+    return rpt.compare_each(
+        zip(count(), lhs.coeffs, rhs.coeffs), "[x^{}]: operator {} != convolution {}"
+    )

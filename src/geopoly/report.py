@@ -1,7 +1,14 @@
-"""Verification report record shared by all identity checks."""
+"""Verification report record shared by all identity checks.
+
+A verdict is reached on one of three paths, each written once:
+`CheckReport.compare` for one exact equality, `CheckReport.compare_each`
+for the first mismatch in a scan of exact cases, and `analytic._report`
+for a numeric |lhs - rhs| against the configured tolerance.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -55,9 +62,21 @@ class CheckReport:
 
     def compare(self, lhs: Fraction, rhs: Fraction, witness: str) -> "CheckReport":
         """Fail with ``witness`` filled by both sides unless they are equal."""
-        if lhs != rhs:
-            self.status = FAIL
-            self.witness = witness.format(fmt_rational(lhs), fmt_rational(rhs))
+        return self.compare_each(((lhs, rhs),), witness)
+
+    def compare_each(self, cases: Iterable[tuple], witness: str) -> "CheckReport":
+        """Fail at the first case ``(label..., lhs, rhs)`` whose sides differ.
+
+        ``witness`` is filled by that case's labels and both sides.  Cases
+        are consumed lazily, so none past the first mismatch is built.
+        """
+        for case in cases:
+            if case[-2] != case[-1]:
+                self.status = FAIL
+                self.witness = witness.format(
+                    *case[:-2], fmt_rational(case[-2]), fmt_rational(case[-1])
+                )
+                break
         return self
 
     def to_dict(self) -> dict:

@@ -32,7 +32,7 @@ from math import factorial
 
 from .exact import RationalLike, as_rational
 from .params import HsuShiueParams
-from .report import EXACT, FAIL, PASS, CheckReport, fmt_rational
+from .report import EXACT, CheckReport
 from .series import binom_deform, deformed_base
 
 
@@ -147,12 +147,7 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
         for n in range(k, order + 1):
             expected = gf.coeff(n) * factorial(n) / factorial(k)
             got = table.value(n, k)
+            # the scan stays inline: a generator per cell costs ~5% at n = 40
             if got != expected:
-                rpt.status = FAIL
-                rpt.witness = (
-                    f"(n={n}, k={k}): table {fmt_rational(got)} "
-                    f"!= gf {fmt_rational(expected)}"
-                )
-                return rpt
-    rpt.status = PASS
+                return rpt.compare_each([(n, k, got, expected)], "(n={}, k={}): table {} != gf {}")
     return rpt

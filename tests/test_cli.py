@@ -177,6 +177,20 @@ def test_verify_single_id_description_from_record(capsys):
     assert doc["result"]["description"] == "rising factorial reflection <-x>_n = (-1)^n (x)_n"
 
 
+def test_verify_all_rejects_samples(capsys):
+    assert cli.main(["verify", "--id", "all", "--samples", "1", "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert "--samples does not apply to --id all" in err
+    assert "default_samples (2 for quick) applies" in err
+
+
+def test_verify_single_id_samples_default(capsys):
+    assert cli.main(["verify", "--id", "EQ36", "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["samples"] == 4
+    assert len(doc["result"]["reports"]) == 4
+
+
 def test_byte_identical_without_timing():
     args = ("verify", "--id", "EQ36", "--seed", "4", "--samples", "3", "--no-timing")
     a = run_cli(*args)

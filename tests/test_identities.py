@@ -168,6 +168,14 @@ def test_run_all_with_corruption_reports_unexpected():
     assert any(u["id"] == "GF_VS_TABLE" for u in summary["unexpected"])
 
 
+def test_unknown_hook_rejected():
+    expected = r"unknown hooks \['corrupt_tabel'\]; known hooks: corrupt_table"
+    with pytest.raises(ValueError, match=expected):
+        I.run_all(seed=1, profile="quick", hooks={"corrupt_tabel": (3, 1)})
+    with pytest.raises(ValueError, match="known hooks"):
+        I.run("EQ36", hooks={"corrupt_table": (1, 0), "typo": 1})
+
+
 def test_sampler_is_stable_lcg():
     s = I.SmallRationalSampler(1)
     first = [s.int_between(0, 100) for _ in range(5)]
@@ -184,6 +192,4 @@ def test_sampler_respects_constraints():
         assert p.beta != 0
         q = s.params(beta_positive=True)
         assert q.beta > 0
-        x = s.proper_x()
-        assert 0 < abs(x) < 1
         assert s.rational(nonzero=True) != 0

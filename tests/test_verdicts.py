@@ -1,0 +1,241 @@
+"""The two verdict rules, and negative controls that show each check can fail.
+
+`CheckReport.compare_each` reaches every exact scan's verdict and
+`analytic._sum_to_tolerance` sums every numeric series; the witness gate
+pins the bytes of the failure witnesses those paths write.
+"""
+
+import hashlib
+from decimal import Decimal, localcontext
+from fractions import Fraction as F
+
+import pytest
+
+from geopoly import analytic, families, mellin, stirling
+from geopoly import identities as I
+from geopoly.analytic import EvalConfig
+from geopoly.params import HsuShiueParams
+from geopoly.polynomials import PolyQ
+from geopoly.report import CheckReport
+
+
+# ---------------------------------------------------------------------------
+# compare_each
+# ---------------------------------------------------------------------------
+
+
+def test_compare_each_all_equal_passes():
+    rpt = CheckReport(id="T").compare_each(((k, F(k, 3), F(2 * k, 6)) for k in range(5)), "{}")
+    assert rpt.status == "pass"
+    assert rpt.witness is None
+
+
+def test_compare_each_first_mismatch_wins():
+    cases = [(0, 1, 1), (1, 2, 3), (2, 5, 7)]
+    rpt = CheckReport(id="T").compare_each(cases, "[x^{}]: {} != {}")
+    assert rpt.status == "fail"
+    assert rpt.witness == "[x^1]: 2 != 3"
+
+
+def test_compare_each_is_lazy():
+    def cases():
+        yield 0, F(1), F(1)
+        yield 1, F(1, 2), F(1, 3)
+        raise AssertionError("a case past the first mismatch was built")
+
+    rpt = CheckReport(id="T").compare_each(cases(), "{}: {} != {}")
+    assert rpt.witness == "1: 1/2 != 1/3"
+
+
+def test_compare_each_label_fields_in_witness():
+    cases = [("B", 4, 2, 0, F(-1, 30), F(1, 30))]
+    rpt = CheckReport(id="T").compare_each(cases, "{}_{} at ({}, {}): {} != {}")
+    assert rpt.witness == "B_4 at (2, 0): -1/30 != 1/30"
+
+
+def test_compare_each_shorter_side_ends_scan():
+    lhs = (F(1), F(2))
+    rhs = (F(1), F(2), F(9))
+    rpt = CheckReport(id="T").compare_each(zip(range(9), lhs, rhs), "{}: {} != {}")
+    assert rpt.status == "pass"
+
+
+def test_compare_is_one_case_of_compare_each():
+    a = CheckReport(id="T").compare(F(1, 2), F(1, 3), "lhs {} != rhs {}")
+    b = CheckReport(id="T").compare_each([(F(1, 2), F(1, 3))], "lhs {} != rhs {}")
+    assert a.to_dict() == b.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# _sum_to_tolerance
+# ---------------------------------------------------------------------------
+
+
+def _counted(terms, log):
+    for term in terms:
+        log.append(term)
+        yield term
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_sum_to_tolerance_consumes_the_derived_cut(bits):
+    # M(j) = 2^-j has ratio 1/2, so the tail after term k is at most 2^-k;
+    # tolerance/4 = 2^-(bits-30), and the first k with 2^-k below it is bits-29
+    cfg = EvalConfig(bits)
+    cut = bits - 29
+    log = []
+    terms = (Decimal(1) / Decimal(2) ** k for k in range(10**6))
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        total = analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(1, 2**j), 0, cfg)
+        assert total == sum(Decimal(1) / Decimal(2) ** k for k in range(cut + 1))
+    assert len(log) == cut + 1
+
+
+def test_sum_to_tolerance_zero_majorant_stops():
+    cfg = EvalConfig(64)
+    log = []
+    terms = (Decimal(k + 1) for k in range(100))
+    total = analytic._sum_to_tolerance(
+        _counted(terms, log), lambda j: F(0) if j >= 3 else F(1), 0, cfg
+    )
+    assert (total, len(log)) == (Decimal(6), 3)  # terms 0, 1, 2; M(3) = 0
+    log.clear()
+    terms = (Decimal(k + 1) for k in range(100))
+    total = analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(0), 5, cfg)
+    assert (total, len(log)) == (Decimal(1), 1)
+
+
+def test_sum_to_tolerance_past_max_terms_raises():
+    cfg = EvalConfig(64, max_terms=10)
+    log = []
+    terms = (Decimal(1) for _ in range(100))
+    with pytest.raises(ArithmeticError, match="tail bound not reached within max_terms"):
+        analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(1), 2, cfg)
+    assert len(log) == 9  # term indices 2..10; index 11 is never built
+
+
+def test_sum_to_tolerance_none_terms_keep_the_exponent():
+    cfg = EvalConfig(64)
+    half = [Decimal("0.5")]
+    stop = lambda j: F(0) if j >= 3 else F(1)  # noqa: E731
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        plain = analytic._sum_to_tolerance(iter(half + [Decimal(0)] * 5), stop, 0, cfg)
+        skipped = analytic._sum_to_tolerance(iter(half + [None] * 5), stop, 0, cfg)
+        padded = analytic._sum_to_tolerance(iter(half + [Decimal("0E-40")] * 5), stop, 0, cfg)
+    assert skipped.as_tuple() == plain.as_tuple() == Decimal("0.5").as_tuple()
+    assert padded.as_tuple() != skipped.as_tuple()  # an added zero can move it
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: perturb one side, the check must fail with its witness
+# ---------------------------------------------------------------------------
+
+
+def _plus(old, delta):
+    return lambda *args: old(*args) + delta
+
+
+def _bump_cell(old, n0, k0):
+    def table(params, n_max):
+        t = old(params, n_max)
+        return t.with_entry(n0, k0, t.value(n0, k0) + 1) if n0 <= n_max else t
+
+    return table
+
+
+def _bump_bernoulli(old, n0):
+    return lambda n: old(n) + (n == n0)
+
+
+def _bump_euler(old, n0):
+    def values(s, n_max):
+        vals = old(s, n_max)
+        return vals[:-1] + (vals[-1] + F(1, 2),) if n_max == n0 else vals
+
+    return values
+
+
+ONE = PolyQ.const(1)
+CUBIC = PolyQ.from_coeffs([0, 0, 0, F(2, 5)])
+TRIPLE = HsuShiueParams(F(1, 2), 3, -2)
+
+# id -> (module, attribute, wrapper of the original, check, witness prefix)
+NEGATIVE_CONTROLS = {
+    "EQ1": (mellin, "cached_table", lambda old: _bump_cell(old, 2, 0),
+            lambda: mellin.verify_eq1_poly(2, PolyQ.from_coeffs([1, F(-2, 3), 0, 5]), TRIPLE),
+            "x^0: operator "),
+    "EQ4_OPERATOR": (mellin, "geometric_poly", lambda old: _plus(old, ONE),
+                     lambda: I.run("EQ4_OPERATOR", seed=1, samples=2, profile="quick"),
+                     "[x^0]: operator "),
+    "EQ5": (mellin, "geometric_poly", lambda old: _plus(old, CUBIC),
+            lambda: mellin.verify_series_identity("eq5", 3, 2, TRIPLE, 10),
+            "[x^3]: termwise "),
+    "EQ21": (mellin, "geometric_poly", lambda old: _plus(old, ONE),
+             lambda: I.run("EQ21", seed=1, samples=2, profile="quick"),
+             "[x^0]: termwise "),
+    "EQ38": (mellin, "geometric_poly", lambda old: _plus(old, ONE),
+             lambda: I.run("EQ38", seed=1, samples=2, profile="quick"),
+             "[x^0]: termwise "),
+    "EQ15": (mellin, "exp_poly", lambda old: _plus(old, CUBIC),
+             lambda: mellin.verify_eq15(2, TRIPLE, 8),
+             "[x^3]: operator "),
+    "EQ16_EXACT": (families, "exp_poly", lambda old: _plus(old, ONE),
+                   lambda: I.run("EQ16_EXACT", seed=1, samples=2, profile="quick"),
+                   "[x^0]: "),
+    "EQ14_B": (families, "bernoulli_number", lambda old: _bump_bernoulli(old, 7),
+               lambda: I.run("EQ14", seed=1, samples=1, profile="quick"),
+               "B_7: sum "),
+    "EQ14_E": (families, "_euler_zero_values", lambda old: _bump_euler(old, 5),
+               lambda: families.check_eq14(20),
+               "E_5(0): sum "),
+}
+
+
+def _perturbed_reports(monkeypatch, name):
+    module, attr, wrap, check, _ = NEGATIVE_CONTROLS[name]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    out = check()
+    return out if isinstance(out, list) else [out]
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_fails_with_witness(monkeypatch, name):
+    check, prefix = NEGATIVE_CONTROLS[name][3:]
+    before = check()
+    assert all(r.status == "pass" for r in (before if isinstance(before, list) else [before]))
+    for rpt in _perturbed_reports(monkeypatch, name):
+        assert rpt.status == "fail"
+        assert rpt.witness.startswith(prefix)
+
+
+# ---------------------------------------------------------------------------
+# Failure-witness gate
+# ---------------------------------------------------------------------------
+
+# sha256 of the witnesses below, taken from the code before compare_each
+# existed: the first-mismatch scans must keep their witnesses byte for byte.
+FAILURE_WITNESS_SHA256 = "d442562f6a906c4af04ae99f4e2ea5009efc702938c501284ae080859c86bcba"
+
+
+def _gf_corruption_witnesses():
+    out = []
+    for triple in (TRIPLE, HsuShiueParams(0, 1, 0), HsuShiueParams(1, 0, 0)):
+        table = stirling.build_table(triple, 8)
+        for n in range(9):
+            for k in range(n + 1):
+                bad = table.with_entry(n, k, table.value(n, k) + 1)
+                out.append(stirling.verify_against_gf(bad, 8).witness)
+    return out
+
+
+def test_failure_witness_gate():
+    witnesses = []
+    for name in sorted(NEGATIVE_CONTROLS):
+        with pytest.MonkeyPatch.context() as mp:
+            witnesses += [r.witness for r in _perturbed_reports(mp, name)]
+    witnesses += _gf_corruption_witnesses()
+    assert len(witnesses) == 5 + 2 * 4 + 3 * 45
+    digest = hashlib.sha256("\n".join(witnesses).encode()).hexdigest()
+    assert digest == FAILURE_WITNESS_SHA256
