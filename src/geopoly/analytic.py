@@ -42,8 +42,12 @@ digamma uses upward recurrence to a large argument followed by the
 asymptotic series with the same envelope bound, again tested in integers;
 the Euler constant is -digamma(1), pi comes from a Machin arctangent pair
 (alternating series, tail bounded by the first omitted term), and log 2
-from the correctly rounded stdlib ln.  The numeric caches keep at most
-_CACHE_CAP entries each and evict the oldest beyond it.
+from the correctly rounded stdlib ln.
+
+Both asymptotic loops read B_2m through `families.bernoulli_number` (one
+prefix-grown sequence) and carry the B_2m+2 of a step's envelope test into
+the next step as its B_2m.  The zeta values, the constants and the
+coefficients B_2m/(2m)! are each cached in a `memo.Memo` of CACHE_CAP keys.
 
 Series verdicts
 ---------------
@@ -65,13 +69,12 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import ceil, factorial
-from threading import Lock
 
 from .exact import RationalLike, as_rational, gen_factorial
-from .families import bernoulli_numbers, exp_poly
+from .families import bernoulli_number, exp_poly
+from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
 from .report import FAIL, PASS, CheckReport
 from .stirling import cached_table
@@ -123,37 +126,22 @@ def to_decimal(x: RationalLike, cfg: EvalConfig) -> Decimal:
         return _dec(x)
 
 
-# Entries kept per numeric cache before the oldest are evicted (dicts keep
-# insertion order).  eval_theorem5 at 2048 bits touches about 2100 zeta keys.
-_CACHE_CAP = 4096
-_CACHE_LOCK = Lock()
-_ZETA_CACHE: dict[tuple[int, Fraction, int], Decimal] = {}
-_CONST_CACHE: dict[tuple[str, int], Decimal] = {}
-
-
-def _cache_get(cache: dict, key: tuple) -> Decimal | None:
-    with _CACHE_LOCK:
-        return cache.get(key)
-
-
-def _cache_put(cache: dict, key: tuple, value: Decimal) -> None:
-    with _CACHE_LOCK:
-        cache[key] = value
-        while len(cache) > _CACHE_CAP:
-            del cache[next(iter(cache))]
+# Keyed by (s, a, digits) and (name, digits).  eval_theorem5 at 2048 bits
+# touches about 2100 zeta keys, under the CACHE_CAP of each Memo.
+_ZETA_CACHE = Memo(CACHE_CAP)
+_CONST_CACHE = Memo(CACHE_CAP)
 
 
 def _constant(name: str, cfg: EvalConfig, compute: Callable[[], Decimal]) -> Decimal:
     """The cached constant ``name`` at cfg.digits; ``compute`` runs at that precision."""
     key = (name, cfg.digits)
-    hit = _cache_get(_CONST_CACHE, key)
+    hit = _CONST_CACHE.lookup(key)
     if hit is not None:
         return hit
     with localcontext() as ctx:
         ctx.prec = cfg.digits
         out = compute()
-    _cache_put(_CONST_CACHE, key, out)
-    return out
+    return _CONST_CACHE.put(key, out)
 
 
 def _asymptotic_cut(digits: int) -> int:
@@ -161,17 +149,10 @@ def _asymptotic_cut(digits: int) -> int:
     return max(24, ceil(0.45 * digits))
 
 
-def _bernoulli(idx: int) -> Fraction:
-    chunk = 64
-    while idx >= chunk:
-        chunk *= 2
-    return bernoulli_numbers(chunk)[idx]
-
-
-@lru_cache(maxsize=None)
+@Memo(CACHE_CAP)
 def _em_coeff(k: int) -> tuple[int, int]:
     """B_k / k! as (numerator, positive denominator) in lowest terms."""
-    c = _bernoulli(k) / factorial(k)
+    c = bernoulli_number(k) / factorial(k)
     return c.numerator, c.denominator
 
 
@@ -252,8 +233,8 @@ def _zeta_em(s: int, a: Fraction, cfg: EvalConfig) -> Decimal:
             m = 1
             prev = None  # (numerator factors, denominator) of the previous bound
             converged = False
+            num, den = _em_coeff(2)  # then carried: B_2m+2 of one step is B_2m of the next
             while True:
-                num, den = _em_coeff(2 * m)
                 total += Decimal(num * rising) / Decimal(den) * power
                 # envelope bound: remainder <= first omitted term
                 rising_next = rising * (s + 2 * m - 1) * (s + 2 * m)
@@ -265,6 +246,7 @@ def _zeta_em(s: int, a: Fraction, cfg: EvalConfig) -> Decimal:
                 if prev is not None and scale * q2 * prev[1] >= prev[0] * den_next * edge2:
                     break  # divergent zone reached before target: enlarge N
                 prev = (scale, den_next)
+                num, den = num_next, den_next
                 rising = rising_next
                 power *= inv2
                 q_exp *= q2
@@ -289,14 +271,13 @@ def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
     key = (s, a, cfg.digits)
-    hit = _cache_get(_ZETA_CACHE, key)
+    hit = _ZETA_CACHE.lookup(key)
     if hit is not None:
         return hit
     out = _zeta_direct(s, a, cfg)
     if out is None:
         out = _zeta_em(s, a, cfg)
-    _cache_put(_ZETA_CACHE, key, out)
-    return out
+    return _ZETA_CACHE.put(key, out)
 
 
 def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
@@ -329,12 +310,13 @@ def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
         x_num2, x_den2 = x.numerator**2, x.denominator**2
         num_pow, den_pow = x_num2**2, x_den2**2
         m = 1
+        c = bernoulli_number(2)  # then carried: B_2m+2 of one step is B_2m of the next
         while True:
-            c = _bernoulli(2 * m)
             total -= Decimal(c.numerator) / Decimal(c.denominator * 2 * m) * power
-            b = _bernoulli(2 * m + 2)
+            b = bernoulli_number(2 * m + 2)
             if abs(b.numerator) * den_pow * target_inv < b.denominator * (2 * m + 2) * num_pow:
                 break
+            c = b
             power *= inv2
             num_pow *= x_num2
             den_pow *= x_den2

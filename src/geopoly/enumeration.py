@@ -8,9 +8,10 @@ every entry point guards n <= MAX_ENUM_N.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
+
+from .memo import CACHE_CAP, Memo
 
 MAX_ENUM_N = 10
 
@@ -41,7 +42,7 @@ def iter_set_partitions(n: int) -> Iterator[list[list[int]]]:
     yield from rec(0, [])
 
 
-@lru_cache(maxsize=None)
+@Memo(CACHE_CAP)
 def _block_count_profile(n: int) -> tuple[int, ...]:
     """profile[k] = number of partitions of an n-set into exactly k blocks."""
     profile = [0] * (n + 2)
@@ -59,13 +60,13 @@ def set_partitions_count(n: int, k: int | None = None) -> int:
     return profile[k] if 0 <= k < len(profile) else 0
 
 
-@lru_cache(maxsize=None)
+@Memo(CACHE_CAP)
 def _perm_count(k: int) -> int:
     # orderings counted by enumeration, not by a factorial formula
     return sum(1 for _ in permutations(range(k)))
 
 
-@lru_cache(maxsize=None)
+@Memo(CACHE_CAP)
 def _bar_placements(k: int, s: int) -> int:
     # ways to interleave s identical bars with k blocks, counted exhaustively
     return sum(1 for _ in combinations(range(k + s), s))

@@ -27,7 +27,6 @@ once and the check reports the same comparison as a CheckReport.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import comb, factorial
 
@@ -38,6 +37,7 @@ from .exact import (
     gen_factorial,
     rising_factorial,
 )
+from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
 from .polynomials import PolyQ
 from .report import PASS, CheckReport, fmt_rational
@@ -157,14 +157,14 @@ def check_spivey(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@Memo(CACHE_CAP).prefix
 def bernoulli_numbers(n_max: int) -> tuple[Fraction, ...]:
     """B_0..B_n_max, extracted from the t/(e^t - 1) series."""
     gf = gf_carlitz_beta(0, 0, n_max)
     return tuple(gf.egf_coeff(n) for n in range(n_max + 1))
 
 
-@lru_cache(maxsize=None)
+@Memo(CACHE_CAP).prefix
 def _euler_zero_values(s: int, n_max: int) -> tuple[Fraction, ...]:
     gf = gf_degenerate_euler(s, 0, 0, n_max)  # (2/(e^t+1))^s
     return tuple(gf.egf_coeff(n) for n in range(n_max + 1))
@@ -242,7 +242,9 @@ def check_degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike)
     return rpt.compare(*_degenerate_euler_sides(n, s, alpha, r), "sum {} != gf {}")
 
 
-def _bernoulli2_sides(n: int, alpha: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
+def _degenerate_bernoulli2_sides(
+    n: int, alpha: Fraction, r: Fraction
+) -> tuple[Fraction, Fraction]:
     """sum_k S(n,k; alpha,1,r) (-1)^k k!/(k+1) and n! [t^n] of its EGF."""
     table = cached_table(HsuShiueParams(alpha, 1, r), n)
     closed = sum(
@@ -255,14 +257,14 @@ def _bernoulli2_sides(n: int, alpha: Fraction, r: Fraction) -> tuple[Fraction, F
 def degenerate_bernoulli2(n: int, alpha: RationalLike, r: RationalLike) -> Fraction:
     """Second-kind degenerate Bernoulli value B_n(r|alpha), checked against its EGF."""
     alpha, r = as_rational(alpha), as_rational(r)
-    return _agreed(*_bernoulli2_sides(n, alpha, r), f"second-kind B_{n}(r|alpha)")
+    return _agreed(*_degenerate_bernoulli2_sides(n, alpha, r), f"second-kind B_{n}(r|alpha)")
 
 
 def check_theorem2(n: int, alpha: RationalLike, r: RationalLike) -> CheckReport:
     """B_n(r|alpha) = sum_k S(n,k;alpha,1,r) (-1)^k k!/(k+1) vs the EGF."""
     alpha, r = as_rational(alpha), as_rational(r)
     rpt = CheckReport(id="EQ34_THM2", params={"n": n, "alpha": alpha, "r": r})
-    return rpt.compare(*_bernoulli2_sides(n, alpha, r), "sum {} != gf {}")
+    return rpt.compare(*_degenerate_bernoulli2_sides(n, alpha, r), "sum {} != gf {}")
 
 
 def carlitz_beta(n: int, alpha: RationalLike, x: RationalLike) -> Fraction:

@@ -109,6 +109,9 @@ def _eq5_composition(n: int, s: int, params: HsuShiueParams, order: int) -> Powe
     return pow_int(inverse(one - t), s + 1) * w.at_series(u)
 
 
+_SERIES_IDS = {"eq5": "EQ5", "eq21": "EQ21", "eq38_binomial": "EQ38"}
+
+
 def verify_series_identity(
     which: str, n: int, s: int, params: HsuShiueParams, order: int
 ) -> CheckReport:
@@ -121,11 +124,13 @@ def verify_series_identity(
                     sum_k C(s,k) (r+k*beta|alpha)_n x^k
                     == (1+x)^s * w_n^(-s)(-x/(1+x))
     """
+    if which not in _SERIES_IDS:
+        raise ValueError(f"unknown identity {which!r}; expected one of {tuple(_SERIES_IDS)}")
     if order < n:
         raise ValueError(f"order {order} < n {n}")
     a, b, r = params.alpha, params.beta, params.r
     rpt = CheckReport(
-        id={"eq5": "EQ5", "eq21": "EQ21", "eq38_binomial": "EQ38"}[which],
+        id=_SERIES_IDS[which],
         params={"n": n, "s": s, "params": params, "order": order},
     )
     if which in ("eq5", "eq21"):
@@ -136,7 +141,7 @@ def verify_series_identity(
             for k in range(order + 1)
         ]
         rhs = _eq5_composition(n, s, params, order)
-    elif which == "eq38_binomial":
+    else:  # eq38_binomial
         lhs = [
             binomial_general(s, k) * gen_factorial(r + k * b, a, n)
             for k in range(order + 1)
@@ -146,8 +151,6 @@ def verify_series_identity(
         v = divide(-t, one + t)  # -x/(1+x)
         w = geometric_poly(n, -s, params)
         rhs = pow_int(one + t, s) * w.at_series(v)
-    else:
-        raise ValueError(f"unknown identity {which!r}")
     return rpt.compare_each(
         zip(count(), lhs, rhs.coeffs), "[x^{}]: termwise {} != composition {}"
     )

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .exact import RationalLike, as_rational
+from .memo import Memo
 from .params import HsuShiueParams
 from .report import EXACT, CheckReport
 from .series import binom_deform, deformed_base
@@ -80,10 +80,21 @@ def build_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
     return StirlingTable(params, n_max, tuple(rows))
 
 
-@lru_cache(maxsize=512)
+# Parameter triples whose triangles are kept (see memo for the growth rule).
+TABLE_CAP = 512
+
+
+@Memo(TABLE_CAP).prefix
+def _table_rows(params: HsuShiueParams, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    return build_table(params, n_max).rows
+
+
 def cached_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
-    """Shared read-only tables for the polynomial and identity layers."""
-    return build_table(params, n_max)
+    """Shared read-only table: rows 0..n_max of the one triangle kept per triple."""
+    return StirlingTable(params, n_max, _table_rows(params, n_max))
+
+
+cached_table.cache_info = _table_rows.cache_info
 
 
 SPECIAL_FAMILIES = (

@@ -5,6 +5,8 @@ from math import ceil, factorial
 import pytest
 
 from geopoly import analytic as A
+from geopoly.families import bernoulli_number
+from geopoly.memo import Memo
 from geopoly.params import HsuShiueParams
 
 CFG = A.EvalConfig(256)
@@ -292,16 +294,16 @@ def test_tail_bound_integer_test_matches_fraction(s, a):
 
 
 def test_numeric_caches_evict_oldest_beyond_cap(monkeypatch):
-    assert A._CACHE_CAP >= 4096
-    monkeypatch.setattr(A, "_ZETA_CACHE", {})
-    monkeypatch.setattr(A, "_CONST_CACHE", {})
+    assert A.CACHE_CAP >= 4096
+    monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
+    monkeypatch.setattr(A, "_CONST_CACHE", Memo(A.CACHE_CAP))
     cfg = A.EvalConfig(64)
-    values = {s: A.zeta_int(s, cfg) for s in range(2, A._CACHE_CAP + 12)}
-    assert len(A._ZETA_CACHE) == A._CACHE_CAP
+    values = {s: A.zeta_int(s, cfg) for s in range(2, A.CACHE_CAP + 12)}
+    assert len(A._ZETA_CACHE) == A.CACHE_CAP
     assert (2, F(1), cfg.digits) not in A._ZETA_CACHE  # oldest went first
-    assert (A._CACHE_CAP + 11, F(1), cfg.digits) in A._ZETA_CACHE
+    assert (A.CACHE_CAP + 11, F(1), cfg.digits) in A._ZETA_CACHE
     assert A.zeta_int(2, cfg) == values[2]  # recomputed after eviction
-    monkeypatch.setattr(A, "_CACHE_CAP", 2)
+    monkeypatch.setattr(A, "_CONST_CACHE", Memo(2))
     pis = [A.pi(A.EvalConfig(bits)) for bits in (64, 96, 128)]
     assert list(A._CONST_CACHE) == [("pi", A.EvalConfig(b).digits) for b in (96, 128)]
     assert A.pi(A.EvalConfig(64)) == pis[0]
@@ -326,10 +328,10 @@ def _fraction_em_reference(s, a, cfg):
             total = head + edge_dec * inv**s / (s - 1) + inv**s / 2
             power, rising, m, prev = inv**s * inv, F(s), 1, None
             while True:
-                coeff = A._bernoulli(2 * m) / factorial(2 * m) * rising
+                coeff = bernoulli_number(2 * m) / factorial(2 * m) * rising
                 total += Decimal(coeff.numerator) / Decimal(coeff.denominator) * power
                 rising_next = rising * (s + 2 * m - 1) * (s + 2 * m)
-                bound = abs(A._bernoulli(2 * m + 2)) / factorial(2 * m + 2) * rising_next
+                bound = abs(bernoulli_number(2 * m + 2)) / factorial(2 * m + 2) * rising_next
                 bound /= edge ** (s + 2 * m + 1)
                 if bound < target or (prev is not None and bound >= prev):
                     break
@@ -353,9 +355,9 @@ def _fraction_digamma_reference(a, cfg):
         inv = 1 / x_dec
         total, power, m = x_dec.ln() - inv / 2, inv * inv, 1
         while True:
-            c = A._bernoulli(2 * m) / (2 * m)
+            c = bernoulli_number(2 * m) / (2 * m)
             total -= Decimal(c.numerator) / Decimal(c.denominator) * power
-            if abs(A._bernoulli(2 * m + 2)) / (2 * m + 2) / x ** (2 * m + 2) < target:
+            if abs(bernoulli_number(2 * m + 2)) / (2 * m + 2) / x ** (2 * m + 2) < target:
                 break
             power, m = power * inv * inv, m + 1
         total -= rec

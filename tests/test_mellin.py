@@ -114,3 +114,10 @@ def test_eq15_against_convolution():
 def test_order_too_small_rejected():
     with pytest.raises(ValueError):
         M.verify_series_identity("eq5", 5, 1, PARAMS, 3)
+
+
+def test_unknown_identity_rejected_with_known_names():
+    # raised before any report or series is built, even with a bad order too
+    known = r"unknown identity 'bogus'.*'eq5', 'eq21', 'eq38_binomial'"
+    with pytest.raises(ValueError, match=known):
+        M.verify_series_identity("bogus", 5, 1, PARAMS, 3)

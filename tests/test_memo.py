@@ -1,0 +1,231 @@
+"""The one cache policy: Memo, prefix growth and the caches built on them."""
+
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+import threading
+from fractions import Fraction as F
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import geopoly
+from geopoly import families as fam
+from geopoly.memo import Memo
+from geopoly.params import HsuShiueParams
+from geopoly.series import gf_carlitz_beta, gf_degenerate_euler
+from geopoly.stirling import build_table, cached_table
+
+SRC = Path(geopoly.__file__).resolve().parent
+TRIPLES = (HsuShiueParams(F(1, 2), 3, -2), HsuShiueParams(0, 1, 0), HsuShiueParams(1, 0, 0))
+# shuffled, repeated request orders of n in 0..40
+REQUESTS = st.lists(st.integers(0, 40), min_size=1, max_size=8)
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this geopoly; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+# ---------------------------------------------------------------------------
+# The policy itself
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=40))
+def test_small_cap_memo_evicts_oldest_first_with_exact_counts(keys):
+    calls, expected_calls = [], []
+    square = Memo(3)(lambda k: calls.append(k) or k * k)
+    model, hits = [], 0  # the insertion-ordered keys a cap-3 FIFO keeps
+    for k in keys:
+        assert square(k) == k * k
+        if k in model:
+            hits += 1
+        else:
+            expected_calls.append(k)
+            model.append(k)
+            del model[:-3]
+    assert calls == expected_calls
+    assert list(square.cache_info.__self__) == [(k,) for k in model]
+    assert square.cache_info()._asdict() == {
+        "hits": hits, "misses": len(keys) - hits, "maxsize": 3, "currsize": len(model),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(REQUESTS)
+def test_prefix_memo_rebuilds_at_twice_its_last_index(ns):
+    built = []
+    rows = Memo(4).prefix(lambda p, n: built.append(n) or build_table(p, n).rows)
+    p = TRIPLES[0]
+    last = None  # last index of the stored sequence
+    expected_builds = []
+    for n in ns:
+        if last is None or n > last:
+            last = n if last is None else max(n, 2 * last)
+            expected_builds.append(last)
+        assert rows(p, n) == build_table(p, n).rows
+    assert built == expected_builds
+    info = rows.cache_info()
+    assert (info.misses, info.hits) == (len(built), len(ns) - len(built))
+
+
+def test_memo_counts_and_caps_under_threads():
+    # more threads than cores and a short switch interval: a lost counter
+    # update or an unlocked eviction would break the totals or the cap
+    calls_per_thread, n_threads = 5000, 6
+    square = Memo(8)(lambda k: k * k)
+    grow = Memo(4).prefix(lambda key, n: tuple(range(n + 1)))
+    errors = []
+
+    def work(seed):
+        for i in range(calls_per_thread):
+            k = (seed * 7 + i) % 13
+            if square(k) != k * k or grow(k % 3, k) != tuple(range(k + 1)):
+                errors.append((seed, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for info, cap in ((square.cache_info(), 8), (grow.cache_info(), 4)):
+        assert info.hits + info.misses == calls_per_thread * n_threads
+        assert info.currsize <= cap
+
+
+# ---------------------------------------------------------------------------
+# Growth is exact: every prefix equals a from-scratch build at exactly n
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(REQUESTS)
+def test_cached_table_equals_build_table_in_any_request_order(ns):
+    for p in TRIPLES:
+        for n in ns:
+            got, want = cached_table(p, n), build_table(p, n)
+            assert got == want  # params, n_max and rows
+            with pytest.raises(IndexError):
+                got.value(n + 1, 0)
+            with pytest.raises(IndexError):
+                got.row(n + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(REQUESTS, st.integers(1, 3))
+def test_bernoulli_and_euler_equal_scratch_extraction(ns, s):
+    for n in ns:
+        bern = gf_carlitz_beta(0, 0, n)
+        assert fam.bernoulli_numbers(n) == tuple(bern.egf_coeff(j) for j in range(n + 1))
+        euler = gf_degenerate_euler(s, 0, 0, n)
+        assert fam._euler_zero_values(s, n) == tuple(euler.egf_coeff(j) for j in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Negative n is refused at the prefix boundary, cold or warm
+# ---------------------------------------------------------------------------
+
+NEGATIVE_CALLS = (
+    "cached_table(HsuShiueParams(0, 1, 0), -1)",
+    "bernoulli_numbers(-1)",
+    "_euler_zero_values(1, -1)",
+    "bernoulli_poly(-1)",
+    "euler_poly(-1)",
+)
+
+
+def test_negative_n_raises_on_a_cold_store():
+    code = (
+        "from geopoly.families import _euler_zero_values, bernoulli_numbers, "
+        "bernoulli_poly, euler_poly\n"
+        "from geopoly.params import HsuShiueParams\n"
+        "from geopoly.stirling import cached_table\n"
+        f"for call in {NEGATIVE_CALLS!r}:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError as exc:\n"
+        "        print(call, exc)\n"
+        "for c in (cached_table, bernoulli_numbers, _euler_zero_values):\n"
+        "    print(c.cache_info().hits, c.cache_info().misses, c.cache_info().currsize)\n"
+    )
+    lines = run_python(code).splitlines()
+    assert lines[:-3] == [f"{call} n must be >= 0, got -1" for call in NEGATIVE_CALLS]
+    assert lines[-3:] == ["0 0 0"] * 3  # refused before the store was read or written
+
+
+def test_negative_n_raises_on_a_warm_store():
+    p = HsuShiueParams(0, 1, 0)
+    cached_table(p, 8), fam.bernoulli_numbers(8), fam._euler_zero_values(1, 8)
+    scope = {**vars(fam), "cached_table": cached_table, "HsuShiueParams": HsuShiueParams}
+    for call in NEGATIVE_CALLS:
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            eval(call, scope)
+
+
+# ---------------------------------------------------------------------------
+# Cache accounting seen from outside the library
+# ---------------------------------------------------------------------------
+
+
+def test_check_eq14_grows_instead_of_rebuilding_per_n():
+    # B_0..B_20 and E_0(0)..E_20(0) one n at a time: 7 growths (at 0, 1, 2,
+    # 4, 8, 16, 32) each, where a cache keyed on n would build 21 times
+    out = run_python(
+        "from geopoly import families as f\n"
+        "assert f.check_eq14(20).status == 'pass'\n"
+        "print(f.bernoulli_numbers.cache_info().misses,\n"
+        "      f._euler_zero_values.cache_info().misses)\n"
+    )
+    bern, euler = map(int, out.split())
+    assert bern <= 7 and euler <= 7
+
+
+def test_benchmark_cache_names_exist_and_start_cold():
+    # the names perfbench/worker.py reads, after the imports it makes
+    out = run_python(
+        "import geopoly\n"
+        "from geopoly import analytic, cli, enumeration, exact, families, identities, mellin\n"
+        "from geopoly import polynomials, series, stirling\n"
+        "print(stirling.cached_table.cache_info()._asdict())\n"
+        "print(families.bernoulli_numbers.cache_info()._asdict())\n"
+        "print(len(analytic._ZETA_CACHE), len(analytic._CONST_CACHE))\n"
+    )
+    table, bern, sizes = out.splitlines()
+    assert table == str({"hits": 0, "misses": 0, "maxsize": 512, "currsize": 0})
+    assert bern == str({"hits": 0, "misses": 0, "maxsize": 4096, "currsize": 0})
+    assert sizes == "0 0"
+
+
+def test_every_cache_is_a_memo():
+    pattern = re.compile(
+        r"\blru_cache\b|\bfunctools\.cache\b|from functools import[^\n]*\bcache\b"
+    )
+    for path in sorted(SRC.glob("*.py")):
+        assert not pattern.search(path.read_text()), path.name
+    exposed = 0
+    for info in pkgutil.iter_modules([str(SRC)]):
+        module = import_module(f"geopoly.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and not isinstance(value, type):
+                assert isinstance(getattr(value.cache_info, "__self__", None), Memo), name
+                exposed += 1
+    assert exposed >= 8  # the tables, Bernoulli, Euler, _em_coeff and enumeration caches

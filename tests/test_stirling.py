@@ -134,5 +134,13 @@ def test_column_zero_via_egf_weight():
 
 
 def test_cached_table_is_shared():
+    # a repeat, for the same or a smaller n, is a hit that views the same rows
     p = HsuShiueParams(0, 1, 0)
-    assert cached_table(p, 6) is cached_table(p, 6)
+    first = cached_table(p, 6)
+    for n in (6, 3):
+        before = cached_table.cache_info()
+        again = cached_table(p, n)
+        after = cached_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert again.n_max == n and len(again.rows) == n + 1
+        assert all(a is b for a, b in zip(again.rows, first.rows))
