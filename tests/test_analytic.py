@@ -1,11 +1,11 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from math import ceil, factorial
+from math import ceil, factorial, log10, sqrt
 
 import pytest
 
 from geopoly import analytic as A
-from geopoly.families import bernoulli_number
+from geopoly.families import bernoulli_number, bernoulli_numbers
 from geopoly.memo import Memo
 from geopoly.params import HsuShiueParams
 
@@ -118,6 +118,13 @@ def test_domain_validation():
         A.digamma(0, CFG)
     with pytest.raises(ValueError):
         A.EvalConfig(16)
+
+
+def test_precision_budget():
+    assert A.MAX_BITS == 4096
+    assert A.EvalConfig(A.MAX_BITS).precision_bits == A.MAX_BITS
+    with pytest.raises(ValueError, match="precision_bits must be <= 4096, got 4097"):
+        A.EvalConfig(A.MAX_BITS + 1)
 
 
 def test_theorem5_reduces_to_digamma_series_at_n0():
@@ -387,3 +394,119 @@ def test_integer_envelope_divergence_matches_fraction_reference(monkeypatch):
             calls.clear()
             assert A._zeta_em(s, a, cfg).as_tuple() == _fraction_em_reference(s, a, cfg).as_tuple()
             assert len(calls) >= 3  # N = 2, 4, 8, ... until the envelope closes
+
+
+# ---------------------------------------------------------------------------
+# The tangent-number Bernoulli table and the Euler-Maclaurin coefficient table
+# ---------------------------------------------------------------------------
+
+
+def test_tangent_table_equals_series_route():
+    # families.bernoulli_numbers, the t/(e^t - 1) series, is the oracle
+    assert A._bernoulli_even(256) == bernoulli_numbers(512)[::2]
+
+
+def test_tangent_table_equals_mpmath_bernfrac():
+    mpmath = pytest.importorskip("mpmath")
+    table = A._bernoulli_even(512)
+    for k, b in enumerate(table):
+        p, q = mpmath.bernfrac(2 * k)
+        assert b == F(int(p), int(q)), 2 * k
+
+
+def test_em_coefficient_table_entries():
+    for bits in (64, 640):
+        digits = A.EvalConfig(bits).digits
+        table = A._em_coeffs(digits, 60)
+        assert len(table) == 61
+        with localcontext() as ctx:
+            ctx.prec = digits + 10
+            for j, (num, den, dec) in enumerate(table):
+                want = bernoulli_number(2 * j) / factorial(2 * j)
+                assert (num, den) == (want.numerator, want.denominator)
+                assert dec == Decimal(num) / Decimal(den)  # rounded once
+
+
+def test_tables_grow_when_a_loop_outruns_them(monkeypatch):
+    # fresh tables fetched one entry long: every loop must grow them on the
+    # way and still give the same Decimal as with the tables it normally gets
+    cfg = A.EvalConfig(256)
+    cases = [(s, a) for s in (2, 7, 30) for a in (F(1), F(1, 3), F(40, 3))]
+    want = [A._zeta_em(s, a, cfg).as_tuple() for s, a in cases]
+    want_psi = [A.digamma(a, cfg).as_tuple() for a in (F(1), F(2, 7))]
+    monkeypatch.setattr(A, "_table_length", lambda cut: 1)
+    for name in ("_bernoulli_even", "_em_coeffs"):
+        monkeypatch.setattr(A, name, Memo(A.CACHE_CAP).prefix(getattr(A, name).__wrapped__))
+    assert [A._zeta_em(s, a, cfg).as_tuple() for s, a in cases] == want
+    assert [A.digamma(a, cfg).as_tuple() for a in (F(1), F(2, 7))] == want_psi
+    assert A._em_coeffs.cache_info().misses >= 5  # lengths 2, 3, 5, 9, 17, ...
+    assert A._bernoulli_even.cache_info().misses >= 5
+
+
+def test_perturbed_bernoulli_entry_is_detected(monkeypatch):
+    # negative control: one wrong table entry must move zeta(2) beyond the
+    # tolerance, so the mpmath comparisons above can fail
+    mpmath = pytest.importorskip("mpmath")
+    cfg = A.EvalConfig(256)
+    build = A._bernoulli_even.__wrapped__
+
+    def perturbed(m):
+        table = list(build(m))
+        table[4] *= 1 + F(1, 10**20)  # B_8
+        return tuple(table)
+
+    def error():
+        with mpmath.workdps(cfg.digits + 20):
+            return abs(mpmath.mpf(str(A.hurwitz_zeta(2, 1, cfg))) - mpmath.zeta(2))
+
+    tolerance = mpmath.mpf(cfg.tolerance.numerator) / cfg.tolerance.denominator
+    assert error() < tolerance
+    monkeypatch.setattr(A, "_bernoulli_even", Memo(A.CACHE_CAP).prefix(perturbed))
+    monkeypatch.setattr(A, "_em_coeffs", Memo(A.CACHE_CAP).prefix(A._em_coeffs.__wrapped__))
+    monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
+    assert error() > tolerance
+
+
+# ---------------------------------------------------------------------------
+# Borwein's zeta: an oracle that shares no code with analytic
+# ---------------------------------------------------------------------------
+
+
+def _borwein_d(n):
+    """d_0..d_n, d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), all integers."""
+    term, total, out = F(1), F(0), []
+    for i in range(n + 1):
+        total += term
+        assert total.denominator == 1
+        out.append(total.numerator)
+        term *= F(2 * (n + i) * (n - i), (2 * i + 1) * (i + 1))
+    return out
+
+
+def _borwein_zeta(s, d, digits):
+    """zeta(s), s >= 2 (Borwein 1991, algorithm 2) rounded to digits; with n
+    = len(d) - 1 its error is below 3 / (3 + sqrt 8)^n / (1 - 2^(1-s))."""
+    n = len(d) - 1
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        acc = Decimal(0)
+        for k in range(n):
+            term = Decimal(d[k] - d[n]) / Decimal(k + 1) ** s
+            acc += term if k % 2 == 0 else -term
+        out = -acc / (Decimal(d[n]) * (1 - Decimal(2) ** (1 - s)))
+        ctx.prec = digits
+        return +out
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_zeta_against_borwein_oracle(bits):
+    cfg = A.EvalConfig(bits)
+    # 3 / (3 + sqrt 8)^n * 2 (s >= 2) below 10^-(digits + 1)
+    n = ceil((cfg.digits + 1 + log10(6)) / log10(3 + sqrt(8)))
+    d = _borwein_d(n)
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        bound = 2 * Decimal(10) ** -(cfg.digits - 5)  # analytic's target plus Borwein's
+        for s in range(2, 61):
+            diff = abs(A.zeta_int(s, cfg) - _borwein_zeta(s, d, cfg.digits + 10))
+            assert diff < bound, (s, diff)

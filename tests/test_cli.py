@@ -141,6 +141,18 @@ def test_series_env_var_bits():
     assert doc["params"]["bits"] == 128
 
 
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_series_bits_above_budget_exit_2(how):
+    argv = ["series", "--id", "zeta2k", "--n", "0"]
+    if how == "flag":
+        out = run_cli(*argv, "--bits", "4097")
+    else:
+        out = run_cli(*argv, env=dict(os.environ, GEOPOLY_BITS="4097"))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: precision_bits must be <= 4096, got 4097\n"
+
+
 def test_verify_quick_all_exit_zero():
     out = run_cli("verify", "--id", "all", "--profile", "quick", "--seed", "1", "--no-timing")
     assert out.returncode == 0

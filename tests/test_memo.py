@@ -228,4 +228,4 @@ def test_every_cache_is_a_memo():
             if hasattr(value, "cache_info") and not isinstance(value, type):
                 assert isinstance(getattr(value.cache_info, "__self__", None), Memo), name
                 exposed += 1
-    assert exposed >= 8  # the tables, Bernoulli, Euler, _em_coeff and enumeration caches
+    assert exposed >= 8  # the tables, both Bernoulli routes, Euler, EM coefficients, enumeration
