@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .analytic import (
@@ -32,52 +31,33 @@ from .params import HsuShiueParams
 from .report import fmt_rational
 from .stirling import build_table
 
-class CliError(Exception):
-    """Invalid input; maps to exit code 2."""
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return as_rational(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
 
 def _params_from(ns: argparse.Namespace) -> HsuShiueParams:
-    try:
-        return HsuShiueParams(
-            parse_rational(ns.alpha), parse_rational(ns.beta), parse_rational(ns.r)
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return HsuShiueParams(as_rational(ns.alpha), as_rational(ns.beta), as_rational(ns.r))
 
 
-def _emit(ns: argparse.Namespace, payload: dict, started: float) -> None:
-    if not ns.no_timing:
-        payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(ns, "out", None):
+def _write(ns: argparse.Namespace, text: str) -> None:
+    if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
+def _emit(ns: argparse.Namespace, payload: dict, started: float) -> None:
+    if not ns.no_timing:
+        payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    _write(ns, json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _cmd_stirling(ns: argparse.Namespace, started: float) -> int:
     params = _params_from(ns)
     if ns.nmax < 0:
-        raise CliError("--nmax must be >= 0")
+        raise ValueError("--nmax must be >= 0")
     table = build_table(params, ns.nmax)
     if ns.format == "csv":
-        lines = [
-            ",".join(fmt_rational(v) for v in table.row(n)) for n in range(ns.nmax + 1)
-        ]
-        text = "\n".join(lines)
-        if ns.out:
-            with open(ns.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        rows = (",".join(fmt_rational(v) for v in table.row(n)) for n in range(ns.nmax + 1))
+        _write(ns, "\n".join(rows))
         return 0
     payload = {
         "command": "stirling",
@@ -94,15 +74,15 @@ def _cmd_stirling(ns: argparse.Namespace, started: float) -> int:
 def _cmd_poly(ns: argparse.Namespace, started: float) -> int:
     params = _params_from(ns)
     if ns.n < 0:
-        raise CliError("--n must be >= 0")
+        raise ValueError("--n must be >= 0")
     if ns.family == "exp":
         poly = exp_poly(ns.n, params)
     else:
-        poly = geometric_poly(ns.n, parse_rational(ns.order_m), params)
+        poly = geometric_poly(ns.n, as_rational(ns.order_m), params)
     result: dict = {"coeffs": [fmt_rational(c) for c in poly.coeffs] or ["0"]}
     if ns.at is not None:
         result["at"] = ns.at
-        result["value"] = fmt_rational(poly(parse_rational(ns.at)))
+        result["value"] = fmt_rational(poly(as_rational(ns.at)))
     payload = {
         "command": "poly",
         "params": {
@@ -128,29 +108,26 @@ def _default_bits(ns: argparse.Namespace) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise CliError(f"GEOPOLY_BITS is not an integer: {env!r}") from exc
+            raise ValueError(f"GEOPOLY_BITS is not an integer: {env!r}") from exc
     return 256
 
 
 def _cmd_series(ns: argparse.Namespace, started: float) -> int:
     cfg = EvalConfig(_default_bits(ns))
     if ns.n < 0:
-        raise CliError("--n must be >= 0")
-    try:
-        if ns.id == "zeta2k":
-            rpt = eval_eq30_family(ns.n, cfg)
-        elif ns.id == "theorem5":
-            if ns.x is None:
-                raise CliError("--x is required for theorem5")
-            rpt = eval_theorem5(_params_from(ns), ns.n, parse_rational(ns.x), cfg)
-        elif ns.id in ("eq17", "eq18"):
-            rpt = eval_eq17_18(ns.n, _params_from(ns), cfg, eq=int(ns.id[2:]))
-        else:  # dobinski
-            if ns.x is None:
-                raise CliError("--x is required for dobinski")
-            rpt = eval_dobinski_numeric(ns.n, _params_from(ns), parse_rational(ns.x), cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError("--n must be >= 0")
+    if ns.id == "zeta2k":
+        rpt = eval_eq30_family(ns.n, cfg)
+    elif ns.id == "theorem5":
+        if ns.x is None:
+            raise ValueError("--x is required for theorem5")
+        rpt = eval_theorem5(_params_from(ns), ns.n, as_rational(ns.x), cfg)
+    elif ns.id in ("eq17", "eq18"):
+        rpt = eval_eq17_18(ns.n, _params_from(ns), cfg, eq=int(ns.id[2:]))
+    else:  # dobinski
+        if ns.x is None:
+            raise ValueError("--x is required for dobinski")
+        rpt = eval_dobinski_numeric(ns.n, _params_from(ns), as_rational(ns.x), cfg)
     payload = {
         "command": "series",
         "params": {
@@ -175,7 +152,7 @@ _SINGLE_ID_SAMPLES = 4
 def _cmd_verify(ns: argparse.Namespace, started: float) -> int:
     if ns.id == "all":
         if ns.samples is not None:
-            raise CliError(
+            raise ValueError(
                 "--samples does not apply to --id all: the profile's default_samples "
                 f"({PROFILES[ns.profile].default_samples} for {ns.profile}) applies"
             )
@@ -286,9 +263,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         return ns.fn(ns, started)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,29 @@ S_n(x) = sum_k S(n,k) x^k, the order-m generalized geometric polynomials
 code path via <-s>_k = (-1)^k (s)_k), plus the classical and degenerate
 Bernoulli/Euler families extracted from their generating functions.
 
+Every Stirling-weighted closed side is written once, as one of two forms
+of `geometric_poly`: w_n^(m) at a point, or a scalar times
+
+    I_n^(m)(alpha, beta, r) = integral_{-1}^{0} w_n^(m)(x; alpha, beta, r) dx.
+
+The integral turns x^k into (-1)^k/(k+1), and <s>_{k+1} = s <s+1>_k and
+(m)_{k+1} = m (-1)^k <1-m>_k move a shifted weight onto the order, so
+
+    EQ3_VS_GF8, EQ19, EQ7_GAMMA   w_n^(s)(x; alpha, beta, r)
+    EQ10, EQ27                    w_n^(s)(-1/2; alpha, 1, r)
+    EQ14                          E_n(0) = w_n^(1)(-1/2; 0, 1, 0) and B_n = I_n^(1)(0, 1, 0)
+    EQ34_THM2                     I_n^(1)(alpha, 1, r)
+    EQ29                          (n+1) s I_n^(s+1)(alpha, 1, r)
+    EQ31-EQ33                     I_n^(alpha+1)(alpha, 1, r)
+    COR2                          r I_n^(r+1)(alpha, 1, r)
+    EQ37_CORRECTED                (n+1) s I_n^(s+1)(0, beta, r) / beta^n
+    COR4                          B_{n+1} + (n+1) r I_n^(r+1)(0, 1, r)
+    COR5_CORRECTED                m I_n^(1-m)(0, beta, r)
+    MINUS_ONE, FUBINI, BPA        w_n^(m)(-1) and w_n^(m)(1)
+
+and the printed EQ37 and COR5 variants divide by one more beta.  Only the
+closed sides go through `geometric_poly`; the oracles do not.
+
 Every closed-form identity ships with an independent oracle: generating
 function coefficient extraction, direct summation, or (in the tests)
 exhaustive enumeration.  A CheckReport never compares a formula against
@@ -30,13 +53,7 @@ from fractions import Fraction
 from itertools import count
 from math import comb, factorial
 
-from .exact import (
-    RationalLike,
-    as_rational,
-    falling_factorial,
-    gen_factorial,
-    rising_factorial,
-)
+from .exact import RationalLike, as_rational, gen_factorial, rising_factorial
 from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
 from .polynomials import PolyQ
@@ -73,14 +90,18 @@ def exp_poly(n: int, params: HsuShiueParams) -> PolyQ:
 
 def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> PolyQ:
     """Order-m generalized geometric polynomial w_n^(m)."""
-    m = as_rational(order_m)
+    m, beta = as_rational(order_m), params.beta
     table = cached_table(params, n)
-    return PolyQ.from_coeffs(
-        [
-            table.value(n, k) * rising_factorial(m, k) * params.beta**k
-            for k in range(n + 1)
-        ]
-    )
+    coeffs, weight = [], Fraction(1)  # weight = <m>_k beta^k
+    for k in range(n + 1):
+        coeffs.append(table.value(n, k) * weight)
+        weight *= (m + k) * beta
+    return PolyQ.from_coeffs(coeffs)
+
+
+def _integral(n: int, order_m: RationalLike, params: HsuShiueParams) -> Fraction:
+    """I_n^(m) = integral_{-1}^{0} w_n^(m)(x) dx."""
+    return geometric_poly(n, order_m, params).integral(-1, 0)
 
 
 def _minus_one_sides(
@@ -189,21 +210,16 @@ def euler_poly(n: int, s: int = 1) -> PolyQ:
 def check_eq14(n_max: int) -> CheckReport:
     """Bernoulli numbers and E_n(0) as signed weighted partition-number sums.
 
-    B_n = sum_k (-1)^k k!/(k+1) {n k} and E_n(0) = sum_k (-1)^k k!/2^k {n k},
+    B_n = sum_k (-1)^k k!/(k+1) {n k} = I_n^(1)(0, 1, 0) and
+    E_n(0) = sum_k (-1)^k k!/2^k {n k} = w_n^(1)(-1/2; 0, 1, 0),
     both checked against gf-extracted classical values.
     """
-    table = cached_table(HsuShiueParams(0, 1, 0), n_max)
 
     def cases():
         for n in range(n_max + 1):
-            yield f"B_{n}", sum(
-                (-1) ** k * Fraction(factorial(k), k + 1) * table.value(n, k)
-                for k in range(n + 1)
-            ), bernoulli_number(n)
-            yield f"E_{n}(0)", sum(
-                (-1) ** k * Fraction(factorial(k), 2**k) * table.value(n, k)
-                for k in range(n + 1)
-            ), _euler_zero_values(1, n)[n]
+            w = geometric_poly(n, 1, HsuShiueParams(0, 1, 0))
+            yield f"B_{n}", w.integral(-1, 0), bernoulli_number(n)
+            yield f"E_{n}(0)", w(Fraction(-1, 2)), _euler_zero_values(1, n)[n]
 
     rpt = CheckReport(id="EQ14", params={"n_max": n_max})
     return rpt.compare_each(cases(), "{}: sum {} != gf {}")
@@ -217,12 +233,8 @@ def check_eq14(n_max: int) -> CheckReport:
 def _degenerate_euler_sides(
     n: int, s: int, alpha: Fraction, r: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """sum_k S(n,k; alpha,1,r) (-1)^k <s>_k / 2^k and n! [t^n] of its EGF."""
-    table = cached_table(HsuShiueParams(alpha, 1, r), n)
-    closed = sum(
-        table.value(n, k) * (-1) ** k * rising_factorial(s, k) / 2**k
-        for k in range(n + 1)
-    )
+    """w_n^(s)(-1/2; alpha,1,r) and n! [t^n] of its EGF."""
+    closed = geometric_poly(n, s, HsuShiueParams(alpha, 1, r))(Fraction(-1, 2))
     return closed, gf_degenerate_euler(s, alpha, r, n).egf_coeff(n)
 
 
@@ -245,12 +257,8 @@ def check_degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike)
 def _degenerate_bernoulli2_sides(
     n: int, alpha: Fraction, r: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """sum_k S(n,k; alpha,1,r) (-1)^k k!/(k+1) and n! [t^n] of its EGF."""
-    table = cached_table(HsuShiueParams(alpha, 1, r), n)
-    closed = sum(
-        table.value(n, k) * (-1) ** k * Fraction(factorial(k), k + 1)
-        for k in range(n + 1)
-    )
+    """I_n^(1)(alpha,1,r) and n! [t^n] of its EGF."""
+    closed = _integral(n, 1, HsuShiueParams(alpha, 1, r))
     return closed, gf_bernoulli2_degenerate(alpha, r, n).egf_coeff(n)
 
 
@@ -276,18 +284,15 @@ def check_theorem3(n: int, s: int, alpha: RationalLike, r: RationalLike) -> Chec
     """Difference of consecutive-shift Carlitz values vs weighted Stirling sum.
 
     beta_{n+1}(alpha, r) - beta_{n+1}(alpha, r-s)
-        = (n+1) sum_k S(n,k;alpha,1,r) (-1)^k <s>_{k+1} / (k+1),
+        = (n+1) sum_k S(n,k;alpha,1,r) (-1)^k <s>_{k+1} / (k+1)
+        = (n+1) s I_n^(s+1)(alpha, 1, r),
     with the left side from the EGF oracle.  The s=1 slice also collapses to
     (n+1)(r-1|alpha)_n, checked when it applies.
     """
     alpha, r = as_rational(alpha), as_rational(r)
     rpt = CheckReport(id="EQ29", params={"n": n, "s": s, "alpha": alpha, "r": r})
     lhs = carlitz_beta(n + 1, alpha, r) - carlitz_beta(n + 1, alpha, r - s)
-    table = cached_table(HsuShiueParams(alpha, 1, r), n)
-    rhs = (n + 1) * sum(
-        table.value(n, k) * (-1) ** k * rising_factorial(s, k + 1) / (k + 1)
-        for k in range(n + 1)
-    )
+    rhs = (n + 1) * s * _integral(n, s + 1, HsuShiueParams(alpha, 1, r))
     if rpt.compare(lhs, rhs, "lhs {} != rhs {}").status == PASS and s == 1:
         reduced = (n + 1) * gen_factorial(r - 1, alpha, n)
         rpt.compare(reduced, lhs, "s=1 reduction {} != {}")
@@ -297,23 +302,22 @@ def check_theorem3(n: int, s: int, alpha: RationalLike, r: RationalLike) -> Chec
 def check_corollary2(n: int, r: int, alpha: RationalLike) -> CheckReport:
     """Sums of generalized falling factorials vs the weighted Stirling sum.
 
-    sum_{j=0}^{r-1} (j|alpha)_n on the direct-summation side.
+    sum_{j=0}^{r-1} (j|alpha)_n on the direct-summation side, and
+    sum_k S(n,k;alpha,1,r) (-1)^k <r>_{k+1}/(k+1) = r I_n^(r+1)(alpha, 1, r)
+    on the closed side.
     """
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
     alpha = as_rational(alpha)
     rpt = CheckReport(id="COR2", params={"n": n, "r": r, "alpha": alpha})
     direct = sum(gen_factorial(j, alpha, n) for j in range(r))
-    table = cached_table(HsuShiueParams(alpha, 1, r), n)
-    closed = sum(
-        table.value(n, k) * (-1) ** k * rising_factorial(r, k + 1) / (k + 1)
-        for k in range(n + 1)
-    )
+    closed = r * _integral(n, r + 1, HsuShiueParams(alpha, 1, r))
     return rpt.compare(direct, closed, "direct {} != closed {}")
 
 
 def check_corollary3(n: int, alpha: RationalLike, r: RationalLike) -> CheckReport:
-    """beta_n(alpha, r-alpha) = sum_k S(n,k;alpha,1,r) (-1)^k <alpha+1>_k/(k+1).
+    """beta_n(alpha, r-alpha) = sum_k S(n,k;alpha,1,r) (-1)^k <alpha+1>_k/(k+1),
+    which is I_n^(alpha+1)(alpha, 1, r).
 
     Covers the r=0 and r=alpha sub-cases through the same formula; the left
     side comes from the EGF oracle.
@@ -327,31 +331,13 @@ def check_corollary3(n: int, alpha: RationalLike, r: RationalLike) -> CheckRepor
         rid = "EQ31"
     rpt = CheckReport(id=rid, params={"n": n, "alpha": alpha, "r": r})
     lhs = carlitz_beta(n, alpha, r - alpha)
-    table = cached_table(HsuShiueParams(alpha, 1, r), n)
-    rhs = sum(
-        table.value(n, k) * (-1) ** k * rising_factorial(alpha + 1, k) / (k + 1)
-        for k in range(n + 1)
-    )
+    rhs = _integral(n, alpha + 1, HsuShiueParams(alpha, 1, r))
     return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli values at rationals (Theorem 4 shape) and Howard power sums
 # ---------------------------------------------------------------------------
-
-
-def _theorem4_rhs(n: int, s: int, beta: Fraction, r: Fraction, exponent: str) -> Fraction:
-    table = cached_table(HsuShiueParams(0, beta, r), n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        e = n - k if exponent == "corrected" else n + 1 - k
-        total += (
-            table.value(n, k)
-            * (-1) ** k
-            * rising_factorial(s, k + 1)
-            / (beta**e * (k + 1))
-        )
-    return (n + 1) * total
 
 
 def check_theorem4(
@@ -361,8 +347,10 @@ def check_theorem4(
 
     B_{n+1}(r/beta) - B_{n+1}(r/beta - s) against
     (n+1) sum_k W_{beta,r}(n,k) (-1)^k <s>_{k+1} / (beta^e (k+1)).
-    The shipped exponent is e = n-k; exponent="printed" selects the e = n+1-k
-    variant, kept as a must-fail regression (witness n=1, s=1, beta=2, r=1).
+    The shipped exponent is e = n-k, which makes the sum
+    (n+1) s I_n^(s+1)(0, beta, r) / beta^n; exponent="printed" selects the
+    e = n+1-k variant, one more division by beta, kept as a must-fail
+    regression (witness n=1, s=1, beta=2, r=1).
     """
     if exponent not in ("corrected", "printed"):
         raise ValueError(f"exponent must be 'corrected' or 'printed', got {exponent!r}")
@@ -373,24 +361,22 @@ def check_theorem4(
     rpt = CheckReport(id=rid, params={"n": n, "s": s, "beta": beta, "r": r})
     bpoly = bernoulli_poly(n + 1)
     lhs = bpoly(r / beta) - bpoly(r / beta - s)
-    rhs = _theorem4_rhs(n, s, beta, r, exponent)
+    shift = 0 if exponent == "corrected" else 1
+    rhs = (n + 1) * s * _integral(n, s + 1, HsuShiueParams(0, beta, r)) / beta ** (n + shift)
     return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
 
 
 def check_corollary4(n: int, r: int) -> CheckReport:
     """Bernoulli polynomials at nonnegative integers via r-separated partitions.
 
-    B_{n+1}(r) = B_{n+1} + sum_k (-1)^k (n+1)/(k+1) {n+r k+r}_r <r>_{k+1}.
+    B_{n+1}(r) = B_{n+1} + sum_k (-1)^k (n+1)/(k+1) {n+r k+r}_r <r>_{k+1}
+               = B_{n+1} + (n+1) r I_n^(r+1)(0, 1, r).
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     rpt = CheckReport(id="COR4", params={"n": n, "r": r})
     lhs = bernoulli_poly(n + 1)(r)
-    table = cached_table(HsuShiueParams(0, 1, r), n)
-    rhs = bernoulli_number(n + 1) + (n + 1) * sum(
-        table.value(n, k) * (-1) ** k * rising_factorial(r, k + 1) / (k + 1)
-        for k in range(n + 1)
-    )
+    rhs = bernoulli_number(n + 1) + (n + 1) * r * _integral(n, r + 1, HsuShiueParams(0, 1, r))
     return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
 
 
@@ -399,18 +385,15 @@ def _howard_sides(
 ) -> tuple[Fraction, Fraction]:
     """The r-Whitney closed form of sum_{j=0}^{m-1} (r + beta*j)^n, and that sum.
 
-    Closed form sum_k beta^(k - weight_shift)/(k+1) W_{beta,r}(n,k) (m)_{k+1}:
-    weight_shift 0 is the shipped beta^k weight, 1 the printed beta^(k-1).
+    Closed form sum_k beta^(k - weight_shift)/(k+1) W_{beta,r}(n,k) (m)_{k+1},
+    which is m I_n^(1-m)(0, beta, r) / beta^weight_shift: weight_shift 0 is
+    the shipped beta^k weight, 1 the printed beta^(k-1).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    table = cached_table(HsuShiueParams(0, beta, r), n)
-    closed = sum(
-        beta ** (k - weight_shift) / (k + 1) * table.value(n, k) * falling_factorial(m, k + 1)
-        for k in range(n + 1)
-    )
+    closed = m * _integral(n, 1 - m, HsuShiueParams(0, beta, r)) / beta**weight_shift
     return closed, sum((r + beta * j) ** n for j in range(m))
 
 
@@ -467,17 +450,13 @@ def check_gamma_rep7(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
 
     The weight integral_0^inf z^(s-1+k) e^-z dz / (s-1)! collapses to <s>_k
     exactly, so the check reduces to
-    sum_k S(n,k) (x*beta)^k <s>_k == n! [t^n] of the order-s EGF.
+    sum_k S(n,k) (x*beta)^k <s>_k = w_n^(s)(x) == n! [t^n] of the order-s EGF.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     x = as_rational(x)
     rpt = CheckReport(id="EQ7_GAMMA", params={"n": n, "s": s, "x": x, "params": params})
-    table = cached_table(params, n)
-    lhs = sum(
-        table.value(n, k) * (x * params.beta) ** k * rising_factorial(s, k)
-        for k in range(n + 1)
-    )
+    lhs = geometric_poly(n, s, params)(x)
     rhs = gf_w(params, s, x, n).egf_coeff(n)
     return rpt.compare(lhs, rhs, "moment sum {} != gf {}")
 

@@ -17,7 +17,7 @@ quantified over its sampled domain.
 Records look up what they call by name at call time, as a module attribute
 (``mellin.verify_eq15``) or a global of this module, and never hold the
 function object, so a wrapper that rebinds those names (a tracer, a test
-double) sees every call.
+double, a negative control that corrupts one side) sees every call.
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ PROFILES = {
 }
 
 
-Cases = Callable[[SmallRationalSampler, int, Profile, dict | None], list[CheckReport]]
+Cases = Callable[[SmallRationalSampler, int, Profile], list[CheckReport]]
 
 
 class Identity(NamedTuple):
     """One registered identity, immutable.
 
-    ``cases(sampler, samples, profile, hooks)`` yields its reports.  With
+    ``cases(sampler, samples, profile)`` yields its reports.  With
     ``expected_fail`` they come from a superseded form, and `run` turns
     their fail into ``expected_fail_confirmed`` and a pass into a fail.
     """
@@ -120,7 +120,7 @@ def _each(draw_and_check: Callable[[SmallRationalSampler, Profile], CheckReport]
     ``draw_and_check(rng, prof)`` draws in argument order, the order the
     byte-identical reports depend on.
     """
-    return lambda rng, samples, prof, hooks: [draw_and_check(rng, prof) for _ in range(samples)]
+    return lambda rng, samples, prof: [draw_and_check(rng, prof) for _ in range(samples)]
 
 
 def _printed(check: Callable[..., CheckReport], witnesses: tuple) -> Cases:
@@ -129,7 +129,7 @@ def _printed(check: Callable[..., CheckReport], witnesses: tuple) -> Cases:
     The form must fail, so nothing is drawn from the region (beta = 1,
     s = 0, ...) where it degenerates.
     """
-    return lambda rng, samples, prof, hooks: [check(*w) for w in witnesses[:samples]]
+    return lambda rng, samples, prof: [check(*w) for w in witnesses[:samples]]
 
 
 def _poly(rng: SmallRationalSampler, degree: int) -> PolyQ:
@@ -174,9 +174,7 @@ def _eq36(rng: SmallRationalSampler, prof: Profile) -> CheckReport:
     return rpt.compare(rising_factorial(-x, n), (-1) ** n * falling_factorial(x, n), "{} != {}")
 
 
-def _eq26(
-    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
-) -> list[CheckReport]:
+def _eq26(rng: SmallRationalSampler, samples: int, prof: Profile) -> list[CheckReport]:
     anchors = (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2))
     return [
         analytic.eval_theorem5(
@@ -186,30 +184,18 @@ def _eq26(
     ]
 
 
-_HOOKS = ("corrupt_table",)
-
-
-def _gf_vs_table(
-    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
-) -> list[CheckReport]:
-    corrupt = (hooks or {}).get("corrupt_table")
-    out = []
-    for _ in range(samples):
-        table = build_table(rng.params(), prof.table_n)
-        if corrupt is not None:
-            n, k = corrupt
-            table = table.with_entry(n, k, table.value(n, k) + 1)
-        out.append(verify_against_gf(table, prof.table_n))
-    return out
+def _gf_vs_table(rng: SmallRationalSampler, samples: int, prof: Profile) -> list[CheckReport]:
+    return [
+        verify_against_gf(build_table(rng.params(), prof.table_n), prof.table_n)
+        for _ in range(samples)
+    ]
 
 
 _CLASSICAL = HsuShiueParams(0, 1, 0)
 _ENUMERATED = "polynomial {} != enumeration {}"
 
 
-def _bpa_numbers(
-    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
-) -> list[CheckReport]:
+def _bpa_numbers(rng: SmallRationalSampler, samples: int, prof: Profile) -> list[CheckReport]:
     return [
         CheckReport(id="BPA_NUMBERS", params={"n": n, "s": s}).compare(
             families.bpa_number(n, s, _CLASSICAL), barred_preferential_count(n, s), _ENUMERATED
@@ -219,9 +205,7 @@ def _bpa_numbers(
     ]
 
 
-def _fubini(
-    rng: SmallRationalSampler, samples: int, prof: Profile, hooks: dict | None
-) -> list[CheckReport]:
+def _fubini(rng: SmallRationalSampler, samples: int, prof: Profile) -> list[CheckReport]:
     return [
         CheckReport(id="FUBINI", params={"n": n}).compare(
             families.geometric_poly(n, 1, _CLASSICAL)(1),
@@ -257,7 +241,7 @@ REGISTRY: tuple[Identity, ...] = (
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(2, 5), rng.rational(),
                  rng.rational()))),
     Identity("EQ14", "Bernoulli numbers / Euler values as signed partition-number sums",
-             lambda rng, samples, prof, hooks: [families.check_eq14(20)]),
+             lambda rng, samples, prof: [families.check_eq14(20)]),
     Identity("EQ15", "operator action on the scaled exponential vs convolution closed form",
              _each(lambda rng, prof: mellin.verify_eq15(
                  rng.int_between(0, prof.exact_n), rng.params(), prof.series_order))),
@@ -286,7 +270,7 @@ REGISTRY: tuple[Identity, ...] = (
                  rng.int_between(0, prof.exact_n), rng.int_between(0, 4), rng.rational(),
                  rng.rational()))),
     Identity("EQ30_FAMILY", "zeta(k) k^n / 2^k family vs log2 + weighted zeta closed form",
-             lambda rng, samples, prof, hooks: [
+             lambda rng, samples, prof: [
                  analytic.eval_eq30_family(n, EvalConfig(prof.bits))
                  for n in range(prof.numeric_n + 1)]),
     Identity("EQ31", "shifted Carlitz value vs rising-factorial weighted Stirling sum",
@@ -344,31 +328,16 @@ def _profile(name: str) -> Profile:
     return PROFILES[name]
 
 
-def run(
-    rid: str,
-    seed: int = 1,
-    samples: int = 4,
-    profile: str = "full",
-    hooks: dict | None = None,
-) -> list[CheckReport]:
-    """Verify one registered identity on deterministically sampled inputs.
-
-    ``hooks`` holds negative controls, and an unknown key is an error so
-    that a misspelled control cannot pass vacuously.  The one hook is
-    ``"corrupt_table": (n, k)``: it adds 1 to that cell of every
-    GF_VS_TABLE table, so the generating-function oracle must fail.
-    """
+def run(rid: str, seed: int = 1, samples: int = 4, profile: str = "full") -> list[CheckReport]:
+    """Verify one registered identity on deterministically sampled inputs."""
     if rid not in IDENTITY_IDS:
         raise ValueError(f"unknown identity id {rid!r}; known ids: {', '.join(IDENTITY_IDS)}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    unknown = sorted(set(hooks or ()) - set(_HOOKS))
-    if unknown:
-        raise ValueError(f"unknown hooks {unknown}; known hooks: {', '.join(_HOOKS)}")
     prof = _profile(profile)
     index = IDENTITY_IDS.index(rid)
     record = REGISTRY[index]
-    reports = record.cases(SmallRationalSampler(seed * 1_000_003 + index), samples, prof, hooks)
+    reports = record.cases(SmallRationalSampler(seed * 1_000_003 + index), samples, prof)
     if record.expected_fail:
         for rpt in reports:
             if rpt.status == FAIL:
@@ -379,16 +348,12 @@ def run(
     return reports
 
 
-def run_all(
-    seed: int = 1,
-    profile: str = "quick",
-    hooks: dict | None = None,
-) -> dict:
+def run_all(seed: int = 1, profile: str = "quick") -> dict:
     """Run the whole registry; summary counts plus any unexpected reports."""
     prof = _profile(profile)
     reports: list[CheckReport] = []
     for rid in IDENTITY_IDS:
-        reports.extend(run(rid, seed=seed, samples=prof.default_samples, profile=profile, hooks=hooks))
+        reports.extend(run(rid, seed=seed, samples=prof.default_samples, profile=profile))
     counts = {PASS: 0, FAIL: 0, EXPECTED_FAIL_CONFIRMED: 0}
     for rpt in reports:
         counts[rpt.status] += 1

@@ -25,7 +25,7 @@ from .families import geometric_poly, exp_poly
 from .params import HsuShiueParams
 from .polynomials import PolyQ
 from .report import CheckReport
-from .series import PowerSeries, binom_deform, divide, inverse, pow_int, pow_series
+from .series import PowerSeries, binom_deform, divide, inverse, pow_int
 from .stirling import cached_table
 
 

@@ -81,6 +81,11 @@ class PolyQ:
             p = PolyQ.from_coeffs([k * c for k, c in enumerate(p.coeffs)][1:] or [0])
         return p
 
+    def integral(self, a: RationalLike, b: RationalLike) -> Fraction:
+        """Exact integral from a to b: the antiderivative, evaluated at b and a."""
+        anti = PolyQ((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
+        return anti(b) - anti(a)
+
     def shift_x(self, power: int) -> "PolyQ":
         """Multiply by x**power."""
         if not self.coeffs:

@@ -35,7 +35,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .exact import RationalLike, as_rational, gen_factorial
+from .exact import RationalLike, as_rational
 from .params import HsuShiueParams
 
 ScalarLike = Union[Fraction, int]

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from math import factorial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,9 @@ from geopoly.enumeration import (
     ordered_set_partitions_count,
     set_partitions_count,
 )
-from geopoly.exact import gen_factorial, rising_factorial
+from geopoly.exact import falling_factorial, gen_factorial, rising_factorial
 from geopoly.params import HsuShiueParams
+from geopoly.report import CheckReport
 from geopoly.series import PowerSeries, gf_bernoulli2_degenerate, gf_degenerate_euler, gf_w
 from geopoly.stirling import cached_table
 
@@ -383,3 +386,149 @@ def test_gamma_rep_collapse():
         for k in range(n + 1)
     )
     assert direct == w(x)
+
+
+# ---------------------------------------------------------------------------
+# Closed sides as w_n^(m) at a point or its integral over [-1, 0]
+# ---------------------------------------------------------------------------
+
+
+def _stirling_sum(params, n, weight):
+    """sum_k S(n,k; params) weight(k): the form every closed side had inline."""
+    table = cached_table(params, n)
+    return sum(table.value(n, k) * weight(k) for k in range(n + 1))
+
+
+def _eq14_references(n_max):
+    classical = HsuShiueParams(0, 1, 0)
+    out = []
+    for n in range(n_max + 1):
+        out.append(_stirling_sum(classical, n, lambda k: (-1) ** k * F(factorial(k), k + 1)))
+        out.append(_stirling_sum(classical, n, lambda k: (-1) ** k * F(factorial(k), 2**k)))
+    return out
+
+
+def _theorem4_reference(n, s, beta, r, extra):
+    return (n + 1) * _stirling_sum(
+        HsuShiueParams(0, beta, r), n,
+        lambda k: (-1) ** k * rising_factorial(s, k + 1) / (beta ** (n + extra - k) * (k + 1)),
+    )
+
+
+def _howard_reference(n, m, beta, r, shift):
+    return _stirling_sum(
+        HsuShiueParams(0, beta, r), n,
+        lambda k: beta ** (k - shift) / (k + 1) * falling_factorial(m, k + 1),
+    )
+
+
+# check -> (run it on a draw d, which side of a compared pair is closed, references).
+# The references are the inline Stirling sums the closed sides were written
+# as before each became w_n^(m) at a point or a multiple of its integral.
+CLOSED_SIDES = {
+    "EQ10": (
+        lambda d: fam.check_degenerate_euler(d.n, d.s, d.alpha, d.r), 0,
+        lambda d: [_stirling_sum(HsuShiueParams(d.alpha, 1, d.r), d.n,
+                                 lambda k: (-1) ** k * rising_factorial(d.s, k) / 2**k)],
+    ),
+    "EQ14": (lambda d: fam.check_eq14(d.n), 0, lambda d: _eq14_references(d.n)),
+    "EQ34_THM2": (
+        lambda d: fam.check_theorem2(d.n, d.alpha, d.r), 0,
+        lambda d: [_stirling_sum(HsuShiueParams(d.alpha, 1, d.r), d.n,
+                                 lambda k: (-1) ** k * F(factorial(k), k + 1))],
+    ),
+    "EQ29": (
+        lambda d: fam.check_theorem3(d.n, d.s, d.alpha, d.r), 1,
+        lambda d: [(d.n + 1) * _stirling_sum(
+            HsuShiueParams(d.alpha, 1, d.r), d.n,
+            lambda k: (-1) ** k * rising_factorial(d.s, k + 1) / (k + 1))],
+    ),
+    "COR2": (
+        lambda d: fam.check_corollary2(d.n, d.m, d.alpha), 1,
+        lambda d: [_stirling_sum(HsuShiueParams(d.alpha, 1, d.m), d.n,
+                                 lambda k: (-1) ** k * rising_factorial(d.m, k + 1) / (k + 1))],
+    ),
+    "EQ31": (
+        lambda d: fam.check_corollary3(d.n, d.alpha, d.r), 1,
+        lambda d: [_stirling_sum(HsuShiueParams(d.alpha, 1, d.r), d.n,
+                                 lambda k: (-1) ** k * rising_factorial(d.alpha + 1, k) / (k + 1))],
+    ),
+    "EQ37_CORRECTED": (
+        lambda d: fam.check_theorem4(d.n, d.s, d.beta, d.r), 1,
+        lambda d: [_theorem4_reference(d.n, d.s, d.beta, d.r, 0)],
+    ),
+    "EQ37_PRINTED": (
+        lambda d: fam.check_theorem4(d.n, d.s, d.beta, d.r, exponent="printed"), 1,
+        lambda d: [_theorem4_reference(d.n, d.s, d.beta, d.r, 1)],
+    ),
+    "COR4": (
+        lambda d: fam.check_corollary4(d.n, d.m - 1), 1,
+        lambda d: [fam.bernoulli_number(d.n + 1) + (d.n + 1) * _stirling_sum(
+            HsuShiueParams(0, 1, d.m - 1), d.n,
+            lambda k: (-1) ** k * rising_factorial(d.m - 1, k + 1) / (k + 1))],
+    ),
+    "COR5_CORRECTED": (
+        lambda d: fam.check_corollary5(d.n, d.m, d.beta, d.r), 1,
+        lambda d: [_howard_reference(d.n, d.m, d.beta, d.r, 0)],
+    ),
+    "COR5_PRINTED": (
+        lambda d: fam.check_corollary5(d.n, d.m, d.beta, d.r, exponent="printed"), 1,
+        lambda d: [_howard_reference(d.n, d.m, d.beta, d.r, 1)],
+    ),
+    "EQ7_GAMMA": (
+        lambda d: fam.check_gamma_rep7(d.n, d.m, d.x, HsuShiueParams(d.alpha, d.beta, d.r)), 0,
+        lambda d: [_stirling_sum(HsuShiueParams(d.alpha, d.beta, d.r), d.n,
+                                 lambda k: (d.x * d.beta) ** k * rising_factorial(d.m, k))],
+    ),
+}
+
+
+class Draw(NamedTuple):
+    n: int
+    s: int
+    m: int
+    alpha: F
+    beta: F
+    r: F
+    x: F
+
+
+def _compared_pairs(run):
+    """(lhs, rhs) of every case the check compares, in order."""
+    pairs = []
+    original = CheckReport.compare_each
+
+    def recording(self, cases, witness):
+        cases = list(cases)
+        pairs.extend(case[-2:] for case in cases)
+        return original(self, cases, witness)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CheckReport, "compare_each", recording)
+        run()
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SIDES))
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    s=st.integers(0, 5),
+    m=st.integers(1, 6),
+    alpha=small_fractions,
+    beta=small_fractions.filter(lambda v: v != 0),
+    r=small_fractions,
+    x=small_fractions,
+)
+def test_closed_side_equals_its_stirling_sum(name, n, s, m, alpha, beta, r, x):
+    check, side, references = CLOSED_SIDES[name]
+    d = Draw(n, s, m, alpha, beta, r, x)
+    refs = references(d)
+    pairs = _compared_pairs(lambda: check(d))
+    assert [pair[side] for pair in pairs[: len(refs)]] == refs
+
+
+def test_integral_of_first_order_classical_is_bernoulli():
+    nums = fam.bernoulli_numbers(30)
+    for n in range(31):
+        assert fam.geometric_poly(n, 1, CLASSICAL).integral(-1, 0) == nums[n]

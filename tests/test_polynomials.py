@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries, divide
 
@@ -32,6 +34,26 @@ def test_derivative_and_shift():
     assert p.derivative(2).coeffs == (10,)
     assert p.derivative(3).degree == -1
     assert p.shift_x(2).coeffs == (0, 0, 3, 0, 5)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(small_fractions, max_size=8), a=small_fractions, b=small_fractions)
+def test_integral_is_termwise_antiderivative(coeffs, a, b):
+    termwise = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+    p = PolyQ.from_coeffs(coeffs)
+    assert p.integral(a, b) == termwise
+    assert p.integral(b, a) == -termwise
+
+
+def test_integral_by_hand():
+    p = PolyQ.from_coeffs([F(1, 6), -1, 1])  # x^2 - x + 1/6, i.e. B_2(x)
+    assert p.integral(0, 1) == 0
+    assert p.integral(-1, 0) == F(1, 3) + F(1, 2) + F(1, 6)
+    assert PolyQ.zero().integral(-1, 5) == 0
+    assert PolyQ.const(3).integral("-1/2", 0) == F(3, 2)
 
 
 def test_substitute_series():

@@ -210,6 +210,25 @@ def test_negative_control_fails_with_witness(monkeypatch, name):
         assert rpt.witness.startswith(prefix)
 
 
+# Ids whose closed side is w_n^(m) at a point or a multiple of its integral
+# over [-1, 0], both formed by families.geometric_poly.
+GEOMETRIC_IDS = (
+    "EQ3_VS_GF8", "EQ7_GAMMA", "EQ10", "EQ14", "EQ19", "EQ27", "EQ29",
+    "EQ31", "EQ32", "EQ33", "EQ34_THM2", "EQ37_CORRECTED",
+    "COR2", "COR4", "COR5_CORRECTED", "MINUS_ONE", "BPA_NUMBERS", "FUBINI",
+)
+
+
+@pytest.mark.parametrize("rid", GEOMETRIC_IDS)
+def test_geometric_closed_side_perturbation_fails(monkeypatch, rid):
+    monkeypatch.setattr(families, "geometric_poly", _plus(families.geometric_poly, ONE))
+    reports = I.run(rid, seed=1, samples=4, profile="quick")
+    assert reports
+    for rpt in reports:
+        assert rpt.status == "fail", rpt.to_dict()
+        assert " != " in rpt.witness
+
+
 # ---------------------------------------------------------------------------
 # Failure-witness gate
 # ---------------------------------------------------------------------------
