@@ -38,24 +38,26 @@ doubled and the evaluation restarts.  Both routes write every head term as
 q^s / (p + jq)^s, and both envelope tests are exact integer comparisons, so
 no Fraction arithmetic runs inside the loops.
 
-digamma uses upward recurrence to a large argument followed by the
-asymptotic series with the same envelope bound, again tested in integers;
-the Euler constant is -digamma(1), pi comes from a Machin arctangent pair
+digamma is the same expansion at s = 1, since psi(a) = -lim_{s->1}
+(zeta(s, a) - 1/(s-1)): the term (a+N)^(1-s)/(s-1) gives way to -ln(a+N),
+B_2m/(2m)! <1>_{2m-1} = B_2m/(2m), and N lifts a + N to the cut.  One
+loop, `_em_parts`, builds the head and the corrections for both.  The
+Euler constant is -digamma(1), pi comes from a Machin arctangent pair
 (alternating series, tail bounded by the first omitted term), and log 2
 from the correctly rounded stdlib ln.
 
-Both asymptotic loops read their Bernoulli numbers from one table of
-their own, B_0, B_2, ..., B_2M, built from the integer tangent numbers
-(Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
-numbers", arXiv:1108.0286); `families.bernoulli_numbers`, the t/(e^t - 1)
-series, stays the exact-layer oracle and is the test oracle of this table.
-Euler-Maclaurin reads B_2m/(2m)! from one table per working precision,
-each entry the exact pair (num, den) for the envelope test and its Decimal
-quotient at digits + 10, and carries <s>_{2m-1} (a+N)^(1-s-2m) as one
-running Decimal product, so no big integer meets a Decimal inside its
-loop.  Each loop fetches its table once and fetches it again, twice as
-long, only if it runs past the end.  The zeta values, the constants and
-both tables are each cached in a `memo.Memo` of CACHE_CAP keys.
+The loop reads its Bernoulli numbers from one table of its own, B_0,
+B_2, ..., B_2M, built from the integer tangent numbers (Brent & Harvey,
+"Fast computation of Bernoulli, Tangent and Secant numbers",
+arXiv:1108.0286); `families.bernoulli_numbers`, the t/(e^t - 1) series,
+stays the exact-layer oracle and is the test oracle of this table.  It
+reads B_2m/(2m)! from one table per working precision, each entry the
+exact pair (num, den) for the envelope test and its Decimal quotient at
+digits + 10, and carries <s>_{2m-1} (a+N)^(1-s-2m) as one running Decimal
+product, so no big integer meets a Decimal inside it.  It fetches its
+table once and fetches it again, twice as long, only if it runs past the
+end.  The zeta values, the constants and both tables are each cached in a
+`memo.Memo` of CACHE_CAP keys.
 
 Precision budget: EvalConfig refuses precision_bits above MAX_BITS = 4096,
 the top of the range the numeric layer is measured at.  There
@@ -201,8 +203,8 @@ def _em_coeffs(digits: int, m: int) -> tuple[tuple[int, int, Decimal], ...]:
 
 
 def _table_length(cut: int) -> int:
-    # the envelope of either loop closed by m = 1.4 * cut at 64..1024 bits,
-    # so this covers it; a loop that runs further fetches its table again
+    # the envelope of the Euler-Maclaurin loop closed by m = 1.4 * cut at
+    # 64..1024 bits, so this covers it; a run past it fetches the table again
     return 3 * cut // 2
 
 
@@ -258,58 +260,65 @@ def _zeta_direct(s: int, a: Fraction, cfg: EvalConfig) -> Decimal | None:
         return +total
 
 
-def _zeta_em(s: int, a: Fraction, cfg: EvalConfig) -> Decimal:
-    """Hurwitz zeta by Euler-Maclaurin, doubling N until the envelope closes."""
-    p, q = a.numerator, a.denominator
+def _em_parts(s: int, p: int, q: int, n_cut: int, cfg: EvalConfig) -> tuple[Decimal, ...]:
+    """Euler-Maclaurin parts of sum_{j>=0} (a+j)^-s, integer s >= 1, a = p/q > 0.
+
+    Returns head = sum_{j<N} (a+j)^-s, a+N, 1/(a+N) and the corrections
+    sum_m B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m), cut at the first m whose
+    envelope bound undercuts 10^-(digits-5).  If the terms bottom out
+    first, N doubles and the parts are built again.  Runs in the caller's
+    decimal context.
+    """
     target_inv = 10 ** (cfg.digits - 5)  # the target is 1 / target_inv
-    n_cut = _asymptotic_cut(cfg.digits)
+    q_pow = Decimal(q) ** s
+    coeffs = _em_coeffs(cfg.digits, _table_length(_asymptotic_cut(cfg.digits)))
+    while True:
+        head = _head_sum(s, p, q, q_pow, n_cut)
+        edge = p + n_cut * q  # a + N = edge / q
+        edge_dec = Decimal(edge) / Decimal(q)
+        inv = 1 / edge_dec
+        inv2 = inv * inv
+        corrections = Decimal(0)
+        factor = inv**s * inv * s  # <s>_{2m-1} (a+N)^(1-s-2m)
+        rising = s  # <s>_{2m-1} as an integer, for the envelope test
+        # envelope bound |B_2m+2|/(2m+2)! <s>_{2m+1} (a+N)^-(s+2m+1), kept as
+        # an integer ratio: q^(s+2m+1) and edge^(s+2m+1) are running products
+        q_exp, edge_exp = q ** (s + 3), edge ** (s + 3)
+        q2, edge2 = q * q, edge * edge
+        m = 1
+        prev = None  # (numerator factors, denominator) of the previous bound
+        while True:
+            if m + 1 == len(coeffs):  # the envelope test needs B_2m+2
+                coeffs = _em_coeffs(cfg.digits, 2 * m)
+            corrections += coeffs[m][2] * factor
+            # envelope bound: remainder <= first omitted term
+            step = (s + 2 * m - 1) * (s + 2 * m)
+            rising *= step
+            num, den, _ = coeffs[m + 1]
+            scale = abs(num) * rising
+            if scale * q_exp * target_inv < den * edge_exp:
+                return head, edge_dec, inv, corrections
+            if prev is not None and scale * q2 * prev[1] >= prev[0] * den * edge2:
+                break  # divergent zone reached before target: enlarge N
+            prev = (scale, den)
+            factor *= step * inv2
+            q_exp *= q2
+            edge_exp *= edge2
+            m += 1
+            if m > cfg.max_terms:
+                raise ArithmeticError("Euler-Maclaurin failed to converge")
+        n_cut = max(1, 2 * n_cut)  # N = 0 (digamma at a >= cut) must grow too
+        if n_cut > cfg.max_terms:
+            raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")
+
+
+def _zeta_em(s: int, a: Fraction, cfg: EvalConfig) -> Decimal:
+    """Hurwitz zeta by Euler-Maclaurin from N = _asymptotic_cut(digits)."""
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        q_pow = Decimal(q) ** s
-        for _attempt in range(6):
-            coeffs = _em_coeffs(cfg.digits, _table_length(n_cut))
-            head = _head_sum(s, p, q, q_pow, n_cut)
-            edge = p + n_cut * q  # a + N = edge / q
-            edge_dec = Decimal(edge) / Decimal(q)
-            inv = 1 / edge_dec
-            inv2 = inv * inv
-            total = head + edge_dec * inv**s / (s - 1) + inv**s / 2
-            # correction terms B_2m/(2m)! * factor, factor = <s>_{2m-1} (a+N)^(1-s-2m)
-            factor = inv**s * inv * s
-            rising = s  # <s>_{2m-1} as an integer, for the envelope test
-            # envelope bound |B_2m+2|/(2m+2)! <s>_{2m+1} (a+N)^-(s+2m+1), kept as
-            # an integer ratio: q^(s+2m+1) and edge^(s+2m+1) are running products
-            q_exp, edge_exp = q ** (s + 3), edge ** (s + 3)
-            q2, edge2 = q * q, edge * edge
-            m = 1
-            prev = None  # (numerator factors, denominator) of the previous bound
-            converged = False
-            while True:
-                if m + 1 == len(coeffs):  # the envelope test needs B_2m+2
-                    coeffs = _em_coeffs(cfg.digits, 2 * m)
-                total += coeffs[m][2] * factor
-                # envelope bound: remainder <= first omitted term
-                step = (s + 2 * m - 1) * (s + 2 * m)
-                rising *= step
-                num, den, _ = coeffs[m + 1]
-                scale = abs(num) * rising
-                if scale * q_exp * target_inv < den * edge_exp:
-                    converged = True
-                    break
-                if prev is not None and scale * q2 * prev[1] >= prev[0] * den * edge2:
-                    break  # divergent zone reached before target: enlarge N
-                prev = (scale, den)
-                factor *= step * inv2
-                q_exp *= q2
-                edge_exp *= edge2
-                m += 1
-                if m > cfg.max_terms:
-                    raise ArithmeticError("Euler-Maclaurin failed to converge")
-            if converged:
-                break
-            n_cut *= 2
-        else:
-            raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")
+        n_cut = _asymptotic_cut(cfg.digits)
+        head, edge, inv, corrections = _em_parts(s, a.numerator, a.denominator, n_cut, cfg)
+        total = head + edge * inv**s / (s - 1) + inv**s / 2 + corrections
         ctx.prec = cfg.digits
         return +total
 
@@ -337,52 +346,25 @@ def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
 
 
 def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
-    """psi(a) for rational a > 0: recurrence up, then asymptotic series."""
+    """psi(a) for rational a > 0: the Euler-Maclaurin parts at s = 1.
+
+    N lifts a + N to at least _asymptotic_cut(digits); B_2m/(2m)! <1>_{2m-1}
+    is B_2m/(2m), so psi(a) = ln(a+N) - 1/(2(a+N)) - corrections - head.
+    """
     a = as_rational(a)
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
-    cut = _asymptotic_cut(cfg.digits)
-    shift = max(0, ceil(cut - a))
-    x = a + shift
-    target_inv = 10 ** (cfg.digits - 5)  # the target is 1 / target_inv
+    n_cut = max(0, ceil(_asymptotic_cut(cfg.digits) - a))
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        rec = Decimal(0)
-        for j in range(shift):
-            q = a + j
-            rec += Decimal(q.denominator) / Decimal(q.numerator)
-        x_dec = Decimal(x.numerator) / Decimal(x.denominator)
-        inv = 1 / x_dec
-        inv2 = inv * inv
-        total = x_dec.ln() - inv / 2
-        power = inv2
-        # envelope bound |B_2m+2|/(2m+2) / x^(2m+2) as an integer ratio, with
-        # running products for the powers of x's numerator and denominator
-        x_num2, x_den2 = x.numerator**2, x.denominator**2
-        num_pow, den_pow = x_num2**2, x_den2**2
-        bern = _bernoulli_even(_table_length(cut))
-        m = 1
-        while True:
-            if m + 1 == len(bern):  # the envelope test needs B_2m+2
-                bern = _bernoulli_even(2 * m)
-            c, b = bern[m], bern[m + 1]
-            total -= Decimal(c.numerator) / Decimal(c.denominator * 2 * m) * power
-            if abs(b.numerator) * den_pow * target_inv < b.denominator * (2 * m + 2) * num_pow:
-                break
-            power *= inv2
-            num_pow *= x_num2
-            den_pow *= x_den2
-            m += 1
-            if m > cfg.max_terms:
-                raise ArithmeticError("digamma asymptotic series failed to converge")
-        total -= rec
-    with localcontext() as ctx:
+        head, edge, inv, corrections = _em_parts(1, a.numerator, a.denominator, n_cut, cfg)
+        total = edge.ln() - inv / 2 - corrections - head
         ctx.prec = cfg.digits
         return +total
 
 
 def gamma_euler(cfg: EvalConfig) -> Decimal:
-    """Euler's constant, as -psi(1); independent of the zeta machinery."""
+    """Euler's constant, as -psi(1)."""
     return _constant("gamma", cfg, lambda: -digamma(Fraction(1), cfg))
 
 

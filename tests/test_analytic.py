@@ -259,6 +259,49 @@ def test_digamma_against_mpmath_512_bits():
             assert abs(ours - theirs) < target, a
 
 
+@pytest.mark.parametrize("bits", [256, 512])
+def test_digamma_beyond_the_cut_against_mpmath(bits):
+    # a >= _asymptotic_cut(digits) leaves N = 0: no head, the expansion at a
+    mpmath = pytest.importorskip("mpmath")
+    cfg = A.EvalConfig(bits)
+    target = mpmath.mpf(10) ** -(cfg.digits - 5)
+    with mpmath.workdps(cfg.digits + 40):
+        for a in (F(50), F(200), F(1000, 3)):
+            ours = mpmath.mpf(str(A.digamma(a, cfg)))
+            theirs = mpmath.psi(0, mpmath.mpf(a.numerator) / a.denominator)
+            assert abs(ours - theirs) < target, a
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_digamma_recurrence_across_the_cut(bits):
+    # a + 1 reaches the cut, where N = 0, from a with N = 1 and a with N = 0
+    cfg = A.EvalConfig(bits)
+    cut = A._asymptotic_cut(cfg.digits)
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        for a in (F(cut - 1), F(3 * cut - 2, 3), F(cut), F(cut + 1)):
+            diff = A.digamma(a + 1, cfg) - A.digamma(a, cfg) - A.to_decimal(1 / a, cfg)
+            assert abs(diff) < 3 * Decimal(10) ** -(cfg.digits - 5), a
+
+
+def test_digamma_doubles_n_when_the_expansion_diverges(monkeypatch):
+    # a cut of 2 leaves a + N <= 3, where the expansion bottoms out far
+    # above the target: N must double (from 0 for a = 3) until it closes
+    cfg = A.EvalConfig(128)
+    points = (F(1, 3), F(5, 4), F(3))
+    want = [A.digamma(a, cfg) for a in points]
+    monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: 2)
+    calls = []
+    head_sum = A._head_sum
+    monkeypatch.setattr(A, "_head_sum", lambda *args: calls.append(args[-1]) or head_sum(*args))
+    for a, psi in zip(points, want):
+        calls.clear()
+        # both values are within the target 10^-(digits-5) of psi(a)
+        assert abs(A.digamma(a, cfg) - psi) < 2 * Decimal(10) ** -(cfg.digits - 5), a
+        assert len(calls) >= 3, a
+        assert calls[1:] == [max(1, 2 * n) for n in calls[:-1]], a
+
+
 def test_direct_and_em_routes_agree():
     both = 0
     for bits in (64, 256, 512):

@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is read somewhere in the library.
 
-`__init__.py` is exempt: its imports are the package's public surface.
-Only the standard library's `ast` is needed, so the check runs wherever
-the tests do.
+`__init__.py` is exempt from the import check: its imports are the
+package's public surface.  Only the standard library's `ast` is needed, so
+the checks run wherever the tests do.
 """
 
 import ast
@@ -12,9 +13,8 @@ import pytest
 
 import geopoly
 
-MODULES = sorted(
-    p for p in Path(geopoly.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(geopoly.__file__).resolve().parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -43,15 +43,21 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere, including inside string annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Names inside string annotations."""
+    out = set()
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 inner = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
-    return used
+                out.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, including inside string annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | _annotation_names(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -66,3 +72,49 @@ def test_detector_flags_an_unused_name():
     source = "import os\nfrom math import comb, factorial, gcd\nx: 'comb' = os.sep\ny = 'gcd'\n"
     tree = ast.parse(source)
     assert set(_imported(tree)) - _used(tree) == {"factorial", "gcd"}
+
+
+def _private_defined(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` -> line of its def, class or assignment; dunders skipped."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names loaded, attribute names, and names inside string annotations."""
+    out = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    out |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return out | _annotation_names(tree)
+
+
+def test_no_dead_private_name():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    read = set().union(*map(_read, trees.values()))
+    dead = [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_defined(tree).items()
+        if name not in read
+    ]
+    assert dead == [], f"private names defined but never read in the library: {dead}"
+
+
+def test_detector_flags_an_unused_private_name():
+    source = (
+        "import os\n_A = 1\n_B, _C = 2, 3\n__all__ = []\n"
+        "def _f(x: '_T') -> None:\n    return _A\n"
+        "class _T: pass\n_D: int = 4\nos._D\ndef _g(): _g = 1\n"
+    )
+    tree = ast.parse(source)
+    assert set(_private_defined(tree)) - _read(tree) == {"_B", "_C", "_f", "_g"}

@@ -199,6 +199,21 @@ def test_check_eq14_grows_instead_of_rebuilding_per_n():
     assert bern <= 7 and euler <= 7
 
 
+def test_check_eq14_builds_each_sequence_once():
+    # the (0,1,0) table, B_0..B_20 and E_0(0)..E_20(0) are built once, at
+    # n = 20, before the scan; every read per n then hits
+    out = run_python(
+        "from geopoly import families as f, stirling\n"
+        "built, build = [], stirling.build_table\n"
+        "stirling.build_table = lambda p, n: built.append(n) or build(p, n)\n"
+        "assert f.check_eq14(20).status == 'pass'\n"
+        "print(built)\n"
+        "for c in (stirling.cached_table, f.bernoulli_numbers, f._euler_zero_values):\n"
+        "    print(c.cache_info().misses)\n"
+    )
+    assert out.split() == ["[20]", "1", "1", "1"]
+
+
 def test_benchmark_cache_names_exist_and_start_cold():
     # the names perfbench/worker.py reads, after the imports it makes
     out = run_python(

@@ -229,6 +229,34 @@ def test_geometric_closed_side_perturbation_fails(monkeypatch, rid):
         assert " != " in rpt.witness
 
 
+# Numeric ids: a name only the closed side reads, moved by 2^(40 - bits),
+# 2^8 times the tolerance.  Kept apart from NEGATIVE_CONTROLS, whose
+# witnesses the gate below hashes and counts.  EQ26 needs (r|alpha)_n != 0,
+# and gamma_euler, not digamma: a shift of digamma cancels in
+# psi(1 - x) + gamma while gamma = -psi(1) is computed afresh.
+NUMERIC_CONTROLS = {
+    "EQ26": ("gamma_euler", analytic._dec,
+             lambda cfg: analytic.eval_theorem5(HsuShiueParams(F(1, 2), 2, 3), 2, F(1, 2), cfg)),
+    "EQ30_FAMILY": ("log2", analytic._dec,
+                    lambda cfg: analytic.eval_eq30_family(2, cfg)),
+    "EQ16_NUMERIC": ("exp_poly", PolyQ.const,
+                     lambda cfg: analytic.eval_dobinski_numeric(3, HsuShiueParams(0, 1, 0), 1, cfg)),
+}
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("rid", sorted(NUMERIC_CONTROLS))
+def test_numeric_closed_side_perturbation_fails(monkeypatch, rid, bits):
+    attr, shift, check = NUMERIC_CONTROLS[rid]
+    cfg = EvalConfig(bits)
+    assert check(cfg).status == "pass"
+    delta = shift(F(1, 2 ** (bits - 40)))
+    monkeypatch.setattr(analytic, attr, _plus(getattr(analytic, attr), delta))
+    rpt = check(cfg)
+    assert rpt.id == rid
+    assert rpt.status == "fail", rpt.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # Failure-witness gate
 # ---------------------------------------------------------------------------
