@@ -32,11 +32,13 @@ Euler-Maclaurin route (all other s):
 
 whose integrand x -> (a+x)^-s is completely monotone for real s > 0, so the
 remainder after the m-th correction is bounded by the first omitted term
-(classical envelope property).  The expansion is cut only once that bound
-falls below the configured tolerance; if the terms bottom out first, N is
-doubled and the evaluation restarts.  Both routes write every head term as
-q^s / (p + jq)^s, and both envelope tests are exact integer comparisons, so
-no Fraction arithmetic runs inside the loops.
+(classical envelope property).  That bound is the Decimal term the loop
+computes anyway, and the expansion is cut once it falls below the target
+10^-(digits-5) less one part in 10^digits, a margin that covers its
+rounding error (the budget is in `_em_parts`); if the terms bottom out
+first, N is doubled and the evaluation restarts.  Both routes write every
+head term as q^s / (p + jq)^s, so no Fraction arithmetic runs inside the
+loops.
 
 digamma is the same expansion at s = 1, since psi(a) = -lim_{s->1}
 (zeta(s, a) - 1/(s-1)): the term (a+N)^(1-s)/(s-1) gives way to -ln(a+N),
@@ -51,19 +53,19 @@ B_2, ..., B_2M, built from the integer tangent numbers (Brent & Harvey,
 "Fast computation of Bernoulli, Tangent and Secant numbers",
 arXiv:1108.0286); `families.bernoulli_numbers`, the t/(e^t - 1) series,
 stays the exact-layer oracle and is the test oracle of this table.  It
-reads B_2m/(2m)! from one table per working precision, each entry the
-exact pair (num, den) for the envelope test and its Decimal quotient at
-digits + 10, and carries <s>_{2m-1} (a+N)^(1-s-2m) as one running Decimal
-product, so no big integer meets a Decimal inside it.  It fetches its
-table once and fetches it again, twice as long, only if it runs past the
-end.  The zeta values, the constants and both tables are each cached in a
-`memo.Memo` of CACHE_CAP keys.
+reads B_2m/(2m)! from one table per working precision, each entry rounded
+once at digits + 10, and carries <s>_{2m-1} (a+N)^(1-s-2m) as one running
+Decimal product, so no big integer meets a Decimal inside it.  It fetches
+its table once and fetches it again, twice as long, only if it runs past
+the end.  The zeta values, the constants and both tables are each cached
+in a `memo.Memo` of CACHE_CAP keys.
 
 Precision budget: EvalConfig refuses precision_bits above MAX_BITS = 4096,
 the top of the range the numeric layer is measured at.  There
-eval_theorem5((1/2, 2, 1), 3, 1/2) took 85 s, against 0.73 s at 1024 bits
-and 7.1 s at 2048 bits (one cold process each, Python 3.11.7 on a 2-vCPU
-KVM guest); each doubling of the bits costs about ten times more.
+eval_theorem5((1/2, 2, 1), 3, 1/2) took 39 s, against 0.48 s at 1024 bits
+and 3.9 s at 2048 bits (one cold process each, pinned to one CPU, Python
+3.11.7 on a 2-vCPU KVM guest); each doubling of the bits costs eight to ten
+times more.
 
 Series verdicts
 ---------------
@@ -190,21 +192,16 @@ def _bernoulli_even(m: int) -> tuple[Fraction, ...]:
 
 
 @Memo(CACHE_CAP).prefix
-def _em_coeffs(digits: int, m: int) -> tuple[tuple[int, int, Decimal], ...]:
-    """(num, den, num/den) of B_2j/(2j)! for j = 0..m: the exact pair in lowest
-    terms, and its quotient rounded once at digits + 10."""
-    out = []
+def _em_coeffs(digits: int, m: int) -> tuple[Decimal, ...]:
+    """B_2j/(2j)! for j = 0..m, each rounded once at digits + 10."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
-        for j, b in enumerate(_bernoulli_even(m)):
-            c = b / factorial(2 * j)
-            out.append((c.numerator, c.denominator, Decimal(c.numerator) / Decimal(c.denominator)))
-    return tuple(out)
+        return tuple(_dec(b / factorial(2 * j)) for j, b in enumerate(_bernoulli_even(m)))
 
 
 def _table_length(cut: int) -> int:
-    # the envelope of the Euler-Maclaurin loop closed by m = 1.4 * cut at
-    # 64..1024 bits, so this covers it; a run past it fetches the table again
+    # the Euler-Maclaurin loop reads terms up to m = 1.4 * cut at 64..2048
+    # bits, so this covers it; a run past it fetches the table again
     return 3 * cut // 2
 
 
@@ -264,49 +261,47 @@ def _em_parts(s: int, p: int, q: int, n_cut: int, cfg: EvalConfig) -> tuple[Deci
     """Euler-Maclaurin parts of sum_{j>=0} (a+j)^-s, integer s >= 1, a = p/q > 0.
 
     Returns head = sum_{j<N} (a+j)^-s, a+N, 1/(a+N) and the corrections
-    sum_m B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m), cut at the first m whose
-    envelope bound undercuts 10^-(digits-5).  If the terms bottom out
-    first, N doubles and the parts are built again.  Runs in the caller's
-    decimal context.
+    sum_{m<M} term_m, term_m = B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m), where
+    M >= 2 is the first index with |term_M| below 10^-(digits-5): by the
+    envelope property |term_M| bounds the remainder.  If the terms grow
+    again first (|term_m| >= |term_m-1|, m >= 3), N doubles and the parts
+    are built again.  Runs in the caller's decimal context.
+
+    Error budget of the stopping test.  One rounding at digits + 10 has
+    relative error below u = 10^-(digits+9).  term_m, the Decimal the loop
+    adds, inherits the 2 roundings of 1/(a+N) through its power s + 2m - 1,
+    3 from the first factor, 3 per later step and 2 from the table entry and
+    the product, so it is within (2s + 7m)u of its exact value, relative.
+    For s + m below 10^8 that is under 10^-digits, so |term_M| < limit =
+    10^-(digits-5) * (1 - 10^-digits), an exact comparison of Decimals,
+    proves the exact |term_M| below the target.  The growth test only
+    chooses N and needs no margin.
     """
-    target_inv = 10 ** (cfg.digits - 5)  # the target is 1 / target_inv
+    limit = Decimal(10**cfg.digits - 1).scaleb(5 - 2 * cfg.digits)
     q_pow = Decimal(q) ** s
     coeffs = _em_coeffs(cfg.digits, _table_length(_asymptotic_cut(cfg.digits)))
     while True:
         head = _head_sum(s, p, q, q_pow, n_cut)
-        edge = p + n_cut * q  # a + N = edge / q
-        edge_dec = Decimal(edge) / Decimal(q)
-        inv = 1 / edge_dec
+        edge = Decimal(p + n_cut * q) / Decimal(q)  # a + N
+        inv = 1 / edge
         inv2 = inv * inv
         corrections = Decimal(0)
         factor = inv**s * inv * s  # <s>_{2m-1} (a+N)^(1-s-2m)
-        rising = s  # <s>_{2m-1} as an integer, for the envelope test
-        # envelope bound |B_2m+2|/(2m+2)! <s>_{2m+1} (a+N)^-(s+2m+1), kept as
-        # an integer ratio: q^(s+2m+1) and edge^(s+2m+1) are running products
-        q_exp, edge_exp = q ** (s + 3), edge ** (s + 3)
-        q2, edge2 = q * q, edge * edge
-        m = 1
-        prev = None  # (numerator factors, denominator) of the previous bound
-        while True:
-            if m + 1 == len(coeffs):  # the envelope test needs B_2m+2
+        prev = None  # |term_m-1|
+        for m in range(1, cfg.max_terms + 1):
+            if m == len(coeffs):
                 coeffs = _em_coeffs(cfg.digits, 2 * m)
-            corrections += coeffs[m][2] * factor
-            # envelope bound: remainder <= first omitted term
-            step = (s + 2 * m - 1) * (s + 2 * m)
-            rising *= step
-            num, den, _ = coeffs[m + 1]
-            scale = abs(num) * rising
-            if scale * q_exp * target_inv < den * edge_exp:
-                return head, edge_dec, inv, corrections
-            if prev is not None and scale * q2 * prev[1] >= prev[0] * den * edge2:
+            term = coeffs[m] * factor
+            size = abs(term)
+            if m > 1 and size < limit:
+                return head, edge, inv, corrections
+            if m > 2 and size >= prev:
                 break  # divergent zone reached before target: enlarge N
-            prev = (scale, den)
-            factor *= step * inv2
-            q_exp *= q2
-            edge_exp *= edge2
-            m += 1
-            if m > cfg.max_terms:
-                raise ArithmeticError("Euler-Maclaurin failed to converge")
+            corrections += term
+            prev = size
+            factor *= (s + 2 * m - 1) * (s + 2 * m) * inv2
+        else:
+            raise ArithmeticError("Euler-Maclaurin failed to converge")
         n_cut = max(1, 2 * n_cut)  # N = 0 (digamma at a >= cut) must grow too
         if n_cut > cfg.max_terms:
             raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")

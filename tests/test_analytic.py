@@ -415,7 +415,7 @@ def _fraction_digamma_reference(a, cfg):
         return +total
 
 
-@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
 def test_integer_envelopes_match_fraction_reference(bits):
     cfg = A.EvalConfig(bits)
     for a in ROUTE_A + (F(2, 7), F(40, 3)):
@@ -464,10 +464,9 @@ def test_em_coefficient_table_entries():
         assert len(table) == 61
         with localcontext() as ctx:
             ctx.prec = digits + 10
-            for j, (num, den, dec) in enumerate(table):
+            for j, dec in enumerate(table):
                 want = bernoulli_number(2 * j) / factorial(2 * j)
-                assert (num, den) == (want.numerator, want.denominator)
-                assert dec == Decimal(num) / Decimal(den)  # rounded once
+                assert dec == Decimal(want.numerator) / Decimal(want.denominator)  # rounded once
 
 
 def test_tables_grow_when_a_loop_outruns_them(monkeypatch):

@@ -257,6 +257,45 @@ def test_numeric_closed_side_perturbation_fails(monkeypatch, rid, bits):
     assert rpt.status == "fail", rpt.to_dict()
 
 
+# Ids no table above covers: a name only one side reads, rebound by one
+# wrapper, and kept out of NEGATIVE_CONTROLS as NUMERIC_CONTROLS are.  EQ17
+# and EQ18 get a unit on S(n, n), one term of their finite Stirling sum.
+SIDE_CONTROLS = {
+    "EQ17": (analytic, "cached_table", lambda old: _bump_cell(old, 2, 2),
+             lambda: [analytic.eval_eq17_18(2, TRIPLE, EvalConfig(bits), eq=17)
+                      for bits in (64, 256)]),
+    "EQ18": (analytic, "cached_table", lambda old: _bump_cell(old, 3, 3),
+             lambda: [analytic.eval_eq17_18(3, TRIPLE, EvalConfig(bits), eq=18)
+                      for bits in (64, 256)]),
+    "EQ36": (I, "rising_factorial", lambda old: _plus(old, 1),
+             lambda: I.run("EQ36", seed=1, samples=4, profile="quick")),
+    "SPIVEY": (families, "gen_factorial", lambda old: _plus(old, 1),
+               lambda: I.run("SPIVEY", seed=1, samples=4, profile="quick")),
+}
+
+
+@pytest.mark.parametrize("rid", sorted(SIDE_CONTROLS))
+def test_side_perturbation_fails(monkeypatch, rid):
+    module, attr, wrap, check = SIDE_CONTROLS[rid]
+    assert all(rpt.status == "pass" for rpt in check())
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    reports = check()
+    assert reports
+    for rpt in reports:
+        assert rpt.id == rid
+        assert rpt.status == "fail", rpt.to_dict()
+
+
+def test_every_registered_id_has_a_control():
+    controlled = (
+        {"EQ14" if name.startswith("EQ14_") else name for name in NEGATIVE_CONTROLS}
+        | set(GEOMETRIC_IDS) | set(NUMERIC_CONTROLS) | set(SIDE_CONTROLS)
+        | {"GF_VS_TABLE"}  # the corrupt_table tests of test_identities.py
+        | {record.id for record in I.REGISTRY if record.expected_fail}
+    )
+    assert set(I.IDENTITY_IDS) - controlled == set()
+
+
 # ---------------------------------------------------------------------------
 # Failure-witness gate
 # ---------------------------------------------------------------------------
