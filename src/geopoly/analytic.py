@@ -35,7 +35,7 @@ remainder after the m-th correction is bounded by the first omitted term
 (classical envelope property).  That bound is the Decimal term the loop
 computes anyway, and the expansion is cut once it falls below the target
 10^-(digits-5) less one part in 10^digits, a margin that covers its
-rounding error (the budget is in `_em_parts`); if the terms bottom out
+rounding error (the budget is in `_em_corrections`); if the terms bottom out
 first, N is doubled and the evaluation restarts.  Both routes write every
 head term as q^s / (p + jq)^s, so no Fraction arithmetic runs inside the
 loops.
@@ -43,8 +43,9 @@ loops.
 digamma is the same expansion at s = 1, since psi(a) = -lim_{s->1}
 (zeta(s, a) - 1/(s-1)): the term (a+N)^(1-s)/(s-1) gives way to -ln(a+N),
 B_2m/(2m)! <1>_{2m-1} = B_2m/(2m), and N lifts a + N to the cut.  One
-loop, `_em_parts`, builds the head and the corrections for both.  The
-Euler constant is -digamma(1), pi comes from a Machin arctangent pair
+loop, `_em_corrections`, sums the corrections for both, and `_em_parts`
+adds the head and the doubling of N.  The Euler constant is
+-digamma(1), pi comes from a Machin arctangent pair
 (alternating series, tail bounded by the first omitted term), and log 2
 from the correctly rounded stdlib ln.
 
@@ -55,29 +56,41 @@ arXiv:1108.0286); `families.bernoulli_numbers`, the t/(e^t - 1) series,
 stays the exact-layer oracle and is the test oracle of this table.  It
 reads B_2m/(2m)! from one table per working precision, each entry rounded
 once at digits + 10, and carries <s>_{2m-1} (a+N)^(1-s-2m) as one running
-Decimal product, so no big integer meets a Decimal inside it.  It fetches
+Decimal, moved to the next m by an integer product and an integer
+division (a + N = num/den), so each step multiplies two full-precision
+Decimals only once, for the term itself.  It fetches
 its table once and fetches it again, twice as long, only if it runs past
 the end.  The zeta values, the constants and both tables are each cached
 in a `memo.Memo` of CACHE_CAP keys.
 
+The series sides (Theorem 5 and the Eq. (30) family) read zeta(2..K) from
+`_zeta_batch`, one run over s per configuration that returns the Decimals
+hurwitz_zeta(s, 1) returns, by the same routes at a fraction of the cost;
+the closed sides keep hurwitz_zeta, zeta_int and digamma.
+
 Precision budget: EvalConfig refuses precision_bits above MAX_BITS = 4096,
 the top of the range the numeric layer is measured at.  There
-eval_theorem5((1/2, 2, 1), 3, 1/2) took 39 s, against 0.48 s at 1024 bits
-and 3.9 s at 2048 bits (one cold process each, pinned to one CPU, Python
-3.11.7 on a 2-vCPU KVM guest); each doubling of the bits costs eight to ten
+eval_theorem5((1/2, 2, 1), 3, 1/2) took 9.3 s, against 0.13 s at 1024 bits
+and 0.92 s at 2048 bits (one cold process each, pinned to one CPU, Python
+3.11.7 on a 2-vCPU KVM guest); each doubling of the bits costs seven to ten
 times more.
 
 Series verdicts
 ---------------
-Each eval_* routine hands its infinite side to `_sum_to_tolerance` as a
-term generator plus a rational majorant M(j) (zeta(2) <= 2 and
-(2*pi)^2 <= 40 style bounds).  The contract: M(j) bounds |term j|, and
-M(j+1)/M(j) does not increase with j.  After term k the tail is then at
-most M(k+1)/(1 - ratio), ratio = M(k+2)/M(k+1) < 1, and the sum stops once
-that bound is below tolerance/4 or M(k+1) = 0, tested in exact rationals.
-A term index past max_terms is an ArithmeticError.  The routine then
-assembles the closed-form side and reports |LHS - RHS| against the
-threshold.  No "looks converged" cutoffs anywhere.
+Each eval_* routine hands its infinite side to `_sum_to_tolerance` as
+terms plus a rational majorant M(j) (zeta(2) <= 2 and (2*pi)^2 <= 40 style
+bounds).  The contract: M(j) bounds |term j|, and M(j+1)/M(j) does not
+increase with j.  After term k the tail is then at most M(k+1)/(1 - ratio),
+ratio = M(k+2)/M(k+1) < 1, and the sum may stop once that bound is below
+tolerance/4 or M(k+1) = 0, tested in exact rationals.  Under the contract
+that bound does not grow with k once ratio < 1, so the rule holds at every
+k after the first one: `_stop_index` finds that first k from the majorant
+alone, by galloping and bisecting, and only then are terms start..k built
+and summed in order (a caller may take k to size its zeta batch).  Without
+such a k up to max_terms, the terms through max_terms are built and an
+ArithmeticError raised.  The routine then assembles the closed-form side
+and reports |LHS - RHS| against the threshold.  No "looks converged"
+cutoffs anywhere.
 """
 
 from __future__ import annotations
@@ -87,7 +100,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import ceil, factorial
 
 from .exact import RationalLike, as_rational, gen_factorial
@@ -150,8 +163,8 @@ def to_decimal(x: RationalLike, cfg: EvalConfig) -> Decimal:
         return _dec(x)
 
 
-# Keyed by (s, a, digits) and (name, digits).  eval_theorem5 at 2048 bits
-# touches about 2100 zeta keys, under the CACHE_CAP of each Memo.
+# Keyed by (s, a, digits) and (name, digits).  The closed sides touch a few
+# zeta keys per verdict; the series sides read _zeta_batch instead.
 _ZETA_CACHE = Memo(CACHE_CAP)
 _CONST_CACHE = Memo(CACHE_CAP)
 
@@ -257,51 +270,64 @@ def _zeta_direct(s: int, a: Fraction, cfg: EvalConfig) -> Decimal | None:
         return +total
 
 
+def _em_corrections(s: int, power: Decimal, num: int, den: int, cfg: EvalConfig) -> Decimal | None:
+    """The Euler-Maclaurin corrections at a + N = num/den, power = (a+N)^-s.
+
+    Returns sum_{m<M} term_m, term_m = B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m),
+    where M >= 2 is the first index with |term_M| below 10^-(digits-5): by
+    the envelope property |term_M| bounds the remainder.  Returns None if
+    the terms grow again first (|term_m| >= |term_m-1|, m >= 3): N must
+    grow.  Runs in the caller's decimal context.  The running factor moves
+    from m to m + 1 by an integer product and an integer division, linear
+    in the digits, so each step multiplies two full-precision Decimals
+    once, for term_m.
+
+    Error budget of the stopping test.  One rounding at digits + 10 has
+    relative error below u = 10^-(digits+9).  power, inv**s or the batch's
+    running quotient, is within (2s + 1)u of (a+N)^-s; the first factor
+    adds 2u, each later step 2u and the table entry and the product 2u, so
+    term_m, the Decimal the loop adds, is within (2s + 2m + 3)u of its
+    exact value, relative.  For s + m below 10^8 that is under
+    10^-digits, so |term_M| < limit = 10^-(digits-5) * (1 - 10^-digits), an
+    exact comparison of Decimals, proves the exact |term_M| below the
+    target.  The growth test only chooses N and needs no margin.
+    """
+    limit = Decimal(10**cfg.digits - 1).scaleb(5 - 2 * cfg.digits)
+    coeffs = _em_coeffs(cfg.digits, _table_length(_asymptotic_cut(cfg.digits)))
+    num2, den2 = num * num, den * den
+    corrections = Decimal(0)
+    factor = power * (s * den) / num  # <s>_{2m-1} (a+N)^(1-s-2m)
+    prev = None  # |term_m-1|
+    for m in range(1, cfg.max_terms + 1):
+        if m == len(coeffs):
+            coeffs = _em_coeffs(cfg.digits, 2 * m)
+        term = coeffs[m] * factor
+        size = abs(term)
+        if m > 1 and size < limit:
+            return corrections
+        if m > 2 and size >= prev:
+            return None  # divergent zone reached before target
+        corrections += term
+        prev = size
+        factor = factor * ((s + 2 * m - 1) * (s + 2 * m) * den2) / num2
+    raise ArithmeticError("Euler-Maclaurin failed to converge")
+
+
 def _em_parts(s: int, p: int, q: int, n_cut: int, cfg: EvalConfig) -> tuple[Decimal, ...]:
     """Euler-Maclaurin parts of sum_{j>=0} (a+j)^-s, integer s >= 1, a = p/q > 0.
 
-    Returns head = sum_{j<N} (a+j)^-s, a+N, 1/(a+N) and the corrections
-    sum_{m<M} term_m, term_m = B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m), where
-    M >= 2 is the first index with |term_M| below 10^-(digits-5): by the
-    envelope property |term_M| bounds the remainder.  If the terms grow
-    again first (|term_m| >= |term_m-1|, m >= 3), N doubles and the parts
-    are built again.  Runs in the caller's decimal context.
-
-    Error budget of the stopping test.  One rounding at digits + 10 has
-    relative error below u = 10^-(digits+9).  term_m, the Decimal the loop
-    adds, inherits the 2 roundings of 1/(a+N) through its power s + 2m - 1,
-    3 from the first factor, 3 per later step and 2 from the table entry and
-    the product, so it is within (2s + 7m)u of its exact value, relative.
-    For s + m below 10^8 that is under 10^-digits, so |term_M| < limit =
-    10^-(digits-5) * (1 - 10^-digits), an exact comparison of Decimals,
-    proves the exact |term_M| below the target.  The growth test only
-    chooses N and needs no margin.
+    Returns head = sum_{j<N} (a+j)^-s, a+N, 1/(a+N) and `_em_corrections`
+    at a + N; when those bottom out before the target, N doubles and the
+    parts are built again.  Runs in the caller's decimal context.
     """
-    limit = Decimal(10**cfg.digits - 1).scaleb(5 - 2 * cfg.digits)
     q_pow = Decimal(q) ** s
-    coeffs = _em_coeffs(cfg.digits, _table_length(_asymptotic_cut(cfg.digits)))
     while True:
         head = _head_sum(s, p, q, q_pow, n_cut)
         edge = Decimal(p + n_cut * q) / Decimal(q)  # a + N
         inv = 1 / edge
-        inv2 = inv * inv
-        corrections = Decimal(0)
-        factor = inv**s * inv * s  # <s>_{2m-1} (a+N)^(1-s-2m)
-        prev = None  # |term_m-1|
-        for m in range(1, cfg.max_terms + 1):
-            if m == len(coeffs):
-                coeffs = _em_coeffs(cfg.digits, 2 * m)
-            term = coeffs[m] * factor
-            size = abs(term)
-            if m > 1 and size < limit:
-                return head, edge, inv, corrections
-            if m > 2 and size >= prev:
-                break  # divergent zone reached before target: enlarge N
-            corrections += term
-            prev = size
-            factor *= (s + 2 * m - 1) * (s + 2 * m) * inv2
-        else:
-            raise ArithmeticError("Euler-Maclaurin failed to converge")
+        corrections = _em_corrections(s, inv**s, p + n_cut * q, q, cfg)
+        if corrections is not None:
+            return head, edge, inv, corrections
         n_cut = max(1, 2 * n_cut)  # N = 0 (digamma at a >= cut) must grow too
         if n_cut > cfg.max_terms:
             raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")
@@ -338,6 +364,60 @@ def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
 def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
     """Riemann zeta at integer s >= 2."""
     return hurwitz_zeta(s, Fraction(1), cfg)
+
+
+@Memo(CACHE_CAP).prefix
+def _zeta_batch(cfg: EvalConfig, n: int) -> tuple[Decimal | None, ...]:
+    """(None, None, zeta(2), ..., zeta(n)): hurwitz_zeta(s, 1, cfg) for s <= n
+    from one run over s, for the series sides alone.
+
+    Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
+    digits, and within s roundings of its exact value, inside the budget
+    of `_em_corrections`.  At a = 1 the direct route's threshold is a
+    quarter ulp of the first term, 1, for every s, and its tail bound falls
+    as s grows, so the direct cut J(s) only walks down from the
+    Euler-Maclaurin cut N, each step proven by `_tail_below`.  Until the
+    direct route applies, the Euler-Maclaurin total is assembled from the
+    running head and (1+N)^-s; should its corrections bottom out,
+    `_zeta_em` doubles N as `hurwitz_zeta` would.
+    """
+    n_cut = _asymptotic_cut(cfg.digits)
+    thr_den = 4 * 10 ** (cfg.digits + 9)  # 1/thr_den: a quarter ulp of 1
+    out: list[Decimal | None] = [None, None]
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        final = ctx.copy()
+        final.prec = cfg.digits
+        bases = [Decimal(1 + j) for j in range(n_cut + 1)]
+        powers = [1 / base for base in bases]  # (1+j)^-s for j <= the cut, one s behind
+        cut = None  # the direct cut J(s), once the direct route applies
+        for s in range(2, n + 1):
+            if cut is None and _tail_below(s, 1, 1, n_cut, 1, thr_den):
+                cut = n_cut
+            while cut is not None and cut > 1 and _tail_below(s, 1, 1, cut - 1, 1, thr_den):
+                cut -= 1
+            powers = [x / y for x, y in zip(powers[: (n_cut if cut is None else cut) + 1], bases)]
+            head = Decimal(0)  # summed in the order of _head_sum
+            for x in powers if cut is not None else powers[:n_cut]:
+                head += x
+            if cut is not None:
+                out.append(final.plus(head))
+                continue
+            power = powers[n_cut]
+            corrections = _em_corrections(s, power, 1 + n_cut, 1, cfg)
+            if corrections is None:
+                out.append(_zeta_em(s, Fraction(1), cfg))
+                continue
+            # the total of _zeta_em, term for term
+            total = head + bases[n_cut] * power / (s - 1) + power / 2 + corrections
+            out.append(final.plus(total))
+    return tuple(out)
+
+
+def _series_zetas(s_max: int, cfg: EvalConfig) -> tuple[Decimal | None, ...]:
+    """`_zeta_batch` through s_max, from a run padded to a power of two, so
+    that a series a few terms longer at the same precision reuses it."""
+    return _zeta_batch(cfg, 1 << (max(s_max, 2) - 1).bit_length())[: s_max + 1]
 
 
 def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
@@ -426,32 +506,58 @@ def _report(rid: str, params: dict, lhs: Decimal, rhs: Decimal, cfg: EvalConfig)
     )
 
 
+def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig) -> int | None:
+    """The first k in start..max_terms after which the tail bound holds, or None.
+
+    The stopping rule is in "Series verdicts" above.  Under the majorant
+    contract it holds at every k after the first, so the first is found
+    by galloping to an index where it holds and bisecting back: O(log k)
+    majorant evaluations.
+    """
+    quarter_tol = cfg.tolerance / 4
+
+    def stops(k: int) -> bool:
+        bound = majorant(k + 1)
+        if not bound:
+            return True
+        ratio = majorant(k + 2) / bound
+        return ratio < 1 and bound / (1 - ratio) < quarter_tol
+
+    if start > cfg.max_terms:
+        return None
+    lo = hi = start  # the rule fails at every index below lo
+    while not stops(hi):
+        if hi == cfg.max_terms:
+            return None
+        lo, hi = hi + 1, min(cfg.max_terms, 2 * hi - start + 1)
+    return lo + bisect_left(range(lo, hi), True, key=stops)
+
+
 def _sum_to_tolerance(
-    terms: Iterable[Decimal | None],
+    terms: Iterable[Decimal | None] | Callable[[int], Iterable[Decimal | None]],
     majorant: Callable[[int], Fraction],
     start: int,
     cfg: EvalConfig,
 ) -> Decimal:
-    """Sum terms k = start, start+1, ... in the caller's decimal context.
+    """Sum terms k = start, ..., `_stop_index` in the caller's decimal context.
 
-    The stopping rule and the majorant contract are in "Series verdicts"
-    above.  A None term is an exact zero and is skipped, so it cannot move
-    the exponent of the total.  No term past index max_terms is built.
+    ``terms`` yields the terms from index start on, or is a function that
+    takes the last index to be summed and returns them, so that a caller
+    can size a batch to it.  A None term is an exact zero and is skipped,
+    so it cannot move the exponent of the total.  Without a stop index the
+    terms up to index max_terms are built and an ArithmeticError raised;
+    no term past max_terms is built.
     """
-    quarter_tol = cfg.tolerance / 4
+    last = _stop_index(majorant, start, cfg)
+    end = cfg.max_terms if last is None else last
+    built = list(islice(terms(end) if callable(terms) else terms, max(0, end - start + 1)))
+    if last is None or len(built) <= end - start:
+        raise ArithmeticError("tail bound not reached within max_terms")
     total = Decimal(0)
-    bound = majorant(start + 1)  # M(k+1), carried forward as M(k+2) is found
-    for k, term in zip(range(start, cfg.max_terms + 1), terms):
+    for term in built:
         if term is not None:
             total += term
-        if not bound:
-            return total
-        after = majorant(k + 2)
-        ratio = after / bound
-        if ratio < 1 and bound / (1 - ratio) < quarter_tol:
-            return total
-        bound = after
-    raise ArithmeticError("tail bound not reached within max_terms")
+    return total
 
 
 def _poly_bound_base(params: HsuShiueParams, n: int) -> tuple[Fraction, Fraction]:
@@ -477,19 +583,20 @@ def eval_theorem5(
     a, b = _poly_bound_base(params, n)
     ax = abs(x)
 
-    def terms():
+    def terms(last):
+        zetas = _series_zetas(last + 1, cfg)
         xpow = Fraction(1)
         for k in count(1):
             xpow *= x
             coeff = gen_factorial(params.r + k * params.beta, params.alpha, n) * xpow
             # (zeta * num) / den: zeta * (num / den) rounds differently
-            yield (zeta_int(k + 1, cfg) * Decimal(coeff.numerator) / Decimal(coeff.denominator)
+            yield (zetas[k + 1] * Decimal(coeff.numerator) / Decimal(coeff.denominator)
                    if coeff else None)
 
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
         # zeta(k+1) <= 2
-        lhs = _sum_to_tolerance(terms(), lambda j: 2 * (a + b * j) ** n * ax**j, 1, cfg)
+        lhs = _sum_to_tolerance(terms, lambda j: 2 * (a + b * j) ** n * ax**j, 1, cfg)
         rhs = Decimal(0)
         head = gen_factorial(params.r, params.alpha, n)
         if head:
@@ -514,15 +621,16 @@ def eval_eq30_family(n: int, cfg: EvalConfig | None = None) -> CheckReport:
     """sum_{k>=2} zeta(k) k^n / 2^k vs its log2 + weighted-zeta closed form."""
     cfg = cfg or EvalConfig()
 
-    def terms():
+    def terms(last):
+        zetas = _series_zetas(last, cfg)
         for k in count(2):
             coeff = Fraction(k**n, 2**k)
             # (zeta * num) / den, in lowest terms, as in eval_theorem5
-            yield zeta_int(k, cfg) * Decimal(coeff.numerator) / Decimal(coeff.denominator)
+            yield zetas[k] * Decimal(coeff.numerator) / Decimal(coeff.denominator)
 
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        lhs = _sum_to_tolerance(terms(), lambda j: Fraction(2 * j**n, 2**j), 2, cfg)
+        lhs = _sum_to_tolerance(terms, lambda j: Fraction(2 * j**n, 2**j), 2, cfg)
         rhs = log2(cfg)
         table = cached_table(HsuShiueParams(0, 1, 0), n + 1)
         for k in range(1, n + 1):

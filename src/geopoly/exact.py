@@ -3,16 +3,17 @@
 ``Rational`` is :class:`fractions.Fraction`: values are always stored in
 lowest terms with a positive denominator, arithmetic is exact, and division
 by zero raises.  Everything else in the package is built on the four
-product primitives below, which are computed by iterated exact products so
-they are total for arbitrary rational arguments (including non-positive
-ones where gamma-ratio shortcuts would break down).
+product primitives below, which are computed by iterated exact products
+(gen_factorial on integer numerators over one denominator) so they are
+total for arbitrary rational arguments (including non-positive ones where
+gamma-ratio shortcuts would break down).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 Rational = Fraction
 
@@ -50,10 +51,15 @@ def gen_factorial(z: RationalLike, alpha: RationalLike, n: int) -> Fraction:
         raise ValueError(f"n must be >= 0, got {n}")
     z = as_rational(z)
     alpha = as_rational(alpha)
-    out = Fraction(1)
+    # z = top/den and alpha = step/den over one denominator: an integer
+    # product and one Fraction, not a reduced Fraction per factor
+    den = lcm(z.denominator, alpha.denominator)
+    top = z.numerator * (den // z.denominator)
+    step = alpha.numerator * (den // alpha.denominator)
+    out = 1
     for j in range(n):
-        out *= z - j * alpha
-    return out
+        out *= top - j * step
+    return Fraction(out, den**n)
 
 
 def rising_factorial(x: RationalLike, n: int) -> Fraction:

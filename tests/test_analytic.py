@@ -552,3 +552,71 @@ def test_zeta_against_borwein_oracle(bits):
         for s in range(2, 61):
             diff = abs(A.zeta_int(s, cfg) - _borwein_zeta(s, d, cfg.digits + 10))
             assert diff < bound, (s, diff)
+
+
+# ---------------------------------------------------------------------------
+# The series sides' batch zeta(2..K)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
+def test_zeta_batch_equals_hurwitz_zeta(bits):
+    # past the end of the Euler-Maclaurin range and down to the direct cut J = 1
+    cfg = A.EvalConfig(bits)
+    k = bits + 100
+    batch = A._zeta_batch(cfg, k)
+    assert batch[:2] == (None, None) and len(batch) == k + 1
+    for s in range(2, k + 1):
+        assert batch[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
+
+
+def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
+    # a cut of 2 makes the corrections bottom out at small s: those values
+    # come from _zeta_em, which doubles N, and still match hurwitz_zeta
+    monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: 2)
+    monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
+    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+    calls = []
+    zeta_em = A._zeta_em
+    monkeypatch.setattr(A, "_zeta_em", lambda s, a, cfg: calls.append(s) or zeta_em(s, a, cfg))
+    cfg = A.EvalConfig(128)
+    batch = A._zeta_batch(cfg, 40)
+    assert calls  # the fallback ran
+    for s in range(2, 41):
+        assert batch[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
+
+
+def test_series_zetas_pad_to_a_power_of_two(monkeypatch):
+    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+    cfg = A.EvalConfig(64)
+    for s_max in (40, 64, 65):
+        assert len(A._series_zetas(s_max, cfg)) == s_max + 1
+    assert A._zeta_batch.cache_info().misses == 2  # 40 and 64 share one run
+    assert len(A._zeta_batch(cfg, 128)) == 129
+    assert A._zeta_batch.cache_info().misses == 2  # and 65 made it 128 long
+
+
+@pytest.mark.parametrize("bits", [512, 640])
+def test_series_sides_build_one_batch_per_precision(monkeypatch, bits):
+    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+    cfg = A.EvalConfig(bits)
+    params = HsuShiueParams(F(1, 2), F(5, 2), F(-3, 4))
+    for x in (F(1, 2), F(-1, 2)):
+        assert A.eval_theorem5(params, 3, x, cfg).status == "pass"
+    for n in (3, 4):
+        assert A.eval_eq30_family(n, cfg).status == "pass"
+    assert A._zeta_batch.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_zeta_batch_against_borwein_oracle(bits):
+    cfg = A.EvalConfig(bits)
+    n = ceil((cfg.digits + 1 + log10(6)) / log10(3 + sqrt(8)))  # as above
+    d = _borwein_d(n)
+    batch = A._zeta_batch(cfg, 200)
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        bound = 2 * Decimal(10) ** -(cfg.digits - 5)
+        for s in range(2, 201):
+            diff = abs(batch[s] - _borwein_zeta(s, d, cfg.digits + 10))
+            assert diff < bound, (s, diff)

@@ -62,6 +62,35 @@ def test_gen_factorial_recurrence(z, alpha, n):
     )
 
 
+def _iterated_product(z, alpha, n):
+    # (z|alpha)_n one reduced Fraction factor at a time, as a reference
+    out = F(1)
+    for j in range(n):
+        out *= z - j * alpha
+    return out
+
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@given(z=wide_rationals, alpha=wide_rationals, n=st.integers(0, 30), zero_at=st.integers(0, 29))
+def test_gen_factorial_matches_iterated_product(z, alpha, n, zero_at):
+    value = gen_factorial(z, alpha, n)
+    assert type(value) is F and value == _iterated_product(z, alpha, n)
+    assert gen_factorial(z, 0, n) == _iterated_product(z, F(0), n) == z**n
+    # z = zero_at * alpha puts a zero factor at j = zero_at
+    hit = zero_at * alpha
+    assert gen_factorial(hit, alpha, n) == _iterated_product(hit, alpha, n)
+    if zero_at < n:
+        assert gen_factorial(hit, alpha, n) == 0
+
+
+@given(z=wide_rationals, alpha=wide_rationals, n=st.integers(-30, -1))
+def test_gen_factorial_negative_n_still_raises(z, alpha, n):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        gen_factorial(z, alpha, n)
+
+
 @given(x=rationals, n=st.integers(0, 20))
 def test_rising_reflection(x, n):
     assert rising_factorial(-x, n) == (-1) ** n * falling_factorial(x, n)

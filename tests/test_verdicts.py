@@ -8,8 +8,11 @@ pins the bytes of the failure witnesses those paths write.
 import hashlib
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from itertools import count
+from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geopoly import analytic, families, mellin, stirling
 from geopoly import identities as I
@@ -126,6 +129,73 @@ def test_sum_to_tolerance_none_terms_keep_the_exponent():
         padded = analytic._sum_to_tolerance(iter(half + [Decimal("0E-40")] * 5), stop, 0, cfg)
     assert skipped.as_tuple() == plain.as_tuple() == Decimal("0.5").as_tuple()
     assert padded.as_tuple() != skipped.as_tuple()  # an added zero can move it
+
+
+def _linear_stop(majorant, start, cfg):
+    # the stopping rule tested at every index in turn, as a reference
+    quarter_tol = cfg.tolerance / 4
+    for k in range(start, cfg.max_terms + 1):
+        bound = majorant(k + 1)
+        if not bound:
+            return k
+        ratio = majorant(k + 2) / bound
+        if ratio < 1 and bound / (1 - ratio) < quarter_tol:
+            return k
+    return None
+
+
+def _majorant(kind, a, b, n, x):
+    if kind == "geometric":  # (a + b j)^n x^j, as eval_theorem5 and eval_eq30_family
+        return lambda j: (a + b * j) ** n * x**j
+    return lambda j: (a + b * j) ** n * x**j / factorial(j)  # as eval_dobinski_numeric
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["geometric", "factorial"]),
+    a=st.fractions(0, 4, max_denominator=4),
+    b=st.fractions(0, 3, max_denominator=4),
+    n=st.integers(0, 5),
+    x=st.fractions(F(1, 16), F(15, 16), max_denominator=16),
+    start=st.integers(0, 3),
+    bits=st.sampled_from([64, 128]),
+    max_terms=st.integers(0, 300),
+)
+@example(kind="geometric", a=F(2), b=F(1), n=3, x=F(1, 2), start=1, bits=128, max_terms=40)
+@example(kind="geometric", a=F(2), b=F(1), n=3, x=F(1, 2), start=1, bits=128, max_terms=300)
+@example(kind="factorial", a=F(1), b=F(3), n=4, x=F(15, 16), start=0, bits=64, max_terms=10)
+@example(kind="factorial", a=F(1), b=F(3), n=4, x=F(15, 16), start=0, bits=64, max_terms=300)
+def test_stop_index_is_the_first_stop_of_a_linear_scan(kind, a, b, n, x, start, bits, max_terms):
+    majorant = _majorant(kind, a, b, n, x)
+    cfg = EvalConfig(bits, max_terms=max_terms)
+    last = analytic._stop_index(majorant, start, cfg)
+    assert last == _linear_stop(majorant, start, cfg)
+    log = []
+    terms = (Decimal(k) for k in count(start))
+    if last is None:  # every term through max_terms is built, then the error
+        with pytest.raises(ArithmeticError, match="tail bound not reached"):
+            analytic._sum_to_tolerance(_counted(terms, log), majorant, start, cfg)
+        assert log == [Decimal(k) for k in range(start, max_terms + 1)]
+    else:
+        total = analytic._sum_to_tolerance(_counted(terms, log), majorant, start, cfg)
+        assert log == [Decimal(k) for k in range(start, last + 1)]
+        assert total == sum(log, Decimal(0))
+
+
+def test_sum_to_tolerance_hands_the_stop_index_to_a_term_function():
+    cfg = EvalConfig(64)
+    asked = []
+
+    def terms(last):
+        asked.append(last)
+        return (Decimal(1) / Decimal(2) ** k for k in count(0))
+
+    majorant = lambda j: F(1, 2**j)  # noqa: E731
+    with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        total = analytic._sum_to_tolerance(terms, majorant, 0, cfg)
+        assert total == sum(Decimal(1) / Decimal(2) ** k for k in range(35 + 1))
+    assert asked == [35] == [analytic._stop_index(majorant, 0, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +354,60 @@ def test_side_perturbation_fails(monkeypatch, rid):
     for rpt in reports:
         assert rpt.id == rid
         assert rpt.status == "fail", rpt.to_dict()
+
+
+# The series sides of EQ26 and EQ30 read zeta(k) from analytic._zeta_batch
+# alone: one entry moved by 2^(40 - bits) must fail both checks.  Kept out
+# of NEGATIVE_CONTROLS as NUMERIC_CONTROLS are.
+BATCH_CONTROLS = {
+    "EQ26": lambda cfg: analytic.eval_theorem5(HsuShiueParams(F(1, 2), 2, 3), 2, F(1, 2), cfg),
+    "EQ30_FAMILY": lambda cfg: analytic.eval_eq30_family(2, cfg),
+}
+
+
+def _bump_batch(old, s0, delta):
+    def batch(cfg, n):
+        zetas = old(cfg, n)
+        return zetas[:s0] + (zetas[s0] + delta,) + zetas[s0 + 1:]
+
+    return batch
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("rid", sorted(BATCH_CONTROLS))
+def test_series_batch_perturbation_fails(monkeypatch, rid, bits):
+    check = BATCH_CONTROLS[rid]
+    cfg = EvalConfig(bits)
+    assert check(cfg).status == "pass"
+    delta = analytic._dec(F(1, 2 ** (bits - 40)))
+    monkeypatch.setattr(analytic, "_zeta_batch", _bump_batch(analytic._zeta_batch, 2, delta))
+    rpt = check(cfg)
+    assert rpt.id == rid
+    assert rpt.status == "fail", rpt.to_dict()
+
+
+def _hurwitz_calls(monkeypatch):
+    calls = []
+    hurwitz_zeta = analytic.hurwitz_zeta
+    monkeypatch.setattr(analytic, "hurwitz_zeta",
+                        lambda s, a, cfg: calls.append((s, a)) or hurwitz_zeta(s, a, cfg))
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_eq30_series_side_calls_no_hurwitz_zeta(monkeypatch, n):
+    calls = _hurwitz_calls(monkeypatch)
+    assert analytic.eval_eq30_family(n, EvalConfig(128)).status == "pass"
+    assert {a for _, a in calls} <= {1}
+    assert {s for s, _ in calls} == set(range(2, n + 2))  # the closed side's zeta(k + 1)
+
+
+@pytest.mark.parametrize("x", [F(1, 2), F(-1, 3)])
+def test_theorem5_series_side_calls_no_hurwitz_zeta(monkeypatch, x):
+    calls = _hurwitz_calls(monkeypatch)
+    params = HsuShiueParams(F(1, 2), 2, 3)
+    assert analytic.eval_theorem5(params, 3, x, EvalConfig(128)).status == "pass"
+    assert calls and {a for _, a in calls} == {1 - x}
 
 
 def test_every_registered_id_has_a_control():
