@@ -11,21 +11,8 @@ only the final divisions round.
 Special functions
 -----------------
 zeta(s) and the Hurwitz zeta(s, a) (integer s >= 2, rational a = p/q > 0)
-are computed to an absolute error below 10^-(digits-5) by one of two
-routes, chosen only from s, a and the precision.
-
-Direct route (large s).  The tail of the sum is bounded by its first term
-plus the integral of the decreasing (a+x)^-s:
-
-    sum_{j>=J} (a+j)^-s <= (a+J)^-s * (1 + (a+J)/(s-1)).
-
-If some J <= N (the Euler-Maclaurin cut below) brings this bound under both
-the target and a quarter ulp of the first term at the working precision
-(tested exactly in integers), the result is the plain sum of the terms
-j <= J.  Every omitted term is then below half an ulp of the running total,
-so the Euler-Maclaurin route would return the same Decimal.
-
-Euler-Maclaurin route (all other s):
+are computed to an absolute error below 10^-(digits-5) by one route,
+Euler-Maclaurin:
 
     sum_{j<N} (a+j)^-s + (a+N)^(1-s)/(s-1) + (a+N)^-s/2
         + sum_m B_2m/(2m)! <s>_{2m-1} (a+N)^(-s-2m+1)
@@ -36,9 +23,9 @@ remainder after the m-th correction is bounded by the first omitted term
 computes anyway, and the expansion is cut once it falls below the target
 10^-(digits-5) less one part in 10^digits, a margin that covers its
 rounding error (the budget is in `_em_corrections`); if the terms bottom out
-first, N is doubled and the evaluation restarts.  Both routes write every
-head term as q^s / (p + jq)^s, so no Fraction arithmetic runs inside the
-loops.
+first, N is doubled and the evaluation restarts.  Every head term is
+written as q^s / (p + jq)^s, so no Fraction arithmetic runs inside the
+loop.
 
 digamma is the same expansion at s = 1, since psi(a) = -lim_{s->1}
 (zeta(s, a) - 1/(s-1)): the term (a+N)^(1-s)/(s-1) gives way to -ln(a+N),
@@ -65,8 +52,18 @@ in a `memo.Memo` of CACHE_CAP keys.
 
 The series sides (Theorem 5 and the Eq. (30) family) read zeta(2..K) from
 `_zeta_batch`, one run over s per configuration that returns the Decimals
-hurwitz_zeta(s, 1) returns, by the same routes at a fraction of the cost;
-the closed sides keep hurwitz_zeta, zeta_int and digamma.
+zeta_int returns, at a fraction of the cost; the closed sides keep
+hurwitz_zeta, zeta_int and digamma.  Once s is large the batch sums
+directly.  The tail of the sum is bounded by its first term plus the
+integral of the decreasing (1+x)^-s:
+
+    sum_{j>=J} (1+j)^-s <= (1+J)^-s * (s+J)/(s-1).
+
+If some J <= N brings this bound under a quarter ulp of the first term, 1,
+at the working precision (which is below the target too; the test is exact,
+in integers), the batch returns the plain sum of the terms j <= J.  Every
+omitted term is then below half an ulp of the running total, so
+Euler-Maclaurin returns the same Decimal.
 
 Precision budget: EvalConfig refuses precision_bits above MAX_BITS = 4096,
 the top of the range the numeric layer is measured at.  There
@@ -163,8 +160,9 @@ def to_decimal(x: RationalLike, cfg: EvalConfig) -> Decimal:
         return _dec(x)
 
 
-# Keyed by (s, a, digits) and (name, digits).  The closed sides touch a few
-# zeta keys per verdict; the series sides read _zeta_batch instead.
+# Keyed by (s, a, digits) and (name, digits).  Only the closed sides read
+# _ZETA_CACHE, a few keys per verdict, and each miss runs _zeta_em; the
+# series sides read _zeta_batch instead.
 _ZETA_CACHE = Memo(CACHE_CAP)
 _CONST_CACHE = Memo(CACHE_CAP)
 
@@ -226,48 +224,13 @@ def _head_sum(s: int, p: int, q: int, q_pow: Decimal, count: int) -> Decimal:
     return total
 
 
-def _tail_below(s: int, p: int, q: int, cut: int, thr_num: int, thr_den: int) -> bool:
-    """Whether (a+J)^-s * (1 + (a+J)/(s-1)) < thr_num/thr_den, a = p/q, J = cut.
+def _tail_below(s: int, cut: int, thr_den: int) -> bool:
+    """Whether (1+J)^-s * (s+J)/(s-1) < 1/thr_den, J = cut.
 
-    The left side bounds sum_{j>=J} (a+j)^-s: the first term plus the
-    integral of the decreasing (a+x)^-s from J to infinity.
+    The left side bounds sum_{j>=J} (1+j)^-s: the first term plus the
+    integral of the decreasing (1+x)^-s from J to infinity.
     """
-    edge = p + cut * q  # a + J = edge / q
-    return q ** (s - 1) * (q * (s - 1) + edge) * thr_den < thr_num * (s - 1) * edge**s
-
-
-def _direct_cut(s: int, p: int, q: int, thr_num: int, thr_den: int, n_max: int) -> int | None:
-    """Smallest J in 1..n_max with _tail_below, or None if there is none."""
-    # the bound falls as J grows, so the J that pass form a suffix of 1..n_max
-    cuts = range(1, n_max + 1)
-    i = bisect_left(cuts, True, key=lambda cut: _tail_below(s, p, q, cut, thr_num, thr_den))
-    return cuts[i] if i < len(cuts) else None
-
-
-def _zeta_direct(s: int, a: Fraction, cfg: EvalConfig) -> Decimal | None:
-    """Hurwitz zeta by plain summation, or None when the sum would be too long.
-
-    The cut J is the smallest J <= _asymptotic_cut(digits) whose tail bound
-    undercuts both the target and a quarter ulp of the first term at the
-    working precision; when there is none, Euler-Maclaurin is cheaper.
-    Term J is summed too: it moves no digit, but like the sub-ulp additions
-    of the Euler-Maclaurin route it pads an exactly representable head to
-    the full working precision, so both routes return the same Decimal.
-    """
-    p, q = a.numerator, a.denominator
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        q_pow = Decimal(q) ** s
-        ulp_exp = (q_pow / Decimal(p) ** s).adjusted() - ctx.prec + 1
-        # threshold min(10^-(digits-5), 10^ulp_exp / 4) as an integer pair
-        exp10, quarter = (ulp_exp, 4) if ulp_exp <= 5 - cfg.digits else (5 - cfg.digits, 1)
-        thr_num, thr_den = (10**exp10, quarter) if exp10 >= 0 else (1, quarter * 10**-exp10)
-        cut = _direct_cut(s, p, q, thr_num, thr_den, _asymptotic_cut(cfg.digits))
-        if cut is None:
-            return None
-        total = _head_sum(s, p, q, q_pow, cut + 1)
-        ctx.prec = cfg.digits
-        return +total
+    return (s + cut) * thr_den < (s - 1) * (1 + cut) ** s
 
 
 def _em_corrections(s: int, power: Decimal, num: int, den: int, cfg: EvalConfig) -> Decimal | None:
@@ -355,10 +318,7 @@ def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     hit = _ZETA_CACHE.lookup(key)
     if hit is not None:
         return hit
-    out = _zeta_direct(s, a, cfg)
-    if out is None:
-        out = _zeta_em(s, a, cfg)
-    return _ZETA_CACHE.put(key, out)
+    return _ZETA_CACHE.put(key, _zeta_em(s, a, cfg))
 
 
 def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
@@ -373,13 +333,15 @@ def _zeta_batch(cfg: EvalConfig, n: int) -> tuple[Decimal | None, ...]:
 
     Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
     digits, and within s roundings of its exact value, inside the budget
-    of `_em_corrections`.  At a = 1 the direct route's threshold is a
-    quarter ulp of the first term, 1, for every s, and its tail bound falls
+    of `_em_corrections`.  The threshold of direct summation (module
+    docstring) is a quarter ulp of 1 for every s, and the tail bound falls
     as s grows, so the direct cut J(s) only walks down from the
-    Euler-Maclaurin cut N, each step proven by `_tail_below`.  Until the
-    direct route applies, the Euler-Maclaurin total is assembled from the
-    running head and (1+N)^-s; should its corrections bottom out,
-    `_zeta_em` doubles N as `hurwitz_zeta` would.
+    Euler-Maclaurin cut N, each step proven by `_tail_below`.  Term J is
+    summed too: it moves no digit, but like the sub-ulp additions of
+    Euler-Maclaurin it pads an exactly representable head to the full
+    working precision.  Until direct summation applies, the
+    Euler-Maclaurin total is assembled from the running head and
+    (1+N)^-s; should its corrections bottom out, `_zeta_em` doubles N.
     """
     n_cut = _asymptotic_cut(cfg.digits)
     thr_den = 4 * 10 ** (cfg.digits + 9)  # 1/thr_den: a quarter ulp of 1
@@ -390,11 +352,11 @@ def _zeta_batch(cfg: EvalConfig, n: int) -> tuple[Decimal | None, ...]:
         final.prec = cfg.digits
         bases = [Decimal(1 + j) for j in range(n_cut + 1)]
         powers = [1 / base for base in bases]  # (1+j)^-s for j <= the cut, one s behind
-        cut = None  # the direct cut J(s), once the direct route applies
+        cut = None  # the direct cut J(s), once direct summation applies
         for s in range(2, n + 1):
-            if cut is None and _tail_below(s, 1, 1, n_cut, 1, thr_den):
+            if cut is None and _tail_below(s, n_cut, thr_den):
                 cut = n_cut
-            while cut is not None and cut > 1 and _tail_below(s, 1, 1, cut - 1, 1, thr_den):
+            while cut is not None and cut > 1 and _tail_below(s, cut - 1, thr_den):
                 cut -= 1
             powers = [x / y for x, y in zip(powers[: (n_cut if cut is None else cut) + 1], bases)]
             head = Decimal(0)  # summed in the order of _head_sum

@@ -116,11 +116,6 @@ class PowerSeries:
                 return j
         return None
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -238,8 +238,8 @@ def test_hurwitz_against_mpmath_512_bits():
     cfg = A.EvalConfig(512)
     target = mpmath.mpf(10) ** -(cfg.digits - 5)
     with mpmath.workdps(cfg.digits + 40):
-        for a in ROUTE_A:
-            for s in ROUTE_S:
+        for a in ROUTE_A + (F(7, 3), F(2, 7)):
+            for s in ROUTE_S + (345, 1200):
                 ours = mpmath.mpf(str(A.hurwitz_zeta(s, a, cfg)))
                 theirs = mpmath.zeta(s, mpmath.mpf(a.numerator) / a.denominator)
                 err = abs(ours - theirs)
@@ -302,45 +302,34 @@ def test_digamma_doubles_n_when_the_expansion_diverges(monkeypatch):
         assert calls[1:] == [max(1, 2 * n) for n in calls[:-1]], a
 
 
-def test_direct_and_em_routes_agree():
-    both = 0
-    for bits in (64, 256, 512):
-        cfg = A.EvalConfig(bits)
-        for a in ROUTE_A + (F(7, 3), F(2, 7)):
-            for s in ROUTE_S + (97, 345, 1200):
-                direct = A._zeta_direct(s, a, cfg)
-                if direct is None:
-                    continue
-                em = A._zeta_em(s, a, cfg)
-                # same value and same representation (exponent, trailing zeros)
-                assert direct.as_tuple() == em.as_tuple(), (bits, a, s)
-                both += 1
-    assert both > 100
-    # small s stays on Euler-Maclaurin; zeta(1200) is 1 to every digit kept
-    assert A._zeta_direct(2, F(1), A.EvalConfig(512)) is None
-    assert str(A._zeta_direct(1200, F(1), A.EvalConfig(64))).startswith("1.000000")
-
-
 def _tail_fraction(s, a, cut):
     edge = a + cut
     return edge**-s * (1 + edge / (s - 1))
 
 
+# 1/thr for the unit-fraction thresholds 10^-60 and 10^-200/4, and for the
+# batch's quarter ulp of 1 at 64..1024 bits
+TAIL_THR_DEN = (10**60, 4 * 10**200) + tuple(
+    4 * 10 ** (A.EvalConfig(bits).digits + 9) for bits in (64, 256, 512, 1024)
+)
+
+
 @pytest.mark.parametrize("s", [3, 20, 91, 150, 600])
 @pytest.mark.parametrize("a", [F(1), F(1, 2), F(5, 4), F(2, 7)])
 def test_tail_bound_integer_test_matches_fraction(s, a):
-    p, q = a.numerator, a.denominator
-    for thr in (F(1, 10**60), F(1, 4 * 10**200), F(3, 7), F(10**5, 4)):
+    # _tail_below is the bound at a = 1.  The bound falls as a + J grows
+    # (so the batch's J only walks down): at a >= 1 the a = 1 test proves
+    # the bound at a, and at a <= 1 the bound at a proves the a = 1 test.
+    # 1/thr = ceil(X) - 1 and ceil(X), X the inverse bound at J = 1, 7 and
+    # 40, put the threshold just either side of it.
+    edges = [-(-(s - 1) * (1 + j) ** s // (s + j)) for j in (1, 7, 40)]
+    for thr_den in TAIL_THR_DEN + tuple(x + d for x in edges for d in (-1, 0)):
+        thr = F(1, thr_den)
         for cut in range(1, 41):
-            want = _tail_fraction(s, a, cut) < thr
-            assert A._tail_below(s, p, q, cut, thr.numerator, thr.denominator) == want
-        found = A._direct_cut(s, p, q, thr.numerator, thr.denominator, 40)
-        if found is None:
-            assert not _tail_fraction(s, a, 40) < thr
-            continue
-        assert _tail_fraction(s, a, found) < thr
-        if found > 1:  # negative control: one term fewer is not proven
-            assert not A._tail_below(s, p, q, found - 1, thr.numerator, thr.denominator)
+            below = A._tail_below(s, cut, thr_den)
+            assert below == (_tail_fraction(s, F(1), cut) < thr), (thr_den, cut)
+            at_a = _tail_fraction(s, a, cut) < thr
+            assert below <= at_a if a >= 1 else at_a <= below, (thr_den, cut)
 
 
 def test_numeric_caches_evict_oldest_beyond_cap(monkeypatch):

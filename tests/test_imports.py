@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name is read somewhere in the library.
+"""Every name a library module imports is used in that module, every
+private module-level name is read somewhere in the library, and every
+public method of a library class is read as an attribute somewhere in the
+repository's Python code.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's public surface.  Only the standard library's `ast` is needed, so
@@ -15,6 +17,7 @@ import geopoly
 
 SOURCES = sorted(Path(geopoly.__file__).resolve().parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -118,3 +121,41 @@ def test_detector_flags_an_unused_private_name():
     )
     tree = ast.parse(source)
     assert set(_private_defined(tree)) - _read(tree) == {"_B", "_C", "_f", "_g"}
+
+
+def _public_methods(tree: ast.Module) -> dict[str, int]:
+    """``Class.method`` -> line of every public method defined on a class."""
+    return {
+        f"{cls.name}.{node.name}": node.lineno
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+
+
+def _attributes(tree: ast.Module) -> set[str]:
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_no_dead_public_method():
+    code = [p for d in ("src", "tests", "perfbench", "scripts") for p in (REPO / d).rglob("*.py")]
+    read = set().union(*(_attributes(ast.parse(p.read_text(), filename=str(p))) for p in code))
+    dead = [
+        f"{path.name}: {name} (line {line})"
+        for path in SOURCES
+        for name, line in _public_methods(ast.parse(path.read_text(), filename=str(path))).items()
+        if name.split(".")[1] not in read
+    ]
+    assert dead == [], f"public methods never read as an attribute: {dead}"
+
+
+def test_detector_flags_an_unread_public_method():
+    source = (
+        "class P:\n    def caller(self): return self.kept()\n    def kept(self): pass\n"
+        "    def dead(self): pass\n    def _private(self): pass\n    def __len__(self): return 0\n"
+        "def dead_too(): pass\n"
+    )
+    tree = ast.parse(source)
+    methods = {name.split(".")[1] for name in _public_methods(tree)}
+    assert methods - _attributes(tree) == {"caller", "dead"}

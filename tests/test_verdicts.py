@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from geopoly import analytic, families, mellin, stirling
 from geopoly import identities as I
 from geopoly.analytic import EvalConfig
+from geopoly.memo import CACHE_CAP, Memo
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
 from geopoly.report import CheckReport
@@ -392,6 +393,26 @@ def _hurwitz_calls(monkeypatch):
     monkeypatch.setattr(analytic, "hurwitz_zeta",
                         lambda s, a, cfg: calls.append((s, a)) or hurwitz_zeta(s, a, cfg))
     return calls
+
+
+def test_closed_sides_share_no_tail_test_with_the_batch(monkeypatch):
+    # the closed sides' zeta and psi run Euler-Maclaurin alone; direct
+    # summation, proven by _tail_below, belongs to the series sides' batch
+    calls = []
+    tail_below = analytic._tail_below
+    monkeypatch.setattr(analytic, "_tail_below",
+                        lambda *args: calls.append(args) or tail_below(*args))
+    monkeypatch.setattr(analytic, "_ZETA_CACHE", Memo(CACHE_CAP))
+    cfg = EvalConfig(256)
+    for a in (F(1), F(1, 2), F(3, 2), F(1, 3), F(5, 4)):
+        for s in (2, 150, 600, 1200):
+            analytic.hurwitz_zeta(s, a, cfg)
+        analytic.digamma(a, cfg)
+    assert calls == []
+    monkeypatch.setattr(analytic, "_zeta_batch",
+                        Memo(CACHE_CAP).prefix(analytic._zeta_batch.__wrapped__))
+    analytic._zeta_batch(cfg, 200)
+    assert calls
 
 
 @pytest.mark.parametrize("n", [0, 2, 4])
