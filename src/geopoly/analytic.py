@@ -51,7 +51,7 @@ the end.  The zeta values, the constants and both tables are each cached
 in a `memo.Memo` of CACHE_CAP keys.
 
 The series sides (Theorem 5 and the Eq. (30) family) read zeta(2..K) from
-`_zeta_batch`, one run over s per configuration that returns the Decimals
+`_zeta_batch`, one run over s per precision that returns the Decimals
 zeta_int returns, at a fraction of the cost; the closed sides keep
 hurwitz_zeta, zeta_int and digamma.  Once s is large the batch sums
 directly.  The tail of the sum is bounded by its first term plus the
@@ -66,7 +66,9 @@ omitted term is then below half an ulp of the running total, so
 Euler-Maclaurin returns the same Decimal.
 
 Precision budget: EvalConfig refuses precision_bits above MAX_BITS = 4096,
-the top of the range the numeric layer is measured at.  There
+the top of the range the numeric layer is measured at.  Precision is the one
+setting: every cache keys on the working digits, and MAX_TERMS = 10000
+bounds every series and Euler-Maclaurin loop.  There
 eval_theorem5((1/2, 2, 1), 3, 1/2) took 9.3 s, against 0.13 s at 1024 bits
 and 0.92 s at 2048 bits (one cold process each, pinned to one CPU, Python
 3.11.7 on a 2-vCPU KVM guest); each doubling of the bits costs seven to ten
@@ -84,7 +86,7 @@ that bound does not grow with k once ratio < 1, so the rule holds at every
 k after the first one: `_stop_index` finds that first k from the majorant
 alone, by galloping and bisecting, and only then are terms start..k built
 and summed in order (a caller may take k to size its zeta batch).  Without
-such a k up to max_terms, the terms through max_terms are built and an
+such a k up to MAX_TERMS, the terms through MAX_TERMS are built and an
 ArithmeticError raised.  The routine then assembles the closed-form side
 and reports |LHS - RHS| against the threshold.  No "looks converged"
 cutoffs anywhere.
@@ -109,43 +111,35 @@ from .stirling import cached_table
 
 
 MAX_BITS = 4096  # the precision budget, see the module docstring
+MAX_TERMS = 10000  # the term budget of every series and Euler-Maclaurin loop
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Precision contract for the numeric layer.
+    """Precision contract for the numeric layer, its one setting.
 
-    precision_bits lies in 64..MAX_BITS; tail_tolerance defaults to
-    2^(32 - precision_bits); max_terms bounds every series loop (exceeding
+    precision_bits is an int in 64..MAX_BITS; the pass threshold is
+    2^(32 - precision_bits).  MAX_TERMS bounds every series loop (exceeding
     it is an error, never a silent truncation).
     """
 
     precision_bits: int = 256
-    tail_tolerance: Fraction | None = None
-    max_terms: int = 10000
 
     def __post_init__(self) -> None:
+        if not isinstance(self.precision_bits, int) or isinstance(self.precision_bits, bool):
+            raise TypeError(f"precision_bits must be an int, got {self.precision_bits!r}")
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         if self.precision_bits > MAX_BITS:
             raise ValueError(f"precision_bits must be <= {MAX_BITS}, got {self.precision_bits}")
-        if self.tail_tolerance is not None:
-            as_rational(self.tail_tolerance)  # refuse a float here, not at first use
 
     @property
     def tolerance(self) -> Fraction:
-        if self.tail_tolerance is not None:
-            return as_rational(self.tail_tolerance)
         return Fraction(1, 2 ** (self.precision_bits - 32))
 
     @property
     def digits(self) -> int:
         return ceil(self.precision_bits * 0.30103) + 15
-
-    def tolerance_label(self) -> str:
-        if self.tail_tolerance is not None:
-            return str(self.tail_tolerance)
-        return f"2^-{self.precision_bits - 32}"
 
 
 def _dec(q: Fraction) -> Decimal:
@@ -233,7 +227,7 @@ def _tail_below(s: int, cut: int, thr_den: int) -> bool:
     return (s + cut) * thr_den < (s - 1) * (1 + cut) ** s
 
 
-def _em_corrections(s: int, power: Decimal, num: int, den: int, cfg: EvalConfig) -> Decimal | None:
+def _em_corrections(s: int, power: Decimal, num: int, den: int, digits: int) -> Decimal | None:
     """The Euler-Maclaurin corrections at a + N = num/den, power = (a+N)^-s.
 
     Returns sum_{m<M} term_m, term_m = B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m),
@@ -255,15 +249,15 @@ def _em_corrections(s: int, power: Decimal, num: int, den: int, cfg: EvalConfig)
     exact comparison of Decimals, proves the exact |term_M| below the
     target.  The growth test only chooses N and needs no margin.
     """
-    limit = Decimal(10**cfg.digits - 1).scaleb(5 - 2 * cfg.digits)
-    coeffs = _em_coeffs(cfg.digits, _table_length(_asymptotic_cut(cfg.digits)))
+    limit = Decimal(10**digits - 1).scaleb(5 - 2 * digits)
+    coeffs = _em_coeffs(digits, _table_length(_asymptotic_cut(digits)))
     num2, den2 = num * num, den * den
     corrections = Decimal(0)
     factor = power * (s * den) / num  # <s>_{2m-1} (a+N)^(1-s-2m)
     prev = None  # |term_m-1|
-    for m in range(1, cfg.max_terms + 1):
+    for m in range(1, MAX_TERMS + 1):
         if m == len(coeffs):
-            coeffs = _em_coeffs(cfg.digits, 2 * m)
+            coeffs = _em_coeffs(digits, 2 * m)
         term = coeffs[m] * factor
         size = abs(term)
         if m > 1 and size < limit:
@@ -276,7 +270,7 @@ def _em_corrections(s: int, power: Decimal, num: int, den: int, cfg: EvalConfig)
     raise ArithmeticError("Euler-Maclaurin failed to converge")
 
 
-def _em_parts(s: int, p: int, q: int, n_cut: int, cfg: EvalConfig) -> tuple[Decimal, ...]:
+def _em_parts(s: int, p: int, q: int, n_cut: int, digits: int) -> tuple[Decimal, ...]:
     """Euler-Maclaurin parts of sum_{j>=0} (a+j)^-s, integer s >= 1, a = p/q > 0.
 
     Returns head = sum_{j<N} (a+j)^-s, a+N, 1/(a+N) and `_em_corrections`
@@ -288,27 +282,29 @@ def _em_parts(s: int, p: int, q: int, n_cut: int, cfg: EvalConfig) -> tuple[Deci
         head = _head_sum(s, p, q, q_pow, n_cut)
         edge = Decimal(p + n_cut * q) / Decimal(q)  # a + N
         inv = 1 / edge
-        corrections = _em_corrections(s, inv**s, p + n_cut * q, q, cfg)
+        corrections = _em_corrections(s, inv**s, p + n_cut * q, q, digits)
         if corrections is not None:
             return head, edge, inv, corrections
         n_cut = max(1, 2 * n_cut)  # N = 0 (digamma at a >= cut) must grow too
-        if n_cut > cfg.max_terms:
+        if n_cut > MAX_TERMS:
             raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")
 
 
-def _zeta_em(s: int, a: Fraction, cfg: EvalConfig) -> Decimal:
+def _zeta_em(s: int, a: Fraction, digits: int) -> Decimal:
     """Hurwitz zeta by Euler-Maclaurin from N = _asymptotic_cut(digits)."""
     with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        n_cut = _asymptotic_cut(cfg.digits)
-        head, edge, inv, corrections = _em_parts(s, a.numerator, a.denominator, n_cut, cfg)
+        ctx.prec = digits + 10
+        n_cut = _asymptotic_cut(digits)
+        head, edge, inv, corrections = _em_parts(s, a.numerator, a.denominator, n_cut, digits)
         total = head + edge * inv**s / (s - 1) + inv**s / 2 + corrections
-        ctx.prec = cfg.digits
+        ctx.prec = digits
         return +total
 
 
 def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     """Hurwitz zeta(s, a) = sum_{j>=0} (j+a)^-s for integer s >= 2, a > 0."""
+    if not isinstance(s, int) or isinstance(s, bool):  # 3.0 == 3 would hit the cache
+        raise TypeError(f"s must be an integer >= 2, got {s!r}")
     if s < 2:
         raise ValueError(f"s must be an integer >= 2, got {s}")
     a = as_rational(a)
@@ -318,7 +314,7 @@ def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     hit = _ZETA_CACHE.lookup(key)
     if hit is not None:
         return hit
-    return _ZETA_CACHE.put(key, _zeta_em(s, a, cfg))
+    return _ZETA_CACHE.put(key, _zeta_em(s, a, cfg.digits))
 
 
 def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
@@ -327,9 +323,9 @@ def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
 
 
 @Memo(CACHE_CAP).prefix
-def _zeta_batch(cfg: EvalConfig, n: int) -> tuple[Decimal | None, ...]:
+def _zeta_batch(digits: int, n: int) -> tuple[Decimal | None, ...]:
     """(None, None, zeta(2), ..., zeta(n)): hurwitz_zeta(s, 1, cfg) for s <= n
-    from one run over s, for the series sides alone.
+    at cfg.digits = digits from one run over s, for the series sides alone.
 
     Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
     digits, and within s roundings of its exact value, inside the budget
@@ -343,13 +339,13 @@ def _zeta_batch(cfg: EvalConfig, n: int) -> tuple[Decimal | None, ...]:
     Euler-Maclaurin total is assembled from the running head and
     (1+N)^-s; should its corrections bottom out, `_zeta_em` doubles N.
     """
-    n_cut = _asymptotic_cut(cfg.digits)
-    thr_den = 4 * 10 ** (cfg.digits + 9)  # 1/thr_den: a quarter ulp of 1
+    n_cut = _asymptotic_cut(digits)
+    thr_den = 4 * 10 ** (digits + 9)  # 1/thr_den: a quarter ulp of 1
     out: list[Decimal | None] = [None, None]
     with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
+        ctx.prec = digits + 10
         final = ctx.copy()
-        final.prec = cfg.digits
+        final.prec = digits
         bases = [Decimal(1 + j) for j in range(n_cut + 1)]
         powers = [1 / base for base in bases]  # (1+j)^-s for j <= the cut, one s behind
         cut = None  # the direct cut J(s), once direct summation applies
@@ -366,9 +362,9 @@ def _zeta_batch(cfg: EvalConfig, n: int) -> tuple[Decimal | None, ...]:
                 out.append(final.plus(head))
                 continue
             power = powers[n_cut]
-            corrections = _em_corrections(s, power, 1 + n_cut, 1, cfg)
+            corrections = _em_corrections(s, power, 1 + n_cut, 1, digits)
             if corrections is None:
-                out.append(_zeta_em(s, Fraction(1), cfg))
+                out.append(_zeta_em(s, Fraction(1), digits))
                 continue
             # the total of _zeta_em, term for term
             total = head + bases[n_cut] * power / (s - 1) + power / 2 + corrections
@@ -376,10 +372,10 @@ def _zeta_batch(cfg: EvalConfig, n: int) -> tuple[Decimal | None, ...]:
     return tuple(out)
 
 
-def _series_zetas(s_max: int, cfg: EvalConfig) -> tuple[Decimal | None, ...]:
+def _series_zetas(s_max: int, digits: int) -> tuple[Decimal | None, ...]:
     """`_zeta_batch` through s_max, from a run padded to a power of two, so
     that a series a few terms longer at the same precision reuses it."""
-    return _zeta_batch(cfg, 1 << (max(s_max, 2) - 1).bit_length())[: s_max + 1]
+    return _zeta_batch(digits, 1 << (max(s_max, 2) - 1).bit_length())[: s_max + 1]
 
 
 def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
@@ -394,7 +390,7 @@ def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
     n_cut = max(0, ceil(_asymptotic_cut(cfg.digits) - a))
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        head, edge, inv, corrections = _em_parts(1, a.numerator, a.denominator, n_cut, cfg)
+        head, edge, inv, corrections = _em_parts(1, a.numerator, a.denominator, n_cut, cfg.digits)
         total = edge.ln() - inv / 2 - corrections - head
         ctx.prec = cfg.digits
         return +total
@@ -458,7 +454,7 @@ def _report(rid: str, params: dict, lhs: Decimal, rhs: Decimal, cfg: EvalConfig)
         params=params,
         status=status,
         witness=f"|lhs-rhs| = {diff:.6E}",
-        tolerance=cfg.tolerance_label(),
+        tolerance=f"2^-{cfg.precision_bits - 32}",
         detail={
             "lhs": str(lhs),
             "rhs": str(rhs),
@@ -469,7 +465,7 @@ def _report(rid: str, params: dict, lhs: Decimal, rhs: Decimal, cfg: EvalConfig)
 
 
 def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig) -> int | None:
-    """The first k in start..max_terms after which the tail bound holds, or None.
+    """The first k in start..MAX_TERMS after which the tail bound holds, or None.
 
     The stopping rule is in "Series verdicts" above.  Under the majorant
     contract it holds at every k after the first, so the first is found
@@ -485,13 +481,13 @@ def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig
         ratio = majorant(k + 2) / bound
         return ratio < 1 and bound / (1 - ratio) < quarter_tol
 
-    if start > cfg.max_terms:
+    if start > MAX_TERMS:
         return None
     lo = hi = start  # the rule fails at every index below lo
     while not stops(hi):
-        if hi == cfg.max_terms:
+        if hi == MAX_TERMS:
             return None
-        lo, hi = hi + 1, min(cfg.max_terms, 2 * hi - start + 1)
+        lo, hi = hi + 1, min(MAX_TERMS, 2 * hi - start + 1)
     return lo + bisect_left(range(lo, hi), True, key=stops)
 
 
@@ -507,11 +503,11 @@ def _sum_to_tolerance(
     takes the last index to be summed and returns them, so that a caller
     can size a batch to it.  A None term is an exact zero and is skipped,
     so it cannot move the exponent of the total.  Without a stop index the
-    terms up to index max_terms are built and an ArithmeticError raised;
-    no term past max_terms is built.
+    terms up to index MAX_TERMS are built and an ArithmeticError raised;
+    no term past MAX_TERMS is built.
     """
     last = _stop_index(majorant, start, cfg)
-    end = cfg.max_terms if last is None else last
+    end = MAX_TERMS if last is None else last
     built = list(islice(terms(end) if callable(terms) else terms, max(0, end - start + 1)))
     if last is None or len(built) <= end - start:
         raise ArithmeticError("tail bound not reached within max_terms")
@@ -546,7 +542,7 @@ def eval_theorem5(
     ax = abs(x)
 
     def terms(last):
-        zetas = _series_zetas(last + 1, cfg)
+        zetas = _series_zetas(last + 1, cfg.digits)
         xpow = Fraction(1)
         for k in count(1):
             xpow *= x
@@ -582,9 +578,11 @@ def eval_theorem5(
 def eval_eq30_family(n: int, cfg: EvalConfig | None = None) -> CheckReport:
     """sum_{k>=2} zeta(k) k^n / 2^k vs its log2 + weighted-zeta closed form."""
     cfg = cfg or EvalConfig()
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
 
     def terms(last):
-        zetas = _series_zetas(last, cfg)
+        zetas = _series_zetas(last, cfg.digits)
         for k in count(2):
             coeff = Fraction(k**n, 2**k)
             # (zeta * num) / den, in lowest terms, as in eval_theorem5

@@ -104,16 +104,3 @@ def r_stirling_count(n: int, k: int, r: int) -> int:
         if all(sum(1 for e in block if e < r) <= 1 for block in part):
             total += 1
     return total
-
-
-def enumerate_oracle(kind: str, n: int, *aux: int) -> int:
-    """Dispatch by oracle name; sizes beyond the enumeration cap raise."""
-    if kind == "set_partitions":
-        return set_partitions_count(n, *aux)
-    if kind == "ordered_set_partitions":
-        return ordered_set_partitions_count(n, *aux)
-    if kind == "barred_preferential":
-        return barred_preferential_count(n, *aux)
-    if kind == "r_stirling_partitions":
-        return r_stirling_count(n, *aux)
-    raise ValueError(f"unknown enumeration oracle {kind!r}")

@@ -55,9 +55,9 @@ class SmallRationalSampler:
     def int_between(self, lo: int, hi: int) -> int:
         return lo + self._next() % (hi - lo + 1)
 
-    def rational(self, nonzero: bool = False, max_num: int = 6, max_den: int = 4) -> Fraction:
+    def rational(self, nonzero: bool = False) -> Fraction:
         while True:
-            value = Fraction(self.int_between(-max_num, max_num), self.int_between(1, max_den))
+            value = Fraction(self.int_between(-6, 6), self.int_between(1, 4))
             if value != 0 or not nonzero:
                 return value
 

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from math import ceil, factorial, log10, sqrt
@@ -127,6 +128,35 @@ def test_precision_budget():
         A.EvalConfig(A.MAX_BITS + 1)
 
 
+@pytest.mark.parametrize("bits", [256.0, "256", True])
+def test_non_int_precision_is_refused_at_construction(bits):
+    with pytest.raises(TypeError, match="precision_bits must be an int"):
+        A.EvalConfig(bits)
+
+
+def test_precision_is_the_one_setting():
+    assert [f.name for f in fields(A.EvalConfig)] == ["precision_bits"]
+    assert A.MAX_TERMS == 10000
+
+
+@pytest.mark.parametrize("s", [3.0, F(3), True])
+def test_non_int_s_is_refused_cold_and_warm(monkeypatch, s):
+    # a cached zeta(3) must not answer for 3.0 or Fraction(3), which hash alike
+    monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
+    with pytest.raises(TypeError, match="s must be an integer"):
+        A.hurwitz_zeta(s, 1, CFG)
+    A.hurwitz_zeta(3, 1, CFG)
+    with pytest.raises(TypeError, match="s must be an integer"):
+        A.hurwitz_zeta(s, 1, CFG)
+    with pytest.raises(ValueError, match="s must be an integer >= 2, got 1"):
+        A.hurwitz_zeta(1, 1, CFG)
+
+
+def test_eq30_family_refuses_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        A.eval_eq30_family(-1, CFG)
+
+
 def test_theorem5_reduces_to_digamma_series_at_n0():
     rep = A.eval_theorem5(HsuShiueParams(0, 1, 0), 0, F(-1, 2), CFG)
     assert rep.status == "pass"
@@ -222,11 +252,6 @@ def test_doubling_precision_shrinks_diff():
 
 def test_tolerance_configuration():
     assert A.EvalConfig(256).tolerance == F(1, 2**224)
-    assert A.EvalConfig(256).tolerance_label() == "2^-224"
-    custom = A.EvalConfig(256, tail_tolerance=F(1, 10**40))
-    assert custom.tolerance == F(1, 10**40)
-    with pytest.raises(TypeError):
-        A.EvalConfig(256, tail_tolerance=1e-40)
 
 
 ROUTE_S = (2, 40, 60, 89, 90, 91, 150, 600)
@@ -409,7 +434,8 @@ def test_integer_envelopes_match_fraction_reference(bits):
     cfg = A.EvalConfig(bits)
     for a in ROUTE_A + (F(2, 7), F(40, 3)):
         for s in (2, 3, 7, 20, 60, 150):
-            assert A._zeta_em(s, a, cfg).as_tuple() == _fraction_em_reference(s, a, cfg).as_tuple()
+            assert (A._zeta_em(s, a, cfg.digits).as_tuple()
+                    == _fraction_em_reference(s, a, cfg).as_tuple())
         assert A.digamma(a, cfg).as_tuple() == _fraction_digamma_reference(a, cfg).as_tuple()
 
 
@@ -424,7 +450,8 @@ def test_integer_envelope_divergence_matches_fraction_reference(monkeypatch):
     for a in (F(1), F(1, 3), F(5, 4)):
         for s in (2, 5, 30):
             calls.clear()
-            assert A._zeta_em(s, a, cfg).as_tuple() == _fraction_em_reference(s, a, cfg).as_tuple()
+            assert (A._zeta_em(s, a, cfg.digits).as_tuple()
+                    == _fraction_em_reference(s, a, cfg).as_tuple())
             assert len(calls) >= 3  # N = 2, 4, 8, ... until the envelope closes
 
 
@@ -463,12 +490,12 @@ def test_tables_grow_when_a_loop_outruns_them(monkeypatch):
     # way and still give the same Decimal as with the tables it normally gets
     cfg = A.EvalConfig(256)
     cases = [(s, a) for s in (2, 7, 30) for a in (F(1), F(1, 3), F(40, 3))]
-    want = [A._zeta_em(s, a, cfg).as_tuple() for s, a in cases]
+    want = [A._zeta_em(s, a, cfg.digits).as_tuple() for s, a in cases]
     want_psi = [A.digamma(a, cfg).as_tuple() for a in (F(1), F(2, 7))]
     monkeypatch.setattr(A, "_table_length", lambda cut: 1)
     for name in ("_bernoulli_even", "_em_coeffs"):
         monkeypatch.setattr(A, name, Memo(A.CACHE_CAP).prefix(getattr(A, name).__wrapped__))
-    assert [A._zeta_em(s, a, cfg).as_tuple() for s, a in cases] == want
+    assert [A._zeta_em(s, a, cfg.digits).as_tuple() for s, a in cases] == want
     assert [A.digamma(a, cfg).as_tuple() for a in (F(1), F(2, 7))] == want_psi
     assert A._em_coeffs.cache_info().misses >= 5  # lengths 2, 3, 5, 9, 17, ...
     assert A._bernoulli_even.cache_info().misses >= 5
@@ -553,7 +580,7 @@ def test_zeta_batch_equals_hurwitz_zeta(bits):
     # past the end of the Euler-Maclaurin range and down to the direct cut J = 1
     cfg = A.EvalConfig(bits)
     k = bits + 100
-    batch = A._zeta_batch(cfg, k)
+    batch = A._zeta_batch(cfg.digits, k)
     assert batch[:2] == (None, None) and len(batch) == k + 1
     for s in range(2, k + 1):
         assert batch[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
@@ -567,9 +594,10 @@ def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
     monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
     calls = []
     zeta_em = A._zeta_em
-    monkeypatch.setattr(A, "_zeta_em", lambda s, a, cfg: calls.append(s) or zeta_em(s, a, cfg))
+    monkeypatch.setattr(A, "_zeta_em",
+                        lambda s, a, digits: calls.append(s) or zeta_em(s, a, digits))
     cfg = A.EvalConfig(128)
-    batch = A._zeta_batch(cfg, 40)
+    batch = A._zeta_batch(cfg.digits, 40)
     assert calls  # the fallback ran
     for s in range(2, 41):
         assert batch[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
@@ -579,9 +607,9 @@ def test_series_zetas_pad_to_a_power_of_two(monkeypatch):
     monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
     cfg = A.EvalConfig(64)
     for s_max in (40, 64, 65):
-        assert len(A._series_zetas(s_max, cfg)) == s_max + 1
+        assert len(A._series_zetas(s_max, cfg.digits)) == s_max + 1
     assert A._zeta_batch.cache_info().misses == 2  # 40 and 64 share one run
-    assert len(A._zeta_batch(cfg, 128)) == 129
+    assert len(A._zeta_batch(cfg.digits, 128)) == 129
     assert A._zeta_batch.cache_info().misses == 2  # and 65 made it 128 long
 
 
@@ -597,12 +625,36 @@ def test_series_sides_build_one_batch_per_precision(monkeypatch, bits):
     assert A._zeta_batch.cache_info().misses == 1
 
 
+def _holds_config(key):
+    if isinstance(key, A.EvalConfig):
+        return True
+    return isinstance(key, tuple) and any(_holds_config(part) for part in key)
+
+
+def test_every_numeric_cache_keys_on_digits(monkeypatch):
+    # 256 and 257 bits both run at 93 digits, so they share one batch, and
+    # no cache reachable from analytic keeps a whole EvalConfig in its keys
+    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+    for bits in (256, 257):
+        cfg = A.EvalConfig(bits)
+        assert cfg.digits == 93
+        A.eval_theorem5(HsuShiueParams(F(1, 2), 2, 1), 3, F(1, 2), cfg)
+        A.eval_eq30_family(2, cfg)
+    assert len(A._zeta_batch.cache_info.__self__) == 1
+    memos = [value for value in vars(A).values() if isinstance(value, Memo)]
+    memos += [value.cache_info.__self__ for value in vars(A).values()
+              if isinstance(getattr(getattr(value, "cache_info", None), "__self__", None), Memo)]
+    assert len(memos) >= 6  # _ZETA_CACHE, _CONST_CACHE, both tables, the batch, cached_table
+    for memo in memos:
+        assert not any(_holds_config(key) for key in memo)
+
+
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_zeta_batch_against_borwein_oracle(bits):
     cfg = A.EvalConfig(bits)
     n = ceil((cfg.digits + 1 + log10(6)) / log10(3 + sqrt(8)))  # as above
     d = _borwein_d(n)
-    batch = A._zeta_batch(cfg, 200)
+    batch = A._zeta_batch(cfg.digits, 200)
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
         bound = 2 * Decimal(10) ** -(cfg.digits - 5)

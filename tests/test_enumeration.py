@@ -5,7 +5,6 @@ import pytest
 from geopoly.enumeration import (
     MAX_ENUM_N,
     barred_preferential_count,
-    enumerate_oracle,
     iter_set_partitions,
     ordered_set_partitions_count,
     r_stirling_count,
@@ -58,15 +57,7 @@ def test_r_stirling_counts():
     # elements 0 and 1 must be split: {2 1}_2 = 0, {3 2}_2 = 2
     assert r_stirling_count(2, 1, 2) == 0
     assert r_stirling_count(3, 2, 2) == 2
-
-
-def test_dispatcher():
-    assert enumerate_oracle("set_partitions", 0) == 1
-    assert enumerate_oracle("ordered_set_partitions", 3) == 13
-    assert enumerate_oracle("barred_preferential", 2, 1) == 8
-    assert enumerate_oracle("r_stirling_partitions", 3, 2, 1) == 3
-    with pytest.raises(ValueError):
-        enumerate_oracle("nope", 3)
+    assert r_stirling_count(3, 2, 1) == 3
 
 
 def test_size_guard():

@@ -111,11 +111,13 @@ def test_sum_to_tolerance_zero_majorant_stops():
 
 
 def test_sum_to_tolerance_past_max_terms_raises():
-    cfg = EvalConfig(64, max_terms=10)
+    cfg = EvalConfig(64)
     log = []
     terms = (Decimal(1) for _ in range(100))
-    with pytest.raises(ArithmeticError, match="tail bound not reached within max_terms"):
-        analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(1), 2, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "MAX_TERMS", 10)
+        with pytest.raises(ArithmeticError, match="tail bound not reached within max_terms"):
+            analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(1), 2, cfg)
     assert len(log) == 9  # term indices 2..10; index 11 is never built
 
 
@@ -132,10 +134,10 @@ def test_sum_to_tolerance_none_terms_keep_the_exponent():
     assert padded.as_tuple() != skipped.as_tuple()  # an added zero can move it
 
 
-def _linear_stop(majorant, start, cfg):
+def _linear_stop(majorant, start, cfg, max_terms):
     # the stopping rule tested at every index in turn, as a reference
     quarter_tol = cfg.tolerance / 4
-    for k in range(start, cfg.max_terms + 1):
+    for k in range(start, max_terms + 1):
         bound = majorant(k + 1)
         if not bound:
             return k
@@ -168,19 +170,22 @@ def _majorant(kind, a, b, n, x):
 @example(kind="factorial", a=F(1), b=F(3), n=4, x=F(15, 16), start=0, bits=64, max_terms=300)
 def test_stop_index_is_the_first_stop_of_a_linear_scan(kind, a, b, n, x, start, bits, max_terms):
     majorant = _majorant(kind, a, b, n, x)
-    cfg = EvalConfig(bits, max_terms=max_terms)
-    last = analytic._stop_index(majorant, start, cfg)
-    assert last == _linear_stop(majorant, start, cfg)
-    log = []
-    terms = (Decimal(k) for k in count(start))
-    if last is None:  # every term through max_terms is built, then the error
-        with pytest.raises(ArithmeticError, match="tail bound not reached"):
-            analytic._sum_to_tolerance(_counted(terms, log), majorant, start, cfg)
-        assert log == [Decimal(k) for k in range(start, max_terms + 1)]
-    else:
-        total = analytic._sum_to_tolerance(_counted(terms, log), majorant, start, cfg)
-        assert log == [Decimal(k) for k in range(start, last + 1)]
-        assert total == sum(log, Decimal(0))
+    cfg = EvalConfig(bits)
+    with pytest.MonkeyPatch.context() as mp:  # not a fixture: each example restores it
+        mp.setattr(analytic, "MAX_TERMS", max_terms)
+        last = analytic._stop_index(majorant, start, cfg)
+        assert last == _linear_stop(majorant, start, cfg, max_terms)
+        log = []
+        terms = (Decimal(k) for k in count(start))
+        if last is None:  # every term through max_terms is built, then the error
+            with pytest.raises(ArithmeticError, match="tail bound not reached"):
+                analytic._sum_to_tolerance(_counted(terms, log), majorant, start, cfg)
+            assert log == [Decimal(k) for k in range(start, max_terms + 1)]
+        else:
+            total = analytic._sum_to_tolerance(_counted(terms, log), majorant, start, cfg)
+            assert log == [Decimal(k) for k in range(start, last + 1)]
+            assert total == sum(log, Decimal(0))
+    assert analytic.MAX_TERMS == 10000
 
 
 def test_sum_to_tolerance_hands_the_stop_index_to_a_term_function():
@@ -367,8 +372,8 @@ BATCH_CONTROLS = {
 
 
 def _bump_batch(old, s0, delta):
-    def batch(cfg, n):
-        zetas = old(cfg, n)
+    def batch(digits, n):
+        zetas = old(digits, n)
         return zetas[:s0] + (zetas[s0] + delta,) + zetas[s0 + 1:]
 
     return batch
@@ -411,7 +416,7 @@ def test_closed_sides_share_no_tail_test_with_the_batch(monkeypatch):
     assert calls == []
     monkeypatch.setattr(analytic, "_zeta_batch",
                         Memo(CACHE_CAP).prefix(analytic._zeta_batch.__wrapped__))
-    analytic._zeta_batch(cfg, 200)
+    analytic._zeta_batch(cfg.digits, 200)
     assert calls
 
 
