@@ -51,7 +51,7 @@ print(elapsed)
 """
 
 
-def _pin() -> None:
+def pin_to_one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
@@ -59,7 +59,7 @@ def time_once(src: Path, case: str, bits: int) -> float:
     env = dict(os.environ, PYTHONPATH=str(src))
     code = CHILD.format(bits=bits, call=CASES[case])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, preexec_fn=_pin)
+                         capture_output=True, text=True, preexec_fn=pin_to_one_cpu)
     return float(out.stdout.strip())
 
 

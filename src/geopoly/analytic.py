@@ -102,7 +102,7 @@ from fractions import Fraction
 from itertools import count, islice
 from math import ceil, factorial
 
-from .exact import RationalLike, as_rational, gen_factorial
+from .exact import RationalLike, as_int, as_rational, gen_factorial
 from .families import exp_poly
 from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
@@ -126,9 +126,7 @@ class EvalConfig:
     precision_bits: int = 256
 
     def __post_init__(self) -> None:
-        if not isinstance(self.precision_bits, int) or isinstance(self.precision_bits, bool):
-            raise TypeError(f"precision_bits must be an int, got {self.precision_bits!r}")
-        if self.precision_bits < 64:
+        if as_int(self.precision_bits, "precision_bits") < 64:
             raise ValueError("precision_bits must be >= 64")
         if self.precision_bits > MAX_BITS:
             raise ValueError(f"precision_bits must be <= {MAX_BITS}, got {self.precision_bits}")
@@ -303,9 +301,7 @@ def _zeta_em(s: int, a: Fraction, digits: int) -> Decimal:
 
 def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     """Hurwitz zeta(s, a) = sum_{j>=0} (j+a)^-s for integer s >= 2, a > 0."""
-    if not isinstance(s, int) or isinstance(s, bool):  # 3.0 == 3 would hit the cache
-        raise TypeError(f"s must be an integer >= 2, got {s!r}")
-    if s < 2:
+    if as_int(s, "s") < 2:  # an int only: 3.0 == 3 would hit the cache
         raise ValueError(f"s must be an integer >= 2, got {s}")
     a = as_rational(a)
     if a <= 0:
@@ -535,6 +531,7 @@ def eval_theorem5(
         + sum_{k=1..n} S(n,k) k! zeta(k+1, 1-x) (beta x)^k,  |x| < 1.
     """
     cfg = cfg or EvalConfig()
+    as_int(n)
     x = as_rational(x)
     if not -1 < x < 1:
         raise ValueError(f"need |x| < 1, got {x}")
@@ -578,7 +575,7 @@ def eval_theorem5(
 def eval_eq30_family(n: int, cfg: EvalConfig | None = None) -> CheckReport:
     """sum_{k>=2} zeta(k) k^n / 2^k vs its log2 + weighted-zeta closed form."""
     cfg = cfg or EvalConfig()
-    if n < 0:
+    if as_int(n) < 0:
         raise ValueError(f"n must be >= 0, got {n}")
 
     def terms(last):
@@ -617,6 +614,7 @@ def eval_eq17_18(
     regression (already wrong at n=1).
     """
     cfg = cfg or EvalConfig()
+    as_int(n)
     if eq not in (17, 18):
         raise ValueError(f"eq must be 17 or 18, got {eq}")
     if start_index not in ("derived_j0", "paper_j1"):
@@ -671,6 +669,7 @@ def eval_dobinski_numeric(
 ) -> CheckReport:
     """Factorially damped expansion vs e^(x/beta) * S_n(x), for beta > 0."""
     cfg = cfg or EvalConfig()
+    as_int(n)
     x = as_rational(x)
     if params.beta <= 0:
         raise ValueError("numeric check restricted to beta > 0")

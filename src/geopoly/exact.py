@@ -41,6 +41,13 @@ def as_rational(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational (use Fraction, int or 'p/q'): {x!r}")
 
 
+def as_int(value: int, name: str = "n") -> int:
+    """``value`` if it is an int; bools, floats and the rest raise TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def gen_factorial(z: RationalLike, alpha: RationalLike, n: int) -> Fraction:
     """Generalized factorial (z|alpha)_n = z(z-alpha)...(z-(n-1)alpha).
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import count
 from math import comb, factorial
 
-from .exact import RationalLike, as_rational, gen_factorial, rising_factorial
+from .exact import RationalLike, as_int, as_rational, gen_factorial, rising_factorial
 from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
 from .polynomials import PolyQ
@@ -84,18 +84,24 @@ def _agreed(closed: Fraction, oracle: Fraction, what: str) -> Fraction:
 
 def exp_poly(n: int, params: HsuShiueParams) -> PolyQ:
     """Generalized exponential polynomial S_n(x) = sum_k S(n,k) x^k."""
-    table = cached_table(params, n)
-    return PolyQ.from_coeffs([table.value(n, k) for k in range(n + 1)])
+    return PolyQ.from_coeffs(cached_table(params, as_int(n)).row(n))
 
 
 def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> PolyQ:
-    """Order-m generalized geometric polynomial w_n^(m)."""
+    """Order-m generalized geometric polynomial w_n^(m).
+
+    Reads the table's integer row: the weight <m>_k beta^k is carried as an
+    integer numerator over the row denominator times (den(m) den(beta))^k,
+    so each coefficient is one Fraction.
+    """
     m, beta = as_rational(order_m), params.beta
-    table = cached_table(params, n)
-    coeffs, weight = [], Fraction(1)  # weight = <m>_k beta^k
-    for k in range(n + 1):
-        coeffs.append(table.value(n, k) * weight)
-        weight *= (m + k) * beta
+    table = cached_table(params, as_int(n))
+    step_den = m.denominator * beta.denominator
+    coeffs, num, den = [], 1, table.dens[n]
+    for k, cell in enumerate(table.rows[n]):
+        coeffs.append(Fraction(cell * num, den))
+        num *= (m.numerator + k * m.denominator) * beta.numerator
+        den *= step_den
     return PolyQ.from_coeffs(coeffs)
 
 
@@ -152,7 +158,7 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
     """
     x = as_rational(x)
     a, b, _ = params.alpha, params.beta, params.r
-    table = cached_table(params, max(n, m))
+    table = cached_table(params, max(as_int(n), as_int(m, "m")))
     total = Fraction(0)
     for j in range(m + 1):
         smj = table.value(m, j)

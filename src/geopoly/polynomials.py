@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .exact import RationalLike, as_rational
@@ -46,11 +47,15 @@ class PolyQ:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
+        """Horner's rule on integer numerators over one denominator, one Fraction at the end."""
         x = as_rational(x)
-        out = Fraction(0)
+        num, den = x.numerator, x.denominator
+        common = lcm(*(c.denominator for c in self.coeffs))
+        acc, den_pow = 0, 1  # after c_(d-j): common * den^j * (c_d x^j + ... + c_(d-j))
         for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+            acc = acc * num + c.numerator * (common // c.denominator) * den_pow
+            den_pow *= den
+        return Fraction(acc, common * den ** max(self.degree, 0))
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
         n = max(len(self.coeffs), len(other.coeffs))

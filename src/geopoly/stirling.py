@@ -4,7 +4,16 @@ Tables are built by the triangular recurrence
 
     S(0,0) = 1,   S(n+1,k) = S(n,k-1) + (k*beta - n*alpha + r) * S(n,k)
 
-with S(n,k) = 0 for k > n.  The exponential generating function
+with S(n,k) = 0 for k > n.  The recurrence runs on integers: with D the lcm
+of the denominators of (alpha, beta, r), row n is kept as the integers
+T(n,k) = S(n,k) D^n over its own denominator, D^n when built, so no cell
+pays a gcd.  Readers that stay in integers (`families.geometric_poly`, the
+comparison in `verify_against_gf`) take the numerators and the row
+denominator; `value` and `row` build a Fraction only when asked.  The
+denominator is kept per row so that `with_entry` can write any rational
+into one row without touching the others.
+
+The exponential generating function
 
     (1/k!) * [((1+alpha t)^(beta/alpha) - 1)/beta]^k * (1+alpha t)^(r/alpha)
 
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm
 
 from .exact import RationalLike, as_rational
 from .memo import Memo
@@ -38,11 +47,16 @@ from .series import binom_deform, deformed_base
 
 @dataclass(frozen=True)
 class StirlingTable:
-    """Immutable triangle of exact S(n,k) values, 0 <= k <= n <= n_max."""
+    """Immutable triangle of exact S(n,k) values, 0 <= k <= n <= n_max.
+
+    Row n is kept as integer numerators over one row denominator:
+    S(n,k) = rows[n][k] / dens[n].
+    """
 
     params: HsuShiueParams
     n_max: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
 
     def value(self, n: int, k: int) -> Fraction:
         if n < 0 or n > self.n_max:
@@ -51,33 +65,48 @@ class StirlingTable:
             raise IndexError(f"negative column {k}")
         if k > n:
             return Fraction(0)
-        return self.rows[n][k]
+        return Fraction(self.rows[n][k], self.dens[n])
 
     def row(self, n: int) -> tuple[Fraction, ...]:
-        return self.rows[n]
+        den = self.dens[n]
+        return tuple(Fraction(t, den) for t in self.rows[n])
 
     def with_entry(self, n: int, k: int, value: RationalLike) -> "StirlingTable":
-        """Copy with one cell replaced; a hook for negative-control tests."""
-        rows = [list(r) for r in self.rows]
-        rows[n][k] = as_rational(value)
-        return StirlingTable(self.params, self.n_max, tuple(tuple(r) for r in rows))
+        """Copy with one cell replaced; a hook for negative-control tests.
+
+        Only row n is rescaled, to the lcm of its denominator and the new value's.
+        """
+        value = as_rational(value)
+        den = lcm(self.dens[n], value.denominator)
+        row = [t * (den // self.dens[n]) for t in self.rows[n]]
+        row[k] = value.numerator * (den // value.denominator)
+        rows = self.rows[:n] + (tuple(row),) + self.rows[n + 1 :]
+        dens = self.dens[:n] + (den,) + self.dens[n + 1 :]
+        return StirlingTable(self.params, self.n_max, rows, dens)
 
 
 def build_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
+    """Rows 0..n_max by the recurrence, on integers T(n,k) = S(n,k) D^n.
+
+    With D the lcm of the denominators of (alpha, beta, r) and A, B, R their
+    multiples by D, the recurrence becomes
+    T(n+1,k) = D T(n,k-1) + (kB - nA + R) T(n,k), with no gcd in the loop.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     alpha, beta, r = params.alpha, params.beta, params.r
-    rows = [(Fraction(1),)]
+    d = lcm(alpha.denominator, beta.denominator, r.denominator)
+    a, b, c = (int(v * d) for v in (alpha, beta, r))
+    rows = [(1,)]
     for n in range(n_max):
         prev = rows[n]
-        nxt = []
-        for k in range(n + 2):
-            acc = prev[k - 1] if 1 <= k <= n + 1 else Fraction(0)
-            if k <= n:
-                acc += (k * beta - n * alpha + r) * prev[k]
-            nxt.append(acc)
+        nxt = [c * prev[0]]
+        for k in range(1, n + 1):
+            nxt.append(d * prev[k - 1] + (c + k * b) * prev[k])
+        nxt.append(d * prev[n])
         rows.append(tuple(nxt))
-    return StirlingTable(params, n_max, tuple(rows))
+        c -= a  # now R - (n+1)A, the k = 0 factor of the next row
+    return StirlingTable(params, n_max, tuple(rows), tuple(d**n for n in range(n_max + 1)))
 
 
 # Parameter triples whose triangles are kept (see memo for the growth rule).
@@ -85,13 +114,15 @@ TABLE_CAP = 512
 
 
 @Memo(TABLE_CAP).prefix
-def _table_rows(params: HsuShiueParams, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    return build_table(params, n_max).rows
+def _table_rows(params: HsuShiueParams, n_max: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    table = build_table(params, n_max)
+    return tuple(zip(table.rows, table.dens))
 
 
 def cached_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
     """Shared read-only table: rows 0..n_max of the one triangle kept per triple."""
-    return StirlingTable(params, n_max, _table_rows(params, n_max))
+    rows, dens = zip(*_table_rows(params, n_max))
+    return StirlingTable(params, n_max, rows, dens)
 
 
 cached_table.cache_info = _table_rows.cache_info
@@ -143,7 +174,10 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     multiplication per column, so the oracle costs O(n) multiplications
     rather than the O(n log n) of repeated squaring for every k.  Columns
     are scanned in increasing k and rows in increasing n within a column,
-    so the witness is the first mismatch in that order.
+    so the witness is the first mismatch in that order.  A cell is compared
+    by cross-multiplying its integer numerator and row denominator with the
+    coefficient's numerator and denominator; a Fraction is built only for
+    the witness.
     """
     if order > table.n_max:
         raise ValueError(f"order {order} exceeds table n_max {table.n_max}")
@@ -151,14 +185,19 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     base = deformed_base(p.alpha, p.beta, order)
     weight = binom_deform(p.alpha, p.r, order)
     rpt = CheckReport(id="GF_VS_TABLE", params={"params": p, "order": order}, tolerance=EXACT)
+    rows, dens = table.rows, table.dens
     gf = weight
     for k in range(order + 1):
         if k:
             gf = gf * base
+        fall = 1  # n!/k!
         for n in range(k, order + 1):
-            expected = gf.coeff(n) * factorial(n) / factorial(k)
-            got = table.value(n, k)
+            c = gf.coeffs[n]
             # the scan stays inline: a generator per cell costs ~5% at n = 40
-            if got != expected:
-                return rpt.compare_each([(n, k, got, expected)], "(n={}, k={}): table {} != gf {}")
+            if rows[n][k] * c.denominator != c.numerator * fall * dens[n]:
+                expected = Fraction(c.numerator * fall, c.denominator)
+                return rpt.compare_each(
+                    [(n, k, table.value(n, k), expected)], "(n={}, k={}): table {} != gf {}"
+                )
+            fall *= n + 1
     return rpt

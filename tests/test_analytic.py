@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -155,6 +156,23 @@ def test_non_int_s_is_refused_cold_and_warm(monkeypatch, s):
 def test_eq30_family_refuses_negative_n():
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         A.eval_eq30_family(-1, CFG)
+
+
+EVALS_OF_N = {
+    "eval_theorem5": lambda n: A.eval_theorem5(HsuShiueParams(0, 1, 0), n, 0, CFG),
+    "eval_eq30_family": lambda n: A.eval_eq30_family(n, CFG),
+    "eval_eq17_18": lambda n: A.eval_eq17_18(n, HsuShiueParams(0, 1, 0), CFG),
+    "eval_dobinski_numeric": lambda n: A.eval_dobinski_numeric(n, HsuShiueParams(0, 1, 0), 1, CFG),
+}
+
+
+@pytest.mark.parametrize("n", [True, 2.0, F(2), "2"])
+@pytest.mark.parametrize("name", sorted(EVALS_OF_N))
+def test_every_eval_refuses_a_non_int_n(name, n):
+    # a bool n used to pass and be reported as "n": True; 2.0 failed obscurely
+    with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+        EVALS_OF_N[name](n)
+    assert EVALS_OF_N[name](1).status == "pass"
 
 
 def test_theorem5_reduces_to_digamma_series_at_n0():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from math import factorial
 from typing import NamedTuple
@@ -30,6 +31,21 @@ def test_exp_poly_basics():
     bell3 = fam.exp_poly(3, CLASSICAL)
     assert bell3.coeffs == (0, 1, 3, 1)
     assert bell3(1) == set_partitions_count(3)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, F(2), "2"])
+def test_polynomial_constructors_refuse_a_non_int_n(n):
+    # geometric_poly(True, ...) used to return w_1
+    calls = [
+        lambda: fam.exp_poly(n, RATIONAL),
+        lambda: fam.geometric_poly(n, 1, RATIONAL),
+        lambda: fam.spivey_step(n, 1, 1, F(1, 2), RATIONAL),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+            call()
+    with pytest.raises(TypeError, match=re.escape(f"m must be an integer, got {n!r}")):
+        fam.spivey_step(1, n, 1, F(1, 2), RATIONAL)
 
 
 def test_geometric_poly_low_orders():

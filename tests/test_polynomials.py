@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries, divide
@@ -17,6 +17,29 @@ def test_exact_evaluation():
     p = PolyQ.from_coeffs([F(1, 6), -1, 1])  # x^2 - x + 1/6
     assert p(F(1, 2)) == F(-1, 12)
     assert p(0) == F(1, 6)
+
+
+def fraction_horner(coeffs, x):
+    """The reference: Horner's rule on reduced Fractions."""
+    out = F(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=12),
+    x=st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+@example(coeffs=[], x=F(-3, 2))  # the zero polynomial
+@example(coeffs=[F(1, 6), F(-5, 4), F(7, 3)], x=F(0))
+@example(coeffs=[F(-1, 3), 0, 0, F(2, 5)], x=F(-7, 4))
+def test_evaluation_equals_fraction_horner(coeffs, x):
+    p = PolyQ.from_coeffs(coeffs)
+    got = p(x)
+    assert isinstance(got, F) and got == fraction_horner(p.coeffs, x)
+    assert p(str(x)) == got
 
 
 def test_arithmetic():

@@ -1,8 +1,12 @@
+import ast
+import inspect
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from geopoly import series, stirling
 from geopoly.enumeration import r_stirling_count, set_partitions_count
 from geopoly.exact import gen_factorial
 from geopoly.params import HsuShiueParams
@@ -10,6 +14,93 @@ from geopoly.series import binom_deform
 from geopoly.stirling import build_table, cached_table, specialize, verify_against_gf
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def fraction_rows(params, n_max):
+    """The reference: the recurrence on reduced Fractions, one cell at a time."""
+    alpha, beta, r = params.alpha, params.beta, params.r
+    rows = [(F(1),)]
+    for n in range(n_max):
+        prev = rows[n]
+        nxt = []
+        for k in range(n + 2):
+            acc = prev[k - 1] if 1 <= k <= n + 1 else F(0)
+            if k <= n:
+                acc += (k * beta - n * alpha + r) * prev[k]
+            nxt.append(acc)
+        rows.append(tuple(nxt))
+    return rows
+
+
+sevenths = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=sevenths, beta=sevenths, r=sevenths, n_max=st.integers(0, 30))
+@example(alpha=F(0), beta=F(1), r=F(0), n_max=30)  # stirling2, alpha = 0
+@example(alpha=F(1), beta=F(0), r=F(0), n_max=30)  # stirling1_signed, beta = 0
+@example(alpha=F(-2, 7), beta=F(-5, 3), r=F(-1, 6), n_max=30)  # all three parameters negative
+def test_integer_triangle_equals_the_fraction_recurrence(alpha, beta, r, n_max):
+    if alpha == beta == r == 0:
+        r = F(1, 7)
+    params = HsuShiueParams(alpha, beta, r)
+    table, want = build_table(params, n_max), fraction_rows(params, n_max)
+    assert all(isinstance(t, int) for row in table.rows for t in row)
+    for n in range(n_max + 1):
+        assert table.row(n) == want[n]
+        assert [table.value(n, k) for k in range(n + 2)] == [*want[n], 0]
+
+
+@pytest.mark.parametrize("bump", [1, F(1, 7)])
+def test_with_entry_rescales_only_its_row(bump):
+    table = build_table(HsuShiueParams(F(1, 2), 3, -2), 6)
+    bad = table.with_entry(4, 2, table.value(4, 2) + bump)
+    assert bad.value(4, 2) == table.value(4, 2) + bump
+    assert bad.row(4) == tuple(v + bump * (k == 2) for k, v in enumerate(table.row(4)))
+    for n in (0, 1, 2, 3, 5, 6):
+        assert (bad.rows[n], bad.dens[n]) == (table.rows[n], table.dens[n])
+        assert bad.row(n) == table.row(n)
+    assert table.value(4, 2) == fraction_rows(table.params, 6)[4][2]  # the original is untouched
+
+
+def test_table_builds_without_the_series_module(monkeypatch):
+    # the oracle's module may fail entirely: build_table and cached_table never call it
+    def boom(*args, **kwargs):
+        raise AssertionError("stirling called series outside the GF oracle")
+
+    for name, value in list(vars(series).items()):
+        public = inspect.isfunction(value) and not name.startswith("_")
+        if public and value.__module__ == series.__name__:
+            monkeypatch.setattr(series, name, boom)
+            if getattr(stirling, name, None) is value:
+                monkeypatch.setattr(stirling, name, boom)
+    params = HsuShiueParams(F(3, 11), F(-2, 5), F(5, 6))  # a triple no other test builds
+    assert build_table(params, 12).row(12) == fraction_rows(params, 12)[12]
+    misses = cached_table.cache_info().misses
+    assert cached_table(params, 9).value(9, 4) == fraction_rows(params, 9)[9][4]
+    assert cached_table.cache_info().misses == misses + 1
+    with pytest.raises(AssertionError, match="outside the GF oracle"):
+        verify_against_gf(build_table(params, 3), 3)  # the patch does reach the oracle
+
+
+def test_only_the_gf_oracle_names_series():
+    tree = ast.parse(inspect.getsource(stirling))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "series"
+        for alias in node.names
+    }
+    assert imported == {"binom_deform", "deformed_base"}
+    outside = [
+        (node.lineno, node.id)
+        for top in tree.body
+        if not (isinstance(top, ast.FunctionDef) and top.name == "verify_against_gf")
+        and not isinstance(top, ast.ImportFrom)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in imported | {"series"}
+    ]
+    assert outside == []
 
 
 def test_invalid_triple_rejected():
@@ -102,16 +193,17 @@ def test_gf_oracle_rational_params():
 
 
 def test_gf_oracle_detects_corruption():
-    # every single-cell corruption is caught and named by its own (n, k);
-    # (0,1,0) and (1,0,0) take the alpha = 0 and beta = 0 paths of the GF
+    # every single-cell corruption, by an integer or by a new denominator, is
+    # caught and named by its own (n, k); (0,1,0) and (1,0,0) take the
+    # alpha = 0 and beta = 0 paths of the GF
     triples = (HsuShiueParams(F(1, 2), 3, -2), HsuShiueParams(0, 1, 0), HsuShiueParams(1, 0, 0))
-    for params in triples:
+    for params, bump in itertools.product(triples, (1, F(1, 7))):
         table = build_table(params, 8)
         for n in range(9):
             for k in range(n + 1):
-                bad = table.with_entry(n, k, table.value(n, k) + F(1, 7))
+                bad = table.with_entry(n, k, table.value(n, k) + bump)
                 rep = verify_against_gf(bad, 8)
-                assert rep.status == "fail", (params, n, k)
+                assert rep.status == "fail", (params, bump, n, k)
                 assert rep.witness.startswith(f"(n={n}, k={k}):"), (params, n, k, rep.witness)
 
 
