@@ -1,0 +1,151 @@
+"""Scaling curves of the closed forms and oracles, written to BENCH_<suite>.json.
+
+    python3 scripts/bench_curves.py exact --src src --label change
+    python3 scripts/bench_curves.py numeric --src ../parent/src --label parent
+
+Each point is one cold interpreter that imports geopoly from ``--src`` and
+times one call (import excluded), pinned to one CPU; the median of
+``--repeats`` such processes is kept.  The suites and their curves, each a
+row of ``CASES``:
+
+- ``exact``, on each of the triples (1/2, 3, -2) and (-1/3, 5/2, 1/4):
+  ``build_table``, the Stirling triangle by its recurrence, n = 50..800;
+  ``geometric_poly``, ``geometric_poly(n, 2, p)(1/3)`` from a cold cache,
+  so the table build, the weighted row and the evaluation, n = 50..800;
+  ``verify_against_gf``, the GF oracle against a table built before the
+  clock starts, n = 50..200.
+- ``numeric``, at n = 256..2048 bits: ``eq30_family_n3``,
+  ``eval_eq30_family(3, cfg)``, whose cost is its series side, zeta(2..K)
+  with K about bits + 10; ``theorem5``,
+  ``eval_theorem5((1/2, 2, 1), 3, 1/2, cfg)``, the series side plus the
+  Hurwitz/digamma closed side.
+
+Each curve gets the least-squares slope of log(time) on log(n), and each
+point the first 16 hex digits of the sha256 of its result, so two runs can
+be checked to agree.  The run is stored under ``--label`` in
+``BENCH_<suite>.json`` in the working directory; other labels are kept, so
+running it on two checkouts leaves a before/after pair in one file.  A new
+curve is a new row.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TRIPLES = ("1/2, 3, -2", "-1/3, 5/2, 1/4")
+TABLE_N = (50, 100, 200, 400, 800)
+BITS = (256, 512, 1024, 2048)
+# exact curve on a triple p: (sizes, untimed setup, timed call, the result that is hashed)
+EXACT = {
+    "build_table": (TABLE_N, "", "build_table(p, n)", "out.row(n)"),
+    "geometric_poly": (TABLE_N, "", "geometric_poly(n, 2, p)(Fraction(1, 3))", "out"),
+    "verify_against_gf": (TABLE_N[:3], "table = build_table(p, n)", "verify_against_gf(table, n)",
+                          "out.to_dict()"),
+}
+# CASES[suite][curve] = (sizes, untimed setup, timed call, the result that is hashed)
+CASES = {
+    "exact": {
+        f"{case} ({triple})": (
+            sizes, f'p = HsuShiueParams(*map(Fraction, "{triple}".split(",")))\n{setup}', call, result
+        )
+        for triple in TRIPLES
+        for case, (sizes, setup, call, result) in EXACT.items()
+    },
+    "numeric": {
+        "eq30_family_n3": (
+            BITS, "cfg = analytic.EvalConfig(n)", "analytic.eval_eq30_family(3, cfg)", "out.to_dict()"
+        ),
+        "theorem5": (
+            BITS, "cfg = analytic.EvalConfig(n)",
+            "analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), 2, 1), 3, Fraction(1, 2), cfg)",
+            "out.to_dict()",
+        ),
+    },
+}
+CHILD = """
+import hashlib
+import time
+from fractions import Fraction
+from geopoly import analytic
+from geopoly.families import geometric_poly
+from geopoly.params import HsuShiueParams
+from geopoly.stirling import build_table, verify_against_gf
+n = {n}
+{setup}
+t0 = time.perf_counter()
+out = {call}
+elapsed = time.perf_counter() - t0
+assert getattr(out, "status", "pass") == "pass", out
+print(elapsed, hashlib.sha256(str({result}).encode()).hexdigest()[:16])
+"""
+
+
+def child_code(suite: str, curve: str, n: int) -> str:
+    _, setup, call, result = CASES[suite][curve]
+    return CHILD.format(n=n, setup=setup, call=call, result=result)
+
+
+def pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def time_once(src: Path, suite: str, curve: str, n: int) -> tuple[float, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", child_code(suite, curve, n)], env=env, check=True,
+                         capture_output=True, text=True, preexec_fn=pin_to_one_cpu)
+    elapsed, digest = out.stdout.split()
+    return float(elapsed), digest
+
+
+def slope(points: dict[int, float]) -> float:
+    xs = [math.log(n) for n in points]
+    ys = [math.log(t) for t in points.values()]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("suite", choices=CASES, help="the curves to run, written to BENCH_<suite>.json")
+    parser.add_argument("--src", type=Path, required=True, help="the src directory holding geopoly")
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    if not (args.src / "geopoly" / "__init__.py").is_file():
+        parser.error(f"no geopoly package under {args.src}")
+    curves = {}
+    for curve, (sizes, *_) in CASES[args.suite].items():
+        points, digests = {}, {}
+        for n in sizes:
+            runs = [time_once(args.src.resolve(), args.suite, curve, n) for _ in range(args.repeats)]
+            points[n] = statistics.median(t for t, _ in runs)
+            (digests[n],) = {d for _, d in runs}  # every repeat gave the same result
+            print(f"{curve} n={n}: {points[n]:.4f} s", file=sys.stderr, flush=True)
+        curves[curve] = {
+            "seconds": {str(n): round(t, 4) for n, t in points.items()},
+            "exponent": round(slope(points), 3),
+            "sha256": {str(n): d for n, d in digests.items()},
+        }
+    out = Path(f"BENCH_{args.suite}.json")
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data["unit"] = "s, raw wall time of one call in a cold process pinned to one CPU, median of repeats"
+    data.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "repeats": args.repeats,
+        "curves": curves,
+    }
+    out.write_text(json.dumps(data, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

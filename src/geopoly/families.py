@@ -137,6 +137,11 @@ def check_minus_one(n: int, s: int, params: HsuShiueParams) -> CheckReport:
     return rpt.compare(*_minus_one_sides(n, s, params), "w(-1) = {} != {}")
 
 
+def _gf_sides(n: int, s: int, x: Fraction, params: HsuShiueParams) -> tuple[Fraction, Fraction]:
+    """w_n^(s)(x) and n! [t^n] of its order-s EGF."""
+    return geometric_poly(n, s, params)(x), gf_w(params, s, x, n).egf_coeff(n)
+
+
 def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
     """n! [t^n] of the order-s EGF vs the explicit rising-factorial sum."""
     x = as_rational(x)
@@ -144,8 +149,8 @@ def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
         id="EQ3_VS_GF8" if s != 1 else "EQ19",
         params={"n": n, "s": s, "x": x, "params": params},
     )
-    via_gf = gf_w(params, s, x, n).egf_coeff(n)
-    return rpt.compare(via_gf, geometric_poly(n, s, params)(x), "gf {} != formula {}")
+    formula, via_gf = _gf_sides(n, s, x, params)
+    return rpt.compare(via_gf, formula, "gf {} != formula {}")
 
 
 def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams) -> Fraction:
@@ -468,9 +473,7 @@ def check_gamma_rep7(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
         raise ValueError(f"s must be >= 1, got {s}")
     x = as_rational(x)
     rpt = CheckReport(id="EQ7_GAMMA", params={"n": n, "s": s, "x": x, "params": params})
-    lhs = geometric_poly(n, s, params)(x)
-    rhs = gf_w(params, s, x, n).egf_coeff(n)
-    return rpt.compare(lhs, rhs, "moment sum {} != gf {}")
+    return rpt.compare(*_gf_sides(n, s, x, params), "moment sum {} != gf {}")
 
 
 def bpa_number(n: int, s: int, params: HsuShiueParams) -> Fraction:

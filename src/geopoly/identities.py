@@ -61,14 +61,10 @@ class SmallRationalSampler:
             if value != 0 or not nonzero:
                 return value
 
-    def params(
-        self,
-        beta_nonzero: bool = True,
-        beta_positive: bool = False,
-    ) -> HsuShiueParams:
+    def params(self, beta_positive: bool = False) -> HsuShiueParams:
         while True:
             alpha = self.rational()
-            beta = self.rational(nonzero=beta_nonzero)
+            beta = self.rational(nonzero=True)
             if beta_positive and beta <= 0:
                 continue
             r = self.rational()

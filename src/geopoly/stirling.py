@@ -179,6 +179,8 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     coefficient's numerator and denominator; a Fraction is built only for
     the witness.
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if order > table.n_max:
         raise ValueError(f"order {order} exceeds table n_max {table.n_max}")
     p = table.params

@@ -33,7 +33,7 @@ def test_criterion_01_table_vs_gf_20_triples_under_5s():
     sampler = SmallRationalSampler(2025)
     started = time.monotonic()
     for _ in range(20):
-        params = sampler.params(beta_nonzero=True)
+        params = sampler.params()
         table = build_table(params, 12)
         report = verify_against_gf(table, 12)
         assert report.status == "pass", report.to_dict()
@@ -51,7 +51,7 @@ def test_criterion_02_bernoulli_euler_stirling_formulas_n20():
 def test_criterion_03_gf_vs_explicit_10_samples():
     sampler = SmallRationalSampler(2026)
     for _ in range(10):
-        params = sampler.params(beta_nonzero=True)
+        params = sampler.params()
         x = sampler.rational()
         for s in range(1, 5):
             for n in range(11):
@@ -117,10 +117,18 @@ def test_criterion_07_power_sums_corrected_passes_printed_fails():
     print("CRITERION 7 PASS: power sums exact n<=8, m<=6; printed fails at (1,1,2,1)")
 
 
+def _params_beta_free(sampler):
+    """A triple drawn in the order of `sampler.params()`, but with beta free to be 0."""
+    while True:
+        triple = (sampler.rational(), sampler.rational(), sampler.rational())
+        if any(triple):
+            return HsuShiueParams(*triple)
+
+
 def test_criterion_08_spivey_recurrence_and_fubini():
     sampler = SmallRationalSampler(2031)
     for _ in range(4):
-        params = sampler.params(beta_nonzero=False)
+        params = _params_beta_free(sampler)
         x = sampler.rational()
         for n in range(7):
             for m in range(7):
@@ -143,7 +151,7 @@ def test_criterion_09_barred_preferential_counts():
 def test_criterion_10_dobinski_exact_and_numeric():
     sampler = SmallRationalSampler(2032)
     for _ in range(5):
-        params = sampler.params(beta_nonzero=True)
+        params = sampler.params()
         for n in range(9):
             assert families.check_dobinski(n, params, 24).status == "pass"
     for _ in range(4):
@@ -158,7 +166,7 @@ def test_criterion_10_dobinski_exact_and_numeric():
 def test_criterion_11_series_identities_order_30():
     sampler = SmallRationalSampler(2033)
     for _ in range(4):
-        params = sampler.params(beta_nonzero=True)
+        params = sampler.params()
         for n in range(9):
             s = sampler.int_between(0, 4)
             assert mellin.verify_series_identity("eq5", n, s, params, 30).status == "pass"
@@ -174,7 +182,7 @@ def test_criterion_11_series_identities_order_30():
 def test_criterion_12_trig_type_series_j0_passes_j1_fails():
     sampler = SmallRationalSampler(2034)
     for _ in range(4):
-        params = sampler.params(beta_nonzero=True)
+        params = sampler.params()
         for n in range(7):
             for eq in (17, 18):
                 report = analytic.eval_eq17_18(n, params, CFG256, eq=eq)
@@ -196,7 +204,7 @@ def test_criterion_13_zeta_series_and_eq30():
     sampler = SmallRationalSampler(2035)
     for x in (F(1, 3), F(1, 2), F(-1, 2)):
         for n in range(6):
-            params = sampler.params(beta_nonzero=True)
+            params = sampler.params()
             report = analytic.eval_theorem5(params, n, x, CFG256)
             assert report.status == "pass", report.to_dict()
             assert _diff(report) < TOL

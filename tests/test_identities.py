@@ -193,7 +193,7 @@ def test_sampler_is_stable_lcg():
 def test_sampler_respects_constraints():
     s = I.SmallRationalSampler(9)
     for _ in range(100):
-        p = s.params(beta_nonzero=True)
+        p = s.params()
         assert p.beta != 0
         q = s.params(beta_positive=True)
         assert q.beta > 0

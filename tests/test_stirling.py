@@ -207,6 +207,15 @@ def test_gf_oracle_detects_corruption():
                 assert rep.witness.startswith(f"(n={n}, k={k}):"), (params, n, k, rep.witness)
 
 
+@pytest.mark.parametrize("order", [-1, -3])
+def test_gf_oracle_refuses_a_negative_order(order):
+    # a negative order would compare no cell and pass, even on a corrupt table
+    bad = build_table(HsuShiueParams(1, 2, 3), 3).with_entry(0, 0, 5)
+    assert verify_against_gf(bad, 0).witness == "(n=0, k=0): table 5 != gf 1"
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        verify_against_gf(bad, order)
+
+
 @settings(max_examples=25, deadline=None)
 @given(alpha=small_fractions, beta=small_fractions, r=small_fractions)
 def test_gf_oracle_random_triples(alpha, beta, r):
