@@ -13,7 +13,9 @@ row of ``CASES``:
   ``geometric_poly``, ``geometric_poly(n, 2, p)(1/3)`` from a cold cache,
   so the table build, the weighted row and the evaluation, n = 50..800;
   ``verify_against_gf``, the GF oracle against a table built before the
-  clock starts, n = 50..200.
+  clock starts, n = 50..200;
+  ``spivey_step``, ``spivey_step(n, n, 1, 1/3, p)`` from a cold cache, so
+  the table build and the two-index recurrence, n = 12..48.
 - ``numeric``, at n = 256..2048 bits: ``eq30_family_n3``,
   ``eval_eq30_family(3, cfg)``, whose cost is its series side, zeta(2..K)
   with K about bits + 10; ``theorem5``,
@@ -49,6 +51,7 @@ EXACT = {
     "geometric_poly": (TABLE_N, "", "geometric_poly(n, 2, p)(Fraction(1, 3))", "out"),
     "verify_against_gf": (TABLE_N[:3], "table = build_table(p, n)", "verify_against_gf(table, n)",
                           "out.to_dict()"),
+    "spivey_step": ((12, 24, 48), "", "spivey_step(n, n, 1, Fraction(1, 3), p)", "out"),
 }
 # CASES[suite][curve] = (sizes, untimed setup, timed call, the result that is hashed)
 CASES = {
@@ -75,7 +78,7 @@ import hashlib
 import time
 from fractions import Fraction
 from geopoly import analytic
-from geopoly.families import geometric_poly
+from geopoly.families import geometric_poly, spivey_step
 from geopoly.params import HsuShiueParams
 from geopoly.stirling import build_table, verify_against_gf
 n = {n}

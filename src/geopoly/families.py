@@ -10,7 +10,8 @@ code path via <-s>_k = (-1)^k (s)_k), plus the classical and degenerate
 Bernoulli/Euler families extracted from their generating functions.
 
 Every Stirling-weighted closed side is written once, as one of two forms
-of `geometric_poly`: w_n^(m) at a point, or a scalar times
+of w_n^(m): its value at a point, read by `geometric_at` from one integer
+table row, or a scalar times
 
     I_n^(m)(alpha, beta, r) = integral_{-1}^{0} w_n^(m)(x; alpha, beta, r) dx.
 
@@ -29,8 +30,12 @@ The integral turns x^k into (-1)^k/(k+1), and <s>_{k+1} = s <s+1>_k and
     COR5_CORRECTED                m I_n^(1-m)(0, beta, r)
     MINUS_ONE, FUBINI, BPA        w_n^(m)(-1) and w_n^(m)(1)
 
-and the printed EQ37 and COR5 variants divide by one more beta.  Only the
-closed sides go through `geometric_poly`; the oracles do not.
+and the printed EQ37 and COR5 variants divide by one more beta.  The
+integrals go through the polynomial `geometric_poly`.  Both forms, and
+`geometric_rows`, which gives w_0..w_n at a point as integer pairs for
+`spivey_step`, take their weights <m>_k c^k from the one `_weights`, so
+the definition of w is written once.  Only the closed sides read these;
+the oracles do not.
 
 Every closed-form identity ships with an independent oracle: generating
 function coefficient extraction, direct summation, or (in the tests)
@@ -51,9 +56,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
-from .exact import RationalLike, as_int, as_rational, gen_factorial, rising_factorial
+from .exact import RationalLike, as_int, as_rational, gen_factorial
 from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
 from .polynomials import PolyQ
@@ -87,6 +93,19 @@ def exp_poly(n: int, params: HsuShiueParams) -> PolyQ:
     return PolyQ.from_coeffs(cached_table(params, as_int(n)).row(n))
 
 
+def _weights(m: Fraction, c: Fraction, n: int) -> list[int]:
+    """The weights <m>_k c^k, k = 0..n, as integer numerators over (den(m) den(c))^k.
+
+    The one definition of w_n^(m): `geometric_poly` reads it at c = beta for
+    the coefficients, `geometric_rows` at c = beta*x for the values.
+    """
+    out, num = [], 1
+    for k in range(n + 1):
+        out.append(num)
+        num *= (m.numerator + k * m.denominator) * c.numerator
+    return out
+
+
 def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> PolyQ:
     """Order-m generalized geometric polynomial w_n^(m).
 
@@ -97,12 +116,39 @@ def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> Pol
     m, beta = as_rational(order_m), params.beta
     table = cached_table(params, as_int(n))
     step_den = m.denominator * beta.denominator
-    coeffs, num, den = [], 1, table.dens[n]
-    for k, cell in enumerate(table.rows[n]):
-        coeffs.append(Fraction(cell * num, den))
-        num *= (m.numerator + k * m.denominator) * beta.numerator
+    coeffs, den = [], table.dens[n]
+    for cell, weight in zip(table.rows[n], _weights(m, beta, n)):
+        coeffs.append(Fraction(cell * weight, den))
         den *= step_den
     return PolyQ.from_coeffs(coeffs)
+
+
+def geometric_rows(
+    n: int, order_m: RationalLike, x: RationalLike, params: HsuShiueParams, first: int = 0
+) -> list[tuple[int, int]]:
+    """w_k^(m)(x) for k = first..n, each as an integer numerator and denominator.
+
+    w_k^(m)(x) = sum_i S(k,i) <m>_i (beta x)^i, so with E = den(m) den(beta x)
+    every row k is one integer dot product of the table row T(k, .) with the
+    one vector v_i = <m>_i (beta x)^i E^n (an integer), over dens[k] E^n.  No
+    Fraction is built; ``first = n`` reads the single row n, O(n) cells.
+    """
+    m, bx = as_rational(order_m), params.beta * as_rational(x)
+    table = cached_table(params, as_int(n))
+    step = m.denominator * bx.denominator
+    vec, scale = _weights(m, bx, n), 1
+    for i in range(n, -1, -1):
+        vec[i] *= scale  # scale = E^(n-i)
+        scale *= step
+    den = step**n
+    return [(sum(map(mul, table.rows[k], vec)), table.dens[k] * den) for k in range(first, n + 1)]
+
+
+def geometric_at(
+    n: int, order_m: RationalLike, x: RationalLike, params: HsuShiueParams
+) -> Fraction:
+    """w_n^(m)(x), from the single integer row n: one dot product, one Fraction."""
+    return Fraction(*geometric_rows(n, order_m, x, params, first=n)[0])
 
 
 def _integral(n: int, order_m: RationalLike, params: HsuShiueParams) -> Fraction:
@@ -121,7 +167,7 @@ def _minus_one_sides(
     """
     m = as_rational(order_m)
     return (
-        geometric_poly(n, m, params)(-1),
+        geometric_at(n, m, -1, params),
         gen_factorial(params.r - params.beta * m, params.alpha, n),
     )
 
@@ -139,7 +185,7 @@ def check_minus_one(n: int, s: int, params: HsuShiueParams) -> CheckReport:
 
 def _gf_sides(n: int, s: int, x: Fraction, params: HsuShiueParams) -> tuple[Fraction, Fraction]:
     """w_n^(s)(x) and n! [t^n] of its order-s EGF."""
-    return geometric_poly(n, s, params)(x), gf_w(params, s, x, n).egf_coeff(n)
+    return geometric_at(n, s, x, params), gf_w(params, s, x, n).egf_coeff(n)
 
 
 def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
@@ -154,27 +200,39 @@ def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
 
 
 def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams) -> Fraction:
-    """w_{n+m}^(s)(x) assembled from lower-index polynomials.
+    """w_{n+m}^(s)(x) assembled from lower-index values.
 
     Double sum over k <= n, j <= m of
     C(n,k) S(m,j) (j*beta - m*alpha | alpha)_{n-k} <s>_j beta^j x^j w_k^(s+j)(x).
     The <s>_j weight (paired with w^(s+j)) is the convention under which the
     recurrence is an identity; tests pin it against geometric_poly.
+
+    Each order s+j reads w_0..w_n at x from `geometric_rows`, row k over
+    D^k E^n (D the lcm of the denominators of (alpha, beta, r), as in
+    `build_table`).  The generalized factorial is a running integer product
+    over D^(n-k), so every term of the k-sum is over D^n E^n, the
+    denominator of row n: the k-sum runs on integers and each j adds one
+    Fraction.
     """
-    x = as_rational(x)
-    a, b, _ = params.alpha, params.beta, params.r
+    x, order = as_rational(x), as_rational(s)
+    a, b, r = params.alpha, params.beta, params.r
     table = cached_table(params, max(as_int(n), as_int(m, "m")))
+    d = lcm(a.denominator, b.denominator, r.denominator)
+    step_a, step_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    bx = b * x
+    weights, step = _weights(order, bx, m), order.denominator * bx.denominator
     total = Fraction(0)
-    for j in range(m + 1):
-        smj = table.value(m, j)
-        if not smj:
+    for j, cell in enumerate(table.rows[m]):
+        outer = cell * weights[j]  # S(m,j) <s>_j (beta x)^j over dens[m] step^j
+        if not outer:
             continue
-        wj = smj * rising_factorial(s, j) * b**j * x**j
-        for k in range(n + 1):
-            fall = gen_factorial(j * b - m * a, a, n - k)
-            if not fall:
-                continue
-            total += comb(n, k) * wj * fall * geometric_poly(k, s + j, params)(x)
+        falls, fall, top = [], 1, j * step_b - m * step_a
+        for i in range(n + 1):
+            falls.append(fall)
+            fall *= top - i * step_a
+        rows = geometric_rows(n, order + j, x, params)
+        inner = sum(comb(n, k) * falls[n - k] * num for k, (num, _) in enumerate(rows))
+        total += Fraction(outer * inner, table.dens[m] * step**j * rows[n][1])
     return total
 
 
@@ -234,9 +292,9 @@ def check_eq14(n_max: int) -> CheckReport:
 
     def cases():
         for n in range(n_max + 1):
-            w = geometric_poly(n, 1, params)
-            yield f"B_{n}", w.integral(-1, 0), bernoulli_number(n)
-            yield f"E_{n}(0)", w(Fraction(-1, 2)), _euler_zero_values(1, n)[n]
+            yield f"B_{n}", _integral(n, 1, params), bernoulli_number(n)
+            euler = _euler_zero_values(1, n)[n]
+            yield f"E_{n}(0)", geometric_at(n, 1, Fraction(-1, 2), params), euler
 
     rpt = CheckReport(id="EQ14", params={"n_max": n_max})
     return rpt.compare_each(cases(), "{}: sum {} != gf {}")
@@ -251,7 +309,7 @@ def _degenerate_euler_sides(
     n: int, s: int, alpha: Fraction, r: Fraction
 ) -> tuple[Fraction, Fraction]:
     """w_n^(s)(-1/2; alpha,1,r) and n! [t^n] of its EGF."""
-    closed = geometric_poly(n, s, HsuShiueParams(alpha, 1, r))(Fraction(-1, 2))
+    closed = geometric_at(n, s, Fraction(-1, 2), HsuShiueParams(alpha, 1, r))
     return closed, gf_degenerate_euler(s, alpha, r, n).egf_coeff(n)
 
 
@@ -478,4 +536,4 @@ def check_gamma_rep7(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
 
 def bpa_number(n: int, s: int, params: HsuShiueParams) -> Fraction:
     """Generalized barred-arrangement number: w_n^(s+1) evaluated at x=1."""
-    return geometric_poly(n, s + 1, params)(1)
+    return geometric_at(n, s + 1, 1, params)

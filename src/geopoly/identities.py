@@ -204,7 +204,7 @@ def _bpa_numbers(rng: SmallRationalSampler, samples: int, prof: Profile) -> list
 def _fubini(rng: SmallRationalSampler, samples: int, prof: Profile) -> list[CheckReport]:
     return [
         CheckReport(id="FUBINI", params={"n": n}).compare(
-            families.geometric_poly(n, 1, _CLASSICAL)(1),
+            families.geometric_at(n, 1, 1, _CLASSICAL),
             ordered_set_partitions_count(n),
             _ENUMERATED,
         )

@@ -7,9 +7,11 @@ Tables are built by the triangular recurrence
 with S(n,k) = 0 for k > n.  The recurrence runs on integers: with D the lcm
 of the denominators of (alpha, beta, r), row n is kept as the integers
 T(n,k) = S(n,k) D^n over its own denominator, D^n when built, so no cell
-pays a gcd.  Readers that stay in integers (`families.geometric_poly`, the
-comparison in `verify_against_gf`) take the numerators and the row
-denominator; `value` and `row` build a Fraction only when asked.  The
+pays a gcd.  Readers that stay in integers take the numerators and the row
+denominator: `families.geometric_poly`; `families.geometric_rows`, one dot
+product per row for a value at a point, read by `families.geometric_at`
+and `families.spivey_step`; and the comparison in `verify_against_gf`.
+`value` and `row` build a Fraction only when asked.  The
 denominator is kept per row so that `with_entry` can write any rational
 into one row without touching the others.
 

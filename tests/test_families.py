@@ -1,10 +1,12 @@
+import ast
+import inspect
 import re
 from fractions import Fraction as F
 from math import factorial
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geopoly import families as fam
 from geopoly.enumeration import (
@@ -46,6 +48,12 @@ def test_polynomial_constructors_refuse_a_non_int_n(n):
             call()
     with pytest.raises(TypeError, match=re.escape(f"m must be an integer, got {n!r}")):
         fam.spivey_step(1, n, 1, F(1, 2), RATIONAL)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, F(2)])
+def test_geometric_at_refuses_a_non_int_n(n):
+    with pytest.raises(TypeError, match=re.escape(f"n must be an integer, got {n!r}")):
+        fam.geometric_at(n, 1, F(1, 2), RATIONAL)
 
 
 def test_geometric_poly_low_orders():
@@ -158,6 +166,65 @@ def test_spivey_recurrence_property(n, m, s, x, alpha, beta, r):
     if alpha == 0 and beta == 0 and r == 0:
         beta = F(1)
     assert fam.check_spivey(n, m, s, x, HsuShiueParams(alpha, beta, r)).status == "pass"
+
+
+# Triples at the corners the registry's sampler never draws (beta = 0) or
+# seldom draws (alpha = 0, r = 0).  At beta = 0 the weight vector of
+# geometric_rows is (1, 0, 0, ...), so w_k = S(k, 0) = (r|alpha)_k.
+SPIVEY_CORNERS = (
+    HsuShiueParams(1, 0, 0),
+    HsuShiueParams(F(1, 2), 0, F(1, 3)),
+    HsuShiueParams(0, F(5, 2), F(-3, 4)),
+    HsuShiueParams(F(2, 3), F(-7, 5), 0),
+    HsuShiueParams(0, 1, 0),
+)
+
+
+@pytest.mark.parametrize("p", SPIVEY_CORNERS, ids=str)
+def test_spivey_at_the_corners(p):
+    for s in (-2, 0, 1, 3, F(1, 2), F(-5, 3)):
+        for x in (F(0), F(1, 3), F(-1)):
+            for n, m in ((0, 0), (0, 4), (4, 0), (3, 2), (5, 5)):
+                assert fam.check_spivey(n, m, s, x, p).status == "pass", (s, x, n, m)
+    if p.beta == 0:
+        for k in range(7):
+            assert fam.geometric_at(k, F(-5, 3), F(2, 7), p) == gen_factorial(p.r, p.alpha, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    m=st.one_of(st.integers(-4, 4), small_fractions),
+    x=st.one_of(st.just(F(0)), small_fractions),
+    alpha=small_fractions,
+    beta=st.one_of(st.just(F(0)), small_fractions),
+    r=small_fractions,
+)
+@example(n=5, m=F(-3, 2), x=F(1, 3), alpha=F(1, 2), beta=F(0), r=F(1, 3))
+@example(n=5, m=2, x=F(0), alpha=F(-1, 3), beta=F(5, 2), r=F(1, 4))
+def test_geometric_rows_equal_the_polynomials(n, m, x, alpha, beta, r):
+    if alpha == 0 and beta == 0 and r == 0:
+        r = F(1)
+    p = HsuShiueParams(alpha, beta, r)
+    rows = fam.geometric_rows(n, m, x, p)
+    assert [F(num, den) for num, den in rows] == [
+        fam.geometric_poly(k, m, p)(x) for k in range(n + 1)
+    ]
+    assert fam.geometric_at(n, m, x, p) == F(*rows[-1])
+
+
+def _names_read(function):
+    tree = ast.parse(inspect.getsource(function))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_the_two_sides_of_spivey_read_different_routes():
+    # the recurrence reads integer rows; the direct side keeps the polynomial
+    assert {"geometric_poly", "gen_factorial"} & _names_read(fam.spivey_step) == set()
+    assert "geometric_rows" in _names_read(fam.spivey_step)
+    assert "geometric_poly" in _names_read(fam.check_spivey)
 
 
 def test_bernoulli_and_euler_polys():

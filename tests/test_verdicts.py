@@ -286,8 +286,9 @@ def test_negative_control_fails_with_witness(monkeypatch, name):
         assert rpt.witness.startswith(prefix)
 
 
-# Ids whose closed side is w_n^(m) at a point or a multiple of its integral
-# over [-1, 0], both formed by families.geometric_poly.
+# Ids whose closed side is w_n^(m) at a point, read by families.geometric_at,
+# or a multiple of its integral over [-1, 0], formed by families.geometric_poly.
+# Both names are moved, so each id fails through whichever one it reads.
 GEOMETRIC_IDS = (
     "EQ3_VS_GF8", "EQ7_GAMMA", "EQ10", "EQ14", "EQ19", "EQ27", "EQ29",
     "EQ31", "EQ32", "EQ33", "EQ34_THM2", "EQ37_CORRECTED",
@@ -298,6 +299,7 @@ GEOMETRIC_IDS = (
 @pytest.mark.parametrize("rid", GEOMETRIC_IDS)
 def test_geometric_closed_side_perturbation_fails(monkeypatch, rid):
     monkeypatch.setattr(families, "geometric_poly", _plus(families.geometric_poly, ONE))
+    monkeypatch.setattr(families, "geometric_at", _plus(families.geometric_at, 1))
     reports = I.run(rid, seed=1, samples=4, profile="quick")
     assert reports
     for rpt in reports:
@@ -333,9 +335,15 @@ def test_numeric_closed_side_perturbation_fails(monkeypatch, rid, bits):
     assert rpt.status == "fail", rpt.to_dict()
 
 
+def _plus_one_each_row(old):
+    # w_k -> w_k + 1 on every (numerator, denominator) pair of the integer reader
+    return lambda *args, **kwargs: [(num + den, den) for num, den in old(*args, **kwargs)]
+
+
 # Ids no table above covers: a name only one side reads, rebound by one
 # wrapper, and kept out of NEGATIVE_CONTROLS as NUMERIC_CONTROLS are.  EQ17
 # and EQ18 get a unit on S(n, n), one term of their finite Stirling sum.
+# SPIVEY's recurrence side alone reads families.geometric_rows.
 SIDE_CONTROLS = {
     "EQ17": (analytic, "cached_table", lambda old: _bump_cell(old, 2, 2),
              lambda: [analytic.eval_eq17_18(2, TRIPLE, EvalConfig(bits), eq=17)
@@ -345,7 +353,7 @@ SIDE_CONTROLS = {
                       for bits in (64, 256)]),
     "EQ36": (I, "rising_factorial", lambda old: _plus(old, 1),
              lambda: I.run("EQ36", seed=1, samples=4, profile="quick")),
-    "SPIVEY": (families, "gen_factorial", lambda old: _plus(old, 1),
+    "SPIVEY": (families, "geometric_rows", _plus_one_each_row,
                lambda: I.run("SPIVEY", seed=1, samples=4, profile="quick")),
 }
 
