@@ -20,7 +20,13 @@ row of ``CASES``:
   ``eval_eq30_family(3, cfg)``, whose cost is its series side, zeta(2..K)
   with K about bits + 10; ``theorem5``,
   ``eval_theorem5((1/2, 2, 1), 3, 1/2, cfg)``, the series side plus the
-  Hurwitz/digamma closed side.
+  Hurwitz/digamma closed side; and at 256 bits over the order n = 3..24,
+  ``theorem5_n``, ``eval_theorem5((1/2, 1/8, 1), n, 1/2, cfg)`` timed on
+  its second call, after the first has cached the zeta batch, the
+  constants and the table, so the time is the series terms, each an
+  n-factor product, and the closed-side sums (beta = 1/8 keeps the value
+  small enough for the absolute tolerance at n = 24; at beta = 2 the
+  verdict fails from n = 20 on).
 
 Each curve gets the least-squares slope of log(time) on log(n), and each
 point the first 16 hex digits of the sha256 of its result, so two runs can
@@ -53,6 +59,9 @@ EXACT = {
                           "out.to_dict()"),
     "spivey_step": ((12, 24, 48), "", "spivey_step(n, n, 1, Fraction(1, 3), p)", "out"),
 }
+# called once untimed first, so that the zeta batch, the constants and the table are cached
+THEOREM5_N = ("analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), Fraction(1, 8), 1), n,"
+              " Fraction(1, 2), cfg)")
 # CASES[suite][curve] = (sizes, untimed setup, timed call, the result that is hashed)
 CASES = {
     "exact": {
@@ -70,6 +79,10 @@ CASES = {
             BITS, "cfg = analytic.EvalConfig(n)",
             "analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), 2, 1), 3, Fraction(1, 2), cfg)",
             "out.to_dict()",
+        ),
+        "theorem5_n": (
+            (3, 6, 12, 24), f"cfg = analytic.EvalConfig(256)\n{THEOREM5_N}",
+            THEOREM5_N, "out.to_dict()",
         ),
     },
 }

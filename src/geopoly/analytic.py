@@ -95,12 +95,12 @@ cutoffs anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
-from math import ceil, factorial
+from math import ceil, factorial, lcm, prod
 
 from .exact import RationalLike, as_int, as_rational, gen_factorial
 from .families import exp_poly
@@ -514,6 +514,22 @@ def _sum_to_tolerance(
     return total
 
 
+def _scaled_factorials(
+    params: HsuShiueParams, n: int, indices: Iterable[int]
+) -> tuple[int, Iterator[int]]:
+    """D^n and the integers (i*beta + r | alpha)_n * D^n for i in indices.
+
+    D is the lcm of the denominators of (alpha, beta, r), so each factor
+    i*B + R - j*A is an integer: a series term multiplies n integers and
+    builds one Fraction, reduced by one gcd to the lowest terms that
+    gen_factorial times the term's other factors would give.
+    """
+    alpha, beta, r = params.alpha, params.beta, params.r
+    d = lcm(alpha.denominator, beta.denominator, r.denominator)
+    a, b, c = (v.numerator * (d // v.denominator) for v in (alpha, beta, r))
+    return d**n, (prod(i * b + c - j * a for j in range(n)) for i in indices)
+
+
 def _poly_bound_base(params: HsuShiueParams, n: int) -> tuple[Fraction, Fraction]:
     # |(r + k*beta | alpha)_n| <= (a + b*k)^n with a, b as below
     a = abs(params.r) + n * abs(params.alpha)
@@ -540,10 +556,12 @@ def eval_theorem5(
 
     def terms(last):
         zetas = _series_zetas(last + 1, cfg.digits)
-        xpow = Fraction(1)
-        for k in count(1):
-            xpow *= x
-            coeff = gen_factorial(params.r + k * params.beta, params.alpha, n) * xpow
+        den, nums = _scaled_factorials(params, n, count(1))
+        p_pow, q_pow = 1, 1  # x^k = p^k / q^k
+        for k, num in enumerate(nums, 1):
+            p_pow *= x.numerator
+            q_pow *= x.denominator
+            coeff = Fraction(num * p_pow, den * q_pow)
             # (zeta * num) / den: zeta * (num / den) rounds differently
             yield (zetas[k + 1] * Decimal(coeff.numerator) / Decimal(coeff.denominator)
                    if coeff else None)
@@ -628,13 +646,13 @@ def eval_eq17_18(
 
         def terms():
             pi_pow = Decimal(1)  # (2pi)^(2k), kept as a running product
-            for k in count():
-                idx = 2 * k + odd
-                coeff = gen_factorial(idx * params.beta + params.r, params.alpha, n) * Fraction(
-                    (-1) ** k, factorial(idx)
-                )
+            den, nums = _scaled_factorials(params, n, count(odd, 2))
+            fact = 1  # (2k + odd)!, a running integer
+            for k, num in enumerate(nums):
+                coeff = Fraction((-1) ** k * num, den * fact)
                 yield _dec(coeff) * pi_pow if coeff else None
                 pi_pow *= two_pi_sq
+                fact *= (2 * k + odd + 1) * (2 * k + odd + 2)
 
         # (2pi)^2 <= 40, shared (2k)! denominator floor
         lhs = _sum_to_tolerance(
@@ -677,11 +695,15 @@ def eval_dobinski_numeric(
     q = abs(x / params.beta)
 
     def terms():
-        for k in count():
-            coeff = gen_factorial(k * params.beta + params.r, params.alpha, n) * x**k / (
-                params.beta**k * factorial(k)
-            )
+        ratio = x / params.beta  # (x/beta)^k = u^k / v^k, with v > 0
+        den, nums = _scaled_factorials(params, n, count())
+        u_pow, v_pow, fact = 1, 1, 1  # and k!, all running integers
+        for k, num in enumerate(nums):
+            coeff = Fraction(num * u_pow, den * v_pow * fact)
             yield _dec(coeff) if coeff else None
+            u_pow *= ratio.numerator
+            v_pow *= ratio.denominator
+            fact *= k + 1
 
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10

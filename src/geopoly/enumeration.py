@@ -44,8 +44,8 @@ def iter_set_partitions(n: int) -> Iterator[list[list[int]]]:
 
 @Memo(CACHE_CAP)
 def _block_count_profile(n: int) -> tuple[int, ...]:
-    """profile[k] = number of partitions of an n-set into exactly k blocks."""
-    profile = [0] * (n + 2)
+    """profile[k] = number of partitions of an n-set into exactly k blocks, k <= n."""
+    profile = [0] * (n + 1)  # no partition has more blocks than elements
     for part in iter_set_partitions(n):
         profile[len(part)] += 1
     return tuple(profile)

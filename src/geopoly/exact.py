@@ -4,9 +4,10 @@
 lowest terms with a positive denominator, arithmetic is exact, and division
 by zero raises.  Everything else in the package is built on the four
 product primitives below, which are computed by iterated exact products
-(gen_factorial on integer numerators over one denominator) so they are
-total for arbitrary rational arguments (including non-positive ones where
-gamma-ratio shortcuts would break down).
+(integer numerators over one denominator, one Fraction per call) so they
+are total for arbitrary rational arguments (including non-positive ones
+where gamma-ratio shortcuts would break down).  The rising and falling
+factorials keep loops of their own, so that EQ36 compares two products.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ def rising_factorial(x: RationalLike, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     x = as_rational(x)
-    out = Fraction(1)
+    # x + j = (p + jq)/q: an integer product over q^n
+    p, q = x.numerator, x.denominator
+    out = 1
     for j in range(n):
-        out *= x + j
-    return out
+        out *= p + j * q
+    return Fraction(out, q**n)
 
 
 def falling_factorial(x: RationalLike, n: int) -> Fraction:
@@ -85,10 +88,11 @@ def falling_factorial(x: RationalLike, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     x = as_rational(x)
-    out = Fraction(1)
+    p, q = x.numerator, x.denominator
+    out = 1
     for j in range(n):
-        out *= x - j
-    return out
+        out *= p - j * q
+    return Fraction(out, q**n)
 
 
 def binomial_general(s: RationalLike, k: int) -> Fraction:

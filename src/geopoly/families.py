@@ -305,12 +305,20 @@ def check_eq14(n_max: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+@Memo(CACHE_CAP).prefix
+def _degenerate_euler_values(
+    s: int, alpha: Fraction, r: Fraction, n_max: int
+) -> tuple[Fraction, ...]:
+    gf = gf_degenerate_euler(s, alpha, r, n_max)
+    return tuple(gf.egf_coeff(n) for n in range(n_max + 1))
+
+
 def _degenerate_euler_sides(
     n: int, s: int, alpha: Fraction, r: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """w_n^(s)(-1/2; alpha,1,r) and n! [t^n] of its EGF."""
+    """w_n^(s)(-1/2; alpha,1,r) and n! [t^n] of its EGF, one series per prefix growth."""
     closed = geometric_at(n, s, Fraction(-1, 2), HsuShiueParams(alpha, 1, r))
-    return closed, gf_degenerate_euler(s, alpha, r, n).egf_coeff(n)
+    return closed, _degenerate_euler_values(s, alpha, r, n)[n]
 
 
 def degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike) -> Fraction:

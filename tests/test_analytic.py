@@ -1,12 +1,16 @@
+import ast
+import inspect
 import re
 from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from itertools import islice
 from math import ceil, factorial, log10, sqrt
 
 import pytest
 
 from geopoly import analytic as A
+from geopoly.exact import gen_factorial
 from geopoly.families import bernoulli_number, bernoulli_numbers
 from geopoly.memo import Memo
 from geopoly.params import HsuShiueParams
@@ -679,3 +683,89 @@ def test_zeta_batch_against_borwein_oracle(bits):
         for s in range(2, 201):
             diff = abs(batch[s] - _borwein_zeta(s, d, cfg.digits + 10))
             assert diff < bound, (s, diff)
+
+
+# Term streams k = start..40 at 256 bits: alpha = 0, r = 0, negative x and
+# zero coefficients (r = 0 at k = 0) all occur.
+STREAM_TRIPLES = [
+    HsuShiueParams(F(1, 2), 2, 1),
+    HsuShiueParams(0, F(3, 2), F(-1, 3)),
+    HsuShiueParams(F(1, 3), F(1, 2), 0),
+    HsuShiueParams(F(-2, 5), F(7, 3), F(5, 4)),
+]
+STREAM_X = [F(1, 2), F(-2, 5), F(-3, 7), F(1, 9)]
+
+
+def _stream(monkeypatch, call):
+    """The terms the series side hands to _sum_to_tolerance, up to index 40."""
+    seen = []
+
+    def spy(terms, majorant, start, cfg):
+        stream = terms(40) if callable(terms) else terms
+        seen.append([None if t is None else str(t) for t in islice(stream, 41 - start)])
+        return Decimal(0)
+
+    monkeypatch.setattr(A, "_sum_to_tolerance", spy)
+    call()
+    (terms,) = seen
+    return terms
+
+
+def _ratio(coeff, zeta=None):
+    # the parent's expressions: (zeta * num) / den, or num / den rounded once
+    if not coeff:
+        return None
+    num = Decimal(coeff.numerator) if zeta is None else zeta * Decimal(coeff.numerator)
+    return num / Decimal(coeff.denominator)
+
+
+def _theorem5_reference(p, n, x, cfg):
+    zetas = A._series_zetas(41, cfg.digits)
+    coeffs = (gen_factorial(p.r + k * p.beta, p.alpha, n) * x**k for k in range(1, 41))
+    return [_ratio(c, zetas[k]) for k, c in enumerate(coeffs, 2)]
+
+
+def _eq17_18_reference(p, n, odd, cfg):
+    two_pi_sq, pi_pow, out = 4 * A.pi(cfg) ** 2, Decimal(1), []
+    for k in range(41):
+        idx = 2 * k + odd
+        coeff = gen_factorial(idx * p.beta + p.r, p.alpha, n) * F((-1) ** k, factorial(idx))
+        out.append(_ratio(coeff) * pi_pow if coeff else None)
+        pi_pow *= two_pi_sq
+    return out
+
+
+def _dobinski_reference(p, n, x, cfg):
+    return [_ratio(gen_factorial(k * p.beta + p.r, p.alpha, n) * x**k / (p.beta**k * factorial(k)))
+            for k in range(41)]
+
+
+@pytest.mark.parametrize("case", range(len(STREAM_TRIPLES)))
+def test_term_streams_equal_the_fraction_expressions(monkeypatch, case):
+    cfg = A.EvalConfig(256)
+    p, x, n = STREAM_TRIPLES[case], STREAM_X[case], 3 + case
+    runs = [
+        (lambda: A.eval_theorem5(p, n, x, cfg), lambda: _theorem5_reference(p, n, x, cfg)),
+        (lambda: A.eval_eq17_18(n, p, cfg, eq=17), lambda: _eq17_18_reference(p, n, 0, cfg)),
+        (lambda: A.eval_eq17_18(n, p, cfg, eq=18), lambda: _eq17_18_reference(p, n, 1, cfg)),
+        (lambda: A.eval_dobinski_numeric(n, p, x, cfg), lambda: _dobinski_reference(p, n, x, cfg)),
+    ]
+    for call, reference in runs:
+        terms = _stream(monkeypatch, call)
+        with localcontext() as ctx:
+            ctx.prec = cfg.digits + 10  # the context the series sides sum in
+            expected = [None if t is None else str(t) for t in reference()]
+        assert len(terms) in (40, 41) and terms == expected
+    assert None in _stream(monkeypatch, lambda: A.eval_eq17_18(n, STREAM_TRIPLES[2], cfg))
+
+
+def test_term_streams_do_not_read_the_table():
+    # the series sides stay independent of the Stirling table the closed sides read
+    tree = ast.parse(inspect.getsource(A))
+    streams = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and node.name in ("terms", "_scaled_factorials")]
+    assert len(streams) == 5  # four eval_* series and the shared factorial stream
+    for node in streams:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert not names & {"cached_table", "build_table", "table"}, node.lineno

@@ -1,7 +1,9 @@
 from itertools import permutations
+from math import comb, factorial
 
 import pytest
 
+from geopoly import enumeration
 from geopoly.enumeration import (
     MAX_ENUM_N,
     barred_preferential_count,
@@ -10,6 +12,7 @@ from geopoly.enumeration import (
     r_stirling_count,
     set_partitions_count,
 )
+from geopoly.memo import CACHE_CAP, Memo
 
 
 def test_bell_numbers():
@@ -25,6 +28,28 @@ def test_block_count_profile():
     assert set_partitions_count(5, 1) == 1
     assert set_partitions_count(5, 5) == 1
     assert set_partitions_count(5, 6) == 0
+    for n in range(9):
+        assert set_partitions_count(n, n + 1) == 0
+
+
+def test_orderings_never_exceed_the_block_count(monkeypatch):
+    # a partition of an 8-set has at most 8 blocks, so no count may order 9 items
+    lengths = []
+
+    def recording(items):
+        items = list(items)
+        lengths.append(len(items))
+        return permutations(items)
+
+    monkeypatch.setattr(enumeration, "permutations", recording)
+    fresh = Memo(CACHE_CAP)(enumeration._perm_count.__wrapped__)
+    monkeypatch.setattr(enumeration, "_perm_count", fresh)
+    profile = [set_partitions_count(8, k) for k in range(9)]
+    assert ordered_set_partitions_count(8) == 545835
+    for s in range(3):
+        expected = sum(c * factorial(k) * comb(k + s, s) for k, c in enumerate(profile))
+        assert barred_preferential_count(8, s) == expected
+    assert max(lengths) == 8
 
 
 def test_barred_hand_value():

@@ -1,8 +1,12 @@
+import ast
+import inspect
+import textwrap
 from decimal import Decimal
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from geopoly.exact import (
     as_rational,
@@ -143,3 +147,58 @@ def test_params_reject_floats_and_decimal_strings():
     with pytest.raises(ValueError):
         HsuShiueParams("1.5", 1, 0)
     assert HsuShiueParams("1/2", 1, 0).alpha == F(1, 2)
+
+
+def _rising_reference(x, n):
+    out = F(1)
+    for j in range(n):
+        out *= x + j
+    return out
+
+
+def _falling_reference(x, n):
+    out = F(1)
+    for j in range(n):
+        out *= x - j
+    return out
+
+
+@given(x=wide_rationals, n=st.integers(0, 30))
+@example(x=F(0), n=0)
+@example(x=F(0), n=5)
+@example(x=F(-3), n=6)  # the rising product reaches 0
+@example(x=F(4), n=7)  # the falling product reaches 0
+@example(x=F(-7, 3), n=9)
+def test_factorials_match_fraction_loops(x, n):
+    for value, reference in (
+        (rising_factorial(x, n), _rising_reference(x, n)),
+        (falling_factorial(x, n), _falling_reference(x, n)),
+        (binomial_general(x, n), _falling_reference(x, n) / factorial(n)),
+    ):
+        assert type(value) is F and value == reference
+        assert (value.numerator, value.denominator) == (reference.numerator, reference.denominator)
+    # integer arguments, as Python ints
+    k = x.numerator
+    assert rising_factorial(k, n) == _rising_reference(F(k), n)
+    assert falling_factorial(k, n) == _falling_reference(F(k), n)
+
+
+@pytest.mark.parametrize("fn", [rising_factorial, falling_factorial, binomial_general])
+@pytest.mark.parametrize("x, error", [(0.5, TypeError), (2.0, TypeError), ("1.5", ValueError),
+                                      ("2e1", ValueError), (Decimal("0.5"), TypeError)])
+def test_factorials_refuse_inexact_input(fn, x, error):
+    with pytest.raises(error):
+        fn(x, 3)
+
+
+def _named(fn) -> set[str]:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_rising_and_falling_factorials_keep_their_own_loops():
+    # EQ36 compares the two products, so neither may be built from the other
+    others = {"rising_factorial", "falling_factorial", "gen_factorial"}
+    for fn in (rising_factorial, falling_factorial):
+        assert not _named(fn) & (others - {fn.__name__}), fn.__name__

@@ -15,6 +15,7 @@ from geopoly.enumeration import (
     set_partitions_count,
 )
 from geopoly.exact import falling_factorial, gen_factorial, rising_factorial
+from geopoly.memo import CACHE_CAP, Memo
 from geopoly.params import HsuShiueParams
 from geopoly.report import CheckReport
 from geopoly.series import PowerSeries, gf_bernoulli2_degenerate, gf_degenerate_euler, gf_w
@@ -254,6 +255,25 @@ def test_degenerate_euler_values():
         assert fam.check_degenerate_euler(n, 4, F(-2, 3), F(1, 4)).status == "pass"
 
 
+def test_degenerate_euler_sweep_reuses_its_series(monkeypatch):
+    # n = 0..24 in sequence grows one cached prefix: builds at 0, 1, 2, 4, 8, 16, 32
+    builds = []
+
+    def counted(*args):
+        builds.append(args[-1])
+        return gf_degenerate_euler(*args)
+
+    monkeypatch.setattr(fam, "gf_degenerate_euler", counted)
+    fresh = Memo(CACHE_CAP).prefix(fam._degenerate_euler_values.__wrapped__)
+    monkeypatch.setattr(fam, "_degenerate_euler_values", fresh)
+    alpha, r = F(-1, 3), F(2, 5)
+    for n in range(25):
+        value = fam.degenerate_euler(n, 2, alpha, r)
+        assert value == gf_degenerate_euler(2, alpha, r, n).egf_coeff(n)
+        assert fam.check_degenerate_euler(n, 2, alpha, r).status == "pass"
+    assert len(builds) <= 7, builds
+
+
 def test_degenerate_euler_classical_slice_scaling():
     # at alpha = 0 the (0, beta, r) geometric value matches E_n^(s)(r/beta) beta^n
     beta, r, s = F(3, 2), F(5, 4), 3
@@ -414,6 +434,9 @@ def test_merged_pair_detects_perturbation(monkeypatch, pair):
     assert check().status == "pass"
     value()
     monkeypatch.setattr(fam, attr, replacement)
+    # the degenerate Euler values are cached: a fresh cache rebuilds them from the patch
+    fresh = Memo(CACHE_CAP).prefix(fam._degenerate_euler_values.__wrapped__)
+    monkeypatch.setattr(fam, "_degenerate_euler_values", fresh)
     with pytest.raises(ArithmeticError, match="closed form .* != oracle"):
         value()
     rpt = check()
