@@ -149,20 +149,6 @@ def test_params_reject_floats_and_decimal_strings():
     assert HsuShiueParams("1/2", 1, 0).alpha == F(1, 2)
 
 
-def _rising_reference(x, n):
-    out = F(1)
-    for j in range(n):
-        out *= x + j
-    return out
-
-
-def _falling_reference(x, n):
-    out = F(1)
-    for j in range(n):
-        out *= x - j
-    return out
-
-
 @given(x=wide_rationals, n=st.integers(0, 30))
 @example(x=F(0), n=0)
 @example(x=F(0), n=5)
@@ -170,17 +156,18 @@ def _falling_reference(x, n):
 @example(x=F(4), n=7)  # the falling product reaches 0
 @example(x=F(-7, 3), n=9)
 def test_factorials_match_fraction_loops(x, n):
+    # <x>_n = (x|-1)_n and (x)_n = (x|1)_n, one reduced Fraction factor at a time
     for value, reference in (
-        (rising_factorial(x, n), _rising_reference(x, n)),
-        (falling_factorial(x, n), _falling_reference(x, n)),
-        (binomial_general(x, n), _falling_reference(x, n) / factorial(n)),
+        (rising_factorial(x, n), _iterated_product(x, -1, n)),
+        (falling_factorial(x, n), _iterated_product(x, 1, n)),
+        (binomial_general(x, n), _iterated_product(x, 1, n) / factorial(n)),
     ):
         assert type(value) is F and value == reference
         assert (value.numerator, value.denominator) == (reference.numerator, reference.denominator)
     # integer arguments, as Python ints
     k = x.numerator
-    assert rising_factorial(k, n) == _rising_reference(F(k), n)
-    assert falling_factorial(k, n) == _falling_reference(F(k), n)
+    assert rising_factorial(k, n) == _iterated_product(F(k), -1, n)
+    assert falling_factorial(k, n) == _iterated_product(F(k), 1, n)
 
 
 @pytest.mark.parametrize("fn", [rising_factorial, falling_factorial, binomial_general])
