@@ -15,7 +15,10 @@ row of ``CASES``:
   ``verify_against_gf``, the GF oracle against a table built before the
   clock starts, n = 50..200;
   ``spivey_step``, ``spivey_step(n, n, 1, 1/3, p)`` from a cold cache, so
-  the table build and the two-index recurrence, n = 12..48.
+  the table build and the two-index recurrence, n = 12..48; and, on no
+  triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
+  ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
+  ``pow_int(b, 3)``) on fixed rational series of order n = 50..400.
 - ``numeric``, at n = 256..2048 bits: ``eq30_family_n3``,
   ``eval_eq30_family(3, cfg)``, whose cost is its series side, zeta(2..K)
   with K about bits + 10; ``theorem5``,
@@ -59,6 +62,21 @@ EXACT = {
                           "out.to_dict()"),
     "spivey_step": ((12, 24, 48), "", "spivey_step(n, n, 1, Fraction(1, 3), p)", "out"),
 }
+SERIES_ORDERS = (50, 100, 200, 400)
+# fixed series of order n, numerators -9..9 over denominators up to 9; b_0 = 1, z = a - a_0
+SERIES_SETUP = (
+    "a = PowerSeries.from_coeffs([Fraction(7 * j % 19 - 9, j % 9 + 1) for j in range(n + 1)])\n"
+    "b = PowerSeries.from_coeffs([1] + [Fraction(5 * j % 19 - 9, j % 8 + 1)\n"
+    "                                   for j in range(1, n + 1)])\n"
+    "z = a - a.coeffs[0]"
+)
+# series kernel curve: the timed call on the series above
+SERIES = {
+    "mul": "a * b",
+    "divide": "divide(a, b)",
+    "exp_series": "exp_series(z)",
+    "pow_int_3": "pow_int(b, 3)",
+}
 # called once untimed first, so that the zeta batch, the constants and the table are cached
 THEOREM5_N = ("analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), Fraction(1, 8), 1), n,"
               " Fraction(1, 2), cfg)")
@@ -70,6 +88,9 @@ CASES = {
         )
         for triple in TRIPLES
         for case, (sizes, setup, call, result) in EXACT.items()
+    } | {
+        f"series {curve}": (SERIES_ORDERS, SERIES_SETUP, call, "out.coeffs")
+        for curve, call in SERIES.items()
     },
     "numeric": {
         "eq30_family_n3": (
@@ -93,6 +114,7 @@ from fractions import Fraction
 from geopoly import analytic
 from geopoly.families import geometric_poly, spivey_step
 from geopoly.params import HsuShiueParams
+from geopoly.series import PowerSeries, divide, exp_series, pow_int
 from geopoly.stirling import build_table, verify_against_gf
 n = {n}
 {setup}

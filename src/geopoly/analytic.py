@@ -96,7 +96,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
@@ -106,6 +105,7 @@ from .exact import RationalLike, as_int, as_rational, gen_factorial
 from .families import exp_poly
 from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
+from .record import Frozen
 from .report import FAIL, PASS, CheckReport
 from .stirling import cached_table
 
@@ -114,8 +114,7 @@ MAX_BITS = 4096  # the precision budget, see the module docstring
 MAX_TERMS = 10000  # the term budget of every series and Euler-Maclaurin loop
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(Frozen):
     """Precision contract for the numeric layer, its one setting.
 
     precision_bits is an int in 64..MAX_BITS; the pass threshold is
@@ -123,13 +122,14 @@ class EvalConfig:
     it is an error, never a silent truncation).
     """
 
-    precision_bits: int = 256
+    __slots__ = ("precision_bits",)
 
-    def __post_init__(self) -> None:
-        if as_int(self.precision_bits, "precision_bits") < 64:
+    def __init__(self, precision_bits: int = 256) -> None:
+        if as_int(precision_bits, "precision_bits") < 64:
             raise ValueError("precision_bits must be >= 64")
-        if self.precision_bits > MAX_BITS:
-            raise ValueError(f"precision_bits must be <= {MAX_BITS}, got {self.precision_bits}")
+        if precision_bits > MAX_BITS:
+            raise ValueError(f"precision_bits must be <= {MAX_BITS}, got {precision_bits}")
+        object.__setattr__(self, "precision_bits", precision_bits)
 
     @property
     def tolerance(self) -> Fraction:

@@ -16,9 +16,10 @@ generating-function composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
+from typing import NamedTuple
 
 from .exact import binomial_general, gen_factorial
 from .families import geometric_poly, exp_poly
@@ -29,8 +30,7 @@ from .series import PowerSeries, binom_deform, divide, inverse, pow_int
 from .stirling import cached_table
 
 
-@dataclass(frozen=True)
-class GradedSeries:
+class GradedSeries(NamedTuple):
     """Coefficients c_k of x^(k + (r - m*alpha)/beta) after m applications."""
 
     params: HsuShiueParams
@@ -57,17 +57,27 @@ def embed_poly(f: PolyQ, params: HsuShiueParams, order: int) -> GradedSeries:
 
 
 def apply_operator(gs: GradedSeries, times: int) -> GradedSeries:
-    """Apply the weighted derivative `times` more times."""
+    """Apply the weighted derivative `times` more times.
+
+    Coefficient k gains prod_{j<times}(k*beta + r - (m+j)*alpha), computed
+    as the integer product prod_j(kB + R - (m+j)A) over D^times, with D the
+    lcm of the denominators of (alpha, beta, r) and A, B, R their multiples
+    by D; one Fraction per coefficient.  The loop is kept here, apart from
+    `exact.gen_factorial`, which the termwise sides of EQ5 call.
+    """
     if times < 0:
         raise ValueError(f"times must be >= 0, got {times}")
-    a, b, r = gs.params.alpha, gs.params.beta, gs.params.r
+    p = gs.params
+    d = lcm(p.alpha.denominator, p.beta.denominator, p.r.denominator)
+    a, b, r = (v.numerator * (d // v.denominator) for v in (p.alpha, p.beta, p.r))
     m = gs.applications
+    scale = d**times
     coeffs = []
     for k, c in enumerate(gs.coeffs):
-        factor = Fraction(1)
-        for j in range(times):
-            factor *= k * b + r - (m + j) * a
-        coeffs.append(c * factor)
+        factor = 1
+        for j in range(m, m + times):
+            factor *= k * b + r - j * a
+        coeffs.append(Fraction(c.numerator * factor, c.denominator * scale))
     return GradedSeries(gs.params, m + times, tuple(coeffs))
 
 

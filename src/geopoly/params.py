@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalLike, as_rational
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class HsuShiueParams:
+class HsuShiueParams(Frozen):
     """Parameter triple (alpha, beta, r) of the generalized Stirling family.
 
     The all-zero triple is rejected: it does not define a family.
     """
 
+    __slots__ = ("alpha", "beta", "r")
     alpha: Fraction
     beta: Fraction
     r: Fraction

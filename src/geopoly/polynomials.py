@@ -6,12 +6,12 @@ normalized away and the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
 from .exact import RationalLike, as_rational
+from .record import Frozen
 from .series import PowerSeries, compose
 
 
@@ -22,9 +22,12 @@ def _normalize(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class PolyQ:
+class PolyQ(Frozen):
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[RationalLike]) -> "PolyQ":

@@ -9,9 +9,10 @@ for a numeric |lhs - rhs| against the configured tolerance.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
+
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -42,20 +43,31 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of verifying one identity instance.
 
     Exact checks carry tolerance="exact" and a rational witness on failure;
     numeric checks carry the decimal threshold used and the observed |diff|.
+    ``params`` and ``detail`` default to fresh empty dicts.
     """
 
-    id: str
-    params: dict = field(default_factory=dict)
-    status: str = PASS
-    witness: str | None = None
-    tolerance: str = EXACT
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("id", "params", "status", "witness", "tolerance", "detail")
+
+    def __init__(
+        self,
+        id: str,
+        params: dict | None = None,
+        status: str = PASS,
+        witness: str | None = None,
+        tolerance: str = EXACT,
+        detail: dict | None = None,
+    ) -> None:
+        self.id = id
+        self.params = {} if params is None else params
+        self.status = status
+        self.witness = witness
+        self.tolerance = tolerance
+        self.detail = {} if detail is None else detail
 
     def ok(self) -> bool:
         return self.status in (PASS, EXPECTED_FAIL_CONFIRMED)

@@ -29,7 +29,6 @@ coefficient needs it, and the stored numerators are rescaled then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
@@ -37,6 +36,7 @@ from typing import Iterable, Sequence, Union
 
 from .exact import RationalLike, as_rational
 from .params import HsuShiueParams
+from .record import Frozen
 
 ScalarLike = Union[Fraction, int]
 
@@ -62,15 +62,16 @@ def _append(nums: list[int], den: int, q: Fraction, weight: int = 1) -> int:
     return den
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Frozen):
     """Coefficients of t^0 .. t^order, exact rationals."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        if not coeffs:
             raise ValueError("a PowerSeries needs at least the t^0 coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[RationalLike], order: int | None = None) -> "PowerSeries":
@@ -192,17 +193,23 @@ def inverse(b: PowerSeries) -> PowerSeries:
 
 
 def pow_int(a: PowerSeries, n: int) -> PowerSeries:
-    """a**n for integer n (negative n inverts first)."""
+    """a**n for integer n (negative n inverts first).
+
+    Binary powering that neither multiplies by one nor squares past the top
+    bit: n = 1, 2, 3, 5 cost 0, 1, 2, 3 multiplications.
+    """
     if n < 0:
         return pow_int(inverse(a), -n)
-    out = PowerSeries.one(a.order)
-    base = a
-    while n:
+    if n == 0:
+        return PowerSeries.one(a.order)
+    out = None  # a^(the bits of n seen so far); a runs through the squares
+    while True:
         if n & 1:
-            out = out * base
-        base = base * base
+            out = a if out is None else out * a
         n >>= 1
-    return out
+        if not n:
+            return out
+        a = a * a
 
 
 def exp_series(a: PowerSeries) -> PowerSeries:
@@ -264,15 +271,20 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
 def binom_deform(alpha: RationalLike, c: RationalLike, order: int) -> PowerSeries:
     """(1 + alpha*t)^(c/alpha), exactly exp(c*t) at alpha = 0.
 
-    Coefficient of t^j is (c|alpha)_j / j!.
+    Coefficient of t^j is (c|alpha)_j / j!, carried as the integer product
+    prod_{i<j}(C - iA) over D^j j!, with D the lcm of the denominators of
+    alpha and c and A, C their multiples by D; one Fraction per coefficient.
     """
     alpha = as_rational(alpha)
     c = as_rational(c)
+    d = lcm(alpha.denominator, c.denominator)
+    a, cn = alpha.numerator * (d // alpha.denominator), c.numerator * (d // c.denominator)
     coeffs = [Fraction(1)]
-    acc = Fraction(1)
+    num = den = 1
     for j in range(1, order + 1):
-        acc *= c - (j - 1) * alpha
-        coeffs.append(acc / factorial(j))
+        num *= cn - (j - 1) * a
+        den *= j * d
+        coeffs.append(Fraction(num, den))
     return PowerSeries(tuple(coeffs))
 
 

@@ -36,9 +36,10 @@ classical family under this convention:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from operator import mul
+from typing import NamedTuple
 
 from .exact import RationalLike, as_rational
 from .memo import Memo
@@ -47,8 +48,7 @@ from .report import EXACT, CheckReport
 from .series import binom_deform, deformed_base
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(NamedTuple):
     """Immutable triangle of exact S(n,k) values, 0 <= k <= n <= n_max.
 
     Row n is kept as integer numerators over one row denominator:
@@ -166,42 +166,57 @@ def specialize(
     raise ValueError(f"unknown family kind {kind!r}; expected one of {SPECIAL_FAMILIES}")
 
 
+def _egf_integers(coeffs: tuple[Fraction, ...], d: int) -> tuple[list[int], int]:
+    """j! * d^j * coeffs[j] for every j, as integers over their least common denominator."""
+    scaled, scale = [], 1
+    for j, c in enumerate(coeffs):
+        scaled.append(c * scale)
+        scale *= (j + 1) * d
+    den = lcm(*(c.denominator for c in scaled))
+    return [c.numerator * (den // c.denominator) for c in scaled], den
+
+
 def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     """Compare table entries with generating-function coefficients.
 
     For each k <= order, extracts n! * [t^n] of
     (1/k!) * base^k * (1+alpha t)^(r/alpha) with base the beta-normalized
     deformed exponential; exact mismatches are reported with their (n,k).
-    The series base^k * weight is carried as a running product, one series
-    multiplication per column, so the oracle costs O(n) multiplications
-    rather than the O(n log n) of repeated squaring for every k.  Columns
-    are scanned in increasing k and rows in increasing n within a column,
-    so the witness is the first mismatch in that order.  A cell is compared
-    by cross-multiplying its integer numerator and row denominator with the
-    coefficient's numerator and denominator; a Fraction is built only for
-    the witness.
+    The two series come from `deformed_base` and `binom_deform` and are
+    turned once into EGF integers: with D the lcm of the denominators of
+    (alpha, beta, r), b_j = j! D^j [t^j]base and w_j = j! D^j [t^j]weight,
+    which are D prod_{0<i<j}(B - iA) and prod_{i<j}(R - iA), so their common
+    denominator is 1 (any other is carried exactly).  Column k is then the
+    binomial convolution g_n = sum_i C(n,i) g'_i b_(n-i) of column k-1 with
+    b, on plain integers, and g_n = k! D^n S(n,k); base has valuation 1, so
+    column k starts at n = k and reads column k-1 from i = k-1.  Columns are
+    scanned in increasing k and rows in increasing n within a column, so
+    the witness is the first mismatch in that order.  A cell is compared by
+    cross-multiplying its integer numerator and row denominator; a Fraction
+    is built only for the witness.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if order > table.n_max:
         raise ValueError(f"order {order} exceeds table n_max {table.n_max}")
     p = table.params
-    base = deformed_base(p.alpha, p.beta, order)
-    weight = binom_deform(p.alpha, p.r, order)
     rpt = CheckReport(id="GF_VS_TABLE", params={"params": p, "order": order}, tolerance=EXACT)
+    d = lcm(p.alpha.denominator, p.beta.denominator, p.r.denominator)
+    b, b_den = _egf_integers(deformed_base(p.alpha, p.beta, order).coeffs, d)
+    g, scale = _egf_integers(binom_deform(p.alpha, p.r, order).coeffs, d)
+    # conv[n][i] = C(n, i) b_(n-i) for i < n: one multiplication per term below
+    conv = [[comb(n, i) * b[n - i] for i in range(n)] for n in range(order + 1)]
+    d_pow = [d**n for n in range(order + 1)]
     rows, dens = table.rows, table.dens
-    gf = weight
     for k in range(order + 1):
         if k:
-            gf = gf * base
-        fall = 1  # n!/k!
+            g[k:] = [sum(map(mul, g[k - 1 : n], conv[n][k - 1 :])) for n in range(k, order + 1)]
+            scale *= k * b_den  # now g_n / scale = D^n S(n, k)
         for n in range(k, order + 1):
-            c = gf.coeffs[n]
             # the scan stays inline: a generator per cell costs ~5% at n = 40
-            if rows[n][k] * c.denominator != c.numerator * fall * dens[n]:
-                expected = Fraction(c.numerator * fall, c.denominator)
+            if g[n] * dens[n] != scale * d_pow[n] * rows[n][k]:
+                expected = Fraction(g[n], scale * d_pow[n])
                 return rpt.compare_each(
                     [(n, k, table.value(n, k), expected)], "(n={}, k={}): table {} != gf {}"
                 )
-            fall *= n + 1
     return rpt

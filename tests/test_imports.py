@@ -9,6 +9,9 @@ the checks run wherever the tests do.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,3 +162,12 @@ def test_detector_flags_an_unread_public_method():
     tree = ast.parse(source)
     methods = {name.split(".")[1] for name in _public_methods(tree)}
     assert methods - _attributes(tree) == {"caller", "dead"}
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # a cold import without a bytecode cache paid about a third of its time
+    # for dataclasses and the inspect module it imports
+    probe = "import sys, geopoly; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(geopoly.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr

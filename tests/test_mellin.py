@@ -1,7 +1,9 @@
+import ast
+import inspect
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geopoly import mellin as M
 from geopoly.exact import gen_factorial
@@ -35,6 +37,50 @@ def test_apply_accumulates_generalized_factorial():
     single = M.embed_series(PowerSeries.from_coeffs([0, 0, 1], 4), p)
     for n in range(6):
         assert M.apply_operator(single, n).coeff(2) == gen_factorial(2 * 2 + 3, 1, n)
+
+
+def ref_apply(gs, times):
+    """The reference: one reduced Fraction multiply per factor and coefficient."""
+    a, b, r = gs.params.alpha, gs.params.beta, gs.params.r
+    m = gs.applications
+    coeffs = []
+    for k, c in enumerate(gs.coeffs):
+        factor = F(1)
+        for j in range(times):
+            factor *= k * b + r - (m + j) * a
+        coeffs.append(c * factor)
+    return M.GradedSeries(gs.params, m + times, tuple(coeffs))
+
+
+sevenths = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=sevenths,
+    beta=sevenths.filter(bool),
+    r=sevenths,
+    coeffs=st.lists(sevenths, min_size=1, max_size=8),
+    applied=st.integers(0, 3),
+    times=st.integers(0, 6),
+)
+@example(alpha=F(0), beta=F(1), r=F(0), coeffs=[F(1), F(2, 3)], applied=0, times=6)
+def test_apply_operator_matches_reference(alpha, beta, r, coeffs, applied, times):
+    params = HsuShiueParams(alpha, beta, r)
+    gs = M.GradedSeries(params, applied, tuple(coeffs))
+    assert M.apply_operator(gs, times) == ref_apply(gs, times)
+
+
+def test_apply_operator_keeps_its_own_loop():
+    # EQ4_OPERATOR's operator side stays apart from EQ5's termwise factorials
+    tree = next(
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(M)))
+        if isinstance(node, ast.FunctionDef) and node.name == "apply_operator"
+    )
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert named.isdisjoint({"gen_factorial", "binomial_general", "exact"})
 
 
 def test_apply_once_linear_weights():

@@ -328,3 +328,51 @@ def test_inverse_and_pow_int():
     sq = pow_int(geo, 2)
     assert [sq.coeff(j) for j in range(5)] == [1, 2, 3, 4, 5]
     assert pow_int(geo, -1) == 1 - t
+
+
+# a series with distinct small denominators and a unit constant term
+POW_BASE = PowerSeries.from_coeffs([1, F(-1, 2), F(2, 3), 0, F(-5, 7), 3, F(1, 11)])
+
+
+@pytest.mark.parametrize("e", range(-3, 10))
+def test_pow_int_is_repeated_multiplication(e):
+    base = POW_BASE if e >= 0 else PowerSeries(ref_divide(PowerSeries.one(6), POW_BASE))
+    want = PowerSeries.one(6)
+    for _ in range(abs(e)):
+        want = PowerSeries(ref_mul(want, base))
+    assert pow_int(POW_BASE, e) == want
+
+
+def test_pow_int_multiplies_neither_by_one_nor_past_the_top_bit(monkeypatch):
+    calls = []
+    real = PowerSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", counted)
+    counts = []
+    for e in range(6):
+        calls.clear()
+        pow_int(POW_BASE, e)
+        counts.append(len(calls))
+    assert counts == [0, 0, 1, 2, 2, 3]
+
+
+def ref_binom_deform(alpha, c, order):
+    """The reference: (c|alpha)_j / j! as a running Fraction product."""
+    coeffs = [F(1)]
+    acc = F(1)
+    for j in range(1, order + 1):
+        acc *= c - (j - 1) * alpha
+        coeffs.append(acc / factorial(j))
+    return tuple(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=kernel_fractions, c=kernel_fractions, order=st.integers(0, 16))
+@example(alpha=F(0), c=F(3, 7), order=16)  # exp(c t)
+@example(alpha=F(1, 3), c=F(0), order=4)
+def test_binom_deform_matches_reference(alpha, c, order):
+    assert binom_deform(alpha, c, order).coeffs == ref_binom_deform(alpha, c, order)

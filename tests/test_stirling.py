@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,8 @@ from geopoly import series, stirling
 from geopoly.enumeration import r_stirling_count, set_partitions_count
 from geopoly.exact import gen_factorial
 from geopoly.params import HsuShiueParams
-from geopoly.series import binom_deform
+from geopoly.report import fmt_rational
+from geopoly.series import binom_deform, deformed_base
 from geopoly.stirling import build_table, cached_table, specialize, verify_against_gf
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -245,3 +247,85 @@ def test_cached_table_is_shared():
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert again.n_max == n and len(again.rows) == n + 1
         assert all(a is b for a, b in zip(again.rows, first.rows))
+
+
+def series_route(table, order):
+    """The reference: the oracle's running product of Fraction series, gf = gf * base.
+
+    Returns (status, witness) with the oracle's scan order and witness text.
+    """
+    p = table.params
+    base = deformed_base(p.alpha, p.beta, order)
+    gf = binom_deform(p.alpha, p.r, order)
+    for k in range(order + 1):
+        if k:
+            gf = gf * base
+        fall = 1  # n!/k!
+        for n in range(k, order + 1):
+            expected = gf.coeffs[n] * fall
+            if table.value(n, k) != expected:
+                got = fmt_rational(table.value(n, k))
+                return "fail", f"(n={n}, k={k}): table {got} != gf {fmt_rational(expected)}"
+            fall *= n + 1
+    return "pass", None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=sevenths,
+    beta=sevenths,
+    r=sevenths,
+    order=st.integers(0, 14),
+    cell=st.tuples(st.integers(0, 14), st.integers(0, 14)),
+    bump=st.sampled_from([0, 1, -1, F(1, 7), F(-3, 11)]),
+)
+@example(alpha=F(0), beta=F(1), r=F(0), order=14, cell=(9, 4), bump=1)  # alpha = 0
+@example(alpha=F(1), beta=F(0), r=F(0), order=14, cell=(9, 4), bump=F(1, 7))  # beta = 0
+@example(alpha=F(-2, 7), beta=F(5, 3), r=F(0), order=14, cell=(14, 0), bump=1)  # r = 0
+@example(alpha=F(1, 2), beta=F(3), r=F(-2), order=12, cell=(12, 12), bump=0)
+def test_gf_oracle_agrees_with_the_series_route(alpha, beta, r, order, cell, bump):
+    # same status and witness as the Fraction running product, on clean
+    # tables (bump 0) and on tables with one cell moved
+    if alpha == beta == r == 0:
+        r = F(1, 7)
+    table = build_table(HsuShiueParams(alpha, beta, r), order)
+    n, k = cell[0] % (order + 1), cell[1] % (cell[0] % (order + 1) + 1)
+    if bump:
+        table = table.with_entry(n, k, table.value(n, k) + bump)
+    rpt = verify_against_gf(table, order)
+    assert (rpt.status, rpt.witness) == series_route(table, order)
+    assert rpt.status == ("fail" if bump else "pass")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=sevenths,
+    beta=sevenths,
+    r=sevenths,
+    j=st.integers(1, 10),
+    prime=st.sampled_from([11, 13, 10007]),
+    which=st.sampled_from(["deformed_base", "binom_deform"]),
+)
+@example(alpha=F(0), beta=F(1), r=F(0), j=1, prime=11, which="deformed_base")
+@example(alpha=F(1), beta=F(0), r=F(0), j=10, prime=13, which="binom_deform")
+def test_a_gf_coefficient_off_the_egf_integers_never_passes(alpha, beta, r, j, prime, which):
+    # j! D^j [t^j] of either series is an integer; a coefficient moved off
+    # that lattice is carried exactly and caught at its first cell
+    if alpha == beta == r == 0:
+        r = F(1, 7)
+    params = HsuShiueParams(alpha, beta, r)
+    d = alpha.denominator * beta.denominator * r.denominator
+    real = getattr(stirling, which)
+
+    def moved(*args):
+        ps = real(*args)
+        cs = list(ps.coeffs)
+        cs[j] += F(1, factorial(j) * d**j * prime)
+        return type(ps)(tuple(cs))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stirling, which, moved)
+        rpt = verify_against_gf(build_table(params, 10), 10)
+    assert rpt.status == "fail"
+    k = 1 if which == "deformed_base" else 0
+    assert rpt.witness.startswith(f"(n={j}, k={k}):"), rpt.witness
