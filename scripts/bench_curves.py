@@ -15,7 +15,10 @@ row of ``CASES``:
   ``verify_against_gf``, the GF oracle against a table built before the
   clock starts, n = 50..200;
   ``spivey_step``, ``spivey_step(n, n, 1, 1/3, p)`` from a cold cache, so
-  the table build and the two-index recurrence, n = 12..48; and, on no
+  the table build and the two-index recurrence, n = 12..48;
+  ``exp_poly_eval``, ``exp_poly(n, p)`` evaluated at x = 1, 1/3, -1/2 and
+  -5/3, and ``geometric_integral``, ``geometric_poly(n, 2, p).integral(-1,
+  0)``, both from a table built before the clock starts, n = 50..800; and, on no
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
   ``pow_int(b, 3)``) on fixed rational series of order n = 50..400.
@@ -61,6 +64,11 @@ EXACT = {
     "verify_against_gf": (TABLE_N[:3], "table = build_table(p, n)", "verify_against_gf(table, n)",
                           "out.to_dict()"),
     "spivey_step": ((12, 24, 48), "", "spivey_step(n, n, 1, Fraction(1, 3), p)", "out"),
+    "exp_poly_eval": (TABLE_N, "cached_table(p, n)",
+                      "[exp_poly(n, p)(x) for x in (1, Fraction(1, 3), Fraction(-1, 2), Fraction(-5, 3))]",
+                      "out"),
+    "geometric_integral": (TABLE_N, "cached_table(p, n)", "geometric_poly(n, 2, p).integral(-1, 0)",
+                           "out"),
 }
 SERIES_ORDERS = (50, 100, 200, 400)
 # fixed series of order n, numerators -9..9 over denominators up to 9; b_0 = 1, z = a - a_0
@@ -112,10 +120,10 @@ import hashlib
 import time
 from fractions import Fraction
 from geopoly import analytic
-from geopoly.families import geometric_poly, spivey_step
+from geopoly.families import exp_poly, geometric_poly, spivey_step
 from geopoly.params import HsuShiueParams
 from geopoly.series import PowerSeries, divide, exp_series, pow_int
-from geopoly.stirling import build_table, verify_against_gf
+from geopoly.stirling import build_table, cached_table, verify_against_gf
 n = {n}
 {setup}
 t0 = time.perf_counter()

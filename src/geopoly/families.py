@@ -31,11 +31,12 @@ The integral turns x^k into (-1)^k/(k+1), and <s>_{k+1} = s <s+1>_k and
     MINUS_ONE, FUBINI, BPA        w_n^(m)(-1) and w_n^(m)(1)
 
 and the printed EQ37 and COR5 variants divide by one more beta.  The
-integrals go through the polynomial `geometric_poly`.  Both forms, and
-`geometric_rows`, which gives w_0..w_n at a point as integer pairs for
-`spivey_step`, take their weights <m>_k c^k from the one `_weights`, so
-the definition of w is written once.  Only the closed sides read these;
-the oracles do not.
+integrals go through the polynomial `geometric_poly`, integer numerators
+over one denominator, and `PolyQ.integral` runs on those integers.  Both
+forms, and `geometric_rows`, which gives w_0..w_n at a point as integer
+pairs for `spivey_step`, take their weights <m>_k c^k from the one
+`_weights`, so the definition of w is written once.  Only the closed
+sides read these; the oracles do not.
 
 Every closed-form identity ships with an independent oracle: generating
 function coefficient extraction, direct summation, or (in the tests)
@@ -90,7 +91,8 @@ def _agreed(closed: Fraction, oracle: Fraction, what: str) -> Fraction:
 
 def exp_poly(n: int, params: HsuShiueParams) -> PolyQ:
     """Generalized exponential polynomial S_n(x) = sum_k S(n,k) x^k."""
-    return PolyQ.from_coeffs(cached_table(params, as_int(n)).row(n))
+    table = cached_table(params, as_int(n))
+    return PolyQ(table.rows[n], table.dens[n])
 
 
 def _weights(m: Fraction, c: Fraction, n: int) -> list[int]:
@@ -109,18 +111,18 @@ def _weights(m: Fraction, c: Fraction, n: int) -> list[int]:
 def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> PolyQ:
     """Order-m generalized geometric polynomial w_n^(m).
 
-    Reads the table's integer row: the weight <m>_k beta^k is carried as an
-    integer numerator over the row denominator times (den(m) den(beta))^k,
-    so each coefficient is one Fraction.
+    Reads the table's integer row: with E = den(m) den(beta), `_weights`
+    gives <m>_k beta^k as an integer W_k over E^k, so coefficient k is
+    T(n,k) W_k E^(n-k) over the one denominator dens[n] E^n; no Fraction.
     """
     m, beta = as_rational(order_m), params.beta
     table = cached_table(params, as_int(n))
-    step_den = m.denominator * beta.denominator
-    coeffs, den = [], table.dens[n]
-    for cell, weight in zip(table.rows[n], _weights(m, beta, n)):
-        coeffs.append(Fraction(cell * weight, den))
-        den *= step_den
-    return PolyQ.from_coeffs(coeffs)
+    step = m.denominator * beta.denominator
+    nums, scale = list(map(mul, table.rows[n], _weights(m, beta, n))), 1
+    for k in range(n, -1, -1):
+        nums[k] *= scale  # scale = E^(n-k)
+        scale *= step
+    return PolyQ(nums, table.dens[n] * step**n)
 
 
 def geometric_rows(

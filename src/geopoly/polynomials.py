@@ -1,13 +1,21 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficient index k holds the coefficient of x**k; trailing zeros are
-normalized away and the zero polynomial is the empty tuple.
+A `PolyQ` is kept in canonical form, as FLINT keeps an ``fmpq_poly``:
+integer numerators ``nums`` over one denominator ``den > 0``, with
+``gcd(den, *nums) == 1`` and no trailing zero, so the coefficient of x**k
+is nums[k]/den and the zero polynomial is ``((), 1)``.  The form is unique,
+so equality and the hash of the two fields are value equality.  The field
+constructor reduces to it with one gcd; `from_coeffs` takes rationals.
+Evaluation, the integral, the ring operations, the derivative and the
+shift all run on the integers; evaluation and the integral build one
+Fraction at the end.  `coeffs` gives the reduced Fractions to readers
+that want them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, perm
 from typing import Iterable
 
 from .exact import RationalLike, as_rational
@@ -15,23 +23,39 @@ from .record import Frozen
 from .series import PowerSeries, compose
 
 
-def _normalize(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    cs = [as_rational(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _horner(nums: tuple[int, ...], p: int, q: int) -> int:
+    """sum_k nums[k] p^k q^(d-k), d = len(nums) - 1: the value at p/q times q^d."""
+    acc, q_pow = 0, 1
+    for c in reversed(nums):
+        acc = acc * p + c * q_pow
+        q_pow *= q
+    return acc
 
 
 class PolyQ(Frozen):
-    __slots__ = ("coeffs",)
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("nums", "den")
+    nums: tuple[int, ...]
+    den: int
 
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, nums: Iterable[int], den: int = 1) -> None:
+        nums = list(nums)
+        if {type(den), *map(type, nums)} - {int}:
+            raise TypeError(f"PolyQ takes int numerators over an int denominator, got {nums} / {den!r}")
+        if not den:
+            raise ZeroDivisionError("PolyQ denominator is zero")
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[RationalLike]) -> "PolyQ":
-        return PolyQ(_normalize(coeffs))
+        cs = [as_rational(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return PolyQ([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def zero() -> "PolyQ":
@@ -42,63 +66,77 @@ class PolyQ(Frozen):
         return PolyQ.from_coeffs([c])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of x**0 .. x**degree as reduced Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Horner's rule on integer numerators over one denominator, one Fraction at the end."""
+        """Horner's rule on the integer numerators, one Fraction at the end."""
         x = as_rational(x)
-        num, den = x.numerator, x.denominator
-        common = lcm(*(c.denominator for c in self.coeffs))
-        acc, den_pow = 0, 1  # after c_(d-j): common * den^j * (c_d x^j + ... + c_(d-j))
-        for c in reversed(self.coeffs):
-            acc = acc * num + c.numerator * (common // c.denominator) * den_pow
-            den_pow *= den
-        return Fraction(acc, common * den ** max(self.degree, 0))
+        q = x.denominator
+        return Fraction(_horner(self.nums, x.numerator, q), self.den * q ** max(self.degree, 0))
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ.from_coeffs([self.coeff(k) + other.coeff(k) for k in range(n)])
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        return PolyQ([c + d for c, d in zip(a, b)] + a[len(b) :], den)
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ.from_coeffs([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self + -other
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
+        return PolyQ([-c for c in self.nums], self.den)
 
     def __mul__(self, other: "PolyQ | RationalLike") -> "PolyQ":
         if not isinstance(other, PolyQ):
             c = as_rational(other)
-            return PolyQ.from_coeffs([c * a for a in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+            return PolyQ([c.numerator * a for a in self.nums], self.den * c.denominator)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return PolyQ.from_coeffs(out)
+        return PolyQ(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def derivative(self, times: int = 1) -> "PolyQ":
-        p = self
-        for _ in range(times):
-            p = PolyQ.from_coeffs([k * c for k, c in enumerate(p.coeffs)][1:] or [0])
-        return p
+        """d^times/dx^times: x**k goes to k (k-1) ... (k-times+1) x**(k-times)."""
+        return PolyQ([perm(k, times) * c for k, c in enumerate(self.nums)][times:], self.den)
 
     def integral(self, a: RationalLike, b: RationalLike) -> Fraction:
-        """Exact integral from a to b: the antiderivative, evaluated at b and a."""
-        anti = PolyQ((Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(self.coeffs)))
-        return anti(b) - anti(a)
+        """Exact integral from a to b: the antiderivative on integers over
+        den L, by Horner at b and at a, and one Fraction.
+
+        c_k/(k+1) is (c_k/g_k)/d_k with g_k = gcd(c_k, k+1) and d_k =
+        (k+1)/g_k, so L = lcm(d_k) is often far below lcm(1..d+1).
+        """
+        a, b = as_rational(a), as_rational(b)
+        size = len(self.nums)
+        gs = [gcd(c, k + 1) for k, c in enumerate(self.nums)]
+        ds = [(k + 1) // g for k, g in enumerate(gs)]
+        big_l = lcm(*ds)
+        anti = (0, *(c // g * (big_l // d) for c, g, d in zip(self.nums, gs, ds)))
+        p, q, s, t = a.numerator, a.denominator, b.numerator, b.denominator
+        at_b, at_a = _horner(anti, s, t), _horner(anti, p, q)
+        q_pow, t_pow = q**size, t**size
+        return Fraction(at_b * q_pow - at_a * t_pow, self.den * big_l * q_pow * t_pow)
 
     def shift_x(self, power: int) -> "PolyQ":
         """Multiply by x**power."""
-        if not self.coeffs:
+        if not self.nums:
             return self
-        return PolyQ((Fraction(0),) * power + self.coeffs)
+        return PolyQ((0,) * power + self.nums, self.den)
 
     def to_series(self, order: int) -> PowerSeries:
         return PowerSeries.from_coeffs(self.coeffs or [0], order)

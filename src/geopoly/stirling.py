@@ -8,7 +8,8 @@ with S(n,k) = 0 for k > n.  The recurrence runs on integers: with D the lcm
 of the denominators of (alpha, beta, r), row n is kept as the integers
 T(n,k) = S(n,k) D^n over its own denominator, D^n when built, so no cell
 pays a gcd.  Readers that stay in integers take the numerators and the row
-denominator: `families.geometric_poly`; `families.geometric_rows`, one dot
+denominator: `families.exp_poly` and `families.geometric_poly`, one
+integer polynomial over one denominator; `families.geometric_rows`, one dot
 product per row for a value at a point, read by `families.geometric_at`
 and `families.spivey_step`; and the comparison in `verify_against_gf`.
 `value` and `row` build a Fraction only when asked.  The

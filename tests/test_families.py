@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import re
 from fractions import Fraction as F
 from math import factorial
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geopoly import families as fam
+from geopoly import polynomials
 from geopoly.enumeration import (
     barred_preferential_count,
     ordered_set_partitions_count,
@@ -17,6 +19,7 @@ from geopoly.enumeration import (
 from geopoly.exact import falling_factorial, gen_factorial, rising_factorial
 from geopoly.memo import CACHE_CAP, Memo
 from geopoly.params import HsuShiueParams
+from geopoly.polynomials import PolyQ
 from geopoly.report import CheckReport
 from geopoly.series import PowerSeries, gf_bernoulli2_degenerate, gf_degenerate_euler, gf_w
 from geopoly.stirling import cached_table
@@ -226,6 +229,56 @@ def test_the_two_sides_of_spivey_read_different_routes():
     assert {"geometric_poly", "gen_factorial"} & _names_read(fam.spivey_step) == set()
     assert "geometric_rows" in _names_read(fam.spivey_step)
     assert "geometric_poly" in _names_read(fam.check_spivey)
+
+
+def _parent_geometric_coeffs(n, m, p):
+    """The coefficients as built before the integer form: one reduced Fraction per cell."""
+    table = cached_table(p, n)
+    step_den, den, coeffs = m.denominator * p.beta.denominator, table.dens[n], []
+    for cell, weight in zip(table.rows[n], fam._weights(m, p.beta, n)):
+        coeffs.append(F(cell * weight, den))
+        den *= step_den
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 9),
+    m=st.one_of(st.integers(-4, 4), small_fractions),
+    alpha=small_fractions,
+    beta=small_fractions,
+    r=small_fractions,
+)
+@example(n=6, m=2, alpha=F(0), beta=F(3), r=F(-2))  # alpha = 0
+@example(n=6, m=3, alpha=F(1, 2), beta=F(5, 2), r=F(0))  # r = 0
+@example(n=7, m=F(-3, 2), alpha=F(-1, 3), beta=F(-5, 2), r=F(1, 4))  # negative beta and m
+@example(n=5, m=-2, alpha=F(2, 3), beta=F(-1, 3), r=F(3))  # negative integer m
+@example(n=5, m=F(2, 3), alpha=F(1), beta=F(0), r=F(0))  # beta = 0, non-integer m
+def test_integer_polynomials_equal_the_fraction_construction(n, m, alpha, beta, r):
+    if alpha == 0 and beta == 0 and r == 0:
+        r = F(1)
+    p = HsuShiueParams(alpha, beta, r)
+    assert fam.exp_poly(n, p) == PolyQ.from_coeffs(cached_table(p, n).row(n))
+    w = fam.geometric_poly(n, m, p)
+    assert w == PolyQ.from_coeffs(_parent_geometric_coeffs(n, m, p))
+    assert w.den > 0 and math.gcd(w.den, *w.nums) == 1
+
+
+def _module_names(module):
+    tree = ast.parse(inspect.getsource(module))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    return names | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def test_spivey_sides_share_only_the_table_and_the_weights():
+    # the recurrence side reads integer rows, never the polynomial; the direct
+    # side's polynomial and Horner rule know nothing of the table or the weights
+    for recurrence in (fam.spivey_step, fam.geometric_rows):
+        assert {"PolyQ", "geometric_poly"} & _names_read(recurrence) == set(), recurrence
+    assert {"stirling", "cached_table", "_weights"} & _module_names(polynomials) == set()
 
 
 def test_bernoulli_and_euler_polys():

@@ -1,5 +1,8 @@
+import math
+from decimal import Decimal
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geopoly.polynomials import PolyQ
@@ -88,3 +91,155 @@ def test_substitute_series():
     # t/(1-t) = t + t^2 + ...; (t/(1-t))^2 = t^2 + 2t^3 + 3t^4 + ...
     assert [out.coeff(j) for j in range(5)] == [0, 1, 2, 3, 4]
     assert PolyQ.zero().at_series(u).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The canonical integer form
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "raw, same",
+    [
+        (PolyQ((1, 0)), PolyQ.from_coeffs([1])),  # a trailing zero
+        (PolyQ((0, 3, 0, 0), 9), PolyQ.from_coeffs([0, F(1, 3)])),
+        (PolyQ((0, 0, 0), 5), PolyQ.zero()),  # the zero polynomial, any denominator
+        (PolyQ((), -7), PolyQ.from_coeffs([0, 0])),
+        (PolyQ((2, -4), -6), PolyQ.from_coeffs([F(-1, 3), F(2, 3)])),  # negative den
+        (PolyQ((6, 0, 9), 12), PolyQ.from_coeffs([F(1, 2), 0, F(3, 4)])),  # non-reduced den
+        (PolyQ((-10, 0, 0), -4), PolyQ.const(F(5, 2))),
+    ],
+)
+def test_canonical_form_is_value_equality(raw, same):
+    assert raw == same and hash(raw) == hash(same) and raw.degree == same.degree
+    assert (raw.nums, raw.den) == (same.nums, same.den)
+    assert raw.den > 0 and math.gcd(raw.den, *raw.nums) == 1
+    assert not raw.nums or raw.nums[-1] != 0
+
+
+def test_zero_polynomial_form():
+    for zero in (PolyQ.zero(), PolyQ((0,), 3), PolyQ.from_coeffs([]), PolyQ((5,), 2) - PolyQ((5,), 2)):
+        assert (zero.nums, zero.den, zero.degree, zero.coeffs) == ((), 1, -1, ())
+
+
+@pytest.mark.parametrize("bad", [1.5, Decimal("1.5"), "1/2", True, F(1, 2), None])
+def test_field_constructor_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        PolyQ((bad, 2))
+    with pytest.raises(TypeError):
+        PolyQ((1, 2), bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, Decimal("1.5"), True, None])
+def test_rational_constructor_refuses_inexact_values(bad):
+    with pytest.raises(TypeError):
+        PolyQ.from_coeffs([1, bad])
+
+
+def test_zero_denominator_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        PolyQ((1, 2), 0)
+
+
+def test_coeff_reads_one_cell():
+    p = PolyQ((3, 0, -4), 6)
+    assert [p.coeff(k) for k in range(-1, 5)] == [0, F(1, 2), 0, F(-2, 3), 0, 0]
+    assert p.coeffs == (F(1, 2), 0, F(-2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Every integer operation against Fraction-per-coefficient reference loops
+# ---------------------------------------------------------------------------
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    get = lambda cs, k: cs[k] if k < len(cs) else F(0)  # noqa: E731
+    return ref_trim(get(a, k) + sign * get(b, k) for k in range(n))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_derivative(cs, times):
+    for _ in range(times):
+        cs = [k * c for k, c in enumerate(cs)][1:]
+    return ref_trim(cs)
+
+
+def ref_integral(cs, a, b):
+    anti = [F(0)] + [c / (k + 1) for k, c in enumerate(cs)]
+    return fraction_horner(anti, b) - fraction_horner(anti, a)
+
+
+def ref_at_series(cs, inner):
+    out = PowerSeries.zero(inner.order)
+    power = PowerSeries.one(inner.order)
+    for c in cs:
+        out = out + power * c
+        power = power * inner
+    return out
+
+
+coefficient = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+point = st.fractions(min_value=-4, max_value=4, max_denominator=30)
+BIG = 2**61 - 1  # a Mersenne prime
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    a=st.lists(coefficient, max_size=9),
+    b=st.lists(coefficient, max_size=9),
+    x=point,
+    lo=point,
+    hi=point,
+    times=st.integers(0, 4),
+    power=st.integers(0, 3),
+    c=coefficient,
+)
+@example(a=[], b=[], x=F(1, 3), lo=F(-1), hi=F(0), times=1, power=2, c=F(0))  # zero polynomials
+@example(a=[F(7, 3)], b=[F(0), F(0), F(1)], x=F(0), lo=F(2), hi=F(2), times=1, power=0, c=F(5))  # a constant, x = 0, a = b
+@example(a=[F(1), F(-2), F(0), F(3)], b=[F(-1, 2)], x=F(-3), lo=F(-2), hi=F(3), times=3, power=1, c=F(-1))  # integer x
+@example(
+    a=[F(1, BIG), F(-3, BIG * 7), F(2, 3**30)],
+    b=[F(BIG, 5**20), F(0), F(-1, BIG)],
+    x=F(-17, 29),
+    lo=F(BIG, 3**30),
+    hi=F(-1, BIG),
+    times=2,
+    power=3,
+    c=F(3**25, BIG),
+)  # large denominators
+def test_integer_ops_equal_fraction_reference(a, b, x, lo, hi, times, power, c):
+    p, q = PolyQ.from_coeffs(a), PolyQ.from_coeffs(b)
+    a, b = ref_trim(a), ref_trim(b)
+    assert list(p.coeffs) == a and list(q.coeffs) == b
+    assert p(x) == fraction_horner(a, x) and p(-x) == fraction_horner(a, -x)
+    assert p.integral(lo, hi) == ref_integral(a, lo, hi)
+    assert p.integral(-1, 0) == ref_integral(a, F(-1), F(0))
+    assert list((p + q).coeffs) == ref_add(a, b)
+    assert list((p - q).coeffs) == ref_add(a, b, -1)
+    assert list((-p).coeffs) == [-v for v in a]
+    assert list((p * q).coeffs) == ref_mul(a, b)
+    assert list((p * c).coeffs) == list((c * p).coeffs) == ref_trim(v * c for v in a)
+    assert list(p.derivative(times).coeffs) == ref_derivative(a, times)
+    assert list(p.shift_x(power).coeffs) == ([F(0)] * power + a if a else [])
+    for order in (0, 3, 12):
+        assert p.to_series(order) == PowerSeries.from_coeffs(a or [0], order)
+    inner = PowerSeries.from_coeffs([0] + b[1:] + [1], 6)
+    assert p.at_series(inner) == ref_at_series(a, inner)
+    for result in (p + q, p - q, p * q, p * c, p.derivative(times), p.shift_x(power)):
+        assert result.den > 0 and math.gcd(result.den, *result.nums) == 1
+        assert not result.nums or result.nums[-1] != 0

@@ -16,7 +16,7 @@ FROZEN = [
     lambda: HsuShiueParams(F(1, 2), 3, -2),
     lambda: EvalConfig(128),
     lambda: PowerSeries((F(1), F(-1, 3))),
-    lambda: PolyQ((F(2), F(0), F(5, 7))),
+    lambda: PolyQ((14, 0, 5), 7),
 ]
 
 

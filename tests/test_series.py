@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 from math import factorial
 
@@ -161,6 +162,29 @@ def test_ring_basics():
     assert (t * 0).is_zero()
     e = binom_deform(0, 1, 6)
     assert (e + (-e)).is_zero()
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2", True, None])
+def test_constructor_refuses_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        PowerSeries((bad, 1))
+    with pytest.raises(TypeError):
+        PowerSeries((F(1), 2, bad))
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), True, None])
+def test_rational_constructor_refuses_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        PowerSeries.from_coeffs([1, bad])
+
+
+def test_no_float_reaches_a_result():
+    # before the constructor check these gave coeffs (1.0, 2) and 0.1666...
+    a = PowerSeries((F(1, 2), 1))
+    assert (a + a).coeffs == (1, 2) and all(type(c) in (F, int) for c in (a + a).coeffs)
+    assert (a * F(1, 3)).coeffs == (F(1, 6), F(1, 3))
+    with pytest.raises(TypeError):
+        a * 0.5
 
 
 def test_mul_truncates_to_min_order():
