@@ -1,11 +1,15 @@
 """Scaling curves of the closed forms and oracles, written to BENCH_<suite>.json.
 
     python3 scripts/bench_curves.py exact --src src --label change
-    python3 scripts/bench_curves.py numeric --src ../parent/src --label parent
+    python3 scripts/bench_curves.py numeric --src ../parent/src --label parent \
+        --src src --label change
 
 Each point is one cold interpreter that imports geopoly from ``--src`` and
 times one call (import excluded), pinned to one CPU; the median of
-``--repeats`` such processes is kept.  The suites and their curves, each a
+``--repeats`` such processes is kept.  Given several ``--src``/``--label``
+pairs, the checkouts take turns on every point, in an order that flips
+each repeat, so that a drift in the machine's speed falls on all of them
+alike.  The suites and their curves, each a
 row of ``CASES``:
 
 - ``exact``, on each of the triples (1/2, 3, -2) and (-1/3, 5/2, 1/4):
@@ -36,9 +40,9 @@ row of ``CASES``:
 
 Each curve gets the least-squares slope of log(time) on log(n), and each
 point the first 16 hex digits of the sha256 of its result, so two runs can
-be checked to agree.  The run is stored under ``--label`` in
+be checked to agree.  Each run is stored under its ``--label`` in
 ``BENCH_<suite>.json`` in the working directory; other labels are kept, so
-running it on two checkouts leaves a before/after pair in one file.  A new
+one run on two checkouts leaves a before/after pair in one file.  A new
 curve is a new row.  Standard library only.
 """
 
@@ -161,34 +165,47 @@ def slope(points: dict[int, float]) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("suite", choices=CASES, help="the curves to run, written to BENCH_<suite>.json")
-    parser.add_argument("--src", type=Path, required=True, help="the src directory holding geopoly")
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--src", type=Path, action="append", required=True,
+                        help="the src directory holding geopoly; repeat to interleave checkouts")
+    parser.add_argument("--label", action="append", required=True,
+                        help="key of the run in the output file, one per --src")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    if not (args.src / "geopoly" / "__init__.py").is_file():
-        parser.error(f"no geopoly package under {args.src}")
-    curves = {}
+    if len(args.src) != len(args.label):
+        parser.error("give one --label per --src")
+    for src in args.src:
+        if not (src / "geopoly" / "__init__.py").is_file():
+            parser.error(f"no geopoly package under {src}")
+    srcs = dict(zip(args.label, (src.resolve() for src in args.src)))
+    curves = {label: {} for label in srcs}
     for curve, (sizes, *_) in CASES[args.suite].items():
-        points, digests = {}, {}
+        points = {label: {} for label in srcs}
+        digests = {label: {} for label in srcs}
         for n in sizes:
-            runs = [time_once(args.src.resolve(), args.suite, curve, n) for _ in range(args.repeats)]
-            points[n] = statistics.median(t for t, _ in runs)
-            (digests[n],) = {d for _, d in runs}  # every repeat gave the same result
-            print(f"{curve} n={n}: {points[n]:.4f} s", file=sys.stderr, flush=True)
-        curves[curve] = {
-            "seconds": {str(n): round(t, 4) for n, t in points.items()},
-            "exponent": round(slope(points), 3),
-            "sha256": {str(n): d for n, d in digests.items()},
-        }
+            runs = {label: [] for label in srcs}
+            for i in range(args.repeats):
+                for label in list(srcs)[:: -1 if i % 2 else 1]:
+                    runs[label].append(time_once(srcs[label], args.suite, curve, n))
+            for label, label_runs in runs.items():
+                points[label][n] = statistics.median(t for t, _ in label_runs)
+                (digests[label][n],) = {d for _, d in label_runs}  # every repeat gave the same result
+                print(f"{label} {curve} n={n}: {points[label][n]:.4f} s", file=sys.stderr, flush=True)
+        for label in srcs:
+            curves[label][curve] = {
+                "seconds": {str(n): round(t, 4) for n, t in points[label].items()},
+                "exponent": round(slope(points[label]), 3),
+                "sha256": {str(n): d for n, d in digests[label].items()},
+            }
     out = Path(f"BENCH_{args.suite}.json")
     data = json.loads(out.read_text()) if out.exists() else {}
     data["unit"] = "s, raw wall time of one call in a cold process pinned to one CPU, median of repeats"
-    data.setdefault("runs", {})[args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "repeats": args.repeats,
-        "curves": curves,
-    }
+    for label in srcs:
+        data.setdefault("runs", {})[label] = {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "repeats": args.repeats,
+            "curves": curves[label],
+        }
     out.write_text(json.dumps(data, indent=2) + "\n")
     return 0
 

@@ -1,12 +1,10 @@
 """Truncated formal power series over exact rationals.
 
 A :class:`PowerSeries` stores the coefficients of t^0..t^order as a tuple of
-Fractions; its constructor refuses anything but Fraction and int, and the
-kernels below, whose results are exact by construction, skip that check
-through ``PowerSeries._of``.  Ring operations are exact and truncate to
-the minimum operand order; division shifts out the common t-valuation
-first, so quotients of valuation-1 series (log/exp-type numerators and
-denominators) stay exact.
+Fractions; its constructor refuses anything but Fraction and int.  Ring
+operations are exact and truncate to the minimum operand order; division
+shifts out the common t-valuation first, so quotients of valuation-1 series
+(log/exp-type numerators and denominators) stay exact.
 
 The deformed exponential base used by every generating function here is
 
@@ -79,13 +77,6 @@ class PowerSeries(Frozen):
         object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
-    def _of(coeffs: tuple[Fraction, ...]) -> "PowerSeries":
-        """The constructor without its checks, for coefficients that are exact already."""
-        out = object.__new__(PowerSeries)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
-
-    @staticmethod
     def from_coeffs(coeffs: Iterable[RationalLike], order: int | None = None) -> "PowerSeries":
         cs = [as_rational(c) for c in coeffs]
         if order is not None:
@@ -136,14 +127,14 @@ class PowerSeries(Frozen):
         if not isinstance(other, PowerSeries):
             cs = list(self.coeffs)
             cs[0] += as_rational(other)
-            return PowerSeries._of(tuple(cs))
+            return PowerSeries(tuple(cs))
         n = min(self.order, other.order)
-        return PowerSeries._of(tuple(self.coeffs[j] + other.coeffs[j] for j in range(n + 1)))
+        return PowerSeries(tuple(self.coeffs[j] + other.coeffs[j] for j in range(n + 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries._of(tuple(-c for c in self.coeffs))
+        return PowerSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "PowerSeries | ScalarLike") -> "PowerSeries":
         return self + (-other if isinstance(other, PowerSeries) else -as_rational(other))
@@ -154,13 +145,13 @@ class PowerSeries(Frozen):
     def __mul__(self, other: "PowerSeries | ScalarLike") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             c = as_rational(other)
-            return PowerSeries._of(tuple(c * a for a in self.coeffs))
+            return PowerSeries(tuple(c * a for a in self.coeffs))
         n = min(self.order, other.order)
         a, da = _scaled(self.coeffs[: n + 1])
         b, db = _scaled(other.coeffs[: n + 1])
         den = da * db
         b.reverse()
-        return PowerSeries._of(
+        return PowerSeries(
             tuple(Fraction(sum(map(mul, a[: k + 1], b[n - k :])), den) for k in range(n + 1))
         )
 
@@ -194,7 +185,7 @@ def divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
         acc = an[n] * den - sum(map(mul, qn, bn[order - n : order]))
         out.append(Fraction(acc, den * b0))
         den = _append(qn, den, out[n])
-    return PowerSeries._of(tuple(out))
+    return PowerSeries(tuple(out))
 
 
 def inverse(b: PowerSeries) -> PowerSeries:
@@ -239,7 +230,7 @@ def exp_series(a: PowerSeries) -> PowerSeries:
     for n in range(1, order + 1):
         out.append(Fraction(sum(map(mul, en, ka[order - n : order])), n * da * den))
         den = _append(en, den, out[n])
-    return PowerSeries._of(tuple(out))
+    return PowerSeries(tuple(out))
 
 
 def log_series(a: PowerSeries) -> PowerSeries:
@@ -257,7 +248,7 @@ def log_series(a: PowerSeries) -> PowerSeries:
         acc = n * an[n] * den - sum(map(mul, kl, ar[order - n : order]))
         out.append(Fraction(acc, n * da * den))
         den = _append(kl, den, out[n], n)
-    return PowerSeries._of(tuple(out))
+    return PowerSeries(tuple(out))
 
 
 def pow_series(a: PowerSeries, c: RationalLike) -> PowerSeries:
@@ -297,7 +288,7 @@ def binom_deform(alpha: RationalLike, c: RationalLike, order: int) -> PowerSerie
         num *= cn - (j - 1) * a
         den *= j * d
         coeffs.append(Fraction(num, den))
-    return PowerSeries._of(tuple(coeffs))
+    return PowerSeries(tuple(coeffs))
 
 
 def deformed_base(alpha: RationalLike, beta: RationalLike, order: int) -> PowerSeries:
@@ -314,7 +305,7 @@ def deformed_base(alpha: RationalLike, beta: RationalLike, order: int) -> PowerS
     for j in range(1, order + 1):
         coeffs.append(acc / factorial(j))
         acc *= beta - j * alpha
-    return PowerSeries._of(tuple(coeffs))
+    return PowerSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -217,18 +217,28 @@ def test_geometric_rows_equal_the_polynomials(n, m, x, alpha, beta, r):
     assert fam.geometric_at(n, m, x, p) == F(*rows[-1])
 
 
-def _names_read(function):
-    tree = ast.parse(inspect.getsource(function))
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
-        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-    }
+def _names_read(source):
+    """Every name, attribute, import alias and imported module in a function or module."""
+    nodes = list(ast.walk(ast.parse(inspect.getsource(source))))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
 
 
 def test_the_two_sides_of_spivey_read_different_routes():
-    # the recurrence reads integer rows; the direct side keeps the polynomial
-    assert {"geometric_poly", "gen_factorial"} & _names_read(fam.spivey_step) == set()
+    # the recurrence reads integer rows, never the polynomial; the direct side
+    # keeps the polynomial, whose module knows nothing of the table or the
+    # weights, so the two sides share only those
+    for recurrence in (fam.spivey_step, fam.geometric_rows):
+        assert {"PolyQ", "geometric_poly", "gen_factorial"} & _names_read(recurrence) == set()
     assert "geometric_rows" in _names_read(fam.spivey_step)
     assert "geometric_poly" in _names_read(fam.check_spivey)
+    assert {"stirling", "cached_table", "_weights"} & _names_read(polynomials) == set()
 
 
 def _parent_geometric_coeffs(n, m, p):
@@ -262,23 +272,6 @@ def test_integer_polynomials_equal_the_fraction_construction(n, m, alpha, beta, 
     w = fam.geometric_poly(n, m, p)
     assert w == PolyQ.from_coeffs(_parent_geometric_coeffs(n, m, p))
     assert w.den > 0 and math.gcd(w.den, *w.nums) == 1
-
-
-def _module_names(module):
-    tree = ast.parse(inspect.getsource(module))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    names |= {alias.asname or alias.name for node in ast.walk(tree)
-              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    return names | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-
-
-def test_spivey_sides_share_only_the_table_and_the_weights():
-    # the recurrence side reads integer rows, never the polynomial; the direct
-    # side's polynomial and Horner rule know nothing of the table or the weights
-    for recurrence in (fam.spivey_step, fam.geometric_rows):
-        assert {"PolyQ", "geometric_poly"} & _names_read(recurrence) == set(), recurrence
-    assert {"stirling", "cached_table", "_weights"} & _module_names(polynomials) == set()
 
 
 def test_bernoulli_and_euler_polys():
