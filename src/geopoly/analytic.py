@@ -99,7 +99,7 @@ from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
-from math import ceil, factorial, lcm, prod
+from math import ceil, factorial, prod
 
 from .exact import RationalLike, as_int, as_rational, gen_factorial
 from .families import exp_poly
@@ -519,14 +519,12 @@ def _scaled_factorials(
 ) -> tuple[int, Iterator[int]]:
     """D^n and the integers (i*beta + r | alpha)_n * D^n for i in indices.
 
-    D is the lcm of the denominators of (alpha, beta, r), so each factor
-    i*B + R - j*A is an integer: a series term multiplies n integers and
-    builds one Fraction, reduced by one gcd to the lowest terms that
-    gen_factorial times the term's other factors would give.
+    With (D, A, B, R) = `params.integer_form()` each factor i*B + R - j*A
+    is an integer: a series term multiplies n integers and builds one
+    Fraction, reduced by one gcd to the lowest terms that gen_factorial
+    times the term's other factors would give.
     """
-    alpha, beta, r = params.alpha, params.beta, params.r
-    d = lcm(alpha.denominator, beta.denominator, r.denominator)
-    a, b, c = (v.numerator * (d // v.denominator) for v in (alpha, beta, r))
+    d, a, b, c = params.integer_form()
     return d**n, (prod(i * b + c - j * a for j in range(n)) for i in indices)
 
 

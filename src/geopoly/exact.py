@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, lcm
+from typing import Sequence
 
 Rational = Fraction
 
@@ -49,6 +50,16 @@ def as_int(value: int, name: str = "n") -> int:
     return value
 
 
+def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their least common denominator.
+
+    ``(nums, den)`` with ``values[i] == Fraction(nums[i], den)``, and
+    ``([], 1)`` for no values: the one place rationals are put on integers.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def gen_factorial(z: RationalLike, alpha: RationalLike, n: int) -> Fraction:
     """Generalized factorial (z|alpha)_n = z(z-alpha)...(z-(n-1)alpha).
 
@@ -61,9 +72,7 @@ def gen_factorial(z: RationalLike, alpha: RationalLike, n: int) -> Fraction:
     alpha = as_rational(alpha)
     # z = top/den and alpha = step/den over one denominator: an integer
     # product and one Fraction, not a reduced Fraction per factor
-    den = lcm(z.denominator, alpha.denominator)
-    top = z.numerator * (den // z.denominator)
-    step = alpha.numerator * (den // alpha.denominator)
+    (top, step), den = over_lcm((z, alpha))
     out = 1
     for j in range(n):
         out *= top - j * step

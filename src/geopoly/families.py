@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .exact import RationalLike, as_int, as_rational, gen_factorial
@@ -95,34 +95,35 @@ def exp_poly(n: int, params: HsuShiueParams) -> PolyQ:
     return PolyQ(table.rows[n], table.dens[n])
 
 
-def _weights(m: Fraction, c: Fraction, n: int) -> list[int]:
-    """The weights <m>_k c^k, k = 0..n, as integer numerators over (den(m) den(c))^k.
+def _weights(m: Fraction, c: Fraction, n: int) -> tuple[list[int], int]:
+    """The weights <m>_k c^k, k = 0..n, as integers over one denominator E^n.
 
-    The one definition of w_n^(m): `geometric_poly` reads it at c = beta for
-    the coefficients, `geometric_rows` at c = beta*x for the values.
+    With E = den(m) den(c), weight k is the integer <m>_k c^k E^k times
+    E^(n-k).  The one definition of w_n^(m): `geometric_poly` reads it at
+    c = beta for the coefficients, `geometric_rows` at c = beta*x for the
+    values.
     """
     out, num = [], 1
     for k in range(n + 1):
         out.append(num)
         num *= (m.numerator + k * m.denominator) * c.numerator
-    return out
+    step, scale = m.denominator * c.denominator, 1
+    for k in range(n, -1, -1):
+        out[k] *= scale  # scale = E^(n-k)
+        scale *= step
+    return out, step**n
 
 
 def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> PolyQ:
     """Order-m generalized geometric polynomial w_n^(m).
 
-    Reads the table's integer row: with E = den(m) den(beta), `_weights`
-    gives <m>_k beta^k as an integer W_k over E^k, so coefficient k is
-    T(n,k) W_k E^(n-k) over the one denominator dens[n] E^n; no Fraction.
+    Coefficient k is the table's integer T(n,k) times the `_weights`
+    integer for <m>_k beta^k, over dens[n] times the weights' one
+    denominator; no Fraction.
     """
-    m, beta = as_rational(order_m), params.beta
-    table = cached_table(params, as_int(n))
-    step = m.denominator * beta.denominator
-    nums, scale = list(map(mul, table.rows[n], _weights(m, beta, n))), 1
-    for k in range(n, -1, -1):
-        nums[k] *= scale  # scale = E^(n-k)
-        scale *= step
-    return PolyQ(nums, table.dens[n] * step**n)
+    weights, den = _weights(as_rational(order_m), params.beta, as_int(n))
+    table = cached_table(params, n)
+    return PolyQ(list(map(mul, table.rows[n], weights)), table.dens[n] * den)
 
 
 def geometric_rows(
@@ -130,19 +131,13 @@ def geometric_rows(
 ) -> list[tuple[int, int]]:
     """w_k^(m)(x) for k = first..n, each as an integer numerator and denominator.
 
-    w_k^(m)(x) = sum_i S(k,i) <m>_i (beta x)^i, so with E = den(m) den(beta x)
-    every row k is one integer dot product of the table row T(k, .) with the
-    one vector v_i = <m>_i (beta x)^i E^n (an integer), over dens[k] E^n.  No
+    w_k^(m)(x) = sum_i S(k,i) <m>_i (beta x)^i, so every row k is one
+    integer dot product of the table row T(k, .) with the `_weights` vector
+    at c = beta x, over dens[k] times the weights' one denominator E^n.  No
     Fraction is built; ``first = n`` reads the single row n, O(n) cells.
     """
-    m, bx = as_rational(order_m), params.beta * as_rational(x)
-    table = cached_table(params, as_int(n))
-    step = m.denominator * bx.denominator
-    vec, scale = _weights(m, bx, n), 1
-    for i in range(n, -1, -1):
-        vec[i] *= scale  # scale = E^(n-i)
-        scale *= step
-    den = step**n
+    vec, den = _weights(as_rational(order_m), params.beta * as_rational(x), as_int(n))
+    table = cached_table(params, n)
     return [(sum(map(mul, table.rows[k], vec)), table.dens[k] * den) for k in range(first, n + 1)]
 
 
@@ -210,22 +205,20 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
     recurrence is an identity; tests pin it against geometric_poly.
 
     Each order s+j reads w_0..w_n at x from `geometric_rows`, row k over
-    D^k E^n (D the lcm of the denominators of (alpha, beta, r), as in
-    `build_table`).  The generalized factorial is a running integer product
-    over D^(n-k), so every term of the k-sum is over D^n E^n, the
-    denominator of row n: the k-sum runs on integers and each j adds one
-    Fraction.
+    D^k E^n, with (D, A, B, R) = `params.integer_form()` and E^n the
+    denominator of the `_weights`, the same for every j because s+j has the
+    denominator of s.  The generalized factorial is a running integer
+    product over D^(n-k), so every term of the k-sum is over D^n E^n, the
+    denominator of row n, and every j-term over dens[m] E^m D^n E^n: the
+    whole double sum runs on integers and builds one Fraction.
     """
     x, order = as_rational(x), as_rational(s)
-    a, b, r = params.alpha, params.beta, params.r
+    _, step_a, step_b, _ = params.integer_form()
     table = cached_table(params, max(as_int(n), as_int(m, "m")))
-    d = lcm(a.denominator, b.denominator, r.denominator)
-    step_a, step_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    bx = b * x
-    weights, step = _weights(order, bx, m), order.denominator * bx.denominator
-    total = Fraction(0)
+    weights, den = _weights(order, params.beta * x, m)
+    total, rows_den = 0, 1
     for j, cell in enumerate(table.rows[m]):
-        outer = cell * weights[j]  # S(m,j) <s>_j (beta x)^j over dens[m] step^j
+        outer = cell * weights[j]  # S(m,j) <s>_j (beta x)^j over dens[m] E^m
         if not outer:
             continue
         falls, fall, top = [], 1, j * step_b - m * step_a
@@ -233,9 +226,9 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
             falls.append(fall)
             fall *= top - i * step_a
         rows = geometric_rows(n, order + j, x, params)
-        inner = sum(comb(n, k) * falls[n - k] * num for k, (num, _) in enumerate(rows))
-        total += Fraction(outer * inner, table.dens[m] * step**j * rows[n][1])
-    return total
+        total += outer * sum(comb(n, k) * falls[n - k] * num for k, (num, _) in enumerate(rows))
+        rows_den = rows[n][1]  # D^n E^n for every j
+    return Fraction(total, table.dens[m] * den * rows_den)
 
 
 def check_spivey(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import lcm
 from typing import NamedTuple
 
 from .exact import binomial_general, gen_factorial
@@ -60,16 +59,15 @@ def apply_operator(gs: GradedSeries, times: int) -> GradedSeries:
     """Apply the weighted derivative `times` more times.
 
     Coefficient k gains prod_{j<times}(k*beta + r - (m+j)*alpha), computed
-    as the integer product prod_j(kB + R - (m+j)A) over D^times, with D the
-    lcm of the denominators of (alpha, beta, r) and A, B, R their multiples
-    by D; one Fraction per coefficient.  The loop is kept here, apart from
-    `exact.gen_factorial`, which the termwise sides of EQ5 call.
+    as the integer product prod_j(kB + R - (m+j)A) over D^times, with
+    (D, A, B, R) = `HsuShiueParams.integer_form`; one Fraction per
+    coefficient.  The loop is kept here, apart from `exact.gen_factorial`,
+    which the termwise sides of EQ5 call.
     """
     if times < 0:
         raise ValueError(f"times must be >= 0, got {times}")
     p = gs.params
-    d = lcm(p.alpha.denominator, p.beta.denominator, p.r.denominator)
-    a, b, r = (v.numerator * (d // v.denominator) for v in (p.alpha, p.beta, p.r))
+    d, a, b, r = p.integer_form()
     m = gs.applications
     scale = d**times
     coeffs = []

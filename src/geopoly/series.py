@@ -18,34 +18,28 @@ prod_{i=1}^{j-1}(beta - i*alpha) / j!, exact even at beta = 0 (where it
 becomes log(1+alpha*t)/alpha).
 
 The ring kernels (``*``, :func:`divide`, :func:`exp_series`,
-:func:`log_series`) never accumulate Fractions term by term.  Each scales
-its operands once to integer numerators over one common denominator (the
-lcm of their denominators), runs the O(n^2) convolution or recurrence in
-``int``, and builds exactly one Fraction -- one gcd normalization -- per
-output coefficient.  The recurrences (divide, exp, log) feed each new
-coefficient back as a numerator over the least common denominator of the
-coefficients produced so far; that denominator grows only when a new
-coefficient needs it, and the stored numerators are rescaled then.
+:func:`log_series`) never accumulate Fractions term by term.  Each puts
+its operands once on integers with `exact.over_lcm`, runs the O(n^2)
+convolution or recurrence in ``int``, and builds exactly one Fraction --
+one gcd normalization -- per output coefficient.  The recurrences
+(divide, exp, log) feed each new coefficient back as a numerator over the
+least common denominator of the coefficients produced so far; that
+denominator grows only when a new coefficient needs it, and the stored
+numerators are rescaled then.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .exact import RationalLike, as_rational
+from .exact import RationalLike, as_rational, over_lcm
 from .params import HsuShiueParams
 from .record import Frozen
 
 ScalarLike = Union[Fraction, int]
-
-
-def _scaled(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over their least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _append(nums: list[int], den: int, q: Fraction, weight: int = 1) -> int:
@@ -147,8 +141,8 @@ class PowerSeries(Frozen):
             c = as_rational(other)
             return PowerSeries(tuple(c * a for a in self.coeffs))
         n = min(self.order, other.order)
-        a, da = _scaled(self.coeffs[: n + 1])
-        b, db = _scaled(other.coeffs[: n + 1])
+        a, da = over_lcm(self.coeffs[: n + 1])
+        b, db = over_lcm(other.coeffs[: n + 1])
         den = da * db
         b.reverse()
         return PowerSeries(
@@ -174,7 +168,7 @@ def divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     if order < 0:
         raise ValueError("truncation order too small to divide after valuation shift")
     # a/b == an/bn: both are scaled by the same common denominator
-    nums, _ = _scaled(a.coeffs[vb : vb + order + 1] + b.coeffs[vb : vb + order + 1])
+    nums, _ = over_lcm(a.coeffs[vb : vb + order + 1] + b.coeffs[vb : vb + order + 1])
     an, bn = nums[: order + 1], nums[order + 1 :]
     b0 = bn[0]
     bn.reverse()
@@ -220,7 +214,7 @@ def exp_series(a: PowerSeries) -> PowerSeries:
     if a.coeffs[0] != 0:
         raise ValueError("exp_series requires valuation >= 1 (zero constant term)")
     order = a.order
-    an, da = _scaled(a.coeffs)
+    an, da = over_lcm(a.coeffs)
     # n*e_n = sum_{k=1}^{n} k*a_k*e_{n-k}  (from e' = a'e)
     ka = [k * c for k, c in enumerate(an)]
     ka.reverse()
@@ -238,7 +232,7 @@ def log_series(a: PowerSeries) -> PowerSeries:
     if a.coeffs[0] != 1:
         raise ValueError("log_series requires constant term 1")
     order = a.order
-    an, da = _scaled(a.coeffs)
+    an, da = over_lcm(a.coeffs)
     # n*l_n = n*a_n - sum_{k=1}^{n-1} k*l_k*a_{n-k}  (from a*l' = a')
     ar = an[::-1]
     out = [Fraction(0)]
@@ -275,13 +269,10 @@ def binom_deform(alpha: RationalLike, c: RationalLike, order: int) -> PowerSerie
     """(1 + alpha*t)^(c/alpha), exactly exp(c*t) at alpha = 0.
 
     Coefficient of t^j is (c|alpha)_j / j!, carried as the integer product
-    prod_{i<j}(C - iA) over D^j j!, with D the lcm of the denominators of
-    alpha and c and A, C their multiples by D; one Fraction per coefficient.
+    prod_{i<j}(C - iA) over D^j j!, with (C, A) over D = `exact.over_lcm`
+    of (c, alpha); one Fraction per coefficient.
     """
-    alpha = as_rational(alpha)
-    c = as_rational(c)
-    d = lcm(alpha.denominator, c.denominator)
-    a, cn = alpha.numerator * (d // alpha.denominator), c.numerator * (d // c.denominator)
+    (cn, a), d = over_lcm((as_rational(c), as_rational(alpha)))
     coeffs = [Fraction(1)]
     num = den = 1
     for j in range(1, order + 1):

@@ -4,8 +4,8 @@ Tables are built by the triangular recurrence
 
     S(0,0) = 1,   S(n+1,k) = S(n,k-1) + (k*beta - n*alpha + r) * S(n,k)
 
-with S(n,k) = 0 for k > n.  The recurrence runs on integers: with D the lcm
-of the denominators of (alpha, beta, r), row n is kept as the integers
+with S(n,k) = 0 for k > n.  The recurrence runs on integers: with D from
+`HsuShiueParams.integer_form`, row n is kept as the integers
 T(n,k) = S(n,k) D^n over its own denominator, D^n when built, so no cell
 pays a gcd.  Readers that stay in integers take the numerators and the row
 denominator: `families.exp_poly` and `families.geometric_poly`, one
@@ -38,11 +38,11 @@ classical family under this convention:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .exact import RationalLike, as_rational
+from .exact import RationalLike, as_rational, over_lcm
 from .memo import Memo
 from .params import HsuShiueParams
 from .report import EXACT, CheckReport
@@ -79,10 +79,9 @@ class StirlingTable(NamedTuple):
 
         Only row n is rescaled, to the lcm of its denominator and the new value's.
         """
-        value = as_rational(value)
-        den = lcm(self.dens[n], value.denominator)
-        row = [t * (den // self.dens[n]) for t in self.rows[n]]
-        row[k] = value.numerator * (den // value.denominator)
+        (unit, row_k), den = over_lcm((Fraction(1, self.dens[n]), as_rational(value)))
+        row = [t * unit for t in self.rows[n]]
+        row[k] = row_k
         rows = self.rows[:n] + (tuple(row),) + self.rows[n + 1 :]
         dens = self.dens[:n] + (den,) + self.dens[n + 1 :]
         return StirlingTable(self.params, self.n_max, rows, dens)
@@ -91,15 +90,12 @@ class StirlingTable(NamedTuple):
 def build_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
     """Rows 0..n_max by the recurrence, on integers T(n,k) = S(n,k) D^n.
 
-    With D the lcm of the denominators of (alpha, beta, r) and A, B, R their
-    multiples by D, the recurrence becomes
+    With (D, A, B, R) = `params.integer_form()`, the recurrence becomes
     T(n+1,k) = D T(n,k-1) + (kB - nA + R) T(n,k), with no gcd in the loop.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    alpha, beta, r = params.alpha, params.beta, params.r
-    d = lcm(alpha.denominator, beta.denominator, r.denominator)
-    a, b, c = (int(v * d) for v in (alpha, beta, r))
+    d, a, b, c = params.integer_form()
     rows = [(1,)]
     for n in range(n_max):
         prev = rows[n]
@@ -173,8 +169,7 @@ def _egf_integers(coeffs: tuple[Fraction, ...], d: int) -> tuple[list[int], int]
     for j, c in enumerate(coeffs):
         scaled.append(c * scale)
         scale *= (j + 1) * d
-    den = lcm(*(c.denominator for c in scaled))
-    return [c.numerator * (den // c.denominator) for c in scaled], den
+    return over_lcm(scaled)
 
 
 def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
@@ -184,9 +179,9 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     (1/k!) * base^k * (1+alpha t)^(r/alpha) with base the beta-normalized
     deformed exponential; exact mismatches are reported with their (n,k).
     The two series come from `deformed_base` and `binom_deform` and are
-    turned once into EGF integers: with D the lcm of the denominators of
-    (alpha, beta, r), b_j = j! D^j [t^j]base and w_j = j! D^j [t^j]weight,
-    which are D prod_{0<i<j}(B - iA) and prod_{i<j}(R - iA), so their common
+    turned once into EGF integers: with (D, A, B, R) = `p.integer_form()`,
+    b_j = j! D^j [t^j]base and w_j = j! D^j [t^j]weight, which are
+    D prod_{0<i<j}(B - iA) and prod_{i<j}(R - iA), so their common
     denominator is 1 (any other is carried exactly).  Column k is then the
     binomial convolution g_n = sum_i C(n,i) g'_i b_(n-i) of column k-1 with
     b, on plain integers, and g_n = k! D^n S(n,k); base has valuation 1, so
@@ -202,7 +197,7 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
         raise ValueError(f"order {order} exceeds table n_max {table.n_max}")
     p = table.params
     rpt = CheckReport(id="GF_VS_TABLE", params={"params": p, "order": order}, tolerance=EXACT)
-    d = lcm(p.alpha.denominator, p.beta.denominator, p.r.denominator)
+    d = p.integer_form()[0]
     b, b_den = _egf_integers(deformed_base(p.alpha, p.beta, order).coeffs, d)
     g, scale = _egf_integers(binom_deform(p.alpha, p.r, order).coeffs, d)
     # conv[n][i] = C(n, i) b_(n-i) for i < n: one multiplication per term below

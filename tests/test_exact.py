@@ -3,16 +3,17 @@ import inspect
 import textwrap
 from decimal import Decimal
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from geopoly.exact import (
     as_rational,
     binomial_general,
     falling_factorial,
     gen_factorial,
+    over_lcm,
     rising_factorial,
 )
 from geopoly.params import HsuShiueParams
@@ -20,6 +21,41 @@ from geopoly.params import HsuShiueParams
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
 )
+MERSENNE_61 = 2**61 - 1  # prime, so coprime to 3^30
+
+
+def _is_lcm_of_denominators(den, values):
+    # a common multiple M of d_1..d_n is their lcm iff gcd(M/d_1, ..., M/d_n) = 1
+    if not values:
+        return den == 1
+    return all(den % v.denominator == 0 for v in values) and gcd(
+        *(den // v.denominator for v in values)
+    ) == 1
+
+
+@given(st.lists(st.fractions(), max_size=8))
+@example([])
+@example([F(0), F(0)])
+@example([F(0), F(-5, 6), F(7, 4)])
+@example([F(-1, MERSENNE_61), F(2, 3**30), F(-3)])
+def test_over_lcm_writes_values_over_their_lcm(values):
+    nums, den = over_lcm(values)
+    assert {type(v) for v in nums} <= {int} and type(den) is int
+    assert [F(v, den) for v in nums] == values
+    assert _is_lcm_of_denominators(den, values)
+
+
+@given(alpha=st.fractions(), beta=st.fractions(), r=st.fractions())
+@example(alpha=F(0), beta=F(3, 2), r=F(-1, 4))  # alpha = 0
+@example(alpha=F(2, 5), beta=F(0), r=F(0))  # beta = 0 and r = 0
+@example(alpha=F(-1, 3), beta=F(-5, 2), r=F(-7, 6))  # all negative
+@example(alpha=F(1, MERSENNE_61), beta=F(-2, 3**30), r=F(5))  # coprime denominators
+def test_integer_form_writes_the_triple_over_its_lcm(alpha, beta, r):
+    assume(alpha or beta or r)
+    d, a, b, c = HsuShiueParams(alpha, beta, r).integer_form()
+    assert {type(v) for v in (d, a, b, c)} == {int}
+    assert (F(a, d), F(b, d), F(c, d)) == (alpha, beta, r)
+    assert _is_lcm_of_denominators(d, [alpha, beta, r])
 
 
 def test_gen_factorial_empty_product():

@@ -244,11 +244,8 @@ def test_the_two_sides_of_spivey_read_different_routes():
 def _parent_geometric_coeffs(n, m, p):
     """The coefficients as built before the integer form: one reduced Fraction per cell."""
     table = cached_table(p, n)
-    step_den, den, coeffs = m.denominator * p.beta.denominator, table.dens[n], []
-    for cell, weight in zip(table.rows[n], fam._weights(m, p.beta, n)):
-        coeffs.append(F(cell * weight, den))
-        den *= step_den
-    return coeffs
+    weights, den = fam._weights(m, p.beta, n)
+    return [F(cell * weight, table.dens[n] * den) for cell, weight in zip(table.rows[n], weights)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
-private module-level name is read somewhere in the library, and every
-public method of a library class is read as an attribute somewhere in the
-repository's Python code.
+private module-level name is read somewhere in the library, every public
+method of a library class is read as an attribute somewhere in the
+repository's Python code, and only `exact.over_lcm` takes the lcm of
+denominators.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's public surface.  Only the standard library's `ast` is needed, so
@@ -162,6 +163,52 @@ def test_detector_flags_an_unread_public_method():
     tree = ast.parse(source)
     methods = {name.split(".")[1] for name in _public_methods(tree)}
     assert methods - _attributes(tree) == {"caller", "dead"}
+
+
+def _denominator_lcms(tree: ast.Module) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of every ``lcm`` call that has a
+    ``.denominator`` anywhere among its arguments."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            if callee == "lcm" and any(
+                isinstance(n, ast.Attribute) and n.attr == "denominator"
+                for arg in node.args
+                for n in ast.walk(arg)
+            ):
+                found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_over_lcm_scales_by_the_lcm_of_denominators():
+    # writing rationals over their lcm is one decision: exact.over_lcm makes it,
+    # HsuShiueParams.integer_form and every integer kernel read it
+    found = [
+        (path.name, owner, line)
+        for path in SOURCES
+        for owner, line in _denominator_lcms(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert [(name, owner) for name, owner, _ in found] == [("exact.py", "over_lcm")], found
+
+
+def test_detector_flags_an_lcm_of_denominators():
+    source = (
+        "import math\nfrom math import lcm\n"
+        "def f(x, y):\n    return lcm(x.denominator, y.denominator)\n"
+        "def g(cs):\n    def inner():\n        return math.lcm(*(c.denominator for c in cs))\n"
+        "    return inner\n"
+        "def h(p, q):\n    return lcm(p.den, q.den), lcm(*p.nums)\n"
+        "D = lcm(F.denominator, 2)\n"
+    )
+    assert _denominator_lcms(ast.parse(source)) == [("f", 4), ("inner", 7), ("<module>", 11)]
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
