@@ -68,11 +68,9 @@ Euler-Maclaurin returns the same Decimal.
 Precision budget: EvalConfig refuses precision_bits above MAX_BITS = 4096,
 the top of the range the numeric layer is measured at.  Precision is the one
 setting: every cache keys on the working digits, and MAX_TERMS = 10000
-bounds every series and Euler-Maclaurin loop.  There
-eval_theorem5((1/2, 2, 1), 3, 1/2) took 9.3 s, against 0.13 s at 1024 bits
-and 0.92 s at 2048 bits (one cold process each, pinned to one CPU, Python
-3.11.7 on a 2-vCPU KVM guest); each doubling of the bits costs seven to ten
-times more.
+bounds every series and Euler-Maclaurin loop.  Measured on
+eval_theorem5((1/2, 2, 1), 3, 1/2) from 1024 to 4096 bits, each doubling of
+the bits costs seven to ten times more.
 
 Series verdicts
 ---------------

@@ -91,7 +91,7 @@ def _agreed(closed: Fraction, oracle: Fraction, what: str) -> Fraction:
 
 def exp_poly(n: int, params: HsuShiueParams) -> PolyQ:
     """Generalized exponential polynomial S_n(x) = sum_k S(n,k) x^k."""
-    table = cached_table(params, as_int(n))
+    table = cached_table(params, n)
     return PolyQ(table.rows[n], table.dens[n])
 
 
@@ -121,8 +121,8 @@ def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> Pol
     integer for <m>_k beta^k, over dens[n] times the weights' one
     denominator; no Fraction.
     """
-    weights, den = _weights(as_rational(order_m), params.beta, as_int(n))
     table = cached_table(params, n)
+    weights, den = _weights(as_rational(order_m), params.beta, n)
     return PolyQ(list(map(mul, table.rows[n], weights)), table.dens[n] * den)
 
 
@@ -136,8 +136,8 @@ def geometric_rows(
     at c = beta x, over dens[k] times the weights' one denominator E^n.  No
     Fraction is built; ``first = n`` reads the single row n, O(n) cells.
     """
-    vec, den = _weights(as_rational(order_m), params.beta * as_rational(x), as_int(n))
     table = cached_table(params, n)
+    vec, den = _weights(as_rational(order_m), params.beta * as_rational(x), n)
     return [(sum(map(mul, table.rows[k], vec)), table.dens[k] * den) for k in range(first, n + 1)]
 
 

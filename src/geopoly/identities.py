@@ -1,18 +1,19 @@
 """Registry of every checkable identity, keyed by stable ids.
 
 Each identity is one `Identity` record in `REGISTRY`: its id, a one-line
-description, the function that yields its reports, and whether it is an
-expected-fail regression.  `run(id, seed, samples)` draws parameters from a
-deterministic sampler over small rationals (|numerator| <= 6, denominator
-<= 4; degenerate draws are rejected and redrawn) and hands it to the record;
-identical (id, seed, samples) yield byte-identical reports.  The sampler of
-an id is seeded from the record's position, so record order is seed order:
-new ids go at the end.  The two *_PRINTED ids are first-class expected-fail
-regressions: they run superseded closed forms on fixed witnesses, and their
-reports read ``expected_fail_confirmed`` when the forms fail as they should.
-Changing the seed may change witnesses and parameters but never the
-pass/fail partition, because every registered identity is universally
-quantified over its sampled domain.
+description, the name its closed side reads (its control), the function
+that yields its reports, and whether it is an expected-fail regression.
+`run(id, seed, samples)` draws parameters from a deterministic sampler over
+small rationals (|numerator| <= 6, denominator <= 4; degenerate draws are
+rejected and redrawn) and hands it to the record; identical (id, seed,
+samples) yield byte-identical reports.  The sampler of an id is seeded from
+the record's position, so record order is seed order: new ids go at the
+end.  The two *_PRINTED ids are first-class expected-fail regressions: they
+run superseded closed forms on fixed witnesses, and their reports read
+``expected_fail_confirmed`` when the forms fail as they should.  Changing
+the seed may change witnesses and parameters but never the pass/fail
+partition, because every registered identity is universally quantified
+over its sampled domain.
 
 Records look up what they call by name at call time, as a module attribute
 (``mellin.verify_eq15``) or a global of this module, and never hold the
@@ -99,13 +100,15 @@ Cases = Callable[[SmallRationalSampler, int, Profile], list[CheckReport]]
 class Identity(NamedTuple):
     """One registered identity, immutable.
 
-    ``cases(sampler, samples, profile)`` yields its reports.  With
-    ``expected_fail`` they come from a superseded form, and `run` turns
-    their fail into ``expected_fail_confirmed`` and a pass into a fail.
+    ``closed`` is its control, the ``module.name`` only the closed side reads:
+    moved by 1/7, it must fail every report.  ``cases(sampler, samples,
+    profile)`` yields the reports.  With ``expected_fail`` they come from a
+    superseded form; `run` makes a fail ``expected_fail_confirmed``, a pass a fail.
     """
 
     id: str
     description: str
+    closed: str
     cases: Cases
     expected_fail: bool = False
 
@@ -215,104 +218,112 @@ def _fubini(rng: SmallRationalSampler, samples: int, prof: Profile) -> list[Chec
 # One record per id.  The position of a record seeds its sampler: append only.
 REGISTRY: tuple[Identity, ...] = (
     Identity("EQ1", "weighted-derivative operator vs Stirling derivative expansion on polynomials",
-             _each(lambda rng, prof: mellin.verify_eq1_poly(
+             "mellin.cached_table", _each(lambda rng, prof: mellin.verify_eq1_poly(
                  rng.int_between(0, prof.exact_n), _poly(rng, rng.int_between(0, 3)),
                  rng.params()))),
     Identity("EQ3_VS_GF8", "explicit rising-factorial sum vs EGF coefficients, order s",
-             _each(lambda rng, prof: families.check_gf_matches(
+             "families.geometric_at", _each(lambda rng, prof: families.check_gf_matches(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(2, 4), rng.rational(),
                  rng.params()))),
     Identity("EQ4_OPERATOR", "operator route on the binomial tail vs EGF composition",
-             _each(lambda rng, prof: mellin.verify_eq4_operator(
+             "mellin.geometric_poly", _each(lambda rng, prof: mellin.verify_eq4_operator(
                  rng.int_between(0, prof.exact_n), rng.int_between(0, 3), rng.params(),
                  prof.series_order // 2))),
     Identity("EQ5", "binomial-weighted factorial series vs (1-x)^-(s+1)-composed polynomial",
-             _series_identity("eq5", 0)),
+             "mellin.geometric_poly", _series_identity("eq5", 0)),
     Identity("EQ7_GAMMA", "gamma-moment form (discharged to rising factorials) vs EGF",
-             _each(lambda rng, prof: families.check_gamma_rep7(
+             "families.geometric_at", _each(lambda rng, prof: families.check_gamma_rep7(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 5), rng.rational(),
                  rng.params()))),
     Identity("EQ10", "degenerate Euler closed form vs its generating function, order s",
-             _each(lambda rng, prof: families.check_degenerate_euler(
+             "families.geometric_at", _each(lambda rng, prof: families.check_degenerate_euler(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(2, 5), rng.rational(),
                  rng.rational()))),
     Identity("EQ14", "Bernoulli numbers / Euler values as signed partition-number sums",
-             lambda rng, samples, prof: [families.check_eq14(20)]),
+             "families.geometric_poly", lambda rng, samples, prof: [families.check_eq14(20)]),
     Identity("EQ15", "operator action on the scaled exponential vs convolution closed form",
-             _each(lambda rng, prof: mellin.verify_eq15(
+             "mellin.exp_poly", _each(lambda rng, prof: mellin.verify_eq15(
                  rng.int_between(0, prof.exact_n), rng.params(), prof.series_order))),
     Identity("EQ16_EXACT", "exponential-weighted expansion, exact coefficientwise",
-             _each(lambda rng, prof: families.check_dobinski(
+             "families.exp_poly", _each(lambda rng, prof: families.check_dobinski(
                  rng.int_between(0, prof.exact_n), rng.params(), prof.series_order - 6))),
     Identity("EQ16_NUMERIC", "exponential-weighted expansion, numeric partial sums (beta > 0)",
-             _each(lambda rng, prof: analytic.eval_dobinski_numeric(
+             "analytic.exp_poly", _each(lambda rng, prof: analytic.eval_dobinski_numeric(
                  rng.int_between(0, prof.numeric_n), rng.params(beta_positive=True),
                  rng.rational(), EvalConfig(prof.bits)))),
     Identity("EQ17", "even-index cosine-type factorial series vs finite Stirling sum",
-             _eq17_18(17)),
+             "analytic.cached_table", _eq17_18(17)),
     Identity("EQ18", "odd-index sine-type factorial series vs finite Stirling sum",
-             _eq17_18(18)),
+             "analytic.cached_table", _eq17_18(18)),
     Identity("EQ19", "first-order geometric polynomials: explicit formula vs EGF",
-             _each(lambda rng, prof: families.check_gf_matches(
+             "families.geometric_at", _each(lambda rng, prof: families.check_gf_matches(
                  rng.int_between(0, prof.exact_n + 2), 1, rng.rational(), rng.params()))),
     Identity("EQ21", "unweighted factorial series vs 1/(1-x)-composed polynomial",
-             _series_identity("eq21", 0)),
-    Identity("EQ26", "zeta-coefficient series vs digamma/Hurwitz closed form", _eq26),
+             "mellin.geometric_poly", _series_identity("eq21", 0)),
+    Identity("EQ26", "zeta-coefficient series vs digamma/Hurwitz closed form",
+             "analytic.gen_factorial", _eq26),
     Identity("EQ27", "degenerate Euler closed form vs generating function, first order",
-             _each(lambda rng, prof: families.check_degenerate_euler(
+             "families.geometric_at", _each(lambda rng, prof: families.check_degenerate_euler(
                  rng.int_between(0, prof.exact_n + 2), 1, rng.rational(), rng.rational()))),
     Identity("EQ29", "Carlitz-polynomial difference vs weighted Stirling sum",
-             _each(lambda rng, prof: families.check_theorem3(
+             "families.geometric_poly", _each(lambda rng, prof: families.check_theorem3(
                  rng.int_between(0, prof.exact_n), rng.int_between(0, 4), rng.rational(),
                  rng.rational()))),
     Identity("EQ30_FAMILY", "zeta(k) k^n / 2^k family vs log2 + weighted zeta closed form",
-             lambda rng, samples, prof: [
+             "analytic.log2", lambda rng, samples, prof: [
                  analytic.eval_eq30_family(n, EvalConfig(prof.bits))
                  for n in range(prof.numeric_n + 1)]),
     Identity("EQ31", "shifted Carlitz value vs rising-factorial weighted Stirling sum",
-             _carlitz_shift(_generic_alpha_r)),
-    Identity("EQ32", "EQ31 specialized to r = 0",
+             "families.geometric_poly", _carlitz_shift(_generic_alpha_r)),
+    Identity("EQ32", "EQ31 specialized to r = 0", "families.geometric_poly",
              _carlitz_shift(lambda rng: (rng.rational(nonzero=True), Fraction(0)))),
     Identity("EQ33", "EQ31 specialized to r = alpha (degenerate Bernoulli numbers)",
+             "families.geometric_poly",
              _carlitz_shift(lambda rng: (alpha := rng.rational(nonzero=True), alpha))),
     Identity("EQ34_THM2", "second-kind degenerate Bernoulli closed form vs EGF",
-             _each(lambda rng, prof: families.check_theorem2(
+             "families.geometric_poly", _each(lambda rng, prof: families.check_theorem2(
                  rng.int_between(0, prof.exact_n + 2), rng.rational(), rng.rational()))),
-    Identity("EQ36", "rising factorial reflection <-x>_n = (-1)^n (x)_n", _each(_eq36)),
+    Identity("EQ36", "rising factorial reflection <-x>_n = (-1)^n (x)_n",
+             "identities.rising_factorial", _each(_eq36)),
     Identity("EQ37_CORRECTED", "Bernoulli values at rationals, corrected beta^(n-k) weight",
-             _each(lambda rng, prof: families.check_theorem4(
+             "families.geometric_poly", _each(lambda rng, prof: families.check_theorem4(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(0, 5),
                  rng.rational(nonzero=True), rng.rational(), exponent="corrected"))),
     Identity("EQ37_PRINTED", "superseded beta^(n+1-k) variant (expected fail)",
+             "families.geometric_poly",
              _printed(lambda *w: families.check_theorem4(*w, exponent="printed"),
                       ((1, 1, Fraction(2), Fraction(1)), (2, 2, Fraction(3), Fraction(-1)))),
              expected_fail=True),
     Identity("EQ38", "finite binomial factorial sum vs (1+x)^s-composed negative order",
-             _series_identity("eq38_binomial", 1)),
+             "mellin.geometric_poly", _series_identity("eq38_binomial", 1)),
     Identity("COR2", "sums of generalized falling factorials vs weighted Stirling sum",
-             _each(lambda rng, prof: families.check_corollary2(
+             "families.geometric_poly", _each(lambda rng, prof: families.check_corollary2(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 10), rng.rational()))),
     Identity("COR4", "Bernoulli polynomials at integers via r-separated partition numbers",
-             _each(lambda rng, prof: families.check_corollary4(
+             "families.geometric_poly", _each(lambda rng, prof: families.check_corollary4(
                  rng.int_between(0, prof.exact_n), rng.int_between(0, 5)))),
     Identity("COR5_CORRECTED", "power sums via r-Whitney closed form, beta^k weight",
-             _each(lambda rng, prof: families.check_corollary5(
+             "families.geometric_poly", _each(lambda rng, prof: families.check_corollary5(
                  rng.int_between(0, prof.exact_n), rng.int_between(1, 6),
                  rng.rational(nonzero=True), rng.rational(), exponent="corrected"))),
     Identity("COR5_PRINTED", "superseded beta^(k-1) variant (expected fail)",
+             "families.geometric_poly",
              _printed(lambda *w: families.check_corollary5(*w, exponent="printed"),
                       ((1, 1, Fraction(2), Fraction(1)), (1, 2, Fraction(2), Fraction(1)))),
              expected_fail=True),
     Identity("SPIVEY", "two-index recurrence vs direct polynomial construction",
-             _each(lambda rng, prof: families.check_spivey(
+             "families.geometric_rows", _each(lambda rng, prof: families.check_spivey(
                  rng.int_between(0, prof.spivey_n), rng.int_between(0, prof.spivey_n),
                  rng.int_between(1, 3), rng.rational(), rng.params()))),
     Identity("MINUS_ONE", "evaluation at -1 vs generalized-factorial collapse",
-             _each(lambda rng, prof: families.check_minus_one(
+             "families.geometric_at", _each(lambda rng, prof: families.check_minus_one(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 5), rng.params()))),
-    Identity("BPA_NUMBERS", "barred-arrangement counts vs exhaustive enumeration", _bpa_numbers),
-    Identity("FUBINI", "ordered-set-partition counts vs exhaustive enumeration", _fubini),
-    Identity("GF_VS_TABLE", "recurrence tables vs generating-function coefficients", _gf_vs_table),
+    Identity("BPA_NUMBERS", "barred-arrangement counts vs exhaustive enumeration",
+             "families.geometric_at", _bpa_numbers),
+    Identity("FUBINI", "ordered-set-partition counts vs exhaustive enumeration",
+             "families.geometric_at", _fubini),
+    Identity("GF_VS_TABLE", "recurrence tables vs generating-function coefficients",
+             "identities.build_table", _gf_vs_table),
 )
 
 IDENTITY_IDS: tuple[str, ...] = tuple(r.id for r in REGISTRY)

@@ -10,6 +10,8 @@ from collections import namedtuple
 from functools import wraps
 from threading import Lock
 
+from .exact import as_int
+
 CACHE_CAP = 4096
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -49,7 +51,7 @@ class Memo(dict):
     def prefix(self, f):
         @wraps(f)
         def cached(*args):
-            key, n = args[:-1], args[-1]
+            key, n = args[:-1], as_int(args[-1])
             if n < 0:
                 raise ValueError(f"n must be >= 0, got {n}")
             seq = self.lookup(key, n)

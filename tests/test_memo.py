@@ -181,6 +181,14 @@ def test_negative_n_raises_on_a_warm_store():
             eval(call, scope)
 
 
+@pytest.mark.parametrize("size", ["True", "2.0"])
+@pytest.mark.parametrize("call", NEGATIVE_CALLS)
+def test_a_size_that_is_not_an_int_raises(call, size):
+    scope = {**vars(fam), "cached_table": cached_table, "HsuShiueParams": HsuShiueParams}
+    with pytest.raises(TypeError, match=f"n must be an integer, got {size}"):
+        eval(call.replace("-1", size), scope)
+
+
 # ---------------------------------------------------------------------------
 # Cache accounting seen from outside the library
 # ---------------------------------------------------------------------------
