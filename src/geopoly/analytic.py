@@ -74,10 +74,14 @@ the bits costs seven to ten times more.
 
 Series verdicts
 ---------------
-Each eval_* routine hands its infinite side to `_sum_to_tolerance` as
-terms plus a rational majorant M(j) (zeta(2) <= 2 and (2*pi)^2 <= 40 style
-bounds).  The contract: M(j) bounds |term j|, and M(j+1)/M(j) does not
-increase with j.  After term k the tail is then at most M(k+1)/(1 - ratio),
+Each eval_* routine checks its size n with `exact.as_size` and hands its
+two sides to `_verdict`, the one numeric verdict frame: the infinite side
+as terms, a function of the last index to be summed, plus a rational
+majorant M(j) (zeta(2) <= 2 and (2*pi)^2 <= 40 style bounds), and the
+closed side as a function.  `_verdict` sums the terms with
+`_sum_to_tolerance` and evaluates the closed side, both at digits + 10.
+The contract: M(j) bounds |term j|, and M(j+1)/M(j) does not increase
+with j.  After term k the tail is then at most M(k+1)/(1 - ratio),
 ratio = M(k+2)/M(k+1) < 1, and the sum may stop once that bound is below
 tolerance/4 or M(k+1) = 0, tested in exact rationals.  Under the contract
 that bound does not grow with k once ratio < 1, so the rule holds at every
@@ -85,9 +89,9 @@ k after the first one: `_stop_index` finds that first k from the majorant
 alone, by galloping and bisecting, and only then are terms start..k built
 and summed in order (a caller may take k to size its zeta batch).  Without
 such a k up to MAX_TERMS, the terms through MAX_TERMS are built and an
-ArithmeticError raised.  The routine then assembles the closed-form side
-and reports |LHS - RHS| against the threshold.  No "looks converged"
-cutoffs anywhere.
+ArithmeticError raised.  `_verdict` then rounds both sides and
+|LHS - RHS| to digits and reports |LHS - RHS| against the threshold.  No
+"looks converged" cutoffs anywhere.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ from fractions import Fraction
 from itertools import count, islice
 from math import ceil, factorial, prod
 
-from .exact import RationalLike, as_int, as_rational, gen_factorial
+from .exact import RationalLike, as_rational, as_size, gen_factorial
 from .families import exp_poly
 from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
@@ -123,9 +127,7 @@ class EvalConfig(Frozen):
     __slots__ = ("precision_bits",)
 
     def __init__(self, precision_bits: int = 256) -> None:
-        if as_int(precision_bits, "precision_bits") < 64:
-            raise ValueError("precision_bits must be >= 64")
-        if precision_bits > MAX_BITS:
+        if as_size(precision_bits, "precision_bits", 64) > MAX_BITS:
             raise ValueError(f"precision_bits must be <= {MAX_BITS}, got {precision_bits}")
         object.__setattr__(self, "precision_bits", precision_bits)
 
@@ -299,8 +301,7 @@ def _zeta_em(s: int, a: Fraction, digits: int) -> Decimal:
 
 def hurwitz_zeta(s: int, a: RationalLike, cfg: EvalConfig) -> Decimal:
     """Hurwitz zeta(s, a) = sum_{j>=0} (j+a)^-s for integer s >= 2, a > 0."""
-    if as_int(s, "s") < 2:  # an int only: 3.0 == 3 would hit the cache
-        raise ValueError(f"s must be an integer >= 2, got {s}")
+    as_size(s, "s", 2)  # an int only: 3.0 == 3 would hit the cache
     a = as_rational(a)
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
@@ -436,17 +437,34 @@ def log2(cfg: EvalConfig) -> Decimal:
 # ---------------------------------------------------------------------------
 
 
-def _report(rid: str, params: dict, lhs: Decimal, rhs: Decimal, cfg: EvalConfig) -> CheckReport:
+def _verdict(
+    rid: str,
+    params: dict,
+    cfg: EvalConfig,
+    terms: Callable[[int], Iterable[Decimal | None]],
+    majorant: Callable[[int], Fraction],
+    start: int,
+    closed: Callable[[], Decimal],
+) -> CheckReport:
+    """The numeric verdict of ``rid``: the series side against ``closed()``.
+
+    Both sides run at digits + 10: the series by `_sum_to_tolerance` from
+    ``terms``, ``majorant`` and ``start``, then the closed side.  |lhs - rhs|
+    and both sides are rounded to cfg.digits and |lhs - rhs| is compared
+    with the tolerance; the report's params gain the precision as "bits".
+    """
     with localcontext() as ctx:
+        ctx.prec = cfg.digits + 10
+        lhs = _sum_to_tolerance(terms, majorant, start, cfg)
+        rhs = closed()
         ctx.prec = cfg.digits
         diff = abs(lhs - rhs)
         lhs, rhs = +lhs, +rhs
     tol = to_decimal(cfg.tolerance, cfg)
-    status = PASS if diff < tol else FAIL
     return CheckReport(
         id=rid,
-        params=params,
-        status=status,
+        params={**params, "bits": cfg.precision_bits},
+        status=PASS if diff < tol else FAIL,
         witness=f"|lhs-rhs| = {diff:.6E}",
         tolerance=f"2^-{cfg.precision_bits - 32}",
         detail={
@@ -486,23 +504,22 @@ def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig
 
 
 def _sum_to_tolerance(
-    terms: Iterable[Decimal | None] | Callable[[int], Iterable[Decimal | None]],
+    terms: Callable[[int], Iterable[Decimal | None]],
     majorant: Callable[[int], Fraction],
     start: int,
     cfg: EvalConfig,
 ) -> Decimal:
     """Sum terms k = start, ..., `_stop_index` in the caller's decimal context.
 
-    ``terms`` yields the terms from index start on, or is a function that
-    takes the last index to be summed and returns them, so that a caller
-    can size a batch to it.  A None term is an exact zero and is skipped,
-    so it cannot move the exponent of the total.  Without a stop index the
-    terms up to index MAX_TERMS are built and an ArithmeticError raised;
-    no term past MAX_TERMS is built.
+    ``terms`` takes the last index to be summed and returns the terms from
+    index start on, so that a caller can size a batch to it.  A None term
+    is an exact zero and is skipped, so it cannot move the exponent of the
+    total.  Without a stop index the terms up to index MAX_TERMS are built
+    and an ArithmeticError raised; no term past MAX_TERMS is built.
     """
     last = _stop_index(majorant, start, cfg)
     end = MAX_TERMS if last is None else last
-    built = list(islice(terms(end) if callable(terms) else terms, max(0, end - start + 1)))
+    built = list(islice(terms(end), max(0, end - start + 1)))
     if last is None or len(built) <= end - start:
         raise ArithmeticError("tail bound not reached within max_terms")
     total = Decimal(0)
@@ -534,7 +551,7 @@ def _poly_bound_base(params: HsuShiueParams, n: int) -> tuple[Fraction, Fraction
 
 
 def eval_theorem5(
-    params: HsuShiueParams, n: int, x: RationalLike, cfg: EvalConfig | None = None
+    params: HsuShiueParams, n: int, x: RationalLike, cfg: EvalConfig = EvalConfig()
 ) -> CheckReport:
     """zeta-coefficient power series vs its digamma/Hurwitz closed form.
 
@@ -542,8 +559,7 @@ def eval_theorem5(
     -(r|alpha)_n (psi(1-x) + gamma)
         + sum_{k=1..n} S(n,k) k! zeta(k+1, 1-x) (beta x)^k,  |x| < 1.
     """
-    cfg = cfg or EvalConfig()
-    as_int(n)
+    as_size(n)
     x = as_rational(x)
     if not -1 < x < 1:
         raise ValueError(f"need |x| < 1, got {x}")
@@ -562,10 +578,7 @@ def eval_theorem5(
             yield (zetas[k + 1] * Decimal(coeff.numerator) / Decimal(coeff.denominator)
                    if coeff else None)
 
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        # zeta(k+1) <= 2
-        lhs = _sum_to_tolerance(terms, lambda j: 2 * (a + b * j) ** n * ax**j, 1, cfg)
+    def closed():
         rhs = Decimal(0)
         head = gen_factorial(params.r, params.alpha, n)
         if head:
@@ -577,20 +590,16 @@ def eval_theorem5(
             c = table.value(n, k) * factorial(k) * bx**k
             if c:
                 rhs += _dec(c) * hurwitz_zeta(k + 1, 1 - x, cfg)
-    return _report(
-        "EQ26",
-        {"params": params, "n": n, "x": x, "bits": cfg.precision_bits},
-        lhs,
-        rhs,
-        cfg,
-    )
+        return rhs
+
+    # zeta(k+1) <= 2
+    return _verdict("EQ26", {"params": params, "n": n, "x": x}, cfg,
+                    terms, lambda j: 2 * (a + b * j) ** n * ax**j, 1, closed)
 
 
-def eval_eq30_family(n: int, cfg: EvalConfig | None = None) -> CheckReport:
+def eval_eq30_family(n: int, cfg: EvalConfig = EvalConfig()) -> CheckReport:
     """sum_{k>=2} zeta(k) k^n / 2^k vs its log2 + weighted-zeta closed form."""
-    cfg = cfg or EvalConfig()
-    if as_int(n) < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    as_size(n)
 
     def terms(last):
         zetas = _series_zetas(last, cfg.digits)
@@ -599,21 +608,22 @@ def eval_eq30_family(n: int, cfg: EvalConfig | None = None) -> CheckReport:
             # (zeta * num) / den, in lowest terms, as in eval_theorem5
             yield zetas[k] * Decimal(coeff.numerator) / Decimal(coeff.denominator)
 
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        lhs = _sum_to_tolerance(terms, lambda j: Fraction(2 * j**n, 2**j), 2, cfg)
+    def closed():
         rhs = log2(cfg)
         table = cached_table(HsuShiueParams(0, 1, 0), n + 1)
         for k in range(1, n + 1):
             c = table.value(n + 1, k + 1) * factorial(k) * (1 - Fraction(1, 2 ** (k + 1)))
             rhs += _dec(c) * zeta_int(k + 1, cfg)
-    return _report("EQ30_FAMILY", {"n": n, "bits": cfg.precision_bits}, lhs, rhs, cfg)
+        return rhs
+
+    return _verdict("EQ30_FAMILY", {"n": n}, cfg,
+                    terms, lambda j: Fraction(2 * j**n, 2**j), 2, closed)
 
 
 def eval_eq17_18(
     n: int,
     params: HsuShiueParams,
-    cfg: EvalConfig | None = None,
+    cfg: EvalConfig = EvalConfig(),
     eq: int = 17,
     start_index: str = "derived_j0",
 ) -> CheckReport:
@@ -627,8 +637,7 @@ def eval_eq17_18(
     matches the series); "paper_j1" starts at j=1 and is kept as a must-fail
     regression (already wrong at n=1).
     """
-    cfg = cfg or EvalConfig()
-    as_int(n)
+    as_size(n)
     if eq not in (17, 18):
         raise ValueError(f"eq must be 17 or 18, got {eq}")
     if start_index not in ("derived_j0", "paper_j1"):
@@ -636,24 +645,23 @@ def eval_eq17_18(
     odd = eq - 17  # the index 2k + odd of the factorial and of beta
     a0, b = _poly_bound_base(params, n)
     a = a0 + odd * abs(params.beta)
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        two_pi_sq = 4 * pi(cfg) ** 2
 
-        def terms():
-            pi_pow = Decimal(1)  # (2pi)^(2k), kept as a running product
-            den, nums = _scaled_factorials(params, n, count(odd, 2))
-            fact = 1  # (2k + odd)!, a running integer
-            for k, num in enumerate(nums):
-                coeff = Fraction((-1) ** k * num, den * fact)
-                yield _dec(coeff) * pi_pow if coeff else None
-                pi_pow *= two_pi_sq
-                fact *= (2 * k + odd + 1) * (2 * k + odd + 2)
+    def two_pi_sq():
+        return 4 * pi(cfg) ** 2  # in the caller's context, digits + 10
 
-        # (2pi)^2 <= 40, shared (2k)! denominator floor
-        lhs = _sum_to_tolerance(
-            terms(), lambda j: Fraction(40**j, factorial(2 * j)) * (a + 2 * b * j) ** n, 0, cfg
-        )
+    def terms(_last):
+        step = two_pi_sq()
+        pi_pow = Decimal(1)  # (2pi)^(2k), kept as a running product
+        den, nums = _scaled_factorials(params, n, count(odd, 2))
+        fact = 1  # (2k + odd)!, a running integer
+        for k, num in enumerate(nums):
+            coeff = Fraction((-1) ** k * num, den * fact)
+            yield _dec(coeff) * pi_pow if coeff else None
+            pi_pow *= step
+            fact *= (2 * k + odd + 1) * (2 * k + odd + 2)
+
+    def closed():
+        step = two_pi_sq()
         table = cached_table(params, n)
         beta_sq = params.beta**2
         j0 = 0 if start_index == "derived_j0" else 1
@@ -661,36 +669,29 @@ def eval_eq17_18(
         for j in range(j0, n // 2 + 1):
             c = table.value(n, 2 * j + odd) * (-1) ** j * beta_sq**j
             if c:
-                rhs += _dec(c) * two_pi_sq**j
+                rhs += _dec(c) * step**j
         if odd:
             rhs *= to_decimal(params.beta, cfg)
-    return _report(
-        f"EQ{eq}",
-        {
-            "n": n,
-            "params": params,
-            "start_index": start_index,
-            "bits": cfg.precision_bits,
-        },
-        lhs,
-        rhs,
-        cfg,
-    )
+        return rhs
+
+    # (2pi)^2 <= 40, shared (2k)! denominator floor
+    return _verdict(f"EQ{eq}", {"n": n, "params": params, "start_index": start_index}, cfg,
+                    terms, lambda j: Fraction(40**j, factorial(2 * j)) * (a + 2 * b * j) ** n, 0,
+                    closed)
 
 
 def eval_dobinski_numeric(
-    n: int, params: HsuShiueParams, x: RationalLike, cfg: EvalConfig | None = None
+    n: int, params: HsuShiueParams, x: RationalLike, cfg: EvalConfig = EvalConfig()
 ) -> CheckReport:
     """Factorially damped expansion vs e^(x/beta) * S_n(x), for beta > 0."""
-    cfg = cfg or EvalConfig()
-    as_int(n)
+    as_size(n)
     x = as_rational(x)
     if params.beta <= 0:
         raise ValueError("numeric check restricted to beta > 0")
     a, b = _poly_bound_base(params, n)
     q = abs(x / params.beta)
 
-    def terms():
+    def terms(_last):
         ratio = x / params.beta  # (x/beta)^k = u^k / v^k, with v > 0
         den, nums = _scaled_factorials(params, n, count())
         u_pow, v_pow, fact = 1, 1, 1  # and k!, all running integers
@@ -701,16 +702,10 @@ def eval_dobinski_numeric(
             v_pow *= ratio.denominator
             fact *= k + 1
 
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        lhs = _sum_to_tolerance(terms(), lambda j: (a + b * j) ** n * q**j / factorial(j), 0, cfg)
+    def closed():
         exponent = to_decimal(x / params.beta, cfg)
         value = exp_poly(n, params)(x)
-        rhs = exponent.exp() * _dec(value)
-    return _report(
-        "EQ16_NUMERIC",
-        {"n": n, "params": params, "x": x, "bits": cfg.precision_bits},
-        lhs,
-        rhs,
-        cfg,
-    )
+        return exponent.exp() * _dec(value)
+
+    return _verdict("EQ16_NUMERIC", {"n": n, "params": params, "x": x}, cfg,
+                    terms, lambda j: (a + b * j) ** n * q**j / factorial(j), 0, closed)

@@ -52,8 +52,6 @@ def _emit(ns: argparse.Namespace, payload: dict, started: float) -> None:
 
 def _cmd_stirling(ns: argparse.Namespace, started: float) -> int:
     params = _params_from(ns)
-    if ns.nmax < 0:
-        raise ValueError("--nmax must be >= 0")
     table = build_table(params, ns.nmax)
     if ns.format == "csv":
         rows = (",".join(fmt_rational(v) for v in table.row(n)) for n in range(ns.nmax + 1))
@@ -73,8 +71,6 @@ def _cmd_stirling(ns: argparse.Namespace, started: float) -> int:
 
 def _cmd_poly(ns: argparse.Namespace, started: float) -> int:
     params = _params_from(ns)
-    if ns.n < 0:
-        raise ValueError("--n must be >= 0")
     if ns.family == "exp":
         poly = exp_poly(ns.n, params)
     else:
@@ -114,8 +110,6 @@ def _default_bits(ns: argparse.Namespace) -> int:
 
 def _cmd_series(ns: argparse.Namespace, started: float) -> int:
     cfg = EvalConfig(_default_bits(ns))
-    if ns.n < 0:
-        raise ValueError("--n must be >= 0")
     if ns.id == "zeta2k":
         rpt = eval_eq30_family(ns.n, cfg)
     elif ns.id == "theorem5":

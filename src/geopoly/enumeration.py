@@ -11,15 +11,14 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterator
 
+from .exact import as_size
 from .memo import CACHE_CAP, Memo
 
 MAX_ENUM_N = 10
 
 
 def _guard(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > MAX_ENUM_N:
+    if as_size(n) > MAX_ENUM_N:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}, got {n}")
 
 
@@ -84,8 +83,7 @@ def ordered_set_partitions_count(n: int, k: int | None = None) -> int:
 def barred_preferential_count(n: int, s: int) -> int:
     """Ordered set partitions with s separating bars inserted among blocks."""
     _guard(n)
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    as_size(s, "s")
     profile = _block_count_profile(n)
     return sum(
         profile[j] * _perm_count(j) * _bar_placements(j, s) for j in range(len(profile))

@@ -43,10 +43,16 @@ def as_rational(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational (use Fraction, int or 'p/q'): {x!r}")
 
 
-def as_int(value: int, name: str = "n") -> int:
-    """``value`` if it is an int; bools, floats and the rest raise TypeError."""
+def as_size(value: int, name: str = "n", least: int = 0) -> int:
+    """``value`` if it is an int >= ``least``: the one check of every size.
+
+    Bools, floats and the rest raise TypeError; an int below ``least``
+    raises ValueError.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -66,8 +72,7 @@ def gen_factorial(z: RationalLike, alpha: RationalLike, n: int) -> Fraction:
     (z|alpha)_0 = 1 (empty product); (z|1)_n is the falling factorial and
     (z|0)_n = z**n.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    as_size(n)
     z = as_rational(z)
     alpha = as_rational(alpha)
     # z = top/den and alpha = step/den over one denominator: an integer
@@ -81,8 +86,7 @@ def gen_factorial(z: RationalLike, alpha: RationalLike, n: int) -> Fraction:
 
 def rising_factorial(x: RationalLike, n: int) -> Fraction:
     """Rising factorial <x>_n = x(x+1)...(x+n-1), with <x>_0 = 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    as_size(n)
     x = as_rational(x)
     # x + j = (p + jq)/q: an integer product over q^n
     p, q = x.numerator, x.denominator
@@ -94,8 +98,7 @@ def rising_factorial(x: RationalLike, n: int) -> Fraction:
 
 def falling_factorial(x: RationalLike, n: int) -> Fraction:
     """Falling factorial (x)_n = x(x-1)...(x-n+1), with (x)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    as_size(n)
     x = as_rational(x)
     p, q = x.numerator, x.denominator
     out = 1
@@ -106,6 +109,5 @@ def falling_factorial(x: RationalLike, n: int) -> Fraction:
 
 def binomial_general(s: RationalLike, k: int) -> Fraction:
     """Generalized binomial C(s,k) = s(s-1)...(s-k+1)/k! for rational s."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    as_size(k, "k")
     return falling_factorial(s, k) / factorial(k)

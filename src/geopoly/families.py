@@ -60,7 +60,7 @@ from itertools import count
 from math import comb, factorial
 from operator import mul
 
-from .exact import RationalLike, as_int, as_rational, gen_factorial
+from .exact import RationalLike, as_rational, as_size, gen_factorial
 from .memo import CACHE_CAP, Memo
 from .params import HsuShiueParams
 from .polynomials import PolyQ
@@ -214,7 +214,7 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
     """
     x, order = as_rational(x), as_rational(s)
     _, step_a, step_b, _ = params.integer_form()
-    table = cached_table(params, max(as_int(n), as_int(m, "m")))
+    table = cached_table(params, max(as_size(n), as_size(m, "m")))
     weights, den = _weights(order, params.beta * x, m)
     total, rows_den = 0, 1
     for j, cell in enumerate(table.rows[m]):
@@ -384,8 +384,7 @@ def check_corollary2(n: int, r: int, alpha: RationalLike) -> CheckReport:
     sum_k S(n,k;alpha,1,r) (-1)^k <r>_{k+1}/(k+1) = r I_n^(r+1)(alpha, 1, r)
     on the closed side.
     """
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
+    as_size(r, "r", 1)
     alpha = as_rational(alpha)
     rpt = CheckReport(id="COR2", params={"n": n, "r": r, "alpha": alpha})
     direct = sum(gen_factorial(j, alpha, n) for j in range(r))
@@ -450,8 +449,7 @@ def check_corollary4(n: int, r: int) -> CheckReport:
     B_{n+1}(r) = B_{n+1} + sum_k (-1)^k (n+1)/(k+1) {n+r k+r}_r <r>_{k+1}
                = B_{n+1} + (n+1) r I_n^(r+1)(0, 1, r).
     """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
+    as_size(r, "r")
     rpt = CheckReport(id="COR4", params={"n": n, "r": r})
     lhs = bernoulli_poly(n + 1)(r)
     rhs = bernoulli_number(n + 1) + (n + 1) * r * _integral(n, r + 1, HsuShiueParams(0, 1, r))
@@ -467,8 +465,7 @@ def _howard_sides(
     which is m I_n^(1-m)(0, beta, r) / beta^weight_shift: weight_shift 0 is
     the shipped beta^k weight, 1 the printed beta^(k-1).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    as_size(m, "m", 1)
     if beta == 0:
         raise ValueError("beta must be nonzero")
     closed = m * _integral(n, 1 - m, HsuShiueParams(0, beta, r)) / beta**weight_shift
@@ -530,8 +527,7 @@ def check_gamma_rep7(n: int, s: int, x: RationalLike, params: HsuShiueParams) ->
     exactly, so the check reduces to
     sum_k S(n,k) (x*beta)^k <s>_k = w_n^(s)(x) == n! [t^n] of the order-s EGF.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    as_size(s, "s", 1)
     x = as_rational(x)
     rpt = CheckReport(id="EQ7_GAMMA", params={"n": n, "s": s, "x": x, "params": params})
     return rpt.compare(*_gf_sides(n, s, x, params), "moment sum {} != gf {}")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import analytic, families, mellin
 from .analytic import EvalConfig
 from .enumeration import barred_preferential_count, ordered_set_partitions_count
-from .exact import falling_factorial, rising_factorial
+from .exact import as_size, falling_factorial, rising_factorial
 from .params import HsuShiueParams
 from .polynomials import PolyQ
 from .report import EXPECTED_FAIL_CONFIRMED, FAIL, PASS, CheckReport
@@ -339,8 +339,7 @@ def run(rid: str, seed: int = 1, samples: int = 4, profile: str = "full") -> lis
     """Verify one registered identity on deterministically sampled inputs."""
     if rid not in IDENTITY_IDS:
         raise ValueError(f"unknown identity id {rid!r}; known ids: {', '.join(IDENTITY_IDS)}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    as_size(samples, "samples", 1)
     prof = _profile(profile)
     index = IDENTITY_IDS.index(rid)
     record = REGISTRY[index]

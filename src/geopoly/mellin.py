@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from .exact import binomial_general, gen_factorial
+from .exact import as_size, binomial_general, gen_factorial
 from .families import geometric_poly, exp_poly
 from .params import HsuShiueParams
 from .polynomials import PolyQ
@@ -64,8 +64,7 @@ def apply_operator(gs: GradedSeries, times: int) -> GradedSeries:
     coefficient.  The loop is kept here, apart from `exact.gen_factorial`,
     which the termwise sides of EQ5 call.
     """
-    if times < 0:
-        raise ValueError(f"times must be >= 0, got {times}")
+    as_size(times, "times")
     p = gs.params
     d, a, b, r = p.integer_form()
     m = gs.applications

@@ -10,7 +10,7 @@ from collections import namedtuple
 from functools import wraps
 from threading import Lock
 
-from .exact import as_int
+from .exact import as_size
 
 CACHE_CAP = 4096
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -51,9 +51,7 @@ class Memo(dict):
     def prefix(self, f):
         @wraps(f)
         def cached(*args):
-            key, n = args[:-1], as_int(args[-1])
-            if n < 0:
-                raise ValueError(f"n must be >= 0, got {n}")
+            key, n = args[:-1], as_size(args[-1])
             seq = self.lookup(key, n)
             if seq is None or len(seq) <= n:
                 seq = self.put(key, f(*key, n if seq is None else max(n, 2 * len(seq) - 2)))

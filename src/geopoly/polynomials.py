@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm, perm
 from typing import Iterable
 
-from .exact import RationalLike, as_rational, over_lcm
+from .exact import RationalLike, as_rational, as_size, over_lcm
 from .record import Frozen
 from .series import PowerSeries, compose
 
@@ -110,8 +110,7 @@ class PolyQ(Frozen):
 
     def derivative(self, times: int = 1) -> "PolyQ":
         """d^times/dx^times: x**k goes to k (k-1) ... (k-times+1) x**(k-times)."""
-        if times < 0:
-            raise ValueError(f"times must be >= 0, got {times}")
+        as_size(times, "times")
         return PolyQ([perm(k, times) * c for k, c in enumerate(self.nums)][times:], self.den)
 
     def integral(self, a: RationalLike, b: RationalLike) -> Fraction:
@@ -134,8 +133,7 @@ class PolyQ(Frozen):
 
     def shift_x(self, power: int) -> "PolyQ":
         """Multiply by x**power."""
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
+        as_size(power, "power")
         if not self.nums:
             return self
         return PolyQ((0,) * power + self.nums, self.den)

@@ -2,7 +2,7 @@
 
 A verdict is reached on one of three paths, each written once:
 `CheckReport.compare` for one exact equality, `CheckReport.compare_each`
-for the first mismatch in a scan of exact cases, and `analytic._report`
+for the first mismatch in a scan of exact cases, and `analytic._verdict`
 for a numeric |lhs - rhs| against the configured tolerance.
 """
 

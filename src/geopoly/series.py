@@ -35,7 +35,7 @@ from math import factorial, gcd
 from operator import mul
 from typing import Iterable, Union
 
-from .exact import RationalLike, as_rational, over_lcm
+from .exact import RationalLike, as_rational, as_size, over_lcm
 from .params import HsuShiueParams
 from .record import Frozen
 
@@ -272,6 +272,7 @@ def binom_deform(alpha: RationalLike, c: RationalLike, order: int) -> PowerSerie
     prod_{i<j}(C - iA) over D^j j!, with (C, A) over D = `exact.over_lcm`
     of (c, alpha); one Fraction per coefficient.
     """
+    as_size(order, "order")
     (cn, a), d = over_lcm((as_rational(c), as_rational(alpha)))
     coeffs = [Fraction(1)]
     num = den = 1
@@ -289,6 +290,7 @@ def deformed_base(alpha: RationalLike, beta: RationalLike, order: int) -> PowerS
     so beta = 0 degenerates exactly to log(1 + alpha*t)/alpha and alpha = 0
     to (exp(beta*t) - 1)/beta.
     """
+    as_size(order, "order")
     alpha = as_rational(alpha)
     beta = as_rational(beta)
     coeffs = [Fraction(0)]
@@ -310,8 +312,7 @@ def gf_w(params: HsuShiueParams, s: int, x: RationalLike, order: int) -> PowerSe
     [1/(1 - x*((1+alpha t)^(beta/alpha) - 1))]^s * (1+alpha t)^(r/alpha);
     n! * [t^n] is w_n^(s)(x; alpha, beta, r).
     """
-    if s < 1:
-        raise ValueError(f"series order s must be >= 1, got {s}")
+    as_size(s, "s", 1)
     x = as_rational(x)
     big = binom_deform(params.alpha, params.beta, order)
     den = PowerSeries.one(order) - (big - 1) * x
@@ -325,8 +326,7 @@ def gf_degenerate_euler(s: int, alpha: RationalLike, x: RationalLike, order: int
     n! * [t^n] is the order-s degenerate Euler polynomial at x; alpha = 0
     gives the classical (2/(e^t+1))^s e^{xt}.
     """
-    if s < 0:
-        raise ValueError(f"order s must be >= 0, got {s}")
+    as_size(s, "s")
     u = binom_deform(alpha, 1, order)
     half = (u + 1) * Fraction(1, 2)  # constant term 1
     core = pow_int(inverse(half), s)

@@ -42,7 +42,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .exact import RationalLike, as_int, as_rational, over_lcm
+from .exact import RationalLike, as_rational, as_size, over_lcm
 from .memo import Memo
 from .params import HsuShiueParams
 from .report import EXACT, CheckReport
@@ -93,8 +93,7 @@ def build_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
     With (D, A, B, R) = `params.integer_form()`, the recurrence becomes
     T(n+1,k) = D T(n,k-1) + (kB - nA + R) T(n,k), with no gcd in the loop.
     """
-    if as_int(n_max, "n_max") < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    as_size(n_max, "n_max")
     d, a, b, c = params.integer_form()
     rows = [(1,)]
     for n in range(n_max):
@@ -191,9 +190,7 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     cross-multiplying its integer numerator and row denominator; a Fraction
     is built only for the witness.
     """
-    if as_int(order, "order") < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if order > table.n_max:
+    if as_size(order, "order") > table.n_max:
         raise ValueError(f"order {order} exceeds table n_max {table.n_max}")
     p = table.params
     rpt = CheckReport(id="GF_VS_TABLE", params={"params": p, "order": order}, tolerance=EXACT)

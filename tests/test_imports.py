@@ -1,8 +1,8 @@
 """Every name a library module imports is used in that module, every
 private module-level name is read somewhere in the library, every public
 method of a library class is read as an attribute somewhere in the
-repository's Python code, and only `exact.over_lcm` takes the lcm of
-denominators.
+repository's Python code, only `exact.over_lcm` takes the lcm of
+denominators, and only `exact.as_size` raises a lower bound on a size.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's public surface.  Only the standard library's `ast` is needed, so
@@ -165,27 +165,37 @@ def test_detector_flags_an_unread_public_method():
     assert methods - _attributes(tree) == {"caller", "dead"}
 
 
-def _denominator_lcms(tree: ast.Module) -> list[tuple[str, int]]:
-    """(innermost enclosing function, line) of every ``lcm`` call that has a
-    ``.denominator`` anywhere among its arguments."""
+def _owned(tree: ast.Module, flagged) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of every node ``flagged`` accepts."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call):
-            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
-            if callee == "lcm" and any(
-                isinstance(n, ast.Attribute) and n.attr == "denominator"
-                for arg in node.args
-                for n in ast.walk(arg)
-            ):
-                found.append((owner, node.lineno))
+        if flagged(node):
+            found.append((owner, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, "<module>")
     return found
+
+
+def _callee(call: ast.Call) -> str:
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
+
+
+def _denominator_lcms(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every ``lcm`` call that has a ``.denominator`` anywhere among its arguments."""
+    return _owned(tree, lambda node: (
+        isinstance(node, ast.Call)
+        and _callee(node) == "lcm"
+        and any(
+            isinstance(n, ast.Attribute) and n.attr == "denominator"
+            for arg in node.args
+            for n in ast.walk(arg)
+        )
+    ))
 
 
 def test_only_over_lcm_scales_by_the_lcm_of_denominators():
@@ -209,6 +219,42 @@ def test_detector_flags_an_lcm_of_denominators():
         "D = lcm(F.denominator, 2)\n"
     )
     assert _denominator_lcms(ast.parse(source)) == [("f", 4), ("inner", 7), ("<module>", 11)]
+
+
+def _lower_bound_raises(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every ``raise ValueError(...)`` with "must be >=" in the text of its message."""
+    return _owned(tree, lambda node: (
+        isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and _callee(node.exc) == "ValueError"
+        and any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str) and "must be >=" in n.value
+            for arg in node.exc.args
+            for n in ast.walk(arg)
+        )
+    ))
+
+
+def test_only_as_size_raises_a_lower_bound():
+    # "a size is an int >= its least value" is one rule: exact.as_size checks
+    # it, and every size of the library goes through it
+    found = [
+        (path.name, owner, line)
+        for path in SOURCES
+        for owner, line in _lower_bound_raises(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert [(name, owner) for name, owner, _ in found] == [("exact.py", "as_size")], found
+
+
+def test_detector_flags_a_lower_bound_raise():
+    source = (
+        "def f(n):\n    if n < 0:\n        raise ValueError(f\"n must be >= 0, got {n}\")\n"
+        "class C:\n    def g(self, k):\n        raise ValueError(\"k must be >= 1\")\n"
+        "def h(n):\n    raise ValueError(f\"n must be <= 9, got {n}\")\n"
+        "def i(n):\n    raise TypeError(\"n must be >= 0\")\n"
+        "raise ValueError(\"x must be >= \" + str(2))\n"
+    )
+    assert _lower_bound_raises(ast.parse(source)) == [("f", 3), ("g", 6), ("<module>", 11)]
 
 
 def test_import_leaves_dataclasses_and_inspect_out():

@@ -1,0 +1,103 @@
+"""One boundary table over the size arguments of the library.
+
+Every size (n, k, s, m, r, a series order, a number of samples or of
+operator applications, the precision) goes through `exact.as_size`, so each
+row expects the same two refusals: a TypeError naming the argument for a
+bool or a float, and one ValueError message just below its least value.
+The calls marked "True" returned a value for a bool size before they
+shared the check.  Three sizes keep tests of their own that check more
+than the message: the ``n`` of the four `analytic.eval_*` routines
+(``EVALS_OF_N`` in test_analytic.py), the ``s`` of `hurwitz_zeta` against
+a warm zeta cache (test_analytic.py), and the ``n`` of every prefix memo
+against a cold and a warm store (test_memo.py).  The CLI rows show that
+the library's message is the one a user sees, with exit code 2.
+"""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+
+from geopoly import cli
+from geopoly.analytic import EvalConfig
+from geopoly.enumeration import barred_preferential_count, set_partitions_count
+from geopoly.exact import binomial_general, falling_factorial, gen_factorial, rising_factorial
+from geopoly.families import (
+    check_corollary2,
+    check_corollary4,
+    check_corollary5,
+    check_gamma_rep7,
+    howard_power_sum,
+    spivey_step,
+)
+from geopoly.identities import run
+from geopoly.mellin import apply_operator, embed_series
+from geopoly.params import HsuShiueParams
+from geopoly.polynomials import PolyQ
+from geopoly.series import PowerSeries, binom_deform, deformed_base, gf_degenerate_euler, gf_w
+from geopoly.stirling import build_table, verify_against_gf
+
+P = HsuShiueParams(F(1, 2), 3, -2)
+QUADRATIC = PolyQ.from_coeffs([3, 0, 5])
+
+# (id, call of the one size, its name, its least value)
+ROWS = [
+    ("gen_factorial", lambda v: gen_factorial(1, 1, v), "n", 0),
+    ("rising_factorial True", lambda v: rising_factorial(3, v), "n", 0),
+    ("falling_factorial", lambda v: falling_factorial(3, v), "n", 0),
+    ("binomial_general True", lambda v: binomial_general(3, v), "k", 0),
+    ("build_table", lambda v: build_table(P, v), "n_max", 0),
+    ("verify_against_gf", lambda v: verify_against_gf(build_table(P, 3), v), "order", 0),
+    ("set_partitions_count True", lambda v: set_partitions_count(v), "n", 0),
+    ("barred_preferential_count", lambda v: barred_preferential_count(2, v), "s", 0),
+    ("PolyQ.derivative True", lambda v: QUADRATIC.derivative(v), "times", 0),
+    ("PolyQ.derivative zero", lambda v: PolyQ.zero().derivative(v), "times", 0),
+    ("PolyQ.shift_x", lambda v: QUADRATIC.shift_x(v), "power", 0),
+    ("PolyQ.shift_x zero", lambda v: PolyQ.zero().shift_x(v), "power", 0),
+    ("apply_operator True",
+     lambda v: apply_operator(embed_series(PowerSeries.one(2), P), v), "times", 0),
+    ("gf_w True", lambda v: gf_w(P, v, F(1, 2), 4), "s", 1),
+    ("gf_degenerate_euler", lambda v: gf_degenerate_euler(v, 0, 0, 4), "s", 0),
+    ("binom_deform True", lambda v: binom_deform(0, 1, v), "order", 0),
+    ("deformed_base", lambda v: deformed_base(0, 1, v), "order", 0),
+    ("spivey_step n", lambda v: spivey_step(v, 1, 1, F(1, 2), P), "n", 0),
+    ("spivey_step m", lambda v: spivey_step(1, v, 1, F(1, 2), P), "m", 0),
+    ("check_corollary2", lambda v: check_corollary2(2, v, F(1, 2)), "r", 1),
+    ("check_corollary4", lambda v: check_corollary4(2, v), "r", 0),
+    ("howard_power_sum", lambda v: howard_power_sum(1, v, 2, 1), "m", 1),
+    ("check_corollary5", lambda v: check_corollary5(1, v, 2, 1), "m", 1),
+    ("check_gamma_rep7", lambda v: check_gamma_rep7(2, v, F(1, 2), P), "s", 1),
+    ("run True", lambda v: run("EQ36", samples=v), "samples", 1),
+    ("EvalConfig", lambda v: EvalConfig(v), "precision_bits", 64),
+]
+
+
+@pytest.mark.parametrize("call, name, least", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
+def test_every_size_has_one_boundary(call, name, least):
+    for value in (True, 2.0):
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            call(value)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}, got {least - 1}")):
+        call(least - 1)
+    call(least)  # the least value itself is a size
+
+
+PARAMS = ["--alpha", "1/2", "--beta", "3", "--r", "-2"]
+CLI_ROWS = [
+    (["stirling", *PARAMS, "--nmax", "-1"], "n_max must be >= 0, got -1"),
+    (["poly", *PARAMS, "--family", "exp", "--n", "-1"], "n must be >= 0, got -1"),
+    (["poly", *PARAMS, "--family", "geom", "--n", "-1"], "n must be >= 0, got -1"),
+    *(
+        (["series", "--id", sid, "--n", "-1", "--x", "1/2"], "n must be >= 0, got -1")
+        for sid in ("theorem5", "zeta2k", "eq17", "eq18", "dobinski")
+    ),
+    (["verify", "--id", "EQ36", "--samples", "0"], "samples must be >= 1, got 0"),
+]
+CLI_IDS = [" ".join(a for a in argv if a not in PARAMS) for argv, _ in CLI_ROWS]
+
+
+@pytest.mark.parametrize("argv, message", CLI_ROWS, ids=CLI_IDS)
+def test_cli_exits_2_with_the_library_message(argv, message, capsys):
+    assert cli.main([*argv, "--no-timing"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")

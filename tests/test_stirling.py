@@ -218,14 +218,6 @@ def test_gf_oracle_refuses_a_negative_order(order):
         verify_against_gf(bad, order)
 
 
-@pytest.mark.parametrize("size", [True, 2.0])
-def test_table_and_oracle_sizes_must_be_ints(size):
-    with pytest.raises(TypeError, match=f"n_max must be an integer, got {size}"):
-        build_table(HsuShiueParams(1, 2, 3), size)
-    with pytest.raises(TypeError, match=f"order must be an integer, got {size}"):
-        verify_against_gf(build_table(HsuShiueParams(1, 2, 3), 3), size)
-
-
 @settings(max_examples=25, deadline=None)
 @given(alpha=small_fractions, beta=small_fractions, r=small_fractions)
 def test_gf_oracle_random_triples(alpha, beta, r):

@@ -84,9 +84,15 @@ def test_compare_is_one_case_of_compare_each():
 
 
 def _counted(terms, log):
-    for term in terms:
-        log.append(term)
-        yield term
+    """``terms`` as the function of the last index that `_sum_to_tolerance`
+    takes, logging every term it builds."""
+
+    def counted(last):
+        for term in terms:
+            log.append(term)
+            yield term
+
+    return counted
 
 
 @pytest.mark.parametrize("bits", [64, 128])
@@ -135,9 +141,11 @@ def test_sum_to_tolerance_none_terms_keep_the_exponent():
     stop = lambda j: F(0) if j >= 3 else F(1)  # noqa: E731
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        plain = analytic._sum_to_tolerance(iter(half + [Decimal(0)] * 5), stop, 0, cfg)
-        skipped = analytic._sum_to_tolerance(iter(half + [None] * 5), stop, 0, cfg)
-        padded = analytic._sum_to_tolerance(iter(half + [Decimal("0E-40")] * 5), stop, 0, cfg)
+        plain = analytic._sum_to_tolerance(lambda last: half + [Decimal(0)] * 5, stop, 0, cfg)
+        skipped = analytic._sum_to_tolerance(lambda last: half + [None] * 5, stop, 0, cfg)
+        padded = analytic._sum_to_tolerance(
+            lambda last: half + [Decimal("0E-40")] * 5, stop, 0, cfg
+        )
     assert skipped.as_tuple() == plain.as_tuple() == Decimal("0.5").as_tuple()
     assert padded.as_tuple() != skipped.as_tuple()  # an added zero can move it
 
