@@ -36,26 +36,29 @@ adds the head and the doubling of N.  The Euler constant is
 (alternating series, tail bounded by the first omitted term), and log 2
 from the correctly rounded stdlib ln.
 
-The loop reads its Bernoulli numbers from one table of its own, B_0,
-B_2, ..., B_2M, built from the integer tangent numbers (Brent & Harvey,
-"Fast computation of Bernoulli, Tangent and Secant numbers",
-arXiv:1108.0286); `families.bernoulli_numbers`, the t/(e^t - 1) series,
-stays the exact-layer oracle and is the test oracle of this table.  It
-reads B_2m/(2m)! from one table per working precision, each entry rounded
-once at digits + 10, and carries <s>_{2m-1} (a+N)^(1-s-2m) as one running
-Decimal, moved to the next m by an integer product and an integer
-division (a + N = num/den), so each step multiplies two full-precision
-Decimals only once, for the term itself.  It fetches
-its table once and fetches it again, twice as long, only if it runs past
-the end.  The zeta values, the constants and both tables are each cached
-in a `memo.Memo` of CACHE_CAP keys.
+The loop reads B_2m/(2m)! from one table per working precision, built
+on its first use at the length that precision asks for from the integer
+tangent numbers T_1..T_M (Brent & Harvey, "Fast computation of Bernoulli,
+Tangent and Secant numbers", arXiv:1108.0286): B_2m = (-1)^(m-1) 2m T_m /
+(4^m (4^m - 1)), so each entry is one division of two exact integers,
+rounded once at digits + 10.  `families.bernoulli_numbers`, the
+t/(e^t - 1) series, stays the exact-layer oracle and is the test oracle
+of the tangent route.  The loop carries <s>_{2m-1} (a+N)^(1-s-2m) as one
+running Decimal, moved to the next m by an integer product and an
+integer division (a + N = num/den), so each step multiplies two
+full-precision Decimals only once, for the term itself.  Should it run
+past the end of its table, the table of that precision is built again,
+twice as long.  The zeta values, the constants, the tables and the
+batch below are each cached in a `memo.Memo` of CACHE_CAP keys.
 
 The series sides (Theorem 5 and the Eq. (30) family) read zeta(2..K) from
 `_zeta_batch`, one run over s per precision that returns the Decimals
 zeta_int returns, at a fraction of the cost; the closed sides keep
-hurwitz_zeta, zeta_int and digamma.  Once s is large the batch sums
-directly.  The tail of the sum is bounded by its first term plus the
-integral of the decreasing (1+x)^-s:
+hurwitz_zeta, zeta_int and digamma.  Below some s the batch runs
+Euler-Maclaurin, once per precision (`_em_region`); from there on it sums
+directly, and a longer batch reruns only the direct sums.  The tail of
+the sum is bounded by its first term plus the integral of the
+decreasing (1+x)^-s:
 
     sum_{j>=J} (1+j)^-s <= (1+J)^-s * (s+J)/(s-1).
 
@@ -176,30 +179,35 @@ def _asymptotic_cut(digits: int) -> int:
     return max(24, ceil(0.45 * digits))
 
 
-@Memo(CACHE_CAP).prefix
-def _bernoulli_even(m: int) -> tuple[Fraction, ...]:
-    """B_0, B_2, ..., B_2m from the tangent numbers T_1..T_m.
-
-    The triangular integer recurrence of Brent & Harvey (arXiv:1108.0286)
-    gives T_k, and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
-    """
+def _tangent_numbers(m: int) -> list[int]:
+    """[0, T_1, ..., T_m], the tangent numbers by the triangular integer
+    recurrence of Brent & Harvey (arXiv:1108.0286)."""
     t = [0, 1] + [0] * (m - 1)  # t[k] = T_k once both sweeps are done
     for k in range(2, m + 1):
         t[k] = (k - 1) * t[k - 1]
     for k in range(2, m + 1):
         for j in range(k, m + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return (Fraction(1),) + tuple(
-        Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, m + 1)
-    )
+    return t
 
 
 @Memo(CACHE_CAP).prefix
 def _em_coeffs(digits: int, m: int) -> tuple[Decimal, ...]:
-    """B_2j/(2j)! for j = 0..m, each rounded once at digits + 10."""
+    """B_2j/(2j)! for j = 0..m, each rounded once at digits + 10.
+
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), so each entry is one
+    division of exact integers, the correctly rounded quotient.
+    """
+    t = _tangent_numbers(m)
+    out = [Decimal(1)]
+    four, fact = 1, 1  # 4^j and (2j)!, running integers
     with localcontext() as ctx:
         ctx.prec = digits + 10
-        return tuple(_dec(b / factorial(2 * j)) for j, b in enumerate(_bernoulli_even(m)))
+        for j in range(1, m + 1):
+            four *= 4
+            fact *= (2 * j - 1) * 2 * j
+            out.append(Decimal((-1) ** (j - 1) * 2 * j * t[j]) / Decimal(four * (four - 1) * fact))
+    return tuple(out)
 
 
 def _table_length(cut: int) -> int:
@@ -317,22 +325,15 @@ def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
     return hurwitz_zeta(s, Fraction(1), cfg)
 
 
-@Memo(CACHE_CAP).prefix
-def _zeta_batch(digits: int, n: int) -> tuple[Decimal | None, ...]:
-    """(None, None, zeta(2), ..., zeta(n)): hurwitz_zeta(s, 1, cfg) for s <= n
-    at cfg.digits = digits from one run over s, for the series sides alone.
+@Memo(CACHE_CAP)
+def _em_region(digits: int) -> tuple[tuple[Decimal | None, ...], tuple[Decimal, ...]]:
+    """The Euler-Maclaurin region of `_zeta_batch` at ``digits``.
 
-    Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
-    digits, and within s roundings of its exact value, inside the budget
-    of `_em_corrections`.  The threshold of direct summation (module
-    docstring) is a quarter ulp of 1 for every s, and the tail bound falls
-    as s grows, so the direct cut J(s) only walks down from the
-    Euler-Maclaurin cut N, each step proven by `_tail_below`.  Term J is
-    summed too: it moves no digit, but like the sub-ulp additions of
-    Euler-Maclaurin it pads an exactly representable head to the full
-    working precision.  Until direct summation applies, the
-    Euler-Maclaurin total is assembled from the running head and
-    (1+N)^-s; should its corrections bottom out, `_zeta_em` doubles N.
+    Returns (None, None, zeta(2), ..., zeta(s0 - 1)) and the powers
+    (1+j)^-(s0-1), j <= N, where s0 is the first s at which direct
+    summation applies at the cut N (`_tail_below`).  Each zeta is
+    assembled, as in `_zeta_em`, from the running head and (1+N)^-s; should
+    its corrections bottom out, `_zeta_em` doubles N.
     """
     n_cut = _asymptotic_cut(digits)
     thr_den = 4 * 10 ** (digits + 9)  # 1/thr_den: a quarter ulp of 1
@@ -342,20 +343,14 @@ def _zeta_batch(digits: int, n: int) -> tuple[Decimal | None, ...]:
         final = ctx.copy()
         final.prec = digits
         bases = [Decimal(1 + j) for j in range(n_cut + 1)]
-        powers = [1 / base for base in bases]  # (1+j)^-s for j <= the cut, one s behind
-        cut = None  # the direct cut J(s), once direct summation applies
-        for s in range(2, n + 1):
-            if cut is None and _tail_below(s, n_cut, thr_den):
-                cut = n_cut
-            while cut is not None and cut > 1 and _tail_below(s, cut - 1, thr_den):
-                cut -= 1
-            powers = [x / y for x, y in zip(powers[: (n_cut if cut is None else cut) + 1], bases)]
+        powers = [1 / base for base in bases]  # (1+j)^-s for j <= N, one s behind
+        for s in count(2):
+            if _tail_below(s, n_cut, thr_den):
+                break
+            powers = [x / y for x, y in zip(powers, bases)]
             head = Decimal(0)  # summed in the order of _head_sum
-            for x in powers if cut is not None else powers[:n_cut]:
+            for x in powers[:n_cut]:
                 head += x
-            if cut is not None:
-                out.append(final.plus(head))
-                continue
             power = powers[n_cut]
             corrections = _em_corrections(s, power, 1 + n_cut, 1, digits)
             if corrections is None:
@@ -364,6 +359,43 @@ def _zeta_batch(digits: int, n: int) -> tuple[Decimal | None, ...]:
             # the total of _zeta_em, term for term
             total = head + bases[n_cut] * power / (s - 1) + power / 2 + corrections
             out.append(final.plus(total))
+    return tuple(out), tuple(powers)
+
+
+@Memo(CACHE_CAP).prefix
+def _zeta_batch(digits: int, n: int) -> tuple[Decimal | None, ...]:
+    """(None, None, zeta(2), ..., zeta(n)): hurwitz_zeta(s, 1, cfg) for s <= n
+    at cfg.digits = digits from one run over s, for the series sides alone.
+
+    Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
+    digits, and within s roundings of its exact value, inside the budget
+    of `_em_corrections`.  Below the first s at which direct summation
+    applies the values come from `_em_region`, run once per precision.
+    The threshold of direct summation (module docstring) is a quarter ulp
+    of 1 for every s, and the tail bound falls as s grows, so from there
+    the direct cut J(s) only walks down from the Euler-Maclaurin cut N,
+    each step proven by `_tail_below`; a longer batch reruns only this
+    walk, from the powers the region kept.  Term J is summed too: it moves
+    no digit, but like the sub-ulp additions of Euler-Maclaurin it pads an
+    exactly representable head to the full working precision.
+    """
+    region, powers = _em_region(digits)
+    out = list(region[: n + 1])
+    thr_den = 4 * 10 ** (digits + 9)
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        final = ctx.copy()
+        final.prec = digits
+        bases = [Decimal(1 + j) for j in range(len(powers))]
+        cut = len(powers) - 1  # the direct cut J(s), from N down
+        for s in range(len(region), n + 1):
+            while cut > 1 and _tail_below(s, cut - 1, thr_den):
+                cut -= 1
+            powers = [x / y for x, y in zip(powers[: cut + 1], bases)]
+            head = Decimal(0)
+            for x in powers:
+                head += x
+            out.append(final.plus(head))
     return tuple(out)
 
 

@@ -22,31 +22,36 @@ def _guard(n: int) -> None:
         raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}, got {n}")
 
 
-def iter_set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All partitions of {0, ..., n-1} into unordered nonempty blocks."""
+def set_partition_labels(n: int) -> Iterator[tuple[list[int], int]]:
+    """Every partition of {0, ..., n-1} as (labels, blocks), one at a time.
+
+    labels[i] is the block of element i, blocks numbered from 0 in the
+    order of their least elements, so each label is at most one more than
+    every label before it (a restricted growth string); blocks is how many
+    there are.  One plain walk in lexicographic order of the labels: the
+    same list is yielded each time, changed in place.
+    """
     _guard(n)
-
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
-        if i == n:
-            yield [list(b) for b in blocks]
+    labels = [0] * n
+    opened = [0] + [1] * n  # opened[i]: blocks among elements 0..i-1
+    while True:
+        yield labels, opened[n]
+        i = n - 1
+        while i > 0 and labels[i] == opened[i]:  # element i already opens a block
+            i -= 1
+        if i <= 0:
             return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
+        labels[i] += 1
+        labels[i + 1:] = [0] * (n - 1 - i)
+        opened[i + 1:] = [max(opened[i], labels[i] + 1)] * (n - i)
 
 
 @Memo(CACHE_CAP)
 def _block_count_profile(n: int) -> tuple[int, ...]:
     """profile[k] = number of partitions of an n-set into exactly k blocks, k <= n."""
     profile = [0] * (n + 1)  # no partition has more blocks than elements
-    for part in iter_set_partitions(n):
-        profile[len(part)] += 1
+    for _, blocks in set_partition_labels(n):
+        profile[blocks] += 1
     return tuple(profile)
 
 
@@ -56,7 +61,7 @@ def set_partitions_count(n: int, k: int | None = None) -> int:
     profile = _block_count_profile(n)
     if k is None:
         return sum(profile)
-    return profile[k] if 0 <= k < len(profile) else 0
+    return profile[k] if as_size(k, "k") < len(profile) else 0
 
 
 @Memo(CACHE_CAP)
@@ -76,7 +81,7 @@ def ordered_set_partitions_count(n: int, k: int | None = None) -> int:
     _guard(n)
     profile = _block_count_profile(n)
     if k is not None:
-        return profile[k] * _perm_count(k) if 0 <= k < len(profile) else 0
+        return profile[k] * _perm_count(k) if as_size(k, "k") < len(profile) else 0
     return sum(profile[j] * _perm_count(j) for j in range(len(profile)))
 
 
@@ -93,12 +98,8 @@ def barred_preferential_count(n: int, s: int) -> int:
 def r_stirling_count(n: int, k: int, r: int) -> int:
     """Partitions of an n-set into k blocks with elements 0..r-1 separated."""
     _guard(n)
-    if r < 0 or r > n:
+    as_size(k, "k")
+    if as_size(r, "r") > n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    total = 0
-    for part in iter_set_partitions(n):
-        if len(part) != k:
-            continue
-        if all(sum(1 for e in block if e < r) <= 1 for block in part):
-            total += 1
-    return total
+    return sum(1 for labels, blocks in set_partition_labels(n)
+               if blocks == k and len(set(labels[:r])) == r)

@@ -133,7 +133,7 @@ def verify_series_identity(
     """
     if which not in _SERIES_IDS:
         raise ValueError(f"unknown identity {which!r}; expected one of {tuple(_SERIES_IDS)}")
-    if order < n:
+    if as_size(order, "order") < n:
         raise ValueError(f"order {order} < n {n}")
     a, b, r = params.alpha, params.beta, params.r
     rpt = CheckReport(
@@ -171,6 +171,7 @@ def verify_eq4_operator(n: int, s: int, params: HsuShiueParams, order: int) -> C
     Distinct from `verify_series_identity("eq5", ...)`, whose left side is
     assembled termwise from generalized factorials instead.
     """
+    as_size(order, "order")
     rpt = CheckReport(
         id="EQ4_OPERATOR", params={"n": n, "s": s, "params": params, "order": order}
     )

@@ -483,29 +483,53 @@ def test_integer_envelope_divergence_matches_fraction_reference(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _tangent_bernoulli(m):
+    """B_0, B_2, ..., B_2m from A._tangent_numbers, B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    t = A._tangent_numbers(m)
+    return (F(1),) + tuple(F((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+                           for k in range(1, m + 1))
+
+
 def test_tangent_table_equals_series_route():
     # families.bernoulli_numbers, the t/(e^t - 1) series, is the oracle
-    assert A._bernoulli_even(256) == bernoulli_numbers(512)[::2]
+    assert _tangent_bernoulli(256) == bernoulli_numbers(512)[::2]
 
 
 def test_tangent_table_equals_mpmath_bernfrac():
     mpmath = pytest.importorskip("mpmath")
-    table = A._bernoulli_even(512)
-    for k, b in enumerate(table):
+    for k, b in enumerate(_tangent_bernoulli(512)):
         p, q = mpmath.bernfrac(2 * k)
         assert b == F(int(p), int(q)), 2 * k
 
 
 def test_em_coefficient_table_entries():
-    for bits in (64, 640):
+    # every entry of the table Euler-Maclaurin reads is B_2j/(2j)! rounded once
+    for bits in (256, 512, 640, 1024):
         digits = A.EvalConfig(bits).digits
-        table = A._em_coeffs(digits, 60)
-        assert len(table) == 61
+        m = A._table_length(A._asymptotic_cut(digits))
+        table = A._em_coeffs(digits, m)
+        assert len(table) == m + 1
         with localcontext() as ctx:
             ctx.prec = digits + 10
             for j, dec in enumerate(table):
                 want = bernoulli_number(2 * j) / factorial(2 * j)
-                assert dec == Decimal(want.numerator) / Decimal(want.denominator)  # rounded once
+                rounded = Decimal(want.numerator) / Decimal(want.denominator)
+                assert dec.as_tuple() == rounded.as_tuple(), (bits, j)
+
+
+def _fresh_batch(monkeypatch):
+    """The zeta batch and its Euler-Maclaurin region over empty stores."""
+    monkeypatch.setattr(A, "_em_region", Memo(A.CACHE_CAP)(A._em_region.__wrapped__))
+    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+
+
+def _spy_tangent_lengths(monkeypatch):
+    """A fresh coefficient table whose tangent tables record their lengths."""
+    lengths = []
+    tangent_numbers = A._tangent_numbers
+    monkeypatch.setattr(A, "_tangent_numbers", lambda m: lengths.append(m) or tangent_numbers(m))
+    monkeypatch.setattr(A, "_em_coeffs", Memo(A.CACHE_CAP).prefix(A._em_coeffs.__wrapped__))
+    return lengths
 
 
 def test_tables_grow_when_a_loop_outruns_them(monkeypatch):
@@ -516,25 +540,41 @@ def test_tables_grow_when_a_loop_outruns_them(monkeypatch):
     want = [A._zeta_em(s, a, cfg.digits).as_tuple() for s, a in cases]
     want_psi = [A.digamma(a, cfg).as_tuple() for a in (F(1), F(2, 7))]
     monkeypatch.setattr(A, "_table_length", lambda cut: 1)
-    for name in ("_bernoulli_even", "_em_coeffs"):
-        monkeypatch.setattr(A, name, Memo(A.CACHE_CAP).prefix(getattr(A, name).__wrapped__))
+    lengths = _spy_tangent_lengths(monkeypatch)
     assert [A._zeta_em(s, a, cfg.digits).as_tuple() for s, a in cases] == want
     assert [A.digamma(a, cfg).as_tuple() for a in (F(1), F(2, 7))] == want_psi
-    assert A._em_coeffs.cache_info().misses >= 5  # lengths 2, 3, 5, 9, 17, ...
-    assert A._bernoulli_even.cache_info().misses >= 5
+    assert A._em_coeffs.cache_info().misses >= 5
+    # one tangent table per miss, each as long as the table asked for: 1, 4, 10, 22, ...
+    assert len(lengths) == A._em_coeffs.cache_info().misses
+    assert lengths[:4] == [1, 4, 10, 22]
+
+
+def test_a_precision_step_builds_each_table_once(monkeypatch):
+    # the numeric_hp sequence, 512 then 640 bits: one tangent table per
+    # precision, as long as its Euler-Maclaurin loop asks for and no longer
+    lengths = _spy_tangent_lengths(monkeypatch)
+    monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
+    monkeypatch.setattr(A, "_CONST_CACHE", Memo(A.CACHE_CAP))
+    _fresh_batch(monkeypatch)
+    params = HsuShiueParams(F(1, 2), F(5, 2), F(-3, 4))
+    for bits in (512, 640):
+        cfg = A.EvalConfig(bits)
+        assert A.eval_theorem5(params, 3, F(1, 2), cfg).status == "pass"
+        assert A.eval_eq30_family(3, cfg).status == "pass"
+    assert lengths == [115, 141]
 
 
 def test_perturbed_bernoulli_entry_is_detected(monkeypatch):
-    # negative control: one wrong table entry must move zeta(2) beyond the
-    # tolerance, so the mpmath comparisons above can fail
+    # negative control: one tangent number off by one must move zeta(2)
+    # beyond the tolerance, so the mpmath comparisons above can fail
     mpmath = pytest.importorskip("mpmath")
     cfg = A.EvalConfig(256)
-    build = A._bernoulli_even.__wrapped__
+    tangent_numbers = A._tangent_numbers
 
     def perturbed(m):
-        table = list(build(m))
-        table[4] *= 1 + F(1, 10**20)  # B_8
-        return tuple(table)
+        t = tangent_numbers(m)
+        t[10] += 1  # T_10, so B_20
+        return t
 
     def error():
         with mpmath.workdps(cfg.digits + 20):
@@ -542,7 +582,7 @@ def test_perturbed_bernoulli_entry_is_detected(monkeypatch):
 
     tolerance = mpmath.mpf(cfg.tolerance.numerator) / cfg.tolerance.denominator
     assert error() < tolerance
-    monkeypatch.setattr(A, "_bernoulli_even", Memo(A.CACHE_CAP).prefix(perturbed))
+    monkeypatch.setattr(A, "_tangent_numbers", perturbed)
     monkeypatch.setattr(A, "_em_coeffs", Memo(A.CACHE_CAP).prefix(A._em_coeffs.__wrapped__))
     monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
     assert error() > tolerance
@@ -614,7 +654,7 @@ def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
     # come from _zeta_em, which doubles N, and still match hurwitz_zeta
     monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: 2)
     monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
-    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+    _fresh_batch(monkeypatch)
     calls = []
     zeta_em = A._zeta_em
     monkeypatch.setattr(A, "_zeta_em",
@@ -634,6 +674,44 @@ def test_series_zetas_pad_to_a_power_of_two(monkeypatch):
     assert A._zeta_batch.cache_info().misses == 2  # 40 and 64 share one run
     assert len(A._zeta_batch(cfg.digits, 128)) == 129
     assert A._zeta_batch.cache_info().misses == 2  # and 65 made it 128 long
+
+
+def test_a_longer_batch_reruns_only_the_direct_walk(monkeypatch):
+    # the Euler-Maclaurin region runs once per precision: growing the batch
+    # from 256 to 512 runs no correction, and neither length differs from
+    # a batch built fresh at 512
+    calls = []
+    em_corrections = A._em_corrections
+    monkeypatch.setattr(A, "_em_corrections",
+                        lambda *args: calls.append(args[0]) or em_corrections(*args))
+    _fresh_batch(monkeypatch)
+    short = A._zeta_batch(93, 256)
+    assert calls
+    calls.clear()
+    longer = A._zeta_batch(93, 512)
+    assert calls == []
+    _fresh_batch(monkeypatch)
+    fresh = [x and x.as_tuple() for x in A._zeta_batch(93, 512)]
+    assert [x and x.as_tuple() for x in longer] == fresh
+    assert [x and x.as_tuple() for x in short] == fresh[:257]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_direct_summation_starts_where_it_is_proven(monkeypatch, bits):
+    # the region ends at the first s whose tail bound at the cut N is below
+    # a quarter ulp, and the direct walk starts from J = N there
+    digits = A.EvalConfig(bits).digits
+    n_cut, thr_den = A._asymptotic_cut(digits), 4 * 10 ** (digits + 9)
+    region, powers = A._em_region(digits)
+    s0 = len(region)
+    assert len(powers) == n_cut + 1
+    assert A._tail_below(s0, n_cut, thr_den) and not A._tail_below(s0 - 1, n_cut, thr_den)
+    calls = []
+    tail_below = A._tail_below
+    monkeypatch.setattr(A, "_tail_below",
+                        lambda s, cut, den: calls.append((s, cut)) or tail_below(s, cut, den))
+    A._zeta_batch.__wrapped__(digits, s0 + 3)
+    assert calls[0] == (s0, n_cut - 1)
 
 
 @pytest.mark.parametrize("bits", [512, 640])
@@ -667,7 +745,7 @@ def test_every_numeric_cache_keys_on_digits(monkeypatch):
     memos = [value for value in vars(A).values() if isinstance(value, Memo)]
     memos += [value.cache_info.__self__ for value in vars(A).values()
               if isinstance(getattr(getattr(value, "cache_info", None), "__self__", None), Memo)]
-    assert len(memos) >= 6  # _ZETA_CACHE, _CONST_CACHE, both tables, the batch, cached_table
+    assert len(memos) >= 6  # the two caches, the table, the region, the batch, cached_table
     for memo in memos:
         assert not any(_holds_config(key) for key in memo)
 

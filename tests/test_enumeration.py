@@ -7,9 +7,9 @@ from geopoly import enumeration
 from geopoly.enumeration import (
     MAX_ENUM_N,
     barred_preferential_count,
-    iter_set_partitions,
     ordered_set_partitions_count,
     r_stirling_count,
+    set_partition_labels,
     set_partitions_count,
 )
 from geopoly.memo import CACHE_CAP, Memo
@@ -62,9 +62,9 @@ def _barred_direct(n: int, s: int) -> int:
     from itertools import combinations
 
     total = 0
-    for part in iter_set_partitions(n):
-        for _order in permutations(range(len(part))):
-            total += sum(1 for _ in combinations(range(len(part) + s), s))
+    for _, blocks in set_partition_labels(n):
+        for _order in permutations(range(blocks)):
+            total += sum(1 for _ in combinations(range(blocks + s), s))
     return total
 
 
@@ -72,6 +72,29 @@ def _barred_direct(n: int, s: int) -> int:
 @pytest.mark.parametrize("s", range(4))
 def test_barred_matches_direct_enumeration(n, s):
     assert barred_preferential_count(n, s) == _barred_direct(n, s)
+
+
+def _recursive_partitions(n):
+    """Every partition of {0..n-1} as a set of blocks, by placing each element in turn."""
+    if n == 0:
+        return [frozenset()]
+    out = []
+    for part in _recursive_partitions(n - 1):
+        out.append(part | {frozenset({n - 1})})
+        for block in part:
+            out.append(part - {block} | {block | {n - 1}})
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_label_walk_visits_every_partition_once(n):
+    seen = []
+    for labels, blocks in set_partition_labels(n):
+        assert all(label <= max(labels[:i], default=-1) + 1 for i, label in enumerate(labels))
+        assert blocks == len(set(labels))
+        seen.append(frozenset(frozenset(i for i in range(n) if labels[i] == b) for b in range(blocks)))
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(_recursive_partitions(n))
 
 
 def test_r_stirling_counts():

@@ -20,7 +20,12 @@ import pytest
 
 from geopoly import cli
 from geopoly.analytic import EvalConfig
-from geopoly.enumeration import barred_preferential_count, set_partitions_count
+from geopoly.enumeration import (
+    barred_preferential_count,
+    ordered_set_partitions_count,
+    r_stirling_count,
+    set_partitions_count,
+)
 from geopoly.exact import binomial_general, falling_factorial, gen_factorial, rising_factorial
 from geopoly.families import (
     check_corollary2,
@@ -31,7 +36,12 @@ from geopoly.families import (
     spivey_step,
 )
 from geopoly.identities import run
-from geopoly.mellin import apply_operator, embed_series
+from geopoly.mellin import (
+    apply_operator,
+    embed_series,
+    verify_eq4_operator,
+    verify_series_identity,
+)
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries, binom_deform, deformed_base, gf_degenerate_euler, gf_w
@@ -49,6 +59,10 @@ ROWS = [
     ("build_table", lambda v: build_table(P, v), "n_max", 0),
     ("verify_against_gf", lambda v: verify_against_gf(build_table(P, 3), v), "order", 0),
     ("set_partitions_count True", lambda v: set_partitions_count(v), "n", 0),
+    ("set_partitions_count k True", lambda v: set_partitions_count(3, v), "k", 0),
+    ("ordered_set_partitions_count k True", lambda v: ordered_set_partitions_count(3, v), "k", 0),
+    ("r_stirling_count k True", lambda v: r_stirling_count(3, v, 1), "k", 0),
+    ("r_stirling_count r True", lambda v: r_stirling_count(3, 1, v), "r", 0),
     ("barred_preferential_count", lambda v: barred_preferential_count(2, v), "s", 0),
     ("PolyQ.derivative True", lambda v: QUADRATIC.derivative(v), "times", 0),
     ("PolyQ.derivative zero", lambda v: PolyQ.zero().derivative(v), "times", 0),
@@ -56,6 +70,9 @@ ROWS = [
     ("PolyQ.shift_x zero", lambda v: PolyQ.zero().shift_x(v), "power", 0),
     ("apply_operator True",
      lambda v: apply_operator(embed_series(PowerSeries.one(2), P), v), "times", 0),
+    ("verify_series_identity True",
+     lambda v: verify_series_identity("eq5", 0, 1, P, v), "order", 0),
+    ("verify_eq4_operator True", lambda v: verify_eq4_operator(0, 1, P, v), "order", 0),
     ("gf_w True", lambda v: gf_w(P, v, F(1, 2), 4), "s", 1),
     ("gf_degenerate_euler", lambda v: gf_degenerate_euler(v, 0, 0, 4), "s", 0),
     ("binom_deform True", lambda v: binom_deform(0, 1, v), "order", 0),
