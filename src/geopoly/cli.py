@@ -4,14 +4,14 @@ Output is a single JSON document per invocation (CSV available for tables).
 Rationals are parsed and emitted exactly as "p/q" or integer strings --
 decimal input is rejected to keep the exact commands exact.  Exit codes:
 0 success, 1 a check failed its tolerance or an unexpected identity status,
-2 parse/validation error.  GEOPOLY_BITS sets the default float precision.
+2 parse/validation error.  Each command returns its echoed params, result
+and status (or raw CSV text); `main` alone frames, times and writes them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -26,7 +26,7 @@ from .analytic import (
 )
 from .exact import as_rational
 from .families import exp_poly, geometric_poly
-from .identities import IDENTITY_IDS, PROFILES, REGISTRY, run, run_all
+from .identities import DEFAULT_SAMPLES, IDENTITY_IDS, PROFILES, REGISTRY, run, run_all
 from .params import HsuShiueParams
 from .report import fmt_rational
 from .stirling import build_table
@@ -36,114 +36,61 @@ def _params_from(ns: argparse.Namespace) -> HsuShiueParams:
     return HsuShiueParams(as_rational(ns.alpha), as_rational(ns.beta), as_rational(ns.r))
 
 
-def _write(ns: argparse.Namespace, text: str) -> None:
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit(ns: argparse.Namespace, payload: dict, started: float) -> None:
-    if not ns.no_timing:
-        payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
-    _write(ns, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _cmd_stirling(ns: argparse.Namespace, started: float) -> int:
-    params = _params_from(ns)
-    table = build_table(params, ns.nmax)
+def _cmd_stirling(ns: argparse.Namespace) -> tuple[dict, dict, str] | str:
+    table = build_table(_params_from(ns), ns.nmax)
+    rows = [[fmt_rational(v) for v in table.row(n)] for n in range(ns.nmax + 1)]
     if ns.format == "csv":
-        rows = (",".join(fmt_rational(v) for v in table.row(n)) for n in range(ns.nmax + 1))
-        _write(ns, "\n".join(rows))
-        return 0
-    payload = {
-        "command": "stirling",
-        "params": {"alpha": ns.alpha, "beta": ns.beta, "r": ns.r, "nmax": ns.nmax},
-        "result": {
-            "rows": [[fmt_rational(v) for v in table.row(n)] for n in range(ns.nmax + 1)]
-        },
-        "status": "ok",
-    }
-    _emit(ns, payload, started)
-    return 0
+        return "\n".join(",".join(row) for row in rows)
+    params = {"alpha": ns.alpha, "beta": ns.beta, "r": ns.r, "nmax": ns.nmax}
+    return params, {"rows": rows}, "ok"
 
 
-def _cmd_poly(ns: argparse.Namespace, started: float) -> int:
-    params = _params_from(ns)
+def _cmd_poly(ns: argparse.Namespace) -> tuple[dict, dict, str]:
+    triple = _params_from(ns)
     if ns.family == "exp":
-        poly = exp_poly(ns.n, params)
+        poly = exp_poly(ns.n, triple)
     else:
-        poly = geometric_poly(ns.n, as_rational(ns.order_m), params)
+        poly = geometric_poly(ns.n, as_rational(ns.order_m), triple)
     result: dict = {"coeffs": [fmt_rational(c) for c in poly.coeffs] or ["0"]}
     if ns.at is not None:
         result["at"] = ns.at
         result["value"] = fmt_rational(poly(as_rational(ns.at)))
-    payload = {
-        "command": "poly",
-        "params": {
-            "family": ns.family,
-            "n": ns.n,
-            "order_m": ns.order_m,
-            "alpha": ns.alpha,
-            "beta": ns.beta,
-            "r": ns.r,
-        },
-        "result": result,
-        "status": "ok",
+    params = {
+        "family": ns.family,
+        "n": ns.n,
+        "order_m": ns.order_m,
+        "alpha": ns.alpha,
+        "beta": ns.beta,
+        "r": ns.r,
     }
-    _emit(ns, payload, started)
-    return 0
+    return params, result, "ok"
 
 
-def _default_bits(ns: argparse.Namespace) -> int:
-    if ns.bits is not None:
-        return ns.bits
-    env = os.environ.get("GEOPOLY_BITS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"GEOPOLY_BITS is not an integer: {env!r}") from exc
-    return 256
-
-
-def _cmd_series(ns: argparse.Namespace, started: float) -> int:
-    cfg = EvalConfig(_default_bits(ns))
+def _cmd_series(ns: argparse.Namespace) -> tuple[dict, dict, str]:
+    cfg = EvalConfig(ns.bits)
+    if ns.id in ("theorem5", "dobinski") and ns.x is None:
+        raise ValueError(f"--x is required for {ns.id}")
     if ns.id == "zeta2k":
         rpt = eval_eq30_family(ns.n, cfg)
     elif ns.id == "theorem5":
-        if ns.x is None:
-            raise ValueError("--x is required for theorem5")
         rpt = eval_theorem5(_params_from(ns), ns.n, as_rational(ns.x), cfg)
-    elif ns.id in ("eq17", "eq18"):
-        rpt = eval_eq17_18(ns.n, _params_from(ns), cfg, eq=int(ns.id[2:]))
-    else:  # dobinski
-        if ns.x is None:
-            raise ValueError("--x is required for dobinski")
+    elif ns.id == "dobinski":
         rpt = eval_dobinski_numeric(ns.n, _params_from(ns), as_rational(ns.x), cfg)
-    payload = {
-        "command": "series",
-        "params": {
-            "id": ns.id,
-            "n": ns.n,
-            "x": ns.x,
-            "alpha": ns.alpha,
-            "beta": ns.beta,
-            "r": ns.r,
-            "bits": cfg.precision_bits,
-        },
-        "result": rpt.to_dict(),
-        "status": rpt.status,
+    else:
+        rpt = eval_eq17_18(ns.n, _params_from(ns), cfg, eq=int(ns.id[2:]))
+    params = {
+        "id": ns.id,
+        "n": ns.n,
+        "x": ns.x,
+        "alpha": ns.alpha,
+        "beta": ns.beta,
+        "r": ns.r,
+        "bits": cfg.precision_bits,
     }
-    _emit(ns, payload, started)
-    return 0 if rpt.status == "pass" else 1
+    return params, rpt.to_dict(), rpt.status
 
 
-_SINGLE_ID_SAMPLES = 4
-
-
-def _cmd_verify(ns: argparse.Namespace, started: float) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, dict, str]:
     if ns.id == "all":
         if ns.samples is not None:
             raise ValueError(
@@ -152,36 +99,22 @@ def _cmd_verify(ns: argparse.Namespace, started: float) -> int:
             )
         summary = run_all(seed=ns.seed, profile=ns.profile)
         reports = summary.pop("reports")
-        payload = {
-            "command": "verify",
-            "params": {"id": "all", "seed": ns.seed, "profile": ns.profile},
-            "result": {
-                "summary": summary,
-                "reports": [r.to_dict() for r in reports],
-            },
-            "status": "ok" if not summary["unexpected"] else "unexpected_failures",
-        }
-        _emit(ns, payload, started)
-        return 0 if not summary["unexpected"] else 1
-    samples = _SINGLE_ID_SAMPLES if ns.samples is None else ns.samples
-    reports = run(ns.id, seed=ns.seed, samples=samples, profile=ns.profile)
-    bad = [r for r in reports if not r.ok()]
-    payload = {
-        "command": "verify",
-        "params": {
+        params = {"id": "all", "seed": ns.seed, "profile": ns.profile}
+        result = {"summary": summary}
+        failed = summary["unexpected"]
+    else:
+        samples = DEFAULT_SAMPLES if ns.samples is None else ns.samples
+        reports = run(ns.id, seed=ns.seed, samples=samples, profile=ns.profile)
+        params = {
             "id": ns.id,
             "seed": ns.seed,
             "samples": samples,
             "profile": ns.profile,
-        },
-        "result": {
-            "description": REGISTRY[IDENTITY_IDS.index(ns.id)].description,
-            "reports": [r.to_dict() for r in reports],
-        },
-        "status": "ok" if not bad else "unexpected_failures",
-    }
-    _emit(ns, payload, started)
-    return 0 if not bad else 1
+        }
+        result = {"description": REGISTRY[IDENTITY_IDS.index(ns.id)].description}
+        failed = [r for r in reports if not r.ok()]
+    result["reports"] = [r.to_dict() for r in reports]
+    return params, result, "unexpected_failures" if failed else "ok"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0")
     p.add_argument("--beta", default="1")
     p.add_argument("--r", default="0")
-    p.add_argument("--bits", type=int, default=None, help="precision bits (default 256)")
+    p.add_argument("--bits", type=int, default=256, help="precision bits (default %(default)s)")
     add_common(p)
     p.set_defaults(fn=_cmd_series)
 
@@ -234,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="identity id or 'all'")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=None,
-                   help=f"samples of one id (default {_SINGLE_ID_SAMPLES}); not with --id all")
+                   help=f"samples of one id (default {DEFAULT_SAMPLES}); not with --id all")
     p.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     add_common(p)
     p.set_defaults(fn=_cmd_verify)
@@ -256,10 +189,29 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        return ns.fn(ns, started)
+        out = ns.fn(ns)
+        if isinstance(out, str):  # a CSV table
+            text, status = out, "ok"
+        else:
+            params, result, status = out
+            payload = {
+                "command": ns.command,
+                "params": params,
+                "result": result,
+                "status": status,
+            }
+            if not ns.no_timing:
+                payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        if ns.out:
+            with open(ns.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if status in ("ok", "pass") else 1
 
 
 if __name__ == "__main__":

@@ -249,12 +249,6 @@ def bernoulli_numbers(n_max: int) -> tuple[Fraction, ...]:
     return tuple(gf.egf_coeff(n) for n in range(n_max + 1))
 
 
-@Memo(CACHE_CAP).prefix
-def _euler_zero_values(s: int, n_max: int) -> tuple[Fraction, ...]:
-    gf = gf_degenerate_euler(s, 0, 0, n_max)  # (2/(e^t+1))^s
-    return tuple(gf.egf_coeff(n) for n in range(n_max + 1))
-
-
 def bernoulli_number(n: int) -> Fraction:
     return bernoulli_numbers(n)[n]
 
@@ -266,8 +260,8 @@ def bernoulli_poly(n: int) -> PolyQ:
 
 
 def euler_poly(n: int, s: int = 1) -> PolyQ:
-    """Classical order-s Euler polynomial E_n^(s)(x)."""
-    vals = _euler_zero_values(s, n)
+    """Classical order-s Euler polynomial E_n^(s)(x): its values at 0 have EGF (2/(e^t+1))^s."""
+    vals = _degenerate_euler_values(s, 0, 0, n)
     return PolyQ.from_coeffs([comb(n, k) * vals[n - k] for k in range(n + 1)])
 
 
@@ -283,12 +277,12 @@ def check_eq14(n_max: int) -> CheckReport:
     # build each sequence once, at n_max, so that the reads per n below hit
     cached_table(params, n_max)
     bernoulli_numbers(n_max)
-    _euler_zero_values(1, n_max)
+    _degenerate_euler_values(1, 0, 0, n_max)
 
     def cases():
         for n in range(n_max + 1):
             yield f"B_{n}", _integral(n, 1, params), bernoulli_number(n)
-            euler = _euler_zero_values(1, n)[n]
+            euler = _degenerate_euler_values(1, 0, 0, n)[n]
             yield f"E_{n}(0)", geometric_at(n, 1, Fraction(-1, 2), params), euler
 
     rpt = CheckReport(id="EQ14", params={"n_max": n_max})

@@ -93,6 +93,9 @@ PROFILES = {
     "full": Profile("full", 256, 12, 8, 30, 8, 5, 6, 4),
 }
 
+# samples of one id when `run` (and `geopoly verify --id <id>`) is given none
+DEFAULT_SAMPLES = 4
+
 
 Cases = Callable[[SmallRationalSampler, int, Profile], list[CheckReport]]
 
@@ -335,7 +338,9 @@ def _profile(name: str) -> Profile:
     return PROFILES[name]
 
 
-def run(rid: str, seed: int = 1, samples: int = 4, profile: str = "full") -> list[CheckReport]:
+def run(
+    rid: str, seed: int = 1, samples: int = DEFAULT_SAMPLES, profile: str = "full"
+) -> list[CheckReport]:
     """Verify one registered identity on deterministically sampled inputs."""
     if rid not in IDENTITY_IDS:
         raise ValueError(f"unknown identity id {rid!r}; known ids: {', '.join(IDENTITY_IDS)}")

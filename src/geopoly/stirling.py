@@ -126,15 +126,17 @@ def cached_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
 cached_table.cache_info = _table_rows.cache_info
 
 
-SPECIAL_FAMILIES = (
-    "stirling2",
-    "stirling1_signed",
-    "howard_degenerate_weighted",
-    "carlitz_degenerate",
-    "r_stirling",
-    "whitney",
-    "r_whitney",
-)
+# each named family's triple: a number is fixed, a name reads specialize's argument
+_FAMILY_TRIPLES = {
+    "stirling2": (0, 1, 0),
+    "stirling1_signed": (1, 0, 0),
+    "howard_degenerate_weighted": ("alpha", 1, "r"),
+    "carlitz_degenerate": ("alpha", 1, 0),
+    "r_stirling": (0, 1, "r"),
+    "whitney": (0, "beta", 1),
+    "r_whitney": (0, "beta", "r"),
+}
+SPECIAL_FAMILIES = tuple(_FAMILY_TRIPLES)
 
 
 def specialize(
@@ -145,21 +147,10 @@ def specialize(
     r: RationalLike = 0,
 ) -> HsuShiueParams:
     """Parameter triple of a named classical family (see module docstring)."""
-    if kind == "stirling2":
-        return HsuShiueParams(0, 1, 0)
-    if kind == "stirling1_signed":
-        return HsuShiueParams(1, 0, 0)
-    if kind == "howard_degenerate_weighted":
-        return HsuShiueParams(alpha, 1, r)
-    if kind == "carlitz_degenerate":
-        return HsuShiueParams(alpha, 1, 0)
-    if kind == "r_stirling":
-        return HsuShiueParams(0, 1, r)
-    if kind == "whitney":
-        return HsuShiueParams(0, beta, 1)
-    if kind == "r_whitney":
-        return HsuShiueParams(0, beta, r)
-    raise ValueError(f"unknown family kind {kind!r}; expected one of {SPECIAL_FAMILIES}")
+    if kind not in SPECIAL_FAMILIES:
+        raise ValueError(f"unknown family kind {kind!r}; expected one of {SPECIAL_FAMILIES}")
+    given = {"alpha": alpha, "beta": beta, "r": r}
+    return HsuShiueParams(*(given.get(v, v) for v in _FAMILY_TRIPLES[kind]))
 
 
 def _egf_integers(coeffs: tuple[Fraction, ...], d: int) -> tuple[list[int], int]:

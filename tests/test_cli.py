@@ -1,27 +1,29 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from geopoly import cli
+from geopoly import analytic, cli
+from geopoly import identities as I
 
-CMD = [sys.executable, "-m", "geopoly.cli"]
 # The CLI child imports the same geopoly as these tests, installed or not.
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(*args, env=None):
-    env = dict(os.environ if env is None else env)
+def run_cli(*args, module="geopoly.cli"):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env, timeout=300
     )
 
 
@@ -132,25 +134,28 @@ def test_series_requires_x_when_needed():
     assert out.returncode == 2
 
 
-def test_series_env_var_bits():
-    import os
-
-    env = dict(os.environ, GEOPOLY_BITS="128")
-    out = run_cli("series", "--id", "zeta2k", "--n", "0", "--no-timing", env=env)
-    doc = json.loads(out.stdout)
-    assert doc["params"]["bits"] == 128
-
-
-@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize("how", ["flag"])  # --bits is the one way to set precision
 def test_series_bits_above_budget_exit_2(how):
-    argv = ["series", "--id", "zeta2k", "--n", "0"]
-    if how == "flag":
-        out = run_cli(*argv, "--bits", "4097")
-    else:
-        out = run_cli(*argv, env=dict(os.environ, GEOPOLY_BITS="4097"))
+    out = run_cli("series", "--id", "zeta2k", "--n", "0", "--bits", "4097")
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == "error: precision_bits must be <= 4096, got 4097\n"
+
+
+def test_bits_defaults_to_256(monkeypatch, capsys):
+    assert cli.main(["series", "--id", "zeta2k", "--n", "0", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["bits"] == 256
+    monkeypatch.setenv("COLUMNS", "100")  # one help line per option
+    assert cli.main(["series", "--help"]) == 0
+    assert "precision bits (default 256)" in capsys.readouterr().out
+
+
+def test_python_dash_m_geopoly_is_the_cli():
+    args = ("verify", "--id", "EQ36", "--samples", "1", "--no-timing")
+    package, module = run_cli(*args, module="geopoly"), run_cli(*args)
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout
+    assert package.stderr == module.stderr == ""
 
 
 def test_verify_quick_all_exit_zero():
@@ -211,6 +216,13 @@ def test_byte_identical_without_timing():
     assert a.returncode == b.returncode == 0
 
 
+def _stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(list(argv))
+    return rc, buf.getvalue()
+
+
 # sha256 of `verify --id all --profile <p> --seed 1 --no-timing`: the byte gate
 # that a refactor must leave unchanged unless it says why the output moves.
 VERIFY_ALL_SHA256 = {
@@ -221,14 +233,104 @@ VERIFY_ALL_SHA256 = {
 
 @pytest.mark.parametrize("profile", sorted(VERIFY_ALL_SHA256))
 def test_verify_all_byte_gate(profile):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(
-            ["verify", "--id", "all", "--profile", profile, "--seed", "1", "--no-timing"]
-        )
+    rc, out = _stdout_of(
+        ["verify", "--id", "all", "--profile", profile, "--seed", "1", "--no-timing"]
+    )
     assert rc == 0
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == VERIFY_ALL_SHA256[profile]
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[profile]
+
+
+TRIPLE = ("--alpha", "1/2", "--beta", "2", "--r", "1")
+
+# sha256 of stdout for `--no-timing` invocations of the other commands, each
+# exiting 0: the output frame must leave these bytes as they are.  The series
+# rows hash printed digits, so a change of those digits re-pins them too.
+COMMAND_SHA256 = [
+    (("stirling", "--alpha", "1/2", "--beta", "3", "--r", "-2", "--nmax", "5"),
+     "984e21da20525ea2624f960ddb4513a669e4ad3ba213cfd5635f588dbb419b57"),
+    (("stirling", "--alpha", "1/2", "--beta", "3", "--r", "-2", "--nmax", "5",
+      "--format", "csv"),
+     "3a6c7c0b1cde1314c75decfb603d2e44683e8c191b87d4306b3e06fd6935af38"),
+    (("poly", "--family", "exp", "--n", "4", "--alpha", "1/2", "--beta", "3",
+      "--r", "-2/3"),
+     "b42f0b14db77dbdb3adcc130ef0168cd33c41c281d9dbf4f5f781a44a01c057d"),
+    (("poly", "--family", "geom", "--n", "3", "--order-m", "-2", "--alpha", "1/2",
+      "--beta", "2", "--r", "-1", "--at", "1/3"),
+     "3ba65e46bb5b4c06a9b4229ab3fc5c94398ae4ecbcef68eb6f9c282811d480ab"),
+    (("series", "--id", "zeta2k", "--n", "2", "--bits", "128"),
+     "340d51cc9a46f1d8b924f4ca74cb863a3da874551c9f077a5228524d48c37a71"),
+    (("series", "--id", "theorem5", "--n", "2", "--x", "1/3", *TRIPLE, "--bits", "128"),
+     "15a11ef5aa8d5afc3f7b9b1579b160145a119c066bb60703abefa3903ad02298"),
+    (("series", "--id", "eq17", "--n", "2", *TRIPLE, "--bits", "128"),
+     "f560a233699b3f5b465013d921c99f3dfad1e104c9acd12ca735506562e27f2c"),
+    (("series", "--id", "eq18", "--n", "2", *TRIPLE, "--bits", "128"),
+     "ed1ac01d981deddc092f60b11ec14f2e8a07cc031752c81d2a8a153b3fd9a51a"),
+    (("series", "--id", "dobinski", "--n", "3", "--x", "1/2", *TRIPLE, "--bits", "128"),
+     "946fd14b4537d4b61e6870b5498749cf845ee428404a147bee1ed1a711629a88"),
+    (("series", "--id", "zeta2k", "--n", "2", "--bits", "256"),
+     "ab73258f8f042bcfb533aa153f15898cbc71b6b77ca79648f256312a8e4c174b"),
+    (("series", "--id", "theorem5", "--n", "2", "--x", "1/3", *TRIPLE, "--bits", "256"),
+     "17c2532c7899458a238a770e35ce8a7d49088bc96c9a76ff2b7e25f9bcb365c0"),
+    (("series", "--id", "eq17", "--n", "2", *TRIPLE, "--bits", "256"),
+     "82228ff8922b9fa1b196b2b53cfefd9ca07a5850b15de4a992ded9274025a5b9"),
+    (("series", "--id", "eq18", "--n", "2", *TRIPLE, "--bits", "256"),
+     "adf7483bb99a5261f24027f119b4fe33a5c0469588df9bb7d68a24b28ccaf576"),
+    (("series", "--id", "dobinski", "--n", "3", "--x", "1/2", *TRIPLE, "--bits", "256"),
+     "01645b1282d97f83f3c919940a5587d082531bebca55c4e316bd0146f5ce901f"),
+    (("verify", "--id", "EQ36", "--samples", "3"),
+     "1aa8dcb75214093966e9beb40b282a960f1b964c4039e0ae3333bb5e77576ab6"),
+]
+
+
+COMMAND_IDS = [" ".join(argv[:3] + argv[-1:]) for argv, _ in COMMAND_SHA256]
+
+
+@pytest.mark.parametrize("argv,digest", COMMAND_SHA256, ids=COMMAND_IDS)
+def test_command_bytes_pinned(argv, digest):
+    rc, out = _stdout_of((*argv, "--no-timing"))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_SHA256], ids=COMMAND_IDS)
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    rc, out = _stdout_of((*argv, "--no-timing"))
+    target = tmp_path / "out.txt"
+    assert cli.main([*argv, "--no-timing", "--out", str(target)]) == rc
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == out
+
+
+def _move_closed_side(monkeypatch, rid):
+    """Add 1/7 to what the record's own closed name returns: its reports must fail."""
+    module_name, attr = I.REGISTRY[I.IDENTITY_IDS.index(rid)].closed.split(".")
+    module = importlib.import_module(f"geopoly.{module_name}")
+    closed = getattr(module, attr)
+
+    def moved(*args, **kwargs):
+        value = closed(*args, **kwargs)
+        return value + (analytic._dec(F(1, 7)) if isinstance(value, Decimal) else F(1, 7))
+
+    monkeypatch.setattr(module, attr, moved)
+
+
+@pytest.mark.parametrize(
+    "rid,argv,status",
+    [
+        ("EQ30_FAMILY", ("series", "--id", "zeta2k", "--n", "2"), "fail"),
+        ("EQ19", ("verify", "--id", "EQ19"), "unexpected_failures"),
+        ("EQ19", ("verify", "--id", "all"), "unexpected_failures"),
+    ],
+    ids=["series", "verify-one", "verify-all"],
+)
+def test_a_failed_check_exits_1(monkeypatch, tmp_path, rid, argv, status):
+    _move_closed_side(monkeypatch, rid)
+    rc, out = _stdout_of((*argv, "--no-timing"))
+    assert rc == 1
+    assert json.loads(out)["status"] == status
+    target = tmp_path / "out.json"
+    assert cli.main([*argv, "--no-timing", "--out", str(target)]) == 1
+    assert target.read_text() == out
 
 
 def test_out_file(tmp_path):

@@ -137,7 +137,7 @@ def test_bernoulli_and_euler_equal_scratch_extraction(ns, s):
         bern = gf_carlitz_beta(0, 0, n)
         assert fam.bernoulli_numbers(n) == tuple(bern.egf_coeff(j) for j in range(n + 1))
         euler = gf_degenerate_euler(s, 0, 0, n)
-        assert fam._euler_zero_values(s, n) == tuple(euler.egf_coeff(j) for j in range(n + 1))
+        assert fam._degenerate_euler_values(s, 0, 0, n) == tuple(euler.egf_coeff(j) for j in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_bernoulli_and_euler_equal_scratch_extraction(ns, s):
 NEGATIVE_CALLS = (
     "cached_table(HsuShiueParams(0, 1, 0), -1)",
     "bernoulli_numbers(-1)",
-    "_euler_zero_values(1, -1)",
+    "_degenerate_euler_values(1, 0, 0, -1)",
     "bernoulli_poly(-1)",
     "euler_poly(-1)",
 )
@@ -155,7 +155,7 @@ NEGATIVE_CALLS = (
 
 def test_negative_n_raises_on_a_cold_store():
     code = (
-        "from geopoly.families import _euler_zero_values, bernoulli_numbers, "
+        "from geopoly.families import _degenerate_euler_values, bernoulli_numbers, "
         "bernoulli_poly, euler_poly\n"
         "from geopoly.params import HsuShiueParams\n"
         "from geopoly.stirling import cached_table\n"
@@ -164,7 +164,7 @@ def test_negative_n_raises_on_a_cold_store():
         "        eval(call)\n"
         "    except ValueError as exc:\n"
         "        print(call, exc)\n"
-        "for c in (cached_table, bernoulli_numbers, _euler_zero_values):\n"
+        "for c in (cached_table, bernoulli_numbers, _degenerate_euler_values):\n"
         "    print(c.cache_info().hits, c.cache_info().misses, c.cache_info().currsize)\n"
     )
     lines = run_python(code).splitlines()
@@ -174,7 +174,7 @@ def test_negative_n_raises_on_a_cold_store():
 
 def test_negative_n_raises_on_a_warm_store():
     p = HsuShiueParams(0, 1, 0)
-    cached_table(p, 8), fam.bernoulli_numbers(8), fam._euler_zero_values(1, 8)
+    cached_table(p, 8), fam.bernoulli_numbers(8), fam._degenerate_euler_values(1, 0, 0, 8)
     scope = {**vars(fam), "cached_table": cached_table, "HsuShiueParams": HsuShiueParams}
     for call in NEGATIVE_CALLS:
         with pytest.raises(ValueError, match="n must be >= 0, got -1"):
@@ -201,7 +201,7 @@ def test_check_eq14_grows_instead_of_rebuilding_per_n():
         "from geopoly import families as f\n"
         "assert f.check_eq14(20).status == 'pass'\n"
         "print(f.bernoulli_numbers.cache_info().misses,\n"
-        "      f._euler_zero_values.cache_info().misses)\n"
+        "      f._degenerate_euler_values.cache_info().misses)\n"
     )
     bern, euler = map(int, out.split())
     assert bern <= 7 and euler <= 7
@@ -216,7 +216,7 @@ def test_check_eq14_builds_each_sequence_once():
         "stirling.build_table = lambda p, n: built.append(n) or build(p, n)\n"
         "assert f.check_eq14(20).status == 'pass'\n"
         "print(built)\n"
-        "for c in (stirling.cached_table, f.bernoulli_numbers, f._euler_zero_values):\n"
+        "for c in (stirling.cached_table, f.bernoulli_numbers, f._degenerate_euler_values):\n"
         "    print(c.cache_info().misses)\n"
     )
     assert out.split() == ["[20]", "1", "1", "1"]

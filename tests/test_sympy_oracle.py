@@ -35,6 +35,6 @@ def test_bernoulli_numbers_against_sympy():
 
 def test_euler_polynomials_at_zero_against_sympy():
     # E_n(0), the Euler polynomials at 0, not the Euler numbers
-    ours = fam._euler_zero_values(1, N_MAX)
+    ours = fam._degenerate_euler_values(1, 0, 0, N_MAX)
     for n in range(N_MAX + 1):
         assert ours[n] == _fraction(numbers.euler(n, 0)), n

@@ -242,8 +242,8 @@ def _bump_bernoulli(old, n0):
 
 
 def _bump_euler(old, n0):
-    def values(s, n_max):
-        vals = old(s, n_max)
+    def values(s, alpha, r, n_max):
+        vals = old(s, alpha, r, n_max)
         return vals[:-1] + (vals[-1] + F(1, 2),) if n_max == n0 else vals
 
     return values
@@ -279,7 +279,7 @@ NEGATIVE_CONTROLS = {
     "EQ14_B": (families, "bernoulli_number", lambda old: _bump_bernoulli(old, 7),
                lambda: I.run("EQ14", seed=1, samples=1, profile="quick"),
                "B_7: sum "),
-    "EQ14_E": (families, "_euler_zero_values", lambda old: _bump_euler(old, 5),
+    "EQ14_E": (families, "_degenerate_euler_values", lambda old: _bump_euler(old, 5),
                lambda: families.check_eq14(20),
                "E_5(0): sum "),
 }
