@@ -22,7 +22,10 @@ row of ``CASES``:
   the table build and the two-index recurrence, n = 12..48;
   ``exp_poly_eval``, ``exp_poly(n, p)`` evaluated at x = 1, 1/3, -1/2 and
   -5/3, and ``geometric_integral``, ``geometric_poly(n, 2, p).integral(-1,
-  0)``, both from a table built before the clock starts, n = 50..800; and, on no
+  0)``, both from a table built before the clock starts, n = 50..800;
+  ``warm_sweep``, ``exp_poly(k, p)`` and ``geometric_poly(k, 2, p)(1/3)``
+  for k = 0..n on a table cached before the clock starts, so 2(n + 1)
+  warm table reads and the rows they weight, n = 24..96; and, on no
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
   ``pow_int(b, 3)``) on fixed rational series of order n = 50..400.
@@ -77,6 +80,9 @@ EXACT = {
                       "out"),
     "geometric_integral": (TABLE_N, "cached_table(p, n)", "geometric_poly(n, 2, p).integral(-1, 0)",
                            "out"),
+    "warm_sweep": ((24, 48, 96), "cached_table(p, n)",
+                   "[(exp_poly(k, p), geometric_poly(k, 2, p)(Fraction(1, 3))) for k in range(n + 1)]",
+                   "out"),
 }
 SERIES_ORDERS = (50, 100, 200, 400)
 # fixed series of order n, numerators -9..9 over denominators up to 9; b_0 = 1, z = a - a_0

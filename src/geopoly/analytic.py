@@ -514,16 +514,28 @@ def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig
     The stopping rule is in "Series verdicts" above.  Under the majorant
     contract it holds at every k after the first, so the first is found
     by galloping to an index where it holds and bisecting back: O(log k)
-    majorant evaluations.
+    majorant evaluations, each index at most once.  The rule is tested on
+    integers: with M(k+1) = p1/q1 > 0, M(k+2) = p2/q2 and tolerance/4 =
+    t/u, ratio < 1 is gap = q2 p1 - p2 q1 > 0, and then bound/(1 - ratio)
+    = p1^2 q2/(q1 gap) < t/u is u p1^2 q2 < t q1 gap.
     """
     quarter_tol = cfg.tolerance / 4
+    t, u = quarter_tol.numerator, quarter_tol.denominator
+    seen: dict[int, Fraction] = {}
+
+    def at(j: int) -> Fraction:
+        if j not in seen:
+            seen[j] = majorant(j)
+        return seen[j]
 
     def stops(k: int) -> bool:
-        bound = majorant(k + 1)
+        bound = at(k + 1)
         if not bound:
             return True
-        ratio = majorant(k + 2) / bound
-        return ratio < 1 and bound / (1 - ratio) < quarter_tol
+        after = at(k + 2)
+        p1, q1, p2, q2 = bound.numerator, bound.denominator, after.numerator, after.denominator
+        gap = q2 * p1 - p2 * q1
+        return gap > 0 and u * p1 * p1 * q2 < t * q1 * gap
 
     if start > MAX_TERMS:
         return None

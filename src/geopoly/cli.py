@@ -4,7 +4,8 @@ Output is a single JSON document per invocation (CSV available for tables).
 Rationals are parsed and emitted exactly as "p/q" or integer strings --
 decimal input is rejected to keep the exact commands exact.  Exit codes:
 0 success, 1 a check failed its tolerance or an unexpected identity status,
-2 parse/validation error.  Each command returns its echoed params, result
+2 parse/validation error or an --out file that cannot be opened (tried
+before any computation).  Each command returns its echoed params, result
 and status (or raw CSV text); `main` alone frames, times and writes them.
 """
 
@@ -187,6 +188,11 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
+    try:  # an unwritable --out fails here, before the computation
+        sink = open(ns.out, "w") if ns.out else None
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         out = ns.fn(ns)
@@ -203,14 +209,13 @@ def main(argv: list[str] | None = None) -> int:
             if not ns.no_timing:
                 payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
             text = json.dumps(payload, indent=2, sort_keys=True)
-        if ns.out:
-            with open(ns.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        print(text, file=sink)  # stdout when sink is None
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if sink is not None:
+            sink.close()
     return 0 if status in ("ok", "pass") else 1
 
 

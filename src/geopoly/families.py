@@ -72,7 +72,7 @@ from .series import (
     gf_degenerate_euler,
     gf_w,
 )
-from .stirling import cached_table
+from .stirling import StirlingTable, cached_table
 
 
 def _agreed(closed: Fraction, oracle: Fraction, what: str) -> Fraction:
@@ -103,11 +103,12 @@ def _weights(m: Fraction, c: Fraction, n: int) -> tuple[list[int], int]:
     c = beta for the coefficients, `geometric_rows` at c = beta*x for the
     values.
     """
+    m_num, m_den, c_num = m.numerator, m.denominator, c.numerator  # Fraction properties, read once
     out, num = [], 1
     for k in range(n + 1):
         out.append(num)
-        num *= (m.numerator + k * m.denominator) * c.numerator
-    step, scale = m.denominator * c.denominator, 1
+        num *= (m_num + k * m_den) * c_num
+    step, scale = m_den * c.denominator, 1
     for k in range(n, -1, -1):
         out[k] *= scale  # scale = E^(n-k)
         scale *= step
@@ -127,7 +128,12 @@ def geometric_poly(n: int, order_m: RationalLike, params: HsuShiueParams) -> Pol
 
 
 def geometric_rows(
-    n: int, order_m: RationalLike, x: RationalLike, params: HsuShiueParams, first: int = 0
+    n: int,
+    order_m: RationalLike,
+    x: RationalLike,
+    params: HsuShiueParams,
+    first: int = 0,
+    table: StirlingTable | None = None,
 ) -> list[tuple[int, int]]:
     """w_k^(m)(x) for k = first..n, each as an integer numerator and denominator.
 
@@ -135,8 +141,11 @@ def geometric_rows(
     integer dot product of the table row T(k, .) with the `_weights` vector
     at c = beta x, over dens[k] times the weights' one denominator E^n.  No
     Fraction is built; ``first = n`` reads the single row n, O(n) cells.
+    ``table``, a table of ``params`` with n_max >= n that the caller has
+    already read, replaces the `cached_table` read.
     """
-    table = cached_table(params, n)
+    if table is None:
+        table = cached_table(params, n)
     vec, den = _weights(as_rational(order_m), params.beta * as_rational(x), n)
     return [(sum(map(mul, table.rows[k], vec)), table.dens[k] * den) for k in range(first, n + 1)]
 
@@ -204,13 +213,14 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
     The <s>_j weight (paired with w^(s+j)) is the convention under which the
     recurrence is an identity; tests pin it against geometric_poly.
 
-    Each order s+j reads w_0..w_n at x from `geometric_rows`, row k over
-    D^k E^n, with (D, A, B, R) = `params.integer_form()` and E^n the
-    denominator of the `_weights`, the same for every j because s+j has the
-    denominator of s.  The generalized factorial is a running integer
-    product over D^(n-k), so every term of the k-sum is over D^n E^n, the
-    denominator of row n, and every j-term over dens[m] E^m D^n E^n: the
-    whole double sum runs on integers and builds one Fraction.
+    The table of rows 0..max(n, m) is read once, and each order s+j hands
+    it to `geometric_rows` for w_0..w_n at x, row k over D^k E^n, with
+    (D, A, B, R) = `params.integer_form()` and E^n the denominator of the
+    `_weights`, the same for every j because s+j has the denominator of s.
+    The generalized factorial is a running integer product over D^(n-k),
+    so every term of the k-sum is over D^n E^n, the denominator of row n,
+    and every j-term over dens[m] E^m D^n E^n: the whole double sum runs on
+    integers and builds one Fraction.
     """
     x, order = as_rational(x), as_rational(s)
     _, step_a, step_b, _ = params.integer_form()
@@ -225,7 +235,7 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
         for i in range(n + 1):
             falls.append(fall)
             fall *= top - i * step_a
-        rows = geometric_rows(n, order + j, x, params)
+        rows = geometric_rows(n, order + j, x, params, table=table)
         total += outer * sum(comb(n, k) * falls[n - k] * num for k, (num, _) in enumerate(rows))
         rows_den = rows[n][1]  # D^n E^n for every j
     return Fraction(total, table.dens[m] * den * rows_den)

@@ -4,6 +4,8 @@ A `Memo` dict keeps at most ``maxsize`` keys (a module constant), dropping the
 oldest; ``lookup(key, n)`` hits on a value with terms 0..n (any value if n < 0).
 ``@Memo(cap)`` caches ``f(*args)`` (never None).  ``@Memo(cap).prefix`` keeps
 terms 0..L of ``f(*key, n)``, term n free of L, per key; rebuilds at max(n, 2L).
+A prefix value is any sequence with ``len`` and ``seq[: n + 1]``: a tuple,
+or a `stirling.StirlingTable`, whose prefix is a table of rows 0..n.
 """
 
 from collections import namedtuple

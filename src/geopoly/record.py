@@ -1,13 +1,15 @@
 """Slotted record classes: the value semantics of a dataclass, by hand.
 
-A record's fields are its ``__slots__``, in the order its constructor takes
-them.  `Record` compares field by field (instances of the same class only),
-prints ``Name(field=value, ...)`` and copies and pickles through its
-constructor; it is unhashable, like a mutable dataclass.  `Frozen` adds
-immutability and a hash of the fields.  Records whose tuple semantics are
-harmless are NamedTuples instead.  Neither uses `dataclasses`: with the
-`inspect` it imports and the methods it compiles per class, it cost about a
-third of a cold ``import geopoly`` without a bytecode cache.
+A record's fields are its ``__slots__`` without a leading underscore, in
+the order its constructor takes them; a slot named ``_x`` holds a value
+the constructor derives from the fields, such as a cache key.  `Record`
+compares field by field (instances of the same class only), prints
+``Name(field=value, ...)`` and copies and pickles through its constructor;
+it is unhashable, like a mutable dataclass.  `Frozen` adds immutability
+and a hash of the fields.  Records whose tuple semantics are harmless are
+NamedTuples instead.  Neither uses `dataclasses`: with the `inspect` it
+imports and the methods it compiles per class, it cost about a third of a
+cold ``import geopoly`` without a bytecode cache.
 """
 
 from operator import attrgetter
@@ -18,8 +20,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if cls.__slots__:
-            cls._values = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -29,11 +32,11 @@ class Record:
     __hash__ = None
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Frozen(Record):

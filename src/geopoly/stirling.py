@@ -16,6 +16,11 @@ and `families.spivey_step`; and the comparison in `verify_against_gf`.
 denominator is kept per row so that `with_entry` can write any rational
 into one row without touching the others.
 
+`cached_table` keeps one growable table per triple; its docstring gives
+the key and the hit path.  `families.spivey_step` reads its table once
+and hands it to every `families.geometric_rows` call through that
+function's ``table`` argument.
+
 The exponential generating function
 
     (1/k!) * [((1+alpha t)^(beta/alpha) - 1)/beta]^k * (1+alpha t)^(r/alpha)
@@ -40,26 +45,49 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import NamedTuple
 
 from .exact import RationalLike, as_rational, as_size, over_lcm
 from .memo import Memo
 from .params import HsuShiueParams
+from .record import Frozen
 from .report import EXACT, CheckReport
 from .series import binom_deform, deformed_base
 
 
-class StirlingTable(NamedTuple):
+class StirlingTable(Frozen):
     """Immutable triangle of exact S(n,k) values, 0 <= k <= n <= n_max.
 
     Row n is kept as integer numerators over one row denominator:
-    S(n,k) = rows[n][k] / dens[n].
+    S(n,k) = rows[n][k] / dens[n].  A table is the sequence of its rows
+    for `Memo.prefix`: ``len(table)`` is n_max + 1 and ``table[:k]`` is
+    the table of rows 0..k-1, which slices the two tuples and never
+    rebuilds a row (``table`` itself once k > n_max).
     """
 
+    __slots__ = ("params", "n_max", "rows", "dens")
     params: HsuShiueParams
     n_max: int
     rows: tuple[tuple[int, ...], ...]
     dens: tuple[int, ...]
+
+    def __init__(self, params: HsuShiueParams, n_max: int, rows: tuple, dens: tuple) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dens", dens)
+
+    def __len__(self) -> int:
+        return self.n_max + 1
+
+    def __getitem__(self, index: slice) -> StirlingTable:
+        if not isinstance(index, slice) or index.start is not None or index.step is not None:
+            raise TypeError(f"a StirlingTable slices only as table[:k], got {index!r}")
+        k = index.stop
+        if not 0 < k:
+            raise IndexError(f"a table keeps at least row 0, got table[:{k}]")
+        if k > self.n_max:
+            return self
+        return StirlingTable(self.params, k - 1, self.rows[:k], self.dens[:k])
 
     def value(self, n: int, k: int) -> Fraction:
         if n < 0 or n > self.n_max:
@@ -74,7 +102,7 @@ class StirlingTable(NamedTuple):
         den = self.dens[n]
         return tuple(Fraction(t, den) for t in self.rows[n])
 
-    def with_entry(self, n: int, k: int, value: RationalLike) -> "StirlingTable":
+    def with_entry(self, n: int, k: int, value: RationalLike) -> StirlingTable:
         """Copy with one cell replaced; a hook for negative-control tests.
 
         Only row n is rescaled, to the lcm of its denominator and the new value's.
@@ -112,18 +140,17 @@ TABLE_CAP = 512
 
 
 @Memo(TABLE_CAP).prefix
-def _table_rows(params: HsuShiueParams, n_max: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    table = build_table(params, n_max)
-    return tuple(zip(table.rows, table.dens))
-
-
 def cached_table(params: HsuShiueParams, n_max: int) -> StirlingTable:
-    """Shared read-only table: rows 0..n_max of the one triangle kept per triple."""
-    rows, dens = zip(*_table_rows(params, n_max))
-    return StirlingTable(params, n_max, rows, dens)
+    """Shared read-only table: rows 0..n_max of the one triangle kept per triple.
 
-
-cached_table.cache_info = _table_rows.cache_info
+    The key is ``(params,)``: `HsuShiueParams` hashes and compares its
+    integer form, computed at construction, so a read hashes no Fraction
+    and equal triples share one entry.  A hit returns the stored
+    `StirlingTable` itself, or its prefix ``table[:n_max + 1]``, two tuple
+    slices, and rebuilds no row; a miss builds at max(n_max, 2 * the
+    stored n_max) (see `memo`).
+    """
+    return build_table(params, n_max)
 
 
 # each named family's triple: a number is fixed, a name reads specialize's argument

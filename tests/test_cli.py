@@ -301,6 +301,20 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_an_unwritable_out_file_exits_2_before_the_computation(monkeypatch, capsys, tmp_path):
+    argv = ("stirling", "--alpha", "0", "--beta", "1", "--r", "0", "--nmax", "2")
+    missing = tmp_path / "no-such-dir" / "x.json"
+    out = run_cli(*argv, "--out", str(missing))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert str(missing) in out.stderr
+    monkeypatch.setattr(cli, "build_table", lambda *a: pytest.fail("computed before --out"))
+    for target in (missing, tmp_path):  # a missing directory, a directory
+        assert cli.main([*argv, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def _move_closed_side(monkeypatch, rid):
     """Add 1/7 to what the record's own closed name returns: its reports must fail."""
     module_name, attr = I.REGISTRY[I.IDENTITY_IDS.index(rid)].closed.split(".")

@@ -241,6 +241,16 @@ def test_the_two_sides_of_spivey_read_different_routes():
     assert {"stirling", "cached_table", "_weights"} & _names_read(polynomials) == set()
 
 
+def test_spivey_step_reads_the_table_once(monkeypatch):
+    # one cached_table read per call, handed to every geometric_rows call
+    reads, read = [], fam.cached_table
+    monkeypatch.setattr(fam, "cached_table", lambda p, n: reads.append(n) or read(p, n))
+    for n, m in ((5, 3), (2, 6), (0, 0)):
+        reads.clear()
+        assert fam.check_spivey(n, m, 2, F(-1, 3), RATIONAL).status == "pass"
+        assert reads == [max(n, m), n + m]  # the recurrence, then the direct side
+
+
 def _parent_geometric_coeffs(n, m, p):
     """The coefficients as built before the integer form: one reduced Fraction per cell."""
     table = cached_table(p, n)

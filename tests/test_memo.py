@@ -21,7 +21,13 @@ from geopoly.series import gf_carlitz_beta, gf_degenerate_euler
 from geopoly.stirling import build_table, cached_table
 
 SRC = Path(geopoly.__file__).resolve().parent
-TRIPLES = (HsuShiueParams(F(1, 2), 3, -2), HsuShiueParams(0, 1, 0), HsuShiueParams(1, 0, 0))
+# each triple in three input forms: equal values, distinct objects
+TRIPLE_FORMS = (
+    ((F(1, 2), 3, -2), ("2/4", F(6, 2), "-4/2"), ("1/2", "3", F(-6, 3))),
+    ((0, 1, 0), (F(0), F(1), F(0)), ("0/5", "3/3", 0)),
+    ((1, 0, 0), ("1", "0", "0"), (F(7, 7), 0, "0/2")),
+)
+TRIPLES = tuple(HsuShiueParams(*forms[0]) for forms in TRIPLE_FORMS)
 # shuffled, repeated request orders of n in 0..40
 REQUESTS = st.lists(st.integers(0, 40), min_size=1, max_size=8)
 
@@ -118,11 +124,13 @@ def test_memo_counts_and_caps_under_threads():
 
 
 @settings(max_examples=25, deadline=None)
-@given(REQUESTS)
-def test_cached_table_equals_build_table_in_any_request_order(ns):
-    for p in TRIPLES:
-        for n in ns:
-            got, want = cached_table(p, n), build_table(p, n)
+@given(REQUESTS, st.lists(st.integers(0, 2), min_size=8, max_size=8))
+def test_cached_table_equals_build_table_in_any_request_order(ns, forms):
+    # each request builds its key afresh, in one of the input forms
+    for triple_forms, want_params in zip(TRIPLE_FORMS, TRIPLES):
+        for n, form in zip(ns, forms):
+            p = HsuShiueParams(*triple_forms[form])
+            got, want = cached_table(p, n), build_table(want_params, n)
             assert got == want  # params, n_max and rows
             with pytest.raises(IndexError):
                 got.value(n + 1, 0)
@@ -138,6 +146,61 @@ def test_bernoulli_and_euler_equal_scratch_extraction(ns, s):
         assert fam.bernoulli_numbers(n) == tuple(bern.egf_coeff(j) for j in range(n + 1))
         euler = gf_degenerate_euler(s, 0, 0, n)
         assert fam._degenerate_euler_values(s, 0, 0, n) == tuple(euler.egf_coeff(j) for j in range(n + 1))
+
+
+def test_the_table_cache_stores_the_table_itself():
+    p = HsuShiueParams(F(5, 7), -2, F(1, 3))  # a triple no other test builds
+    first = cached_table(p, 5)
+    (stored,) = [v for k, v in cached_table.cache_info.__self__.items() if k == (p,)]
+    assert first is stored and len(stored) == 6
+    assert cached_table(HsuShiueParams("10/14", -2, "1/3"), 5) is stored
+    smaller = cached_table(p, 3)
+    assert smaller == build_table(p, 3) and smaller.rows[3] is stored.rows[3]
+
+
+# ---------------------------------------------------------------------------
+# The key: a triple is hashed once, at construction, on its integer form
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.tuples(*[st.fractions(max_denominator=12)] * 3).filter(any),
+    st.tuples(*[st.integers(1, 5)] * 3),
+)
+def test_equal_triples_have_one_form_and_one_hash_in_every_input_form(triple, scales):
+    # ints where they are integers, Fractions, and non-reduced "p/q" strings
+    plain = [int(v) if v.denominator == 1 else v for v in triple]
+    strings = [f"{v.numerator * k}/{v.denominator * k}" for v, k in zip(triple, scales)]
+    keys = [HsuShiueParams(*forms) for forms in (triple, plain, strings)]
+    for p in keys:
+        assert p == keys[0]
+        assert p.integer_form() == keys[0].integer_form()
+        assert hash(p) == hash(keys[0]) == hash(p.integer_form())
+
+
+def test_warm_reads_hash_no_fraction(monkeypatch):
+    p = HsuShiueParams(F(-1, 3), F(5, 2), F(1, 4))
+    x = F(1, 3)
+    calls = [
+        lambda: cached_table(p, 12),
+        lambda: cached_table(p, 7),
+        lambda: fam.exp_poly(9, p),
+        lambda: fam.geometric_poly(11, 2, p)(x),
+        lambda: fam.geometric_poly(4, F(-3, 2), p),
+        lambda: fam.spivey_step(6, 3, 1, x, p),
+        lambda: fam.geometric_at(10, 2, x, p),
+    ]
+    for call in calls:  # warm the table at n = 12
+        call()
+    hashes, fraction_hash = [], F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: hashes.append(self) or fraction_hash(self))
+    assert hash(F(1, 3)) and hashes  # the counter is live
+    hashes.clear()
+    for call in calls:
+        call()
+    assert hashes == []
+    cached_table(HsuShiueParams(F(-1, 3), F(5, 2), F(1, 4)), 12)  # an equal, new key
+    assert hashes == []
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,22 @@ def test_cached_table_is_shared():
         assert all(a is b for a, b in zip(again.rows, first.rows))
 
 
+def test_a_table_is_the_sequence_of_its_rows():
+    # Memo.prefix reads len(table) and table[:n + 1]: a prefix is a smaller table
+    p = HsuShiueParams(F(1, 2), 3, -2)
+    table = build_table(p, 6)
+    assert len(table) == 7
+    assert table[:7] is table and table[:40] is table
+    for k in range(1, 7):
+        assert table[:k] == build_table(p, k - 1)
+        assert all(a is b for a, b in zip(table[:k].rows, table.rows))
+    for index in (0, slice(1, 3), slice(None, 3, 2)):
+        with pytest.raises(TypeError):
+            table[index]
+    with pytest.raises(IndexError):
+        table[:0]
+
+
 def series_route(table, order):
     """The reference: the oracle's running product of Fraction series, gf = gf * base.
 

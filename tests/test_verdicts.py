@@ -204,6 +204,17 @@ def test_stop_index_is_the_first_stop_of_a_linear_scan(kind, a, b, n, x, start, 
     assert analytic.MAX_TERMS == 10000
 
 
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_stop_index_evaluates_each_majorant_index_once(bits):
+    evaluated = []
+    for kind, a, b, n, x in (("geometric", F(2), F(1), 3, F(1, 2)), ("factorial", F(1), F(3), 4, F(15, 16))):
+        majorant = _majorant(kind, a, b, n, x)
+        evaluated.clear()
+        last = analytic._stop_index(lambda j: evaluated.append(j) or majorant(j), 0, EvalConfig(bits))
+        assert last == _linear_stop(majorant, 0, EvalConfig(bits), analytic.MAX_TERMS)
+        assert sorted(evaluated) == sorted(set(evaluated))
+
+
 def test_sum_to_tolerance_hands_the_stop_index_to_a_term_function():
     cfg = EvalConfig(64)
     asked = []
