@@ -130,8 +130,7 @@ class EvalConfig(Frozen):
     __slots__ = ("precision_bits",)
 
     def __init__(self, precision_bits: int = 256) -> None:
-        if as_size(precision_bits, "precision_bits", 64) > MAX_BITS:
-            raise ValueError(f"precision_bits must be <= {MAX_BITS}, got {precision_bits}")
+        as_size(precision_bits, "precision_bits", 64, MAX_BITS)
         object.__setattr__(self, "precision_bits", precision_bits)
 
     @property

@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .exact import as_rational
 from .families import exp_poly, geometric_poly
-from .identities import DEFAULT_SAMPLES, IDENTITY_IDS, PROFILES, REGISTRY, run, run_all
+from .identities import IDENTITY_IDS, PROFILES, REGISTRY, run, run_all
 from .params import HsuShiueParams
 from .report import fmt_rational
 from .stirling import build_table
@@ -92,11 +92,12 @@ def _cmd_series(ns: argparse.Namespace) -> tuple[dict, dict, str]:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, dict, str]:
+    default_samples = PROFILES[ns.profile].default_samples
     if ns.id == "all":
         if ns.samples is not None:
             raise ValueError(
                 "--samples does not apply to --id all: the profile's default_samples "
-                f"({PROFILES[ns.profile].default_samples} for {ns.profile}) applies"
+                f"({default_samples} for {ns.profile}) applies"
             )
         summary = run_all(seed=ns.seed, profile=ns.profile)
         reports = summary.pop("reports")
@@ -104,7 +105,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, dict, str]:
         result = {"summary": summary}
         failed = summary["unexpected"]
     else:
-        samples = DEFAULT_SAMPLES if ns.samples is None else ns.samples
+        samples = default_samples if ns.samples is None else ns.samples
         reports = run(ns.id, seed=ns.seed, samples=samples, profile=ns.profile)
         params = {
             "id": ns.id,
@@ -168,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="identity id or 'all'")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=None,
-                   help=f"samples of one id (default {DEFAULT_SAMPLES}); not with --id all")
+                   help="samples of one id (default: the profile's default_samples); "
+                   "not with --id all")
     p.add_argument("--profile", choices=tuple(PROFILES), default="quick")
     add_common(p)
     p.set_defaults(fn=_cmd_verify)

@@ -17,11 +17,6 @@ from .memo import CACHE_CAP, Memo
 MAX_ENUM_N = 10
 
 
-def _guard(n: int) -> None:
-    if as_size(n) > MAX_ENUM_N:
-        raise ValueError(f"enumeration capped at n <= {MAX_ENUM_N}, got {n}")
-
-
 def set_partition_labels(n: int) -> Iterator[tuple[list[int], int]]:
     """Every partition of {0, ..., n-1} as (labels, blocks), one at a time.
 
@@ -31,7 +26,7 @@ def set_partition_labels(n: int) -> Iterator[tuple[list[int], int]]:
     there are.  One plain walk in lexicographic order of the labels: the
     same list is yielded each time, changed in place.
     """
-    _guard(n)
+    as_size(n, most=MAX_ENUM_N)
     labels = [0] * n
     opened = [0] + [1] * n  # opened[i]: blocks among elements 0..i-1
     while True:
@@ -57,7 +52,7 @@ def _block_count_profile(n: int) -> tuple[int, ...]:
 
 def set_partitions_count(n: int, k: int | None = None) -> int:
     """Partitions of an n-set, optionally into exactly k blocks."""
-    _guard(n)
+    as_size(n, most=MAX_ENUM_N)
     profile = _block_count_profile(n)
     if k is None:
         return sum(profile)
@@ -78,7 +73,7 @@ def _bar_placements(k: int, s: int) -> int:
 
 def ordered_set_partitions_count(n: int, k: int | None = None) -> int:
     """Ordered set partitions (every block sequence of every partition)."""
-    _guard(n)
+    as_size(n, most=MAX_ENUM_N)
     profile = _block_count_profile(n)
     if k is not None:
         return profile[k] * _perm_count(k) if as_size(k, "k") < len(profile) else 0
@@ -87,7 +82,7 @@ def ordered_set_partitions_count(n: int, k: int | None = None) -> int:
 
 def barred_preferential_count(n: int, s: int) -> int:
     """Ordered set partitions with s separating bars inserted among blocks."""
-    _guard(n)
+    as_size(n, most=MAX_ENUM_N)
     as_size(s, "s")
     profile = _block_count_profile(n)
     return sum(
@@ -97,9 +92,8 @@ def barred_preferential_count(n: int, s: int) -> int:
 
 def r_stirling_count(n: int, k: int, r: int) -> int:
     """Partitions of an n-set into k blocks with elements 0..r-1 separated."""
-    _guard(n)
+    as_size(n, most=MAX_ENUM_N)
     as_size(k, "k")
-    if as_size(r, "r") > n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    as_size(r, "r", 0, n)
     return sum(1 for labels, blocks in set_partition_labels(n)
                if blocks == k and len(set(labels[:r])) == r)

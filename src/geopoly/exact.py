@@ -43,16 +43,18 @@ def as_rational(x: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational (use Fraction, int or 'p/q'): {x!r}")
 
 
-def as_size(value: int, name: str = "n", least: int = 0) -> int:
-    """``value`` if it is an int >= ``least``: the one check of every size.
+def as_size(value: int, name: str = "n", least: int = 0, most: int | None = None) -> int:
+    """``value`` if it is an int in ``least``..``most``: the one check of every size.
 
-    Bools, floats and the rest raise TypeError; an int below ``least``
-    raises ValueError.
+    Bools, floats and the rest raise TypeError; an int below ``least``, or
+    above ``most`` when that is given, raises ValueError.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
     return value
 
 

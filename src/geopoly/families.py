@@ -18,25 +18,29 @@ table row, or a scalar times
 The integral turns x^k into (-1)^k/(k+1), and <s>_{k+1} = s <s+1>_k and
 (m)_{k+1} = m (-1)^k <1-m>_k move a shifted weight onto the order, so
 
-    EQ3_VS_GF8, EQ19, EQ7_GAMMA   w_n^(s)(x; alpha, beta, r)
-    EQ10, EQ27                    w_n^(s)(-1/2; alpha, 1, r)
+    EQ3_VS_GF8 (EQ19, EQ7_GAMMA)  w_n^(s)(x; alpha, beta, r)
+    EQ10 (EQ27)                   w_n^(s)(-1/2; alpha, 1, r)
     EQ14                          E_n(0) = w_n^(1)(-1/2; 0, 1, 0) and B_n = I_n^(1)(0, 1, 0)
     EQ34_THM2                     I_n^(1)(alpha, 1, r)
     EQ29                          (n+1) s I_n^(s+1)(alpha, 1, r)
-    EQ31-EQ33                     I_n^(alpha+1)(alpha, 1, r)
+    EQ31 (EQ32, EQ33)             I_n^(alpha+1)(alpha, 1, r)
     COR2                          r I_n^(r+1)(alpha, 1, r)
     EQ37_CORRECTED                (n+1) s I_n^(s+1)(0, beta, r) / beta^n
     COR4                          B_{n+1} + (n+1) r I_n^(r+1)(0, 1, r)
     COR5_CORRECTED                m I_n^(1-m)(0, beta, r)
     MINUS_ONE, FUBINI, BPA        w_n^(m)(-1) and w_n^(m)(1)
 
-and the printed EQ37 and COR5 variants divide by one more beta.  The
-integrals go through the polynomial `geometric_poly`, integer numerators
-over one denominator, and `PolyQ.integral` runs on those integers.  Both
-forms, and `geometric_rows`, which gives w_0..w_n at a point as integer
-pairs for `spivey_step`, take their weights <m>_k c^k from the one
-`_weights`, so the definition of w is written once.  Only the closed
-sides read these; the oracles do not.
+and the printed EQ37 and COR5 variants divide by one more beta.  An id
+in parentheses is a registry record that runs the check of the id before
+it: at s = 1, at r = 0 or r = alpha, or (EQ7_GAMMA) as the gamma-moment
+form, whose weight is the same <s>_k.  A check names its own form; the
+registry gives each report its record's id.  The integrals go through
+the polynomial `geometric_poly`, integer numerators over one
+denominator, and `PolyQ.integral` runs on those integers.  Both forms,
+and `geometric_rows`, which gives w_0..w_n at a point as integer pairs
+for `spivey_step`, take their weights <m>_k c^k from the one `_weights`,
+so the definition of w is written once.  Only the closed sides read
+these; the oracles do not.
 
 Every closed-form identity ships with an independent oracle: generating
 function coefficient extraction, direct summation, or (in the tests)
@@ -189,20 +193,17 @@ def check_minus_one(n: int, s: int, params: HsuShiueParams) -> CheckReport:
     return rpt.compare(*_minus_one_sides(n, s, params), "w(-1) = {} != {}")
 
 
-def _gf_sides(n: int, s: int, x: Fraction, params: HsuShiueParams) -> tuple[Fraction, Fraction]:
-    """w_n^(s)(x) and n! [t^n] of its order-s EGF."""
-    return geometric_at(n, s, x, params), gf_w(params, s, x, n).egf_coeff(n)
-
-
 def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
-    """n! [t^n] of the order-s EGF vs the explicit rising-factorial sum."""
+    """n! [t^n] of the order-s EGF vs the explicit rising-factorial sum.
+
+    It is also the gamma-moment form EQ7: the weight
+    integral_0^inf z^(s-1+k) e^-z dz / (s-1)! is <s>_k exactly.
+    """
+    as_size(s, "s", 1)
     x = as_rational(x)
-    rpt = CheckReport(
-        id="EQ3_VS_GF8" if s != 1 else "EQ19",
-        params={"n": n, "s": s, "x": x, "params": params},
-    )
-    formula, via_gf = _gf_sides(n, s, x, params)
-    return rpt.compare(via_gf, formula, "gf {} != formula {}")
+    rpt = CheckReport(id="EQ3_VS_GF8", params={"n": n, "s": s, "x": x, "params": params})
+    formula = geometric_at(n, s, x, params)
+    return rpt.compare(gf_w(params, s, x, n).egf_coeff(n), formula, "gf {} != formula {}")
 
 
 def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams) -> Fraction:
@@ -329,10 +330,7 @@ def degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike) -> Fr
 def check_degenerate_euler(n: int, s: int, alpha: RationalLike, r: RationalLike) -> CheckReport:
     """Weighted Stirling sum vs EGF coefficient for the order-s family."""
     alpha, r = as_rational(alpha), as_rational(r)
-    rpt = CheckReport(
-        id="EQ10" if s != 1 else "EQ27",
-        params={"n": n, "s": s, "alpha": alpha, "r": r},
-    )
+    rpt = CheckReport(id="EQ10", params={"n": n, "s": s, "alpha": alpha, "r": r})
     return rpt.compare(*_degenerate_euler_sides(n, s, alpha, r), "sum {} != gf {}")
 
 
@@ -400,17 +398,11 @@ def check_corollary3(n: int, alpha: RationalLike, r: RationalLike) -> CheckRepor
     """beta_n(alpha, r-alpha) = sum_k S(n,k;alpha,1,r) (-1)^k <alpha+1>_k/(k+1),
     which is I_n^(alpha+1)(alpha, 1, r).
 
-    Covers the r=0 and r=alpha sub-cases through the same formula; the left
-    side comes from the EGF oracle.
+    The r = 0 and r = alpha corners (EQ32, EQ33) are the same formula; the
+    left side comes from the EGF oracle.
     """
     alpha, r = as_rational(alpha), as_rational(r)
-    if r == 0:
-        rid = "EQ32"
-    elif r == alpha:
-        rid = "EQ33"
-    else:
-        rid = "EQ31"
-    rpt = CheckReport(id=rid, params={"n": n, "alpha": alpha, "r": r})
+    rpt = CheckReport(id="EQ31", params={"n": n, "alpha": alpha, "r": r})
     lhs = carlitz_beta(n, alpha, r - alpha)
     rhs = _integral(n, alpha + 1, HsuShiueParams(alpha, 1, r))
     return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
@@ -522,19 +514,6 @@ def check_dobinski(n: int, params: HsuShiueParams, order_x: int) -> CheckReport:
     a, b, r = params.alpha, params.beta, params.r
     expected = (gen_factorial(k * b + r, a, n) / (b**k * factorial(k)) for k in range(order_x + 1))
     return rpt.compare_each(zip(count(), lhs.coeffs, expected), "[x^{}]: {} != {}")
-
-
-def check_gamma_rep7(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
-    """Rising-factorial moment form vs the EGF coefficient.
-
-    The weight integral_0^inf z^(s-1+k) e^-z dz / (s-1)! collapses to <s>_k
-    exactly, so the check reduces to
-    sum_k S(n,k) (x*beta)^k <s>_k = w_n^(s)(x) == n! [t^n] of the order-s EGF.
-    """
-    as_size(s, "s", 1)
-    x = as_rational(x)
-    rpt = CheckReport(id="EQ7_GAMMA", params={"n": n, "s": s, "x": x, "params": params})
-    return rpt.compare(*_gf_sides(n, s, x, params), "moment sum {} != gf {}")
 
 
 def bpa_number(n: int, s: int, params: HsuShiueParams) -> Fraction:

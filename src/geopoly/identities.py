@@ -6,14 +6,18 @@ that yields its reports, and whether it is an expected-fail regression.
 `run(id, seed, samples)` draws parameters from a deterministic sampler over
 small rationals (|numerator| <= 6, denominator <= 4; degenerate draws are
 rejected and redrawn) and hands it to the record; identical (id, seed,
-samples) yield byte-identical reports.  The sampler of an id is seeded from
-the record's position, so record order is seed order: new ids go at the
-end.  The two *_PRINTED ids are first-class expected-fail regressions: they
-run superseded closed forms on fixed witnesses, and their reports read
-``expected_fail_confirmed`` when the forms fail as they should.  Changing
-the seed may change witnesses and parameters but never the pass/fail
-partition, because every registered identity is universally quantified
-over its sampled domain.
+samples) yield byte-identical reports.  Without a sample count an id draws
+its profile's ``default_samples``.  A report's id is its record's id: a
+check names the form it computes (EQ19 runs `check_gf_matches`, which says
+EQ3_VS_GF8) and `run` alone gives each report its record's id, so an id
+reports under its own name at any parameters, corners included.  The
+sampler of an id is seeded from the record's position, so record order is
+seed order: new ids go at the end.  The two *_PRINTED ids are first-class
+expected-fail regressions: they run superseded closed forms on fixed
+witnesses, and their reports read ``expected_fail_confirmed`` when the
+forms fail as they should.  Changing the seed may change witnesses and
+parameters but never the pass/fail partition, because every registered
+identity is universally quantified over its sampled domain.
 
 Records look up what they call by name at call time, as a module attribute
 (``mellin.verify_eq15``) or a global of this module, and never hold the
@@ -93,9 +97,6 @@ PROFILES = {
     "full": Profile("full", 256, 12, 8, 30, 8, 5, 6, 4),
 }
 
-# samples of one id when `run` (and `geopoly verify --id <id>`) is given none
-DEFAULT_SAMPLES = 4
-
 
 Cases = Callable[[SmallRationalSampler, int, Profile], list[CheckReport]]
 
@@ -161,7 +162,12 @@ def _carlitz_shift(draw_alpha_r: Callable[[SmallRationalSampler], tuple]) -> Cas
 
 
 def _generic_alpha_r(rng: SmallRationalSampler) -> tuple[Fraction, Fraction]:
-    """Keep the generic instance out of the labeled corners r = 0 and r = alpha."""
+    """EQ31's alpha and r, with r redrawn while it is 0 or alpha.
+
+    The redraw only keeps EQ31's drawn parameters, and so its bytes, as they
+    are: its reports say EQ31 at any r.  Whether EQ31 draws the corners
+    r = 0 and r = alpha, which EQ32 and EQ33 check, is left to a re-pin.
+    """
     alpha = rng.rational()
     while True:
         r = rng.rational()
@@ -235,7 +241,7 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("EQ5", "binomial-weighted factorial series vs (1-x)^-(s+1)-composed polynomial",
              "mellin.geometric_poly", _series_identity("eq5", 0)),
     Identity("EQ7_GAMMA", "gamma-moment form (discharged to rising factorials) vs EGF",
-             "families.geometric_at", _each(lambda rng, prof: families.check_gamma_rep7(
+             "families.geometric_at", _each(lambda rng, prof: families.check_gf_matches(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 5), rng.rational(),
                  rng.params()))),
     Identity("EQ10", "degenerate Euler closed form vs its generating function, order s",
@@ -277,7 +283,7 @@ REGISTRY: tuple[Identity, ...] = (
                  analytic.eval_eq30_family(n, EvalConfig(prof.bits))
                  for n in range(prof.numeric_n + 1)]),
     Identity("EQ31", "shifted Carlitz value vs rising-factorial weighted Stirling sum",
-             "families.geometric_poly", _carlitz_shift(_generic_alpha_r)),
+             "families.geometric_poly", _carlitz_shift(lambda rng: _generic_alpha_r(rng))),
     Identity("EQ32", "EQ31 specialized to r = 0", "families.geometric_poly",
              _carlitz_shift(lambda rng: (rng.rational(nonzero=True), Fraction(0)))),
     Identity("EQ33", "EQ31 specialized to r = alpha (degenerate Bernoulli numbers)",
@@ -339,32 +345,38 @@ def _profile(name: str) -> Profile:
 
 
 def run(
-    rid: str, seed: int = 1, samples: int = DEFAULT_SAMPLES, profile: str = "full"
+    rid: str, seed: int = 1, samples: int | None = None, profile: str = "full"
 ) -> list[CheckReport]:
-    """Verify one registered identity on deterministically sampled inputs."""
+    """Verify one registered identity on deterministically sampled inputs.
+
+    ``samples`` defaults to the profile's ``default_samples``.  Every report
+    takes the record's id.
+    """
     if rid not in IDENTITY_IDS:
         raise ValueError(f"unknown identity id {rid!r}; known ids: {', '.join(IDENTITY_IDS)}")
-    as_size(samples, "samples", 1)
     prof = _profile(profile)
+    samples = prof.default_samples if samples is None else as_size(samples, "samples", 1)
     index = IDENTITY_IDS.index(rid)
     record = REGISTRY[index]
     reports = record.cases(SmallRationalSampler(seed * 1_000_003 + index), samples, prof)
-    if record.expected_fail:
-        for rpt in reports:
-            if rpt.status == FAIL:
-                rpt.status = EXPECTED_FAIL_CONFIRMED
-            elif rpt.status == PASS:
-                rpt.status = FAIL
-                rpt.witness = "superseded form unexpectedly passed"
+    for rpt in reports:
+        rpt.id = record.id
+        if not record.expected_fail:
+            continue
+        if rpt.status == FAIL:
+            rpt.status = EXPECTED_FAIL_CONFIRMED
+        elif rpt.status == PASS:
+            rpt.status = FAIL
+            rpt.witness = "superseded form unexpectedly passed"
     return reports
 
 
 def run_all(seed: int = 1, profile: str = "quick") -> dict:
-    """Run the whole registry; summary counts plus any unexpected reports."""
-    prof = _profile(profile)
+    """Run the whole registry: its reports, their counts by status and the
+    indices into ``reports`` of the unexpected ones."""
     reports: list[CheckReport] = []
     for rid in IDENTITY_IDS:
-        reports.extend(run(rid, seed=seed, samples=prof.default_samples, profile=profile))
+        reports.extend(run(rid, seed=seed, profile=profile))
     counts = {PASS: 0, FAIL: 0, EXPECTED_FAIL_CONFIRMED: 0}
     for rpt in reports:
         counts[rpt.status] += 1
@@ -372,6 +384,6 @@ def run_all(seed: int = 1, profile: str = "quick") -> dict:
         "profile": profile,
         "seed": seed,
         "counts": counts,
-        "unexpected": [r.to_dict() for r in reports if not r.ok()],
+        "unexpected": [i for i, r in enumerate(reports) if not r.ok()],
         "reports": reports,
     }

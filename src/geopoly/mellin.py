@@ -133,8 +133,7 @@ def verify_series_identity(
     """
     if which not in _SERIES_IDS:
         raise ValueError(f"unknown identity {which!r}; expected one of {tuple(_SERIES_IDS)}")
-    if as_size(order, "order") < n:
-        raise ValueError(f"order {order} < n {n}")
+    as_size(order, "order", as_size(n))
     a, b, r = params.alpha, params.beta, params.r
     rpt = CheckReport(
         id=_SERIES_IDS[which],

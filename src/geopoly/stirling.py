@@ -208,8 +208,7 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     cross-multiplying its integer numerator and row denominator; a Fraction
     is built only for the witness.
     """
-    if as_size(order, "order") > table.n_max:
-        raise ValueError(f"order {order} exceeds table n_max {table.n_max}")
+    as_size(order, "order", 0, table.n_max)
     p = table.params
     rpt = CheckReport(id="GF_VS_TABLE", params={"params": p, "order": order}, tolerance=EXACT)
     d = p.integer_form()[0]

@@ -202,10 +202,12 @@ def test_verify_all_rejects_samples(capsys):
 
 
 def test_verify_single_id_samples_default(capsys):
-    assert cli.main(["verify", "--id", "EQ36", "--no-timing"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["params"]["samples"] == 4
-    assert len(doc["result"]["reports"]) == 4
+    # without --samples an id draws its profile's default_samples
+    for profile, samples in (("quick", 2), ("full", 4)):
+        assert cli.main(["verify", "--id", "EQ36", "--profile", profile, "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"]["samples"] == samples
+        assert len(doc["result"]["reports"]) == samples
 
 
 def test_byte_identical_without_timing():
@@ -345,6 +347,15 @@ def test_a_failed_check_exits_1(monkeypatch, tmp_path, rid, argv, status):
     target = tmp_path / "out.json"
     assert cli.main([*argv, "--no-timing", "--out", str(target)]) == 1
     assert target.read_text() == out
+
+
+def test_verify_all_lists_each_failure_once_by_index(monkeypatch):
+    _move_closed_side(monkeypatch, "EQ19")
+    rc, out = _stdout_of(("verify", "--id", "all", "--no-timing"))
+    result = json.loads(out)["result"]
+    failed = [i for i, r in enumerate(result["reports"]) if r["status"] == "fail"]
+    assert rc == 1 and failed and result["summary"]["unexpected"] == failed
+    assert "EQ19" in {result["reports"][i]["id"] for i in failed}
 
 
 def test_out_file(tmp_path):

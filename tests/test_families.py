@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geopoly import families as fam
+from geopoly import identities as I
 from geopoly import polynomials
 from geopoly.enumeration import (
     barred_preferential_count,
@@ -387,13 +388,15 @@ def test_corollary2_direct_summation():
 
 
 def test_corollary3_with_subcases():
+    # the check names its form at every r; the corners are ids of the registry
     for n in range(9):
-        assert fam.check_corollary3(n, F(1, 2), F(0)).id == "EQ32"
-        assert fam.check_corollary3(n, F(1, 2), F(0)).status == "pass"
-        assert fam.check_corollary3(n, F(1, 3), F(1, 3)).id == "EQ33"
-        assert fam.check_corollary3(n, F(1, 3), F(1, 3)).status == "pass"
-        rep = fam.check_corollary3(n, F(-2, 3), F(5, 4))
-        assert rep.id == "EQ31" and rep.status == "pass"
+        for alpha, r in ((F(1, 2), F(0)), (F(1, 3), F(1, 3)), (F(-2, 3), F(5, 4))):
+            rep = fam.check_corollary3(n, alpha, r)
+            assert rep.id == "EQ31" and rep.status == "pass"
+    for rid, corner in (("EQ32", lambda p: p["r"] == 0), ("EQ33", lambda p: p["r"] == p["alpha"])):
+        reports = I.run(rid, seed=1)
+        assert [r.id for r in reports] == [rid] * 4
+        assert all(corner(r.params) and r.status == "pass" for r in reports)
 
 
 def test_theorem4_witness_and_range():
@@ -528,10 +531,11 @@ def test_dobinski_exact():
 
 
 def test_gamma_rep_collapse():
-    assert fam.check_gamma_rep7(0, 1, F(1, 2), RATIONAL).status == "pass"
+    # EQ7_GAMMA runs check_gf_matches: its moment weight collapses to <s>_k
+    assert fam.check_gf_matches(0, 1, F(1, 2), RATIONAL).status == "pass"
     for n in range(11):
         for s in range(1, 6):
-            assert fam.check_gamma_rep7(n, s, F(2, 3), RATIONAL).status == "pass"
+            assert fam.check_gf_matches(n, s, F(2, 3), RATIONAL).status == "pass"
     # s = 1 weight <1>_k = k! recovers the first-order polynomial
     n = 5
     w = fam.geometric_poly(n, 1, RATIONAL)
@@ -634,8 +638,8 @@ CLOSED_SIDES = {
         lambda d: fam.check_corollary5(d.n, d.m, d.beta, d.r, exponent="printed"), 1,
         lambda d: [_howard_reference(d.n, d.m, d.beta, d.r, 1)],
     ),
-    "EQ7_GAMMA": (
-        lambda d: fam.check_gamma_rep7(d.n, d.m, d.x, HsuShiueParams(d.alpha, d.beta, d.r)), 0,
+    "EQ3_VS_GF8": (
+        lambda d: fam.check_gf_matches(d.n, d.m, d.x, HsuShiueParams(d.alpha, d.beta, d.r)), 1,
         lambda d: [_stirling_sum(HsuShiueParams(d.alpha, d.beta, d.r), d.n,
                                  lambda k: (d.x * d.beta) ** k * rising_factorial(d.m, k))],
     ),

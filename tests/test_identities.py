@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,7 +171,7 @@ def test_records_reach_checks_by_name(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     assert I.run_all(seed=1, profile="quick")["unexpected"] == []
-    assert len(calls) == 27
+    assert len(calls) == 26
     assert [label for label, n in calls.items() if n == 0] == []
 
 
@@ -178,7 +179,39 @@ def test_run_all_with_corruption_reports_unexpected(monkeypatch):
     _corrupt_tables(monkeypatch, 3, 1)
     summary = I.run_all(seed=1, profile="quick")
     assert summary["counts"]["fail"] > 0
-    assert any(u["id"] == "GF_VS_TABLE" for u in summary["unexpected"])
+    reports = summary["reports"]
+    assert summary["unexpected"] == [i for i, r in enumerate(reports) if not r.ok()]
+    assert any(reports[i].id == "GF_VS_TABLE" for i in summary["unexpected"])
+
+
+def test_samples_default_to_the_profile():
+    for name, prof in I.PROFILES.items():
+        assert len(I.run("EQ36", seed=2, profile=name)) == prof.default_samples
+        assert _dump(I.run("EQ36", seed=2, profile=name)) == _dump(
+            I.run("EQ36", seed=2, samples=prof.default_samples, profile=name)
+        )
+
+
+@pytest.mark.parametrize("rid", ["EQ19", "EQ27", "EQ32", "EQ33", "EQ7_GAMMA"])
+def test_a_specialized_record_reports_under_its_own_id(rid):
+    # EQ19 and EQ7_GAMMA run check_gf_matches, EQ27 check_degenerate_euler and
+    # EQ32, EQ33 check_corollary3, each of which names the general form
+    for seed in range(1, 6):
+        reports = I.run(rid, seed=seed)
+        assert reports and all(r.id == rid and r.status == PASS for r in reports), seed
+
+
+@pytest.mark.parametrize("corner", ["r = 0", "r = alpha"])
+def test_eq31_at_its_corners_reports_only_eq31(monkeypatch, corner):
+    def cornered(rng):
+        alpha = rng.rational(nonzero=True)
+        return alpha, F(0) if corner == "r = 0" else alpha
+
+    monkeypatch.setattr(I, "_generic_alpha_r", cornered)
+    reports = I.run("EQ31", seed=1)
+    at = [r.params["r"] == (0 if corner == "r = 0" else r.params["alpha"]) for r in reports]
+    assert at == [True] * 4
+    assert [(r.id, r.status) for r in reports] == [("EQ31", PASS)] * 4
 
 
 def test_sampler_is_stable_lcg():

@@ -2,7 +2,7 @@
 private module-level name is read somewhere in the library, every public
 method of a library class is read as an attribute somewhere in the
 repository's Python code, only `exact.over_lcm` takes the lcm of
-denominators, and only `exact.as_size` raises a lower bound on a size.
+denominators, and only `exact.as_size` raises a bound on a size.
 
 `__init__.py` is exempt from the import check: its imports are the
 package's public surface.  Only the standard library's `ast` is needed, so
@@ -221,14 +221,17 @@ def test_detector_flags_an_lcm_of_denominators():
     assert _denominator_lcms(ast.parse(source)) == [("f", 4), ("inner", 7), ("<module>", 11)]
 
 
-def _lower_bound_raises(tree: ast.Module) -> list[tuple[str, int]]:
-    """Every ``raise ValueError(...)`` with "must be >=" in the text of its message."""
+def _bound_raises(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every ``raise ValueError(...)`` with "must be >=" or "must be <=" in the
+    text of its message: a bound, lower or upper, on a size."""
     return _owned(tree, lambda node: (
         isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
         and _callee(node.exc) == "ValueError"
         and any(
-            isinstance(n, ast.Constant) and isinstance(n.value, str) and "must be >=" in n.value
+            isinstance(n, ast.Constant)
+            and isinstance(n.value, str)
+            and ("must be >=" in n.value or "must be <=" in n.value)
             for arg in node.exc.args
             for n in ast.walk(arg)
         )
@@ -236,14 +239,14 @@ def _lower_bound_raises(tree: ast.Module) -> list[tuple[str, int]]:
 
 
 def test_only_as_size_raises_a_lower_bound():
-    # "a size is an int >= its least value" is one rule: exact.as_size checks
-    # it, and every size of the library goes through it
+    # "a size is an int from its least to its most value" is one rule:
+    # exact.as_size checks it, and every size of the library goes through it
     found = [
         (path.name, owner, line)
         for path in SOURCES
-        for owner, line in _lower_bound_raises(ast.parse(path.read_text(), filename=str(path)))
+        for owner, line in _bound_raises(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert [(name, owner) for name, owner, _ in found] == [("exact.py", "as_size")], found
+    assert [(name, owner) for name, owner, _ in found] == [("exact.py", "as_size")] * 2, found
 
 
 def test_detector_flags_a_lower_bound_raise():
@@ -254,7 +257,9 @@ def test_detector_flags_a_lower_bound_raise():
         "def i(n):\n    raise TypeError(\"n must be >= 0\")\n"
         "raise ValueError(\"x must be >= \" + str(2))\n"
     )
-    assert _lower_bound_raises(ast.parse(source)) == [("f", 3), ("g", 6), ("<module>", 11)]
+    assert _bound_raises(ast.parse(source)) == [
+        ("f", 3), ("g", 6), ("h", 8), ("<module>", 11)
+    ]
 
 
 def test_import_leaves_dataclasses_and_inspect_out():

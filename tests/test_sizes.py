@@ -4,6 +4,8 @@ Every size (n, k, s, m, r, a series order, a number of samples or of
 operator applications, the precision) goes through `exact.as_size`, so each
 row expects the same two refusals: a TypeError naming the argument for a
 bool or a float, and one ValueError message just below its least value.
+A size with a most value (a budget, or another argument) refuses the
+value just above it with one ValueError message too.
 The calls marked "True" returned a value for a bool size before they
 shared the check.  Three sizes keep tests of their own that check more
 than the message: the ``n`` of the four `analytic.eval_*` routines
@@ -24,6 +26,7 @@ from geopoly.enumeration import (
     barred_preferential_count,
     ordered_set_partitions_count,
     r_stirling_count,
+    set_partition_labels,
     set_partitions_count,
 )
 from geopoly.exact import binomial_general, falling_factorial, gen_factorial, rising_factorial
@@ -31,7 +34,7 @@ from geopoly.families import (
     check_corollary2,
     check_corollary4,
     check_corollary5,
-    check_gamma_rep7,
+    check_gf_matches,
     howard_power_sum,
     spivey_step,
 )
@@ -72,6 +75,8 @@ ROWS = [
      lambda v: apply_operator(embed_series(PowerSeries.one(2), P), v), "times", 0),
     ("verify_series_identity True",
      lambda v: verify_series_identity("eq5", 0, 1, P, v), "order", 0),
+    ("verify_series_identity order >= n",
+     lambda v: verify_series_identity("eq5", 3, 1, P, v), "order", 3),
     ("verify_eq4_operator True", lambda v: verify_eq4_operator(0, 1, P, v), "order", 0),
     ("gf_w True", lambda v: gf_w(P, v, F(1, 2), 4), "s", 1),
     ("gf_degenerate_euler", lambda v: gf_degenerate_euler(v, 0, 0, 4), "s", 0),
@@ -83,7 +88,7 @@ ROWS = [
     ("check_corollary4", lambda v: check_corollary4(2, v), "r", 0),
     ("howard_power_sum", lambda v: howard_power_sum(1, v, 2, 1), "m", 1),
     ("check_corollary5", lambda v: check_corollary5(1, v, 2, 1), "m", 1),
-    ("check_gamma_rep7", lambda v: check_gamma_rep7(2, v, F(1, 2), P), "s", 1),
+    ("check_gf_matches", lambda v: check_gf_matches(2, v, F(1, 2), P), "s", 1),
     ("run True", lambda v: run("EQ36", samples=v), "samples", 1),
     ("EvalConfig", lambda v: EvalConfig(v), "precision_bits", 64),
 ]
@@ -97,6 +102,29 @@ def test_every_size_has_one_boundary(call, name, least):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}, got {least - 1}")):
         call(least - 1)
     call(least)  # the least value itself is a size
+
+
+# (id, call of the one size, its name, its most value)
+CEILINGS = [
+    ("EvalConfig", lambda v: EvalConfig(v), "precision_bits", 4096),
+    ("set_partitions_count", lambda v: set_partitions_count(v), "n", 10),
+    ("set_partition_labels", lambda v: next(set_partition_labels(v)), "n", 10),
+    ("ordered_set_partitions_count", lambda v: ordered_set_partitions_count(v), "n", 10),
+    ("barred_preferential_count", lambda v: barred_preferential_count(v, 1), "n", 10),
+    ("r_stirling_count n", lambda v: r_stirling_count(v, 1, 1), "n", 10),
+    ("r_stirling_count r <= n", lambda v: r_stirling_count(3, 1, v), "r", 3),
+    ("verify_against_gf order <= n_max",
+     lambda v: verify_against_gf(build_table(P, 3), v), "order", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, most", [r[1:] for r in CEILINGS], ids=[r[0] for r in CEILINGS]
+)
+def test_every_bounded_size_has_one_ceiling(call, name, most):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be <= {most}, got {most + 1}")):
+        call(most + 1)
+    call(most)  # the most value itself is a size
 
 
 PARAMS = ["--alpha", "1/2", "--beta", "3", "--r", "-2"]
