@@ -29,9 +29,10 @@ row of ``CASES``:
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
   ``pow_int(b, 3)``) on fixed rational series of order n = 50..400.
-- ``numeric``, at n = 256..2048 bits: ``eq30_family_n3``,
-  ``eval_eq30_family(3, cfg)``, whose cost is its series side, zeta(2..K)
-  with K about bits + 10; ``theorem5``,
+- ``numeric``, at n = 256..4096 bits: ``eq30_family_n3``,
+  ``eval_eq30_family(3, cfg)``, whose cost is its series side: the zeta
+  table zeta(2..S) of that precision (S = 341 at 256 bits, 4181 at 4096)
+  and about n terms that read it; ``theorem5``,
   ``eval_theorem5((1/2, 2, 1), 3, 1/2, cfg)``, the series side plus the
   Hurwitz/digamma closed side; ``theorem5_step``, the same call timed
   after it has run once at n * 4 // 5 bits in the same process, so the
@@ -39,7 +40,7 @@ row of ``CASES``:
   lower precision are cached, those of n are not); and at 256 bits over
   the order n = 3..24,
   ``theorem5_n``, ``eval_theorem5((1/2, 1/8, 1), n, 1/2, cfg)`` timed on
-  its second call, after the first has cached the zeta batch, the
+  its second call, after the first has cached the zeta table, the
   constants and the table, so the time is the series terms, each an
   n-factor product, and the closed-side sums (beta = 1/8 keeps the value
   small enough for the absolute tolerance at n = 24; at beta = 2 the
@@ -67,7 +68,7 @@ from pathlib import Path
 
 TRIPLES = ("1/2, 3, -2", "-1/3, 5/2, 1/4")
 TABLE_N = (50, 100, 200, 400, 800)
-BITS = (256, 512, 1024, 2048)
+BITS = (256, 512, 1024, 2048, 4096)
 # exact curve on a triple p: (sizes, untimed setup, timed call, the result that is hashed)
 EXACT = {
     "build_table": (TABLE_N, "", "build_table(p, n)", "out.row(n)"),
@@ -100,7 +101,7 @@ SERIES = {
     "pow_int_3": "pow_int(b, 3)",
 }
 THEOREM5 = "analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), 2, 1), 3, Fraction(1, 2), cfg)"
-# called once untimed first, so that the zeta batch, the constants and the table are cached
+# called once untimed first, so that the zeta table, the constants and the Stirling table are cached
 THEOREM5_N = ("analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), Fraction(1, 8), 1), n,"
               " Fraction(1, 2), cfg)")
 # CASES[suite][curve] = (sizes, untimed setup, timed call, the result that is hashed)

@@ -49,24 +49,24 @@ integer division (a + N = num/den), so each step multiplies two
 full-precision Decimals only once, for the term itself.  Should it run
 past the end of its table, the table of that precision is built again,
 twice as long.  The zeta values, the constants, the tables and the
-batch below are each cached in a `memo.Memo` of CACHE_CAP keys.
+zeta table below are each cached in a `memo.Memo` of CACHE_CAP keys.
 
-The series sides (Theorem 5 and the Eq. (30) family) read zeta(2..K) from
-`_zeta_batch`, one run over s per precision that returns the Decimals
-zeta_int returns, at a fraction of the cost; the closed sides keep
-hurwitz_zeta, zeta_int and digamma.  Below some s the batch runs
-Euler-Maclaurin, once per precision (`_em_region`); from there on it sums
-directly, and a longer batch reruns only the direct sums.  The tail of
-the sum is bounded by its first term plus the integral of the
-decreasing (1+x)^-s:
+The series sides (Theorem 5 and the Eq. (30) family) read zeta(2), zeta(3),
+... from `_zeta_table`, one finite run over s per precision that returns
+the Decimals zeta_int returns, at a fraction of the cost; the closed sides
+keep hurwitz_zeta, zeta_int and digamma.  Below some s the table runs
+Euler-Maclaurin; from there on it sums directly.  The tail of the sum is
+bounded by its first term plus the integral of the decreasing (1+x)^-s:
 
     sum_{j>=J} (1+j)^-s <= (1+J)^-s * (s+J)/(s-1).
 
 If some J <= N brings this bound under a quarter ulp of the first term, 1,
 at the working precision (which is below the target too; the test is exact,
-in integers), the batch returns the plain sum of the terms j <= J.  Every
+in integers), the table holds the plain sum of the terms j <= J.  Every
 omitted term is then below half an ulp of the running total, so
-Euler-Maclaurin returns the same Decimal.
+Euler-Maclaurin returns the same Decimal.  Once J = 1 every later zeta(s)
+is that same Decimal, so the table ends there and the series sides repeat
+its last entry.
 
 Precision budget: EvalConfig refuses precision_bits above MAX_BITS = 4096,
 the top of the range the numeric layer is measured at.  Precision is the one
@@ -79,7 +79,7 @@ Series verdicts
 ---------------
 Each eval_* routine checks its size n with `exact.as_size` and hands its
 two sides to `_verdict`, the one numeric verdict frame: the infinite side
-as terms, a function of the last index to be summed, plus a rational
+as an iterable of its terms from the first index on, plus a rational
 majorant M(j) (zeta(2) <= 2 and (2*pi)^2 <= 40 style bounds), and the
 closed side as a function.  `_verdict` sums the terms with
 `_sum_to_tolerance` and evaluates the closed side, both at digits + 10.
@@ -90,7 +90,7 @@ tolerance/4 or M(k+1) = 0, tested in exact rationals.  Under the contract
 that bound does not grow with k once ratio < 1, so the rule holds at every
 k after the first one: `_stop_index` finds that first k from the majorant
 alone, by galloping and bisecting, and only then are terms start..k built
-and summed in order (a caller may take k to size its zeta batch).  Without
+and summed in order.  Without
 such a k up to MAX_TERMS, the terms through MAX_TERMS are built and an
 ArithmeticError raised.  `_verdict` then rounds both sides and
 |LHS - RHS| to digits and reports |LHS - RHS| against the threshold.  No
@@ -103,7 +103,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from math import ceil, factorial, prod
 
 from .exact import RationalLike, as_rational, as_size, gen_factorial
@@ -156,7 +156,7 @@ def to_decimal(x: RationalLike, cfg: EvalConfig) -> Decimal:
 
 # Keyed by (s, a, digits) and (name, digits).  Only the closed sides read
 # _ZETA_CACHE, a few keys per verdict, and each miss runs _zeta_em; the
-# series sides read _zeta_batch instead.
+# series sides read _zeta_table instead.
 _ZETA_CACHE = Memo(CACHE_CAP)
 _CONST_CACHE = Memo(CACHE_CAP)
 
@@ -245,7 +245,7 @@ def _em_corrections(s: int, power: Decimal, num: int, den: int, digits: int) -> 
     once, for term_m.
 
     Error budget of the stopping test.  One rounding at digits + 10 has
-    relative error below u = 10^-(digits+9).  power, inv**s or the batch's
+    relative error below u = 10^-(digits+9).  power, inv**s or the table's
     running quotient, is within (2s + 1)u of (a+N)^-s; the first factor
     adds 2u, each later step 2u and the table entry and the product 2u, so
     term_m, the Decimal the loop adds, is within (2s + 2m + 3)u of its
@@ -325,14 +325,28 @@ def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
 
 
 @Memo(CACHE_CAP)
-def _em_region(digits: int) -> tuple[tuple[Decimal | None, ...], tuple[Decimal, ...]]:
-    """The Euler-Maclaurin region of `_zeta_batch` at ``digits``.
+def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
+    """(None, None, zeta(2), ..., zeta(S)): hurwitz_zeta(s, 1, cfg) at
+    cfg.digits = digits from one run over s, for the series sides alone.
 
-    Returns (None, None, zeta(2), ..., zeta(s0 - 1)) and the powers
-    (1+j)^-(s0-1), j <= N, where s0 is the first s at which direct
-    summation applies at the cut N (`_tail_below`).  Each zeta is
-    assembled, as in `_zeta_em`, from the running head and (1+N)^-s; should
-    its corrections bottom out, `_zeta_em` doubles N.
+    Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
+    digits, and within s roundings of its exact value, inside the budget
+    of `_em_corrections`.  While the tail bound at the cut N fails
+    (`_tail_below`), each zeta is assembled, as in `_zeta_em`, from the
+    running head and (1+N)^-s; should its corrections bottom out,
+    `_zeta_em` doubles N.  From there on the sum is direct: the threshold
+    (module docstring) is a quarter ulp of 1 for every s and the tail
+    bound falls as s grows, so the direct cut J(s) only walks down from N,
+    each step proven by `_tail_below`.  Term J is summed too: it moves no
+    digit, but like the sub-ulp additions of Euler-Maclaurin it pads an
+    exactly representable head to the full working precision.
+
+    The table ends at S, the first s whose cut is 1, because every s >= S
+    gives the same Decimal.  The head is 1 + 2^-s, and the tail test at
+    J = 1, 2^-s (s+1)/(s-1) < 10^-(digits+9)/4, puts 2^-s below a quarter
+    ulp of 1 at digits + 10, so the head rounds to exactly 1 there and
+    final.plus gives the same Decimal for each such s: the cut never
+    rises and the bound only falls as s grows.
     """
     n_cut = _asymptotic_cut(digits)
     thr_den = 4 * 10 ** (digits + 9)  # 1/thr_den: a quarter ulp of 1
@@ -358,36 +372,8 @@ def _em_region(digits: int) -> tuple[tuple[Decimal | None, ...], tuple[Decimal, 
             # the total of _zeta_em, term for term
             total = head + bases[n_cut] * power / (s - 1) + power / 2 + corrections
             out.append(final.plus(total))
-    return tuple(out), tuple(powers)
-
-
-@Memo(CACHE_CAP).prefix
-def _zeta_batch(digits: int, n: int) -> tuple[Decimal | None, ...]:
-    """(None, None, zeta(2), ..., zeta(n)): hurwitz_zeta(s, 1, cfg) for s <= n
-    at cfg.digits = digits from one run over s, for the series sides alone.
-
-    Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
-    digits, and within s roundings of its exact value, inside the budget
-    of `_em_corrections`.  Below the first s at which direct summation
-    applies the values come from `_em_region`, run once per precision.
-    The threshold of direct summation (module docstring) is a quarter ulp
-    of 1 for every s, and the tail bound falls as s grows, so from there
-    the direct cut J(s) only walks down from the Euler-Maclaurin cut N,
-    each step proven by `_tail_below`; a longer batch reruns only this
-    walk, from the powers the region kept.  Term J is summed too: it moves
-    no digit, but like the sub-ulp additions of Euler-Maclaurin it pads an
-    exactly representable head to the full working precision.
-    """
-    region, powers = _em_region(digits)
-    out = list(region[: n + 1])
-    thr_den = 4 * 10 ** (digits + 9)
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
-        final = ctx.copy()
-        final.prec = digits
-        bases = [Decimal(1 + j) for j in range(len(powers))]
-        cut = len(powers) - 1  # the direct cut J(s), from N down
-        for s in range(len(region), n + 1):
+        cut = n_cut  # the direct cut J(s), from N down to 1
+        while True:
             while cut > 1 and _tail_below(s, cut - 1, thr_den):
                 cut -= 1
             powers = [x / y for x, y in zip(powers[: cut + 1], bases)]
@@ -395,13 +381,15 @@ def _zeta_batch(digits: int, n: int) -> tuple[Decimal | None, ...]:
             for x in powers:
                 head += x
             out.append(final.plus(head))
-    return tuple(out)
+            if cut == 1:
+                return tuple(out)
+            s += 1
 
 
-def _series_zetas(s_max: int, digits: int) -> tuple[Decimal | None, ...]:
-    """`_zeta_batch` through s_max, from a run padded to a power of two, so
-    that a series a few terms longer at the same precision reuses it."""
-    return _zeta_batch(digits, 1 << (max(s_max, 2) - 1).bit_length())[: s_max + 1]
+def _series_zetas(digits: int) -> Iterator[Decimal]:
+    """zeta(2), zeta(3), ... at ``digits``: `_zeta_table`, then its last entry forever."""
+    table = _zeta_table(digits)
+    return chain(table[2:], repeat(table[-1]))
 
 
 def digamma(a: RationalLike, cfg: EvalConfig) -> Decimal:
@@ -472,7 +460,7 @@ def _verdict(
     rid: str,
     params: dict,
     cfg: EvalConfig,
-    terms: Callable[[int], Iterable[Decimal | None]],
+    terms: Iterable[Decimal | None],
     majorant: Callable[[int], Fraction],
     start: int,
     closed: Callable[[], Decimal],
@@ -547,22 +535,21 @@ def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig
 
 
 def _sum_to_tolerance(
-    terms: Callable[[int], Iterable[Decimal | None]],
+    terms: Iterable[Decimal | None],
     majorant: Callable[[int], Fraction],
     start: int,
     cfg: EvalConfig,
 ) -> Decimal:
     """Sum terms k = start, ..., `_stop_index` in the caller's decimal context.
 
-    ``terms`` takes the last index to be summed and returns the terms from
-    index start on, so that a caller can size a batch to it.  A None term
-    is an exact zero and is skipped, so it cannot move the exponent of the
+    ``terms`` yields the terms from index start on.  A None term is an
+    exact zero and is skipped, so it cannot move the exponent of the
     total.  Without a stop index the terms up to index MAX_TERMS are built
     and an ArithmeticError raised; no term past MAX_TERMS is built.
     """
     last = _stop_index(majorant, start, cfg)
     end = MAX_TERMS if last is None else last
-    built = list(islice(terms(end), max(0, end - start + 1)))
+    built = list(islice(terms, max(0, end - start + 1)))
     if last is None or len(built) <= end - start:
         raise ArithmeticError("tail bound not reached within max_terms")
     total = Decimal(0)
@@ -609,17 +596,15 @@ def eval_theorem5(
     a, b = _poly_bound_base(params, n)
     ax = abs(x)
 
-    def terms(last):
-        zetas = _series_zetas(last + 1, cfg.digits)
+    def terms():
         den, nums = _scaled_factorials(params, n, count(1))
         p_pow, q_pow = 1, 1  # x^k = p^k / q^k
-        for k, num in enumerate(nums, 1):
+        for zeta, num in zip(_series_zetas(cfg.digits), nums):  # zeta(k + 1), k >= 1
             p_pow *= x.numerator
             q_pow *= x.denominator
             coeff = Fraction(num * p_pow, den * q_pow)
             # (zeta * num) / den: zeta * (num / den) rounds differently
-            yield (zetas[k + 1] * Decimal(coeff.numerator) / Decimal(coeff.denominator)
-                   if coeff else None)
+            yield zeta * Decimal(coeff.numerator) / Decimal(coeff.denominator) if coeff else None
 
     def closed():
         rhs = Decimal(0)
@@ -637,19 +622,18 @@ def eval_theorem5(
 
     # zeta(k+1) <= 2
     return _verdict("EQ26", {"params": params, "n": n, "x": x}, cfg,
-                    terms, lambda j: 2 * (a + b * j) ** n * ax**j, 1, closed)
+                    terms(), lambda j: 2 * (a + b * j) ** n * ax**j, 1, closed)
 
 
 def eval_eq30_family(n: int, cfg: EvalConfig = EvalConfig()) -> CheckReport:
     """sum_{k>=2} zeta(k) k^n / 2^k vs its log2 + weighted-zeta closed form."""
     as_size(n)
 
-    def terms(last):
-        zetas = _series_zetas(last, cfg.digits)
-        for k in count(2):
+    def terms():
+        for k, zeta in enumerate(_series_zetas(cfg.digits), 2):
             coeff = Fraction(k**n, 2**k)
             # (zeta * num) / den, in lowest terms, as in eval_theorem5
-            yield zetas[k] * Decimal(coeff.numerator) / Decimal(coeff.denominator)
+            yield zeta * Decimal(coeff.numerator) / Decimal(coeff.denominator)
 
     def closed():
         rhs = log2(cfg)
@@ -660,7 +644,7 @@ def eval_eq30_family(n: int, cfg: EvalConfig = EvalConfig()) -> CheckReport:
         return rhs
 
     return _verdict("EQ30_FAMILY", {"n": n}, cfg,
-                    terms, lambda j: Fraction(2 * j**n, 2**j), 2, closed)
+                    terms(), lambda j: Fraction(2 * j**n, 2**j), 2, closed)
 
 
 def eval_eq17_18(
@@ -692,7 +676,7 @@ def eval_eq17_18(
     def two_pi_sq():
         return 4 * pi(cfg) ** 2  # in the caller's context, digits + 10
 
-    def terms(_last):
+    def terms():
         step = two_pi_sq()
         pi_pow = Decimal(1)  # (2pi)^(2k), kept as a running product
         den, nums = _scaled_factorials(params, n, count(odd, 2))
@@ -719,7 +703,7 @@ def eval_eq17_18(
 
     # (2pi)^2 <= 40, shared (2k)! denominator floor
     return _verdict(f"EQ{eq}", {"n": n, "params": params, "start_index": start_index}, cfg,
-                    terms, lambda j: Fraction(40**j, factorial(2 * j)) * (a + 2 * b * j) ** n, 0,
+                    terms(), lambda j: Fraction(40**j, factorial(2 * j)) * (a + 2 * b * j) ** n, 0,
                     closed)
 
 
@@ -734,7 +718,7 @@ def eval_dobinski_numeric(
     a, b = _poly_bound_base(params, n)
     q = abs(x / params.beta)
 
-    def terms(_last):
+    def terms():
         ratio = x / params.beta  # (x/beta)^k = u^k / v^k, with v > 0
         den, nums = _scaled_factorials(params, n, count())
         u_pow, v_pow, fact = 1, 1, 1  # and k!, all running integers
@@ -751,4 +735,4 @@ def eval_dobinski_numeric(
         return exponent.exp() * _dec(value)
 
     return _verdict("EQ16_NUMERIC", {"n": n, "params": params, "x": x}, cfg,
-                    terms, lambda j: (a + b * j) ** n * q**j / factorial(j), 0, closed)
+                    terms(), lambda j: (a + b * j) ** n * q**j / factorial(j), 0, closed)

@@ -18,7 +18,7 @@ table row, or a scalar times
 The integral turns x^k into (-1)^k/(k+1), and <s>_{k+1} = s <s+1>_k and
 (m)_{k+1} = m (-1)^k <1-m>_k move a shifted weight onto the order, so
 
-    EQ3_VS_GF8 (EQ19, EQ7_GAMMA)  w_n^(s)(x; alpha, beta, r)
+    EQ3_VS_GF8 (EQ19)             w_n^(s)(x; alpha, beta, r)
     EQ10 (EQ27)                   w_n^(s)(-1/2; alpha, 1, r)
     EQ14                          E_n(0) = w_n^(1)(-1/2; 0, 1, 0) and B_n = I_n^(1)(0, 1, 0)
     EQ34_THM2                     I_n^(1)(alpha, 1, r)
@@ -32,9 +32,10 @@ The integral turns x^k into (-1)^k/(k+1), and <s>_{k+1} = s <s+1>_k and
 
 and the printed EQ37 and COR5 variants divide by one more beta.  An id
 in parentheses is a registry record that runs the check of the id before
-it: at s = 1, at r = 0 or r = alpha, or (EQ7_GAMMA) as the gamma-moment
-form, whose weight is the same <s>_k.  A check names its own form; the
-registry gives each report its record's id.  The integrals go through
+it: at s = 1, or at r = 0 or r = alpha.  A check names its own form; the
+registry gives each report its record's id.  EQ7_GAMMA is the one
+other closed side: `check_gamma_moments` writes w_n^(s)(x) as the gamma
+moments of `exp_poly`, not through these forms.  The integrals go through
 the polynomial `geometric_poly`, integer numerators over one
 denominator, and `PolyQ.integral` runs on those integers.  Both forms,
 and `geometric_rows`, which gives w_0..w_n at a point as integer pairs
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul
 
 from .exact import RationalLike, as_rational, as_size, gen_factorial
@@ -194,16 +195,29 @@ def check_minus_one(n: int, s: int, params: HsuShiueParams) -> CheckReport:
 
 
 def check_gf_matches(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
-    """n! [t^n] of the order-s EGF vs the explicit rising-factorial sum.
-
-    It is also the gamma-moment form EQ7: the weight
-    integral_0^inf z^(s-1+k) e^-z dz / (s-1)! is <s>_k exactly.
-    """
+    """n! [t^n] of the order-s EGF vs the explicit rising-factorial sum."""
     as_size(s, "s", 1)
     x = as_rational(x)
     rpt = CheckReport(id="EQ3_VS_GF8", params={"n": n, "s": s, "x": x, "params": params})
     formula = geometric_at(n, s, x, params)
     return rpt.compare(gf_w(params, s, x, n).egf_coeff(n), formula, "gf {} != formula {}")
+
+
+def check_gamma_moments(n: int, s: int, x: RationalLike, params: HsuShiueParams) -> CheckReport:
+    """n! [t^n] of the order-s EGF vs the gamma-moment form EQ7 of w_n^(s)(x).
+
+    w_n^(s)(x) = integral_0^inf z^(s-1) e^-z S_n(beta x z) dz / (s-1)!, and
+    the moment integral_0^inf z^(s-1+k) e^-z dz / (s-1)! is (s-1+k)!/(s-1)!,
+    so the form is sum_k [x^k] S_n(x) (s-1+k)!/(s-1)! (beta x)^k, with S_n
+    from `exp_poly`.
+    """
+    as_size(s, "s", 1)
+    x = as_rational(x)
+    rpt = CheckReport(id="EQ7_GAMMA", params={"n": n, "s": s, "x": x, "params": params})
+    poly, bx = exp_poly(n, params), params.beta * x
+    moments = sum((Fraction(c * perm(s - 1 + k, k), poly.den) * bx**k
+                   for k, c in enumerate(poly.nums)), Fraction(0))
+    return rpt.compare(gf_w(params, s, x, n).egf_coeff(n), moments, "gf {} != gamma moments {}")
 
 
 def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams) -> Fraction:

@@ -241,7 +241,7 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("EQ5", "binomial-weighted factorial series vs (1-x)^-(s+1)-composed polynomial",
              "mellin.geometric_poly", _series_identity("eq5", 0)),
     Identity("EQ7_GAMMA", "gamma-moment form (discharged to rising factorials) vs EGF",
-             "families.geometric_at", _each(lambda rng, prof: families.check_gf_matches(
+             "families.exp_poly", _each(lambda rng, prof: families.check_gamma_moments(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(1, 5), rng.rational(),
                  rng.params()))),
     Identity("EQ10", "degenerate Euler closed form vs its generating function, order s",
@@ -345,7 +345,7 @@ def _profile(name: str) -> Profile:
 
 
 def run(
-    rid: str, seed: int = 1, samples: int | None = None, profile: str = "full"
+    rid: str, seed: int = 1, samples: int | None = None, profile: str = "quick"
 ) -> list[CheckReport]:
     """Verify one registered identity on deterministically sampled inputs.
 

@@ -356,7 +356,7 @@ def _tail_fraction(s, a, cut):
 
 
 # 1/thr for the unit-fraction thresholds 10^-60 and 10^-200/4, and for the
-# batch's quarter ulp of 1 at 64..1024 bits
+# zeta table's quarter ulp of 1 at 64..1024 bits
 TAIL_THR_DEN = (10**60, 4 * 10**200) + tuple(
     4 * 10 ** (A.EvalConfig(bits).digits + 9) for bits in (64, 256, 512, 1024)
 )
@@ -366,7 +366,7 @@ TAIL_THR_DEN = (10**60, 4 * 10**200) + tuple(
 @pytest.mark.parametrize("a", [F(1), F(1, 2), F(5, 4), F(2, 7)])
 def test_tail_bound_integer_test_matches_fraction(s, a):
     # _tail_below is the bound at a = 1.  The bound falls as a + J grows
-    # (so the batch's J only walks down): at a >= 1 the a = 1 test proves
+    # (so the table's J only walks down): at a >= 1 the a = 1 test proves
     # the bound at a, and at a <= 1 the bound at a proves the a = 1 test.
     # 1/thr = ceil(X) - 1 and ceil(X), X the inverse bound at J = 1, 7 and
     # 40, put the threshold just either side of it.
@@ -517,10 +517,9 @@ def test_em_coefficient_table_entries():
                 assert dec.as_tuple() == rounded.as_tuple(), (bits, j)
 
 
-def _fresh_batch(monkeypatch):
-    """The zeta batch and its Euler-Maclaurin region over empty stores."""
-    monkeypatch.setattr(A, "_em_region", Memo(A.CACHE_CAP)(A._em_region.__wrapped__))
-    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+def _fresh_table(monkeypatch):
+    """The series sides' zeta table over an empty store."""
+    monkeypatch.setattr(A, "_zeta_table", Memo(A.CACHE_CAP)(A._zeta_table.__wrapped__))
 
 
 def _spy_tangent_lengths(monkeypatch):
@@ -555,7 +554,7 @@ def test_a_precision_step_builds_each_table_once(monkeypatch):
     lengths = _spy_tangent_lengths(monkeypatch)
     monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
     monkeypatch.setattr(A, "_CONST_CACHE", Memo(A.CACHE_CAP))
-    _fresh_batch(monkeypatch)
+    _fresh_table(monkeypatch)
     params = HsuShiueParams(F(1, 2), F(5, 2), F(-3, 4))
     for bits in (512, 640):
         cfg = A.EvalConfig(bits)
@@ -634,19 +633,24 @@ def test_zeta_against_borwein_oracle(bits):
 
 
 # ---------------------------------------------------------------------------
-# The series sides' batch zeta(2..K)
+# The series sides' table zeta(2..S)
 # ---------------------------------------------------------------------------
+
+# S, the first s whose direct cut is 1, where the table ends
+TABLE_END = {64: 149, 256: 341, 512: 597, 1024: 1109}
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512, 1024])
 def test_zeta_batch_equals_hurwitz_zeta(bits):
-    # past the end of the Euler-Maclaurin range and down to the direct cut J = 1
+    # the whole table (the Euler-Maclaurin range and the direct cut down to
+    # J = 1) and, past its end S, the last entry the series sides repeat:
+    # zeta_int gives that same Decimal for every s > S
     cfg = A.EvalConfig(bits)
-    k = bits + 100
-    batch = A._zeta_batch(cfg.digits, k)
-    assert batch[:2] == (None, None) and len(batch) == k + 1
-    for s in range(2, k + 1):
-        assert batch[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
+    table = A._zeta_table(cfg.digits)
+    assert table[:2] == (None, None) and len(table) == TABLE_END[bits] + 1
+    zetas = A._series_zetas(cfg.digits)
+    for s in range(2, TABLE_END[bits] + 4):
+        assert next(zetas).as_tuple() == A.zeta_int(s, cfg).as_tuple(), s
 
 
 def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
@@ -654,76 +658,67 @@ def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
     # come from _zeta_em, which doubles N, and still match hurwitz_zeta
     monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: 2)
     monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
-    _fresh_batch(monkeypatch)
+    _fresh_table(monkeypatch)
     calls = []
     zeta_em = A._zeta_em
     monkeypatch.setattr(A, "_zeta_em",
                         lambda s, a, digits: calls.append(s) or zeta_em(s, a, digits))
     cfg = A.EvalConfig(128)
-    batch = A._zeta_batch(cfg.digits, 40)
+    table = A._zeta_table(cfg.digits)
     assert calls  # the fallback ran
-    for s in range(2, 41):
-        assert batch[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
-
-
-def test_series_zetas_pad_to_a_power_of_two(monkeypatch):
-    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
-    cfg = A.EvalConfig(64)
-    for s_max in (40, 64, 65):
-        assert len(A._series_zetas(s_max, cfg.digits)) == s_max + 1
-    assert A._zeta_batch.cache_info().misses == 2  # 40 and 64 share one run
-    assert len(A._zeta_batch(cfg.digits, 128)) == 129
-    assert A._zeta_batch.cache_info().misses == 2  # and 65 made it 128 long
-
-
-def test_a_longer_batch_reruns_only_the_direct_walk(monkeypatch):
-    # the Euler-Maclaurin region runs once per precision: growing the batch
-    # from 256 to 512 runs no correction, and neither length differs from
-    # a batch built fresh at 512
-    calls = []
-    em_corrections = A._em_corrections
-    monkeypatch.setattr(A, "_em_corrections",
-                        lambda *args: calls.append(args[0]) or em_corrections(*args))
-    _fresh_batch(monkeypatch)
-    short = A._zeta_batch(93, 256)
-    assert calls
-    calls.clear()
-    longer = A._zeta_batch(93, 512)
-    assert calls == []
-    _fresh_batch(monkeypatch)
-    fresh = [x and x.as_tuple() for x in A._zeta_batch(93, 512)]
-    assert [x and x.as_tuple() for x in longer] == fresh
-    assert [x and x.as_tuple() for x in short] == fresh[:257]
+    for s in range(2, len(table)):
+        assert table[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 def test_direct_summation_starts_where_it_is_proven(monkeypatch, bits):
-    # the region ends at the first s whose tail bound at the cut N is below
-    # a quarter ulp, and the direct walk starts from J = N there
+    # Euler-Maclaurin ends at the first s0 whose tail bound at the cut N is
+    # below a quarter ulp, the direct walk starts from J = N there, and the
+    # table ends at the first s whose bound at J = 1 holds
     digits = A.EvalConfig(bits).digits
     n_cut, thr_den = A._asymptotic_cut(digits), 4 * 10 ** (digits + 9)
-    region, powers = A._em_region(digits)
-    s0 = len(region)
-    assert len(powers) == n_cut + 1
-    assert A._tail_below(s0, n_cut, thr_den) and not A._tail_below(s0 - 1, n_cut, thr_den)
     calls = []
     tail_below = A._tail_below
     monkeypatch.setattr(A, "_tail_below",
                         lambda s, cut, den: calls.append((s, cut)) or tail_below(s, cut, den))
-    A._zeta_batch.__wrapped__(digits, s0 + 3)
-    assert calls[0] == (s0, n_cut - 1)
+    table = A._zeta_table.__wrapped__(digits)
+    s0 = next(s for s, cut in calls if tail_below(s, n_cut, thr_den))
+    assert calls[: s0 - 1] == [(s, n_cut) for s in range(2, s0 + 1)]
+    assert calls[s0 - 1] == (s0, n_cut - 1)
+    end = len(table) - 1
+    assert tail_below(end, 1, thr_den) and not tail_below(end - 1, 1, thr_den)
+    assert calls[-1][0] == end
 
 
 @pytest.mark.parametrize("bits", [512, 640])
 def test_series_sides_build_one_batch_per_precision(monkeypatch, bits):
-    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+    # one table per precision, whatever stop index each series reaches
+    _fresh_table(monkeypatch)
     cfg = A.EvalConfig(bits)
     params = HsuShiueParams(F(1, 2), F(5, 2), F(-3, 4))
     for x in (F(1, 2), F(-1, 2)):
         assert A.eval_theorem5(params, 3, x, cfg).status == "pass"
     for n in (3, 4):
         assert A.eval_eq30_family(n, cfg).status == "pass"
-    assert A._zeta_batch.cache_info().misses == 1
+    assert A._zeta_table.cache_info().misses == 1
+    assert A._zeta_table.cache_info().hits == 3
+
+
+def test_a_stop_index_past_the_table_reads_its_last_entry(monkeypatch):
+    # negative control of the repeat: at 64 bits theorem 5 at x = 9/10
+    # stops past S, and moving only the table's last entry fails it
+    cfg = A.EvalConfig(64)
+    params = HsuShiueParams(F(1, 2), 2, 1)
+    end = TABLE_END[64]
+    a, b = A._poly_bound_base(params, 3)
+    last = A._stop_index(lambda j: 2 * (a + b * j) ** 3 * F(9, 10) ** j, 1, cfg)
+    assert last + 1 > end  # the last term reads zeta(last + 1)
+    assert A.eval_theorem5(params, 3, F(9, 10), cfg).status == "pass"
+    table = A._zeta_table(cfg.digits)
+    assert len(table) == end + 1
+    bumped = table[:-1] + (table[-1] + A._dec(F(1, 2**24)),)  # 2^(40 - bits)
+    monkeypatch.setattr(A, "_zeta_table", lambda digits: bumped)
+    assert A.eval_theorem5(params, 3, F(9, 10), cfg).status == "fail"
 
 
 def _holds_config(key):
@@ -733,19 +728,19 @@ def _holds_config(key):
 
 
 def test_every_numeric_cache_keys_on_digits(monkeypatch):
-    # 256 and 257 bits both run at 93 digits, so they share one batch, and
+    # 256 and 257 bits both run at 93 digits, so they share one table, and
     # no cache reachable from analytic keeps a whole EvalConfig in its keys
-    monkeypatch.setattr(A, "_zeta_batch", Memo(A.CACHE_CAP).prefix(A._zeta_batch.__wrapped__))
+    _fresh_table(monkeypatch)
     for bits in (256, 257):
         cfg = A.EvalConfig(bits)
         assert cfg.digits == 93
         A.eval_theorem5(HsuShiueParams(F(1, 2), 2, 1), 3, F(1, 2), cfg)
         A.eval_eq30_family(2, cfg)
-    assert len(A._zeta_batch.cache_info.__self__) == 1
+    assert list(A._zeta_table.cache_info.__self__) == [(93,)]
     memos = [value for value in vars(A).values() if isinstance(value, Memo)]
     memos += [value.cache_info.__self__ for value in vars(A).values()
               if isinstance(getattr(getattr(value, "cache_info", None), "__self__", None), Memo)]
-    assert len(memos) >= 6  # the two caches, the table, the region, the batch, cached_table
+    assert len(memos) >= 5  # the two caches, the coefficients, the zeta table, cached_table
     for memo in memos:
         assert not any(_holds_config(key) for key in memo)
 
@@ -755,12 +750,12 @@ def test_zeta_batch_against_borwein_oracle(bits):
     cfg = A.EvalConfig(bits)
     n = ceil((cfg.digits + 1 + log10(6)) / log10(3 + sqrt(8)))  # as above
     d = _borwein_d(n)
-    batch = A._zeta_batch(cfg.digits, 200)
+    table = A._zeta_table(cfg.digits)
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
         bound = 2 * Decimal(10) ** -(cfg.digits - 5)
         for s in range(2, 201):
-            diff = abs(batch[s] - _borwein_zeta(s, d, cfg.digits + 10))
+            diff = abs(table[s] - _borwein_zeta(s, d, cfg.digits + 10))
             assert diff < bound, (s, diff)
 
 
@@ -780,7 +775,7 @@ def _stream(monkeypatch, call):
     seen = []
 
     def spy(terms, majorant, start, cfg):
-        seen.append([None if t is None else str(t) for t in islice(terms(40), 41 - start)])
+        seen.append([None if t is None else str(t) for t in islice(terms, 41 - start)])
         return Decimal(0)
 
     monkeypatch.setattr(A, "_sum_to_tolerance", spy)
@@ -798,7 +793,7 @@ def _ratio(coeff, zeta=None):
 
 
 def _theorem5_reference(p, n, x, cfg):
-    zetas = A._series_zetas(41, cfg.digits)
+    zetas = A._zeta_table(cfg.digits)
     coeffs = (gen_factorial(p.r + k * p.beta, p.alpha, n) * x**k for k in range(1, 41))
     return [_ratio(c, zetas[k]) for k, c in enumerate(coeffs, 2)]
 

@@ -394,7 +394,7 @@ def test_corollary3_with_subcases():
             rep = fam.check_corollary3(n, alpha, r)
             assert rep.id == "EQ31" and rep.status == "pass"
     for rid, corner in (("EQ32", lambda p: p["r"] == 0), ("EQ33", lambda p: p["r"] == p["alpha"])):
-        reports = I.run(rid, seed=1)
+        reports = I.run(rid, seed=1, profile="full")
         assert [r.id for r in reports] == [rid] * 4
         assert all(corner(r.params) and r.status == "pass" for r in reports)
 
@@ -531,10 +531,14 @@ def test_dobinski_exact():
 
 
 def test_gamma_rep_collapse():
-    # EQ7_GAMMA runs check_gf_matches: its moment weight collapses to <s>_k
-    assert fam.check_gf_matches(0, 1, F(1, 2), RATIONAL).status == "pass"
+    # EQ7_GAMMA: the gamma moments of exp_poly against the EGF, and against
+    # the rising-factorial form the moment weight (s-1+k)!/(s-1)! = <s>_k gives
+    assert fam.check_gamma_moments(0, 1, F(1, 2), RATIONAL).status == "pass"
     for n in range(11):
         for s in range(1, 6):
+            rpt = fam.check_gamma_moments(n, s, F(2, 3), RATIONAL)
+            assert (rpt.id, rpt.status) == ("EQ7_GAMMA", "pass")
+            assert rpt.params == {"n": n, "s": s, "x": F(2, 3), "params": RATIONAL}
             assert fam.check_gf_matches(n, s, F(2, 3), RATIONAL).status == "pass"
     # s = 1 weight <1>_k = k! recovers the first-order polynomial
     n = 5
@@ -549,6 +553,15 @@ def test_gamma_rep_collapse():
         for k in range(n + 1)
     )
     assert direct == w(x)
+
+
+def test_gamma_moments_fail_on_a_wrong_moment(monkeypatch):
+    # (s-1+k)!/(s-1)! taken as (s+k)!/s! moves every k >= 1 term: the check must see it
+    assert fam.check_gamma_moments(4, 2, F(2, 3), RATIONAL).status == "pass"
+    monkeypatch.setattr(fam, "perm", lambda m, k: math.perm(m + 1, k))
+    rpt = fam.check_gamma_moments(4, 2, F(2, 3), RATIONAL)
+    assert rpt.status == "fail" and rpt.witness.startswith("gf ")
+    assert "!= gamma moments " in rpt.witness
 
 
 # ---------------------------------------------------------------------------

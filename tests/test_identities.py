@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geopoly import analytic, enumeration, families, mellin, stirling
+from geopoly import analytic, cli, enumeration, families, mellin, stirling
 from geopoly import identities as I
 from geopoly.report import EXPECTED_FAIL_CONFIRMED, FAIL, PASS, CheckReport
 
@@ -55,14 +55,14 @@ def test_unknown_profile_rejected():
 
 
 def test_determinism_byte_identical():
-    a = I.run("EQ29", seed=5, samples=6)
-    b = I.run("EQ29", seed=5, samples=6)
+    a = I.run("EQ29", seed=5, samples=6, profile="full")
+    b = I.run("EQ29", seed=5, samples=6, profile="full")
     assert _dump(a) == _dump(b)
 
 
 def test_seed_changes_witnesses_not_verdicts():
-    a = I.run("EQ5", seed=1, samples=4)
-    b = I.run("EQ5", seed=2, samples=4)
+    a = I.run("EQ5", seed=1, samples=4, profile="full")
+    b = I.run("EQ5", seed=2, samples=4, profile="full")
     assert _dump(a) != _dump(b)  # different sampled parameters
     assert [r.status for r in a] == [r.status for r in b] == [PASS] * 4
 
@@ -70,7 +70,7 @@ def test_seed_changes_witnesses_not_verdicts():
 def test_expected_fail_ids_confirm():
     for record in I.REGISTRY:
         if record.expected_fail:
-            reports = I.run(record.id, seed=1, samples=5)
+            reports = I.run(record.id, seed=1, samples=5, profile="full")
             assert reports, record.id
             assert all(r.status == EXPECTED_FAIL_CONFIRMED for r in reports), record.id
 
@@ -78,13 +78,13 @@ def test_expected_fail_ids_confirm():
 def test_expected_fail_that_passes_is_a_failure(monkeypatch):
     # a superseded form that stops failing is a regression, not a confirmation
     monkeypatch.setattr(families, "check_theorem4", lambda *a, **k: CheckReport(id="EQ37_PRINTED"))
-    reports = I.run("EQ37_PRINTED", seed=1, samples=2)
+    reports = I.run("EQ37_PRINTED", seed=1, samples=2, profile="full")
     assert [r.status for r in reports] == [FAIL, FAIL]
     assert all(r.witness == "superseded form unexpectedly passed" for r in reports)
 
 
 def test_eq37_printed_documented_witness():
-    rpt = I.run("EQ37_PRINTED", seed=1, samples=1)[0]
+    rpt = I.run("EQ37_PRINTED", seed=1, samples=1, profile="full")[0]
     assert rpt.params == {"n": 1, "s": 1, "beta": 1 * 2, "r": 1}
     assert "-1" in rpt.witness and "-1/2" in rpt.witness
 
@@ -101,10 +101,10 @@ def _corrupt_tables(monkeypatch, n, k):
 
 
 def test_gf_vs_table_corruption_hook(monkeypatch):
-    good = I.run("GF_VS_TABLE", seed=7, samples=3)
+    good = I.run("GF_VS_TABLE", seed=7, samples=3, profile="full")
     assert all(r.status == PASS for r in good)
     _corrupt_tables(monkeypatch, 4, 2)
-    bad = I.run("GF_VS_TABLE", seed=7, samples=3)
+    bad = I.run("GF_VS_TABLE", seed=7, samples=3, profile="full")
     assert all(r.status == "fail" for r in bad)
     assert all("(n=4, k=2)" in r.witness for r in bad)
 
@@ -171,7 +171,7 @@ def test_records_reach_checks_by_name(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     assert I.run_all(seed=1, profile="quick")["unexpected"] == []
-    assert len(calls) == 26
+    assert len(calls) == 27
     assert [label for label, n in calls.items() if n == 0] == []
 
 
@@ -192,12 +192,22 @@ def test_samples_default_to_the_profile():
         )
 
 
+def test_run_defaults_to_the_profile_of_run_all_and_the_cli(capsys):
+    # run("EQ1") draws what `geopoly verify --id EQ1` draws
+    assert cli.main(["verify", "--id", "EQ1", "--seed", "3", "--no-timing"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["profile"] == "quick"
+    assert doc["result"]["reports"] == [r.to_dict() for r in I.run("EQ1", seed=3)]
+    assert I.run_all(seed=3)["profile"] == "quick"
+
+
 @pytest.mark.parametrize("rid", ["EQ19", "EQ27", "EQ32", "EQ33", "EQ7_GAMMA"])
 def test_a_specialized_record_reports_under_its_own_id(rid):
-    # EQ19 and EQ7_GAMMA run check_gf_matches, EQ27 check_degenerate_euler and
-    # EQ32, EQ33 check_corollary3, each of which names the general form
+    # EQ19 runs check_gf_matches, EQ27 check_degenerate_euler and EQ32, EQ33
+    # check_corollary3, each of which names the general form; EQ7_GAMMA's
+    # check names its own
     for seed in range(1, 6):
-        reports = I.run(rid, seed=seed)
+        reports = I.run(rid, seed=seed, profile="full")
         assert reports and all(r.id == rid and r.status == PASS for r in reports), seed
 
 
@@ -208,7 +218,7 @@ def test_eq31_at_its_corners_reports_only_eq31(monkeypatch, corner):
         return alpha, F(0) if corner == "r = 0" else alpha
 
     monkeypatch.setattr(I, "_generic_alpha_r", cornered)
-    reports = I.run("EQ31", seed=1)
+    reports = I.run("EQ31", seed=1, profile="full")
     at = [r.params["r"] == (0 if corner == "r = 0" else r.params["alpha"]) for r in reports]
     assert at == [True] * 4
     assert [(r.id, r.status) for r in reports] == [("EQ31", PASS)] * 4

@@ -9,7 +9,7 @@ profiles, or keep an expected-fail id confirmed (+1 would add exactly the
 printed COR5 form's error of 1/2 at its witness).  EQ18 at n = 0 has an empty
 closed sum and is asserted, not skipped.  Three tables stay: NEGATIVE_CONTROLS
 feeds the witness gate, NUMERIC_CONTROLS shifts by 2^8 tolerances at 64 and
-256 bits, and BATCH_CONTROLS moves the series side.
+256 bits, and TABLE_CONTROLS moves the series side.
 """
 
 import hashlib
@@ -84,15 +84,10 @@ def test_compare_is_one_case_of_compare_each():
 
 
 def _counted(terms, log):
-    """``terms`` as the function of the last index that `_sum_to_tolerance`
-    takes, logging every term it builds."""
-
-    def counted(last):
-        for term in terms:
-            log.append(term)
-            yield term
-
-    return counted
+    """``terms``, logging every term `_sum_to_tolerance` builds."""
+    for term in terms:
+        log.append(term)
+        yield term
 
 
 @pytest.mark.parametrize("bits", [64, 128])
@@ -141,11 +136,9 @@ def test_sum_to_tolerance_none_terms_keep_the_exponent():
     stop = lambda j: F(0) if j >= 3 else F(1)  # noqa: E731
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        plain = analytic._sum_to_tolerance(lambda last: half + [Decimal(0)] * 5, stop, 0, cfg)
-        skipped = analytic._sum_to_tolerance(lambda last: half + [None] * 5, stop, 0, cfg)
-        padded = analytic._sum_to_tolerance(
-            lambda last: half + [Decimal("0E-40")] * 5, stop, 0, cfg
-        )
+        plain = analytic._sum_to_tolerance(half + [Decimal(0)] * 5, stop, 0, cfg)
+        skipped = analytic._sum_to_tolerance(half + [None] * 5, stop, 0, cfg)
+        padded = analytic._sum_to_tolerance(half + [Decimal("0E-40")] * 5, stop, 0, cfg)
     assert skipped.as_tuple() == plain.as_tuple() == Decimal("0.5").as_tuple()
     assert padded.as_tuple() != skipped.as_tuple()  # an added zero can move it
 
@@ -213,22 +206,6 @@ def test_stop_index_evaluates_each_majorant_index_once(bits):
         last = analytic._stop_index(lambda j: evaluated.append(j) or majorant(j), 0, EvalConfig(bits))
         assert last == _linear_stop(majorant, 0, EvalConfig(bits), analytic.MAX_TERMS)
         assert sorted(evaluated) == sorted(set(evaluated))
-
-
-def test_sum_to_tolerance_hands_the_stop_index_to_a_term_function():
-    cfg = EvalConfig(64)
-    asked = []
-
-    def terms(last):
-        asked.append(last)
-        return (Decimal(1) / Decimal(2) ** k for k in count(0))
-
-    majorant = lambda j: F(1, 2**j)  # noqa: E731
-    with localcontext() as ctx:
-        ctx.prec = cfg.digits + 10
-        total = analytic._sum_to_tolerance(terms, majorant, 0, cfg)
-        assert total == sum(Decimal(1) / Decimal(2) ** k for k in range(35 + 1))
-    assert asked == [35] == [analytic._stop_index(majorant, 0, cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +348,31 @@ def test_numeric_closed_side_perturbation_fails(monkeypatch, rid, bits):
     assert rpt.status == "fail", rpt.to_dict()
 
 
-# The series sides of EQ26 and EQ30 read zeta(k) from analytic._zeta_batch
+# The series sides of EQ26 and EQ30 read zeta(k) from analytic._zeta_table
 # alone: one entry moved by 2^(40 - bits) must fail both checks.  Kept out
 # of NEGATIVE_CONTROLS as NUMERIC_CONTROLS are.
-BATCH_CONTROLS = {
+TABLE_CONTROLS = {
     "EQ26": lambda cfg: analytic.eval_theorem5(HsuShiueParams(F(1, 2), 2, 3), 2, F(1, 2), cfg),
     "EQ30_FAMILY": lambda cfg: analytic.eval_eq30_family(2, cfg),
 }
 
 
-def _bump_batch(old, s0, delta):
-    def batch(digits, n):
-        zetas = old(digits, n)
+def _bump_table(old, s0, delta):
+    def table(digits):
+        zetas = old(digits)
         return zetas[:s0] + (zetas[s0] + delta,) + zetas[s0 + 1:]
 
-    return batch
+    return table
 
 
 @pytest.mark.parametrize("bits", [64, 256])
-@pytest.mark.parametrize("rid", sorted(BATCH_CONTROLS))
+@pytest.mark.parametrize("rid", sorted(TABLE_CONTROLS))
 def test_series_batch_perturbation_fails(monkeypatch, rid, bits):
-    check = BATCH_CONTROLS[rid]
+    check = TABLE_CONTROLS[rid]
     cfg = EvalConfig(bits)
     assert check(cfg).status == "pass"
     delta = analytic._dec(F(1, 2 ** (bits - 40)))
-    monkeypatch.setattr(analytic, "_zeta_batch", _bump_batch(analytic._zeta_batch, 2, delta))
+    monkeypatch.setattr(analytic, "_zeta_table", _bump_table(analytic._zeta_table, 2, delta))
     rpt = check(cfg)
     assert rpt.id == rid
     assert rpt.status == "fail", rpt.to_dict()
@@ -411,7 +388,7 @@ def _hurwitz_calls(monkeypatch):
 
 def test_closed_sides_share_no_tail_test_with_the_batch(monkeypatch):
     # the closed sides' zeta and psi run Euler-Maclaurin alone; direct
-    # summation, proven by _tail_below, belongs to the series sides' batch
+    # summation, proven by _tail_below, belongs to the series sides' table
     calls = []
     tail_below = analytic._tail_below
     monkeypatch.setattr(analytic, "_tail_below",
@@ -423,9 +400,8 @@ def test_closed_sides_share_no_tail_test_with_the_batch(monkeypatch):
             analytic.hurwitz_zeta(s, a, cfg)
         analytic.digamma(a, cfg)
     assert calls == []
-    monkeypatch.setattr(analytic, "_zeta_batch",
-                        Memo(CACHE_CAP).prefix(analytic._zeta_batch.__wrapped__))
-    analytic._zeta_batch(cfg.digits, 200)
+    monkeypatch.setattr(analytic, "_zeta_table", Memo(CACHE_CAP)(analytic._zeta_table.__wrapped__))
+    analytic._zeta_table(cfg.digits)
     assert calls
 
 
