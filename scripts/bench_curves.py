@@ -25,7 +25,12 @@ row of ``CASES``:
   0)``, both from a table built before the clock starts, n = 50..800;
   ``warm_sweep``, ``exp_poly(k, p)`` and ``geometric_poly(k, 2, p)(1/3)``
   for k = 0..n on a table cached before the clock starts, so 2(n + 1)
-  warm table reads and the rows they weight, n = 24..96; and, on no
+  warm table reads and the rows they weight, n = 24..96;
+  ``eq5_series``, ``eq38_series`` and ``eq4_operator``, the operator
+  checks ``verify_series_identity("eq5", 4, 2, p, n)``,
+  ``verify_series_identity("eq38_binomial", 4, 3, p, n)`` and
+  ``verify_eq4_operator(4, 2, p, n)`` at series order n = 64..512, each
+  from a cold cache (smaller orders take under 3 ms); and, on no
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
   ``pow_int(b, 3)``) on fixed rational series of order n = 50..400.
@@ -69,6 +74,7 @@ from pathlib import Path
 TRIPLES = ("1/2, 3, -2", "-1/3, 5/2, 1/4")
 TABLE_N = (50, 100, 200, 400, 800)
 BITS = (256, 512, 1024, 2048, 4096)
+MELLIN_ORDERS = (64, 128, 256, 512)
 # exact curve on a triple p: (sizes, untimed setup, timed call, the result that is hashed)
 EXACT = {
     "build_table": (TABLE_N, "", "build_table(p, n)", "out.row(n)"),
@@ -84,6 +90,11 @@ EXACT = {
     "warm_sweep": ((24, 48, 96), "cached_table(p, n)",
                    "[(exp_poly(k, p), geometric_poly(k, 2, p)(Fraction(1, 3))) for k in range(n + 1)]",
                    "out"),
+    "eq5_series": (MELLIN_ORDERS, "", 'mellin.verify_series_identity("eq5", 4, 2, p, n)',
+                   "out.to_dict()"),
+    "eq38_series": (MELLIN_ORDERS, "",
+                    'mellin.verify_series_identity("eq38_binomial", 4, 3, p, n)', "out.to_dict()"),
+    "eq4_operator": (MELLIN_ORDERS, "", "mellin.verify_eq4_operator(4, 2, p, n)", "out.to_dict()"),
 }
 SERIES_ORDERS = (50, 100, 200, 400)
 # fixed series of order n, numerators -9..9 over denominators up to 9; b_0 = 1, z = a - a_0
@@ -135,7 +146,7 @@ CHILD = """
 import hashlib
 import time
 from fractions import Fraction
-from geopoly import analytic
+from geopoly import analytic, mellin
 from geopoly.families import exp_poly, geometric_poly, spivey_step
 from geopoly.params import HsuShiueParams
 from geopoly.series import PowerSeries, divide, exp_series, pow_int

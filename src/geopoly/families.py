@@ -374,17 +374,18 @@ def carlitz_beta(n: int, alpha: RationalLike, x: RationalLike) -> Fraction:
     return gf_carlitz_beta(alpha, x, n).egf_coeff(n)
 
 
-def check_theorem3(n: int, s: int, alpha: RationalLike, r: RationalLike) -> CheckReport:
+def check_theorem3(n: int, s: RationalLike, alpha: RationalLike, r: RationalLike) -> CheckReport:
     """Difference of consecutive-shift Carlitz values vs weighted Stirling sum.
 
     beta_{n+1}(alpha, r) - beta_{n+1}(alpha, r-s)
         = (n+1) sum_k S(n,k;alpha,1,r) (-1)^k <s>_{k+1} / (k+1)
         = (n+1) s I_n^(s+1)(alpha, 1, r),
     with the left side from the EGF oracle.  The s=1 slice also collapses to
-    (n+1)(r-1|alpha)_n, checked when it applies.
+    (n+1)(r-1|alpha)_n, checked when it applies.  The report echoes s as given.
     """
     alpha, r = as_rational(alpha), as_rational(r)
     rpt = CheckReport(id="EQ29", params={"n": n, "s": s, "alpha": alpha, "r": r})
+    s = as_rational(s)
     lhs = carlitz_beta(n + 1, alpha, r) - carlitz_beta(n + 1, alpha, r - s)
     rhs = (n + 1) * s * _integral(n, s + 1, HsuShiueParams(alpha, 1, r))
     if rpt.compare(lhs, rhs, "lhs {} != rhs {}").status == PASS and s == 1:
@@ -427,8 +428,18 @@ def check_corollary3(n: int, alpha: RationalLike, r: RationalLike) -> CheckRepor
 # ---------------------------------------------------------------------------
 
 
+# exponent -> the extra power of beta by which the printed EQ37 and COR5 divide
+_BETA_SHIFT = {"corrected": 0, "printed": 1}
+
+
+def _beta_shift(exponent: str) -> int:
+    if exponent not in _BETA_SHIFT:
+        raise ValueError(f"exponent must be 'corrected' or 'printed', got {exponent!r}")
+    return _BETA_SHIFT[exponent]
+
+
 def check_theorem4(
-    n: int, s: int, beta: RationalLike, r: RationalLike, exponent: str = "corrected"
+    n: int, s: RationalLike, beta: RationalLike, r: RationalLike, exponent: str = "corrected"
 ) -> CheckReport:
     """Bernoulli-polynomial differences at rational points vs r-Whitney sums.
 
@@ -437,18 +448,16 @@ def check_theorem4(
     The shipped exponent is e = n-k, which makes the sum
     (n+1) s I_n^(s+1)(0, beta, r) / beta^n; exponent="printed" selects the
     e = n+1-k variant, one more division by beta, kept as a must-fail
-    regression (witness n=1, s=1, beta=2, r=1).
+    regression (witness n=1, s=1, beta=2, r=1).  The report echoes s as given.
     """
-    if exponent not in ("corrected", "printed"):
-        raise ValueError(f"exponent must be 'corrected' or 'printed', got {exponent!r}")
+    shift = _beta_shift(exponent)
     beta, r = as_rational(beta), as_rational(r)
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    rid = "EQ37_CORRECTED" if exponent == "corrected" else "EQ37_PRINTED"
-    rpt = CheckReport(id=rid, params={"n": n, "s": s, "beta": beta, "r": r})
+    rpt = CheckReport(id=f"EQ37_{exponent.upper()}", params={"n": n, "s": s, "beta": beta, "r": r})
+    s = as_rational(s)
     bpoly = bernoulli_poly(n + 1)
     lhs = bpoly(r / beta) - bpoly(r / beta - s)
-    shift = 0 if exponent == "corrected" else 1
     rhs = (n + 1) * s * _integral(n, s + 1, HsuShiueParams(0, beta, r)) / beta ** (n + shift)
     return rpt.compare(lhs, rhs, "lhs {} != rhs {}")
 
@@ -500,12 +509,10 @@ def check_corollary5(
     Shipped weight beta^k; exponent="printed" selects beta^(k-1), kept as a
     regression (witness n=1, m=1, beta=2, r=1: 1/2 vs 1).
     """
-    if exponent not in ("corrected", "printed"):
-        raise ValueError(f"exponent must be 'corrected' or 'printed', got {exponent!r}")
+    shift = _beta_shift(exponent)
     beta, r = as_rational(beta), as_rational(r)
-    rid = "COR5_CORRECTED" if exponent == "corrected" else "COR5_PRINTED"
-    rpt = CheckReport(id=rid, params={"n": n, "m": m, "beta": beta, "r": r})
-    closed, direct = _howard_sides(n, m, beta, r, 0 if exponent == "corrected" else 1)
+    rpt = CheckReport(id=f"COR5_{exponent.upper()}", params={"n": n, "m": m, "beta": beta, "r": r})
+    closed, direct = _howard_sides(n, m, beta, r, shift)
     return rpt.compare(direct, closed, "direct {} != closed {}")
 
 

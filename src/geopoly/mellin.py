@@ -1,15 +1,15 @@
 """Formal action of the weighted derivative (beta * x^(1-alpha/beta) * D)^n.
 
-On the graded monomial x^((k*beta + r)/beta) one application multiplies by
-(k*beta + r - m*alpha) where m counts prior applications, so n applications
-accumulate the generalized factorial (k*beta + r | alpha)_n and lower the
-carried prefactor exponent from (r - m*alpha)/beta to (r - (m+n)*alpha)/beta.
-A :class:`GradedSeries` tracks that prefactor structurally (params plus an
-application counter); coefficients stay plain rationals, so nothing here
-ever needs fractional powers of the series variable.
+A series here is its list of rational coefficients c_k, read as
+sum_k c_k x^(k + r/beta): the prefactor x^(r/beta) is implied by the
+params, so nothing here ever needs fractional powers of the series
+variable.  One application multiplies x^((k*beta + r)/beta) by
+(k*beta + r) and lowers its exponent by alpha/beta, so n applications
+multiply c_k by the generalized factorial (k*beta + r | alpha)_n and leave
+the prefactor x^((r - n*alpha)/beta).
 
-The verifiers expand both sides of the operator identities over this graded
-basis: the operator route on the left, and on the right either the
+The verifiers expand both sides of the operator identities over these
+coefficients: the operator route on the left, and on the right either the
 derivative expansion sum_k S(n,k) beta^k x^k f^(k)(x) or a closed
 generating-function composition.
 """
@@ -18,105 +18,77 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from typing import NamedTuple
+from typing import Sequence
 
 from .exact import as_size, binomial_general, gen_factorial
 from .families import geometric_poly, exp_poly
 from .params import HsuShiueParams
 from .polynomials import PolyQ
 from .report import CheckReport
-from .series import PowerSeries, binom_deform, divide, inverse, pow_int
+from .series import PowerSeries, binom_deform, divide, pow_int
 from .stirling import cached_table
 
 
-class GradedSeries(NamedTuple):
-    """Coefficients c_k of x^(k + (r - m*alpha)/beta) after m applications."""
+def apply_operator(
+    coeffs: Sequence[Fraction], params: HsuShiueParams, times: int
+) -> list[Fraction]:
+    """The coefficients of sum_k c_k x^(k + r/beta) after `times` applications.
 
-    params: HsuShiueParams
-    applications: int
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-
-def embed_series(ps: PowerSeries, params: HsuShiueParams) -> GradedSeries:
-    """x^(r/beta) * ps(x) as a fresh graded series."""
-    if params.beta == 0:
-        raise ValueError("beta must be nonzero for the graded embedding")
-    return GradedSeries(params, 0, tuple(ps.coeffs))
-
-
-def embed_poly(f: PolyQ, params: HsuShiueParams, order: int) -> GradedSeries:
-    return embed_series(f.to_series(order), params)
-
-
-def apply_operator(gs: GradedSeries, times: int) -> GradedSeries:
-    """Apply the weighted derivative `times` more times.
-
-    Coefficient k gains prod_{j<times}(k*beta + r - (m+j)*alpha), computed
-    as the integer product prod_j(kB + R - (m+j)A) over D^times, with
+    Coefficient k gains prod_{j<times}(k*beta + r - j*alpha), computed as
+    the integer product prod_j(kB + R - jA) over D^times, with
     (D, A, B, R) = `HsuShiueParams.integer_form`; one Fraction per
     coefficient.  The loop is kept here, apart from `exact.gen_factorial`,
     which the termwise sides of EQ5 call.
     """
     as_size(times, "times")
-    p = gs.params
-    d, a, b, r = p.integer_form()
-    m = gs.applications
+    if params.beta == 0:
+        raise ValueError("beta must be nonzero for the weighted derivative")
+    d, a, b, r = params.integer_form()
     scale = d**times
-    coeffs = []
-    for k, c in enumerate(gs.coeffs):
+    out = []
+    for k, c in enumerate(coeffs):
         factor = 1
-        for j in range(m, m + times):
+        for j in range(times):
             factor *= k * b + r - j * a
-        coeffs.append(Fraction(c.numerator * factor, c.denominator * scale))
-    return GradedSeries(gs.params, m + times, tuple(coeffs))
+        out.append(Fraction(c.numerator * factor, c.denominator * scale))
+    return out
 
 
 def verify_eq1_poly(n: int, f: PolyQ, params: HsuShiueParams) -> CheckReport:
     """Operator route vs derivative expansion for a polynomial test function.
 
-    LHS: n applications on the embedding of f.  RHS: the graded embedding of
-    sum_k S(n,k) beta^k x^k f^(k)(x) at application count n.  Polynomials are
-    dense in the identities actually used downstream, so exact agreement here
-    (plus linearity) is the meaningful machine-checkable slice.
+    LHS: n applications on the coefficients of f.  RHS: the coefficients of
+    sum_k S(n,k) beta^k x^k f^(k)(x).  Polynomials are dense in the
+    identities actually used downstream, so exact agreement here (plus
+    linearity) is the meaningful machine-checkable slice.
     """
     order = max(f.degree, 0)
     rpt = CheckReport(id="EQ1", params={"n": n, "f": list(f.coeffs), "params": params})
-    lhs = apply_operator(embed_poly(f, params, order), n)
+    lhs = apply_operator(f.to_series(order).coeffs, params, n)
     table = cached_table(params, n)
     rhs_poly = PolyQ.zero()
     for k in range(n + 1):
         term = f.derivative(k).shift_x(k) * (table.value(n, k) * params.beta**k)
         rhs_poly = rhs_poly + term
     rhs = rhs_poly.to_series(order).coeffs
-    return rpt.compare_each(
-        zip(count(), lhs.coeffs, rhs), "x^{}: operator {} != expansion {}"
-    )
+    return rpt.compare_each(zip(count(), lhs, rhs), "x^{}: operator {} != expansion {}")
 
 
-def _binomial_tail_series(s: int, order: int) -> PowerSeries:
-    # sum_k C(s+k, k) t^k = (1-t)^(-s-1), built termwise
-    return PowerSeries.from_coeffs(
-        [binomial_general(s + k, k) for k in range(order + 1)]
-    )
+def _composition(
+    n: int, m: int, sign: int, params: HsuShiueParams, order: int
+) -> PowerSeries:
+    """(1 - sign*x)^(-m) * w_n^(m)(sign*x/(1 - sign*x)), the closed side."""
+    sx = sign * PowerSeries.t(order)
+    base = PowerSeries.one(order) - sx
+    return pow_int(base, -m) * geometric_poly(n, m, params).at_series(divide(sx, base))
 
 
-def _eq5_composition(n: int, s: int, params: HsuShiueParams, order: int) -> PowerSeries:
-    """(1-x)^(-s-1) * w_n^(s+1)(x/(1-x)), the closed side of EQ4 and EQ5."""
-    t = PowerSeries.t(order)
-    one = PowerSeries.one(order)
-    u = divide(t, one - t)  # x/(1-x), valuation 1
-    w = geometric_poly(n, s + 1, params)
-    return pow_int(inverse(one - t), s + 1) * w.at_series(u)
-
-
-_SERIES_IDS = {"eq5": "EQ5", "eq21": "EQ21", "eq38_binomial": "EQ38"}
+# which -> (report id, (m, sign) of the composition as a function of s)
+_SERIES_IDS = {
+    "eq5": ("EQ5", lambda s: (s + 1, 1)),
+    "eq21": ("EQ21", lambda s: (1, 1)),
+    "eq38_binomial": ("EQ38", lambda s: (-s, -1)),
+}
 
 
 def verify_series_identity(
@@ -124,39 +96,32 @@ def verify_series_identity(
 ) -> CheckReport:
     """Termwise factorial sums vs generating-function composition.
 
-    which = "eq5":  sum_k C(s+k,k) (r+k*beta|alpha)_n x^k
-                    == (1-x)^(-s-1) * w_n^(s+1)(x/(1-x))
-    which = "eq21": the s = 0 slice of the above
-    which = "eq38_binomial":
-                    sum_k C(s,k) (r+k*beta|alpha)_n x^k
-                    == (1+x)^s * w_n^(-s)(-x/(1+x))
+    Each id checks the one series transformation
+
+        sum_k sign^k <m>_k/k! (r + k*beta|alpha)_n x^k
+            == (1 - sign*x)^(-m) * w_n^(m)(sign*x/(1 - sign*x))
+
+    with <m>_k/k! = C(m-1+k, k), at the (m, sign) of `which`:
+
+        "eq5":            (s + 1, 1), sum_k C(s+k,k) (r+k*beta|alpha)_n x^k
+        "eq21":           (1, 1), the s = 0 slice of EQ5
+        "eq38_binomial":  (-s, -1), sum_k C(s,k) (r+k*beta|alpha)_n x^k,
+                          since (-1)^k C(k-s-1, k) = C(s, k)
+
+    EQ21 echoes ``s`` in its report but does not use it.
     """
     if which not in _SERIES_IDS:
         raise ValueError(f"unknown identity {which!r}; expected one of {tuple(_SERIES_IDS)}")
     as_size(order, "order", as_size(n))
+    rid, m_sign = _SERIES_IDS[which]
+    m, sign = m_sign(as_size(s, "s"))
     a, b, r = params.alpha, params.beta, params.r
-    rpt = CheckReport(
-        id=_SERIES_IDS[which],
-        params={"n": n, "s": s, "params": params, "order": order},
-    )
-    if which in ("eq5", "eq21"):
-        if which == "eq21":
-            s = 0
-        lhs = [
-            binomial_general(s + k, k) * gen_factorial(r + k * b, a, n)
-            for k in range(order + 1)
-        ]
-        rhs = _eq5_composition(n, s, params, order)
-    else:  # eq38_binomial
-        lhs = [
-            binomial_general(s, k) * gen_factorial(r + k * b, a, n)
-            for k in range(order + 1)
-        ]
-        t = PowerSeries.t(order)
-        one = PowerSeries.one(order)
-        v = divide(-t, one + t)  # -x/(1+x)
-        w = geometric_poly(n, -s, params)
-        rhs = pow_int(one + t, s) * w.at_series(v)
+    rpt = CheckReport(id=rid, params={"n": n, "s": s, "params": params, "order": order})
+    lhs = [
+        sign**k * binomial_general(m - 1 + k, k) * gen_factorial(r + k * b, a, n)
+        for k in range(order + 1)
+    ]
+    rhs = _composition(n, m, sign, params, order)
     return rpt.compare_each(
         zip(count(), lhs, rhs.coeffs), "[x^{}]: termwise {} != composition {}"
     )
@@ -165,19 +130,20 @@ def verify_series_identity(
 def verify_eq4_operator(n: int, s: int, params: HsuShiueParams, order: int) -> CheckReport:
     """Operator route for the binomial-tail test function.
 
-    Applies the operator n times to the embedding of sum_k C(s+k,k) x^k and
-    compares with the composition form (1-x)^(-s-1) * w_n^(s+1)(x/(1-x)).
-    Distinct from `verify_series_identity("eq5", ...)`, whose left side is
-    assembled termwise from generalized factorials instead.
+    Applies the operator n times to sum_k C(s+k,k) x^k and compares with
+    the composition form (1-x)^(-s-1) * w_n^(s+1)(x/(1-x)).  Distinct from
+    `verify_series_identity("eq5", ...)`, whose left side is assembled
+    termwise from generalized factorials instead.
     """
     as_size(order, "order")
+    as_size(s, "s")
     rpt = CheckReport(
         id="EQ4_OPERATOR", params={"n": n, "s": s, "params": params, "order": order}
     )
-    lhs = apply_operator(embed_series(_binomial_tail_series(s, order), params), n)
-    rhs = _eq5_composition(n, s, params, order)
+    lhs = apply_operator([binomial_general(s + k, k) for k in range(order + 1)], params, n)
+    rhs = _composition(n, s + 1, 1, params, order)
     return rpt.compare_each(
-        zip(count(), lhs.coeffs, rhs.coeffs), "[x^{}]: operator {} != composition {}"
+        zip(count(), lhs, rhs.coeffs), "[x^{}]: operator {} != composition {}"
     )
 
 
@@ -192,8 +158,8 @@ def verify_eq15(n: int, params: HsuShiueParams, order: int) -> CheckReport:
         raise ValueError("beta must be nonzero")
     rpt = CheckReport(id="EQ15", params={"n": n, "params": params, "order": order})
     exp_over_beta = binom_deform(0, 1 / params.beta, order)
-    lhs = apply_operator(embed_series(exp_over_beta, params), n)
+    lhs = apply_operator(exp_over_beta.coeffs, params, n)
     rhs = exp_over_beta * exp_poly(n, params).to_series(order)
     return rpt.compare_each(
-        zip(count(), lhs.coeffs, rhs.coeffs), "[x^{}]: operator {} != convolution {}"
+        zip(count(), lhs, rhs.coeffs), "[x^{}]: operator {} != convolution {}"
     )

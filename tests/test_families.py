@@ -419,8 +419,20 @@ def test_theorem4_witness_and_range():
 def test_theorem4_validation():
     with pytest.raises(ValueError):
         fam.check_theorem4(1, 1, 0, 1)
-    with pytest.raises(ValueError):
-        fam.check_theorem4(1, 1, 2, 1, exponent="bogus")
+    refusal = "exponent must be 'corrected' or 'printed', got 'bogus'"
+    for check in (fam.check_theorem4, fam.check_corollary5):
+        with pytest.raises(ValueError, match=refusal):
+            check(1, 1, 2, 1, exponent="bogus")
+
+
+def test_theorem3_and_theorem4_take_a_rational_s_and_refuse_a_bool():
+    # EQ29 and EQ37 hold at rational s; the report echoes s as it was given
+    for check, rest in ((fam.check_theorem3, (F(1, 2), 1)), (fam.check_theorem4, (2, 1))):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            check(2, True, *rest)
+        for s in (F(1, 2), F(-5, 3), 2):
+            rpt = check(2, s, *rest)
+            assert rpt.status == "pass" and type(rpt.params["s"]) is type(s), (check, s)
 
 
 def test_corollary4_rising_factorial_form():

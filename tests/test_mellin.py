@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geopoly import mellin as M
-from geopoly.exact import gen_factorial
+from geopoly.exact import binomial_general, gen_factorial
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries
@@ -16,40 +16,36 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 PARAMS = HsuShiueParams(F(1, 2), 3, -1)
 
 
-def test_embed_requires_beta_nonzero():
-    with pytest.raises(ValueError):
-        M.embed_series(PowerSeries.one(2), HsuShiueParams(1, 0, 0))
+def test_apply_operator_requires_beta_nonzero():
+    with pytest.raises(ValueError, match="beta must be nonzero"):
+        M.apply_operator(PowerSeries.one(2).coeffs, HsuShiueParams(1, 0, 0), 1)
 
 
 def test_apply_zero_times_is_identity():
-    gs = M.embed_series(PowerSeries.from_coeffs([1, 2, 3], 4), PARAMS)
-    assert M.apply_operator(gs, 0) == gs
+    coeffs = PowerSeries.from_coeffs([1, 2, 3], 4).coeffs
+    assert M.apply_operator(coeffs, PARAMS, 0) == list(coeffs)
 
 
 def test_apply_accumulates_generalized_factorial():
-    fresh = M.embed_series(PowerSeries.one(0), PARAMS)
     for n in range(7):
-        assert M.apply_operator(fresh, n).coeff(0) == gen_factorial(
-            PARAMS.r, PARAMS.alpha, n
-        )
+        assert M.apply_operator([F(1)], PARAMS, n) == [gen_factorial(PARAMS.r, PARAMS.alpha, n)]
     # single-term series x^((k*beta + r)/beta)
     p = HsuShiueParams(1, 2, 3)
-    single = M.embed_series(PowerSeries.from_coeffs([0, 0, 1], 4), p)
+    single = PowerSeries.from_coeffs([0, 0, 1], 4).coeffs
     for n in range(6):
-        assert M.apply_operator(single, n).coeff(2) == gen_factorial(2 * 2 + 3, 1, n)
+        assert M.apply_operator(single, p, n)[2] == gen_factorial(2 * 2 + 3, 1, n)
 
 
-def ref_apply(gs, times):
+def ref_apply(coeffs, params, times):
     """The reference: one reduced Fraction multiply per factor and coefficient."""
-    a, b, r = gs.params.alpha, gs.params.beta, gs.params.r
-    m = gs.applications
-    coeffs = []
-    for k, c in enumerate(gs.coeffs):
+    a, b, r = params.alpha, params.beta, params.r
+    out = []
+    for k, c in enumerate(coeffs):
         factor = F(1)
         for j in range(times):
-            factor *= k * b + r - (m + j) * a
-        coeffs.append(c * factor)
-    return M.GradedSeries(gs.params, m + times, tuple(coeffs))
+            factor *= k * b + r - j * a
+        out.append(c * factor)
+    return out
 
 
 sevenths = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -61,14 +57,12 @@ sevenths = st.fractions(min_value=-3, max_value=3, max_denominator=7)
     beta=sevenths.filter(bool),
     r=sevenths,
     coeffs=st.lists(sevenths, min_size=1, max_size=8),
-    applied=st.integers(0, 3),
     times=st.integers(0, 6),
 )
-@example(alpha=F(0), beta=F(1), r=F(0), coeffs=[F(1), F(2, 3)], applied=0, times=6)
-def test_apply_operator_matches_reference(alpha, beta, r, coeffs, applied, times):
+@example(alpha=F(0), beta=F(1), r=F(0), coeffs=[F(1), F(2, 3)], times=6)
+def test_apply_operator_matches_reference(alpha, beta, r, coeffs, times):
     params = HsuShiueParams(alpha, beta, r)
-    gs = M.GradedSeries(params, applied, tuple(coeffs))
-    assert M.apply_operator(gs, times) == ref_apply(gs, times)
+    assert M.apply_operator(coeffs, params, times) == ref_apply(coeffs, params, times)
 
 
 def test_apply_operator_keeps_its_own_loop():
@@ -85,16 +79,7 @@ def test_apply_operator_keeps_its_own_loop():
 
 def test_apply_once_linear_weights():
     p = HsuShiueParams(1, 2, 3)
-    gs = M.embed_series(PowerSeries.from_coeffs([1, 1, 1, 1], 3), p)
-    out = M.apply_operator(gs, 1)
-    assert [out.coeff(k) for k in range(4)] == [3, 5, 7, 9]  # 2k + 3
-
-
-@settings(max_examples=25, deadline=None)
-@given(a=st.integers(0, 6), b=st.integers(0, 6))
-def test_operator_power_composition(a, b):
-    gs = M.embed_series(PowerSeries.from_coeffs([2, F(-1, 3), 0, F(5, 2)], 5), PARAMS)
-    assert M.apply_operator(M.apply_operator(gs, a), b) == M.apply_operator(gs, a + b)
+    assert M.apply_operator([F(1)] * 4, p, 1) == [3, 5, 7, 9]  # 2k + 3
 
 
 def test_eq1_monomials_then_linearity():
@@ -112,8 +97,7 @@ def test_eq1_n1_by_hand():
     f = PolyQ.from_coeffs([0, 1])
     rep = M.verify_eq1_poly(1, f, PARAMS)
     assert rep.status == "pass"
-    gs = M.apply_operator(M.embed_poly(f, PARAMS, 1), 1)
-    assert gs.coeff(1) == PARAMS.beta + PARAMS.r
+    assert M.apply_operator(f.to_series(1).coeffs, PARAMS, 1)[1] == PARAMS.beta + PARAMS.r
 
 
 @settings(max_examples=20, deadline=None)
@@ -136,10 +120,15 @@ def test_eq21_and_eq38():
         assert M.verify_series_identity("eq38_binomial", n, 5, PARAMS, 16).status == "pass"
 
 
+def test_eq38_rewrite_is_the_printed_binomial():
+    # EQ38 runs as the EQ5 form at (m, sign) = (-s, -1): sign^k C(m-1+k, k) = C(s, k)
+    for s in range(7):
+        for k in range(11):
+            assert (-1) ** k * binomial_general(k - s - 1, k) == binomial_general(s, k), (s, k)
+
+
 def test_eq38_polynomial_truncation_is_finite():
     # with integer s the left side is a polynomial of degree s
-    from geopoly.exact import binomial_general
-
     s = 3
     assert binomial_general(s, 4) == 0
     assert binomial_general(s, 5) == 0

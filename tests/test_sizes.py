@@ -39,12 +39,7 @@ from geopoly.families import (
     spivey_step,
 )
 from geopoly.identities import run
-from geopoly.mellin import (
-    apply_operator,
-    embed_series,
-    verify_eq4_operator,
-    verify_series_identity,
-)
+from geopoly.mellin import apply_operator, verify_eq4_operator, verify_series_identity
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries, binom_deform, deformed_base, gf_degenerate_euler, gf_w
@@ -71,13 +66,19 @@ ROWS = [
     ("PolyQ.derivative zero", lambda v: PolyQ.zero().derivative(v), "times", 0),
     ("PolyQ.shift_x", lambda v: QUADRATIC.shift_x(v), "power", 0),
     ("PolyQ.shift_x zero", lambda v: PolyQ.zero().shift_x(v), "power", 0),
-    ("apply_operator True",
-     lambda v: apply_operator(embed_series(PowerSeries.one(2), P), v), "times", 0),
+    ("apply_operator True", lambda v: apply_operator(PowerSeries.one(2).coeffs, P, v), "times", 0),
     ("verify_series_identity True",
      lambda v: verify_series_identity("eq5", 0, 1, P, v), "order", 0),
     ("verify_series_identity order >= n",
      lambda v: verify_series_identity("eq5", 3, 1, P, v), "order", 3),
+    ("verify_series_identity eq5 s True",
+     lambda v: verify_series_identity("eq5", 1, v, P, 4), "s", 0),
+    ("verify_series_identity eq21 s True",
+     lambda v: verify_series_identity("eq21", 1, v, P, 4), "s", 0),
+    ("verify_series_identity eq38_binomial s",
+     lambda v: verify_series_identity("eq38_binomial", 1, v, P, 4), "s", 0),
     ("verify_eq4_operator True", lambda v: verify_eq4_operator(0, 1, P, v), "order", 0),
+    ("verify_eq4_operator s True", lambda v: verify_eq4_operator(1, v, P, 4), "s", 0),
     ("gf_w True", lambda v: gf_w(P, v, F(1, 2), 4), "s", 1),
     ("gf_degenerate_euler", lambda v: gf_degenerate_euler(v, 0, 0, 4), "s", 0),
     ("binom_deform True", lambda v: binom_deform(0, 1, v), "order", 0),
