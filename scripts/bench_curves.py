@@ -5,12 +5,15 @@
         --src src --label change
 
 Each point is one cold interpreter that imports geopoly from ``--src`` and
-times one call (import excluded), pinned to one CPU; the median of
-``--repeats`` such processes is kept.  Given several ``--src``/``--label``
-pairs, the checkouts take turns on every point, in an order that flips
-each repeat, so that a drift in the machine's speed falls on all of them
-alike.  The suites and their curves, each a
-row of ``CASES``:
+times one call (import excluded, except in the ``import`` suite), pinned to
+one CPU; the median of ``--repeats`` such processes is kept.  Given several
+``--src``/``--label`` pairs, the checkouts take turns on every point, in an
+order that flips each repeat, so that a drift in the machine's speed falls
+on all of them alike.  The children write no bytecode, so a run reads a
+cache only if one is there before it starts (``python3 -m compileall -q
+<src>`` writes one); each run records whether every module under its
+``--src`` had a cache that matches its source.  The suites and their
+curves, each a row of ``CASES``:
 
 - ``exact``, on each of the triples (1/2, 3, -2) and (-1/3, 5/2, 1/4):
   ``build_table``, the Stirling triangle by its recurrence, n = 50..800;
@@ -50,10 +53,15 @@ row of ``CASES``:
   n-factor product, and the closed-side sums (beta = 1/8 keeps the value
   small enough for the absolute tolerance at n = 24; at beta = 2 the
   verdict fails from n = 20 on).
+- ``import``, one point each: ``import geopoly`` in a fresh interpreter;
+  then the first reads of ``geopoly.build_table``, ``geopoly.eval_theorem5``
+  and ``geopoly.run_all``, each timed after an untimed import and the
+  reads before it, so each row is what that read adds; and ``import
+  geopoly.cli``, the CLI's own import, in a fresh interpreter.
 
-Each curve gets the least-squares slope of log(time) on log(n), and each
-point the first 16 hex digits of the sha256 of its result, so two runs can
-be checked to agree.  Each run is stored under its ``--label`` in
+Each curve of two or more sizes gets the least-squares slope of log(time)
+on log(n) (``null`` for one size), and each point the first 16 hex digits
+of the sha256 of its result, so two runs can be checked to agree.  Each run is stored under its ``--label`` in
 ``BENCH_<suite>.json`` in the working directory; other labels are kept, so
 one run on two checkouts leaves a before/after pair in one file.  A new
 curve is a new row.  Standard library only.
@@ -62,11 +70,13 @@ curve is a new row.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import platform
 import statistics
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +125,8 @@ THEOREM5 = "analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), 2, 1), 3, Frac
 # called once untimed first, so that the zeta table, the constants and the Stirling table are cached
 THEOREM5_N = ("analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), Fraction(1, 8), 1), n,"
               " Fraction(1, 2), cfg)")
+# the import suite's first reads, in the order they are timed
+FIRST_READS = ("build_table", "eval_theorem5", "run_all")
 # CASES[suite][curve] = (sizes, untimed setup, timed call, the result that is hashed)
 CASES = {
     "exact": {
@@ -141,29 +153,59 @@ CASES = {
             THEOREM5_N, "out.to_dict()",
         ),
     },
+    "import": {
+        "import geopoly": ((1,), "", '__import__("geopoly")', "sorted(out.__all__)"),
+        **{
+            f"geopoly.{name}": (
+                (1,), "\n".join(["import geopoly"] + [f"geopoly.{b}" for b in FIRST_READS[:i]]),
+                f"geopoly.{name}", 'f"{out.__module__}.{out.__qualname__}"',
+            )
+            for i, name in enumerate(FIRST_READS)
+        },
+        "import geopoly.cli": ((1,), "", '__import__("geopoly.cli").cli', "out.__name__"),
+    },
 }
 CHILD = """
-import hashlib
 import time
-from fractions import Fraction
-from geopoly import analytic, mellin
-from geopoly.families import exp_poly, geometric_poly, spivey_step
-from geopoly.params import HsuShiueParams
-from geopoly.series import PowerSeries, divide, exp_series, pow_int
-from geopoly.stirling import build_table, cached_table, verify_against_gf
+{imports}
 n = {n}
 {setup}
 t0 = time.perf_counter()
 out = {call}
 elapsed = time.perf_counter() - t0
+import hashlib
 assert getattr(out, "status", "pass") == "pass", out
 print(elapsed, hashlib.sha256(str({result}).encode()).hexdigest()[:16])
 """
+LIBRARY = """from fractions import Fraction
+from geopoly import analytic, mellin
+from geopoly.families import exp_poly, geometric_poly, spivey_step
+from geopoly.params import HsuShiueParams
+from geopoly.series import PowerSeries, divide, exp_series, pow_int
+from geopoly.stirling import build_table, cached_table, verify_against_gf"""
+# what a suite's child imports before its setup; the import suite times its own
+IMPORTS = {"exact": LIBRARY, "numeric": LIBRARY, "import": ""}
 
 
 def child_code(suite: str, curve: str, n: int) -> str:
     _, setup, call, result = CASES[suite][curve]
-    return CHILD.format(n=n, setup=setup, call=call, result=result)
+    return CHILD.format(imports=IMPORTS[suite], n=n, setup=setup, call=call, result=result)
+
+
+def bytecode_cached(src: Path) -> bool:
+    """Whether every module of geopoly under ``src`` has a timestamp bytecode
+    cache that matches its source's mtime and size, so an import reads it."""
+    for py in (src / "geopoly").glob("*.py"):
+        try:
+            head = Path(importlib.util.cache_from_source(str(py))).read_bytes()[:16]
+        except FileNotFoundError:
+            return False
+        stat = py.stat()
+        stamp = struct.pack("<4sIII", importlib.util.MAGIC_NUMBER, 0,
+                            int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF)
+        if head != stamp:
+            return False
+    return True
 
 
 def pin_to_one_cpu() -> None:
@@ -171,14 +213,16 @@ def pin_to_one_cpu() -> None:
 
 
 def time_once(src: Path, suite: str, curve: str, n: int) -> tuple[float, str]:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-c", child_code(suite, curve, n)], env=env, check=True,
                          capture_output=True, text=True, preexec_fn=pin_to_one_cpu)
     elapsed, digest = out.stdout.split()
     return float(elapsed), digest
 
 
-def slope(points: dict[int, float]) -> float:
+def slope(points: dict[int, float]) -> float | None:
+    if len(points) < 2:
+        return None
     xs = [math.log(n) for n in points]
     ys = [math.log(t) for t in points.values()]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
@@ -200,6 +244,7 @@ def main() -> int:
         if not (src / "geopoly" / "__init__.py").is_file():
             parser.error(f"no geopoly package under {src}")
     srcs = dict(zip(args.label, (src.resolve() for src in args.src)))
+    cached = {label: bytecode_cached(src) for label, src in srcs.items()}
     curves = {label: {} for label in srcs}
     for curve, (sizes, *_) in CASES[args.suite].items():
         points = {label: {} for label in srcs}
@@ -214,9 +259,10 @@ def main() -> int:
                 (digests[label][n],) = {d for _, d in label_runs}  # every repeat gave the same result
                 print(f"{label} {curve} n={n}: {points[label][n]:.4f} s", file=sys.stderr, flush=True)
         for label in srcs:
+            exponent = slope(points[label])
             curves[label][curve] = {
-                "seconds": {str(n): round(t, 4) for n, t in points[label].items()},
-                "exponent": round(slope(points[label]), 3),
+                "seconds": {str(n): round(t, 6) for n, t in points[label].items()},
+                "exponent": None if exponent is None else round(exponent, 3),
                 "sha256": {str(n): d for n, d in digests[label].items()},
             }
     out = Path(f"BENCH_{args.suite}.json")
@@ -227,6 +273,7 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "repeats": args.repeats,
+            "bytecode_cache": cached[label],
             "curves": curves[label],
         }
     out.write_text(json.dumps(data, indent=2) + "\n")

@@ -1,133 +1,65 @@
 """Exact-arithmetic toolkit for generalized Stirling numbers, geometric
 polynomial families, degenerate Bernoulli/Euler polynomials, and the
-oracle-backed verification of the identities connecting them."""
+oracle-backed verification of the identities connecting them.
 
-from .analytic import (
-    EvalConfig,
-    digamma,
-    eval_dobinski_numeric,
-    eval_eq17_18,
-    eval_eq30_family,
-    eval_theorem5,
-    gamma_euler,
-    hurwitz_zeta,
-    log2,
-    pi,
-    zeta_int,
-)
-from .enumeration import (
-    barred_preferential_count,
-    ordered_set_partitions_count,
-    r_stirling_count,
-    set_partitions_count,
-)
-from .exact import (
-    Rational,
-    as_rational,
-    binomial_general,
-    falling_factorial,
-    gen_factorial,
-    rising_factorial,
-)
-from .families import (
-    bernoulli_number,
-    bernoulli_numbers,
-    bernoulli_poly,
-    bpa_number,
-    carlitz_beta,
-    degenerate_bernoulli2,
-    degenerate_euler,
-    euler_poly,
-    eval_minus_one,
-    exp_poly,
-    geometric_at,
-    geometric_poly,
-    howard_power_sum,
-    spivey_step,
-)
-from .identities import IDENTITY_IDS, run, run_all
-from .mellin import apply_operator
-from .params import HsuShiueParams
-from .polynomials import PolyQ
-from .report import CheckReport
-from .series import (
-    PowerSeries,
-    binom_deform,
-    compose,
-    divide,
-    exp_series,
-    gf_bernoulli2_degenerate,
-    gf_carlitz_beta,
-    gf_degenerate_euler,
-    gf_w,
-    inverse,
-    log_series,
-    pow_int,
-    pow_series,
-)
-from .stirling import StirlingTable, build_table, cached_table, specialize, verify_against_gf
+Importing the package loads none of its modules: the first read of a
+public name, or of a module as ``geopoly.<module>``, imports the module
+that defines it (PEP 562).
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "EvalConfig",
-    "HsuShiueParams",
-    "IDENTITY_IDS",
-    "PolyQ",
-    "PowerSeries",
-    "Rational",
-    "StirlingTable",
-    "apply_operator",
-    "as_rational",
-    "barred_preferential_count",
-    "bernoulli_number",
-    "bernoulli_numbers",
-    "bernoulli_poly",
-    "binom_deform",
-    "binomial_general",
-    "bpa_number",
-    "build_table",
-    "cached_table",
-    "carlitz_beta",
-    "compose",
-    "degenerate_bernoulli2",
-    "degenerate_euler",
-    "digamma",
-    "divide",
-    "euler_poly",
-    "eval_dobinski_numeric",
-    "eval_eq17_18",
-    "eval_eq30_family",
-    "eval_minus_one",
-    "eval_theorem5",
-    "exp_poly",
-    "exp_series",
-    "falling_factorial",
-    "gamma_euler",
-    "gen_factorial",
-    "geometric_at",
-    "geometric_poly",
-    "gf_bernoulli2_degenerate",
-    "gf_carlitz_beta",
-    "gf_degenerate_euler",
-    "gf_w",
-    "howard_power_sum",
-    "hurwitz_zeta",
-    "inverse",
-    "log2",
-    "log_series",
-    "ordered_set_partitions_count",
-    "pi",
-    "pow_int",
-    "pow_series",
-    "r_stirling_count",
-    "rising_factorial",
-    "run",
-    "run_all",
-    "set_partitions_count",
-    "specialize",
-    "spivey_step",
-    "verify_against_gf",
-    "zeta_int",
-]
+# every module of the package -> the public names it provides
+_EXPORTS = {
+    "analytic": (
+        "EvalConfig", "digamma", "eval_dobinski_numeric", "eval_eq17_18", "eval_eq30_family",
+        "eval_theorem5", "gamma_euler", "hurwitz_zeta", "log2", "pi", "zeta_int",
+    ),
+    "cli": (),
+    "enumeration": (
+        "barred_preferential_count", "ordered_set_partitions_count", "r_stirling_count",
+        "set_partitions_count",
+    ),
+    "exact": (
+        "Rational", "as_rational", "binomial_general", "falling_factorial", "gen_factorial",
+        "rising_factorial",
+    ),
+    "families": (
+        "bernoulli_number", "bernoulli_numbers", "bernoulli_poly", "bpa_number", "carlitz_beta",
+        "degenerate_bernoulli2", "degenerate_euler", "euler_poly", "eval_minus_one", "exp_poly",
+        "geometric_at", "geometric_poly", "howard_power_sum", "spivey_step",
+    ),
+    "identities": ("IDENTITY_IDS", "run", "run_all"),
+    "mellin": ("apply_operator",),
+    "memo": (),
+    "params": ("HsuShiueParams",),
+    "polynomials": ("PolyQ",),
+    "record": (),
+    "report": ("CheckReport",),
+    "series": (
+        "PowerSeries", "binom_deform", "compose", "divide", "exp_series",
+        "gf_bernoulli2_degenerate", "gf_carlitz_beta", "gf_degenerate_euler", "gf_w", "inverse",
+        "log_series", "pow_int", "pow_series",
+    ),
+    "stirling": ("StirlingTable", "build_table", "cached_table", "specialize", "verify_against_gf"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    elif name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

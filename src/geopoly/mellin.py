@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Sequence
 
-from .exact import as_size, binomial_general, gen_factorial
+from .exact import as_size, gen_factorial
 from .families import geometric_poly, exp_poly
 from .params import HsuShiueParams
 from .polynomials import PolyQ
@@ -74,6 +74,18 @@ def verify_eq1_poly(n: int, f: PolyQ, params: HsuShiueParams) -> CheckReport:
     return rpt.compare_each(zip(count(), lhs, rhs), "x^{}: operator {} != expansion {}")
 
 
+def _binomials(m: int, order: int) -> list[int]:
+    """C(m-1+k, k) for k = 0..order, each from the last by the ratio (m-1+k)/k.
+
+    c_(k-1) * (m-1+k) = k * c_k, so the floor division is exact for every
+    integer m, negative ones included: one product per coefficient.
+    """
+    out = [1]
+    for k in range(1, order + 1):
+        out.append(out[-1] * (m - 1 + k) // k)
+    return out
+
+
 def _composition(
     n: int, m: int, sign: int, params: HsuShiueParams, order: int
 ) -> PowerSeries:
@@ -118,8 +130,8 @@ def verify_series_identity(
     a, b, r = params.alpha, params.beta, params.r
     rpt = CheckReport(id=rid, params={"n": n, "s": s, "params": params, "order": order})
     lhs = [
-        sign**k * binomial_general(m - 1 + k, k) * gen_factorial(r + k * b, a, n)
-        for k in range(order + 1)
+        sign**k * c * gen_factorial(r + k * b, a, n)
+        for k, c in enumerate(_binomials(m, order))
     ]
     rhs = _composition(n, m, sign, params, order)
     return rpt.compare_each(
@@ -140,7 +152,7 @@ def verify_eq4_operator(n: int, s: int, params: HsuShiueParams, order: int) -> C
     rpt = CheckReport(
         id="EQ4_OPERATOR", params={"n": n, "s": s, "params": params, "order": order}
     )
-    lhs = apply_operator([binomial_general(s + k, k) for k in range(order + 1)], params, n)
+    lhs = apply_operator(_binomials(s + 1, order), params, n)
     rhs = _composition(n, s + 1, 1, params, order)
     return rpt.compare_each(
         zip(count(), lhs, rhs.coeffs), "[x^{}]: operator {} != composition {}"

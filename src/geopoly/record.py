@@ -9,7 +9,7 @@ it is unhashable, like a mutable dataclass.  `Frozen` adds immutability
 and a hash of the fields.  Records whose tuple semantics are harmless are
 NamedTuples instead.  Neither uses `dataclasses`: with the `inspect` it
 imports and the methods it compiles per class, it cost about a third of a
-cold ``import geopoly`` without a bytecode cache.
+cold load of the library's modules without a bytecode cache.
 """
 
 from operator import attrgetter

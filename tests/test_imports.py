@@ -4,15 +4,17 @@ method of a library class is read as an attribute somewhere in the
 repository's Python code, only `exact.over_lcm` takes the lcm of
 denominators, and only `exact.as_size` raises a bound on a size.
 
-`__init__.py` is exempt from the import check: its imports are the
-package's public surface.  Only the standard library's `ast` is needed, so
-the checks run wherever the tests do.
+The package namespace loads a module on the first read of one of its
+names: a fresh `import geopoly` loads no module of the package, and every
+public name is its defining module's own object.  Only the standard
+library is needed, so the checks run wherever the tests do.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ import pytest
 import geopoly
 
 SOURCES = sorted(Path(geopoly.__file__).resolve().parent.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+SUBMODULES = [p.stem for p in SOURCES if p.stem not in ("__init__", "__main__")]
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -67,7 +69,7 @@ def _used(tree: ast.Module) -> set[str]:
     return names | _annotation_names(tree)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
@@ -262,10 +264,102 @@ def test_detector_flags_a_lower_bound_raise():
     ]
 
 
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this geopoly."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 def test_import_leaves_dataclasses_and_inspect_out():
     # a cold import without a bytecode cache paid about a third of its time
-    # for dataclasses and the inspect module it imports
-    probe = "import sys, geopoly; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(Path(geopoly.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
+    # for dataclasses and the inspect module it imports; a bare
+    # `import geopoly` loads no module, so probe after loading every one
+    modules = ", ".join(f"geopoly.{p.stem}" for p in SOURCES if p.stem != "__init__")
+    probe = (f"import sys\nfrom geopoly import *\nimport {modules}\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert _fresh(probe) == "[]"
+
+
+# The names `from geopoly import ...` gave before the package loaded its
+# modules on demand; none of them may go missing from the namespace.
+EAGER_SURFACE = (
+    "CheckReport EvalConfig HsuShiueParams IDENTITY_IDS PolyQ PowerSeries Rational StirlingTable "
+    "apply_operator as_rational barred_preferential_count bernoulli_number bernoulli_numbers "
+    "bernoulli_poly binom_deform binomial_general bpa_number build_table cached_table "
+    "carlitz_beta compose degenerate_bernoulli2 degenerate_euler digamma divide euler_poly "
+    "eval_dobinski_numeric eval_eq17_18 eval_eq30_family eval_minus_one eval_theorem5 exp_poly "
+    "exp_series falling_factorial gamma_euler gen_factorial geometric_at geometric_poly "
+    "gf_bernoulli2_degenerate gf_carlitz_beta gf_degenerate_euler gf_w howard_power_sum "
+    "hurwitz_zeta inverse log2 log_series ordered_set_partitions_count pi pow_int pow_series "
+    "r_stirling_count rising_factorial run run_all set_partitions_count specialize spivey_step "
+    "verify_against_gf zeta_int"
+).split()
+
+
+def test_import_loads_no_module_until_a_name_is_read():
+    out = _fresh(
+        "import sys, geopoly\n"
+        "loaded = lambda: ' '.join(sorted(m for m in sys.modules if m.startswith('geopoly')))\n"
+        "print(loaded())\ngeopoly.build_table\nprint(loaded())"
+    )
+    bare, after_read = (line.split() for line in out.splitlines())
+    assert bare == ["geopoly"]
+    # reading one name loads its layer and what that imports, not the registry or the CLI
+    assert "geopoly.stirling" in after_read
+    assert not {"geopoly.analytic", "geopoly.identities", "geopoly.mellin", "geopoly.cli"} & set(
+        after_read
+    )
+
+
+def test_every_public_name_is_its_owners_object():
+    out = _fresh(
+        "import geopoly\nfrom importlib import import_module\n"
+        "print([name for name in geopoly.__all__ if getattr(geopoly, name) is not\n"
+        "       getattr(import_module('geopoly.' + geopoly._OWNER[name]), name)])"
+    )
+    assert out == "[]"
+
+
+def test_every_module_is_reachable_as_an_attribute():
+    out = _fresh(
+        f"import sys, geopoly\nnames = {SUBMODULES!r}\n"
+        "print([n for n in names if getattr(geopoly, n) is not sys.modules['geopoly.' + n]])"
+    )
+    assert out == "[]"
+    # the documented spelling, through the package alone
+    assert _fresh("import geopoly\nprint(len(geopoly.identities.REGISTRY) > 0, "
+                  "callable(geopoly.identities.run))") == "True True"
+
+
+def test_dir_and_star_import_list_every_public_name():
+    out = _fresh(
+        "import geopoly\nnamespace = {}\nexec('from geopoly import *', namespace)\n"
+        "print(sorted(set(geopoly.__all__) - set(dir(geopoly))))\n"
+        "print(sorted(set(geopoly.__all__) - set(namespace)))"
+    )
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_unknown_name_raises_attribute_error():
+    out = _fresh(
+        "import geopoly\ntry:\n    geopoly.nope\nexcept AttributeError as e:\n    print(e)\n"
+        "print(hasattr(geopoly, 'nope'))"
+    )
+    assert out.splitlines() == ["module 'geopoly' has no attribute 'nope'", "False"]
+
+
+def test_export_table_matches_the_modules():
+    assert sorted(geopoly._EXPORTS) == SUBMODULES
+    names = [name for names in geopoly._EXPORTS.values() for name in names]
+    assert len(names) == len(set(names)) == len(geopoly.__all__), "a name listed twice"
+    assert set(EAGER_SURFACE) <= set(geopoly.__all__)
+    for owner, names in geopoly._EXPORTS.items():
+        module = import_module(f"geopoly.{owner}")
+        for name in names:
+            assert name in vars(module), (owner, name)
+            home = getattr(vars(module)[name], "__module__", None) or ""
+            # a function or class of the package is listed under the module that defines it
+            assert not home.startswith("geopoly.") or home == module.__name__, (owner, name, home)

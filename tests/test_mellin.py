@@ -127,6 +127,12 @@ def test_eq38_rewrite_is_the_printed_binomial():
             assert (-1) ** k * binomial_general(k - s - 1, k) == binomial_general(s, k), (s, k)
 
 
+def test_running_binomials_are_the_falling_products():
+    # the termwise sides carry C(m-1+k, k) by its ratio; m = -s is EQ38's
+    for m in range(-7, 8):
+        assert M._binomials(m, 12) == [binomial_general(m - 1 + k, k) for k in range(13)], m
+
+
 def test_eq38_polynomial_truncation_is_finite():
     # with integer s the left side is a polynomial of degree s
     s = 3
