@@ -36,7 +36,13 @@ curves, each a row of ``CASES``:
   from a cold cache (smaller orders take under 3 ms); and, on no
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
-  ``pow_int(b, 3)``) on fixed rational series of order n = 50..400.
+  ``pow_int(b, 3)``) on fixed rational series of order n = 50..400; and
+  the two routes to the Bernoulli numbers B_0..B_n: ``bernoulli series``,
+  ``bernoulli_numbers(n)`` from a cold cache, so one ``divide`` at order
+  n + 1 (the exact oracle's route), n = 128..1024 (n = 2048 would take
+  about 80 s a point), and ``bernoulli tangent``,
+  ``analytic._tangent_numbers(n // 2)``, the integer tangent numbers that
+  the numeric layer's B_2..B_n come from, n = 128..2048.
 - ``numeric``, at n = 256..4096 bits: ``eq30_family_n3``,
   ``eval_eq30_family(3, cfg)``, whose cost is its series side: the zeta
   table zeta(2..S) of that precision (S = 341 at 256 bits, 4181 at 4096)
@@ -107,6 +113,13 @@ EXACT = {
     "eq4_operator": (MELLIN_ORDERS, "", "mellin.verify_eq4_operator(4, 2, p, n)", "out.to_dict()"),
 }
 SERIES_ORDERS = (50, 100, 200, 400)
+# the Bernoulli routes on no triple: (sizes, timed call, the result that is hashed); the
+# tangent numbers are hashed in hex, since T_1024 has more digits than str(int) may print
+BERNOULLI = {
+    "bernoulli series": ((128, 256, 512, 1024), "bernoulli_numbers(n)", "out"),
+    "bernoulli tangent": ((128, 256, 512, 1024, 2048), "analytic._tangent_numbers(n // 2)",
+                          "list(map(hex, out))"),
+}
 # fixed series of order n, numerators -9..9 over denominators up to 9; b_0 = 1, z = a - a_0
 SERIES_SETUP = (
     "a = PowerSeries.from_coeffs([Fraction(7 * j % 19 - 9, j % 9 + 1) for j in range(n + 1)])\n"
@@ -138,6 +151,8 @@ CASES = {
     } | {
         f"series {curve}": (SERIES_ORDERS, SERIES_SETUP, call, "out.coeffs")
         for curve, call in SERIES.items()
+    } | {
+        curve: (sizes, "", call, result) for curve, (sizes, call, result) in BERNOULLI.items()
     },
     "numeric": {
         "eq30_family_n3": (
@@ -179,7 +194,7 @@ print(elapsed, hashlib.sha256(str({result}).encode()).hexdigest()[:16])
 """
 LIBRARY = """from fractions import Fraction
 from geopoly import analytic, mellin
-from geopoly.families import exp_poly, geometric_poly, spivey_step
+from geopoly.families import bernoulli_numbers, exp_poly, geometric_poly, spivey_step
 from geopoly.params import HsuShiueParams
 from geopoly.series import PowerSeries, divide, exp_series, pow_int
 from geopoly.stirling import build_table, cached_table, verify_against_gf"""

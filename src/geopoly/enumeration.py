@@ -3,18 +3,23 @@
 Everything here is counted by brute enumeration -- no Stirling numbers, no
 closed forms -- so these totals can sit on the opposite side of an identity
 check from the algebraic machinery.  Enumeration blows up factorially, so
-every entry point guards n <= MAX_ENUM_N.
+every entry point guards n <= MAX_ENUM_N, and the barred count s <= MAX_ENUM_S.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import countOf
 from typing import Iterator
 
 from .exact import as_size
 from .memo import CACHE_CAP, Memo
 
 MAX_ENUM_N = 10
+# The bars' walk at n = MAX_ENUM_N visits C(n + s + 1, s + 1) placements; at s = 12
+# it took 0.037 s, under the 0.12 s of the n = 10 ordering walk it rides with
+# (s = 13: 0.064 s; one pinned CPU, Python 3.11).
+MAX_ENUM_S = 12
 
 
 def set_partition_labels(n: int) -> Iterator[tuple[list[int], int]]:
@@ -61,14 +66,15 @@ def set_partitions_count(n: int, k: int | None = None) -> int:
 
 @Memo(CACHE_CAP)
 def _perm_count(k: int) -> int:
-    # orderings counted by enumeration, not by a factorial formula
-    return sum(1 for _ in permutations(range(k)))
+    # orderings counted by enumeration, not by a factorial formula: every
+    # one has length k (the empty one at k = 0 too), counted in one C pass
+    return countOf(map(len, permutations(range(k))), k)
 
 
 @Memo(CACHE_CAP)
 def _bar_placements(k: int, s: int) -> int:
     # ways to interleave s identical bars with k blocks, counted exhaustively
-    return sum(1 for _ in combinations(range(k + s), s))
+    return countOf(map(len, combinations(range(k + s), s)), s)
 
 
 def ordered_set_partitions_count(n: int, k: int | None = None) -> int:
@@ -83,7 +89,7 @@ def ordered_set_partitions_count(n: int, k: int | None = None) -> int:
 def barred_preferential_count(n: int, s: int) -> int:
     """Ordered set partitions with s separating bars inserted among blocks."""
     as_size(n, most=MAX_ENUM_N)
-    as_size(s, "s")
+    as_size(s, "s", 0, MAX_ENUM_S)
     profile = _block_count_profile(n)
     return sum(
         profile[j] * _perm_count(j) * _bar_placements(j, s) for j in range(len(profile))

@@ -21,19 +21,23 @@ The ring kernels (``*``, :func:`divide`, :func:`exp_series`,
 :func:`log_series`) never accumulate Fractions term by term.  Each puts
 its operands once on integers with `exact.over_lcm`, runs the O(n^2)
 convolution or recurrence in ``int``, and builds exactly one Fraction --
-one gcd normalization -- per output coefficient.  The recurrences
-(divide, exp, log) feed each new coefficient back as a numerator over the
-least common denominator of the coefficients produced so far; that
-denominator grows only when a new coefficient needs it, and the stored
-numerators are rescaled then.
+one gcd normalization -- per output coefficient.  A square ``a * a``
+computes each cross product a_i a_j (i < j) once and doubles it.  The
+recurrences (divide, exp, log) feed each new coefficient back as a
+numerator over the least common denominator of the coefficients produced
+so far (:func:`_recurrence`).  That denominator grows only when a new
+coefficient needs it, and then only the newest numerators -- fewer than
+ceil(sqrt(order)) of them -- are rescaled; the older ones stay settled over
+an earlier denominator, their dot product is scaled by one multiplication,
+and they are rescaled together once per ceil(sqrt(order)) coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from operator import mul
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .exact import RationalLike, as_rational, as_size, over_lcm
 from .params import HsuShiueParams
@@ -42,19 +46,52 @@ from .record import Frozen
 ScalarLike = Union[Fraction, int]
 
 
-def _append(nums: list[int], den: int, q: Fraction, weight: int = 1) -> int:
-    """Append the numerator of weight*q to nums, all over a common denominator.
+def _recurrence(
+    c: list[int], first: Fraction, step: Callable[[int, int, int], Fraction], weighted: bool = False
+) -> tuple[Fraction, ...]:
+    """q_0 = first and q_n = step(n, dot, den) for n = 1..order, order = len(c) - 1.
 
-    den is the denominator nums are currently over; when q needs a larger
-    one, nums is rescaled in place.  Returns the denominator after the append.
+    dot/den = sum_{i<n} w_i q_i c_(n-i), with w_i = i if weighted, else 1, and
+    den the least common denominator of q_0..q_(n-1).  The fed-back
+    numerators w_i q_i den are kept in two parts.  The newest, fewer than
+    `block`, are in `tail` over den.  The older ones are settled in `head`
+    over den/scale, so their dot product is scaled by one multiplication.
+    When den grows, only the tail and scale are rescaled, and every `block`
+    appends the tail joins the head with one rescale of the head.
+    block = ceil(sqrt(order)) makes that O(sqrt(order)) big-integer products
+    per step, where rescaling every stored numerator would be O(order).
     """
-    e = q.denominator
-    if den % e:
-        f = e // gcd(den, e)
-        nums[:] = [x * f for x in nums]
-        den *= f
-    nums.append(weight * q.numerator * (den // e))
-    return den
+    order = len(c) - 1
+    rev = c[::-1]
+    block = isqrt(order - 1) + 1 if order else 1
+    out = [first]
+    head: list[int] = []
+    tail: list[int] = []
+    den = scale = 1
+    q = first
+    for n in range(1, order + 1):
+        e = q.denominator  # feed back q = q_(n-1)
+        if den % e:
+            f = e // gcd(den, e)
+            tail = [x * f for x in tail]
+            scale *= f
+            den *= f
+        num = q.numerator * (den // e)
+        tail.append(num * (n - 1) if weighted else num)
+        if len(tail) == block:
+            if scale != 1:
+                head = [x * scale for x in head]
+                scale = 1
+            head += tail
+            tail = []
+        h = len(head)
+        lo = order - n
+        dot = sum(map(mul, tail, rev[lo + h : order]))
+        if h:
+            dot += sum(map(mul, head, rev[lo : lo + h])) * scale
+        q = step(n, dot, den)
+        out.append(q)
+    return tuple(out)
 
 
 class PowerSeries(Frozen):
@@ -142,6 +179,8 @@ class PowerSeries(Frozen):
             return PowerSeries(tuple(c * a for a in self.coeffs))
         n = min(self.order, other.order)
         a, da = over_lcm(self.coeffs[: n + 1])
+        if other is self:
+            return _square(a, da)
         b, db = over_lcm(other.coeffs[: n + 1])
         den = da * db
         b.reverse()
@@ -150,6 +189,21 @@ class PowerSeries(Frozen):
         )
 
     __rmul__ = __mul__
+
+
+def _square(a: list[int], da: int) -> PowerSeries:
+    """(sum_i a_i t^i / da)^2: each a_i a_(k-i) with i < k - i once, doubled."""
+    n = len(a) - 1
+    r = a[::-1]
+    den = da * da
+    out = []
+    for k in range(n + 1):
+        h = k >> 1
+        acc = sum(map(mul, a[: k - h], r[n - k : n - h])) << 1
+        if not k & 1:
+            acc += a[h] * a[h]
+        out.append(Fraction(acc, den))
+    return PowerSeries(tuple(out))
 
 
 def divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -171,15 +225,10 @@ def divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     nums, _ = over_lcm(a.coeffs[vb : vb + order + 1] + b.coeffs[vb : vb + order + 1])
     an, bn = nums[: order + 1], nums[order + 1 :]
     b0 = bn[0]
-    bn.reverse()
-    out: list[Fraction] = []
-    qn: list[int] = []  # numerators of out over den
-    den = 1
-    for n in range(order + 1):
-        acc = an[n] * den - sum(map(mul, qn, bn[order - n : order]))
-        out.append(Fraction(acc, den * b0))
-        den = _append(qn, den, out[n])
-    return PowerSeries(tuple(out))
+    # q_n = (a_n - sum_{i<n} q_i b_(n-i)) / b_0
+    return PowerSeries(_recurrence(
+        bn, Fraction(an[0], b0), lambda n, dot, den: Fraction(an[n] * den - dot, den * b0)
+    ))
 
 
 def inverse(b: PowerSeries) -> PowerSeries:
@@ -213,36 +262,21 @@ def exp_series(a: PowerSeries) -> PowerSeries:
     """exp(a) for a series with zero constant term."""
     if a.coeffs[0] != 0:
         raise ValueError("exp_series requires valuation >= 1 (zero constant term)")
-    order = a.order
     an, da = over_lcm(a.coeffs)
     # n*e_n = sum_{k=1}^{n} k*a_k*e_{n-k}  (from e' = a'e)
     ka = [k * c for k, c in enumerate(an)]
-    ka.reverse()
-    out = [Fraction(1)]
-    en = [1]  # numerators of out over den
-    den = 1
-    for n in range(1, order + 1):
-        out.append(Fraction(sum(map(mul, en, ka[order - n : order])), n * da * den))
-        den = _append(en, den, out[n])
-    return PowerSeries(tuple(out))
+    return PowerSeries(_recurrence(ka, Fraction(1), lambda n, dot, den: Fraction(dot, n * da * den)))
 
 
 def log_series(a: PowerSeries) -> PowerSeries:
     """log(a) for a series with constant term 1."""
     if a.coeffs[0] != 1:
         raise ValueError("log_series requires constant term 1")
-    order = a.order
     an, da = over_lcm(a.coeffs)
     # n*l_n = n*a_n - sum_{k=1}^{n-1} k*l_k*a_{n-k}  (from a*l' = a')
-    ar = an[::-1]
-    out = [Fraction(0)]
-    kl = [0]  # numerators of k*out[k] over den
-    den = 1
-    for n in range(1, order + 1):
-        acc = n * an[n] * den - sum(map(mul, kl, ar[order - n : order]))
-        out.append(Fraction(acc, n * da * den))
-        den = _append(kl, den, out[n], n)
-    return PowerSeries(tuple(out))
+    return PowerSeries(_recurrence(
+        an, Fraction(0), lambda n, dot, den: Fraction(n * an[n] * den - dot, n * da * den), weighted=True
+    ))
 
 
 def pow_series(a: PowerSeries, c: RationalLike) -> PowerSeries:

@@ -1,6 +1,7 @@
 from decimal import Decimal
 from fractions import Fraction as F
-from math import factorial
+import random
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -154,6 +155,63 @@ def test_exp_series_matches_reference(a):
 @example(a=PowerSeries((F(1),)))
 def test_log_series_matches_reference(a):
     assert log_series(a).coeffs == ref_log(a)
+
+
+# The recurrences settle their oldest fed-back numerators once per
+# ceil(sqrt(order)) outputs.  These orders settle never (0, 1), once or twice
+# (2..5), on both sides of a block length change (7..10, 15..17) and many
+# times (60, 61).
+BLOCK_ORDERS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 15, 16, 17, 60, 61]
+# primes above every numerator drawn, so no coefficient reduces away its own
+PRIMES = [p for p in range(11, 800) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def block_series(order, dens, seed, lead=None, valuation=0):
+    """A series whose j-th coefficient is a nonzero numerator over dens[j].
+
+    With distinct primes the recurrences' common denominator grows at almost
+    every step; over 1 (and a unit leading coefficient) it never grows.  The
+    first `valuation` coefficients are zero and the next is `lead` if given.
+    """
+    rng = random.Random(f"{order}:{dens}:{seed}")
+    dens = PRIMES if dens == "primes" else [1] * len(PRIMES)
+    cs = [F(rng.choice((-1, 1)) * rng.randint(1, 9), d) for d in dens[: order + 1]]
+    cs[:valuation] = [F(0)] * valuation
+    if lead is not None:
+        cs[valuation] = F(lead)
+    return PowerSeries(tuple(cs))
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+@pytest.mark.parametrize("dens", ["primes", "integers"])
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_divide_across_settlements(order, dens, shift):
+    lead = 1 if dens == "integers" else None
+    b = block_series(order + shift, dens, 1, lead, valuation=shift)
+    a = block_series(order + shift, dens, 2, valuation=shift)
+    assert divide(a, b).coeffs == ref_divide(a, b)
+
+
+@pytest.mark.parametrize("dens", ["primes", "integers"])
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_exp_series_across_settlements(order, dens):
+    a = block_series(order, dens, 3, lead=0)
+    assert exp_series(a).coeffs == ref_exp(a)
+
+
+@pytest.mark.parametrize("dens", ["primes", "integers"])
+@pytest.mark.parametrize("order", BLOCK_ORDERS)
+def test_log_series_across_settlements(order, dens):
+    a = block_series(order, dens, 4, lead=1)
+    assert log_series(a).coeffs == ref_log(a)
+
+
+@pytest.mark.parametrize("dens", ["primes", "integers"])
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 8, 60, 61])
+def test_square_matches_reference(order, dens):
+    # a * a takes the half-convolution; a copy of a takes the general product
+    a = block_series(order, dens, 5)
+    assert (a * a).coeffs == ref_mul(a, a) == (a * PowerSeries(a.coeffs)).coeffs
 
 
 def test_ring_basics():

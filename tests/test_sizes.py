@@ -112,6 +112,7 @@ CEILINGS = [
     ("set_partition_labels", lambda v: next(set_partition_labels(v)), "n", 10),
     ("ordered_set_partitions_count", lambda v: ordered_set_partitions_count(v), "n", 10),
     ("barred_preferential_count", lambda v: barred_preferential_count(v, 1), "n", 10),
+    ("barred_preferential_count s", lambda v: barred_preferential_count(1, v), "s", 12),
     ("r_stirling_count n", lambda v: r_stirling_count(v, 1, 1), "n", 10),
     ("r_stirling_count r <= n", lambda v: r_stirling_count(3, 1, v), "r", 3),
     ("verify_against_gf order <= n_max",
