@@ -58,7 +58,9 @@ curves, each a row of ``CASES``:
   constants and the table, so the time is the series terms, each an
   n-factor product, and the closed-side sums (beta = 1/8 keeps the value
   small enough for the absolute tolerance at n = 24; at beta = 2 the
-  verdict fails from n = 20 on).
+  verdict fails from n = 20 on); and, at n bits again, ``zeta_table``,
+  ``analytic._zeta_table(analytic.EvalConfig(n).digits)`` from a cold
+  cache, the table alone with the coefficient table it builds on its way.
 - ``import``, one point each: ``import geopoly`` in a fresh interpreter;
   then the first reads of ``geopoly.build_table``, ``geopoly.eval_theorem5``
   and ``geopoly.run_all``, each timed after an untimed import and the
@@ -67,10 +69,14 @@ curves, each a row of ``CASES``:
 
 Each curve of two or more sizes gets the least-squares slope of log(time)
 on log(n) (``null`` for one size), and each point the first 16 hex digits
-of the sha256 of its result, so two runs can be checked to agree.  Each run is stored under its ``--label`` in
-``BENCH_<suite>.json`` in the working directory; other labels are kept, so
-one run on two checkouts leaves a before/after pair in one file.  A new
-curve is a new row.  Standard library only.
+of the sha256 of its result, so two runs can be checked to agree.  A point
+whose child fails is stored as ``{"error": <the last line of its
+stderr>}``, with no digest, and left out of the fit.  Each run is stored
+under its ``--label`` in ``BENCH_<suite>.json`` in the working directory,
+rewritten as each curve finishes, so a run that stops keeps the curves it
+finished; other labels are kept, so one run on two checkouts leaves a
+before/after pair in one file.  A new curve is a new row.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -167,6 +173,7 @@ CASES = {
             (3, 6, 12, 24), f"cfg = analytic.EvalConfig(256)\n{THEOREM5_N}",
             THEOREM5_N, "out.to_dict()",
         ),
+        "zeta_table": (BITS, "", "analytic._zeta_table(analytic.EvalConfig(n).digits)", "out"),
     },
     "import": {
         "import geopoly": ((1,), "", '__import__("geopoly")', "sorted(out.__all__)"),
@@ -235,6 +242,38 @@ def time_once(src: Path, suite: str, curve: str, n: int) -> tuple[float, str]:
     return float(elapsed), digest
 
 
+def measure_point(srcs: dict[str, Path], suite: str, curve: str, n: int,
+                  repeats: int) -> dict[str, tuple[float, str] | dict[str, str]]:
+    """Each label's (median seconds, digest) at size n, or {"error": ...}.
+
+    The labels take turns, in an order that flips each repeat.  A label
+    whose child fails gets the last line of the child's stderr and runs no
+    further repeat; one whose repeats disagree on the result gets an error
+    too.
+    """
+    runs: dict[str, list[tuple[float, str]]] = {label: [] for label in srcs}
+    errors: dict[str, dict[str, str]] = {}
+    for i in range(repeats):
+        for label in list(srcs)[:: -1 if i % 2 else 1]:
+            if label in errors:
+                continue
+            try:
+                runs[label].append(time_once(srcs[label], suite, curve, n))
+            except subprocess.CalledProcessError as exc:
+                lines = exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"]
+                errors[label] = {"error": lines[-1]}
+    points: dict[str, tuple[float, str] | dict[str, str]] = {}
+    for label, label_runs in runs.items():
+        digests = {d for _, d in label_runs}
+        if label in errors:
+            points[label] = errors[label]
+        elif len(digests) > 1:
+            points[label] = {"error": f"the repeats gave {len(digests)} different results"}
+        else:
+            points[label] = (statistics.median(t for t, _ in label_runs), digests.pop())
+    return points
+
+
 def slope(points: dict[int, float]) -> float | None:
     if len(points) < 2:
         return None
@@ -242,6 +281,26 @@ def slope(points: dict[int, float]) -> float | None:
     ys = [math.log(t) for t in points.values()]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def curve_row(points: dict[int, tuple[float, str] | dict[str, str]]) -> dict:
+    """One label's row of a curve; the exponent is fitted on the points that ran."""
+    timed = {n: point for n, point in points.items() if isinstance(point, tuple)}
+    exponent = slope({n: t for n, (t, _) in timed.items()})
+    return {
+        "seconds": {str(n): round(point[0], 6) if n in timed else point
+                    for n, point in points.items()},
+        "exponent": None if exponent is None else round(exponent, 3),
+        "sha256": {str(n): d for n, (_, d) in timed.items()},
+    }
+
+
+def write_runs(out: Path, runs: dict[str, dict]) -> None:
+    """Merge ``runs`` into ``out`` under their labels, keeping the other labels."""
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data["unit"] = "s, raw wall time of one call in a cold process pinned to one CPU, median of repeats"
+    data.setdefault("runs", {}).update(runs)
+    out.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def main() -> int:
@@ -259,39 +318,27 @@ def main() -> int:
         if not (src / "geopoly" / "__init__.py").is_file():
             parser.error(f"no geopoly package under {src}")
     srcs = dict(zip(args.label, (src.resolve() for src in args.src)))
-    cached = {label: bytecode_cached(src) for label, src in srcs.items()}
-    curves = {label: {} for label in srcs}
-    for curve, (sizes, *_) in CASES[args.suite].items():
-        points = {label: {} for label in srcs}
-        digests = {label: {} for label in srcs}
-        for n in sizes:
-            runs = {label: [] for label in srcs}
-            for i in range(args.repeats):
-                for label in list(srcs)[:: -1 if i % 2 else 1]:
-                    runs[label].append(time_once(srcs[label], args.suite, curve, n))
-            for label, label_runs in runs.items():
-                points[label][n] = statistics.median(t for t, _ in label_runs)
-                (digests[label][n],) = {d for _, d in label_runs}  # every repeat gave the same result
-                print(f"{label} {curve} n={n}: {points[label][n]:.4f} s", file=sys.stderr, flush=True)
-        for label in srcs:
-            exponent = slope(points[label])
-            curves[label][curve] = {
-                "seconds": {str(n): round(t, 6) for n, t in points[label].items()},
-                "exponent": None if exponent is None else round(exponent, 3),
-                "sha256": {str(n): d for n, d in digests[label].items()},
-            }
     out = Path(f"BENCH_{args.suite}.json")
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data["unit"] = "s, raw wall time of one call in a cold process pinned to one CPU, median of repeats"
-    for label in srcs:
-        data.setdefault("runs", {})[label] = {
+    runs = {
+        label: {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "repeats": args.repeats,
-            "bytecode_cache": cached[label],
-            "curves": curves[label],
+            "bytecode_cache": bytecode_cached(src),
+            "curves": {},
         }
-    out.write_text(json.dumps(data, indent=2) + "\n")
+        for label, src in srcs.items()
+    }
+    for curve, (sizes, *_) in CASES[args.suite].items():
+        points: dict[str, dict] = {label: {} for label in srcs}
+        for n in sizes:
+            for label, point in measure_point(srcs, args.suite, curve, n, args.repeats).items():
+                points[label][n] = point
+                shown = point["error"] if isinstance(point, dict) else f"{point[0]:.4f} s"
+                print(f"{label} {curve} n={n}: {shown}", file=sys.stderr, flush=True)
+        for label in srcs:
+            runs[label]["curves"][curve] = curve_row(points[label])
+        write_runs(out, runs)
     return 0
 
 

@@ -22,41 +22,48 @@ remainder after the m-th correction is bounded by the first omitted term
 (classical envelope property).  That bound is the Decimal term the loop
 computes anyway, and the expansion is cut once it falls below the target
 10^-(digits-5) less one part in 10^digits, a margin that covers its
-rounding error (the budget is in `_em_corrections`); if the terms bottom out
-first, N is doubled and the evaluation restarts.  Every head term is
-written as q^s / (p + jq)^s, so no Fraction arithmetic runs inside the
-loop.
+rounding error (the budget is in `_em_terms` and `_em_cut`); if the
+terms bottom out first, N is doubled and the evaluation restarts.  Every
+head term is written as q^s / (p + jq)^s, so no Fraction arithmetic runs
+inside the loop.
 
 digamma is the same expansion at s = 1, since psi(a) = -lim_{s->1}
 (zeta(s, a) - 1/(s-1)): the term (a+N)^(1-s)/(s-1) gives way to -ln(a+N),
 B_2m/(2m)! <1>_{2m-1} = B_2m/(2m), and N lifts a + N to the cut.  One
-loop, `_em_corrections`, sums the corrections for both, and `_em_parts`
-adds the head and the doubling of N.  The Euler constant is
--digamma(1), pi comes from a Machin arctangent pair
-(alternating series, tail bounded by the first omitted term), and log 2
-from the correctly rounded stdlib ln.
+row, `_em_terms`, yields the correction terms for both, one rule,
+`_em_cut`, stops them, and `_em_parts` adds the head and the doubling of
+N.  The Euler constant is -digamma(1), pi comes from a Machin arctangent
+pair (alternating series, tail bounded by the first omitted term), and
+log 2 from the correctly rounded stdlib ln.
 
-The loop reads B_2m/(2m)! from one table per working precision, built
+The row reads B_2m/(2m)! from one table per working precision, built
 on its first use at the length that precision asks for from the integer
 tangent numbers T_1..T_M (Brent & Harvey, "Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286): B_2m = (-1)^(m-1) 2m T_m /
 (4^m (4^m - 1)), so each entry is one division of two exact integers,
-rounded once at digits + 10.  `families.bernoulli_numbers`, the
-t/(e^t - 1) series, stays the exact-layer oracle and is the test oracle
-of the tangent route.  The loop carries <s>_{2m-1} (a+N)^(1-s-2m) as one
-running Decimal, moved to the next m by an integer product and an
-integer division (a + N = num/den), so each step multiplies two
-full-precision Decimals only once, for the term itself.  Should it run
-past the end of its table, the table of that precision is built again,
-twice as long.  The zeta values, the constants, the tables and the
-zeta table below are each cached in a `memo.Memo` of CACHE_CAP keys.
+rounded once at digits + 10; 4^m (2m)! is carried as an exact Decimal.
+`families.bernoulli_numbers`, the t/(e^t - 1) series, stays the
+exact-layer oracle and is the test oracle of the tangent route.  The row
+carries <s>_{2m-1} (a+N)^(1-s-2m) as one running Decimal, moved to the
+next m by an integer product and an integer division (a + N = num/den),
+so each step multiplies two full-precision Decimals only once, for the
+term itself.  Should it run past the end of its table, the table of that
+precision is built again, twice as long.  The zeta values, the
+constants, the tables and the zeta table below are each cached in a
+`memo.Memo` of CACHE_CAP keys.
 
 The series sides (Theorem 5 and the Eq. (30) family) read zeta(2), zeta(3),
 ... from `_zeta_table`, one finite run over s per precision that returns
 the Decimals zeta_int returns, at a fraction of the cost; the closed sides
 keep hurwitz_zeta, zeta_int and digamma.  Below some s the table runs
-Euler-Maclaurin; from there on it sums directly.  The tail of the sum is
-bounded by its first term plus the integral of the decreasing (1+x)^-s:
+Euler-Maclaurin at a fixed N, and carries its corrections from s - 1 to s
+rather than building each row: term_m(s) = term_m(s-1) (s+2m-2) /
+((s-1)(1+N)) takes a product and a division by small integers, and no
+full-precision product (the budget is in `_zeta_table`).  So the series
+sides build the closed sides' row only at s = 2 and where the carried
+terms fail `_em_cut`.  From there on the table sums directly.  The tail
+of the sum is bounded by its first term plus the integral of the
+decreasing (1+x)^-s:
 
     sum_{j>=J} (1+j)^-s <= (1+J)^-s * (s+J)/(s-1).
 
@@ -73,7 +80,7 @@ the top of the range the numeric layer is measured at.  Precision is the one
 setting: every cache keys on the working digits, and MAX_TERMS = 10000
 bounds every series and Euler-Maclaurin loop.  Measured on
 eval_theorem5((1/2, 2, 1), 3, 1/2) from 1024 to 4096 bits, each doubling of
-the bits costs seven to ten times more.
+the bits costs five to six times more.
 
 Series verdicts
 ---------------
@@ -101,7 +108,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from math import ceil, factorial, prod
@@ -173,6 +180,10 @@ def _constant(name: str, cfg: EvalConfig, compute: Callable[[], Decimal]) -> Dec
     return _CONST_CACHE.put(key, out)
 
 
+# integer products in this context are exact, or raise Inexact
+_EXACT = Context(prec=MAX_PREC, traps=[Inexact])
+
+
 def _asymptotic_cut(digits: int) -> int:
     # exp(-2*pi*N) must undercut 10^-digits; 0.45*digits leaves ~25% slack
     return max(24, ceil(0.45 * digits))
@@ -195,17 +206,21 @@ def _em_coeffs(digits: int, m: int) -> tuple[Decimal, ...]:
     """B_2j/(2j)! for j = 0..m, each rounded once at digits + 10.
 
     B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), so each entry is one
-    division of exact integers, the correctly rounded quotient.
+    division of exact integers, the correctly rounded quotient.  The
+    denominator's 4^j (2j)! is carried as a Decimal in a context too wide
+    to round (`_EXACT`, which traps Inexact), so each entry converts only
+    the numerator and 4^j - 1 from int.
     """
     t = _tangent_numbers(m)
     out = [Decimal(1)]
-    four, fact = 1, 1  # 4^j and (2j)!, running integers
+    four, scale = 1, Decimal(1)  # 4^j, and 4^j (2j)! as an exact Decimal
     with localcontext() as ctx:
         ctx.prec = digits + 10
         for j in range(1, m + 1):
             four *= 4
-            fact *= (2 * j - 1) * 2 * j
-            out.append(Decimal((-1) ** (j - 1) * 2 * j * t[j]) / Decimal(four * (four - 1) * fact))
+            scale = _EXACT.multiply(scale, 4 * (2 * j - 1) * 2 * j)
+            den = _EXACT.multiply(scale, four - 1)
+            out.append(Decimal((-1) ** (j - 1) * 2 * j * t[j]) / den)
     return tuple(out)
 
 
@@ -232,64 +247,75 @@ def _tail_below(s: int, cut: int, thr_den: int) -> bool:
     return (s + cut) * thr_den < (s - 1) * (1 + cut) ** s
 
 
-def _em_corrections(s: int, power: Decimal, num: int, den: int, digits: int) -> Decimal | None:
-    """The Euler-Maclaurin corrections at a + N = num/den, power = (a+N)^-s.
+def _em_terms(s: int, power: Decimal, num: int, den: int, digits: int) -> Iterator[Decimal]:
+    """The Euler-Maclaurin row at a + N = num/den, power = (a+N)^-s.
 
-    Returns sum_{m<M} term_m, term_m = B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m),
-    where M >= 2 is the first index with |term_M| below 10^-(digits-5): by
-    the envelope property |term_M| bounds the remainder.  Returns None if
-    the terms grow again first (|term_m| >= |term_m-1|, m >= 3): N must
-    grow.  Runs in the caller's decimal context.  The running factor moves
-    from m to m + 1 by an integer product and an integer division, linear
-    in the digits, so each step multiplies two full-precision Decimals
-    once, for term_m.
+    Yields term_m = B_2m/(2m)! <s>_{2m-1} (a+N)^(1-s-2m) for m = 1, 2, ...
+    and raises ArithmeticError past MAX_TERMS.  Runs in the caller's
+    decimal context.  The running factor moves from m to m + 1 by an
+    integer product and an integer division, linear in the digits, so each
+    step multiplies two full-precision Decimals once, for term_m.
 
-    Error budget of the stopping test.  One rounding at digits + 10 has
-    relative error below u = 10^-(digits+9).  power, inv**s or the table's
-    running quotient, is within (2s + 1)u of (a+N)^-s; the first factor
-    adds 2u, each later step 2u and the table entry and the product 2u, so
-    term_m, the Decimal the loop adds, is within (2s + 2m + 3)u of its
-    exact value, relative.  For s + m below 10^8 that is under
-    10^-digits, so |term_M| < limit = 10^-(digits-5) * (1 - 10^-digits), an
-    exact comparison of Decimals, proves the exact |term_M| below the
-    target.  The growth test only chooses N and needs no margin.
+    Error budget.  One rounding at digits + 10 has relative error below
+    u = 10^-(digits+9).  power, inv**s or the table's running quotient, is
+    within (2s + 1)u of (a+N)^-s; the first factor adds 2u, each later step
+    2u and the table entry and the product 2u, so term_m is within
+    (2s + 2m + 3)u of its exact value, relative.
     """
-    limit = Decimal(10**digits - 1).scaleb(5 - 2 * digits)
     coeffs = _em_coeffs(digits, _table_length(_asymptotic_cut(digits)))
     num2, den2 = num * num, den * den
-    corrections = Decimal(0)
     factor = power * (s * den) / num  # <s>_{2m-1} (a+N)^(1-s-2m)
-    prev = None  # |term_m-1|
     for m in range(1, MAX_TERMS + 1):
         if m == len(coeffs):
             coeffs = _em_coeffs(digits, 2 * m)
-        term = coeffs[m] * factor
-        size = abs(term)
-        if m > 1 and size < limit:
-            return corrections
-        if m > 2 and size >= prev:
-            return None  # divergent zone reached before target
-        corrections += term
-        prev = size
+        yield coeffs[m] * factor
         factor = factor * ((s + 2 * m - 1) * (s + 2 * m) * den2) / num2
     raise ArithmeticError("Euler-Maclaurin failed to converge")
+
+
+def _em_cut(terms: Iterable[Decimal], digits: int) -> list[Decimal] | None:
+    """[term_1, ..., term_M] read from ``terms``, or None.
+
+    M >= 2 is the first index with |term_M| below 10^-(digits-5): by the
+    envelope property |term_M| bounds the remainder, so the corrections
+    are the sum of the terms before it.  None if the terms grow again
+    first (|term_m| >= |term_m-1|, m >= 3), so N must grow, or if they run
+    out first.  For terms each within (2s + 2m + 3)u of their exact value
+    (`_em_terms`), s + m below 10^8 puts that under 10^-digits, so
+    |term_M| < limit = 10^-(digits-5) * (1 - 10^-digits), an exact
+    comparison of Decimals, proves the exact |term_M| below the target.
+    The growth test only chooses N and needs no margin.
+    """
+    limit = Decimal(10**digits - 1).scaleb(5 - 2 * digits)
+    read: list[Decimal] = []
+    prev = None  # |term_m-1|
+    for term in terms:
+        size = abs(term)
+        read.append(term)
+        if len(read) > 1 and size < limit:
+            return read
+        if len(read) > 2 and size >= prev:
+            return None  # divergent zone reached before target
+        prev = size
+    return None
 
 
 def _em_parts(s: int, p: int, q: int, n_cut: int, digits: int) -> tuple[Decimal, ...]:
     """Euler-Maclaurin parts of sum_{j>=0} (a+j)^-s, integer s >= 1, a = p/q > 0.
 
-    Returns head = sum_{j<N} (a+j)^-s, a+N, 1/(a+N) and `_em_corrections`
-    at a + N; when those bottom out before the target, N doubles and the
-    parts are built again.  Runs in the caller's decimal context.
+    Returns head = sum_{j<N} (a+j)^-s, a+N, 1/(a+N) and the corrections,
+    the row `_em_terms` at a + N cut by `_em_cut`; when those bottom out
+    before the target, N doubles and the parts are built again.  Runs in
+    the caller's decimal context.
     """
     q_pow = Decimal(q) ** s
     while True:
         head = _head_sum(s, p, q, q_pow, n_cut)
         edge = Decimal(p + n_cut * q) / Decimal(q)  # a + N
         inv = 1 / edge
-        corrections = _em_corrections(s, inv**s, p + n_cut * q, q, digits)
-        if corrections is not None:
-            return head, edge, inv, corrections
+        row = _em_cut(_em_terms(s, inv**s, p + n_cut * q, q, digits), digits)
+        if row is not None:
+            return head, edge, inv, sum(row[:-1], Decimal(0))
         n_cut = max(1, 2 * n_cut)  # N = 0 (digamma at a >= cut) must grow too
         if n_cut > MAX_TERMS:
             raise ArithmeticError("Euler-Maclaurin cutoff grew without reaching tolerance")
@@ -331,15 +357,29 @@ def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
 
     Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
     digits, and within s roundings of its exact value, inside the budget
-    of `_em_corrections`.  While the tail bound at the cut N fails
+    of `_em_terms`.  While the tail bound at the cut N fails
     (`_tail_below`), each zeta is assembled, as in `_zeta_em`, from the
-    running head and (1+N)^-s; should its corrections bottom out,
-    `_zeta_em` doubles N.  From there on the sum is direct: the threshold
-    (module docstring) is a quarter ulp of 1 for every s and the tail
-    bound falls as s grows, so the direct cut J(s) only walks down from N,
-    each step proven by `_tail_below`.  Term J is summed too: it moves no
-    digit, but like the sub-ulp additions of Euler-Maclaurin it pads an
-    exactly representable head to the full working precision.
+    running head, (1+N)^-s and the corrections.  These come from a column
+    carried over s rather than from a row: with N fixed,
+
+        term_m(s) = term_m(s-1) (s+2m-2) / ((s-1)(1+N)),
+
+    one product and one division by small integers, each linear in the
+    digits.  `_em_cut` cuts the carried terms as it cuts a row.  The row
+    `_em_terms` seeds the column at s = 2, and again at any s whose
+    carried terms run out before the stop test holds or fail the growth
+    test; should the row's corrections bottom out too, `_zeta_em` doubles
+    N.  The error budget is that of a row: a term seeded at s0 is within
+    (2s0 + 2m + 3)u of its exact value (`_em_terms`), each carry adds two
+    roundings, 2u, so term_m(s) stays within (2s + 2m + 3)u, the margin
+    of the stop test in `_em_cut`.
+
+    From there on the sum is direct: the threshold (module docstring) is a
+    quarter ulp of 1 for every s and the tail bound falls as s grows, so
+    the direct cut J(s) only walks down from N, each step proven by
+    `_tail_below`.  Term J is summed too: it moves no digit, but like the
+    sub-ulp additions of Euler-Maclaurin it pads an exactly representable
+    head to the full working precision.
 
     The table ends at S, the first s whose cut is 1, because every s >= S
     gives the same Decimal.  The head is 1 + 2^-s, and the tail test at
@@ -357,19 +397,24 @@ def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
         final.prec = digits
         bases = [Decimal(1 + j) for j in range(n_cut + 1)]
         powers = [1 / base for base in bases]  # (1+j)^-s for j <= N, one s behind
+        column = None  # term_1..term_M at s - 1, as `_em_cut` read them
         for s in count(2):
             if _tail_below(s, n_cut, thr_den):
                 break
             powers = [x / y for x, y in zip(powers, bases)]
-            head = Decimal(0)  # summed in the order of _head_sum
-            for x in powers[:n_cut]:
-                head += x
             power = powers[n_cut]
-            corrections = _em_corrections(s, power, 1 + n_cut, 1, digits)
-            if corrections is None:
+            if column is not None:
+                step = (s - 1) * (1 + n_cut)
+                column = _em_cut((term * (s + 2 * m - 2) / step
+                                  for m, term in enumerate(column, 1)), digits)
+            if column is None:
+                column = _em_cut(_em_terms(s, power, 1 + n_cut, 1, digits), digits)
+            if column is None:
                 out.append(_zeta_em(s, Fraction(1), digits))
                 continue
-            # the total of _zeta_em, term for term
+            # the total of _zeta_em, term for term, each sum in its order
+            head = sum(powers[:n_cut], Decimal(0))
+            corrections = sum(column[:-1], Decimal(0))
             total = head + bases[n_cut] * power / (s - 1) + power / 2 + corrections
             out.append(final.plus(total))
         cut = n_cut  # the direct cut J(s), from N down to 1
@@ -377,10 +422,7 @@ def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
             while cut > 1 and _tail_below(s, cut - 1, thr_den):
                 cut -= 1
             powers = [x / y for x, y in zip(powers[: cut + 1], bases)]
-            head = Decimal(0)
-            for x in powers:
-                head += x
-            out.append(final.plus(head))
+            out.append(final.plus(sum(powers, Decimal(0))))
             if cut == 1:
                 return tuple(out)
             s += 1

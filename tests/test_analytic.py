@@ -3,7 +3,7 @@ import inspect
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from itertools import islice
+from itertools import count, islice
 from math import ceil, factorial, log10, sqrt
 
 import pytest
@@ -637,10 +637,10 @@ def test_zeta_against_borwein_oracle(bits):
 # ---------------------------------------------------------------------------
 
 # S, the first s whose direct cut is 1, where the table ends
-TABLE_END = {64: 149, 256: 341, 512: 597, 1024: 1109}
+TABLE_END = {64: 149, 128: 212, 256: 341, 512: 597, 640: 723, 1024: 1109}
 
 
-@pytest.mark.parametrize("bits", [64, 256, 512, 1024])
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 640, 1024])
 def test_zeta_batch_equals_hurwitz_zeta(bits):
     # the whole table (the Euler-Maclaurin range and the direct cut down to
     # J = 1) and, past its end S, the last entry the series sides repeat:
@@ -653,9 +653,50 @@ def test_zeta_batch_equals_hurwitz_zeta(bits):
         assert next(zetas).as_tuple() == A.zeta_int(s, cfg).as_tuple(), s
 
 
+def _spy_em_sources(monkeypatch, spoil=False):
+    """Record the Euler-Maclaurin rows and cuts, in the order they run.
+
+    ("row", s) for each row `_em_terms` starts, ("cut", source, ok) for each
+    `_em_cut`, source "row" or "column" (the table's carried terms).  With
+    ``spoil`` the third carried term is scaled by 10^6, so every carried
+    column fails the growth test.
+    """
+    events, last_row = [], [None]
+    em_terms, em_cut = A._em_terms, A._em_cut
+
+    def row(s, *args):
+        events.append(("row", s))
+        last_row[0] = em_terms(s, *args)
+        return last_row[0]
+
+    def cut(terms, digits):
+        source = "row" if terms is last_row[0] else "column"
+        if spoil and source == "column":
+            terms = (term * 10**6 if m == 3 else term for m, term in enumerate(terms, 1))
+        read = em_cut(terms, digits)
+        events.append(("cut", source, read is not None))
+        return read
+
+    monkeypatch.setattr(A, "_em_terms", row)
+    monkeypatch.setattr(A, "_em_cut", cut)
+    return events
+
+
+def _em_range(digits):
+    """The s of the table's Euler-Maclaurin range, 2 up to the direct switch."""
+    n_cut, thr_den = A._asymptotic_cut(digits), 4 * 10 ** (digits + 9)
+    return range(2, next(s for s in count(2) if A._tail_below(s, n_cut, thr_den)))
+
+
+def _assert_table_is_zeta_int(table, cfg):
+    for s in range(2, len(table)):
+        assert table[s].as_tuple() == A.zeta_int(s, cfg).as_tuple(), s
+
+
 def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
     # a cut of 2 makes the corrections bottom out at small s: those values
-    # come from _zeta_em, which doubles N, and still match hurwitz_zeta
+    # come from _zeta_em, which doubles N, and still match hurwitz_zeta;
+    # the first s whose row converges at N = 2 seeds the carried column
     monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: 2)
     monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
     _fresh_table(monkeypatch)
@@ -664,10 +705,50 @@ def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
     monkeypatch.setattr(A, "_zeta_em",
                         lambda s, a, digits: calls.append(s) or zeta_em(s, a, digits))
     cfg = A.EvalConfig(128)
+    events = _spy_em_sources(monkeypatch)
     table = A._zeta_table(cfg.digits)
     assert calls  # the fallback ran
+    assert ("cut", "column", True) in events  # and the column after it
     for s in range(2, len(table)):
         assert table[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
+
+
+def test_zeta_table_builds_the_row_only_to_seed_the_column(monkeypatch):
+    # at 512 bits every s of the Euler-Maclaurin range after s = 2 reads
+    # the column carried from s - 1: one row in all, no restart
+    digits = A.EvalConfig(512).digits
+    em_range = _em_range(digits)
+    assert len(em_range) > 60
+    events = _spy_em_sources(monkeypatch)
+    A._zeta_table.__wrapped__(digits)
+    assert events == ([("row", 2), ("cut", "row", True)]
+                      + [("cut", "column", True)] * (len(em_range) - 1))
+
+
+@pytest.mark.parametrize("bits", [140, 183])
+def test_zeta_table_restarts_when_the_column_runs_out(monkeypatch, bits):
+    # at these precisions zeta(3) needs more terms than zeta(2) read, so
+    # its carried column runs out and the row is built again at s = 3
+    cfg = A.EvalConfig(bits)
+    events = _spy_em_sources(monkeypatch)
+    table = A._zeta_table.__wrapped__(cfg.digits)
+    rows = [i for i, event in enumerate(events) if event[0] == "row"]
+    assert [events[i][1] for i in rows] == [2, 3]
+    assert events[rows[1] - 1] == ("cut", "column", False)
+    assert events[rows[1] + 1] == ("cut", "row", True)
+    _assert_table_is_zeta_int(table, cfg)
+
+
+def test_zeta_table_restarts_when_the_column_grows(monkeypatch):
+    # every carried column spoiled: each s builds its row again, as long as
+    # the rows read three terms or more (the growth test starts at m = 3)
+    cfg = A.EvalConfig(128)
+    events = _spy_em_sources(monkeypatch, spoil=True)
+    table = A._zeta_table.__wrapped__(cfg.digits)
+    rows = [i for i, event in enumerate(events) if event[0] == "row"]
+    assert [events[i][1] for i in rows[:20]] == list(range(2, 22))
+    assert all(events[i - 1] == ("cut", "column", False) for i in rows[1:])
+    _assert_table_is_zeta_int(table, cfg)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])

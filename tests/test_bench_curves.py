@@ -79,3 +79,65 @@ def test_bytecode_cache_is_seen_only_when_it_matches_every_source(tmp_path):
     assert bench_curves.bytecode_cached(tmp_path)
     sources[1].write_text("x = 22\n")  # a new size makes the cache stale
     assert not bench_curves.bytecode_cached(tmp_path)
+
+
+def _run_suite(monkeypatch, tmp_path, curves, *labels):
+    """Run a toy suite of ``curves`` in tmp_path against this checkout's src."""
+    monkeypatch.setitem(bench_curves.CASES, "toy", curves)
+    monkeypatch.setitem(bench_curves.IMPORTS, "toy", "")
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench_curves.py", "toy", "--repeats", "2"]
+    for label in labels:
+        argv += ["--src", str(ROOT / "src"), "--label", label]
+    monkeypatch.setattr("sys.argv", argv)
+    return bench_curves.main()
+
+
+def test_a_failing_child_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
+    # n = 2 divides by zero in the child: that point is an error, the
+    # other points and the next curve are still timed and written
+    curves = {
+        "fails at 2": ((1, 2, 3), "", "1 // (n - 2)", "out"),
+        "after": ((1,), "", "n + 1", "out"),
+    }
+    assert _run_suite(monkeypatch, tmp_path, curves, "a", "b") == 0
+    runs = json.loads((tmp_path / "BENCH_toy.json").read_text())["runs"]
+    assert set(runs) == {"a", "b"}
+    for run in runs.values():
+        row = run["curves"]["fails at 2"]
+        assert row["seconds"]["2"] == {"error": "ZeroDivisionError: integer division or modulo by zero"}
+        assert set(row["sha256"]) == {"1", "3"}
+        assert row["sha256"]["1"] == hashlib.sha256(b"-1").hexdigest()[:16]
+        assert all(isinstance(row["seconds"][n], float) for n in ("1", "3"))
+        assert row["exponent"] is not None  # fitted on n = 1 and 3
+        assert run["curves"]["after"]["sha256"] == {"1": hashlib.sha256(b"2").hexdigest()[:16]}
+
+
+def test_each_curve_is_written_when_it_finishes(monkeypatch, tmp_path):
+    # a run that dies in its second curve leaves the first in the file,
+    # next to the labels of earlier runs
+    (tmp_path / "BENCH_toy.json").write_text(json.dumps({"runs": {"old": {"curves": {}}}}))
+    time_once = bench_curves.time_once
+
+    def dies_in_second(src, suite, curve, n):
+        if curve == "second":
+            raise KeyboardInterrupt
+        return time_once(src, suite, curve, n)
+
+    monkeypatch.setattr(bench_curves, "time_once", dies_in_second)
+    curves = {"first": ((1, 2), "", "n * n", "out"), "second": ((1,), "", "n", "out")}
+    with pytest.raises(KeyboardInterrupt):
+        _run_suite(monkeypatch, tmp_path, curves, "new")
+    runs = json.loads((tmp_path / "BENCH_toy.json").read_text())["runs"]
+    assert set(runs) == {"old", "new"}
+    assert list(runs["new"]["curves"]) == ["first"]
+    assert runs["new"]["curves"]["first"]["sha256"] == {
+        str(n): hashlib.sha256(str(n * n).encode()).hexdigest()[:16] for n in (1, 2)
+    }
+
+
+def test_repeats_that_disagree_are_an_error(monkeypatch):
+    answers = iter([(0.1, "aaaa"), (0.1, "bbbb")])
+    monkeypatch.setattr(bench_curves, "time_once", lambda *args: next(answers))
+    points = bench_curves.measure_point({"a": ROOT / "src"}, "numeric", "zeta_table", 256, 2)
+    assert points == {"a": {"error": "the repeats gave 2 different results"}}
