@@ -23,13 +23,12 @@ _EXPORTS = {
         "set_partitions_count",
     ),
     "exact": (
-        "Rational", "as_rational", "binomial_general", "falling_factorial", "gen_factorial",
-        "rising_factorial",
+        "Rational", "as_rational", "falling_factorial", "gen_factorial", "rising_factorial",
     ),
     "families": (
         "bernoulli_number", "bernoulli_numbers", "bernoulli_poly", "bpa_number", "carlitz_beta",
-        "degenerate_bernoulli2", "degenerate_euler", "euler_poly", "eval_minus_one", "exp_poly",
-        "geometric_at", "geometric_poly", "howard_power_sum", "spivey_step",
+        "degenerate_bernoulli2", "degenerate_euler", "eval_minus_one", "exp_poly", "geometric_at",
+        "geometric_poly", "howard_power_sum", "spivey_step",
     ),
     "identities": ("IDENTITY_IDS", "run", "run_all"),
     "mellin": ("apply_operator",),

@@ -2,7 +2,7 @@
 
 ``Rational`` is :class:`fractions.Fraction`: values are always stored in
 lowest terms with a positive denominator, arithmetic is exact, and division
-by zero raises.  Everything else in the package is built on the four
+by zero raises.  Everything else in the package is built on the three
 product primitives below, which are computed by iterated exact products
 (integer numerators over one denominator, one Fraction per call) so they
 are total for arbitrary rational arguments (including non-positive ones
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import Sequence
 
 Rational = Fraction
@@ -107,9 +107,3 @@ def falling_factorial(x: RationalLike, n: int) -> Fraction:
     for j in range(n):
         out *= p - j * q
     return Fraction(out, q**n)
-
-
-def binomial_general(s: RationalLike, k: int) -> Fraction:
-    """Generalized binomial C(s,k) = s(s-1)...(s-k+1)/k! for rational s."""
-    as_size(k, "k")
-    return falling_factorial(s, k) / factorial(k)

@@ -7,7 +7,9 @@ S_n(x) = sum_k S(n,k) x^k, the order-m generalized geometric polynomials
 
 (with <m>_k the rising factorial, so negative orders come through the same
 code path via <-s>_k = (-1)^k (s)_k), plus the classical and degenerate
-Bernoulli/Euler families extracted from their generating functions.
+Bernoulli/Euler families extracted from their generating functions.  The
+classical order-s Euler polynomial value E_n^(s)(x) is
+`degenerate_euler(n, s, 0, x)`.
 
 Every Stirling-weighted closed side is written once, as one of two forms
 of w_n^(m): its value at a point, read by `geometric_at` from one integer
@@ -50,12 +52,13 @@ itself.  Where a printed closed form disagrees with its oracle, both forms
 are implemented: the corrected one as the shipped result and the original
 as a must-fail regression (`exponent="printed"` variants below).
 
-Value functions whose result is a closed form with an oracle
-(`eval_minus_one`, `degenerate_euler`, `degenerate_bernoulli2`,
-`howard_power_sum`) compare against that oracle on every call and raise
-ArithmeticError on a mismatch.  Each shares one `_*_sides` function with
-its `check_*` counterpart, so the closed form and the oracle are written
-once and the check reports the same comparison as a CheckReport.
+The four value wrappers, `eval_minus_one`, `degenerate_euler`,
+`degenerate_bernoulli2` and `howard_power_sum`, return a closed form that
+they compare against its oracle on every call, raising ArithmeticError on
+a mismatch.  Each shares one `_*_sides` function with its `check_*`
+counterpart, so the closed form and the oracle are written once and the
+check reports the same comparison as a CheckReport.  The registry calls
+the checks, not the wrappers: the wrappers are the API for a value.
 """
 
 from __future__ import annotations
@@ -282,12 +285,6 @@ def bernoulli_poly(n: int) -> PolyQ:
     """Classical B_n(x), binomially expanded from gf-extracted numbers."""
     nums = bernoulli_numbers(n)
     return PolyQ.from_coeffs([comb(n, k) * nums[n - k] for k in range(n + 1)])
-
-
-def euler_poly(n: int, s: int = 1) -> PolyQ:
-    """Classical order-s Euler polynomial E_n^(s)(x): its values at 0 have EGF (2/(e^t+1))^s."""
-    vals = _degenerate_euler_values(s, 0, 0, n)
-    return PolyQ.from_coeffs([comb(n, k) * vals[n - k] for k in range(n + 1)])
 
 
 def check_eq14(n_max: int) -> CheckReport:

@@ -81,7 +81,6 @@ class SmallRationalSampler:
 # Records here are NamedTuples, not frozen dataclasses: their classes are built
 # about seven times faster, and every CLI call builds them at import.
 class Profile(NamedTuple):
-    name: str
     bits: int
     table_n: int
     exact_n: int
@@ -93,8 +92,8 @@ class Profile(NamedTuple):
 
 
 PROFILES = {
-    "quick": Profile("quick", 192, 8, 6, 16, 6, 3, 4, 2),
-    "full": Profile("full", 256, 12, 8, 30, 8, 5, 6, 4),
+    "quick": Profile(192, 8, 6, 16, 6, 3, 4, 2),
+    "full": Profile(256, 12, 8, 30, 8, 5, 6, 4),
 }
 
 

@@ -59,10 +59,6 @@ class PolyQ(Frozen):
     def zero() -> "PolyQ":
         return PolyQ(())
 
-    @staticmethod
-    def const(c: RationalLike) -> "PolyQ":
-        return PolyQ.from_coeffs([c])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients of x**0 .. x**degree as reduced Fractions."""

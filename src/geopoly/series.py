@@ -21,11 +21,13 @@ The ring kernels (``*``, :func:`divide`, :func:`exp_series`,
 :func:`log_series`) never accumulate Fractions term by term.  Each puts
 its operands once on integers with `exact.over_lcm`, runs the O(n^2)
 convolution or recurrence in ``int``, and builds exactly one Fraction --
-one gcd normalization -- per output coefficient.  A square ``a * a``
-computes each cross product a_i a_j (i < j) once and doubles it.  The
-recurrences (divide, exp, log) feed each new coefficient back as a
-numerator over the least common denominator of the coefficients produced
-so far (:func:`_recurrence`).  That denominator grows only when a new
+one gcd normalization -- per output coefficient (`log_series` one more,
+for its division by n).  A square ``a * a`` computes each cross product
+a_i a_j (i < j) once and doubles it.  The recurrences feed each new
+coefficient back as a numerator over the least common denominator of the
+coefficients produced so far (:func:`_recurrence`); `divide` and
+`log_series` run the same recurrence, the latter on t*a'/a, whose
+coefficients are n*l_n.  That denominator grows only when a new
 coefficient needs it, and then only the newest numerators -- fewer than
 ceil(sqrt(order)) of them -- are rescaled; the older ones stay settled over
 an earlier denominator, their dot product is scaled by one multiplication,
@@ -47,17 +49,17 @@ ScalarLike = Union[Fraction, int]
 
 
 def _recurrence(
-    c: list[int], first: Fraction, step: Callable[[int, int, int], Fraction], weighted: bool = False
+    c: list[int], first: Fraction, step: Callable[[int, int, int], Fraction]
 ) -> tuple[Fraction, ...]:
     """q_0 = first and q_n = step(n, dot, den) for n = 1..order, order = len(c) - 1.
 
-    dot/den = sum_{i<n} w_i q_i c_(n-i), with w_i = i if weighted, else 1, and
-    den the least common denominator of q_0..q_(n-1).  The fed-back
-    numerators w_i q_i den are kept in two parts.  The newest, fewer than
-    `block`, are in `tail` over den.  The older ones are settled in `head`
-    over den/scale, so their dot product is scaled by one multiplication.
-    When den grows, only the tail and scale are rescaled, and every `block`
-    appends the tail joins the head with one rescale of the head.
+    dot/den = sum_{i<n} q_i c_(n-i), with den the least common denominator
+    of q_0..q_(n-1).  The fed-back numerators q_i den are kept in two parts.
+    The newest, fewer than `block`, are in `tail` over den.  The older ones
+    are settled in `head` over den/scale, so their dot product is scaled by
+    one multiplication.  When den grows, only the tail and scale are
+    rescaled, and every `block` appends the tail joins the head with one
+    rescale of the head.
     block = ceil(sqrt(order)) makes that O(sqrt(order)) big-integer products
     per step, where rescaling every stored numerator would be O(order).
     """
@@ -76,8 +78,7 @@ def _recurrence(
             tail = [x * f for x in tail]
             scale *= f
             den *= f
-        num = q.numerator * (den // e)
-        tail.append(num * (n - 1) if weighted else num)
+        tail.append(q.numerator * (den // e))
         if len(tail) == block:
             if scale != 1:
                 head = [x * scale for x in head]
@@ -119,10 +120,6 @@ class PowerSeries(Frozen):
         return PowerSeries.from_coeffs([as_rational(c)], order)
 
     @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries.constant(0, order)
-
-    @staticmethod
     def one(order: int) -> "PowerSeries":
         return PowerSeries.constant(1, order)
 
@@ -150,9 +147,6 @@ class PowerSeries(Frozen):
             if c:
                 return j
         return None
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other: "PowerSeries | ScalarLike") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
@@ -273,10 +267,10 @@ def log_series(a: PowerSeries) -> PowerSeries:
     if a.coeffs[0] != 1:
         raise ValueError("log_series requires constant term 1")
     an, da = over_lcm(a.coeffs)
-    # n*l_n = n*a_n - sum_{k=1}^{n-1} k*l_k*a_{n-k}  (from a*l' = a')
-    return PowerSeries(_recurrence(
-        an, Fraction(0), lambda n, dot, den: Fraction(n * an[n] * den - dot, n * da * den), weighted=True
-    ))
+    # m_n = n*l_n are the coefficients of t*a'/a, divided as in `divide`:
+    # m_n = n*a_n - sum_{k<n} m_k*a_(n-k)
+    m = _recurrence(an, Fraction(0), lambda n, dot, den: Fraction(n * an[n] * den - dot, da * den))
+    return PowerSeries((m[0], *(m[n] / n for n in range(1, len(m)))))
 
 
 def pow_series(a: PowerSeries, c: RationalLike) -> PowerSeries:

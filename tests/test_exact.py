@@ -3,14 +3,13 @@ import inspect
 import textwrap
 from decimal import Decimal
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from geopoly.exact import (
     as_rational,
-    binomial_general,
     falling_factorial,
     gen_factorial,
     over_lcm,
@@ -77,13 +76,6 @@ def test_rising_falling_hand_values():
     assert falling_factorial(F(7, 2), 2) == F(7, 2) * F(5, 2)
 
 
-def test_binomial_general_values():
-    assert binomial_general(F(9, 4), 0) == 1
-    assert binomial_general(F(5, 2), 2) == F(15, 8)
-    # C(s+k,k) * k! = <s+1>_k at (s,k) = (2,3), both sides by direct product
-    assert binomial_general(5, 3) * 6 == rising_factorial(3, 3) == 60
-
-
 def test_negative_n_rejected():
     with pytest.raises(ValueError):
         gen_factorial(1, 1, -1)
@@ -91,8 +83,6 @@ def test_negative_n_rejected():
         rising_factorial(1, -2)
     with pytest.raises(ValueError):
         falling_factorial(1, -2)
-    with pytest.raises(ValueError):
-        binomial_general(1, -1)
 
 
 @given(z=rationals, alpha=rationals, n=st.integers(1, 20))
@@ -196,7 +186,6 @@ def test_factorials_match_fraction_loops(x, n):
     for value, reference in (
         (rising_factorial(x, n), _iterated_product(x, -1, n)),
         (falling_factorial(x, n), _iterated_product(x, 1, n)),
-        (binomial_general(x, n), _iterated_product(x, 1, n) / factorial(n)),
     ):
         assert type(value) is F and value == reference
         assert (value.numerator, value.denominator) == (reference.numerator, reference.denominator)
@@ -206,7 +195,7 @@ def test_factorials_match_fraction_loops(x, n):
     assert falling_factorial(k, n) == _iterated_product(F(k), 1, n)
 
 
-@pytest.mark.parametrize("fn", [rising_factorial, falling_factorial, binomial_general])
+@pytest.mark.parametrize("fn", [rising_factorial, falling_factorial])
 @pytest.mark.parametrize("x, error", [(0.5, TypeError), (2.0, TypeError), ("1.5", ValueError),
                                       ("2e1", ValueError), (Decimal("0.5"), TypeError)])
 def test_factorials_refuse_inexact_input(fn, x, error):

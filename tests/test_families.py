@@ -284,10 +284,10 @@ def test_integer_polynomials_equal_the_fraction_construction(n, m, alpha, beta, 
 
 def test_bernoulli_and_euler_polys():
     assert fam.bernoulli_poly(0).coeffs == (1,)
-    assert fam.euler_poly(0, 3).coeffs == (1,)
+    assert fam.degenerate_euler(0, 3, 0, F(5, 7)) == 1
     assert fam.bernoulli_number(2) == F(1, 6)
     assert fam.bernoulli_poly(2).coeffs == (F(1, 6), -1, 1)  # x^2 - x + 1/6
-    assert fam.euler_poly(2)(0) == 0
+    assert fam.degenerate_euler(2, 1, 0, 0) == 0
     # known classical identity B_n(1) = B_n + [n = 1]
     for n in range(2, 12):
         assert fam.bernoulli_poly(n)(1) == fam.bernoulli_number(n)
@@ -334,7 +334,7 @@ def test_degenerate_euler_classical_slice_scaling():
     p = HsuShiueParams(0, beta, r)
     for n in range(11):
         lhs = fam.geometric_poly(n, s, p)(F(-1, 2))
-        assert lhs == fam.euler_poly(n, s)(r / beta) * beta**n
+        assert lhs == fam.degenerate_euler(n, s, 0, r / beta) * beta**n
 
 
 def test_degenerate_bernoulli2_values():

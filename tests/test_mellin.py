@@ -1,12 +1,13 @@
 import ast
 import inspect
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geopoly import mellin as M
-from geopoly.exact import binomial_general, gen_factorial
+from geopoly.exact import falling_factorial, gen_factorial
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries
@@ -74,7 +75,7 @@ def test_apply_operator_keeps_its_own_loop():
     )
     named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert named.isdisjoint({"gen_factorial", "binomial_general", "exact"})
+    assert named.isdisjoint({"gen_factorial", "_binomials", "exact"})
 
 
 def test_apply_once_linear_weights():
@@ -120,24 +121,29 @@ def test_eq21_and_eq38():
         assert M.verify_series_identity("eq38_binomial", n, 5, PARAMS, 16).status == "pass"
 
 
+def _binomial(x, k: int) -> F:
+    """C(x, k) = (x)_k / k!, the falling product the running ratio must match."""
+    return falling_factorial(x, k) / factorial(k)
+
+
 def test_eq38_rewrite_is_the_printed_binomial():
     # EQ38 runs as the EQ5 form at (m, sign) = (-s, -1): sign^k C(m-1+k, k) = C(s, k)
-    for s in range(7):
+    for s in (*range(7), F(5, 2), F(-7, 3)):
         for k in range(11):
-            assert (-1) ** k * binomial_general(k - s - 1, k) == binomial_general(s, k), (s, k)
+            assert (-1) ** k * _binomial(k - s - 1, k) == _binomial(s, k), (s, k)
 
 
 def test_running_binomials_are_the_falling_products():
     # the termwise sides carry C(m-1+k, k) by its ratio; m = -s is EQ38's
     for m in range(-7, 8):
-        assert M._binomials(m, 12) == [binomial_general(m - 1 + k, k) for k in range(13)], m
+        assert M._binomials(m, 12) == [_binomial(m - 1 + k, k) for k in range(13)], m
 
 
 def test_eq38_polynomial_truncation_is_finite():
     # with integer s the left side is a polynomial of degree s
     s = 3
-    assert binomial_general(s, 4) == 0
-    assert binomial_general(s, 5) == 0
+    assert M._binomials(-s, 8)[4:] == [0] * 5
+    assert _binomial(s, 4) == _binomial(s, 5) == 0
 
 
 def test_eq4_operator_route():

@@ -212,14 +212,13 @@ NEGATIVE_CALLS = (
     "bernoulli_numbers(-1)",
     "_degenerate_euler_values(1, 0, 0, -1)",
     "bernoulli_poly(-1)",
-    "euler_poly(-1)",
 )
 
 
 def test_negative_n_raises_on_a_cold_store():
     code = (
         "from geopoly.families import _degenerate_euler_values, bernoulli_numbers, "
-        "bernoulli_poly, euler_poly\n"
+        "bernoulli_poly\n"
         "from geopoly.params import HsuShiueParams\n"
         "from geopoly.stirling import cached_table\n"
         f"for call in {NEGATIVE_CALLS!r}:\n"

@@ -217,9 +217,9 @@ def test_square_matches_reference(order, dens):
 def test_ring_basics():
     t = PowerSeries.t(4)
     assert ((1 + t) * (1 - t)).coeffs == (1, 0, -1, 0, 0)
-    assert (t * 0).is_zero()
+    assert (t * 0).valuation() is None
     e = binom_deform(0, 1, 6)
-    assert (e + (-e)).is_zero()
+    assert (e + (-e)).valuation() is None
 
 
 @pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2", True, None])
@@ -266,7 +266,7 @@ def test_divide_examples():
 def test_divide_preconditions():
     t = PowerSeries.t(4)
     with pytest.raises(ZeroDivisionError):
-        divide(t, PowerSeries.zero(4))
+        divide(t, PowerSeries.constant(0, 4))
     with pytest.raises(ValueError):
         divide(1 + t, t * t)  # valuation(b) > valuation(a)
 

@@ -29,7 +29,7 @@ from geopoly.enumeration import (
     set_partition_labels,
     set_partitions_count,
 )
-from geopoly.exact import binomial_general, falling_factorial, gen_factorial, rising_factorial
+from geopoly.exact import falling_factorial, gen_factorial, rising_factorial
 from geopoly.families import (
     check_corollary2,
     check_corollary4,
@@ -53,7 +53,6 @@ ROWS = [
     ("gen_factorial", lambda v: gen_factorial(1, 1, v), "n", 0),
     ("rising_factorial True", lambda v: rising_factorial(3, v), "n", 0),
     ("falling_factorial", lambda v: falling_factorial(3, v), "n", 0),
-    ("binomial_general True", lambda v: binomial_general(3, v), "k", 0),
     ("build_table", lambda v: build_table(P, v), "n_max", 0),
     ("verify_against_gf", lambda v: verify_against_gf(build_table(P, 3), v), "order", 0),
     ("set_partitions_count True", lambda v: set_partitions_count(v), "n", 0),

@@ -38,3 +38,13 @@ def test_euler_polynomials_at_zero_against_sympy():
     ours = fam._degenerate_euler_values(1, 0, 0, N_MAX)
     for n in range(N_MAX + 1):
         assert ours[n] == _fraction(numbers.euler(n, 0)), n
+
+
+@pytest.mark.parametrize("x", [F(0), F(1, 3), F(-5, 2)], ids=str)
+def test_euler_polynomials_against_sympy(x):
+    # E_n(x) through the order-1, alpha = 0 degenerate Euler value
+    from sympy import Rational
+
+    sympy_x = Rational(x.numerator, x.denominator)
+    for n in range(13):
+        assert fam.degenerate_euler(n, 1, 0, x) == _fraction(numbers.euler(n, sympy_x)), n

@@ -237,7 +237,7 @@ def _bump_euler(old, n0):
     return values
 
 
-ONE = PolyQ.const(1)
+ONE = PolyQ.from_coeffs([1])
 CUBIC = PolyQ.from_coeffs([0, 0, 0, F(2, 5)])
 TRIPLE = HsuShiueParams(F(1, 2), 3, -2)
 
@@ -298,7 +298,7 @@ def _plus_a_seventh(value):
         return value
     if isinstance(value, list):  # families.geometric_rows: (numerator, denominator) pairs
         return [(7 * num + den, 7 * den) for num, den in value]
-    seventh = {Decimal: analytic._dec(F(1, 7)), PolyQ: PolyQ.const(F(1, 7))}
+    seventh = {Decimal: analytic._dec(F(1, 7)), PolyQ: PolyQ.from_coeffs([F(1, 7)])}
     return value + seventh.get(type(value), F(1, 7))
 
 
@@ -330,7 +330,7 @@ NUMERIC_CONTROLS = {
              lambda cfg: analytic.eval_theorem5(HsuShiueParams(F(1, 2), 2, 3), 2, F(1, 2), cfg)),
     "EQ30_FAMILY": ("log2", analytic._dec,
                     lambda cfg: analytic.eval_eq30_family(2, cfg)),
-    "EQ16_NUMERIC": ("exp_poly", PolyQ.const,
+    "EQ16_NUMERIC": ("exp_poly", lambda c: PolyQ.from_coeffs([c]),
                      lambda cfg: analytic.eval_dobinski_numeric(3, HsuShiueParams(0, 1, 0), 1, cfg)),
 }
 
