@@ -4,9 +4,10 @@ Output is a single JSON document per invocation (CSV available for tables).
 Rationals are parsed and emitted exactly as "p/q" or integer strings --
 decimal input is rejected to keep the exact commands exact.  Exit codes:
 0 success, 1 a check failed its tolerance or an unexpected identity status,
-2 parse/validation error or an --out file that cannot be opened (tried
-before any computation).  Each command returns its echoed params, result
-and status (or raw CSV text); `main` alone frames, times and writes them.
+2 parse/validation error, an exhausted term budget (ArithmeticError), or
+an --out file that cannot be opened (tried before any computation).  Each
+command returns its echoed params, result and status (or raw CSV text);
+`main` alone frames, times and writes them.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
                 payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
             text = json.dumps(payload, indent=2, sort_keys=True)
         print(text, file=sink)  # stdout when sink is None
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -11,13 +11,16 @@ the prefactor x^((r - n*alpha)/beta).
 The verifiers expand both sides of the operator identities over these
 coefficients: the operator route on the left, and on the right either the
 derivative expansion sum_k S(n,k) beta^k x^k f^(k)(x) or a closed
-generating-function composition.
+generating-function composition.  x^k f^(k)(x) has (j)_k f_j at x^j, so on
+x^j EQ1 is the Hsu-Shiue relation (j*beta + r | alpha)_n = sum_k S(n,k)
+beta^k (j)_k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import perm
 from typing import Sequence
 
 from .exact import as_size, gen_factorial
@@ -57,20 +60,20 @@ def apply_operator(
 def verify_eq1_poly(n: int, f: PolyQ, params: HsuShiueParams) -> CheckReport:
     """Operator route vs derivative expansion for a polynomial test function.
 
-    LHS: n applications on the coefficients of f.  RHS: the coefficients of
-    sum_k S(n,k) beta^k x^k f^(k)(x).  Polynomials are dense in the
-    identities actually used downstream, so exact agreement here (plus
-    linearity) is the meaningful machine-checkable slice.
+    LHS: n applications on the coefficients f_j of f.  RHS: the coefficients
+    f_j sum_k S(n,k) beta^k (j)_k of the expansion, read off the cached
+    table's row n.  Polynomials are dense in the identities actually used
+    downstream, so exact agreement here (plus linearity) is the meaningful
+    machine-checkable slice.
     """
-    order = max(f.degree, 0)
+    coeffs = f.coeffs or (Fraction(0),)
     rpt = CheckReport(id="EQ1", params={"n": n, "f": list(f.coeffs), "params": params})
-    lhs = apply_operator(f.to_series(order).coeffs, params, n)
-    table = cached_table(params, n)
-    rhs_poly = PolyQ.zero()
-    for k in range(n + 1):
-        term = f.derivative(k).shift_x(k) * (table.value(n, k) * params.beta**k)
-        rhs_poly = rhs_poly + term
-    rhs = rhs_poly.to_series(order).coeffs
+    lhs = apply_operator(coeffs, params, n)
+    row = cached_table(params, n).row(n)
+    rhs = [
+        c * sum(s * params.beta**k * perm(j, k) for k, s in enumerate(row))
+        for j, c in enumerate(coeffs)
+    ]
     return rpt.compare_each(zip(count(), lhs, rhs), "x^{}: operator {} != expansion {}")
 
 

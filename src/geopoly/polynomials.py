@@ -6,19 +6,18 @@ integer numerators ``nums`` over one denominator ``den > 0``, with
 is nums[k]/den and the zero polynomial is ``((), 1)``.  The form is unique,
 so equality and the hash of the two fields are value equality.  The field
 constructor reduces to it with one gcd; `from_coeffs` takes rationals.
-Evaluation, the integral, the ring operations, the derivative and the
-shift all run on the integers; evaluation and the integral build one
-Fraction at the end.  `coeffs` gives the reduced Fractions to readers
-that want them.
+Evaluation and the integral run on the integers and build one Fraction at
+the end.  `coeffs` gives the reduced Fractions to readers that want them;
+EQ1 reads x^k f^(k)(x) off them as (j)_k f_j at x^j, with no ring operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, lcm
 from typing import Iterable
 
-from .exact import RationalLike, as_rational, as_size, over_lcm
+from .exact import RationalLike, as_rational, over_lcm
 from .record import Frozen
 from .series import PowerSeries, compose
 
@@ -55,10 +54,6 @@ class PolyQ(Frozen):
     def from_coeffs(coeffs: Iterable[RationalLike]) -> "PolyQ":
         return PolyQ(*over_lcm([as_rational(c) for c in coeffs]))
 
-    @staticmethod
-    def zero() -> "PolyQ":
-        return PolyQ(())
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients of x**0 .. x**degree as reduced Fractions."""
@@ -69,45 +64,11 @@ class PolyQ(Frozen):
         """Degree, with -1 for the zero polynomial."""
         return len(self.nums) - 1
 
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
-
     def __call__(self, x: RationalLike) -> Fraction:
         """Horner's rule on the integer numerators, one Fraction at the end."""
         x = as_rational(x)
         q = x.denominator
         return Fraction(_horner(self.nums, x.numerator, q), self.den * q ** max(self.degree, 0))
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        den = lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [c * (den // other.den) for c in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        return PolyQ([c + d for c, d in zip(a, b)] + a[len(b) :], den)
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + -other
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ([-c for c in self.nums], self.den)
-
-    def __mul__(self, other: "PolyQ | RationalLike") -> "PolyQ":
-        if not isinstance(other, PolyQ):
-            c = as_rational(other)
-            return PolyQ([c.numerator * a for a in self.nums], self.den * c.denominator)
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            for j, b in enumerate(other.nums):
-                out[i + j] += a * b
-        return PolyQ(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def derivative(self, times: int = 1) -> "PolyQ":
-        """d^times/dx^times: x**k goes to k (k-1) ... (k-times+1) x**(k-times)."""
-        as_size(times, "times")
-        return PolyQ([perm(k, times) * c for k, c in enumerate(self.nums)][times:], self.den)
 
     def integral(self, a: RationalLike, b: RationalLike) -> Fraction:
         """Exact integral from a to b: the antiderivative on integers over
@@ -126,13 +87,6 @@ class PolyQ(Frozen):
         at_b, at_a = _horner(anti, s, t), _horner(anti, p, q)
         q_pow, t_pow = q**size, t**size
         return Fraction(at_b * q_pow - at_a * t_pow, self.den * big_l * q_pow * t_pow)
-
-    def shift_x(self, power: int) -> "PolyQ":
-        """Multiply by x**power."""
-        as_size(power, "power")
-        if not self.nums:
-            return self
-        return PolyQ((0,) * power + self.nums, self.den)
 
     def to_series(self, order: int) -> PowerSeries:
         return PowerSeries.from_coeffs(self.coeffs or [0], order)

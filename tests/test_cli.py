@@ -3,31 +3,22 @@ import hashlib
 import importlib
 import io
 import json
-import os
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
 from geopoly import analytic, cli
 from geopoly import identities as I
 
-# The CLI child imports the same geopoly as these tests, installed or not.
-PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+@pytest.fixture
+def run_cli(fresh_python):
+    """The CLI in a fresh interpreter: ``run_cli(*args, module=...)``."""
+    return lambda *args, module="geopoly.cli": fresh_python("-m", module, *args)
 
 
-def run_cli(*args, module="geopoly.cli"):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (PACKAGE_ROOT, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env, timeout=300
-    )
-
-
-def test_stirling_classical_row4():
+def test_stirling_classical_row4(run_cli):
     out = run_cli(
         "stirling", "--alpha", "0", "--beta", "1", "--r", "0", "--nmax", "4",
         "--no-timing",
@@ -37,7 +28,7 @@ def test_stirling_classical_row4():
     assert doc["result"]["rows"][4] == ["0", "1", "7", "6", "1"]
 
 
-def test_stirling_csv_rows():
+def test_stirling_csv_rows(run_cli):
     out = run_cli(
         "stirling", "--alpha", "0", "--beta", "1", "--r", "0", "--nmax", "4",
         "--format", "csv",
@@ -47,7 +38,7 @@ def test_stirling_csv_rows():
     assert lines[4] == "0,1,7,6,1"
 
 
-def test_stirling_rational_entry():
+def test_stirling_rational_entry(run_cli):
     out = run_cli(
         "stirling", "--alpha", "1/2", "--beta", "3", "--r", "-2", "--nmax", "2",
         "--no-timing",
@@ -57,19 +48,19 @@ def test_stirling_rational_entry():
     assert doc["result"]["rows"][2][1] == "-3/2"
 
 
-def test_stirling_forbidden_triple_exits_2():
+def test_stirling_forbidden_triple_exits_2(run_cli):
     out = run_cli("stirling", "--alpha", "0", "--beta", "0", "--r", "0", "--nmax", "3")
     assert out.returncode == 2
     assert "error" in out.stderr
 
 
-def test_decimal_input_rejected():
+def test_decimal_input_rejected(run_cli):
     out = run_cli("stirling", "--alpha", "0.5", "--beta", "1", "--r", "0", "--nmax", "2")
     assert out.returncode == 2
     assert "rational" in out.stderr
 
 
-def test_poly_fubini_value():
+def test_poly_fubini_value(run_cli):
     out = run_cli(
         "poly", "--family", "geom", "--n", "3", "--order-m", "1",
         "--alpha", "0", "--beta", "1", "--r", "0", "--at", "1", "--no-timing",
@@ -78,7 +69,7 @@ def test_poly_fubini_value():
     assert doc["result"]["value"] == "13"
 
 
-def test_poly_n0_and_negative_order():
+def test_poly_n0_and_negative_order(run_cli):
     out = run_cli(
         "poly", "--family", "geom", "--n", "0", "--order-m", "1",
         "--alpha", "1/2", "--beta", "2", "--r", "-1", "--no-timing",
@@ -92,7 +83,7 @@ def test_poly_n0_and_negative_order():
     assert json.loads(out.stdout)["result"]["value"] == str(F(-1) * F(-3, 2))
 
 
-def test_rational_round_trip():
+def test_rational_round_trip(run_cli):
     out = run_cli(
         "poly", "--family", "exp", "--n", "4", "--alpha", "1/2", "--beta", "3",
         "--r", "-2/3", "--no-timing",
@@ -102,7 +93,7 @@ def test_rational_round_trip():
         F(c)  # every emitted rational parses back exactly
 
 
-def test_series_zeta2k_passes():
+def test_series_zeta2k_passes(run_cli):
     out = run_cli("series", "--id", "zeta2k", "--n", "0", "--bits", "256", "--no-timing")
     assert out.returncode == 0
     doc = json.loads(out.stdout)
@@ -110,7 +101,7 @@ def test_series_zeta2k_passes():
     assert float(doc["result"]["detail"]["abs_diff"]) < 1e-30
 
 
-def test_series_eq17_hand_witness():
+def test_series_eq17_hand_witness(run_cli):
     out = run_cli(
         "series", "--id", "eq17", "--n", "1", "--alpha", "1", "--beta", "2",
         "--r", "3", "--no-timing",
@@ -121,7 +112,7 @@ def test_series_eq17_hand_witness():
     assert abs(float(doc["result"]["detail"]["lhs"]) - 3) < 1e-40
 
 
-def test_series_theorem5():
+def test_series_theorem5(run_cli):
     out = run_cli(
         "series", "--id", "theorem5", "--n", "0", "--x", "1/3",
         "--alpha", "0", "--beta", "1", "--r", "0", "--no-timing",
@@ -129,17 +120,27 @@ def test_series_theorem5():
     assert out.returncode == 0
 
 
-def test_series_requires_x_when_needed():
+def test_series_requires_x_when_needed(run_cli):
     out = run_cli("series", "--id", "theorem5", "--n", "0")
     assert out.returncode == 2
 
 
 @pytest.mark.parametrize("how", ["flag"])  # --bits is the one way to set precision
-def test_series_bits_above_budget_exit_2(how):
+def test_series_bits_above_budget_exit_2(how, run_cli):
     out = run_cli("series", "--id", "zeta2k", "--n", "0", "--bits", "4097")
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == "error: precision_bits must be <= 4096, got 4097\n"
+
+
+def test_an_exhausted_term_budget_exits_2(monkeypatch, capsys):
+    # a series that needs more terms than the budget is a limit, not a failed check
+    monkeypatch.setattr(analytic, "MAX_TERMS", 50)
+    argv = ["series", "--id", "theorem5", "--n", "1", "--x", "99/100", "--bits", "64"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tail bound not reached within max_terms\n"
 
 
 def test_bits_defaults_to_256(monkeypatch, capsys):
@@ -150,7 +151,7 @@ def test_bits_defaults_to_256(monkeypatch, capsys):
     assert "precision bits (default 256)" in capsys.readouterr().out
 
 
-def test_python_dash_m_geopoly_is_the_cli():
+def test_python_dash_m_geopoly_is_the_cli(run_cli):
     args = ("verify", "--id", "EQ36", "--samples", "1", "--no-timing")
     package, module = run_cli(*args, module="geopoly"), run_cli(*args)
     assert package.returncode == module.returncode == 0
@@ -158,14 +159,14 @@ def test_python_dash_m_geopoly_is_the_cli():
     assert package.stderr == module.stderr == ""
 
 
-def test_verify_quick_all_exit_zero():
+def test_verify_quick_all_exit_zero(run_cli):
     out = run_cli("verify", "--id", "all", "--profile", "quick", "--seed", "1", "--no-timing")
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["result"]["summary"]["counts"]["fail"] == 0
 
 
-def test_verify_printed_regression_exit_zero():
+def test_verify_printed_regression_exit_zero(run_cli):
     out = run_cli("verify", "--id", "EQ37_PRINTED", "--seed", "1", "--no-timing")
     assert out.returncode == 0
     doc = json.loads(out.stdout)
@@ -173,7 +174,7 @@ def test_verify_printed_regression_exit_zero():
     assert statuses == {"expected_fail_confirmed"}
 
 
-def test_verify_unknown_id_exit_2():
+def test_verify_unknown_id_exit_2(run_cli):
     out = run_cli("verify", "--id", "NOPE")
     assert out.returncode == 2
 
@@ -210,7 +211,7 @@ def test_verify_single_id_samples_default(capsys):
         assert len(doc["result"]["reports"]) == samples
 
 
-def test_byte_identical_without_timing():
+def test_byte_identical_without_timing(run_cli):
     args = ("verify", "--id", "EQ36", "--seed", "4", "--samples", "3", "--no-timing")
     a = run_cli(*args)
     b = run_cli(*args)
@@ -303,7 +304,7 @@ def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
     assert target.read_text() == out
 
 
-def test_an_unwritable_out_file_exits_2_before_the_computation(monkeypatch, capsys, tmp_path):
+def test_an_unwritable_out_file_exits_2_before_the_computation(monkeypatch, capsys, tmp_path, run_cli):
     argv = ("stirling", "--alpha", "0", "--beta", "1", "--r", "0", "--nmax", "2")
     missing = tmp_path / "no-such-dir" / "x.json"
     out = run_cli(*argv, "--out", str(missing))
@@ -358,7 +359,7 @@ def test_verify_all_lists_each_failure_once_by_index(monkeypatch):
     assert "EQ19" in {result["reports"][i]["id"] for i in failed}
 
 
-def test_out_file(tmp_path):
+def test_out_file(tmp_path, run_cli):
     target = tmp_path / "table.json"
     out = run_cli(
         "stirling", "--alpha", "0", "--beta", "1", "--r", "0", "--nmax", "3",

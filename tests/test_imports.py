@@ -13,9 +13,6 @@ library is needed, so the checks run wherever the tests do.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -102,17 +99,31 @@ def _private_defined(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _reads(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of every name loaded, attribute name, and name inside a
-    string annotation."""
-    out = [(n.id, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Name)
+def _reads(tree: ast.Module, lineages: dict[str, set[str]]) -> list[tuple[str, int, set | None]]:
+    """(name, line, classes) of every name loaded, attribute name, and name
+    inside a string annotation.  ``classes`` holds the classes whose method
+    the read can name: none for a bare name; the lineage of C for ``C.m``,
+    and for ``self.m`` or ``cls.m`` inside C; None, any class, for every
+    other attribute."""
+    out = [(n.id, n.lineno, set()) for n in ast.walk(tree) if isinstance(n, ast.Name)
            and isinstance(n.ctx, ast.Load)]
-    out += [(n.attr, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
-    return out + _annotation_reads(tree)
+
+    def visit(node: ast.AST, around: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            around = node.name
+        if isinstance(node, ast.Attribute):
+            base = getattr(node.value, "id", None)
+            owner = around if base in ("self", "cls") else base
+            out.append((node.attr, node.lineno, lineages.get(owner)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, around)
+
+    visit(tree, None)
+    return out + [(name, line, set()) for name, line in _annotation_reads(tree)]
 
 
 def _read(tree: ast.Module) -> set[str]:
-    return {name for name, _ in _reads(tree)}
+    return {name for name, _, _ in _reads(tree, {})}
 
 
 def test_no_dead_private_name():
@@ -153,21 +164,39 @@ def _public_defined(tree: ast.Module) -> dict[str, ast.AST]:
     return {name: node for name, node in out.items() if not name.split(".")[-1].startswith("_")}
 
 
+def _lineages(trees) -> dict[str, set[str]]:
+    """Each class of ``trees`` -> itself and its base classes among them."""
+    bases = {
+        cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)}
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    }
+
+    def lineage(name: str) -> set[str]:
+        return {name}.union(*(lineage(b) for b in bases[name] if b in bases))
+
+    return {name: lineage(name) for name in bases}
+
+
 def _unread_public(sources: dict[str, ast.Module], readers: dict[str, ast.Module]) -> list[str]:
     """``file: name (line n)`` of each public name of ``sources`` that no tree
-    of ``readers`` reads outside the name's own definition.  A method counts
-    as read wherever its name is read as an attribute."""
-    where: dict[str, list[tuple[str, int]]] = {}
+    of ``readers`` reads outside the name's own definition.  A method ``C.m``
+    counts as read by an attribute read of ``m`` whose class is C or a
+    subclass of C, or is unknown (`_reads`)."""
+    lineages = _lineages([*sources.values(), *readers.values()])
+    where: dict[str, list[tuple[str, int, set | None]]] = {}
     for file, tree in readers.items():
-        for name, line in _reads(tree):
-            where.setdefault(name, []).append((file, line))
+        for name, line, classes in _reads(tree, lineages):
+            where.setdefault(name, []).append((file, line, classes))
     return [
         f"{file}: {name} (line {node.lineno})"
         for file, tree in sources.items()
         for name, node in _public_defined(tree).items()
         if all(
             at == file and node.lineno <= line <= node.end_lineno
-            for at, line in where.get(name.split(".")[-1], ())
+            or "." in name and classes is not None and name.split(".")[0] not in classes
+            for at, line, classes in where.get(name.split(".")[-1], ())
         )
     ]
 
@@ -225,6 +254,23 @@ def test_detector_flags_a_name_only_a_test_reads():
         "lib.py: Q (line 10)", "lib.py: Q.make (line 11)",
     ]
     assert not any(p.is_relative_to(REPO / "tests") for p in READERS)
+
+
+def test_detector_resolves_a_method_by_its_class():
+    # PowerSeries.zero went unflagged while the library read PolyQ.zero():
+    # a method's reads through its class, or self inside it, count for it alone
+    lib = ast.parse(
+        "class Base:\n    def shared(self): pass\n"
+        "class A(Base):\n    def zero(self): return A()\n"
+        "    def total(self): return self.shared()\n"
+        "class B:\n    def zero(self): return B()\n    def shared(self): pass\n"
+        "    def kept(self): pass\n"
+        "def scan(items): return [zero for zero in items]\n"
+    )
+    bench = ast.parse("from lib import A, B, scan\nA.zero()\nA().total()\nB().kept()\nscan([])\n")
+    assert _unread_public({"lib.py": lib}, {"lib.py": lib, "bench.py": bench}) == [
+        "lib.py: B.zero (line 7)", "lib.py: B.shared (line 8)",
+    ]
 
 
 def _owned(tree: ast.Module, flagged) -> list[tuple[str, int]]:
@@ -324,23 +370,15 @@ def test_detector_flags_a_lower_bound_raise():
     ]
 
 
-def _fresh(code: str) -> str:
-    """The stdout of ``code`` run in a fresh interpreter that imports this geopoly."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-def test_import_leaves_dataclasses_and_inspect_out():
+def test_import_leaves_dataclasses_and_inspect_out(fresh_python):
     # a cold import without a bytecode cache paid about a third of its time
     # for dataclasses and the inspect module it imports; a bare
     # `import geopoly` loads no module, so probe after loading every one
     modules = ", ".join(f"geopoly.{p.stem}" for p in SOURCES if p.stem != "__init__")
     probe = (f"import sys\nfrom geopoly import *\nimport {modules}\n"
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    assert _fresh(probe) == "[]"
+    out = fresh_python("-c", probe)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 # The names `from geopoly import ...` gave before the package loaded its
@@ -360,13 +398,15 @@ EAGER_SURFACE = (
 ).split()
 
 
-def test_import_loads_no_module_until_a_name_is_read():
-    out = _fresh(
+def test_import_loads_no_module_until_a_name_is_read(fresh_python):
+    out = fresh_python(
+        "-c",
         "import sys, geopoly\n"
         "loaded = lambda: ' '.join(sorted(m for m in sys.modules if m.startswith('geopoly')))\n"
-        "print(loaded())\ngeopoly.build_table\nprint(loaded())"
+        "print(loaded())\ngeopoly.build_table\nprint(loaded())",
     )
-    bare, after_read = (line.split() for line in out.splitlines())
+    assert out.returncode == 0, out.stderr
+    bare, after_read = (line.split() for line in out.stdout.splitlines())
     assert bare == ["geopoly"]
     # reading one name loads its layer and what that imports, not the registry or the CLI
     assert "geopoly.stirling" in after_read
@@ -375,41 +415,47 @@ def test_import_loads_no_module_until_a_name_is_read():
     )
 
 
-def test_every_public_name_is_its_owners_object():
-    out = _fresh(
+def test_every_public_name_is_its_owners_object(fresh_python):
+    out = fresh_python(
+        "-c",
         "import geopoly\nfrom importlib import import_module\n"
         "print([name for name in geopoly.__all__ if getattr(geopoly, name) is not\n"
-        "       getattr(import_module('geopoly.' + geopoly._OWNER[name]), name)])"
+        "       getattr(import_module('geopoly.' + geopoly._OWNER[name]), name)])",
     )
-    assert out == "[]"
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
-def test_every_module_is_reachable_as_an_attribute():
-    out = _fresh(
+def test_every_module_is_reachable_as_an_attribute(fresh_python):
+    out = fresh_python(
+        "-c",
         f"import sys, geopoly\nnames = {SUBMODULES!r}\n"
-        "print([n for n in names if getattr(geopoly, n) is not sys.modules['geopoly.' + n]])"
+        "print([n for n in names if getattr(geopoly, n) is not sys.modules['geopoly.' + n]])",
     )
-    assert out == "[]"
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
     # the documented spelling, through the package alone
-    assert _fresh("import geopoly\nprint(len(geopoly.identities.REGISTRY) > 0, "
-                  "callable(geopoly.identities.run))") == "True True"
+    out = fresh_python("-c", "import geopoly\nprint(len(geopoly.identities.REGISTRY) > 0, "
+                       "callable(geopoly.identities.run))")
+    assert (out.returncode, out.stdout) == (0, "True True\n"), out.stderr
 
 
-def test_dir_and_star_import_list_every_public_name():
-    out = _fresh(
+def test_dir_and_star_import_list_every_public_name(fresh_python):
+    out = fresh_python(
+        "-c",
         "import geopoly\nnamespace = {}\nexec('from geopoly import *', namespace)\n"
         "print(sorted(set(geopoly.__all__) - set(dir(geopoly))))\n"
-        "print(sorted(set(geopoly.__all__) - set(namespace)))"
+        "print(sorted(set(geopoly.__all__) - set(namespace)))",
     )
-    assert out.splitlines() == ["[]", "[]"]
+    assert (out.returncode, out.stdout) == (0, "[]\n[]\n"), out.stderr
 
 
-def test_unknown_name_raises_attribute_error():
-    out = _fresh(
+def test_unknown_name_raises_attribute_error(fresh_python):
+    out = fresh_python(
+        "-c",
         "import geopoly\ntry:\n    geopoly.nope\nexcept AttributeError as e:\n    print(e)\n"
-        "print(hasattr(geopoly, 'nope'))"
+        "print(hasattr(geopoly, 'nope'))",
     )
-    assert out.splitlines() == ["module 'geopoly' has no attribute 'nope'", "False"]
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["module 'geopoly' has no attribute 'nope'", "False"]
 
 
 def test_export_table_matches_the_modules():

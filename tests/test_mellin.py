@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from geopoly import mellin as M
 from geopoly.exact import falling_factorial, gen_factorial
+from geopoly.identities import SmallRationalSampler
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries
+from geopoly.stirling import build_table
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -99,6 +101,40 @@ def test_eq1_n1_by_hand():
     rep = M.verify_eq1_poly(1, f, PARAMS)
     assert rep.status == "pass"
     assert M.apply_operator(f.to_series(1).coeffs, PARAMS, 1)[1] == PARAMS.beta + PARAMS.r
+
+
+def ref_derivative(cs, times):
+    """The reference: f differentiated termwise ``times`` times, on Fractions."""
+    for _ in range(times):
+        cs = [k * c for k, c in enumerate(cs)][1:]
+    return cs
+
+
+def ref_expansion(n, cs, params):
+    """sum_k S(n,k) beta^k x^k f^(k)(x) on Fractions, f's coefficients ``cs``."""
+    table = build_table(params, n)
+    out = [F(0)] * max(len(cs), 1)
+    for k in range(n + 1):
+        for j, c in enumerate(ref_derivative(cs, k), start=k):  # times x^k
+            out[j] += table.value(n, k) * params.beta**k * c
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 6), coeffs=st.lists(small_fractions, max_size=6), seed=st.integers(0, 2**32))
+@example(n=6, coeffs=[], seed=1)  # the zero polynomial
+@example(n=6, coeffs=[F(1, 2)] * 6, seed=3)
+def test_eq1_expansion_matches_termwise_derivatives(n, coeffs, seed):
+    params = SmallRationalSampler(seed).params()
+    f = PolyQ.from_coeffs(coeffs)
+    want = ref_expansion(n, list(f.coeffs), params)
+    # with the reference on the operator side, EQ1 passes iff its expansion is the reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "apply_operator", lambda *args: want)
+        rpt = M.verify_eq1_poly(n, f, params)
+    assert rpt.status == "pass", rpt.witness
+    # and the reference is the operator route: Hsu-Shiue on each x^j
+    assert want == M.apply_operator(f.coeffs or [F(0)], params, n)
 
 
 @settings(max_examples=20, deadline=None)

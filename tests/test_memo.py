@@ -1,9 +1,7 @@
 """The one cache policy: Memo, prefix growth and the caches built on them."""
 
-import os
 import pkgutil
 import re
-import subprocess
 import sys
 import threading
 from fractions import Fraction as F
@@ -30,17 +28,6 @@ TRIPLE_FORMS = (
 TRIPLES = tuple(HsuShiueParams(*forms[0]) for forms in TRIPLE_FORMS)
 # shuffled, repeated request orders of n in 0..40
 REQUESTS = st.lists(st.integers(0, 40), min_size=1, max_size=8)
-
-
-def run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports this geopoly; its stdout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +202,7 @@ NEGATIVE_CALLS = (
 )
 
 
-def test_negative_n_raises_on_a_cold_store():
+def test_negative_n_raises_on_a_cold_store(fresh_python):
     code = (
         "from geopoly.families import _degenerate_euler_values, bernoulli_numbers, "
         "bernoulli_poly\n"
@@ -229,7 +216,9 @@ def test_negative_n_raises_on_a_cold_store():
         "for c in (cached_table, bernoulli_numbers, _degenerate_euler_values):\n"
         "    print(c.cache_info().hits, c.cache_info().misses, c.cache_info().currsize)\n"
     )
-    lines = run_python(code).splitlines()
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
     assert lines[:-3] == [f"{call} n must be >= 0, got -1" for call in NEGATIVE_CALLS]
     assert lines[-3:] == ["0 0 0"] * 3  # refused before the store was read or written
 
@@ -256,45 +245,51 @@ def test_a_size_that_is_not_an_int_raises(call, size):
 # ---------------------------------------------------------------------------
 
 
-def test_check_eq14_grows_instead_of_rebuilding_per_n():
+def test_check_eq14_grows_instead_of_rebuilding_per_n(fresh_python):
     # B_0..B_20 and E_0(0)..E_20(0) one n at a time: 7 growths (at 0, 1, 2,
     # 4, 8, 16, 32) each, where a cache keyed on n would build 21 times
-    out = run_python(
+    out = fresh_python(
+        "-c",
         "from geopoly import families as f\n"
         "assert f.check_eq14(20).status == 'pass'\n"
         "print(f.bernoulli_numbers.cache_info().misses,\n"
-        "      f._degenerate_euler_values.cache_info().misses)\n"
+        "      f._degenerate_euler_values.cache_info().misses)\n",
     )
-    bern, euler = map(int, out.split())
+    assert out.returncode == 0, out.stderr
+    bern, euler = map(int, out.stdout.split())
     assert bern <= 7 and euler <= 7
 
 
-def test_check_eq14_builds_each_sequence_once():
+def test_check_eq14_builds_each_sequence_once(fresh_python):
     # the (0,1,0) table, B_0..B_20 and E_0(0)..E_20(0) are built once, at
     # n = 20, before the scan; every read per n then hits
-    out = run_python(
+    out = fresh_python(
+        "-c",
         "from geopoly import families as f, stirling\n"
         "built, build = [], stirling.build_table\n"
         "stirling.build_table = lambda p, n: built.append(n) or build(p, n)\n"
         "assert f.check_eq14(20).status == 'pass'\n"
         "print(built)\n"
         "for c in (stirling.cached_table, f.bernoulli_numbers, f._degenerate_euler_values):\n"
-        "    print(c.cache_info().misses)\n"
+        "    print(c.cache_info().misses)\n",
     )
-    assert out.split() == ["[20]", "1", "1", "1"]
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[20]", "1", "1", "1"]
 
 
-def test_benchmark_cache_names_exist_and_start_cold():
+def test_benchmark_cache_names_exist_and_start_cold(fresh_python):
     # the names perfbench/worker.py reads, after the imports it makes
-    out = run_python(
+    out = fresh_python(
+        "-c",
         "import geopoly\n"
         "from geopoly import analytic, cli, enumeration, exact, families, identities, mellin\n"
         "from geopoly import polynomials, series, stirling\n"
         "print(stirling.cached_table.cache_info()._asdict())\n"
         "print(families.bernoulli_numbers.cache_info()._asdict())\n"
-        "print(len(analytic._ZETA_CACHE), len(analytic._CONST_CACHE))\n"
+        "print(len(analytic._ZETA_CACHE), len(analytic._CONST_CACHE))\n",
     )
-    table, bern, sizes = out.splitlines()
+    assert out.returncode == 0, out.stderr
+    table, bern, sizes = out.stdout.splitlines()
     assert table == str({"hits": 0, "misses": 0, "maxsize": 512, "currsize": 0})
     assert bern == str({"hits": 0, "misses": 0, "maxsize": 4096, "currsize": 0})
     assert sizes == "0 0"

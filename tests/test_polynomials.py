@@ -12,7 +12,7 @@ from geopoly.series import PowerSeries, divide
 def test_normalization_and_degree():
     assert PolyQ.from_coeffs([1, 2, 0, 0]).coeffs == (1, 2)
     assert PolyQ.from_coeffs([0, 0]).degree == -1
-    assert PolyQ.zero() == PolyQ.from_coeffs([])
+    assert PolyQ(()) == PolyQ.from_coeffs([])
     assert PolyQ.from_coeffs([F(2, 3)]).degree == 0
 
 
@@ -45,23 +45,6 @@ def test_evaluation_equals_fraction_horner(coeffs, x):
     assert p(str(x)) == got
 
 
-def test_arithmetic():
-    p = PolyQ.from_coeffs([1, 1])
-    q = PolyQ.from_coeffs([-1, 1])
-    assert (p * q).coeffs == (-1, 0, 1)
-    assert (p + q).coeffs == (0, 2)
-    assert (p - p).degree == -1
-    assert (p * F(1, 2)).coeffs == (F(1, 2), F(1, 2))
-
-
-def test_derivative_and_shift():
-    p = PolyQ.from_coeffs([3, 0, 5])  # 3 + 5x^2
-    assert p.derivative().coeffs == (0, 10)
-    assert p.derivative(2).coeffs == (10,)
-    assert p.derivative(3).degree == -1
-    assert p.shift_x(2).coeffs == (0, 0, 3, 0, 5)
-
-
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -78,7 +61,7 @@ def test_integral_by_hand():
     p = PolyQ.from_coeffs([F(1, 6), -1, 1])  # x^2 - x + 1/6, i.e. B_2(x)
     assert p.integral(0, 1) == 0
     assert p.integral(-1, 0) == F(1, 3) + F(1, 2) + F(1, 6)
-    assert PolyQ.zero().integral(-1, 5) == 0
+    assert PolyQ(()).integral(-1, 5) == 0
     assert PolyQ.from_coeffs([3]).integral("-1/2", 0) == F(3, 2)
 
 
@@ -90,7 +73,7 @@ def test_substitute_series():
     out = p.at_series(u)
     # t/(1-t) = t + t^2 + ...; (t/(1-t))^2 = t^2 + 2t^3 + 3t^4 + ...
     assert [out.coeff(j) for j in range(5)] == [0, 1, 2, 3, 4]
-    assert PolyQ.zero().at_series(u).valuation() is None
+    assert PolyQ(()).at_series(u).valuation() is None
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +86,7 @@ def test_substitute_series():
     [
         (PolyQ((1, 0)), PolyQ.from_coeffs([1])),  # a trailing zero
         (PolyQ((0, 3, 0, 0), 9), PolyQ.from_coeffs([0, F(1, 3)])),
-        (PolyQ((0, 0, 0), 5), PolyQ.zero()),  # the zero polynomial, any denominator
+        (PolyQ((0, 0, 0), 5), PolyQ(())),  # the zero polynomial, any denominator
         (PolyQ((), -7), PolyQ.from_coeffs([0, 0])),
         (PolyQ((2, -4), -6), PolyQ.from_coeffs([F(-1, 3), F(2, 3)])),  # negative den
         (PolyQ((6, 0, 9), 12), PolyQ.from_coeffs([F(1, 2), 0, F(3, 4)])),  # non-reduced den
@@ -118,7 +101,7 @@ def test_canonical_form_is_value_equality(raw, same):
 
 
 def test_zero_polynomial_form():
-    for zero in (PolyQ.zero(), PolyQ((0,), 3), PolyQ.from_coeffs([]), PolyQ((5,), 2) - PolyQ((5,), 2)):
+    for zero in (PolyQ(()), PolyQ((0,), 3), PolyQ((0, 0), -2), PolyQ.from_coeffs([])):
         assert (zero.nums, zero.den, zero.degree, zero.coeffs) == ((), 1, -1, ())
 
 
@@ -141,12 +124,6 @@ def test_zero_denominator_is_refused():
         PolyQ((1, 2), 0)
 
 
-def test_coeff_reads_one_cell():
-    p = PolyQ((3, 0, -4), 6)
-    assert [p.coeff(k) for k in range(-1, 5)] == [0, F(1, 2), 0, F(-2, 3), 0, 0]
-    assert p.coeffs == (F(1, 2), 0, F(-2, 3))
-
-
 # ---------------------------------------------------------------------------
 # Every integer operation against Fraction-per-coefficient reference loops
 # ---------------------------------------------------------------------------
@@ -157,26 +134,6 @@ def ref_trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def ref_add(a, b, sign=1):
-    n = max(len(a), len(b))
-    get = lambda cs, k: cs[k] if k < len(cs) else F(0)  # noqa: E731
-    return ref_trim(get(a, k) + sign * get(b, k) for k in range(n))
-
-
-def ref_mul(a, b):
-    out = [F(0)] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return ref_trim(out)
-
-
-def ref_derivative(cs, times):
-    for _ in range(times):
-        cs = [k * c for k, c in enumerate(cs)][1:]
-    return ref_trim(cs)
 
 
 def ref_integral(cs, a, b):
@@ -205,41 +162,28 @@ BIG = 2**61 - 1  # a Mersenne prime
     x=point,
     lo=point,
     hi=point,
-    times=st.integers(0, 4),
-    power=st.integers(0, 3),
-    c=coefficient,
 )
-@example(a=[], b=[], x=F(1, 3), lo=F(-1), hi=F(0), times=1, power=2, c=F(0))  # zero polynomials
-@example(a=[F(7, 3)], b=[F(0), F(0), F(1)], x=F(0), lo=F(2), hi=F(2), times=1, power=0, c=F(5))  # a constant, x = 0, a = b
-@example(a=[F(1), F(-2), F(0), F(3)], b=[F(-1, 2)], x=F(-3), lo=F(-2), hi=F(3), times=3, power=1, c=F(-1))  # integer x
+@example(a=[], b=[], x=F(1, 3), lo=F(-1), hi=F(0))  # zero polynomials
+@example(a=[F(7, 3)], b=[F(0), F(0), F(1)], x=F(0), lo=F(2), hi=F(2))  # a constant, x = 0, a = b
+@example(a=[F(1), F(-2), F(0), F(3)], b=[F(-1, 2)], x=F(-3), lo=F(-2), hi=F(3))  # integer x
 @example(
     a=[F(1, BIG), F(-3, BIG * 7), F(2, 3**30)],
     b=[F(BIG, 5**20), F(0), F(-1, BIG)],
     x=F(-17, 29),
     lo=F(BIG, 3**30),
     hi=F(-1, BIG),
-    times=2,
-    power=3,
-    c=F(3**25, BIG),
 )  # large denominators
-def test_integer_ops_equal_fraction_reference(a, b, x, lo, hi, times, power, c):
+def test_integer_ops_equal_fraction_reference(a, b, x, lo, hi):
     p, q = PolyQ.from_coeffs(a), PolyQ.from_coeffs(b)
     a, b = ref_trim(a), ref_trim(b)
     assert list(p.coeffs) == a and list(q.coeffs) == b
     assert p(x) == fraction_horner(a, x) and p(-x) == fraction_horner(a, -x)
     assert p.integral(lo, hi) == ref_integral(a, lo, hi)
     assert p.integral(-1, 0) == ref_integral(a, F(-1), F(0))
-    assert list((p + q).coeffs) == ref_add(a, b)
-    assert list((p - q).coeffs) == ref_add(a, b, -1)
-    assert list((-p).coeffs) == [-v for v in a]
-    assert list((p * q).coeffs) == ref_mul(a, b)
-    assert list((p * c).coeffs) == list((c * p).coeffs) == ref_trim(v * c for v in a)
-    assert list(p.derivative(times).coeffs) == ref_derivative(a, times)
-    assert list(p.shift_x(power).coeffs) == ([F(0)] * power + a if a else [])
     for order in (0, 3, 12):
         assert p.to_series(order) == PowerSeries.from_coeffs(a or [0], order)
     inner = PowerSeries.from_coeffs([0] + b[1:] + [1], 6)
     assert p.at_series(inner) == ref_at_series(a, inner)
-    for result in (p + q, p - q, p * q, p * c, p.derivative(times), p.shift_x(power)):
+    for result in (p, q):
         assert result.den > 0 and math.gcd(result.den, *result.nums) == 1
         assert not result.nums or result.nums[-1] != 0

@@ -41,12 +41,10 @@ from geopoly.families import (
 from geopoly.identities import run
 from geopoly.mellin import apply_operator, verify_eq4_operator, verify_series_identity
 from geopoly.params import HsuShiueParams
-from geopoly.polynomials import PolyQ
 from geopoly.series import PowerSeries, binom_deform, deformed_base, gf_degenerate_euler, gf_w
 from geopoly.stirling import build_table, verify_against_gf
 
 P = HsuShiueParams(F(1, 2), 3, -2)
-QUADRATIC = PolyQ.from_coeffs([3, 0, 5])
 
 # (id, call of the one size, its name, its least value)
 ROWS = [
@@ -61,10 +59,6 @@ ROWS = [
     ("r_stirling_count k True", lambda v: r_stirling_count(3, v, 1), "k", 0),
     ("r_stirling_count r True", lambda v: r_stirling_count(3, 1, v), "r", 0),
     ("barred_preferential_count", lambda v: barred_preferential_count(2, v), "s", 0),
-    ("PolyQ.derivative True", lambda v: QUADRATIC.derivative(v), "times", 0),
-    ("PolyQ.derivative zero", lambda v: PolyQ.zero().derivative(v), "times", 0),
-    ("PolyQ.shift_x", lambda v: QUADRATIC.shift_x(v), "power", 0),
-    ("PolyQ.shift_x zero", lambda v: PolyQ.zero().shift_x(v), "power", 0),
     ("apply_operator True", lambda v: apply_operator(PowerSeries.one(2).coeffs, P, v), "times", 0),
     ("verify_series_identity True",
      lambda v: verify_series_identity("eq5", 0, 1, P, v), "order", 0),

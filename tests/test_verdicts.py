@@ -16,7 +16,7 @@ import hashlib
 import importlib
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from itertools import count
+from itertools import count, zip_longest
 from math import factorial
 
 import pytest
@@ -213,8 +213,15 @@ def test_stop_index_evaluates_each_majorant_index_once(bits):
 # ---------------------------------------------------------------------------
 
 
+def _add(value, delta):
+    """``value + delta``; PolyQ has no ``+``, so two of them add coefficientwise."""
+    if isinstance(value, PolyQ):
+        return PolyQ.from_coeffs(map(sum, zip_longest(value.coeffs, delta.coeffs, fillvalue=0)))
+    return value + delta
+
+
 def _plus(old, delta):
-    return lambda *args: old(*args) + delta
+    return lambda *args: _add(old(*args), delta)
 
 
 def _bump_cell(old, n0, k0):
@@ -299,7 +306,7 @@ def _plus_a_seventh(value):
     if isinstance(value, list):  # families.geometric_rows: (numerator, denominator) pairs
         return [(7 * num + den, 7 * den) for num, den in value]
     seventh = {Decimal: analytic._dec(F(1, 7)), PolyQ: PolyQ.from_coeffs([F(1, 7)])}
-    return value + seventh.get(type(value), F(1, 7))
+    return _add(value, seventh.get(type(value), F(1, 7)))
 
 
 @pytest.mark.parametrize("profile", sorted(I.PROFILES))
