@@ -243,6 +243,107 @@ def test_verify_all_byte_gate(profile):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[profile]
 
 
+# sha256 of each id's reports in the same document, the list of that id's
+# report objects serialized as the document is (sorted keys, indent 2): a
+# re-pin shows as the rows that moved, and an appended id adds rows.
+VERIFY_ID_SHA256 = {
+    "quick": {
+        "EQ1": "2a7eaac0409b62e7a683335d14f091b4374c603a1997d5b211d1acd39458dfd1",
+        "EQ3_VS_GF8": "a266868c73bc78435119262b519b68eec5b65163cab5c29e669b62f267607658",
+        "EQ4_OPERATOR": "7b6dec7a80b047896ace60b7491a96cb6ee73cc2ede55e830b663dcf08ddbac9",
+        "EQ5": "4157b3defc3a93308a457393a72fd1de8cb1988b1a22b7a9111da7e698f81093",
+        "EQ7_GAMMA": "49c2f3116181f8da340256bb1414cdc12a81dc32b5a3bfad857ba7e2ce235ccf",
+        "EQ10": "c8cd0c465018a95d36a726114bb3022d16821ceebe0ed4440528a3770a173551",
+        "EQ14": "0caa253b9abad6216bbd5621174d63b0517f8cbdbbd3b24ebf4765f4767fa73b",
+        "EQ15": "d5404b427b6a7a5bbb5eb2c4b7abd8f1382c42d74678bb31cc05b03fade112fa",
+        "EQ16_EXACT": "2705e66edef6684995f4eb23834cca621a7953b590bb71aedbcc7b4a79bc85e5",
+        "EQ16_NUMERIC": "bd1a9680a2728651d2dc4f27990b29f254d661f602d92b66bdff175306ea8b32",
+        "EQ17": "b62a7cb04ff388acf06a7980a0e5c76e9f3679da9b1843342c4d302aa9162a91",
+        "EQ18": "20657f897188efeea1dc88d215e1a6ef461f9e9f445c932cb8dc5009b158b0f6",
+        "EQ19": "351d8d49955eef78ba6a1275c8fa76ac624d22597c8c2781cbfb37debe2af888",
+        "EQ21": "386cde60403c6d6929ebd5ac1f43ba871af203680b8aaaf2531aaa47eb95c5e9",
+        "EQ26": "53cad78404b9da284a92c37b308e8a8845c4d139f56d618d6ff265bbbf94bd4e",
+        "EQ27": "2882b94438110222560724be0c34d5f8a730c3d484134c37c76920b8a8407b74",
+        "EQ29": "2207c7faae6262645d3cdfdc6791d25147b5119afa07975b13b7effcd2d42d20",
+        "EQ30_FAMILY": "2539f6da9a1c34a981074b6c4a481671ed84a1e93f2f8846b7569e32fa116e64",
+        "EQ31": "ffe77e61af7308bd6d10abad1e03a20f8be726bcbbd12d30845faa682688ac5a",
+        "EQ32": "000017e700eacf327c7e7d15d88ddffb09fa9adde03b37a3776aeb6cca8fff49",
+        "EQ33": "62982458a78ae9d0c0b9522d84d586ffeddf9ebd4eecedc410db5d562e6381e5",
+        "EQ34_THM2": "6db4084df313a0e2dd5d1c10e595ec5df15c44c49251452be754df29e2a39b30",
+        "EQ36": "c6ef2d0f037d4af0a3d2219a78a10562da01718eae3bb9c129a24d58b7738dd6",
+        "EQ37_CORRECTED": "de87c84d4452d98076697a6a3607fc22e9792e11a7ca747ba1ed792de2ec8deb",
+        "EQ37_PRINTED": "a52a50a502a59a71c33ae24f93932a6f40c619ba702bd406c187ad7b0b2546b9",
+        "EQ38": "71aeaed768dcb64d0ba28f2eea863fbc510d6a0b32264a89a7e897f5f132f8bc",
+        "COR2": "2be82aba0388834436e1a83a12ed46a62838f659e932c00872f3680b1e84aa80",
+        "COR4": "3eded917c5a276462984886441e375c60a0a279bcac563630572a047deb6a01a",
+        "COR5_CORRECTED": "ef9c84d1290b9a8fd00d9e1c7d1e2cd69ffa6087a0444c7a7743c9d933a1cba8",
+        "COR5_PRINTED": "36d27ab9e6040d16c5518c703e432af8d841ea003e89f6d9a02800161b36f408",
+        "SPIVEY": "c8ebd6dc32c63b697b94d7f3d0348c731dba4c78b353dc980980ee7e65cec3cb",
+        "MINUS_ONE": "678ec5b15d180e175e3bba4043283be24ba89c19443a90a378407d939e39cc14",
+        "BPA_NUMBERS": "e587b34286da9ca569c9962504c9ac27c71581b4063d32fee3db47b5206b0c27",
+        "FUBINI": "fc3be4f32c2035df3f5da6e65eae9b08b7c5a676148a630a159a66b9c1c00edb",
+        "GF_VS_TABLE": "a1d7216ae0bd8fe367c57898dd42be1cef5fd23bf7caaddbf72700fb984c62f1",
+    },
+    "full": {
+        "EQ1": "50578da4ab1fbeaea491a25d201b6dd7b8a4373120e0723345ff3d8f17a6ef81",
+        "EQ3_VS_GF8": "5c1ef12232c31244166ec00031feae062d27b48be93313829a38651ff0d2269b",
+        "EQ4_OPERATOR": "df901e824573c04e70b0bcf0ec76d0efd8b56a33076ddd981e2d83460c2dc0e9",
+        "EQ5": "8ac5c4400cdb0165212df0ecb41cc851ca576ebd8395bd1339e3f64ab78665d3",
+        "EQ7_GAMMA": "f06c663147feb2c79881c586b08250ec38c8d27f89df70fd23c69356bf9696af",
+        "EQ10": "6952144d46009459f8d43d1eca9343770e45c384b5b153e252f0aa0979f276da",
+        "EQ14": "0caa253b9abad6216bbd5621174d63b0517f8cbdbbd3b24ebf4765f4767fa73b",
+        "EQ15": "b3fb4457e949034462066d35a4a1e96b71d99b5c22626fb5f09ce0254cfc9fd8",
+        "EQ16_EXACT": "4434b9a58fc111073f4b89f7737a70c5f86bbf7f3c00c406c9ceaf80e51da903",
+        "EQ16_NUMERIC": "415d90c301afc07e40e82fa79e2e75d3d0014b655fb3f1800942b12d1ed5cc3d",
+        "EQ17": "de3235ec93bba88013ed6eb8ac3b4b8a0855d9e700bf87095e1f434fdb412e82",
+        "EQ18": "d8a762de123779efe213a67c51317a1c47c686934952f4aa1a17448597f945c2",
+        "EQ19": "9fb93a0897fcef3b51400b7823f6870bef05c798c4eb004b63b68404ccee0266",
+        "EQ21": "963749e7c1f4e20c2f274f738411d8cc1d70702c6aeeaba3a966ee30de4cfd80",
+        "EQ26": "d022ffe0dc3596e9ce30590721159c5fb71de6dc36c0ba22de9db83bc8477d6e",
+        "EQ27": "a18347d0e31544cb511684d955198dcc3fc920af8bb9cb0fb02f7f2cf78700c3",
+        "EQ29": "c050ec3f1b87c1bcadf67681f18612d4e152c96975300ad6d6a240c53db04962",
+        "EQ30_FAMILY": "00ea51cc19d2fcfc4399d76860258d41bf094798c66078bd45cd89deea1a5cca",
+        "EQ31": "5e087af19173d524289adc51dc0a86f8bbbb068b8a8832b8020f2b3f6f664787",
+        "EQ32": "772989766349a12fe1fd6ef61f80b29f67cd5df41d6c8a3effa24ccc23e903cb",
+        "EQ33": "ab29b521cea1ea6cce5851da3aa0c111c14d2dc6e45f36320bf63c9f59bca2fb",
+        "EQ34_THM2": "fa5753c26ce47fe88f2270dfd2e984503f0f129674f8d8aa65b3935dc8a51f4b",
+        "EQ36": "e979df1dc48a0b3a322cf7808ade3f13197b331143728eebe92a54db72051658",
+        "EQ37_CORRECTED": "6b53f2fcf9fe710e3d7bde1efcde6728cab642ee1482a694cab861acb2f09443",
+        "EQ37_PRINTED": "a52a50a502a59a71c33ae24f93932a6f40c619ba702bd406c187ad7b0b2546b9",
+        "EQ38": "0a6e4a1205f1de7072a7367275d3218e09f8161d86b081416adb3d03548ad4ac",
+        "COR2": "4e4e9abb2fd6a6096b075b5f2e439e7ba1b7178b915025f7dafb2611f0914b42",
+        "COR4": "fe0b5cb7886c4e60ff8d0e2859eeca5bfccd646de9ef72b7041c7e4f4429e61b",
+        "COR5_CORRECTED": "641149b6b4fc2fb7c399c13c9fd440921f68c7c47f62f32d3e4b0f8d743a519f",
+        "COR5_PRINTED": "36d27ab9e6040d16c5518c703e432af8d841ea003e89f6d9a02800161b36f408",
+        "SPIVEY": "aa43d80e569cbfffcb8f9ba1746867ed0ef7c6f7ec6682435b02609ac16f670f",
+        "MINUS_ONE": "b5047038a280de81bb84dbda0288cd9bddda606138ef1e5fd7fd75325b619820",
+        "BPA_NUMBERS": "177c875a42c383121ce419d796174e74621dd0ab8d2947c7dd2009a639717e15",
+        "FUBINI": "fe3975b353f75e72a02be799a996d5893653c3b7ea2c0e801591ab6515b5612f",
+        "GF_VS_TABLE": "5852df68806d2847ec7ce7e0f1d7cd1a01ee245817c4c4d67c9e238967ea501c",
+    },
+}
+
+
+def _id_digests(out):
+    reports = json.loads(out)["result"]["reports"]
+    return {
+        rid: hashlib.sha256(json.dumps([r for r in reports if r["id"] == rid],
+                                       indent=2, sort_keys=True).encode()).hexdigest()
+        for rid in I.IDENTITY_IDS
+    }
+
+
+@pytest.mark.parametrize("profile", sorted(VERIFY_ID_SHA256))
+def test_verify_all_per_id_bytes(profile):
+    rc, out = _stdout_of(
+        ["verify", "--id", "all", "--profile", profile, "--seed", "1", "--no-timing"]
+    )
+    assert rc == 0
+    digests, pinned = _id_digests(out), VERIFY_ID_SHA256[profile]
+    assert [rid for rid in I.IDENTITY_IDS if digests[rid] != pinned.get(rid)] == []
+    assert list(pinned) == list(I.IDENTITY_IDS)
+
+
 TRIPLE = ("--alpha", "1/2", "--beta", "2", "--r", "1")
 
 # sha256 of stdout for `--no-timing` invocations of the other commands, each
