@@ -60,7 +60,10 @@ curves, each a row of ``CASES``:
   small enough for the absolute tolerance at n = 24; at beta = 2 the
   verdict fails from n = 20 on); and, at n bits again, ``zeta_table``,
   ``analytic._zeta_table(analytic.EvalConfig(n).digits)`` from a cold
-  cache, the table alone with the coefficient table it builds on its way.
+  cache, the table alone with the coefficient table it builds on its way;
+  and ``hurwitz_zeta``, ``analytic.hurwitz_zeta(s, 1/2, cfg)`` for s = 2,
+  3, 4 from a cold cache, the Hurwitz values the closed side of
+  ``theorem5`` reads, with the coefficient table they build.
 - ``import``, one point each: ``import geopoly`` in a fresh interpreter;
   then the first reads of ``geopoly.build_table``, ``geopoly.eval_theorem5``
   and ``geopoly.run_all``, each timed after an untimed import and the
@@ -174,6 +177,10 @@ CASES = {
             THEOREM5_N, "out.to_dict()",
         ),
         "zeta_table": (BITS, "", "analytic._zeta_table(analytic.EvalConfig(n).digits)", "out"),
+        "hurwitz_zeta": (
+            BITS, "cfg = analytic.EvalConfig(n)",
+            "[analytic.hurwitz_zeta(s, Fraction(1, 2), cfg) for s in (2, 3, 4)]", "out",
+        ),
     },
     "import": {
         "import geopoly": ((1,), "", '__import__("geopoly")', "sorted(out.__all__)"),

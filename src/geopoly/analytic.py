@@ -42,6 +42,8 @@ tangent numbers T_1..T_M (Brent & Harvey, "Fast computation of Bernoulli,
 Tangent and Secant numbers", arXiv:1108.0286): B_2m = (-1)^(m-1) 2m T_m /
 (4^m (4^m - 1)), so each entry is one division of two exact integers,
 rounded once at digits + 10; 4^m (2m)! is carried as an exact Decimal.
+The table keeps each T_m next to its entry, for the even zeta values of
+the series sides (below).
 `families.bernoulli_numbers`, the t/(e^t - 1) series, stays the
 exact-layer oracle and is the test oracle of the tangent route.  The row
 carries <s>_{2m-1} (a+N)^(1-s-2m) as one running Decimal, moved to the
@@ -49,19 +51,29 @@ next m by an integer product and an integer division (a + N = num/den),
 so each step multiplies two full-precision Decimals only once, for the
 term itself.  Should it run past the end of its table, the table of that
 precision is built again, twice as long.  The zeta values, the
-constants, the tables and the zeta table below are each cached in a
-`memo.Memo` of CACHE_CAP keys.
+constants, pi at digits + 10, the tables and the zeta table below are
+each cached in a `memo.Memo` of CACHE_CAP keys.
 
 The series sides (Theorem 5 and the Eq. (30) family) read zeta(2), zeta(3),
-... from `_zeta_table`, one finite run over s per precision that returns
-the Decimals zeta_int returns, at a fraction of the cost; the closed sides
-keep hurwitz_zeta, zeta_int and digamma.  Below some s the table runs
-Euler-Maclaurin at a fixed N, and carries its corrections from s - 1 to s
-rather than building each row: term_m(s) = term_m(s-1) (s+2m-2) /
-((s-1)(1+N)) takes a product and a division by small integers, and no
-full-precision product (the budget is in `_zeta_table`).  So the series
-sides build the closed sides' row only at s = 2 and where the carried
-terms fail `_em_cut`.  From there on the table sums directly.  The tail
+... from `_zeta_table`, one finite run over s per precision, at a fraction
+of the cost of zeta_int; the closed sides keep hurwitz_zeta, zeta_int and
+digamma.  Below some s, the direct switch, the parity of s picks the
+route.  An even s = 2k comes from the tangent numbers and pi:
+
+    zeta(2k) = pi^2k k T_k / ((2k)! (4^k - 1)),
+
+a running pi^2k times one quotient of exact integers.  T_k is read from
+the coefficient table of that precision and pi is the `_machin` value
+that pi(cfg) rounds, so at even s the series sides share only the exact
+tangent triangle with the closed sides, and each entry is within half an
+ulp plus 2 s 10^-(digits+4) of zeta(s).  An odd s runs Euler-Maclaurin at
+a fixed N, and carries its corrections from s - 2 to s rather than
+building each row: term_m(s) = term_m(s-2) (s+2m-2)(s+2m-3) /
+((s-1)(s-2)(1+N)^2) takes a product and a division by small integers, and
+no full-precision product (the budgets are in `_zeta_table`).  So the
+series sides build the closed sides' row only at s = 3 and where the
+carried terms fail `_em_cut`, and the odd entries are the Decimals
+zeta_int returns.  From the switch on the table sums directly.  The tail
 of the sum is bounded by its first term plus the integral of the
 decreasing (1+x)^-s:
 
@@ -69,7 +81,8 @@ decreasing (1+x)^-s:
 
 If some J <= N brings this bound under a quarter ulp of the first term, 1,
 at the working precision (which is below the target too; the test is exact,
-in integers), the table holds the plain sum of the terms j <= J.  Every
+in integers, on a power (1+J)^s carried over s), the table holds the plain
+sum of the terms j <= J.  Every
 omitted term is then below half an ulp of the running total, so
 Euler-Maclaurin returns the same Decimal.  Once J = 1 every later zeta(s)
 is that same Decimal, so the table ends there and the series sides repeat
@@ -202,17 +215,19 @@ def _tangent_numbers(m: int) -> list[int]:
 
 
 @Memo(CACHE_CAP).prefix
-def _em_coeffs(digits: int, m: int) -> tuple[Decimal, ...]:
-    """B_2j/(2j)! for j = 0..m, each rounded once at digits + 10.
+def _em_coeffs(digits: int, m: int) -> tuple[tuple[int, Decimal], ...]:
+    """(T_j, B_2j/(2j)!) for j = 0..m: the tangent number and the
+    coefficient, rounded once at digits + 10 (T_0 = 0 and B_0 = 1).
 
-    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), so each entry is one
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), so each coefficient is one
     division of exact integers, the correctly rounded quotient.  The
     denominator's 4^j (2j)! is carried as a Decimal in a context too wide
     to round (`_EXACT`, which traps Inexact), so each entry converts only
-    the numerator and 4^j - 1 from int.
+    the numerator and 4^j - 1 from int.  The even zeta values of
+    `_zeta_table` read the T_j.
     """
     t = _tangent_numbers(m)
-    out = [Decimal(1)]
+    out = [(0, Decimal(1))]
     four, scale = 1, Decimal(1)  # 4^j, and 4^j (2j)! as an exact Decimal
     with localcontext() as ctx:
         ctx.prec = digits + 10
@@ -220,7 +235,7 @@ def _em_coeffs(digits: int, m: int) -> tuple[Decimal, ...]:
             four *= 4
             scale = _EXACT.multiply(scale, 4 * (2 * j - 1) * 2 * j)
             den = _EXACT.multiply(scale, four - 1)
-            out.append(Decimal((-1) ** (j - 1) * 2 * j * t[j]) / den)
+            out.append((t[j], Decimal((-1) ** (j - 1) * 2 * j * t[j]) / den))
     return tuple(out)
 
 
@@ -238,13 +253,14 @@ def _head_sum(s: int, p: int, q: int, q_pow: Decimal, count: int) -> Decimal:
     return total
 
 
-def _tail_below(s: int, cut: int, thr_den: int) -> bool:
-    """Whether (1+J)^-s * (s+J)/(s-1) < 1/thr_den, J = cut.
+def _tail_below(s: int, cut: int, power: int, thr_den: int) -> bool:
+    """Whether (1+J)^-s * (s+J)/(s-1) < 1/thr_den, J = cut, power = (1+J)^s.
 
     The left side bounds sum_{j>=J} (1+j)^-s: the first term plus the
-    integral of the decreasing (1+x)^-s from J to infinity.
+    integral of the decreasing (1+x)^-s from J to infinity.  The caller
+    carries the exact power over s.
     """
-    return (s + cut) * thr_den < (s - 1) * (1 + cut) ** s
+    return (s + cut) * thr_den < (s - 1) * power
 
 
 def _em_terms(s: int, power: Decimal, num: int, den: int, digits: int) -> Iterator[Decimal]:
@@ -268,7 +284,7 @@ def _em_terms(s: int, power: Decimal, num: int, den: int, digits: int) -> Iterat
     for m in range(1, MAX_TERMS + 1):
         if m == len(coeffs):
             coeffs = _em_coeffs(digits, 2 * m)
-        yield coeffs[m] * factor
+        yield coeffs[m][1] * factor
         factor = factor * ((s + 2 * m - 1) * (s + 2 * m) * den2) / num2
     raise ArithmeticError("Euler-Maclaurin failed to converge")
 
@@ -352,34 +368,53 @@ def zeta_int(s: int, cfg: EvalConfig) -> Decimal:
 
 @Memo(CACHE_CAP)
 def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
-    """(None, None, zeta(2), ..., zeta(S)): hurwitz_zeta(s, 1, cfg) at
-    cfg.digits = digits from one run over s, for the series sides alone.
+    """(None, None, zeta(2), ..., zeta(S)) at ``digits`` from one run over
+    s, for the series sides alone.
 
-    Each (1+j)^-s is the one at s - 1 divided by 1 + j, linear in the
-    digits, and within s roundings of its exact value, inside the budget
-    of `_em_terms`.  While the tail bound at the cut N fails
-    (`_tail_below`), each zeta is assembled, as in `_zeta_em`, from the
-    running head, (1+N)^-s and the corrections.  These come from a column
-    carried over s rather than from a row: with N fixed,
+    Below the direct switch, the first s whose tail bound at the cut N
+    holds (`_tail_below`), parity picks the route; u = 10^-(digits+9)
+    bounds one rounding at digits + 10, relative.
 
-        term_m(s) = term_m(s-1) (s+2m-2) / ((s-1)(1+N)),
+    Even s = 2k: zeta(2k) = (2 pi)^2k |B_2k| / (2 (2k)!) with |B_2k| = 2k
+    T_k / (4^k (4^k - 1)), that is pi^2k k T_k / ((2k)! (4^k - 1)).  T_k is
+    the exact integer of `_em_coeffs` at this precision, pi the `_machin`
+    value, within 10^-(digits+4) relative.  pi^2k is one running product
+    and k T_k / ((2k)! (4^k - 1)) one division of exact integers.  Error
+    budget: pi^2 is within 2 10^-(digits+4) + u, pi^2k within k times that
+    plus (k - 1)u, and the quotient and the product add 2u, so before its
+    final rounding the entry is within s 10^-(digits+4) + (s + 1)u of
+    zeta(s), relative, and, as zeta(s) < 1.65, within 2 s 10^-(digits+4)
+    absolute.  The final entry is within half an ulp plus that of
+    zeta(s): at most 0.01 ulp more for s <= 500, which covers the switch
+    (s = 458 at MAX_BITS).
+
+    Odd s: Euler-Maclaurin at N, assembled as in `_zeta_em` from the
+    head, (1+N)^-s and the corrections.  Each (1+j)^-s, j <= N, is the one
+    at s - 2 divided by the exact (1+j)^2, linear in the digits, and
+    within (s + 1)/2 roundings of its exact value, inside the budget of
+    `_em_terms`.  The corrections come from a column carried from s - 2
+    rather than from a row: with N fixed,
+
+        term_m(s) = term_m(s-2) (s+2m-2)(s+2m-3) / ((s-1)(s-2)(1+N)^2),
 
     one product and one division by small integers, each linear in the
     digits.  `_em_cut` cuts the carried terms as it cuts a row.  The row
-    `_em_terms` seeds the column at s = 2, and again at any s whose
+    `_em_terms` seeds the column at s = 3, and again at any odd s whose
     carried terms run out before the stop test holds or fail the growth
     test; should the row's corrections bottom out too, `_zeta_em` doubles
-    N.  The error budget is that of a row: a term seeded at s0 is within
-    (2s0 + 2m + 3)u of its exact value (`_em_terms`), each carry adds two
-    roundings, 2u, so term_m(s) stays within (2s + 2m + 3)u, the margin
-    of the stop test in `_em_cut`.
+    N.  Error budget: a term seeded at s0 is within (2s0 + 2m + 3)u of its
+    exact value (`_em_terms`); each carry adds two roundings, 2u, while
+    the budget grows by 4u from s - 2 to s, so term_m(s) stays within
+    (2s + 2m + 3)u, the margin of the stop test in `_em_cut`.
 
-    From there on the sum is direct: the threshold (module docstring) is a
-    quarter ulp of 1 for every s and the tail bound falls as s grows, so
-    the direct cut J(s) only walks down from N, each step proven by
-    `_tail_below`.  Term J is summed too: it moves no digit, but like the
-    sub-ulp additions of Euler-Maclaurin it pads an exactly representable
-    head to the full working precision.
+    From the switch on the sum is direct at every s, its powers carried
+    from s - 1 by one division by 1 + j: the threshold (module docstring)
+    is a quarter ulp of 1 for every s and the tail bound falls as s grows,
+    so the direct cut J(s) only walks down from N, each step proven by
+    `_tail_below` on (1+J)^s, an exact power carried over s and taken
+    afresh only where J steps down.  Term J is summed too: it moves no
+    digit, but like the sub-ulp additions of Euler-Maclaurin it pads an
+    exactly representable head to the full working precision.
 
     The table ends at S, the first s whose cut is 1, because every s >= S
     gives the same Decimal.  The head is 1 + 2^-s, and the tail test at
@@ -389,26 +424,42 @@ def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
     rises and the bound only falls as s grows.
     """
     n_cut = _asymptotic_cut(digits)
+    edge = 1 + n_cut
     thr_den = 4 * 10 ** (digits + 9)  # 1/thr_den: a quarter ulp of 1
+    coeffs = _em_coeffs(digits, _table_length(n_cut))  # [k][0] = T_k
     out: list[Decimal | None] = [None, None]
     with localcontext() as ctx:
         ctx.prec = digits + 10
         final = ctx.copy()
         final.prec = digits
-        bases = [Decimal(1 + j) for j in range(n_cut + 1)]
-        powers = [1 / base for base in bases]  # (1+j)^-s for j <= N, one s behind
-        column = None  # term_1..term_M at s - 1, as `_em_cut` read them
+        bases = [Decimal(1 + j) for j in range(edge)]
+        squares = [base * base for base in bases]  # exact
+        powers = [1 / base for base in bases]  # (1+j)^-s for j <= N at the last odd s
+        column = None  # term_1..term_M at the last odd s, as `_em_cut` read them
+        pi_sq = _machin(digits) ** 2
+        pi_pow, fact = Decimal(1), 1  # pi^(2k) and (2k)! at the last even s = 2k
+        edge_pow = edge**2  # (1+N)^s, exact
         for s in count(2):
-            if _tail_below(s, n_cut, thr_den):
+            if _tail_below(s, n_cut, edge_pow, thr_den):
                 break
-            powers = [x / y for x, y in zip(powers, bases)]
+            edge_pow *= edge
+            if s % 2 == 0:  # zeta(2k) = pi^2k k T_k / ((2k)! (4^k - 1))
+                k = s // 2
+                if k == len(coeffs):
+                    coeffs = _em_coeffs(digits, 2 * k)
+                pi_pow *= pi_sq
+                fact *= (s - 1) * s
+                ratio = Decimal(k * coeffs[k][0]) / Decimal(fact * (4**k - 1))
+                out.append(final.plus(pi_pow * ratio))
+                continue
+            powers = [x / y for x, y in zip(powers, squares)]
             power = powers[n_cut]
             if column is not None:
-                step = (s - 1) * (1 + n_cut)
-                column = _em_cut((term * (s + 2 * m - 2) / step
+                step = (s - 1) * (s - 2) * edge * edge
+                column = _em_cut((term * ((s + 2 * m - 2) * (s + 2 * m - 3)) / step
                                   for m, term in enumerate(column, 1)), digits)
             if column is None:
-                column = _em_cut(_em_terms(s, power, 1 + n_cut, 1, digits), digits)
+                column = _em_cut(_em_terms(s, power, edge, 1, digits), digits)
             if column is None:
                 out.append(_zeta_em(s, Fraction(1), digits))
                 continue
@@ -417,15 +468,19 @@ def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
             corrections = sum(column[:-1], Decimal(0))
             total = head + bases[n_cut] * power / (s - 1) + power / 2 + corrections
             out.append(final.plus(total))
-        cut = n_cut  # the direct cut J(s), from N down to 1
+        if s % 2:  # the direct sum carries its powers from s - 1
+            powers = [x / y for x, y in zip(powers, bases)]
+        cut, low = n_cut, n_cut**s  # the direct cut J(s), N down to 1, and the J^s its test reads
         while True:
-            while cut > 1 and _tail_below(s, cut - 1, thr_den):
+            while cut > 1 and _tail_below(s, cut - 1, low, thr_den):
                 cut -= 1
+                low = cut**s
             powers = [x / y for x, y in zip(powers[: cut + 1], bases)]
             out.append(final.plus(sum(powers, Decimal(0))))
             if cut == 1:
                 return tuple(out)
             s += 1
+            low *= cut
 
 
 def _series_zetas(digits: int) -> Iterator[Decimal]:
@@ -477,16 +532,19 @@ def _arctan_inv(m: int, digits: int) -> Decimal:
         return total
 
 
+@Memo(CACHE_CAP)
 def _machin(digits: int) -> Decimal:
+    """pi = 16 atan(1/5) - 4 atan(1/239) at digits + 10, within
+    3 * 10^-(digits+4): each series stops below 10^-(digits+5), and the
+    roundings at digits + 10 add less than 10^-(digits+5) up to MAX_BITS."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
-        val = 16 * _arctan_inv(5, digits) - 4 * _arctan_inv(239, digits)
-    return +val
+        return 16 * _arctan_inv(5, digits) - 4 * _arctan_inv(239, digits)
 
 
 def pi(cfg: EvalConfig) -> Decimal:
-    """pi = 16 atan(1/5) - 4 atan(1/239) (Machin)."""
-    return _constant("pi", cfg, lambda: _machin(cfg.digits))
+    """pi (Machin), `_machin` rounded to cfg.digits."""
+    return _constant("pi", cfg, lambda: +_machin(cfg.digits))
 
 
 def log2(cfg: EvalConfig) -> Decimal:

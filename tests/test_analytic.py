@@ -374,7 +374,7 @@ def test_tail_bound_integer_test_matches_fraction(s, a):
     for thr_den in TAIL_THR_DEN + tuple(x + d for x in edges for d in (-1, 0)):
         thr = F(1, thr_den)
         for cut in range(1, 41):
-            below = A._tail_below(s, cut, thr_den)
+            below = A._tail_below(s, cut, (1 + cut) ** s, thr_den)
             assert below == (_tail_fraction(s, F(1), cut) < thr), (thr_den, cut)
             at_a = _tail_fraction(s, a, cut) < thr
             assert below <= at_a if a >= 1 else at_a <= below, (thr_den, cut)
@@ -511,10 +511,11 @@ def test_em_coefficient_table_entries():
         assert len(table) == m + 1
         with localcontext() as ctx:
             ctx.prec = digits + 10
-            for j, dec in enumerate(table):
+            for j, (tangent, dec) in enumerate(table):
                 want = bernoulli_number(2 * j) / factorial(2 * j)
                 rounded = Decimal(want.numerator) / Decimal(want.denominator)
                 assert dec.as_tuple() == rounded.as_tuple(), (bits, j)
+                assert tangent == A._tangent_numbers(m)[j], (bits, j)
 
 
 def _fresh_table(monkeypatch):
@@ -642,15 +643,33 @@ TABLE_END = {64: 149, 128: 212, 256: 341, 512: 597, 640: 723, 1024: 1109}
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512, 640, 1024])
 def test_zeta_batch_equals_hurwitz_zeta(bits):
-    # the whole table (the Euler-Maclaurin range and the direct cut down to
-    # J = 1) and, past its end S, the last entry the series sides repeat:
-    # zeta_int gives that same Decimal for every s > S
+    # the odd s of the Euler-Maclaurin range, every s of the direct cut down
+    # to J = 1 and, past its end S, the last entry the series sides repeat:
+    # zeta_int gives that same Decimal for every s > S.  The even s below
+    # the direct switch take the tangent route, which rounds differently
     cfg = A.EvalConfig(bits)
     table = A._zeta_table(cfg.digits)
     assert table[:2] == (None, None) and len(table) == TABLE_END[bits] + 1
+    switch = _em_range(cfg.digits).stop
     zetas = A._series_zetas(cfg.digits)
     for s in range(2, TABLE_END[bits] + 4):
-        assert next(zetas).as_tuple() == A.zeta_int(s, cfg).as_tuple(), s
+        zeta = next(zetas)
+        if s % 2 or s >= switch:
+            assert zeta.as_tuple() == A.zeta_int(s, cfg).as_tuple(), s
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192, 256, 512, 640, 1024])
+def test_even_entries_within_half_an_ulp_of_mpmath(bits):
+    # the bound of _zeta_table: half an ulp of the entry plus 2 s 10^-(digits+4)
+    mpmath = pytest.importorskip("mpmath")
+    digits = A.EvalConfig(bits).digits
+    table = A._zeta_table(digits)
+    with mpmath.workdps(digits + 30):
+        for s in range(2, len(table), 2):
+            ulp = mpmath.mpf(10) ** table[s].as_tuple().exponent
+            bound = ulp / 2 + 2 * s * mpmath.mpf(10) ** -(digits + 4)
+            err = abs(mpmath.mpf(str(table[s])) - mpmath.zeta(s))
+            assert err <= bound, (s, mpmath.nstr(err / ulp, 5))
 
 
 def _spy_em_sources(monkeypatch, spoil=False):
@@ -685,18 +704,19 @@ def _spy_em_sources(monkeypatch, spoil=False):
 def _em_range(digits):
     """The s of the table's Euler-Maclaurin range, 2 up to the direct switch."""
     n_cut, thr_den = A._asymptotic_cut(digits), 4 * 10 ** (digits + 9)
-    return range(2, next(s for s in count(2) if A._tail_below(s, n_cut, thr_den)))
+    return range(2, next(s for s in count(2) if A._tail_below(s, n_cut, (1 + n_cut) ** s, thr_den)))
 
 
-def _assert_table_is_zeta_int(table, cfg):
-    for s in range(2, len(table)):
+def _assert_odd_entries_are_zeta_int(table, cfg):
+    for s in range(3, len(table), 2):
         assert table[s].as_tuple() == A.zeta_int(s, cfg).as_tuple(), s
 
 
 def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
-    # a cut of 2 makes the corrections bottom out at small s: those values
-    # come from _zeta_em, which doubles N, and still match hurwitz_zeta;
-    # the first s whose row converges at N = 2 seeds the carried column
+    # a cut of 2 makes the corrections bottom out at small odd s: those
+    # values come from _zeta_em, which doubles N, and still match
+    # hurwitz_zeta; the first odd s whose row converges at N = 2 seeds the
+    # carried column
     monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: 2)
     monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
     _fresh_table(monkeypatch)
@@ -707,48 +727,91 @@ def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
     cfg = A.EvalConfig(128)
     events = _spy_em_sources(monkeypatch)
     table = A._zeta_table(cfg.digits)
-    assert calls  # the fallback ran
+    assert calls and all(s % 2 for s in calls)  # the fallback ran, at odd s alone
     assert ("cut", "column", True) in events  # and the column after it
-    for s in range(2, len(table)):
+    for s in range(3, len(table), 2):
         assert table[s].as_tuple() == A.hurwitz_zeta(s, 1, cfg).as_tuple(), s
 
 
 def test_zeta_table_builds_the_row_only_to_seed_the_column(monkeypatch):
-    # at 512 bits every s of the Euler-Maclaurin range after s = 2 reads
-    # the column carried from s - 1: one row in all, no restart
+    # at 512 bits every odd s of the Euler-Maclaurin range after s = 3
+    # reads the column carried from s - 2: one row in all, no restart, and
+    # one cut per odd s, so none at an even s
     digits = A.EvalConfig(512).digits
-    em_range = _em_range(digits)
-    assert len(em_range) > 60
+    odd = [s for s in _em_range(digits) if s % 2]
+    assert len(odd) > 40
     events = _spy_em_sources(monkeypatch)
     A._zeta_table.__wrapped__(digits)
-    assert events == ([("row", 2), ("cut", "row", True)]
-                      + [("cut", "column", True)] * (len(em_range) - 1))
+    assert events == ([("row", 3), ("cut", "row", True)]
+                      + [("cut", "column", True)] * (len(odd) - 1))
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_even_entries_read_no_euler_maclaurin(monkeypatch, bits):
+    # rows start at odd s alone, and the odd s take one successful cut
+    # each, so no even s builds a row or cuts a carried column; with every
+    # cut spoiled and the fallback refused, the even entries below the
+    # direct switch are still the same Decimals
+    digits = A.EvalConfig(bits).digits
+    want = A._zeta_table.__wrapped__(digits)
+    odd = [s for s in _em_range(digits) if s % 2]
+    events = _spy_em_sources(monkeypatch)
+    A._zeta_table.__wrapped__(digits)
+    assert {event[1] for event in events if event[0] == "row"} <= set(odd)
+    assert sum(event[0] == "cut" and event[2] for event in events) == len(odd)
+    monkeypatch.setattr(A, "_em_cut", lambda terms, digits: [Decimal(1)] * 3)
+    monkeypatch.setattr(A, "_zeta_em", lambda *args: pytest.fail("fallback ran"))
+    spoiled = A._zeta_table.__wrapped__(digits)
+    for s in range(2, len(want)):
+        if s < odd[-1]:
+            assert (spoiled[s] == want[s]) == (s % 2 == 0), s
 
 
 @pytest.mark.parametrize("bits", [140, 183])
 def test_zeta_table_restarts_when_the_column_runs_out(monkeypatch, bits):
-    # at these precisions zeta(3) needs more terms than zeta(2) read, so
-    # its carried column runs out and the row is built again at s = 3
+    # at a cut N below _asymptotic_cut's (27 and 32 at these precisions)
+    # zeta(5) needs more terms than zeta(3) read, so its carried column
+    # runs out and the row is built again at s = 5; at the usual cut no
+    # precision from 64 to 4096 bits restarts
+    n_cut = {140: 20, 183: 24}[bits]
+    monkeypatch.setattr(A, "_asymptotic_cut", lambda digits: n_cut)
+    monkeypatch.setattr(A, "_ZETA_CACHE", Memo(A.CACHE_CAP))
     cfg = A.EvalConfig(bits)
     events = _spy_em_sources(monkeypatch)
     table = A._zeta_table.__wrapped__(cfg.digits)
     rows = [i for i, event in enumerate(events) if event[0] == "row"]
-    assert [events[i][1] for i in rows] == [2, 3]
+    assert [events[i][1] for i in rows] == [3, 5]
     assert events[rows[1] - 1] == ("cut", "column", False)
     assert events[rows[1] + 1] == ("cut", "row", True)
-    _assert_table_is_zeta_int(table, cfg)
+    _assert_odd_entries_are_zeta_int(table, cfg)
 
 
 def test_zeta_table_restarts_when_the_column_grows(monkeypatch):
-    # every carried column spoiled: each s builds its row again, as long as
-    # the rows read three terms or more (the growth test starts at m = 3)
+    # every carried column spoiled: each odd s builds its row again, as
+    # long as the rows read three terms or more (the growth test starts at
+    # m = 3)
     cfg = A.EvalConfig(128)
     events = _spy_em_sources(monkeypatch, spoil=True)
     table = A._zeta_table.__wrapped__(cfg.digits)
     rows = [i for i, event in enumerate(events) if event[0] == "row"]
-    assert [events[i][1] for i in rows[:20]] == list(range(2, 22))
+    assert [events[i][1] for i in rows[:15]] == list(range(3, 33, 2))
     assert all(events[i - 1] == ("cut", "column", False) for i in rows[1:])
-    _assert_table_is_zeta_int(table, cfg)
+    _assert_odd_entries_are_zeta_int(table, cfg)
+
+
+def test_table_and_pi_share_one_arctangent_run(monkeypatch):
+    # the table's pi at digits + 10 is the one pi(cfg) rounds: one pair of
+    # arctangent series per precision for both
+    calls = []
+    arctan_inv = A._arctan_inv
+    monkeypatch.setattr(A, "_arctan_inv", lambda m, digits: calls.append(m) or arctan_inv(m, digits))
+    monkeypatch.setattr(A, "_machin", Memo(A.CACHE_CAP)(A._machin.__wrapped__))
+    monkeypatch.setattr(A, "_CONST_CACHE", Memo(A.CACHE_CAP))
+    _fresh_table(monkeypatch)
+    cfg = A.EvalConfig(512)
+    A._zeta_table(cfg.digits)
+    assert A.eval_eq17_18(3, HsuShiueParams(F(1, 2), 2, 1), cfg).status == "pass"
+    assert calls == [5, 239]
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
@@ -760,14 +823,22 @@ def test_direct_summation_starts_where_it_is_proven(monkeypatch, bits):
     n_cut, thr_den = A._asymptotic_cut(digits), 4 * 10 ** (digits + 9)
     calls = []
     tail_below = A._tail_below
-    monkeypatch.setattr(A, "_tail_below",
-                        lambda s, cut, den: calls.append((s, cut)) or tail_below(s, cut, den))
+    def spy(s, cut, power, den):
+        assert power == (1 + cut) ** s  # the carried power
+        calls.append((s, cut))
+        return tail_below(s, cut, power, den)
+
+    monkeypatch.setattr(A, "_tail_below", spy)
     table = A._zeta_table.__wrapped__(digits)
-    s0 = next(s for s, cut in calls if tail_below(s, n_cut, thr_den))
+
+    def below(s, cut):
+        return tail_below(s, cut, (1 + cut) ** s, thr_den)
+
+    s0 = next(s for s, cut in calls if below(s, n_cut))
     assert calls[: s0 - 1] == [(s, n_cut) for s in range(2, s0 + 1)]
     assert calls[s0 - 1] == (s0, n_cut - 1)
     end = len(table) - 1
-    assert tail_below(end, 1, thr_den) and not tail_below(end - 1, 1, thr_den)
+    assert below(end, 1) and not below(end - 1, 1)
     assert calls[-1][0] == end
 
 

@@ -229,8 +229,8 @@ def _stdout_of(argv):
 # sha256 of `verify --id all --profile <p> --seed 1 --no-timing`: the byte gate
 # that a refactor must leave unchanged unless it says why the output moves.
 VERIFY_ALL_SHA256 = {
-    "quick": "5359a45858876fd5c63d8e6f0c9cb62812172356e238add9e0590fd326220793",
-    "full": "7bb6a109debaaff1381e0ca9de96b4470270848fd089703083b36c7f5879a930",
+    "quick": "68589979da335fe67bce6d3496d0289d2b83ab522f04c55c6bfb4f5d591d267e",
+    "full": "2e09bb4d6c33066f98c34048509e381774bfabb478037c77c1b6bad1c1d33e17",
 }
 
 
@@ -262,10 +262,10 @@ VERIFY_ID_SHA256 = {
         "EQ18": "20657f897188efeea1dc88d215e1a6ef461f9e9f445c932cb8dc5009b158b0f6",
         "EQ19": "351d8d49955eef78ba6a1275c8fa76ac624d22597c8c2781cbfb37debe2af888",
         "EQ21": "386cde60403c6d6929ebd5ac1f43ba871af203680b8aaaf2531aaa47eb95c5e9",
-        "EQ26": "53cad78404b9da284a92c37b308e8a8845c4d139f56d618d6ff265bbbf94bd4e",
+        "EQ26": "29b17cff15ceed31535184aa983b472575d6d40cd6c852f4ffe2831fef340397",
         "EQ27": "2882b94438110222560724be0c34d5f8a730c3d484134c37c76920b8a8407b74",
         "EQ29": "2207c7faae6262645d3cdfdc6791d25147b5119afa07975b13b7effcd2d42d20",
-        "EQ30_FAMILY": "2539f6da9a1c34a981074b6c4a481671ed84a1e93f2f8846b7569e32fa116e64",
+        "EQ30_FAMILY": "78d9c04c1931986d8800d3718b4826ab2aa11a729beb771e1f133090028d8114",
         "EQ31": "ffe77e61af7308bd6d10abad1e03a20f8be726bcbbd12d30845faa682688ac5a",
         "EQ32": "000017e700eacf327c7e7d15d88ddffb09fa9adde03b37a3776aeb6cca8fff49",
         "EQ33": "62982458a78ae9d0c0b9522d84d586ffeddf9ebd4eecedc410db5d562e6381e5",
@@ -299,10 +299,10 @@ VERIFY_ID_SHA256 = {
         "EQ18": "d8a762de123779efe213a67c51317a1c47c686934952f4aa1a17448597f945c2",
         "EQ19": "9fb93a0897fcef3b51400b7823f6870bef05c798c4eb004b63b68404ccee0266",
         "EQ21": "963749e7c1f4e20c2f274f738411d8cc1d70702c6aeeaba3a966ee30de4cfd80",
-        "EQ26": "d022ffe0dc3596e9ce30590721159c5fb71de6dc36c0ba22de9db83bc8477d6e",
+        "EQ26": "eaa9e3fbfd3882dec0ac0b3ce0083806fb2495cc59213f5c098312b56af5ab5f",
         "EQ27": "a18347d0e31544cb511684d955198dcc3fc920af8bb9cb0fb02f7f2cf78700c3",
         "EQ29": "c050ec3f1b87c1bcadf67681f18612d4e152c96975300ad6d6a240c53db04962",
-        "EQ30_FAMILY": "00ea51cc19d2fcfc4399d76860258d41bf094798c66078bd45cd89deea1a5cca",
+        "EQ30_FAMILY": "6c2323716e5d2504273b0e1e7d9c20e83d3050d5856222827a4d155e7be4ac61",
         "EQ31": "5e087af19173d524289adc51dc0a86f8bbbb068b8a8832b8020f2b3f6f664787",
         "EQ32": "772989766349a12fe1fd6ef61f80b29f67cd5df41d6c8a3effa24ccc23e903cb",
         "EQ33": "ab29b521cea1ea6cce5851da3aa0c111c14d2dc6e45f36320bf63c9f59bca2fb",
@@ -362,9 +362,9 @@ COMMAND_SHA256 = [
       "--beta", "2", "--r", "-1", "--at", "1/3"),
      "3ba65e46bb5b4c06a9b4229ab3fc5c94398ae4ecbcef68eb6f9c282811d480ab"),
     (("series", "--id", "zeta2k", "--n", "2", "--bits", "128"),
-     "340d51cc9a46f1d8b924f4ca74cb863a3da874551c9f077a5228524d48c37a71"),
+     "588da62f42c501be2274ebcde0ac738b62ab98f844de4405a2145bd6ab39d0eb"),
     (("series", "--id", "theorem5", "--n", "2", "--x", "1/3", *TRIPLE, "--bits", "128"),
-     "15a11ef5aa8d5afc3f7b9b1579b160145a119c066bb60703abefa3903ad02298"),
+     "d35245d60ef56ec5faa002de11a4361c7b6b04ab24b889262452608d078dc4cc"),
     (("series", "--id", "eq17", "--n", "2", *TRIPLE, "--bits", "128"),
      "f560a233699b3f5b465013d921c99f3dfad1e104c9acd12ca735506562e27f2c"),
     (("series", "--id", "eq18", "--n", "2", *TRIPLE, "--bits", "128"),
@@ -372,9 +372,9 @@ COMMAND_SHA256 = [
     (("series", "--id", "dobinski", "--n", "3", "--x", "1/2", *TRIPLE, "--bits", "128"),
      "946fd14b4537d4b61e6870b5498749cf845ee428404a147bee1ed1a711629a88"),
     (("series", "--id", "zeta2k", "--n", "2", "--bits", "256"),
-     "ab73258f8f042bcfb533aa153f15898cbc71b6b77ca79648f256312a8e4c174b"),
+     "819c831a8d7eb08cde07a68db074975334a1193232bf5df45abc7a47094de6f5"),
     (("series", "--id", "theorem5", "--n", "2", "--x", "1/3", *TRIPLE, "--bits", "256"),
-     "17c2532c7899458a238a770e35ce8a7d49088bc96c9a76ff2b7e25f9bcb365c0"),
+     "66dd428c6d4b6287862784eb2ff5ba2a1eb388f411fe5540abf18b6aaaba2107"),
     (("series", "--id", "eq17", "--n", "2", *TRIPLE, "--bits", "256"),
      "82228ff8922b9fa1b196b2b53cfefd9ca07a5850b15de4a992ded9274025a5b9"),
     (("series", "--id", "eq18", "--n", "2", *TRIPLE, "--bits", "256"),
