@@ -63,7 +63,13 @@ curves, each a row of ``CASES``:
   cache, the table alone with the coefficient table it builds on its way;
   and ``hurwitz_zeta``, ``analytic.hurwitz_zeta(s, 1/2, cfg)`` for s = 2,
   3, 4 from a cold cache, the Hurwitz values the closed side of
-  ``theorem5`` reads, with the coefficient table they build.
+  ``theorem5`` reads, with the coefficient table they build; and
+  ``verdicts_warm``, the five verdicts of a ``numeric_hp`` batch
+  (``eval_theorem5``, ``eval_eq30_family``, ``eval_eq17_18`` with eq 17
+  and 18, ``eval_dobinski_numeric``) on (1/2, 3/2, -3/4), timed on their
+  second call, so with the zeta table, the constants and the Stirling
+  table cached: what remains is the stop index, the series terms, their
+  sums and the closed sides' arithmetic.
 - ``import``, one point each: ``import geopoly`` in a fresh interpreter;
   then the first reads of ``geopoly.build_table``, ``geopoly.eval_theorem5``
   and ``geopoly.run_all``, each timed after an untimed import and the
@@ -71,8 +77,13 @@ curves, each a row of ``CASES``:
   geopoly.cli``, the CLI's own import, in a fresh interpreter.
 
 Each curve of two or more sizes gets the least-squares slope of log(time)
-on log(n) (``null`` for one size), and each point the first 16 hex digits
-of the sha256 of its result, so two runs can be checked to agree.  A point
+on log(n) of the medians (``null`` for one size) and a 95% interval for
+it, the central 95% of the slopes of 2000 bootstrap resamples of the
+repeats at each size, drawn from a fixed seed; each point keeps the
+seconds of every repeat and the first 16 hex digits of the sha256 of its
+result, so two runs can be checked to agree.  An A/A run, one ``--src``
+under two labels, shows how far the interval reaches on code that did not
+change.  A point
 whose child fails is stored as ``{"error": <the last line of its
 stderr>}``, with no digest, and left out of the fit.  Each run is stored
 under its ``--label`` in ``BENCH_<suite>.json`` in the working directory,
@@ -90,6 +101,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import struct
 import subprocess
@@ -100,6 +112,7 @@ TRIPLES = ("1/2, 3, -2", "-1/3, 5/2, 1/4")
 TABLE_N = (50, 100, 200, 400, 800)
 BITS = (256, 512, 1024, 2048, 4096)
 MELLIN_ORDERS = (64, 128, 256, 512)
+BOOTSTRAP, BOOTSTRAP_SEED = 2000, 1  # resamples behind each exponent's interval, and their seed
 # exact curve on a triple p: (sizes, untimed setup, timed call, the result that is hashed)
 EXACT = {
     "build_table": (TABLE_N, "", "build_table(p, n)", "out.row(n)"),
@@ -147,6 +160,12 @@ THEOREM5 = "analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), 2, 1), 3, Frac
 # called once untimed first, so that the zeta table, the constants and the Stirling table are cached
 THEOREM5_N = ("analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), Fraction(1, 8), 1), n,"
               " Fraction(1, 2), cfg)")
+# the five verdicts of a numeric_hp batch, on a triple of its class; called once untimed first
+VERDICTS = (
+    "[analytic.eval_theorem5(p, 3, Fraction(1, 2), cfg), analytic.eval_eq30_family(3, cfg),"
+    " analytic.eval_eq17_18(5, p, cfg, eq=17), analytic.eval_eq17_18(5, p, cfg, eq=18),"
+    " analytic.eval_dobinski_numeric(3, p, Fraction(3, 2), cfg)]"
+)
 # the import suite's first reads, in the order they are timed
 FIRST_READS = ("build_table", "eval_theorem5", "run_all")
 # CASES[suite][curve] = (sizes, untimed setup, timed call, the result that is hashed)
@@ -181,6 +200,10 @@ CASES = {
             BITS, "cfg = analytic.EvalConfig(n)",
             "[analytic.hurwitz_zeta(s, Fraction(1, 2), cfg) for s in (2, 3, 4)]", "out",
         ),
+        "verdicts_warm": (
+            BITS, "p = HsuShiueParams(Fraction(1, 2), Fraction(3, 2), Fraction(-3, 4))\n"
+            f"cfg = analytic.EvalConfig(n)\n{VERDICTS}", VERDICTS, "[r.to_dict() for r in out]",
+        ),
     },
     "import": {
         "import geopoly": ((1,), "", '__import__("geopoly")', "sorted(out.__all__)"),
@@ -203,7 +226,8 @@ t0 = time.perf_counter()
 out = {call}
 elapsed = time.perf_counter() - t0
 import hashlib
-assert getattr(out, "status", "pass") == "pass", out
+for report in out if isinstance(out, list) else [out]:
+    assert getattr(report, "status", "pass") == "pass", report
 print(elapsed, hashlib.sha256(str({result}).encode()).hexdigest()[:16])
 """
 LIBRARY = """from fractions import Fraction
@@ -250,8 +274,8 @@ def time_once(src: Path, suite: str, curve: str, n: int) -> tuple[float, str]:
 
 
 def measure_point(srcs: dict[str, Path], suite: str, curve: str, n: int,
-                  repeats: int) -> dict[str, tuple[float, str] | dict[str, str]]:
-    """Each label's (median seconds, digest) at size n, or {"error": ...}.
+                  repeats: int) -> dict[str, tuple[list[float], str] | dict[str, str]]:
+    """Each label's (seconds of each repeat, digest) at size n, or {"error": ...}.
 
     The labels take turns, in an order that flips each repeat.  A label
     whose child fails gets the last line of the child's stderr and runs no
@@ -269,7 +293,7 @@ def measure_point(srcs: dict[str, Path], suite: str, curve: str, n: int,
             except subprocess.CalledProcessError as exc:
                 lines = exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"]
                 errors[label] = {"error": lines[-1]}
-    points: dict[str, tuple[float, str] | dict[str, str]] = {}
+    points: dict[str, tuple[list[float], str] | dict[str, str]] = {}
     for label, label_runs in runs.items():
         digests = {d for _, d in label_runs}
         if label in errors:
@@ -277,7 +301,7 @@ def measure_point(srcs: dict[str, Path], suite: str, curve: str, n: int,
         elif len(digests) > 1:
             points[label] = {"error": f"the repeats gave {len(digests)} different results"}
         else:
-            points[label] = (statistics.median(t for t, _ in label_runs), digests.pop())
+            points[label] = ([t for t, _ in label_runs], digests.pop())
     return points
 
 
@@ -290,14 +314,36 @@ def slope(points: dict[int, float]) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def curve_row(points: dict[int, tuple[float, str] | dict[str, str]]) -> dict:
-    """One label's row of a curve; the exponent is fitted on the points that ran."""
+def exponent_interval(repeats: dict[int, list[float]]) -> tuple[float, float] | None:
+    """The central 95% of the exponents of BOOTSTRAP seeded resamples.
+
+    Each resample draws, at every size, as many seconds as were measured
+    there, with replacement, and fits the slope of their medians.  The
+    seed is fixed, so the same seconds give the same interval.
+    """
+    if len(repeats) < 2:
+        return None
+    rng = random.Random(BOOTSTRAP_SEED)
+    fits = sorted(
+        slope({n: statistics.median(rng.choices(ts, k=len(ts))) for n, ts in repeats.items()})
+        for _ in range(BOOTSTRAP)
+    )
+    return fits[round(0.025 * (BOOTSTRAP - 1))], fits[round(0.975 * (BOOTSTRAP - 1))]
+
+
+def curve_row(points: dict[int, tuple[list[float], str] | dict[str, str]]) -> dict:
+    """One label's row of a curve; the exponent and its interval are fitted
+    on the points that ran."""
     timed = {n: point for n, point in points.items() if isinstance(point, tuple)}
-    exponent = slope({n: t for n, (t, _) in timed.items()})
+    medians = {n: statistics.median(ts) for n, (ts, _) in timed.items()}
+    exponent = slope(medians)
+    interval = exponent_interval({n: ts for n, (ts, _) in timed.items()})
     return {
-        "seconds": {str(n): round(point[0], 6) if n in timed else point
+        "seconds": {str(n): round(medians[n], 6) if n in timed else point
                     for n, point in points.items()},
+        "repeat_seconds": {str(n): [round(t, 6) for t in ts] for n, (ts, _) in timed.items()},
         "exponent": None if exponent is None else round(exponent, 3),
+        "exponent_interval": None if interval is None else [round(e, 3) for e in interval],
         "sha256": {str(n): d for n, (_, d) in timed.items()},
     }
 
@@ -305,7 +351,8 @@ def curve_row(points: dict[int, tuple[float, str] | dict[str, str]]) -> dict:
 def write_runs(out: Path, runs: dict[str, dict]) -> None:
     """Merge ``runs`` into ``out`` under their labels, keeping the other labels."""
     data = json.loads(out.read_text()) if out.exists() else {}
-    data["unit"] = "s, raw wall time of one call in a cold process pinned to one CPU, median of repeats"
+    data["unit"] = ("s, raw wall time of one call in a cold process pinned to one CPU: the median"
+                    " of repeats, and each repeat in repeat_seconds")
     data.setdefault("runs", {}).update(runs)
     out.write_text(json.dumps(data, indent=2) + "\n")
 
@@ -341,7 +388,10 @@ def main() -> int:
         for n in sizes:
             for label, point in measure_point(srcs, args.suite, curve, n, args.repeats).items():
                 points[label][n] = point
-                shown = point["error"] if isinstance(point, dict) else f"{point[0]:.4f} s"
+                if isinstance(point, dict):
+                    shown = point["error"]
+                else:
+                    shown = f"{statistics.median(point[0]):.4f} s"
                 print(f"{label} {curve} n={n}: {shown}", file=sys.stderr, flush=True)
         for label in srcs:
             runs[label]["curves"][curve] = curve_row(points[label])

@@ -106,7 +106,7 @@ closed side as a function.  `_verdict` sums the terms with
 The contract: M(j) bounds |term j|, and M(j+1)/M(j) does not increase
 with j.  After term k the tail is then at most M(k+1)/(1 - ratio),
 ratio = M(k+2)/M(k+1) < 1, and the sum may stop once that bound is below
-tolerance/4 or M(k+1) = 0, tested in exact rationals.  Under the contract
+tolerance/4 or M(k+1) = 0, tested in exact integers.  Under the contract
 that bound does not grow with k once ratio < 1, so the rule holds at every
 k after the first one: `_stop_index` finds that first k from the majorant
 alone, by galloping and bisecting, and only then are terms start..k built
@@ -115,6 +115,24 @@ such a k up to MAX_TERMS, the terms through MAX_TERMS are built and an
 ArithmeticError raised.  `_verdict` then rounds both sides and
 |LHS - RHS| to digits and reports |LHS - RHS| against the threshold.  No
 "looks converged" cutoffs anywhere.
+
+A majorant returns M(j) as an integer `Pair` (num, den), den > 0, built
+from the integer form of the triple and the numerator and denominator of
+|x| or |x/beta|, and in no particular terms: the rule, gap = q2 p1 - p2 q1
+> 0 and u p1^2 q2 < t q1 gap for M(k+1) = p1/q1, M(k+2) = p2/q2 and
+tolerance/4 = t/u, is homogeneous in each pair (scaling the first pair
+by c > 0 multiplies gap by c and both sides of the second test by c^2,
+scaling the second multiplies all three by c), so no gcd is needed to
+find the stop index.  The terms are different: each coefficient
+is a quotient of integers, reduced by one gcd (`_lowest`; the Eq. (30)
+family's k^n / 2^k by a shift of min(n v2(k), k) bits) to the lowest
+terms a Fraction would hold, and a term is rounded from that pair.  In
+(zeta * num) / den, the terms of Theorem 5 and the Eq. (30) family, the
+product rounds before the division, so the term depends on the pair and
+not on its value alone: lowest terms keep each term the Decimal that a
+Fraction coefficient gave.  A plain num / den (Eqs. (16)-(18)) is
+correctly rounded from its value; there the gcd keeps the operands
+small.  `_lowest` is read by the series sides only.
 """
 
 from __future__ import annotations
@@ -124,7 +142,7 @@ from collections.abc import Callable, Iterable, Iterator
 from decimal import MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
-from math import ceil, factorial, prod
+from math import ceil, factorial, gcd, prod
 
 from .exact import RationalLike, as_rational, as_size, gen_factorial
 from .families import exp_poly
@@ -137,6 +155,9 @@ from .stirling import cached_table
 
 MAX_BITS = 4096  # the precision budget, see the module docstring
 MAX_TERMS = 10000  # the term budget of every series and Euler-Maclaurin loop
+# a majorant's value num/den as (num, den) with den > 0, not necessarily in
+# lowest terms (see "Series verdicts")
+Pair = tuple[int, int]
 
 
 class EvalConfig(Frozen):
@@ -561,7 +582,7 @@ def _verdict(
     params: dict,
     cfg: EvalConfig,
     terms: Iterable[Decimal | None],
-    majorant: Callable[[int], Fraction],
+    majorant: Callable[[int], Pair],
     start: int,
     closed: Callable[[], Decimal],
 ) -> CheckReport:
@@ -595,32 +616,30 @@ def _verdict(
     )
 
 
-def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig) -> int | None:
+def _stop_index(majorant: Callable[[int], Pair], start: int, cfg: EvalConfig) -> int | None:
     """The first k in start..MAX_TERMS after which the tail bound holds, or None.
 
     The stopping rule is in "Series verdicts" above.  Under the majorant
     contract it holds at every k after the first, so the first is found
     by galloping to an index where it holds and bisecting back: O(log k)
     majorant evaluations, each index at most once.  The rule is tested on
-    integers: with M(k+1) = p1/q1 > 0, M(k+2) = p2/q2 and tolerance/4 =
-    t/u, ratio < 1 is gap = q2 p1 - p2 q1 > 0, and then bound/(1 - ratio)
-    = p1^2 q2/(q1 gap) < t/u is u p1^2 q2 < t q1 gap.
+    the integer pairs as they come: with M(k+1) = p1/q1 > 0, M(k+2) =
+    p2/q2 and tolerance/4 = t/u, ratio < 1 is gap = q2 p1 - p2 q1 > 0, and
+    then bound/(1 - ratio) = p1^2 q2/(q1 gap) < t/u is u p1^2 q2 < t q1 gap.
     """
-    quarter_tol = cfg.tolerance / 4
-    t, u = quarter_tol.numerator, quarter_tol.denominator
-    seen: dict[int, Fraction] = {}
+    t, u = cfg.tolerance.numerator, 4 * cfg.tolerance.denominator
+    seen: dict[int, Pair] = {}
 
-    def at(j: int) -> Fraction:
+    def at(j: int) -> Pair:
         if j not in seen:
             seen[j] = majorant(j)
         return seen[j]
 
     def stops(k: int) -> bool:
-        bound = at(k + 1)
-        if not bound:
+        p1, q1 = at(k + 1)
+        if not p1:
             return True
-        after = at(k + 2)
-        p1, q1, p2, q2 = bound.numerator, bound.denominator, after.numerator, after.denominator
+        p2, q2 = at(k + 2)
         gap = q2 * p1 - p2 * q1
         return gap > 0 and u * p1 * p1 * q2 < t * q1 * gap
 
@@ -636,7 +655,7 @@ def _stop_index(majorant: Callable[[int], Fraction], start: int, cfg: EvalConfig
 
 def _sum_to_tolerance(
     terms: Iterable[Decimal | None],
-    majorant: Callable[[int], Fraction],
+    majorant: Callable[[int], Pair],
     start: int,
     cfg: EvalConfig,
 ) -> Decimal:
@@ -665,19 +684,25 @@ def _scaled_factorials(
     """D^n and the integers (i*beta + r | alpha)_n * D^n for i in indices.
 
     With (D, A, B, R) = `params.integer_form()` each factor i*B + R - j*A
-    is an integer: a series term multiplies n integers and builds one
-    Fraction, reduced by one gcd to the lowest terms that gen_factorial
-    times the term's other factors would give.
+    is an integer: a series term multiplies n integers and reduces one
+    integer pair by `_lowest` to the lowest terms that gen_factorial times
+    the term's other factors would give.
     """
     d, a, b, c = params.integer_form()
     return d**n, (prod(i * b + c - j * a for j in range(n)) for i in indices)
 
 
-def _poly_bound_base(params: HsuShiueParams, n: int) -> tuple[Fraction, Fraction]:
-    # |(r + k*beta | alpha)_n| <= (a + b*k)^n with a, b as below
-    a = abs(params.r) + n * abs(params.alpha)
-    b = abs(params.beta)
-    return a, b
+def _lowest(top: int, bot: int) -> tuple[Decimal, Decimal]:
+    """top/bot in lowest terms, bot > 0, as two exact Decimals: the pair a
+    Fraction would hold, reduced by one gcd ("Series verdicts" says why)."""
+    g = gcd(top, bot)
+    return Decimal(top // g), Decimal(bot // g)
+
+
+def _poly_bound_base(params: HsuShiueParams, n: int) -> tuple[int, int, int]:
+    # |(r + k*beta | alpha)_n| <= ((a + b*k)/d)^n for the integers a, b, d below
+    d, alpha, beta, r = params.integer_form()
+    return abs(r) + n * abs(alpha), abs(beta), d
 
 
 def eval_theorem5(
@@ -693,8 +718,8 @@ def eval_theorem5(
     x = as_rational(x)
     if not -1 < x < 1:
         raise ValueError(f"need |x| < 1, got {x}")
-    a, b = _poly_bound_base(params, n)
-    ax = abs(x)
+    a, b, d = _poly_bound_base(params, n)
+    xn, xd, dn = abs(x.numerator), x.denominator, d**n
 
     def terms():
         den, nums = _scaled_factorials(params, n, count(1))
@@ -702,9 +727,9 @@ def eval_theorem5(
         for zeta, num in zip(_series_zetas(cfg.digits), nums):  # zeta(k + 1), k >= 1
             p_pow *= x.numerator
             q_pow *= x.denominator
-            coeff = Fraction(num * p_pow, den * q_pow)
+            top, bot = _lowest(num * p_pow, den * q_pow)
             # (zeta * num) / den: zeta * (num / den) rounds differently
-            yield zeta * Decimal(coeff.numerator) / Decimal(coeff.denominator) if coeff else None
+            yield zeta * top / bot if top else None
 
     def closed():
         rhs = Decimal(0)
@@ -722,7 +747,7 @@ def eval_theorem5(
 
     # zeta(k+1) <= 2
     return _verdict("EQ26", {"params": params, "n": n, "x": x}, cfg,
-                    terms(), lambda j: 2 * (a + b * j) ** n * ax**j, 1, closed)
+                    terms(), lambda j: (2 * (a + b * j) ** n * xn**j, dn * xd**j), 1, closed)
 
 
 def eval_eq30_family(n: int, cfg: EvalConfig = EvalConfig()) -> CheckReport:
@@ -731,9 +756,10 @@ def eval_eq30_family(n: int, cfg: EvalConfig = EvalConfig()) -> CheckReport:
 
     def terms():
         for k, zeta in enumerate(_series_zetas(cfg.digits), 2):
-            coeff = Fraction(k**n, 2**k)
-            # (zeta * num) / den, in lowest terms, as in eval_theorem5
-            yield zeta * Decimal(coeff.numerator) / Decimal(coeff.denominator)
+            # k^n / 2^k in lowest terms: 2^(n v) divides k^n, v = v2(k)
+            z = min(n * ((k & -k).bit_length() - 1), k)
+            # (zeta * num) / den, as in eval_theorem5
+            yield zeta * Decimal(k**n >> z) / Decimal(1 << (k - z))
 
     def closed():
         rhs = log2(cfg)
@@ -744,7 +770,7 @@ def eval_eq30_family(n: int, cfg: EvalConfig = EvalConfig()) -> CheckReport:
         return rhs
 
     return _verdict("EQ30_FAMILY", {"n": n}, cfg,
-                    terms(), lambda j: Fraction(2 * j**n, 2**j), 2, closed)
+                    terms(), lambda j: (2 * j**n, 2**j), 2, closed)
 
 
 def eval_eq17_18(
@@ -770,8 +796,8 @@ def eval_eq17_18(
     if start_index not in ("derived_j0", "paper_j1"):
         raise ValueError(f"unknown start_index {start_index!r}")
     odd = eq - 17  # the index 2k + odd of the factorial and of beta
-    a0, b = _poly_bound_base(params, n)
-    a = a0 + odd * abs(params.beta)
+    a0, b, d = _poly_bound_base(params, n)
+    a, dn = a0 + odd * b, d**n
 
     def two_pi_sq():
         return 4 * pi(cfg) ** 2  # in the caller's context, digits + 10
@@ -782,8 +808,8 @@ def eval_eq17_18(
         den, nums = _scaled_factorials(params, n, count(odd, 2))
         fact = 1  # (2k + odd)!, a running integer
         for k, num in enumerate(nums):
-            coeff = Fraction((-1) ** k * num, den * fact)
-            yield _dec(coeff) * pi_pow if coeff else None
+            top, bot = _lowest((-1) ** k * num, den * fact)
+            yield top / bot * pi_pow if top else None
             pi_pow *= step
             fact *= (2 * k + odd + 1) * (2 * k + odd + 2)
 
@@ -803,7 +829,7 @@ def eval_eq17_18(
 
     # (2pi)^2 <= 40, shared (2k)! denominator floor
     return _verdict(f"EQ{eq}", {"n": n, "params": params, "start_index": start_index}, cfg,
-                    terms(), lambda j: Fraction(40**j, factorial(2 * j)) * (a + 2 * b * j) ** n, 0,
+                    terms(), lambda j: (40**j * (a + 2 * b * j) ** n, factorial(2 * j) * dn), 0,
                     closed)
 
 
@@ -815,16 +841,16 @@ def eval_dobinski_numeric(
     x = as_rational(x)
     if params.beta <= 0:
         raise ValueError("numeric check restricted to beta > 0")
-    a, b = _poly_bound_base(params, n)
-    q = abs(x / params.beta)
+    a, b, d = _poly_bound_base(params, n)
+    ratio = x / params.beta  # (x/beta)^k = u^k / v^k, with v > 0
+    un, dn = abs(ratio.numerator), d**n
 
     def terms():
-        ratio = x / params.beta  # (x/beta)^k = u^k / v^k, with v > 0
         den, nums = _scaled_factorials(params, n, count())
         u_pow, v_pow, fact = 1, 1, 1  # and k!, all running integers
         for k, num in enumerate(nums):
-            coeff = Fraction(num * u_pow, den * v_pow * fact)
-            yield _dec(coeff) if coeff else None
+            top, bot = _lowest(num * u_pow, den * v_pow * fact)
+            yield top / bot if top else None
             u_pow *= ratio.numerator
             v_pow *= ratio.denominator
             fact *= k + 1
@@ -835,4 +861,5 @@ def eval_dobinski_numeric(
         return exponent.exp() * _dec(value)
 
     return _verdict("EQ16_NUMERIC", {"n": n, "params": params, "x": x}, cfg,
-                    terms(), lambda j: (a + b * j) ** n * q**j / factorial(j), 0, closed)
+                    terms(), lambda j: ((a + b * j) ** n * un**j,
+                                        dn * ratio.denominator**j * factorial(j)), 0, closed)

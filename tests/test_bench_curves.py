@@ -48,6 +48,41 @@ def test_slope_of_a_power_law():
 
 def test_one_size_has_no_slope():
     assert bench_curves.slope({1: 0.02}) is None
+    assert bench_curves.exponent_interval({1: [0.02, 0.03]}) is None
+
+
+def test_repeats_that_agree_give_an_interval_of_one_slope():
+    repeats = {n: [3e-6 * n**2.5] * 3 for n in (50, 100, 200, 400)}
+    lo, hi = bench_curves.exponent_interval(repeats)
+    assert math.isclose(lo, 2.5) and math.isclose(hi, 2.5)
+
+
+def test_the_interval_is_seeded_and_holds_the_fit():
+    # each size's repeats spread by up to 12% around a power law of slope 2
+    repeats = {n: [n**2 * (1 + e) for e in (0.0, 0.12, -0.05, 0.07, -0.1)] for n in (8, 16, 32, 64)}
+    lo, hi = bench_curves.exponent_interval(repeats)
+    assert bench_curves.exponent_interval(repeats) == (lo, hi)
+    medians = {n: sorted(ts)[2] for n, ts in repeats.items()}
+    assert lo < bench_curves.slope(medians) < hi
+    assert 1.8 < lo < 2 < hi < 2.2
+
+
+def test_an_aa_run_overlaps_on_every_curve():
+    # the committed A/A run: one src under two labels, so every interval
+    # of one label meets that of the other
+    runs = json.loads((ROOT / "BENCH_numeric.json").read_text())["runs"]
+    first, second = runs["aa-1"]["curves"], runs["aa-2"]["curves"]
+    assert list(first) == list(second) == list(bench_curves.CASES["numeric"])
+    for curve, row in first.items():
+        (lo1, hi1), (lo2, hi2) = row["exponent_interval"], second[curve]["exponent_interval"]
+        assert lo1 <= hi2 and lo2 <= hi1, curve
+        assert row["sha256"] == second[curve]["sha256"], curve
+
+
+def test_verdicts_warm_passes_on_this_checkout():
+    # the child asserts that each of the five reports passes
+    elapsed, _ = bench_curves.time_once(ROOT / "src", "numeric", "verdicts_warm", 256)
+    assert 0 < elapsed < 5
 
 
 def test_import_suite_runs_on_this_checkout():
@@ -109,7 +144,10 @@ def test_a_failing_child_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
         assert set(row["sha256"]) == {"1", "3"}
         assert row["sha256"]["1"] == hashlib.sha256(b"-1").hexdigest()[:16]
         assert all(isinstance(row["seconds"][n], float) for n in ("1", "3"))
+        assert {n: len(ts) for n, ts in row["repeat_seconds"].items()} == {"1": 2, "3": 2}
         assert row["exponent"] is not None  # fitted on n = 1 and 3
+        lo, hi = row["exponent_interval"]
+        assert lo <= hi
         assert run["curves"]["after"]["sha256"] == {"1": hashlib.sha256(b"2").hexdigest()[:16]}
 
 

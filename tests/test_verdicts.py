@@ -82,6 +82,8 @@ def test_compare_is_one_case_of_compare_each():
 # _sum_to_tolerance
 # ---------------------------------------------------------------------------
 
+# Majorants are integer pairs (num, den), den > 0, in no particular terms.
+
 
 def _counted(terms, log):
     """``terms``, logging every term `_sum_to_tolerance` builds."""
@@ -100,7 +102,7 @@ def test_sum_to_tolerance_consumes_the_derived_cut(bits):
     terms = (Decimal(1) / Decimal(2) ** k for k in range(10**6))
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
-        total = analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(1, 2**j), 0, cfg)
+        total = analytic._sum_to_tolerance(_counted(terms, log), lambda j: (1, 2**j), 0, cfg)
         assert total == sum(Decimal(1) / Decimal(2) ** k for k in range(cut + 1))
     assert len(log) == cut + 1
 
@@ -110,12 +112,12 @@ def test_sum_to_tolerance_zero_majorant_stops():
     log = []
     terms = (Decimal(k + 1) for k in range(100))
     total = analytic._sum_to_tolerance(
-        _counted(terms, log), lambda j: F(0) if j >= 3 else F(1), 0, cfg
+        _counted(terms, log), lambda j: (0, 1) if j >= 3 else (1, 1), 0, cfg
     )
     assert (total, len(log)) == (Decimal(6), 3)  # terms 0, 1, 2; M(3) = 0
     log.clear()
     terms = (Decimal(k + 1) for k in range(100))
-    total = analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(0), 5, cfg)
+    total = analytic._sum_to_tolerance(_counted(terms, log), lambda j: (0, 7), 5, cfg)
     assert (total, len(log)) == (Decimal(1), 1)
 
 
@@ -126,14 +128,14 @@ def test_sum_to_tolerance_past_max_terms_raises():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analytic, "MAX_TERMS", 10)
         with pytest.raises(ArithmeticError, match="tail bound not reached within max_terms"):
-            analytic._sum_to_tolerance(_counted(terms, log), lambda j: F(1), 2, cfg)
+            analytic._sum_to_tolerance(_counted(terms, log), lambda j: (3, 3), 2, cfg)
     assert len(log) == 9  # term indices 2..10; index 11 is never built
 
 
 def test_sum_to_tolerance_none_terms_keep_the_exponent():
     cfg = EvalConfig(64)
     half = [Decimal("0.5")]
-    stop = lambda j: F(0) if j >= 3 else F(1)  # noqa: E731
+    stop = lambda j: (0, 1) if j >= 3 else (1, 1)  # noqa: E731
     with localcontext() as ctx:
         ctx.prec = cfg.digits + 10
         plain = analytic._sum_to_tolerance(half + [Decimal(0)] * 5, stop, 0, cfg)
@@ -144,22 +146,31 @@ def test_sum_to_tolerance_none_terms_keep_the_exponent():
 
 
 def _linear_stop(majorant, start, cfg, max_terms):
-    # the stopping rule tested at every index in turn, as a reference
+    # the stopping rule tested at every index in turn, in Fractions, as a reference
     quarter_tol = cfg.tolerance / 4
     for k in range(start, max_terms + 1):
-        bound = majorant(k + 1)
+        bound = F(*majorant(k + 1))
         if not bound:
             return k
-        ratio = majorant(k + 2) / bound
+        ratio = F(*majorant(k + 2)) / bound
         if ratio < 1 and bound / (1 - ratio) < quarter_tol:
             return k
     return None
 
 
 def _majorant(kind, a, b, n, x):
-    if kind == "geometric":  # (a + b j)^n x^j, as eval_theorem5 and eval_eq30_family
-        return lambda j: (a + b * j) ** n * x**j
-    return lambda j: (a + b * j) ** n * x**j / factorial(j)  # as eval_dobinski_numeric
+    """(a + b j)^n x^j, as eval_theorem5 and eval_eq30_family, or that over
+    j!, as eval_dobinski_numeric: a pair over (den(a) den(b))^n den(x)^j,
+    which need not be in lowest terms."""
+    base_a, base_b = a.numerator * b.denominator, b.numerator * a.denominator
+    base_den = (a.denominator * b.denominator) ** n
+
+    def pair(j):
+        num = (base_a + base_b * j) ** n * x.numerator**j
+        den = base_den * x.denominator**j
+        return num, den * factorial(j) if kind == "factorial" else den
+
+    return pair
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,18 +183,33 @@ def _majorant(kind, a, b, n, x):
     start=st.integers(0, 3),
     bits=st.sampled_from([64, 128]),
     max_terms=st.integers(0, 300),
+    factors=st.lists(st.integers(1, 2**80), min_size=1, max_size=7),
 )
-@example(kind="geometric", a=F(2), b=F(1), n=3, x=F(1, 2), start=1, bits=128, max_terms=40)
-@example(kind="geometric", a=F(2), b=F(1), n=3, x=F(1, 2), start=1, bits=128, max_terms=300)
-@example(kind="factorial", a=F(1), b=F(3), n=4, x=F(15, 16), start=0, bits=64, max_terms=10)
-@example(kind="factorial", a=F(1), b=F(3), n=4, x=F(15, 16), start=0, bits=64, max_terms=300)
-def test_stop_index_is_the_first_stop_of_a_linear_scan(kind, a, b, n, x, start, bits, max_terms):
+@example(kind="geometric", a=F(2), b=F(1), n=3, x=F(1, 2), start=1, bits=128, max_terms=40,
+         factors=[1])
+@example(kind="geometric", a=F(2), b=F(1), n=3, x=F(1, 2), start=1, bits=128, max_terms=300,
+         factors=[3, 2**70])
+@example(kind="factorial", a=F(1), b=F(3), n=4, x=F(15, 16), start=0, bits=64, max_terms=10,
+         factors=[1])
+@example(kind="factorial", a=F(1), b=F(3), n=4, x=F(15, 16), start=0, bits=64, max_terms=300,
+         factors=[1, 6, 5])
+def test_stop_index_is_the_first_stop_of_a_linear_scan(kind, a, b, n, x, start, bits, max_terms,
+                                                      factors):
     majorant = _majorant(kind, a, b, n, x)
+
+    def scaled(j):
+        # the rule is homogeneous in each pair, so scaling the pair of index
+        # j by any positive integer, here factors[j % len(factors)], keeps the index
+        c = factors[j % len(factors)]
+        num, den = majorant(j)
+        return c * num, c * den
+
     cfg = EvalConfig(bits)
     with pytest.MonkeyPatch.context() as mp:  # not a fixture: each example restores it
         mp.setattr(analytic, "MAX_TERMS", max_terms)
         last = analytic._stop_index(majorant, start, cfg)
         assert last == _linear_stop(majorant, start, cfg, max_terms)
+        assert analytic._stop_index(scaled, start, cfg) == last
         log = []
         terms = (Decimal(k) for k in count(start))
         if last is None:  # every term through max_terms is built, then the error
