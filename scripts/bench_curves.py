@@ -3,6 +3,7 @@
     python3 scripts/bench_curves.py exact --src src --label change
     python3 scripts/bench_curves.py numeric --src ../parent/src --label parent \
         --src src --label change
+    python3 scripts/bench_curves.py exact --curve eq --src src --label change-mellin
 
 Each point is one cold interpreter that imports geopoly from ``--src`` and
 times one call (import excluded, except in the ``import`` suite), pinned to
@@ -32,7 +33,7 @@ curves, each a row of ``CASES``:
   ``eq5_series``, ``eq38_series`` and ``eq4_operator``, the operator
   checks ``verify_series_identity("eq5", 4, 2, p, n)``,
   ``verify_series_identity("eq38_binomial", 4, 3, p, n)`` and
-  ``verify_eq4_operator(4, 2, p, n)`` at series order n = 64..512, each
+  ``verify_eq4_operator(4, 2, p, n)`` at series order n = 64..1024, each
   from a cold cache (smaller orders take under 3 ms); and, on no
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
@@ -81,16 +82,22 @@ on log(n) of the medians (``null`` for one size) and a 95% interval for
 it, the central 95% of the slopes of 2000 bootstrap resamples of the
 repeats at each size, drawn from a fixed seed; each point keeps the
 seconds of every repeat and the first 16 hex digits of the sha256 of its
-result, so two runs can be checked to agree.  An A/A run, one ``--src``
-under two labels, shows how far the interval reaches on code that did not
-change.  A point
+result, so two runs can be checked to agree.  The interval covers only
+the spread of the repeats within one run, not the machine's drift from
+one run to the next, so only the curves of one interleaved run compare:
+an A/A run, one ``--src`` under two labels, shows how far the interval
+reaches on code that did not change, yet two runs of one ``--src`` minutes
+apart can give disjoint intervals.  A point
 whose child fails is stored as ``{"error": <the last line of its
-stderr>}``, with no digest, and left out of the fit.  Each run is stored
-under its ``--label`` in ``BENCH_<suite>.json`` in the working directory,
-rewritten as each curve finishes, so a run that stops keeps the curves it
-finished; other labels are kept, so one run on two checkouts leaves a
-before/after pair in one file.  A new curve is a new row.  Standard
-library only.
+stderr>}``, with no digest, and left out of the fit.  ``--curve
+SUBSTRING`` (repeatable) runs only the suite's curves whose name contains
+one of the substrings; ``--curve eq`` picks the three Mellin rows.  Each
+run is stored under its ``--label`` in ``BENCH_<suite>.json`` in the
+working directory, rewritten as each curve finishes, so a run that stops
+keeps the curves it finished; other labels are kept, so one run on two
+checkouts leaves a before/after pair in one file.  A label's run replaces
+its earlier run whole, so a filtered run takes labels of its own.  A new
+curve is a new row.  Standard library only.
 """
 
 from __future__ import annotations
@@ -111,7 +118,7 @@ from pathlib import Path
 TRIPLES = ("1/2, 3, -2", "-1/3, 5/2, 1/4")
 TABLE_N = (50, 100, 200, 400, 800)
 BITS = (256, 512, 1024, 2048, 4096)
-MELLIN_ORDERS = (64, 128, 256, 512)
+MELLIN_ORDERS = (64, 128, 256, 512, 1024)
 BOOTSTRAP, BOOTSTRAP_SEED = 2000, 1  # resamples behind each exponent's interval, and their seed
 # exact curve on a triple p: (sizes, untimed setup, timed call, the result that is hashed)
 EXACT = {
@@ -365,9 +372,15 @@ def main() -> int:
     parser.add_argument("--label", action="append", required=True,
                         help="key of the run in the output file, one per --src")
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--curve", action="append", metavar="SUBSTRING",
+                        help="run only the curves whose name contains SUBSTRING; repeat for several")
     args = parser.parse_args()
     if len(args.src) != len(args.label):
         parser.error("give one --label per --src")
+    curves = {curve: case for curve, case in CASES[args.suite].items()
+              if not args.curve or any(part in curve for part in args.curve)}
+    if not curves:
+        parser.error(f"no {args.suite} curve contains any of {args.curve}")
     for src in args.src:
         if not (src / "geopoly" / "__init__.py").is_file():
             parser.error(f"no geopoly package under {src}")
@@ -383,7 +396,7 @@ def main() -> int:
         }
         for label, src in srcs.items()
     }
-    for curve, (sizes, *_) in CASES[args.suite].items():
+    for curve, (sizes, *_) in curves.items():
         points: dict[str, dict] = {label: {} for label in srcs}
         for n in sizes:
             for label, point in measure_point(srcs, args.suite, curve, n, args.repeats).items():

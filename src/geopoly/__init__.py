@@ -38,7 +38,7 @@ _EXPORTS = {
     "record": (),
     "report": ("CheckReport",),
     "series": (
-        "PowerSeries", "binom_deform", "compose", "divide", "exp_series",
+        "PowerSeries", "binom_deform", "divide", "exp_series",
         "gf_bernoulli2_degenerate", "gf_carlitz_beta", "gf_degenerate_euler", "gf_w", "inverse",
         "log_series", "pow_int", "pow_series",
     ),

@@ -9,6 +9,7 @@ constructor reduces to it with one gcd; `from_coeffs` takes rationals.
 Evaluation and the integral run on the integers and build one Fraction at
 the end.  `coeffs` gives the reduced Fractions to readers that want them;
 EQ1 reads x^k f^(k)(x) off them as (j)_k f_j at x^j, with no ring operation.
+The Mellin composition reads `nums` over `den` as they are.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 
 from .exact import RationalLike, as_rational, over_lcm
 from .record import Frozen
-from .series import PowerSeries, compose
+from .series import PowerSeries
 
 
 def _horner(nums: tuple[int, ...], p: int, q: int) -> int:
@@ -90,7 +91,3 @@ class PolyQ(Frozen):
 
     def to_series(self, order: int) -> PowerSeries:
         return PowerSeries.from_coeffs(self.coeffs or [0], order)
-
-    def at_series(self, inner: PowerSeries) -> PowerSeries:
-        """Substitute a zero-constant-term series for x."""
-        return compose(self.to_series(max(self.degree, 0)), inner)

@@ -278,16 +278,6 @@ def pow_series(a: PowerSeries, c: RationalLike) -> PowerSeries:
     return exp_series(log_series(a) * as_rational(c))
 
 
-def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """outer(inner(t)); inner must have zero constant term."""
-    if inner.coeffs[0] != 0:
-        raise ValueError("compose requires the inner series to have zero constant term")
-    out = PowerSeries.constant(outer.coeffs[-1], inner.order)
-    for j in range(outer.order - 1, -1, -1):
-        out = out * inner + outer.coeffs[j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Deformed exponential building blocks
 # ---------------------------------------------------------------------------

@@ -116,12 +116,12 @@ def test_bytecode_cache_is_seen_only_when_it_matches_every_source(tmp_path):
     assert not bench_curves.bytecode_cached(tmp_path)
 
 
-def _run_suite(monkeypatch, tmp_path, curves, *labels):
+def _run_suite(monkeypatch, tmp_path, curves, *labels, extra=()):
     """Run a toy suite of ``curves`` in tmp_path against this checkout's src."""
     monkeypatch.setitem(bench_curves.CASES, "toy", curves)
     monkeypatch.setitem(bench_curves.IMPORTS, "toy", "")
     monkeypatch.chdir(tmp_path)
-    argv = ["bench_curves.py", "toy", "--repeats", "2"]
+    argv = ["bench_curves.py", "toy", "--repeats", "2", *extra]
     for label in labels:
         argv += ["--src", str(ROOT / "src"), "--label", label]
     monkeypatch.setattr("sys.argv", argv)
@@ -179,3 +179,22 @@ def test_repeats_that_disagree_are_an_error(monkeypatch):
     monkeypatch.setattr(bench_curves, "time_once", lambda *args: next(answers))
     points = bench_curves.measure_point({"a": ROOT / "src"}, "numeric", "zeta_table", 256, 2)
     assert points == {"a": {"error": "the repeats gave 2 different results"}}
+
+
+def test_curve_filter_runs_only_the_matching_curves(monkeypatch, tmp_path):
+    curves = {name: ((1,), "", "n", "out") for name in ("eq5 (a)", "eq38 (a)", "mul", "eq5 (b)")}
+    assert _run_suite(monkeypatch, tmp_path, curves, "a", extra=("--curve", "(a)")) == 0
+    assert _run_suite(monkeypatch, tmp_path, curves, "b", extra=("--curve", "mul", "--curve", "5")) == 0
+    runs = json.loads((tmp_path / "BENCH_toy.json").read_text())["runs"]
+    assert list(runs["a"]["curves"]) == ["eq5 (a)", "eq38 (a)"]
+    assert list(runs["b"]["curves"]) == ["eq5 (a)", "mul", "eq5 (b)"]
+    with pytest.raises(SystemExit) as exc:  # a filter that matches nothing is a usage error
+        _run_suite(monkeypatch, tmp_path, curves, "c", extra=("--curve", "nothing"))
+    assert exc.value.code == 2
+
+
+def test_the_mellin_filter_picks_the_three_mellin_rows():
+    # `--curve eq` on the exact suite, as the docstring runs it
+    picked = [curve for curve in bench_curves.CASES["exact"] if "eq" in curve]
+    assert sorted({curve.split()[0] for curve in picked}) == ["eq38_series", "eq4_operator", "eq5_series"]
+    assert len(picked) == 3 * len(bench_curves.TRIPLES)

@@ -382,13 +382,13 @@ def test_import_leaves_dataclasses_and_inspect_out(fresh_python):
 
 
 # The names `from geopoly import ...` gave before the package loaded its
-# modules on demand, less the two since deleted; none of them may go
+# modules on demand, less the three since deleted; none of them may go
 # missing from the namespace.
 EAGER_SURFACE = (
     "CheckReport EvalConfig HsuShiueParams IDENTITY_IDS PolyQ PowerSeries Rational StirlingTable "
     "apply_operator as_rational barred_preferential_count bernoulli_number bernoulli_numbers "
     "bernoulli_poly binom_deform bpa_number build_table cached_table "
-    "carlitz_beta compose degenerate_bernoulli2 degenerate_euler digamma divide "
+    "carlitz_beta degenerate_bernoulli2 degenerate_euler digamma divide "
     "eval_dobinski_numeric eval_eq17_18 eval_eq30_family eval_minus_one eval_theorem5 exp_poly "
     "exp_series falling_factorial gamma_euler gen_factorial geometric_at geometric_poly "
     "gf_bernoulli2_degenerate gf_carlitz_beta gf_degenerate_euler gf_w howard_power_sum "

@@ -4,14 +4,15 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geopoly import mellin as M
 from geopoly.exact import falling_factorial, gen_factorial
+from geopoly.families import geometric_poly
 from geopoly.identities import SmallRationalSampler
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
-from geopoly.series import PowerSeries
+from geopoly.series import PowerSeries, divide, pow_int
 from geopoly.stirling import build_table
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -68,16 +69,28 @@ def test_apply_operator_matches_reference(alpha, beta, r, coeffs, times):
     assert M.apply_operator(coeffs, params, times) == ref_apply(coeffs, params, times)
 
 
-def test_apply_operator_keeps_its_own_loop():
-    # EQ4_OPERATOR's operator side stays apart from EQ5's termwise factorials
+def _names_in(function: str) -> set[str]:
+    """Every name and attribute that the mellin function ``function`` reads."""
     tree = next(
         node
         for node in ast.walk(ast.parse(inspect.getsource(M)))
-        if isinstance(node, ast.FunctionDef) and node.name == "apply_operator"
+        if isinstance(node, ast.FunctionDef) and node.name == function
     )
     named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert named.isdisjoint({"gen_factorial", "_binomials", "exact"})
+    return named | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_apply_operator_keeps_its_own_loop():
+    # EQ4_OPERATOR's operator side stays apart from EQ5's termwise factorials
+    assert _names_in("apply_operator").isdisjoint({"gen_factorial", "_binomials", "exact"})
+
+
+def test_composition_reads_no_route_of_the_other_sides():
+    # the closed side of EQ5, EQ21, EQ38 and EQ4_OPERATOR shares no path with
+    # their termwise and operator sides
+    named = _names_in("_composition")
+    assert "geometric_poly" in named
+    assert named.isdisjoint({"_binomials", "gen_factorial", "apply_operator"})
 
 
 def test_apply_once_linear_weights():
@@ -148,6 +161,43 @@ def test_eq1_expansion_matches_termwise_derivatives(n, coeffs, seed):
 def test_eq5_property(n, s, alpha, beta, r):
     p = HsuShiueParams(alpha, beta, r)
     assert M.verify_series_identity("eq5", n, s, p, max(n, 12)).status == "pass"
+
+
+def ref_composition(w, m, sign, order):
+    """(1 - y)^(-m) w(y/(1 - y)), y = sign*x, in the series ring: w substituted
+    by Horner into divide(y, 1 - y), each step a PowerSeries product."""
+    y = PowerSeries.t(order) * sign
+    base = 1 - y
+    inner = divide(y, base)
+    acc = PowerSeries.constant(0, order)
+    for c in reversed(w.coeffs):
+        acc = acc * inner + c
+    return pow_int(base, -m) * acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    m=st.integers(-6, 7),
+    sign=st.sampled_from((1, -1)),
+    alpha=sevenths,
+    beta=sevenths,
+    r=sevenths,
+    order=st.integers(0, 14),
+)
+@example(n=4, m=0, sign=1, alpha=F(1, 2), beta=F(3), r=F(-1), order=10)  # m = 0
+@example(n=3, m=-5, sign=-1, alpha=F(1, 3), beta=F(2), r=F(1), order=12)  # m + n <= 0
+@example(n=5, m=-5, sign=-1, alpha=F(-2, 7), beta=F(1, 2), r=F(0), order=9)  # m + n = 0
+@example(n=6, m=3, sign=1, alpha=F(1, 2), beta=F(0), r=F(2, 3), order=8)  # beta = 0
+@example(n=8, m=2, sign=1, alpha=F(1), beta=F(3, 2), r=F(-1, 3), order=3)  # order < n
+@example(n=0, m=7, sign=-1, alpha=F(0), beta=F(1), r=F(0), order=0)
+def test_composition_equals_the_series_ring(n, m, sign, alpha, beta, r, order):
+    assume(alpha or beta or r)  # (0, 0, 0) is no triple
+    params = HsuShiueParams(alpha, beta, r)
+    want = ref_composition(geometric_poly(n, m, params), m, sign, order)
+    got = M._composition(n, m, sign, params, order)
+    assert got == list(want.coeffs)
+    assert {type(c) for c in got} == {F}
 
 
 def test_eq21_and_eq38():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geopoly.polynomials import PolyQ
-from geopoly.series import PowerSeries, divide
+from geopoly.series import PowerSeries
 
 
 def test_normalization_and_degree():
@@ -63,17 +63,6 @@ def test_integral_by_hand():
     assert p.integral(-1, 0) == F(1, 3) + F(1, 2) + F(1, 6)
     assert PolyQ(()).integral(-1, 5) == 0
     assert PolyQ.from_coeffs([3]).integral("-1/2", 0) == F(3, 2)
-
-
-def test_substitute_series():
-    # p(x) = x + x^2 at x = t/(1-t): coefficients by hand convolution
-    p = PolyQ.from_coeffs([0, 1, 1])
-    t = PowerSeries.t(5)
-    u = divide(t, 1 - t)
-    out = p.at_series(u)
-    # t/(1-t) = t + t^2 + ...; (t/(1-t))^2 = t^2 + 2t^3 + 3t^4 + ...
-    assert [out.coeff(j) for j in range(5)] == [0, 1, 2, 3, 4]
-    assert PolyQ(()).at_series(u).valuation() is None
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +130,6 @@ def ref_integral(cs, a, b):
     return fraction_horner(anti, b) - fraction_horner(anti, a)
 
 
-def ref_at_series(cs, inner):
-    out = PowerSeries.constant(0, inner.order)
-    power = PowerSeries.one(inner.order)
-    for c in cs:
-        out = out + power * c
-        power = power * inner
-    return out
-
-
 coefficient = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
 point = st.fractions(min_value=-4, max_value=4, max_denominator=30)
 BIG = 2**61 - 1  # a Mersenne prime
@@ -182,8 +162,6 @@ def test_integer_ops_equal_fraction_reference(a, b, x, lo, hi):
     assert p.integral(-1, 0) == ref_integral(a, F(-1), F(0))
     for order in (0, 3, 12):
         assert p.to_series(order) == PowerSeries.from_coeffs(a or [0], order)
-    inner = PowerSeries.from_coeffs([0] + b[1:] + [1], 6)
-    assert p.at_series(inner) == ref_at_series(a, inner)
     for result in (p, q):
         assert result.den > 0 and math.gcd(result.den, *result.nums) == 1
         assert not result.nums or result.nums[-1] != 0

@@ -10,7 +10,6 @@ from geopoly.params import HsuShiueParams
 from geopoly.series import (
     PowerSeries,
     binom_deform,
-    compose,
     deformed_base,
     divide,
     exp_series,
@@ -395,12 +394,6 @@ def test_gf_carlitz_values():
         0,
         F(7, 240),
     ]
-
-
-def test_compose_requires_zero_constant():
-    t = PowerSeries.t(4)
-    with pytest.raises(ValueError):
-        compose(1 + t, 1 + t)
 
 
 def test_inverse_and_pow_int():
