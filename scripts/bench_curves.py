@@ -37,7 +37,10 @@ curves, each a row of ``CASES``:
   from a cold cache (smaller orders take under 3 ms); and, on no
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,
-  ``pow_int(b, 3)``) on fixed rational series of order n = 50..400; and
+  ``pow_int(b, 3)``) on fixed rational series of order n = 25..800, whose
+  numerators over one denominator take 15-31 bits, and ``series mul
+  binom_deform``, one product of two ``binom_deform`` series whose
+  numerators vary in width, up to thousands of bits, n = 25..800; and
   the two routes to the Bernoulli numbers B_0..B_n: ``bernoulli series``,
   ``bernoulli_numbers(n)`` from a cold cache, so one ``divide`` at order
   n + 1 (the exact oracle's route), n = 128..1024 (n = 2048 would take
@@ -141,7 +144,7 @@ EXACT = {
                     'mellin.verify_series_identity("eq38_binomial", 4, 3, p, n)', "out.to_dict()"),
     "eq4_operator": (MELLIN_ORDERS, "", "mellin.verify_eq4_operator(4, 2, p, n)", "out.to_dict()"),
 }
-SERIES_ORDERS = (50, 100, 200, 400)
+SERIES_ORDERS = (25, 50, 100, 200, 400, 800)
 # the Bernoulli routes on no triple: (sizes, timed call, the result that is hashed); the
 # tangent numbers are hashed in hex, since T_1024 has more digits than str(int) may print
 BERNOULLI = {
@@ -163,6 +166,10 @@ SERIES = {
     "exp_series": "exp_series(z)",
     "pow_int_3": "pow_int(b, 3)",
 }
+# two binom_deform series of order n, whose numerators over their common denominator vary in
+# width: about 0.66..1 of 4.5n bits for u, and 0..bits(n!) for v = exp(t)
+BINOM_SETUP = ("u = binom_deform(Fraction(1, 3), Fraction(-5, 4), n)\n"
+               "v = binom_deform(0, 1, n)")
 THEOREM5 = "analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), 2, 1), 3, Fraction(1, 2), cfg)"
 # called once untimed first, so that the zeta table, the constants and the Stirling table are cached
 THEOREM5_N = ("analytic.eval_theorem5(HsuShiueParams(Fraction(1, 2), Fraction(1, 8), 1), n,"
@@ -186,6 +193,8 @@ CASES = {
     } | {
         f"series {curve}": (SERIES_ORDERS, SERIES_SETUP, call, "out.coeffs")
         for curve, call in SERIES.items()
+    } | {
+        "series mul binom_deform": (SERIES_ORDERS, BINOM_SETUP, "u * v", "out.coeffs"),
     } | {
         curve: (sizes, "", call, result) for curve, (sizes, call, result) in BERNOULLI.items()
     },
@@ -241,7 +250,7 @@ LIBRARY = """from fractions import Fraction
 from geopoly import analytic, mellin
 from geopoly.families import bernoulli_numbers, exp_poly, geometric_poly, spivey_step
 from geopoly.params import HsuShiueParams
-from geopoly.series import PowerSeries, divide, exp_series, pow_int
+from geopoly.series import PowerSeries, binom_deform, divide, exp_series, pow_int
 from geopoly.stirling import build_table, cached_table, verify_against_gf"""
 # what a suite's child imports before its setup; the import suite times its own
 IMPORTS = {"exact": LIBRARY, "numeric": LIBRARY, "import": ""}

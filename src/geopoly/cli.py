@@ -4,10 +4,11 @@ Output is a single JSON document per invocation (CSV available for tables).
 Rationals are parsed and emitted exactly as "p/q" or integer strings --
 decimal input is rejected to keep the exact commands exact.  Exit codes:
 0 success, 1 a check failed its tolerance or an unexpected identity status,
-2 parse/validation error, an exhausted term budget (ArithmeticError), or
-an --out file that cannot be opened (tried before any computation).  Each
-command returns its echoed params, result and status (or raw CSV text);
-`main` alone frames, times and writes them.
+2 parse/validation error (a `stirling --nmax` past MAX_NMAX among them),
+an exhausted term budget (ArithmeticError), or an --out file that cannot
+be opened (tried before any computation).  Each command returns its
+echoed params, result and status (or raw CSV text); `main` alone frames,
+times and writes them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .analytic import (
     eval_eq30_family,
     eval_theorem5,
 )
-from .exact import as_rational
+from .exact import as_rational, as_size
 from .families import exp_poly, geometric_poly
 from .identities import IDENTITY_IDS, PROFILES, REGISTRY, run, run_all
 from .params import HsuShiueParams
@@ -34,12 +35,20 @@ from .report import fmt_rational
 from .stirling import build_table
 
 
+# The largest table `geopoly stirling --nmax` prints; `build_table` itself
+# takes any n_max.  The table is the cheap part: `build_table` took 0.47 s at
+# n = 800 on (-1/3, 5/2, 1/4) in BENCH_exact.json.  Printing it is not: the
+# command took 0.39 s, 40 MiB of peak RSS and 6 MB of JSON at 200, 2.9 s,
+# 215 MiB and 50 MB at 400, and 28 s, 1.6 GiB and 425 MB at 800.
+MAX_NMAX = 400
+
+
 def _params_from(ns: argparse.Namespace) -> HsuShiueParams:
     return HsuShiueParams(as_rational(ns.alpha), as_rational(ns.beta), as_rational(ns.r))
 
 
 def _cmd_stirling(ns: argparse.Namespace) -> tuple[dict, dict, str] | str:
-    table = build_table(_params_from(ns), ns.nmax)
+    table = build_table(_params_from(ns), as_size(ns.nmax, "n_max", 0, MAX_NMAX))
     rows = [[fmt_rational(v) for v in table.row(n)] for n in range(ns.nmax + 1)]
     if ns.format == "csv":
         return "\n".join(",".join(row) for row in rows)

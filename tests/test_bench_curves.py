@@ -85,6 +85,18 @@ def test_verdicts_warm_passes_on_this_checkout():
     assert 0 < elapsed < 5
 
 
+def test_the_uneven_width_series_curve_runs_on_this_checkout():
+    from fractions import Fraction
+
+    from geopoly.series import binom_deform
+
+    u = binom_deform(Fraction(1, 3), Fraction(-5, 4), 25)
+    product = (u * binom_deform(0, 1, 25)).coeffs
+    elapsed, digest = bench_curves.time_once(ROOT / "src", "exact", "series mul binom_deform", 25)
+    assert 0 < elapsed < 5
+    assert digest == hashlib.sha256(str(product).encode()).hexdigest()[:16]
+
+
 def test_import_suite_runs_on_this_checkout():
     # each row's result names the same objects on any checkout
     expected = {

@@ -6,6 +6,7 @@ from math import factorial, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geopoly import series
 from geopoly.params import HsuShiueParams
 from geopoly.series import (
     PowerSeries,
@@ -211,6 +212,111 @@ def test_square_matches_reference(order, dens):
     # a * a takes the half-convolution; a copy of a takes the general product
     a = block_series(order, dens, 5)
     assert (a * a).coeffs == ref_mul(a, a) == (a * PowerSeries(a.coeffs)).coeffs
+
+
+# Products of at least _PACKED_TERMS terms with narrow numerators are packed
+# into one big integer (series._kronecker); the others take the schoolbook.
+PACKED = series._PACKED_TERMS
+
+
+@st.composite
+def packing_pair(draw):
+    """(a, b): a of order 0..80, b of an order within 3 of it, so the product
+    truncates; numerators of 1..2000 bits over denominators 1..6 (the wide
+    ones fall back to the schoolbook), signs mixed and a run of zeros."""
+    order = draw(st.integers(min_value=0, max_value=80))
+    width = draw(st.sampled_from([1, 4, 15, 31, 90, 2000]))
+    nums = st.integers(min_value=-(2**width), max_value=2**width)
+
+    def coeffs(k):
+        cs = draw(st.lists(st.builds(F, nums, st.integers(1, 6)), min_size=k + 1, max_size=k + 1))
+        lo = draw(st.integers(min_value=0, max_value=k))
+        hi = draw(st.integers(min_value=lo, max_value=k + 1))
+        cs[lo:hi] = [F(0)] * (hi - lo)
+        return PowerSeries(tuple(cs))
+
+    return coeffs(order), coeffs(max(0, order + draw(st.integers(min_value=-3, max_value=3))))
+
+
+def around_the_switch(terms, width=15):
+    """a of `terms` terms and b two terms longer: signed numerators of about
+    `width` bits over 1..6."""
+    rng = random.Random(terms)
+    a = [F(rng.randint(-(2**width), 2**width), rng.randint(1, 6)) for _ in range(terms)]
+    b = [F(rng.randint(-(2**width), 2**width), rng.randint(1, 6)) for _ in range(terms + 2)]
+    return PowerSeries(tuple(a)), PowerSeries(tuple(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=packing_pair())
+@example(pair=around_the_switch(PACKED - 1))
+@example(pair=around_the_switch(PACKED))
+@example(pair=around_the_switch(PACKED + 1))
+def test_mul_matches_reference_across_the_packing_switch(pair):
+    a, b = pair
+    assert (a * b).coeffs == ref_mul(a, b)
+    assert (a * a).coeffs == ref_mul(a, a) == (a * PowerSeries(a.coeffs)).coeffs
+
+
+def ref_convolution(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=80),
+       width=st.sampled_from([0, 1, 7, 8, 9, 31, 64, 500, 2000]))
+def test_kronecker_matches_the_schoolbook(data, n, width):
+    # the packed product on its own, at any width the switch may refuse
+    ints = st.lists(st.integers(min_value=-(2**width), max_value=2**width), min_size=n, max_size=n)
+    a, b = data.draw(ints), data.draw(ints)
+    bits = series._bits(a) + series._bits(b)
+    assert series._kronecker(a, b, bits) == ref_convolution(a, b)
+    assert series._kronecker(a, a, 2 * series._bits(a)) == ref_convolution(a, a)
+
+
+@pytest.mark.parametrize("terms", [PACKED, PACKED + 1, 64])
+@pytest.mark.parametrize("width", range(1, 33))
+def test_packed_slots_hold_the_largest_coefficients(terms, width):
+    # every numerator at its largest |value|: c_k = +-(k + 1) m^2 fills the
+    # slot to within its sign bit at some width, so a slot a byte short fails
+    m = 2**width - 1
+    plus = PowerSeries((m,) * terms)
+    minus = PowerSeries((-m,) * terms)
+    up = tuple((k + 1) * m * m for k in range(terms))
+    down = tuple(-c for c in up)
+    assert (plus * plus).coeffs == (minus * minus).coeffs == up
+    assert (plus * minus).coeffs == (minus * plus).coeffs == down
+    assert (plus * PowerSeries(plus.coeffs)).coeffs == up
+
+
+def test_only_long_narrow_products_are_packed(monkeypatch):
+    packed = []
+    real = series._kronecker
+
+    def spy(a, b, bits):
+        packed.append((len(a), a is b))
+        return real(a, b, bits)
+
+    monkeypatch.setattr(series, "_kronecker", spy)
+    for terms in (1, PACKED - 1, PACKED, PACKED + 1, 64):
+        a, b = around_the_switch(terms)
+        a * b
+        a * a
+    assert packed == [(t, sq) for t in (PACKED, PACKED + 1, 64) for sq in (False, True)]
+    # about 300-bit numerators: 64 terms are too few to pack them, 256 are
+    # enough for a product (at most n/16 bits per term) but not for a square
+    packed.clear()
+    for terms in (64, 256):
+        a, b = around_the_switch(terms, width=300)
+        a * b
+        a * a
+    assert packed == [(256, False)]
+    # one wide numerator among 1s would set a wide slot for all of them
+    packed.clear()
+    wide = PowerSeries((2**3000,) + (1,) * 399)
+    wide * PowerSeries((3**1890,) + (1,) * 399)
+    wide * wide
+    assert packed == []
 
 
 def test_ring_basics():

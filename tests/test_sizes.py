@@ -125,6 +125,8 @@ def test_every_bounded_size_has_one_ceiling(call, name, most):
 PARAMS = ["--alpha", "1/2", "--beta", "3", "--r", "-2"]
 CLI_ROWS = [
     (["stirling", *PARAMS, "--nmax", "-1"], "n_max must be >= 0, got -1"),
+    (["stirling", *PARAMS, "--nmax", str(cli.MAX_NMAX + 1)],
+     f"n_max must be <= {cli.MAX_NMAX}, got {cli.MAX_NMAX + 1}"),
     (["poly", *PARAMS, "--family", "exp", "--n", "-1"], "n must be >= 0, got -1"),
     (["poly", *PARAMS, "--family", "geom", "--n", "-1"], "n must be >= 0, got -1"),
     *(
@@ -141,3 +143,7 @@ def test_cli_exits_2_with_the_library_message(argv, message, capsys):
     assert cli.main([*argv, "--no-timing"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_the_cli_table_budget_leaves_build_table_unbounded():
+    assert build_table(P, cli.MAX_NMAX + 1).n_max == cli.MAX_NMAX + 1
