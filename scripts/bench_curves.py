@@ -40,7 +40,10 @@ curves, each a row of ``CASES``:
   ``pow_int(b, 3)``) on fixed rational series of order n = 25..800, whose
   numerators over one denominator take 15-31 bits, and ``series mul
   binom_deform``, one product of two ``binom_deform`` series whose
-  numerators vary in width, up to thousands of bits, n = 25..800; and
+  numerators vary in width, up to thousands of bits, n = 25..800, and
+  ``series deformed_base``, ``deformed_base(1/3, -5/4, n)``, the
+  beta-normalized base series, one Fraction per falling product (the GF
+  oracle reads those products as integers), n = 25..800; and
   the two routes to the Bernoulli numbers B_0..B_n: ``bernoulli series``,
   ``bernoulli_numbers(n)`` from a cold cache, so one ``divide`` at order
   n + 1 (the exact oracle's route), n = 128..1024 (n = 2048 would take
@@ -92,9 +95,12 @@ an A/A run, one ``--src`` under two labels, shows how far the interval
 reaches on code that did not change, yet two runs of one ``--src`` minutes
 apart can give disjoint intervals.  A point
 whose child fails is stored as ``{"error": <the last line of its
-stderr>}``, with no digest, and left out of the fit.  ``--curve
-SUBSTRING`` (repeatable) runs only the suite's curves whose name contains
-one of the substrings; ``--curve eq`` picks the three Mellin rows.  Each
+stderr>}``, with no digest, and left out of the fit.  ``--curve PREFIX``
+(repeatable) runs only the suite's curves whose name starts with one of
+the prefixes: ``--curve eq`` picks the three Mellin rows and ``--curve
+"series "`` the series kernel rows, which a substring could not single
+out from ``eq5_series (...)``, ``eq38_series (...)`` and ``bernoulli
+series``.  Each
 run is stored under its ``--label`` in ``BENCH_<suite>.json`` in the
 working directory, rewritten as each curve finishes, so a run that stops
 keeps the curves it finished; other labels are kept, so one run on two
@@ -195,6 +201,8 @@ CASES = {
         for curve, call in SERIES.items()
     } | {
         "series mul binom_deform": (SERIES_ORDERS, BINOM_SETUP, "u * v", "out.coeffs"),
+        "series deformed_base": (SERIES_ORDERS, "", "deformed_base(Fraction(1, 3), Fraction(-5, 4), n)",
+                                 "out.coeffs"),
     } | {
         curve: (sizes, "", call, result) for curve, (sizes, call, result) in BERNOULLI.items()
     },
@@ -250,7 +258,7 @@ LIBRARY = """from fractions import Fraction
 from geopoly import analytic, mellin
 from geopoly.families import bernoulli_numbers, exp_poly, geometric_poly, spivey_step
 from geopoly.params import HsuShiueParams
-from geopoly.series import PowerSeries, binom_deform, divide, exp_series, pow_int
+from geopoly.series import PowerSeries, binom_deform, deformed_base, divide, exp_series, pow_int
 from geopoly.stirling import build_table, cached_table, verify_against_gf"""
 # what a suite's child imports before its setup; the import suite times its own
 IMPORTS = {"exact": LIBRARY, "numeric": LIBRARY, "import": ""}
@@ -381,15 +389,15 @@ def main() -> int:
     parser.add_argument("--label", action="append", required=True,
                         help="key of the run in the output file, one per --src")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--curve", action="append", metavar="SUBSTRING",
-                        help="run only the curves whose name contains SUBSTRING; repeat for several")
+    parser.add_argument("--curve", action="append", metavar="PREFIX",
+                        help="run only the curves whose name starts with PREFIX; repeat for several")
     args = parser.parse_args()
     if len(args.src) != len(args.label):
         parser.error("give one --label per --src")
     curves = {curve: case for curve, case in CASES[args.suite].items()
-              if not args.curve or any(part in curve for part in args.curve)}
+              if not args.curve or curve.startswith(tuple(args.curve))}
     if not curves:
-        parser.error(f"no {args.suite} curve contains any of {args.curve}")
+        parser.error(f"no {args.suite} curve starts with any of {args.curve}")
     for src in args.src:
         if not (src / "geopoly" / "__init__.py").is_file():
             parser.error(f"no geopoly package under {src}")

@@ -398,9 +398,13 @@ def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
 
     Even s = 2k: zeta(2k) = (2 pi)^2k |B_2k| / (2 (2k)!) with |B_2k| = 2k
     T_k / (4^k (4^k - 1)), that is pi^2k k T_k / ((2k)! (4^k - 1)).  T_k is
-    the exact integer of `_em_coeffs` at this precision, pi the `_machin`
-    value, within 10^-(digits+4) relative.  pi^2k is one running product
-    and k T_k / ((2k)! (4^k - 1)) one division of exact integers.  Error
+    the exact integer of `_em_coeffs` at this precision, read from the table
+    built for the odd route, T_0..T_M with M = `_table_length(N)`: the even
+    route reads k <= (switch - 1)/2, at most 59% of the M + 1 entries at
+    every precision `EvalConfig` admits (22 of 37 at 120 bits, the worst),
+    so it never grows the table.  pi is the `_machin` value, within
+    10^-(digits+4) relative.  pi^2k is one running product and
+    k T_k / ((2k)! (4^k - 1)) one division of exact integers.  Error
     budget: pi^2 is within 2 10^-(digits+4) + u, pi^2k within k times that
     plus (k - 1)u, and the quotient and the product add 2u, so before its
     final rounding the entry is within s 10^-(digits+4) + (s + 1)u of
@@ -466,8 +470,6 @@ def _zeta_table(digits: int) -> tuple[Decimal | None, ...]:
             edge_pow *= edge
             if s % 2 == 0:  # zeta(2k) = pi^2k k T_k / ((2k)! (4^k - 1))
                 k = s // 2
-                if k == len(coeffs):
-                    coeffs = _em_coeffs(digits, 2 * k)
                 pi_pow *= pi_sq
                 fact *= (s - 1) * s
                 ratio = Decimal(k * coeffs[k][0]) / Decimal(fact * (4**k - 1))

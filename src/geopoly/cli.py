@@ -4,7 +4,8 @@ Output is a single JSON document per invocation (CSV available for tables).
 Rationals are parsed and emitted exactly as "p/q" or integer strings --
 decimal input is rejected to keep the exact commands exact.  Exit codes:
 0 success, 1 a check failed its tolerance or an unexpected identity status,
-2 parse/validation error (a `stirling --nmax` past MAX_NMAX among them),
+2 parse/validation error (a `stirling --nmax` past MAX_NMAX, a `poly --n`
+past MAX_POLY_N or a `series --n` past MAX_SERIES_N among them),
 an exhausted term budget (ArithmeticError), or an --out file that cannot
 be opened (tried before any computation).  Each command returns its
 echoed params, result and status (or raw CSV text); `main` alone frames,
@@ -41,6 +42,15 @@ from .stirling import build_table
 # command took 0.39 s, 40 MiB of peak RSS and 6 MB of JSON at 200, 2.9 s,
 # 215 MiB and 50 MB at 400, and 28 s, 1.6 GiB and 425 MB at 800.
 MAX_NMAX = 400
+# The largest --n of `geopoly poly` and `geopoly series`; the library takes
+# any n.  poly builds the table to n and prints n + 1 coefficients: on
+# (-1/3, 5/2, 1/4), --family geom --order-m 2 took 0.33 s, 225 MiB of peak
+# RSS and 2.4 MB of JSON at 800, and 2.7 s, 1.7 GiB and 10 MB at 1600.
+# series is dearest at MAX_BITS: zeta2k took 3.3 s and theorem5 2.9 s at
+# 160, both in 25 MiB, theorem5 5.4 s at 320; at 256 bits theorem5 took
+# 2.4 s at 640, and 7.2 s at 1280 before it exhausted the term budget.
+MAX_POLY_N = 800
+MAX_SERIES_N = 160
 
 
 def _params_from(ns: argparse.Namespace) -> HsuShiueParams:
@@ -58,10 +68,11 @@ def _cmd_stirling(ns: argparse.Namespace) -> tuple[dict, dict, str] | str:
 
 def _cmd_poly(ns: argparse.Namespace) -> tuple[dict, dict, str]:
     triple = _params_from(ns)
+    n = as_size(ns.n, "n", 0, MAX_POLY_N)
     if ns.family == "exp":
-        poly = exp_poly(ns.n, triple)
+        poly = exp_poly(n, triple)
     else:
-        poly = geometric_poly(ns.n, as_rational(ns.order_m), triple)
+        poly = geometric_poly(n, as_rational(ns.order_m), triple)
     result: dict = {"coeffs": [fmt_rational(c) for c in poly.coeffs] or ["0"]}
     if ns.at is not None:
         result["at"] = ns.at
@@ -81,14 +92,15 @@ def _cmd_series(ns: argparse.Namespace) -> tuple[dict, dict, str]:
     cfg = EvalConfig(ns.bits)
     if ns.id in ("theorem5", "dobinski") and ns.x is None:
         raise ValueError(f"--x is required for {ns.id}")
+    n = as_size(ns.n, "n", 0, MAX_SERIES_N)
     if ns.id == "zeta2k":
-        rpt = eval_eq30_family(ns.n, cfg)
+        rpt = eval_eq30_family(n, cfg)
     elif ns.id == "theorem5":
-        rpt = eval_theorem5(_params_from(ns), ns.n, as_rational(ns.x), cfg)
+        rpt = eval_theorem5(_params_from(ns), n, as_rational(ns.x), cfg)
     elif ns.id == "dobinski":
-        rpt = eval_dobinski_numeric(ns.n, _params_from(ns), as_rational(ns.x), cfg)
+        rpt = eval_dobinski_numeric(n, _params_from(ns), as_rational(ns.x), cfg)
     else:
-        rpt = eval_eq17_18(ns.n, _params_from(ns), cfg, eq=int(ns.id[2:]))
+        rpt = eval_eq17_18(n, _params_from(ns), cfg, eq=int(ns.id[2:]))
     params = {
         "id": ns.id,
         "n": ns.n,

@@ -21,10 +21,26 @@ EXPECTED_FAIL_CONFIRMED = "expected_fail_confirmed"
 EXACT = "exact"
 
 
+def _fmt_int(n: int) -> str:
+    """The decimal digits of n at any size.
+
+    str(n) refuses ints past the interpreter's digit limit (4300 digits by
+    default, `sys.set_int_max_str_digits`); an int's Decimal is exact and
+    prints its digits with no limit.  decimal is imported on that path only.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 def fmt_rational(x: Fraction) -> str:
-    """Serialize exactly, never as a decimal."""
+    """Serialize exactly, never as a decimal, at any size."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _fmt_int(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_fmt_int(x.denominator)}"
 
 
 def _jsonable(value: Any) -> Any:

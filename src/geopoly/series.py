@@ -15,7 +15,11 @@ alpha = 0, where it degenerates to exp(c*t).  All alpha -> 0 "limits" in
 this module are therefore the same code path, never a numeric limit.
 Similarly ((1+alpha*t)^(beta/alpha) - 1)/beta has j-th coefficient
 prod_{i=1}^{j-1}(beta - i*alpha) / j!, exact even at beta = 0 (where it
-becomes log(1+alpha*t)/alpha).
+becomes log(1+alpha*t)/alpha).  Both are written once, on integers: with
+(c, alpha) = (C, A)/D, (c|alpha)_j = (C|A)_j / D^j, and
+:func:`falling_products` gives the integers (C|A)_j, so each coefficient
+is one Fraction of a product over D^j j!.  The GF oracle
+(`stirling.verify_against_gf`) reads the same products as EGF integers.
 
 The ring kernels (``*``, :func:`divide`, :func:`exp_series`,
 :func:`log_series`) never accumulate Fractions term by term.  Each puts
@@ -360,40 +364,45 @@ def pow_series(a: PowerSeries, c: RationalLike) -> PowerSeries:
 # ---------------------------------------------------------------------------
 
 
+def falling_products(c: int, a: int, order: int) -> list[int]:
+    """The integers (c|a)_j = prod_{i<j}(c - i*a) for j = 0..order, none for order -1."""
+    out = [1] * (order + 1)
+    for i in range(order):
+        out[i + 1] = out[i] * (c - i * a)
+    return out
+
+
+def _over_egf(nums: list[int], d: int) -> PowerSeries:
+    """The series of coefficients nums[j] / (D^j j!), one Fraction each."""
+    coeffs, den = [], 1
+    for j, num in enumerate(nums, 1):
+        coeffs.append(Fraction(num, den))
+        den *= j * d
+    return PowerSeries(tuple(coeffs))
+
+
 def binom_deform(alpha: RationalLike, c: RationalLike, order: int) -> PowerSeries:
     """(1 + alpha*t)^(c/alpha), exactly exp(c*t) at alpha = 0.
 
-    Coefficient of t^j is (c|alpha)_j / j!, carried as the integer product
-    prod_{i<j}(C - iA) over D^j j!, with (C, A) over D = `exact.over_lcm`
-    of (c, alpha); one Fraction per coefficient.
+    Coefficient of t^j is (c|alpha)_j / j!, that is (C|A)_j / (D^j j!)
+    with (C, A) over D = `exact.over_lcm` of (c, alpha).
     """
     as_size(order, "order")
     (cn, a), d = over_lcm((as_rational(c), as_rational(alpha)))
-    coeffs = [Fraction(1)]
-    num = den = 1
-    for j in range(1, order + 1):
-        num *= cn - (j - 1) * a
-        den *= j * d
-        coeffs.append(Fraction(num, den))
-    return PowerSeries(tuple(coeffs))
+    return _over_egf(falling_products(cn, a, order), d)
 
 
 def deformed_base(alpha: RationalLike, beta: RationalLike, order: int) -> PowerSeries:
     """((1 + alpha*t)^(beta/alpha) - 1)/beta without ever dividing by beta.
 
     Coefficient of t^j (j >= 1) is prod_{i=1}^{j-1}(beta - i*alpha) / j!,
-    so beta = 0 degenerates exactly to log(1 + alpha*t)/alpha and alpha = 0
-    to (exp(beta*t) - 1)/beta.
+    that is D (B - A|A)_(j-1) / (D^j j!) with (A, B) over D, so beta = 0
+    degenerates exactly to log(1 + alpha*t)/alpha and alpha = 0 to
+    (exp(beta*t) - 1)/beta.
     """
     as_size(order, "order")
-    alpha = as_rational(alpha)
-    beta = as_rational(beta)
-    coeffs = [Fraction(0)]
-    acc = Fraction(1)
-    for j in range(1, order + 1):
-        coeffs.append(acc / factorial(j))
-        acc *= beta - j * alpha
-    return PowerSeries(tuple(coeffs))
+    (a, b), d = over_lcm((as_rational(alpha), as_rational(beta)))
+    return _over_egf([0] + [d * p for p in falling_products(b - a, a, order - 1)], d)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +420,7 @@ def gf_w(params: HsuShiueParams, s: int, x: RationalLike, order: int) -> PowerSe
     x = as_rational(x)
     big = binom_deform(params.alpha, params.beta, order)
     den = PowerSeries.one(order) - (big - 1) * x
-    core = pow_int(inverse(den), s)
-    return core * binom_deform(params.alpha, params.r, order)
+    return pow_int(den, -s) * binom_deform(params.alpha, params.r, order)
 
 
 def gf_degenerate_euler(s: int, alpha: RationalLike, x: RationalLike, order: int) -> PowerSeries:
@@ -424,8 +432,7 @@ def gf_degenerate_euler(s: int, alpha: RationalLike, x: RationalLike, order: int
     as_size(s, "s")
     u = binom_deform(alpha, 1, order)
     half = (u + 1) * Fraction(1, 2)  # constant term 1
-    core = pow_int(inverse(half), s)
-    return core * binom_deform(alpha, x, order)
+    return pow_int(half, -s) * binom_deform(alpha, x, order)
 
 
 def gf_bernoulli2_degenerate(alpha: RationalLike, x: RationalLike, order: int) -> PowerSeries:

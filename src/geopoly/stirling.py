@@ -51,7 +51,7 @@ from .memo import Memo
 from .params import HsuShiueParams
 from .record import Frozen
 from .report import EXACT, CheckReport
-from .series import binom_deform, deformed_base
+from .series import falling_products
 
 
 class StirlingTable(Frozen):
@@ -180,29 +180,19 @@ def specialize(
     return HsuShiueParams(*(given.get(v, v) for v in _FAMILY_TRIPLES[kind]))
 
 
-def _egf_integers(coeffs: tuple[Fraction, ...], d: int) -> tuple[list[int], int]:
-    """j! * d^j * coeffs[j] for every j, as integers over their least common denominator."""
-    scaled, scale = [], 1
-    for j, c in enumerate(coeffs):
-        scaled.append(c * scale)
-        scale *= (j + 1) * d
-    return over_lcm(scaled)
-
-
 def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     """Compare table entries with generating-function coefficients.
 
     For each k <= order, extracts n! * [t^n] of
     (1/k!) * base^k * (1+alpha t)^(r/alpha) with base the beta-normalized
     deformed exponential; exact mismatches are reported with their (n,k).
-    The two series come from `deformed_base` and `binom_deform` and are
-    turned once into EGF integers: with (D, A, B, R) = `p.integer_form()`,
-    b_j = j! D^j [t^j]base and w_j = j! D^j [t^j]weight, which are
-    D prod_{0<i<j}(B - iA) and prod_{i<j}(R - iA), so their common
-    denominator is 1 (any other is carried exactly).  Column k is then the
-    binomial convolution g_n = sum_i C(n,i) g'_i b_(n-i) of column k-1 with
-    b, on plain integers, and g_n = k! D^n S(n,k); base has valuation 1, so
-    column k starts at n = k and reads column k-1 from i = k-1.  Columns are
+    Both series are read as EGF integers off `series.falling_products`:
+    with (D, A, B, R) = `p.integer_form()`, b_j = j! D^j [t^j]base =
+    D (B - A|A)_(j-1) for j >= 1 (b_0 = 0) and w_j = j! D^j [t^j]weight =
+    (R|A)_j.  Column k is then the binomial convolution
+    g_n = sum_i C(n,i) g'_i b_(n-i) of column k-1 with b, on plain
+    integers, and g_n = k! D^n S(n,k); base has valuation 1, so column k
+    starts at n = k and reads column k-1 from i = k-1.  Columns are
     scanned in increasing k and rows in increasing n within a column, so
     the witness is the first mismatch in that order.  A cell is compared by
     cross-multiplying its integer numerator and row denominator; a Fraction
@@ -211,17 +201,17 @@ def verify_against_gf(table: StirlingTable, order: int) -> CheckReport:
     as_size(order, "order", 0, table.n_max)
     p = table.params
     rpt = CheckReport(id="GF_VS_TABLE", params={"params": p, "order": order}, tolerance=EXACT)
-    d = p.integer_form()[0]
-    b, b_den = _egf_integers(deformed_base(p.alpha, p.beta, order).coeffs, d)
-    g, scale = _egf_integers(binom_deform(p.alpha, p.r, order).coeffs, d)
+    d, a, b, r = p.integer_form()
+    base = [0] + [d * x for x in falling_products(b - a, a, order - 1)]
+    g, scale = falling_products(r, a, order), 1
     # conv[n][i] = C(n, i) b_(n-i) for i < n: one multiplication per term below
-    conv = [[comb(n, i) * b[n - i] for i in range(n)] for n in range(order + 1)]
+    conv = [[comb(n, i) * base[n - i] for i in range(n)] for n in range(order + 1)]
     d_pow = [d**n for n in range(order + 1)]
     rows, dens = table.rows, table.dens
     for k in range(order + 1):
         if k:
             g[k:] = [sum(map(mul, g[k - 1 : n], conv[n][k - 1 :])) for n in range(k, order + 1)]
-            scale *= k * b_den  # now g_n / scale = D^n S(n, k)
+            scale *= k  # now g_n / scale = D^n S(n, k)
         for n in range(k, order + 1):
             # the scan stays inline: a generator per cell costs ~5% at n = 40
             if g[n] * dens[n] != scale * d_pow[n] * rows[n][k]:

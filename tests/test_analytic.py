@@ -708,6 +708,19 @@ def _em_range(digits):
     return range(2, next(s for s in count(2) if A._tail_below(s, n_cut, (1 + n_cut) ** s, thr_den)))
 
 
+def test_the_even_route_reads_inside_the_coefficient_table():
+    # _zeta_table's even s read T_k, k <= (switch - 1)/2, from the table it
+    # builds to _table_length(N) for the odd route: at every digits
+    # EvalConfig admits that stays inside it, at most 59% of the way
+    reach = {}
+    for digits in {A.EvalConfig(bits).digits for bits in range(64, A.MAX_BITS + 1)}:
+        entries = A._table_length(A._asymptotic_cut(digits)) + 1
+        reach[digits] = ((_em_range(digits).stop - 1) // 2, entries)
+    assert len(reach) == 1215
+    worst = max(reach, key=lambda digits: reach[digits][0] / reach[digits][1])
+    assert (worst, reach[worst]) == (A.EvalConfig(120).digits, (22, 37))
+
+
 def _assert_odd_entries_are_zeta_int(table, cfg):
     for s in range(3, len(table), 2):
         assert table[s].as_tuple() == A.zeta_int(s, cfg).as_tuple(), s
@@ -726,6 +739,11 @@ def test_zeta_batch_doubles_n_through_zeta_em(monkeypatch):
     monkeypatch.setattr(A, "_zeta_em",
                         lambda s, a, digits: calls.append(s) or zeta_em(s, a, digits))
     cfg = A.EvalConfig(128)
+    # N = 2 moves the direct switch out to s = 134, so the even route reads
+    # up to T_66: the table reaches that, as a real cut's table does (the
+    # test above)
+    switch = _em_range(cfg.digits).stop
+    monkeypatch.setattr(A, "_table_length", lambda cut: (switch - 1) // 2)
     events = _spy_em_sources(monkeypatch)
     table = A._zeta_table(cfg.digits)
     assert calls and all(s % 2 for s in calls)  # the fallback ran, at odd s alone

@@ -194,19 +194,42 @@ def test_repeats_that_disagree_are_an_error(monkeypatch):
 
 
 def test_curve_filter_runs_only_the_matching_curves(monkeypatch, tmp_path):
+    # a curve runs when its name starts with one of the --curve prefixes
     curves = {name: ((1,), "", "n", "out") for name in ("eq5 (a)", "eq38 (a)", "mul", "eq5 (b)")}
-    assert _run_suite(monkeypatch, tmp_path, curves, "a", extra=("--curve", "(a)")) == 0
-    assert _run_suite(monkeypatch, tmp_path, curves, "b", extra=("--curve", "mul", "--curve", "5")) == 0
+    assert _run_suite(monkeypatch, tmp_path, curves, "a", extra=("--curve", "eq5")) == 0
+    assert _run_suite(monkeypatch, tmp_path, curves, "b", extra=("--curve", "mul", "--curve", "eq3")) == 0
     runs = json.loads((tmp_path / "BENCH_toy.json").read_text())["runs"]
-    assert list(runs["a"]["curves"]) == ["eq5 (a)", "eq38 (a)"]
-    assert list(runs["b"]["curves"]) == ["eq5 (a)", "mul", "eq5 (b)"]
-    with pytest.raises(SystemExit) as exc:  # a filter that matches nothing is a usage error
-        _run_suite(monkeypatch, tmp_path, curves, "c", extra=("--curve", "nothing"))
-    assert exc.value.code == 2
+    assert list(runs["a"]["curves"]) == ["eq5 (a)", "eq5 (b)"]
+    assert list(runs["b"]["curves"]) == ["eq38 (a)", "mul"]
+    for prefix in ("nothing", "(a)"):  # a filter that matches nothing is a usage error
+        with pytest.raises(SystemExit) as exc:
+            _run_suite(monkeypatch, tmp_path, curves, "c", extra=("--curve", prefix))
+        assert exc.value.code == 2
 
 
 def test_the_mellin_filter_picks_the_three_mellin_rows():
     # `--curve eq` on the exact suite, as the docstring runs it
-    picked = [curve for curve in bench_curves.CASES["exact"] if "eq" in curve]
+    picked = [curve for curve in bench_curves.CASES["exact"] if curve.startswith("eq")]
     assert sorted({curve.split()[0] for curve in picked}) == ["eq38_series", "eq4_operator", "eq5_series"]
     assert len(picked) == 3 * len(bench_curves.TRIPLES)
+
+
+def test_the_series_filter_picks_the_series_kernel_rows():
+    # `--curve "series "` picks the kernel rows alone, none of the Mellin
+    # or Bernoulli rows whose names hold "series"
+    picked = [curve for curve in bench_curves.CASES["exact"] if curve.startswith("series ")]
+    assert picked == [f"series {curve}" for curve in bench_curves.SERIES] + [
+        "series mul binom_deform", "series deformed_base"
+    ]
+    assert len([curve for curve in bench_curves.CASES["exact"] if "series" in curve]) > len(picked)
+
+
+def test_the_deformed_base_curve_runs_on_this_checkout():
+    from fractions import Fraction
+
+    from geopoly.series import deformed_base
+
+    coeffs = deformed_base(Fraction(1, 3), Fraction(-5, 4), 25).coeffs
+    elapsed, digest = bench_curves.time_once(ROOT / "src", "exact", "series deformed_base", 25)
+    assert 0 < elapsed < 5
+    assert digest == hashlib.sha256(str(coeffs).encode()).hexdigest()[:16]

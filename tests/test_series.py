@@ -25,6 +25,7 @@ from geopoly.series import (
 )
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+sevenths = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
 def series_strategy(order=10, constant=None):
@@ -410,6 +411,28 @@ def test_binom_deform_branches():
     # alpha = 2, c = 1: hand expansion of (1+2t)^(1/2)
     s = binom_deform(2, 1, 4)
     assert s.coeff(1) == 1 and s.coeff(2) == F(-1, 2)
+
+
+def ref_deformed(alpha, c, order, first):
+    """[t^j] = prod_{first<=i<j}(c - i*alpha) / j! for j >= first, 0 below,
+    by a running Fraction product: binom_deform at first = 0 and
+    deformed_base at first = 1."""
+    out, acc = [F(0)] * first, F(1)
+    for j in range(first, order + 1):
+        out.append(acc / factorial(j))
+        acc *= c - j * alpha
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=sevenths, c=sevenths, order=st.integers(0, 20))
+@example(alpha=F(0), c=F(5, 7), order=12)  # alpha = 0: exp(ct) and (exp(ct) - 1)/c
+@example(alpha=F(-2, 7), c=F(0), order=12)  # beta = 0: log(1 + alpha t)/alpha
+@example(alpha=F(3, 7), c=F(-1), order=0)
+@example(alpha=F(1, 7), c=F(9, 7), order=1)
+def test_deformed_series_match_the_fraction_products(alpha, c, order):
+    assert binom_deform(alpha, c, order).coeffs == ref_deformed(alpha, c, order, 0)
+    assert deformed_base(alpha, c, order).coeffs == ref_deformed(alpha, c, order, 1)
 
 
 def test_binom_deform_against_exp_log_route():

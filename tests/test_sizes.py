@@ -21,7 +21,7 @@ from fractions import Fraction as F
 import pytest
 
 from geopoly import cli
-from geopoly.analytic import EvalConfig
+from geopoly.analytic import EvalConfig, eval_eq17_18
 from geopoly.enumeration import (
     barred_preferential_count,
     ordered_set_partitions_count,
@@ -35,6 +35,7 @@ from geopoly.families import (
     check_corollary4,
     check_corollary5,
     check_gf_matches,
+    exp_poly,
     howard_power_sum,
     spivey_step,
 )
@@ -133,6 +134,16 @@ CLI_ROWS = [
         (["series", "--id", sid, "--n", "-1", "--x", "1/2"], "n must be >= 0, got -1")
         for sid in ("theorem5", "zeta2k", "eq17", "eq18", "dobinski")
     ),
+    *(
+        (["poly", *PARAMS, "--family", family, "--n", str(cli.MAX_POLY_N + 1)],
+         f"n must be <= {cli.MAX_POLY_N}, got {cli.MAX_POLY_N + 1}")
+        for family in ("exp", "geom")
+    ),
+    *(
+        (["series", "--id", sid, "--n", str(cli.MAX_SERIES_N + 1), "--x", "1/2"],
+         f"n must be <= {cli.MAX_SERIES_N}, got {cli.MAX_SERIES_N + 1}")
+        for sid in ("theorem5", "zeta2k", "eq17", "eq18", "dobinski")
+    ),
     (["verify", "--id", "EQ36", "--samples", "0"], "samples must be >= 1, got 0"),
 ]
 CLI_IDS = [" ".join(a for a in argv if a not in PARAMS) for argv, _ in CLI_ROWS]
@@ -147,3 +158,15 @@ def test_cli_exits_2_with_the_library_message(argv, message, capsys):
 
 def test_the_cli_table_budget_leaves_build_table_unbounded():
     assert build_table(P, cli.MAX_NMAX + 1).n_max == cli.MAX_NMAX + 1
+
+
+def test_the_cli_n_budgets_leave_the_library_unbounded(monkeypatch, capsys):
+    # at budgets of 3, n = 4 exits 2 in each command before any computation
+    # and still computes in the library
+    monkeypatch.setattr(cli, "MAX_POLY_N", 3)
+    monkeypatch.setattr(cli, "MAX_SERIES_N", 3)
+    assert cli.main(["poly", *PARAMS, "--family", "geom", "--n", "4"]) == 2
+    assert cli.main(["series", "--id", "eq17", "--n", "4", *PARAMS]) == 2
+    assert capsys.readouterr().err == "error: n must be <= 3, got 4\n" * 2
+    assert exp_poly(4, P).coeffs[-1] == 1
+    assert eval_eq17_18(4, P, EvalConfig(64), eq=17).status == "pass"

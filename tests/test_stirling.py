@@ -2,7 +2,6 @@ import ast
 import inspect
 import itertools
 from fractions import Fraction as F
-from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -93,7 +92,7 @@ def test_only_the_gf_oracle_names_series():
         if isinstance(node, ast.ImportFrom) and node.module == "series"
         for alias in node.names
     }
-    assert imported == {"binom_deform", "deformed_base"}
+    assert imported == {"falling_products"}
     outside = [
         (node.lineno, node.id)
         for top in tree.body
@@ -318,30 +317,30 @@ def test_gf_oracle_agrees_with_the_series_route(alpha, beta, r, order, cell, bum
     alpha=sevenths,
     beta=sevenths,
     r=sevenths,
-    j=st.integers(1, 10),
-    prime=st.sampled_from([11, 13, 10007]),
-    which=st.sampled_from(["deformed_base", "binom_deform"]),
+    j=st.integers(0, 9),
+    call=st.sampled_from([0, 1]),
 )
-@example(alpha=F(0), beta=F(1), r=F(0), j=1, prime=11, which="deformed_base")
-@example(alpha=F(1), beta=F(0), r=F(0), j=10, prime=13, which="binom_deform")
-def test_a_gf_coefficient_off_the_egf_integers_never_passes(alpha, beta, r, j, prime, which):
-    # j! D^j [t^j] of either series is an integer; a coefficient moved off
-    # that lattice is carried exactly and caught at its first cell
+@example(alpha=F(0), beta=F(1), r=F(0), j=0, call=0)
+@example(alpha=F(1), beta=F(0), r=F(0), j=9, call=1)
+def test_a_falling_product_moved_by_one_fails_at_its_first_cell(alpha, beta, r, j, call):
+    # the oracle reads the base's products first and the weight's second:
+    # base product j is b_(j+1), first read at (n=j+1, k=1), and weight
+    # product j is w_j, the cell (n=j, k=0)
     if alpha == beta == r == 0:
         r = F(1, 7)
     params = HsuShiueParams(alpha, beta, r)
-    d = alpha.denominator * beta.denominator * r.denominator
-    real = getattr(stirling, which)
+    real, calls = series.falling_products, []
 
-    def moved(*args):
-        ps = real(*args)
-        cs = list(ps.coeffs)
-        cs[j] += F(1, factorial(j) * d**j * prime)
-        return type(ps)(tuple(cs))
+    def moved(c, a, order):
+        out = real(c, a, order)
+        if len(calls) == call:
+            out[j] += 1
+        calls.append(c)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stirling, which, moved)
+        mp.setattr(stirling, "falling_products", moved)
         rpt = verify_against_gf(build_table(params, 10), 10)
+    assert len(calls) == 2
     assert rpt.status == "fail"
-    k = 1 if which == "deformed_base" else 0
-    assert rpt.witness.startswith(f"(n={j}, k={k}):"), rpt.witness
+    assert rpt.witness.startswith(f"(n={j + 1 - call}, k={1 - call}):"), rpt.witness

@@ -72,6 +72,17 @@ def test_compare_each_shorter_side_ends_scan():
     assert rpt.status == "pass"
 
 
+def test_a_witness_past_the_int_digit_limit_is_exact():
+    # 5000 sevens is past str(int)'s default limit of 4300 digits
+    sevens = 7 * (10**5000 - 1) // 9
+    rpt = CheckReport(id="T").compare(F(-sevens, 3), F(sevens - 1, 3), "lhs {} != rhs {}")
+    assert rpt.status == "fail"
+    assert rpt.witness == f"lhs -{'7' * 5000}/3 != rhs {'7' * 4999}6/3"
+    assert CheckReport(id="T").compare(F(1, sevens), F(2, sevens), "{} != {}").witness == (
+        f"1/{'7' * 5000} != 2/{'7' * 5000}"
+    )
+
+
 def test_compare_is_one_case_of_compare_each():
     a = CheckReport(id="T").compare(F(1, 2), F(1, 3), "lhs {} != rhs {}")
     b = CheckReport(id="T").compare_each([(F(1, 2), F(1, 3))], "lhs {} != rhs {}")
