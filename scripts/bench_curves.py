@@ -33,7 +33,8 @@ curves, each a row of ``CASES``:
   ``eq5_series``, ``eq38_series`` and ``eq4_operator``, the operator
   checks ``verify_series_identity("eq5", 4, 2, p, n)``,
   ``verify_series_identity("eq38_binomial", 4, 3, p, n)`` and
-  ``verify_eq4_operator(4, 2, p, n)`` at series order n = 64..1024, each
+  ``verify_eq4_operator(4, 2, p, n)``, which runs the ``eq5`` call, so
+  its row times the delegation, at series order n = 64..1024, each
   from a cold cache (smaller orders take under 3 ms); and, on no
   triple, the series kernels ``series mul``, ``divide``, ``exp_series`` and
   ``pow_int_3`` (``a * b``, ``divide(a, b)``, ``exp_series(z)``,

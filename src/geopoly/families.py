@@ -64,8 +64,7 @@ the checks, not the wrappers: the wrappers are the API for a value.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
-from math import comb, factorial, perm
+from math import comb, perm
 from operator import mul
 
 from .exact import RationalLike, as_rational, as_size, gen_factorial
@@ -74,7 +73,7 @@ from .params import HsuShiueParams
 from .polynomials import PolyQ
 from .report import PASS, CheckReport, fmt_rational
 from .series import (
-    binom_deform,
+    falling_products,
     gf_bernoulli2_degenerate,
     gf_carlitz_beta,
     gf_degenerate_euler,
@@ -235,10 +234,10 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
     it to `geometric_rows` for w_0..w_n at x, row k over D^k E^n, with
     (D, A, B, R) = `params.integer_form()` and E^n the denominator of the
     `_weights`, the same for every j because s+j has the denominator of s.
-    The generalized factorial is a running integer product over D^(n-k),
-    so every term of the k-sum is over D^n E^n, the denominator of row n,
-    and every j-term over dens[m] E^m D^n E^n: the whole double sum runs on
-    integers and builds one Fraction.
+    The generalized factorial is the integer `series.falling_products`
+    (jB - mA | A)_(n-k) over D^(n-k), so every term of the k-sum is over
+    D^n E^n, the denominator of row n, and every j-term over dens[m] E^m
+    D^n E^n: the whole double sum runs on integers and builds one Fraction.
     """
     x, order = as_rational(x), as_rational(s)
     _, step_a, step_b, _ = params.integer_form()
@@ -249,10 +248,7 @@ def spivey_step(n: int, m: int, s: int, x: RationalLike, params: HsuShiueParams)
         outer = cell * weights[j]  # S(m,j) <s>_j (beta x)^j over dens[m] E^m
         if not outer:
             continue
-        falls, fall, top = [], 1, j * step_b - m * step_a
-        for i in range(n + 1):
-            falls.append(fall)
-            fall *= top - i * step_a
+        falls = falling_products(j * step_b - m * step_a, step_a, n)
         rows = geometric_rows(n, order + j, x, params, table=table)
         total += outer * sum(comb(n, k) * falls[n - k] * num for k, (num, _) in enumerate(rows))
         rows_den = rows[n][1]  # D^n E^n for every j
@@ -511,27 +507,6 @@ def check_corollary5(
     rpt = CheckReport(id=f"COR5_{exponent.upper()}", params={"n": n, "m": m, "beta": beta, "r": r})
     closed, direct = _howard_sides(n, m, beta, r, shift)
     return rpt.compare(direct, closed, "direct {} != closed {}")
-
-
-# ---------------------------------------------------------------------------
-# Series-shaped exact identities
-# ---------------------------------------------------------------------------
-
-
-def check_dobinski(n: int, params: HsuShiueParams, order_x: int) -> CheckReport:
-    """Coefficientwise form of the exponential-weighted expansion.
-
-    [x^k] of e^{x/beta} * S_n(x) must equal (k*beta+r|alpha)_n/(beta^k k!)
-    for every k <= order_x; this is exact, no truncation error involved.
-    """
-    if params.beta == 0:
-        raise ValueError("beta must be nonzero")
-    rpt = CheckReport(id="EQ16_EXACT", params={"n": n, "params": params, "order_x": order_x})
-    exp_over_beta = binom_deform(0, 1 / params.beta, order_x)
-    lhs = exp_over_beta * exp_poly(n, params).to_series(order_x)
-    a, b, r = params.alpha, params.beta, params.r
-    expected = (gen_factorial(k * b + r, a, n) / (b**k * factorial(k)) for k in range(order_x + 1))
-    return rpt.compare_each(zip(count(), lhs.coeffs, expected), "[x^{}]: {} != {}")
 
 
 def bpa_number(n: int, s: int, params: HsuShiueParams) -> Fraction:

@@ -233,7 +233,8 @@ REGISTRY: tuple[Identity, ...] = (
              "families.geometric_at", _each(lambda rng, prof: families.check_gf_matches(
                  rng.int_between(0, prof.exact_n + 2), rng.int_between(2, 4), rng.rational(),
                  rng.params()))),
-    Identity("EQ4_OPERATOR", "operator route on the binomial tail vs EGF composition",
+    Identity("EQ4_OPERATOR",
+             "operator route on the binomial tail vs EGF composition (runs EQ5's check)",
              "mellin.geometric_poly", _each(lambda rng, prof: mellin.verify_eq4_operator(
                  rng.int_between(0, prof.exact_n), rng.int_between(0, 3), rng.params(),
                  prof.series_order // 2))),
@@ -252,8 +253,9 @@ REGISTRY: tuple[Identity, ...] = (
     Identity("EQ15", "operator action on the scaled exponential vs convolution closed form",
              "mellin.exp_poly", _each(lambda rng, prof: mellin.verify_eq15(
                  rng.int_between(0, prof.exact_n), rng.params(), prof.series_order))),
-    Identity("EQ16_EXACT", "exponential-weighted expansion, exact coefficientwise",
-             "families.exp_poly", _each(lambda rng, prof: families.check_dobinski(
+    Identity("EQ16_EXACT",
+             "exponential-weighted expansion, exact coefficientwise (runs EQ15's check)",
+             "mellin.exp_poly", _each(lambda rng, prof: mellin.verify_eq15(
                  rng.int_between(0, prof.exact_n), rng.params(), prof.series_order - 6))),
     Identity("EQ16_NUMERIC", "exponential-weighted expansion, numeric partial sums (beta > 0)",
              "analytic.exp_poly", _each(lambda rng, prof: analytic.eval_dobinski_numeric(

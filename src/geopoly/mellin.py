@@ -8,13 +8,17 @@ variable.  One application multiplies x^((k*beta + r)/beta) by
 multiply c_k by the generalized factorial (k*beta + r | alpha)_n and leave
 the prefactor x^((r - n*alpha)/beta).
 
-The verifiers expand both sides of the operator identities over these
-coefficients: the operator route on the left, and on the right either the
-derivative expansion sum_k S(n,k) beta^k x^k f^(k)(x) or a closed
-generating-function composition.  x^k f^(k)(x) has (j)_k f_j at x^j, so on
-x^j EQ1 is the Hsu-Shiue relation (j*beta + r | alpha)_n = sum_k S(n,k)
-beta^k (j)_k.  The composition (1 - y)^(-m) w(y/(1 - y)), y = sign*x, is
-sum_k w_k y^k (1 - y)^(-(m+k)), so its coefficients come from the binomial
+One loop, `_factorial_weights`, computes c_k (k*beta + r | alpha)_n on
+integers: the operator side of EQ1 and EQ15 and the termwise side of EQ5,
+EQ21 and EQ38.  EQ4_OPERATOR, the operator on the binomial tail, is EQ5's
+check, and EQ16_EXACT, the coefficientwise Dobinski expansion, is EQ15's.
+Against the loop stand the derivative expansion sum_k S(n,k) beta^k x^k
+f^(k)(x) (EQ1), the convolution e^(x/beta) S_n(x) (EQ15), or a closed
+generating-function composition (EQ5, EQ21, EQ38).
+x^k f^(k)(x) has (j)_k f_j at x^j, so on x^j EQ1 is the Hsu-Shiue
+relation (j*beta + r | alpha)_n = sum_k S(n,k) beta^k (j)_k.  The
+composition (1 - y)^(-m) w(y/(1 - y)), y = sign*x, is sum_k w_k y^k
+(1 - y)^(-(m+k)), so its coefficients come from the binomial
 theorem on integers, with no series product.
 """
 
@@ -25,7 +29,7 @@ from itertools import count
 from math import comb, perm
 from typing import Sequence
 
-from .exact import as_size, gen_factorial
+from .exact import as_size
 from .families import geometric_poly, exp_poly
 from .params import HsuShiueParams
 from .polynomials import PolyQ
@@ -39,21 +43,30 @@ def apply_operator(
 ) -> list[Fraction]:
     """The coefficients of sum_k c_k x^(k + r/beta) after `times` applications.
 
-    Coefficient k gains prod_{j<times}(k*beta + r - j*alpha), computed as
-    the integer product prod_j(kB + R - jA) over D^times, with
-    (D, A, B, R) = `HsuShiueParams.integer_form`; one Fraction per
-    coefficient.  The loop is kept here, apart from `exact.gen_factorial`,
-    which the termwise sides of EQ5 call.
+    Coefficient k gains (k*beta + r | alpha)_times, by `_factorial_weights`;
+    the weighted derivative itself needs beta != 0.
     """
     as_size(times, "times")
     if params.beta == 0:
         raise ValueError("beta must be nonzero for the weighted derivative")
+    return _factorial_weights(coeffs, params, times)
+
+
+def _factorial_weights(
+    coeffs: Sequence[Fraction | int], params: HsuShiueParams, n: int
+) -> list[Fraction]:
+    """c_k (k*beta + r | alpha)_n for every coefficient c_k, at any beta.
+
+    The factor is the integer product prod_{j<n}(kB + R - jA) over D^n, with
+    (D, A, B, R) = `HsuShiueParams.integer_form`; one Fraction per
+    coefficient.
+    """
     d, a, b, r = params.integer_form()
-    scale = d**times
+    scale = d**n
     out = []
     for k, c in enumerate(coeffs):
         factor = 1
-        for j in range(times):
+        for j in range(n):
             factor *= k * b + r - j * a
         out.append(Fraction(c.numerator * factor, c.denominator * scale))
     return out
@@ -152,40 +165,31 @@ def verify_series_identity(
     as_size(order, "order", as_size(n))
     rid, m_sign = _SERIES_IDS[which]
     m, sign = m_sign(as_size(s, "s"))
-    a, b, r = params.alpha, params.beta, params.r
     rpt = CheckReport(id=rid, params={"n": n, "s": s, "params": params, "order": order})
-    lhs = [
-        sign**k * c * gen_factorial(r + k * b, a, n)
-        for k, c in enumerate(_binomials(m, order))
-    ]
+    tail = _binomials(m, order)
+    if sign < 0:  # sign^k C(m-1+k, k)
+        tail[1::2] = [-c for c in tail[1::2]]
+    lhs = _factorial_weights(tail, params, n)
     rhs = _composition(n, m, sign, params, order)
     return rpt.compare_each(zip(count(), lhs, rhs), "[x^{}]: termwise {} != composition {}")
 
 
 def verify_eq4_operator(n: int, s: int, params: HsuShiueParams, order: int) -> CheckReport:
-    """Operator route for the binomial-tail test function.
+    """Operator route for the binomial-tail test function sum_k C(s+k,k) x^k.
 
-    Applies the operator n times to sum_k C(s+k,k) x^k and compares with
-    the composition form (1-x)^(-s-1) * w_n^(s+1)(x/(1-x)).  Distinct from
-    `verify_series_identity("eq5", ...)`, whose left side is assembled
-    termwise from generalized factorials instead.
+    n applications multiply C(s+k,k) by (k*beta + r|alpha)_n, which is
+    EQ5's termwise side, so this is `verify_series_identity("eq5", ...)`.
     """
-    as_size(order, "order")
-    as_size(s, "s")
-    rpt = CheckReport(
-        id="EQ4_OPERATOR", params={"n": n, "s": s, "params": params, "order": order}
-    )
-    lhs = apply_operator(_binomials(s + 1, order), params, n)
-    rhs = _composition(n, s + 1, 1, params, order)
-    return rpt.compare_each(zip(count(), lhs, rhs), "[x^{}]: operator {} != composition {}")
+    return verify_series_identity("eq5", n, s, params, order)
 
 
 def verify_eq15(n: int, params: HsuShiueParams, order: int) -> CheckReport:
     """Operator action on the scaled exponential vs its polynomial closed form.
 
     n applications on x^(r/beta) e^(x/beta) must reproduce, gradedwise, the
-    convolution e^(x/beta) * S_n(x); coefficientwise this is the same content
-    as the exact Dobinski-style expansion, routed through the operator.
+    convolution e^(x/beta) * S_n(x).  Coefficientwise this is the exact
+    Dobinski-style expansion [x^k] e^(x/beta) S_n(x) = (k*beta + r|alpha)_n /
+    (beta^k k!), so the EQ16_EXACT record runs this check too.
     """
     if params.beta == 0:
         raise ValueError("beta must be nonzero")

@@ -89,16 +89,22 @@ class StirlingTable(Frozen):
             return self
         return StirlingTable(self.params, k - 1, self.rows[:k], self.dens[:k])
 
-    def value(self, n: int, k: int) -> Fraction:
+    def _check(self, n: int, k: int = 0) -> None:
+        """Row n in 0..n_max and column k >= 0, or IndexError: no negative
+        index reads or writes from the end."""
         if n < 0 or n > self.n_max:
             raise IndexError(f"row {n} outside table range 0..{self.n_max}")
         if k < 0:
             raise IndexError(f"negative column {k}")
+
+    def value(self, n: int, k: int) -> Fraction:
+        self._check(n, k)
         if k > n:
             return Fraction(0)
         return Fraction(self.rows[n][k], self.dens[n])
 
     def row(self, n: int) -> tuple[Fraction, ...]:
+        self._check(n)
         den = self.dens[n]
         return tuple(Fraction(t, den) for t in self.rows[n])
 
@@ -106,7 +112,11 @@ class StirlingTable(Frozen):
         """Copy with one cell replaced; a hook for negative-control tests.
 
         Only row n is rescaled, to the lcm of its denominator and the new value's.
+        A cell k > n, which `value` reads as 0, is no cell of the table.
         """
+        self._check(n, k)
+        if k > n:
+            raise IndexError(f"column {k} outside row {n}")
         (unit, row_k), den = over_lcm((Fraction(1, self.dens[n]), as_rational(value)))
         row = [t * unit for t in self.rows[n]]
         row[k] = row_k

@@ -153,7 +153,7 @@ def test_criterion_10_dobinski_exact_and_numeric():
     for _ in range(5):
         params = sampler.params()
         for n in range(9):
-            assert families.check_dobinski(n, params, 24).status == "pass"
+            assert mellin.verify_eq15(n, params, 24).status == "pass"
     for _ in range(4):
         params = sampler.params(beta_positive=True)
         x = sampler.rational()

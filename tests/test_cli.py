@@ -229,8 +229,8 @@ def _stdout_of(argv):
 # sha256 of `verify --id all --profile <p> --seed 1 --no-timing`: the byte gate
 # that a refactor must leave unchanged unless it says why the output moves.
 VERIFY_ALL_SHA256 = {
-    "quick": "68589979da335fe67bce6d3496d0289d2b83ab522f04c55c6bfb4f5d591d267e",
-    "full": "2e09bb4d6c33066f98c34048509e381774bfabb478037c77c1b6bad1c1d33e17",
+    "quick": "d95cd46d0e8a44908494c5ebde39ac863300b30991973fd538a4d0560ed60be9",
+    "full": "4c4f65d904bc76b1f47b16897956319965d6d47d4964ff8cf40d791f4c8687d0",
 }
 
 
@@ -256,7 +256,7 @@ VERIFY_ID_SHA256 = {
         "EQ10": "c8cd0c465018a95d36a726114bb3022d16821ceebe0ed4440528a3770a173551",
         "EQ14": "0caa253b9abad6216bbd5621174d63b0517f8cbdbbd3b24ebf4765f4767fa73b",
         "EQ15": "d5404b427b6a7a5bbb5eb2c4b7abd8f1382c42d74678bb31cc05b03fade112fa",
-        "EQ16_EXACT": "2705e66edef6684995f4eb23834cca621a7953b590bb71aedbcc7b4a79bc85e5",
+        "EQ16_EXACT": "becfeb3270f6b45d79fee6324fb30e3aa04af2ba8fa0c31575ee723ff29cc2b5",
         "EQ16_NUMERIC": "bd1a9680a2728651d2dc4f27990b29f254d661f602d92b66bdff175306ea8b32",
         "EQ17": "b62a7cb04ff388acf06a7980a0e5c76e9f3679da9b1843342c4d302aa9162a91",
         "EQ18": "20657f897188efeea1dc88d215e1a6ef461f9e9f445c932cb8dc5009b158b0f6",
@@ -293,7 +293,7 @@ VERIFY_ID_SHA256 = {
         "EQ10": "6952144d46009459f8d43d1eca9343770e45c384b5b153e252f0aa0979f276da",
         "EQ14": "0caa253b9abad6216bbd5621174d63b0517f8cbdbbd3b24ebf4765f4767fa73b",
         "EQ15": "b3fb4457e949034462066d35a4a1e96b71d99b5c22626fb5f09ce0254cfc9fd8",
-        "EQ16_EXACT": "4434b9a58fc111073f4b89f7737a70c5f86bbf7f3c00c406c9ceaf80e51da903",
+        "EQ16_EXACT": "07aba180ac5b2412acaff191d9e30350e85122e0f68ec6bc4d4d1d8a9fdb3fb5",
         "EQ16_NUMERIC": "415d90c301afc07e40e82fa79e2e75d3d0014b655fb3f1800942b12d1ed5cc3d",
         "EQ17": "de3235ec93bba88013ed6eb8ac3b4b8a0855d9e700bf87095e1f434fdb412e82",
         "EQ18": "d8a762de123779efe213a67c51317a1c47c686934952f4aa1a17448597f945c2",

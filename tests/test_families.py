@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geopoly import families as fam
 from geopoly import identities as I
+from geopoly import mellin
 from geopoly import polynomials
 from geopoly.enumeration import (
     barred_preferential_count,
@@ -22,7 +23,13 @@ from geopoly.memo import CACHE_CAP, Memo
 from geopoly.params import HsuShiueParams
 from geopoly.polynomials import PolyQ
 from geopoly.report import CheckReport
-from geopoly.series import PowerSeries, gf_bernoulli2_degenerate, gf_degenerate_euler, gf_w
+from geopoly.series import (
+    PowerSeries,
+    binom_deform,
+    gf_bernoulli2_degenerate,
+    gf_degenerate_euler,
+    gf_w,
+)
 from geopoly.stirling import cached_table
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -535,11 +542,18 @@ def test_howard_matches_direct_sums(n, m, beta, r):
 
 
 def test_dobinski_exact():
-    assert fam.check_dobinski(0, RATIONAL, 12).status == "pass"
-    assert fam.check_dobinski(1, RATIONAL, 12).status == "pass"
-    assert fam.check_dobinski(8, HsuShiueParams(F(1, 2), 2, -1), 24).status == "pass"
+    # EQ16_EXACT runs EQ15's check: [x^k] e^(x/beta) S_n(x) is the Dobinski
+    # coefficient (k*beta + r|alpha)_n / (beta^k k!), here by gen_factorial
+    cases = ((0, RATIONAL, 12), (1, RATIONAL, 12), (8, HsuShiueParams(F(1, 3), -2, 1), 24))
+    for n, p, order in cases:
+        assert mellin.verify_eq15(n, p, order).status == "pass"
+        conv = binom_deform(0, 1 / p.beta, order) * fam.exp_poly(n, p).to_series(order)
+        a, b, r = p.alpha, p.beta, p.r
+        assert list(conv.coeffs) == [
+            gen_factorial(k * b + r, a, n) / (b**k * factorial(k)) for k in range(order + 1)
+        ]
     with pytest.raises(ValueError):
-        fam.check_dobinski(2, HsuShiueParams(1, 0, 0), 8)
+        mellin.verify_eq15(2, HsuShiueParams(1, 0, 0), 8)
 
 
 def test_gamma_rep_collapse():

@@ -171,7 +171,7 @@ def test_records_reach_checks_by_name(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     assert I.run_all(seed=1, profile="quick")["unexpected"] == []
-    assert len(calls) == 27
+    assert len(calls) == 26
     assert [label for label, n in calls.items() if n == 0] == []
 
 

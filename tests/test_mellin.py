@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from geopoly import identities as I
 from geopoly import mellin as M
 from geopoly.exact import falling_factorial, gen_factorial
 from geopoly.families import geometric_poly
@@ -80,9 +81,13 @@ def _names_in(function: str) -> set[str]:
     return named | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
-def test_apply_operator_keeps_its_own_loop():
-    # EQ4_OPERATOR's operator side stays apart from EQ5's termwise factorials
-    assert _names_in("apply_operator").isdisjoint({"gen_factorial", "_binomials", "exact"})
+def test_no_mellin_function_names_gen_factorial():
+    # every operator and termwise side is the one integer loop of _factorial_weights
+    functions = [n.name for n in ast.walk(ast.parse(inspect.getsource(M)))
+                 if isinstance(n, ast.FunctionDef)]
+    assert "_factorial_weights" in functions
+    assert all("gen_factorial" not in _names_in(f) for f in functions)
+    assert not hasattr(M, "gen_factorial")
 
 
 def test_composition_reads_no_route_of_the_other_sides():
@@ -90,7 +95,28 @@ def test_composition_reads_no_route_of_the_other_sides():
     # their termwise and operator sides
     named = _names_in("_composition")
     assert "geometric_poly" in named
-    assert named.isdisjoint({"_binomials", "gen_factorial", "apply_operator"})
+    assert named.isdisjoint(
+        {"_binomials", "gen_factorial", "apply_operator", "_factorial_weights"}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=sevenths,
+    beta=sevenths,
+    r=sevenths,
+    coeffs=st.lists(sevenths | st.integers(-9, 9), min_size=1, max_size=8),
+    n=st.integers(0, 6),
+)
+@example(alpha=F(1, 2), beta=F(0), r=F(2, 3), coeffs=[F(1), -3, F(5, 7)], n=4)  # beta = 0
+def test_factorial_weights_match_reference_at_any_beta(alpha, beta, r, coeffs, n):
+    # the termwise sides hand it signed integers, and EQ5, EQ21, EQ38 allow beta = 0
+    assume(alpha or beta or r)  # (0, 0, 0) is no triple
+    params = HsuShiueParams(alpha, beta, r)
+    got = M._factorial_weights(coeffs, params, n)
+    assert got == ref_apply([F(c) for c in coeffs], params, n)
+    assert got == [c * gen_factorial(k * beta + r, alpha, n) for k, c in enumerate(coeffs)]
+    assert {type(c) for c in got} == {F}
 
 
 def test_apply_once_linear_weights():
@@ -236,6 +262,57 @@ def test_eq4_operator_route():
     for n in range(7):
         for s in range(3):
             assert M.verify_eq4_operator(n, s, PARAMS, 14).status == "pass"
+
+
+BETA_ZERO = HsuShiueParams(F(1, 2), 0, F(-2, 3))
+
+
+@pytest.mark.parametrize("which,s", [("eq5", 2), ("eq21", 0), ("eq38_binomial", 3)])
+def test_series_identities_pass_at_beta_zero(which, s):
+    # (k*0 + r|alpha)_n is the same factor for every k, and w_n^(m) is its constant
+    for n in range(6):
+        assert M.verify_series_identity(which, n, s, BETA_ZERO, 10).status == "pass"
+
+
+def test_eq4_operator_is_eq5s_check_at_beta_zero_and_the_order_floor():
+    # apply_operator refuses beta = 0, but EQ4_OPERATOR runs EQ5's check,
+    # which allows it, and takes its floor order >= n
+    assert M.verify_eq4_operator(3, 1, BETA_ZERO, 8).status == "pass"
+    with pytest.raises(ValueError, match="order must be >= 5"):
+        M.verify_eq4_operator(5, 1, PARAMS, 4)
+
+
+@pytest.mark.parametrize(
+    "params", [PARAMS, BETA_ZERO, HsuShiueParams(F(-1, 3), F(5, 2), F(1, 4))]
+)
+def test_eq4_operator_report_is_eq5s(monkeypatch, params):
+    # the same report at the same arguments, the failure witness included
+    for n, s, order in ((0, 0, 0), (3, 2, 9), (6, 1, 12)):
+        want = M.verify_series_identity("eq5", n, s, params, order).to_dict()
+        assert M.verify_eq4_operator(n, s, params, order).to_dict() == want
+        assert want["status"] == "pass"
+    geometric_poly = M.geometric_poly  # moved by x: the witness is at x^1 or later
+    monkeypatch.setattr(M, "geometric_poly", lambda *a: PolyQ.from_coeffs(
+        [c + (k == 1) for k, c in enumerate([*geometric_poly(*a).coeffs, 0, 0])]))
+    got = M.verify_eq4_operator(3, 2, params, 9).to_dict()
+    assert got == M.verify_series_identity("eq5", 3, 2, params, 9).to_dict()
+    assert got["status"] == "fail"
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_eq16_exact_record_reports_are_eq15s(profile):
+    # EQ16_EXACT's record draws n and the params in EQ15's order and runs
+    # verify_eq15 at series_order - 6: its reports are that check's, relabelled
+    prof = I.PROFILES[profile]
+    for seed in (1, 2, 7):
+        got = [r.to_dict() for r in I.run("EQ16_EXACT", seed=seed, profile=profile)]
+        rng = SmallRationalSampler(seed * 1_000_003 + I.IDENTITY_IDS.index("EQ16_EXACT"))
+        want = []
+        for _ in range(prof.default_samples):
+            n, params = rng.int_between(0, prof.exact_n), rng.params()
+            rpt = M.verify_eq15(n, params, prof.series_order - 6)
+            want.append({**rpt.to_dict(), "id": "EQ16_EXACT"})
+        assert got == want
 
 
 def test_eq15_against_convolution():

@@ -64,6 +64,21 @@ def test_with_entry_rescales_only_its_row(bump):
     assert table.value(4, 2) == fraction_rows(table.params, 6)[4][2]  # the original is untouched
 
 
+def test_no_index_reads_or_writes_from_the_end():
+    # a negative row or column raises as value does, and does not wrap to the end
+    table = build_table(HsuShiueParams(0, 1, 0), 4)
+    for read in (lambda: table.row(-1), lambda: table.row(5), lambda: table.value(-1, 0),
+                 lambda: table.value(2, -1)):
+        with pytest.raises(IndexError, match=r"row -1 outside|row 5 outside|negative column"):
+            read()
+    for n, k, match in ((-1, 0, "row -1 outside"), (5, 0, "row 5 outside"),
+                        (2, -1, "negative column -1"), (2, 3, "column 3 outside row 2")):
+        with pytest.raises(IndexError, match=match):
+            table.with_entry(n, k, 7)
+    assert table.value(2, 3) == 0  # a cell past the diagonal reads 0, but is no cell to write
+    assert table.with_entry(2, 2, 9).value(2, 2) == 9
+
+
 def test_table_builds_without_the_series_module(monkeypatch):
     # the oracle's module may fail entirely: build_table and cached_table never call it
     def boom(*args, **kwargs):
